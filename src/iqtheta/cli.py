@@ -11,6 +11,7 @@ are emitted as [re, im] pairs and exact rationals as [num, den] pairs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -39,6 +40,7 @@ from .presets import (
 )
 from .relations import (
     RelationSpec,
+    VerificationReport,
     build_relation,
     decompose_rational_P,
     evaluate_relation,
@@ -55,8 +57,26 @@ EXIT_CAP = 4
 EXIT_RESIDUAL = 5
 
 
+# ValueError subclasses that mean well-formed input outside its domain
+_DOMAIN_ERRORS = (DomainError, SingularMatrixError, SublatticeError,
+                  FieldMismatchError)
+
+
 class CliParseError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _parsing(what: str):
+    """Report malformed input raised inside the block as a CliParseError."""
+    try:
+        yield
+    except _DOMAIN_ERRORS:
+        raise
+    except KeyError as exc:
+        raise CliParseError(f"cannot parse {what}: missing key {exc}") from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CliParseError(f"cannot parse {what}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,7 +116,8 @@ def _parse_complex_matrix(value: str, name: str) -> np.ndarray:
     obj = _load_json(value)
     if not isinstance(obj, list) or not obj or not isinstance(obj[0], list):
         raise CliParseError(f"{name} must be a nested JSON array")
-    rows = [[_entry_to_complex(x) for x in row] for row in obj]
+    with _parsing(name):
+        rows = [[_entry_to_complex(x) for x in row] for row in obj]
     width = {len(r) for r in rows}
     if len(width) != 1:
         raise CliParseError(f"{name} has ragged rows")
@@ -109,10 +130,8 @@ def _parse_kmatrix(value: str, field: FieldId, name: str) -> KMatrix:
         raise CliParseError(
             f"{name} must be a serialized exact matrix with an 'entries' key"
         )
-    try:
+    with _parsing(name):
         return KMatrix.from_json(obj, field)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise CliParseError(f"cannot parse {name}: {exc}") from exc
 
 
 def _parse_rational(x: object, name: str) -> Fraction:
@@ -167,12 +186,8 @@ def _load_spec(path: str) -> RelationSpec:
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise CliParseError("relation spec must be a JSON object")
-    try:
+    with _parsing("relation spec"):
         return RelationSpec.from_json(obj)
-    except DomainError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliParseError(f"cannot parse relation spec: {exc}") from exc
 
 
 def _require_source(args: argparse.Namespace) -> None:
@@ -202,7 +217,8 @@ def _random_W(g: int, rng: np.random.Generator, symmetric: bool) -> np.ndarray:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    field = FieldId(args.d)
+    with _parsing("--d"):
+        field = FieldId(args.d)
     w_arr = _parse_complex_matrix(args.W, "--W")
     g = w_arr.shape[0]
     if args.P is not None:
@@ -319,7 +335,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 _verify_samples(args, check.g, check.needs_symmetric_W)
             ):
                 rep = check.evaluate(W, params)
-                reports.append(dict(rep.to_json(), check=check.name, W_index=idx))
+                reports.append(
+                    dict(name=check.name, **rep.to_json(), check=check.name,
+                         W_index=idx)
+                )
     else:
         spec = _load_spec(args.spec)
         label = spec.name or "spec"
@@ -344,26 +363,20 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     obj = _load_json(args.spec)
     if not isinstance(obj, dict):
         raise CliParseError("decompose input must be a JSON object")
-    try:
+    with _parsing("decompose input"):
         field = FieldId(int(obj["d"]))
         g = int(obj["g"])
         p_rows = [
             [_parse_rational(x, "P") for x in row] for row in obj["P"]
         ]
-    except KeyError as exc:
-        raise CliParseError(f"decompose input missing key {exc}") from exc
-    h = len(p_rows)
-    P = KMatrix.from_rational_rows(p_rows, field)
-    A0 = (
-        KMatrix.from_json(obj["A0"], field)
-        if "A0" in obj
-        else KMatrix.zeros(g, h, field)
-    )
-    B0 = (
-        KMatrix.from_json(obj["B0"], field)
-        if "B0" in obj
-        else KMatrix.zeros(g, h, field)
-    )
+        h = len(p_rows)
+        P = KMatrix.from_rational_rows(p_rows, field)
+        A0, B0 = (
+            KMatrix.from_json(obj[key], field)
+            if key in obj
+            else KMatrix.zeros(g, h, field)
+            for key in ("A0", "B0")
+        )
     decomp = decompose_rational_P(field, g, P, A0, B0)
     det = decomp.lambda_product()
     out = {
@@ -380,19 +393,20 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         cache = ThetaCache()
         poly = decomp.evaluate(W, params, cache)
         direct = theta_general(field, W, P, A0, B0, params, cache).value
-        residual = abs(poly - direct) / max(abs(poly), abs(direct), 1e-12)
-        tolerance = max(1e-9, len(decomp.monomials) * 4.0 * params.eps)
-        passed = residual <= tolerance
+        rep = VerificationReport.compare(
+            direct, poly, len(decomp.monomials), cache.misses, cache.hits,
+            params.eps,
+        )
         out.update(
             {
                 "poly_value": _complex_pair(poly),
                 "direct_value": _complex_pair(direct),
-                "residual_rel": residual,
-                "tolerance": tolerance,
-                "passed": passed,
+                "residual_rel": rep.residual_rel,
+                "tolerance": rep.tolerance,
+                "passed": rep.passed,
             }
         )
-        if not passed:
+        if not rep.passed:
             exit_code = EXIT_RESIDUAL
     _emit(out)
     return exit_code
@@ -493,8 +507,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DomainError, SingularMatrixError, SublatticeError,
-            FieldMismatchError) as exc:
+    except _DOMAIN_ERRORS as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except TruncationError as exc:

@@ -191,18 +191,6 @@ class KElement:
         a, b = self.a, self.b
         return f"{a.numerator}/{a.denominator}+{b.numerator}/{b.denominator}*delta"
 
-    @staticmethod
-    def from_string(s: str, field: FieldId) -> "KElement":
-        body = s.replace(" ", "")
-        if "*delta" in body:
-            head, _, _ = body.rpartition("*delta")
-            ra, _, rb = head.rpartition("+")
-            if ra == "":
-                ra, rb = "0", head
-        else:
-            ra, rb = body, "0"
-        return KElement(Fraction(ra), Fraction(rb), field)
-
     def to_json(self) -> dict:
         return {
             "a": [self.a.numerator, self.a.denominator],

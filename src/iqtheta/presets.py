@@ -26,28 +26,22 @@ import numpy as np
 
 from .errors import DomainError
 from .kfield import FieldId, KElement, KMatrix
-from .lattices import FiniteAbelianGroup
+from .lattices import FiniteAbelianGroup, character_group, shift_group
 from .relations import (
     RelationInstance,
     RelationSpec,
+    Term,
+    ThetaFactor,
+    VerificationReport,
+    _sum_terms,
     build_relation,
     evaluate_relation,
 )
-from .thetas import (
-    MatrixLike,
-    ThetaCache,
-    ThetaParams,
-    riemann_theta_z0,
-    theta_check_variant,
-    theta_general,
-)
+from .thetas import MatrixLike, ThetaCache, ThetaParams
 
 __all__ = [
     "PRESET_NAMES",
-    "ThetaFactor",
-    "IdentityTerm",
     "IdentityCheck",
-    "IdentityReport",
     "Preset",
     "bracket_to_characteristic",
     "make_preset",
@@ -79,126 +73,30 @@ PRESET_NAMES = (
 
 
 @dataclass(frozen=True)
-class ThetaFactor:
-    """One theta factor inside a product term.
-
-    kind "field": Theta^p[a; b](W) over an imaginary quadratic order, with
-    p an exact square matrix (a scalar [[s]] encodes the argument s*W).
-    kind "check": the linear-phase variant at w_scale * W.
-    kind "riemann": the classical real theta at z = 0 and w_scale * Omega,
-    with a and b tuples of rationals.
-    """
-
-    kind: str
-    a: object
-    b: object
-    p: Optional[KMatrix] = None
-    w_scale: Fraction = Fraction(1)
-
-
-@dataclass(frozen=True)
-class IdentityTerm:
-    coeff_q: Fraction  # multiplies exp(-2*pi*i*coeff_q)
-    coeff_scale: Fraction
-    factors: tuple[ThetaFactor, ...]
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    lhs: complex
-    rhs: complex
-    residual_abs: float
-    residual_rel: float
-    term_count: int
-    theta_evals: int
-    cache_hits: int
-    tolerance: float
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": [self.lhs.real, self.lhs.imag],
-            "rhs": [self.rhs.real, self.rhs.imag],
-            "residual_abs": self.residual_abs,
-            "residual_rel": self.residual_rel,
-            "term_count": self.term_count,
-            "theta_evals": self.theta_evals,
-            "cache_hits": self.cache_hits,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
-
-def _phase(q: Fraction) -> complex:
-    q = q - math.floor(q)
-    return complex(np.exp(-2j * np.pi * float(q)))
-
-
-@dataclass(frozen=True)
 class IdentityCheck:
     """lhs == rhs, each side a sum of coefficiented theta products."""
 
     name: str
     g: int
-    lhs: tuple[IdentityTerm, ...]
-    rhs: tuple[IdentityTerm, ...]
+    lhs: tuple[Term, ...]
+    rhs: tuple[Term, ...]
     needs_symmetric_W: bool = False
 
     def evaluate(
         self, W: MatrixLike, params: Optional[ThetaParams] = None
-    ) -> IdentityReport:
+    ) -> VerificationReport:
         if params is None:
             params = ThetaParams()
         cache = ThetaCache()
-        riemann_evals = 0
-
-        def eval_side(terms: tuple[IdentityTerm, ...]) -> complex:
-            nonlocal riemann_evals
-            re_parts: list[float] = []
-            im_parts: list[float] = []
-            for term in terms:
-                acc = float(term.coeff_scale) * _phase(term.coeff_q)
-                for f in term.factors:
-                    if f.kind == "riemann":
-                        om = np.asarray(W, dtype=np.complex128) * float(f.w_scale)
-                        tv = riemann_theta_z0(f.a, f.b, om, params)
-                        riemann_evals += 1
-                    elif f.kind == "check":
-                        w = np.asarray(W, dtype=np.complex128) * float(f.w_scale)
-                        tv = theta_check_variant(
-                            f.a.field, f.a, f.b, w, params, cache
-                        )
-                    elif f.kind == "field":
-                        tv = theta_general(
-                            f.a.field, W, f.p, f.a, f.b, params, cache
-                        )
-                    else:
-                        raise ValueError(f"unknown factor kind {f.kind!r}")
-                    acc *= tv.value
-                re_parts.append(acc.real)
-                im_parts.append(acc.imag)
-            return complex(math.fsum(re_parts), math.fsum(im_parts))
-
-        lhs = eval_side(self.lhs)
-        rhs = eval_side(self.rhs)
-        residual_abs = abs(lhs - rhs)
-        denom = max(abs(lhs), abs(rhs), 1e-12)
-        residual_rel = residual_abs / denom
-        n_terms = len(self.lhs) + len(self.rhs)
-        tolerance = max(1e-9, n_terms * 4.0 * params.eps)
-        return IdentityReport(
-            name=self.name,
-            lhs=lhs,
-            rhs=rhs,
-            residual_abs=residual_abs,
-            residual_rel=residual_rel,
-            term_count=n_terms,
-            theta_evals=cache.misses + riemann_evals,
-            cache_hits=cache.hits,
-            tolerance=tolerance,
-            passed=residual_rel <= tolerance,
+        lhs, lhs_riemann = _sum_terms(self.lhs, W, params, cache)
+        rhs, rhs_riemann = _sum_terms(self.rhs, W, params, cache)
+        return VerificationReport.compare(
+            lhs,
+            rhs,
+            len(self.lhs) + len(self.rhs),
+            cache.misses + lhs_riemann + rhs_riemann,
+            cache.hits,
+            params.eps,
         )
 
 
@@ -237,8 +135,8 @@ def _dense_factor(a: KMatrix, b: KMatrix, p: KMatrix) -> ThetaFactor:
 
 def _plain_term(factors: Sequence[ThetaFactor],
                 scale: Fraction = Fraction(1),
-                q: Fraction = Fraction(0)) -> IdentityTerm:
-    return IdentityTerm(coeff_q=q, coeff_scale=scale, factors=tuple(factors))
+                q: Fraction = Fraction(0)) -> Term:
+    return Term(coeff_q=q, coeff_scale=scale, factors=tuple(factors))
 
 
 def bracket_to_characteristic(
@@ -555,13 +453,7 @@ def _preset_prop_half(
     inst = build_relation(spec)
 
     printed = _prop_printed_shifts(field)
-    g1_row = (
-        inst.G1
-        if g == 1
-        else build_relation(RelationSpec(field, 1, T, P,
-                                         KMatrix([[field.zero()] * 2]),
-                                         KMatrix([[field.zero()] * 2]))).G1
-    )
+    g1_row = inst.G1 if g == 1 else shift_group(1, T)
     matches, detail = _compare_classes(g1_row, printed)
     warnings = []
     if not matches:
@@ -712,13 +604,7 @@ def _preset_cartan(
                 entries.append(cur - prev)
             prev = cur
         printed.append(KMatrix([entries]))
-    g1_row = (
-        inst.G1
-        if g == 1
-        else build_relation(
-            RelationSpec(field, 1, T, P, KMatrix([[zero] * h]), KMatrix([[zero] * h]))
-        ).G1
-    )
+    g1_row = inst.G1 if g == 1 else shift_group(1, T)
     matches, detail = _compare_classes(g1_row, printed)
     if not matches:
         warnings.append(
@@ -864,11 +750,7 @@ def _cubic_statement_check(
                 c3.append((a1 + a2 + a3 + rv[k] - sv[k]) * third)
             rhs.append(
                 _plain_term(
-                    [
-                        _field_factor(_col(c1), zero, Fraction(3)),
-                        _field_factor(_col(c2), zero, Fraction(3)),
-                        _field_factor(_col(c3), zero, Fraction(3)),
-                    ]
+                    [_field_factor(_col(c), zero, Fraction(3)) for c in (c1, c2, c3)]
                 )
             )
     return IdentityCheck(name=name, g=g, lhs=(lhs,), rhs=tuple(rhs))
@@ -881,11 +763,7 @@ def _preset_cubic(g: int, alphas: Optional[Sequence[KMatrix]] = None) -> Preset:
     if len(alphas) != 3:
         raise DomainError("cubic_d3 needs three characteristic columns")
     inst = _cubic_instance(field, g, alphas, "cubic_d3")
-    g1_row = (
-        inst.G1
-        if g == 1
-        else _cubic_instance(field, 1, [_zero_col(field, 1)] * 3, "cubic_row").G1
-    )
+    g1_row = inst.G1 if g == 1 else shift_group(1, inst.spec.T)
     matches, detail = _compare_classes(g1_row, _cubic_printed_classes(field))
     warnings = [] if matches else [f"cubic_d3: {detail}"]
     checks = [
@@ -914,47 +792,26 @@ def _preset_cubic(g: int, alphas: Optional[Sequence[KMatrix]] = None) -> Preset:
     )
 
 
-def _cubic_bracket_display1(field: FieldId, g: int) -> IdentityCheck:
-    # (Theta{0,0})^3(W) as a 27^g-term sum at 3W over bracket labels
-    zero_b = _zero_col(field, g)
-    z_char = bracket_to_characteristic(field, [(0, 0)] * g)
-    lhs = _plain_term([_field_factor(z_char, zero_b, Fraction(1))] * 3)
-    labels = list(itertools.product((0, 1, -1), repeat=3))  # rho1, rho2, sigma2
-    rhs = []
-    for combo in itertools.product(labels, repeat=g):
-        rows1 = [(c[0], c[1]) for c in combo]
-        rows2 = [(c[0], c[1] + c[2]) for c in combo]
-        rows3 = [(c[0], c[1] - c[2]) for c in combo]
-        rhs.append(
-            _plain_term(
-                [
-                    _field_factor(
-                        bracket_to_characteristic(field, rows), zero_b, Fraction(3)
-                    )
-                    for rows in (rows1, rows2, rows3)
-                ]
-            )
-        )
-    return IdentityCheck(
-        name=f"cubic_bracket_cube_g{g}", g=g, lhs=(lhs,), rhs=tuple(rhs)
-    )
-
-
-def _cubic_bracket_display2(field: FieldId, g: int) -> IdentityCheck:
+def _cubic_bracket_display(field: FieldId, g: int, which: int) -> IdentityCheck:
+    # corollary 1: (Theta{0,0})^3(W), corollary 2: the product of Theta{0,c}
+    # over c in (0, 1, -1); each a 27^g-term sum at 3W over bracket labels
+    shift = 0 if which == 1 else 1
     zero_b = _zero_col(field, g)
     lhs = _plain_term(
         [
             _field_factor(
-                bracket_to_characteristic(field, [(0, c)] * g), zero_b, Fraction(1)
+                bracket_to_characteristic(field, [(0, c * shift)] * g),
+                zero_b,
+                Fraction(1),
             )
             for c in (0, 1, -1)
         ]
     )
-    labels = list(itertools.product((0, 1, -1), repeat=3))
+    labels = list(itertools.product((0, 1, -1), repeat=3))  # rho1, rho2, sigma2
     rhs = []
     for combo in itertools.product(labels, repeat=g):
-        rows1 = [(c[0] - 1, c[1]) for c in combo]
-        rows2 = [(c[0] + 1, c[1] + c[2]) for c in combo]
+        rows1 = [(c[0] - shift, c[1]) for c in combo]
+        rows2 = [(c[0] + shift, c[1] + c[2]) for c in combo]
         rows3 = [(c[0], c[1] - c[2]) for c in combo]
         rhs.append(
             _plain_term(
@@ -966,8 +823,9 @@ def _cubic_bracket_display2(field: FieldId, g: int) -> IdentityCheck:
                 ]
             )
         )
+    name = "cube" if which == 1 else "product"
     return IdentityCheck(
-        name=f"cubic_bracket_product_g{g}", g=g, lhs=(lhs,), rhs=tuple(rhs)
+        name=f"cubic_bracket_{name}_g{g}", g=g, lhs=(lhs,), rhs=tuple(rhs)
     )
 
 
@@ -1007,21 +865,14 @@ def _preset_cubic_cor(
             c3 = [v[(k, 0)] + (rv[k] - sv[k]) * third for k in range(g)]
             rhs.append(
                 _plain_term(
-                    [
-                        _field_factor(_col(c1), zero_b, Fraction(3)),
-                        _field_factor(_col(c2), zero_b, Fraction(3)),
-                        _field_factor(_col(c3), zero_b, Fraction(3)),
-                    ]
+                    [_field_factor(_col(c), zero_b, Fraction(3)) for c in (c1, c2, c3)]
                 )
             )
     checks = [
         IdentityCheck(name=f"{name}_printed_g{g}", g=g, lhs=(lhs,), rhs=tuple(rhs))
     ]
     if v.is_zero() and g <= 2:
-        if which == 1:
-            checks.append(_cubic_bracket_display1(field, g))
-        else:
-            checks.append(_cubic_bracket_display2(field, g))
+        checks.append(_cubic_bracket_display(field, g, which))
     expected = {
         "computed_G1_order": inst.G1.order,
         "expected_G1_order": 27**g,
@@ -1088,20 +939,7 @@ def _preset_quartic(g: int, alphas: Optional[Sequence[KMatrix]] = None) -> Prese
     A0 = _row_matrix(list(alphas)) @ T.conj_transpose()
     B0 = KMatrix([[field.zero()] * 4 for _ in range(g)])
     inst = build_relation(RelationSpec(field, g, T, P, A0, B0, name="quartic_d1"))
-    g1_row = (
-        inst.G1
-        if g == 1
-        else build_relation(
-            RelationSpec(
-                field,
-                1,
-                T,
-                P,
-                KMatrix([[field.zero()] * 4]),
-                KMatrix([[field.zero()] * 4]),
-            )
-        ).G1
-    )
+    g1_row = inst.G1 if g == 1 else shift_group(1, T)
     matches, detail = _compare_classes(g1_row, _quartic_printed_classes(field))
     warnings = [] if matches else [f"quartic_d1: {detail}"]
 
@@ -1256,8 +1094,9 @@ def _preset_matsumoto(
     P = KMatrix.identity(2, field)
     one_plus_i = one + i_
     # theorem characteristics reproducing the product form on the left
-    A0 = _row_matrix([_scale_col(a1, one_plus_i), _scale_col(a2, one_plus_i)])
-    B0 = _row_matrix([_scale_col(b1, one_plus_i), _scale_col(b2, one_plus_i)])
+    a1s, a2s, b1s, b2s = (x.scale(one_plus_i) for x in (a1, a2, b1, b2))
+    A0 = _row_matrix([a1s, a2s])
+    B0 = _row_matrix([b1s, b2s])
     spec = RelationSpec(field, g, T, P, A0, B0, name="matsumoto")
     inst = build_relation(spec)
 
@@ -1266,23 +1105,9 @@ def _preset_matsumoto(
     printed = []
     for ev in _vectors(e_reps, 1):
         printed.append(KMatrix([[ev[0], ev[0]]]))
-    g1_row = (
-        inst.G1
-        if g == 1
-        else build_relation(
-            RelationSpec(field, 1, T, P, KMatrix([[field.zero()] * 2]),
-                         KMatrix([[field.zero()] * 2]))
-        ).G1
-    )
+    g1_row = inst.G1 if g == 1 else shift_group(1, T)
     m1, d1 = _compare_classes(g1_row, printed)
-    g2_row = (
-        inst.G2
-        if g == 1
-        else build_relation(
-            RelationSpec(field, 1, T, P, KMatrix([[field.zero()] * 2]),
-                         KMatrix([[field.zero()] * 2]))
-        ).G2
-    )
+    g2_row = inst.G2 if g == 1 else character_group(1, T)
     m2, d2 = _compare_classes(g2_row, printed)
     warnings = []
     if not m1:
@@ -1314,21 +1139,12 @@ def _preset_matsumoto(
             e_col = _col(list(ev))
             f_col = _col(list(fv))
             rhs.append(
-                IdentityTerm(
-                    coeff_q=q - math.floor(q),
-                    coeff_scale=Fraction(1),
-                    factors=(
-                        ThetaFactor(
-                            kind="check",
-                            a=e_col + _scale_col(a1, one_plus_i),
-                            b=f_col + _scale_col(b1, one_plus_i),
-                        ),
-                        ThetaFactor(
-                            kind="check",
-                            a=e_col + _scale_col(a2, one_plus_i),
-                            b=f_col + _scale_col(b2, one_plus_i),
-                        ),
-                    ),
+                _plain_term(
+                    [
+                        ThetaFactor(kind="check", a=e_col + a1s, b=f_col + b1s),
+                        ThetaFactor(kind="check", a=e_col + a2s, b=f_col + b2s),
+                    ],
+                    q=q - math.floor(q),
                 )
             )
     check = IdentityCheck(
@@ -1357,10 +1173,6 @@ def _preset_matsumoto(
         expected=expected,
         warnings=tuple(warnings),
     )
-
-
-def _scale_col(x: KMatrix, c: KElement) -> KMatrix:
-    return x.scale(c)
 
 
 # -- dispatch -------------------------------------------------------------------

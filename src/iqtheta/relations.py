@@ -26,18 +26,28 @@ definite P as an exact-coefficient polynomial in one-column thetas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
 from .kfield import FieldId, KElement, KMatrix, dual_generator, re_trace_of_product
 from .lattices import FiniteAbelianGroup, character_group, shift_group
-from .thetas import MatrixLike, ThetaCache, ThetaParams, theta_general
+from .thetas import (
+    MatrixLike,
+    ThetaCache,
+    ThetaParams,
+    riemann_theta_z0,
+    theta_check_variant,
+    theta_general,
+)
 
 __all__ = [
+    "ThetaFactor",
+    "Term",
     "RelationSpec",
     "RelationTerm",
     "RelationInstance",
@@ -46,14 +56,132 @@ __all__ = [
     "evaluate_relation",
     "decompose_rational_P",
     "PDecomposition",
-    "Monomial",
 ]
 
 
-def _unit_phase(q: Fraction) -> complex:
+# -- sums of coefficient times product of thetas -------------------------------
+
+
+@dataclass(frozen=True)
+class ThetaFactor:
+    """One theta factor inside a product term.
+
+    kind "field": Theta^p[a; b](W) over an imaginary quadratic order, with
+    p an exact square matrix (a scalar [[s]] encodes the argument s*W).
+    kind "check": the linear-phase variant at w_scale * W.
+    kind "riemann": the classical real theta at z = 0 and w_scale * Omega,
+    with a and b tuples of rationals.
+    """
+
+    kind: str
+    a: object
+    b: object
+    p: Optional[KMatrix] = None
+    w_scale: Fraction = Fraction(1)
+
+
+@dataclass(frozen=True)
+class Term:
+    """coeff_scale * exp(-2*pi*i*coeff_q) * prod of the factors at W.
+
+    Relation right hand sides, identity check sides and P-decomposition
+    monomials are all sums of these.
+    """
+
+    coeff_q: Fraction
+    coeff_scale: Fraction
+    factors: tuple[ThetaFactor, ...]
+
+
+def _phase(q: Fraction) -> complex:
     """exp(-2*pi*i*q) for exact rational q, reduced mod 1 first."""
     q = q - math.floor(q)
     return complex(np.exp(-2j * np.pi * float(q)))
+
+
+def _sum_terms(
+    terms: Iterable[Term], W: MatrixLike, params: ThetaParams, cache: ThetaCache
+) -> tuple[complex, int]:
+    """The sum of terms at W, and how many Riemann thetas it evaluated.
+
+    Each term starts from float(coeff_scale) * phase and multiplies its
+    factors left to right; real and imaginary parts are summed with fsum.
+    Field and check factors go through cache; Riemann factors are never
+    cached, so their evaluations are counted here instead.
+    """
+    riemann_evals = 0
+    re_parts: list[float] = []
+    im_parts: list[float] = []
+    for term in terms:
+        acc = float(term.coeff_scale) * _phase(term.coeff_q)
+        for f in term.factors:
+            if f.kind == "field":
+                tv = theta_general(f.a.field, W, f.p, f.a, f.b, params, cache)
+            elif f.kind == "check":
+                w = np.asarray(W, dtype=np.complex128) * float(f.w_scale)
+                tv = theta_check_variant(f.a.field, f.a, f.b, w, params, cache)
+            elif f.kind == "riemann":
+                om = np.asarray(W, dtype=np.complex128) * float(f.w_scale)
+                tv = riemann_theta_z0(f.a, f.b, om, params)
+                riemann_evals += 1
+            else:
+                raise ValueError(f"unknown factor kind {f.kind!r}")
+            acc *= tv.value
+        re_parts.append(acc.real)
+        im_parts.append(acc.imag)
+    return complex(math.fsum(re_parts), math.fsum(im_parts)), riemann_evals
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """Residual of lhs against rhs and the verdict under the tolerance."""
+
+    lhs: complex
+    rhs: complex
+    residual_abs: float
+    residual_rel: float
+    term_count: int
+    theta_evals: int
+    cache_hits: int
+    tolerance: float
+    passed: bool
+
+    @classmethod
+    def compare(
+        cls,
+        lhs: complex,
+        rhs: complex,
+        term_count: int,
+        theta_evals: int,
+        cache_hits: int,
+        eps: float,
+    ) -> "VerificationReport":
+        """Report lhs against rhs, passing when the relative residual is at
+        most max(1e-9, 4 * term_count * eps)."""
+        residual_abs = abs(lhs - rhs)
+        denom = max(abs(lhs), abs(rhs), 1e-12)
+        residual_rel = residual_abs / denom
+        tolerance = max(1e-9, term_count * 4.0 * eps)
+        return cls(
+            lhs=lhs,
+            rhs=rhs,
+            residual_abs=residual_abs,
+            residual_rel=residual_rel,
+            term_count=term_count,
+            theta_evals=theta_evals,
+            cache_hits=cache_hits,
+            tolerance=tolerance,
+            passed=residual_rel <= tolerance,
+        )
+
+    def to_json(self) -> dict:
+        out = asdict(self)
+        out["lhs"] = [self.lhs.real, self.lhs.imag]
+        out["rhs"] = [self.rhs.real, self.rhs.imag]
+        return out
+
+
+# -- relation instances ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -143,6 +271,22 @@ class RelationInstance:
     def scale(self) -> Fraction:
         return Fraction(1, self.G2.order)
 
+    @cached_property
+    def rhs_terms(self) -> tuple[Term, ...]:
+        """terms as Term objects for the shared sum, built once per instance.
+
+        The common factor scale = 1/#G2 stays outside the sum.
+        """
+        P = self.spec.P
+        return tuple(
+            Term(
+                coeff_q=t.phase_q,
+                coeff_scale=Fraction(1),
+                factors=(ThetaFactor(kind="field", a=t.a_char, b=t.b_char, p=P),),
+            )
+            for t in self.terms
+        )
+
     def group_metadata(self) -> dict:
         return {
             "G1_order": self.G1.order,
@@ -185,32 +329,6 @@ def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstan
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    lhs: complex
-    rhs: complex
-    residual_abs: float
-    residual_rel: float
-    term_count: int
-    theta_evals: int
-    cache_hits: int
-    tolerance: float
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": [self.lhs.real, self.lhs.imag],
-            "rhs": [self.rhs.real, self.rhs.imag],
-            "residual_abs": self.residual_abs,
-            "residual_rel": self.residual_rel,
-            "term_count": self.term_count,
-            "theta_evals": self.theta_evals,
-            "cache_hits": self.cache_hits,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
-
 def evaluate_relation(
     inst: RelationInstance,
     W: MatrixLike,
@@ -226,42 +344,19 @@ def evaluate_relation(
         params = ThetaParams()
     if corrupt not in (None, "phase", "drop"):
         raise ValueError(f"unknown corruption mode: {corrupt!r}")
-    spec = inst.spec
     cache = ThetaCache()
     lhs = theta_general(
-        spec.field, W, inst.Q, inst.lhs_A, inst.lhs_B, params, cache
-    )
-    scale = float(inst.scale)
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    for k, term in enumerate(inst.terms):
-        if corrupt == "drop" and k == 0:
-            continue
-        q = term.phase_q
-        if corrupt == "phase" and k == 0:
-            q = q + Fraction(1, 3)
-        coeff = _unit_phase(q)
-        tv = theta_general(
-            spec.field, W, spec.P, term.a_char, term.b_char, params, cache
-        )
-        contrib = coeff * tv.value
-        re_parts.append(contrib.real)
-        im_parts.append(contrib.imag)
-    rhs = scale * complex(math.fsum(re_parts), math.fsum(im_parts))
-    residual_abs = abs(lhs.value - rhs)
-    denom = max(abs(lhs.value), abs(rhs), 1e-12)
-    residual_rel = residual_abs / denom
-    tolerance = max(1e-9, len(inst.terms) * 4.0 * params.eps)
-    return VerificationReport(
-        lhs=complex(lhs.value),
-        rhs=rhs,
-        residual_abs=residual_abs,
-        residual_rel=residual_rel,
-        term_count=len(inst.terms),
-        theta_evals=cache.misses,
-        cache_hits=cache.hits,
-        tolerance=tolerance,
-        passed=residual_rel <= tolerance,
+        inst.spec.field, W, inst.Q, inst.lhs_A, inst.lhs_B, params, cache
+    ).value
+    terms = inst.rhs_terms
+    if corrupt == "drop":
+        terms = terms[1:]
+    elif corrupt == "phase":
+        first = replace(terms[0], coeff_q=terms[0].coeff_q + Fraction(1, 3))
+        terms = (first,) + terms[1:]
+    rhs = float(inst.scale) * _sum_terms(terms, W, params, cache)[0]
+    return VerificationReport.compare(
+        complex(lhs), rhs, len(inst.terms), cache.misses, cache.hits, params.eps
     )
 
 
@@ -269,22 +364,17 @@ def evaluate_relation(
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """coeff_scale * exp(-2*pi*i*coeff_q) * prod_j Theta^(lam_j)[a_j; b_j](W)."""
-
-    coeff_q: Fraction
-    coeff_scale: Fraction
-    factors: tuple[tuple[int, KMatrix, KMatrix], ...]  # (lambda index, a, b)
-
-
-@dataclass(frozen=True)
 class PDecomposition:
-    """Schur pivot sequence (one entry per level, repeats kept) plus monomials."""
+    """Schur pivot sequence (one entry per level, repeats kept) plus monomials.
+
+    Each monomial is a Term whose factors are one-column field thetas
+    Theta^(lam_j)[a_j; b_j](W), one per level j.
+    """
 
     field: FieldId
     g: int
     lambdas: tuple[Fraction, ...]
-    monomials: tuple[Monomial, ...]
+    monomials: tuple[Term, ...]
 
     def lambda_product(self) -> Fraction:
         prod = Fraction(1)
@@ -302,19 +392,7 @@ class PDecomposition:
             params = ThetaParams()
         if cache is None:
             cache = ThetaCache()
-        field = self.field
-        re_parts: list[float] = []
-        im_parts: list[float] = []
-        for mono in self.monomials:
-            acc = float(mono.coeff_scale) * _unit_phase(mono.coeff_q)
-            for lam_idx, a, b in mono.factors:
-                lam = self.lambdas[lam_idx]
-                p_mat = KMatrix([[field.from_rational(lam)]])
-                tv = theta_general(field, W, p_mat, a, b, params, cache)
-                acc *= tv.value
-            re_parts.append(acc.real)
-            im_parts.append(acc.imag)
-        return complex(math.fsum(re_parts), math.fsum(im_parts))
+        return _sum_terms(self.monomials, W, params, cache)[0]
 
 
 def _rational_entry(x: KElement, what: str) -> Fraction:
@@ -373,6 +451,9 @@ def decompose_rational_P(
     """
     if P.rows != P.cols:
         raise DomainError("P must be square")
+    for m, nm in ((A0, "A0"), (B0, "B0")):
+        if m.rows != g or m.cols != P.rows:
+            raise DomainError(f"{nm} must be {g} x {P.rows}")
     for i in range(P.rows):
         for j in range(P.cols):
             _rational_entry(P[(i, j)], "P")
@@ -402,7 +483,8 @@ def decompose_rational_P(
     lambdas.append(last)
 
     dual = dual_generator(field)
-    monomials: list[Monomial] = []
+    lam_mats = [KMatrix([[field.from_rational(lam)]]) for lam in lambdas]
+    monomials: list[Term] = []
 
     def recurse(
         level: int,
@@ -410,14 +492,17 @@ def decompose_rational_P(
         B_cur: KMatrix,
         q_acc: Fraction,
         scale_acc: Fraction,
-        factors: tuple[tuple[int, KMatrix, KMatrix], ...],
+        factors: tuple[ThetaFactor, ...],
     ) -> None:
         if level == len(chain):
+            last_factor = ThetaFactor(
+                kind="field", a=A_cur, b=B_cur, p=lam_mats[level]
+            )
             monomials.append(
-                Monomial(
+                Term(
                     coeff_q=q_acc - math.floor(q_acc),
                     coeff_scale=scale_acc,
-                    factors=factors + ((level, A_cur, B_cur),),
+                    factors=factors + (last_factor,),
                 )
             )
             return
@@ -439,7 +524,14 @@ def decompose_rational_P(
                     q,
                     scale_next,
                     factors
-                    + ((level, a_char.column(0), b_char.column(0)),),
+                    + (
+                        ThetaFactor(
+                            kind="field",
+                            a=a_char.column(0),
+                            b=b_char.column(0),
+                            p=lam_mats[level],
+                        ),
+                    ),
                 )
 
     recurse(0, A0, B0, Fraction(0), Fraction(1), ())

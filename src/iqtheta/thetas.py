@@ -18,7 +18,7 @@ chunks with compensated accumulation of the chunk subtotals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -58,7 +58,6 @@ class ThetaParams:
     eps: float = 1e-12
     max_radius: float = 64.0
     max_points: int = 6_000_000
-    precision_bits: int = 53
 
     def __post_init__(self) -> None:
         if self.eps <= 0.0:
@@ -67,8 +66,6 @@ class ThetaParams:
             raise ValueError("max_radius must be positive")
         if self.max_points <= 0:
             raise ValueError("max_points must be positive")
-        if self.precision_bits != 53:
-            raise ValueError("only precision_bits=53 (float64) is supported")
 
 
 @dataclass(frozen=True)
@@ -436,12 +433,7 @@ def theta_general(
         total_pts = 0
         vals: list[complex] = []
         tails: list[float] = []
-        col_params = ThetaParams(
-            eps=params.eps / h,
-            max_radius=params.max_radius,
-            max_points=params.max_points,
-            precision_bits=params.precision_bits,
-        )
+        col_params = replace(params, eps=params.eps / h)
         for j in range(h):
             pj = diag[j]
             p_sub = (
@@ -493,10 +485,6 @@ def theta_general(
     return cache.get_or_compute(key, compute)
 
 
-def _exact_re_pairing(a: KMatrix, b: KMatrix) -> Fraction:
-    return re_trace_of_product(a, b)
-
-
 def theta_check_variant(
     field: FieldId,
     a: MatrixLike,
@@ -516,7 +504,7 @@ def theta_check_variant(
         params = ThetaParams()
     doubled = field.one_mod_four
     if isinstance(a, KMatrix) and isinstance(b, KMatrix):
-        q = _exact_re_pairing(a, b)
+        q = re_trace_of_product(a, b)
         if doubled:
             q *= 2
         q -= math.floor(q)

@@ -192,9 +192,38 @@ def test_decompose_rejects_indefinite(capsys):
     assert code == 2
 
 
+def test_decompose_rejects_misshapen_A0(capsys):
+    a0 = KMatrix.zeros(1, 1, FieldId(1)).to_json()
+    spec = json.dumps({"d": 1, "g": 2, "P": [[2, 1], [1, 2]], "A0": a0})
+    code, _ = _run(capsys, ["decompose", "--spec", spec])
+    assert code == 2
+
+
 def test_decompose_missing_key(capsys):
     code, _ = _run(capsys, ["decompose", "--spec", json.dumps({"d": 1, "g": 1})])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--spec",
+         json.dumps({"d": 1, "g": 1, "P": [[1, [1, 0]], [[1, 0], 2]]})],
+        ["decompose", "--spec", json.dumps({"d": 1, "g": 1, "P": 5})],
+        ["decompose", "--spec",
+         json.dumps({"d": 1, "g": 1, "P": [[2]], "A0": {"x": 1}})],
+        ["decompose", "--spec", json.dumps({"d": 1, "g": "x", "P": [[2]]})],
+        ["decompose", "--spec", json.dumps({"d": 1, "g": 1, "P": []})],
+        ["eval", "--d", "4", "--W", "[[[0, 1]]]"],
+        ["eval", "--d", "1", "--W", '[[["a", 1]]]'],
+    ],
+    ids=["zero-denominator", "P-not-rows", "A0-no-entries", "g-not-int",
+         "P-empty", "d-not-squarefree", "W-entry-not-number"],
+)
+def test_malformed_input_exits_1(capsys, argv):
+    code = main(argv)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_spec_file_input(tmp_path, capsys):

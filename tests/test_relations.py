@@ -210,16 +210,24 @@ def _rational_mat(field, rows):
     )
 
 
-def test_schur_ladder_tridiagonal_exact():
+@pytest.mark.parametrize("g", [1, 2])
+def test_schur_ladder_tridiagonal_exact(g):
+    # the one Schur step has |G1| = |G2| = 4^g, so 16^g monomials in all
     field = FieldId(1)
     P = _rational_mat(field, [[2, -1], [-1, 2]])
-    A0 = KMatrix([[field.element(Fraction(1, 3)), field.element(Fraction(1, 4))]])
-    B0 = KMatrix([[field.element(Fraction(1, 5)), field.element(Fraction(1, 6))]])
-    dec = decompose_rational_P(field, 1, P, A0, B0)
+    a_rows = [[Fraction(1, 3), Fraction(1, 4)], [Fraction(1, 5), Fraction(1, 6)]]
+    b_rows = [[Fraction(1, 5), Fraction(1, 6)], [Fraction(1, 7), Fraction(1, 8)]]
+    A0 = _rational_mat(field, a_rows[:g])
+    B0 = _rational_mat(field, b_rows[:g])
+    dec = decompose_rational_P(field, g, P, A0, B0)
     assert dec.lambdas == (Fraction(3, 2), Fraction(2))
     assert dec.lambda_product() == Fraction(3)
-    assert len(dec.monomials) == 16
-    W = [[1.05j]]
+    assert len(dec.monomials) == 16**g
+    W = (
+        [[1.05j]]
+        if g == 1
+        else [[1.05j, 0.1 + 0.05j], [-0.1 + 0.05j, 1.1j]]
+    )
     poly = dec.evaluate(W)
     dense = theta_general(field, W, P, A0, B0).value
     assert poly == pytest.approx(dense, abs=1e-11)
