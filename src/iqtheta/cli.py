@@ -28,7 +28,7 @@ from .errors import (
     SublatticeError,
     TruncationError,
 )
-from .kfield import FieldId, KMatrix
+from .kfield import FieldId, KMatrix, json_int
 from .lattices import character_group, shift_group
 from .presets import (
     PRESET_NAMES,
@@ -135,11 +135,14 @@ def _parse_kmatrix(value: str, field: FieldId, name: str) -> KMatrix:
 
 
 def _parse_rational(x: object, name: str) -> Fraction:
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, list) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
-    raise CliParseError(f"{name} entries must be integers or [num, den] pairs")
+        return Fraction(json_int(x[0], name), json_int(x[1], name))
+    try:
+        return Fraction(json_int(x, name))
+    except TypeError:
+        raise CliParseError(
+            f"{name} entries must be integers or [num, den] pairs"
+        ) from None
 
 
 def _frac_pair(x: Fraction) -> list:
@@ -364,8 +367,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if not isinstance(obj, dict):
         raise CliParseError("decompose input must be a JSON object")
     with _parsing("decompose input"):
-        field = FieldId(int(obj["d"]))
-        g = int(obj["g"])
+        field = FieldId(json_int(obj["d"], "d"))
+        g = json_int(obj["g"], "g")
         p_rows = [
             [_parse_rational(x, "P") for x in row] for row in obj["P"]
         ]

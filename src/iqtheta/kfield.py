@@ -32,6 +32,14 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def json_int(x: object, what: str) -> int:
+    """An integer read from JSON.  Floats, bools and strings raise TypeError
+    instead of being truncated or coerced."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{what} must be a JSON integer, got {x!r}")
+    return x
+
+
 def _is_squarefree(n: int) -> bool:
     if n <= 0:
         return False
@@ -199,8 +207,8 @@ class KElement:
 
     @staticmethod
     def from_json(obj: dict, field: FieldId) -> "KElement":
-        a = Fraction(int(obj["a"][0]), int(obj["a"][1]))
-        b = Fraction(int(obj["b"][0]), int(obj["b"][1]))
+        a = Fraction(json_int(obj["a"][0], "a"), json_int(obj["a"][1], "a"))
+        b = Fraction(json_int(obj["b"][0], "b"), json_int(obj["b"][1], "b"))
         return KElement(a, b, field)
 
 

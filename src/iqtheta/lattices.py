@@ -255,7 +255,12 @@ class IntLattice:
             for x in row:
                 scale = scale * x.denominator // math.gcd(scale, x.denominator)
         int_rows = [[int(x * scale) for x in row] for row in rows]
-        hnf = _hnf_rows(int_rows)
+        return IntLattice.from_int_rows(int_rows, scale, dim)
+
+    @staticmethod
+    def from_int_rows(rows: Sequence[Sequence[int]], scale: int, dim: int) -> "IntLattice":
+        """(1/scale) * Z-span of integer rows, normalized."""
+        hnf = _hnf_rows(rows)
         if hnf:
             g = scale
             for row in hnf:
@@ -292,23 +297,30 @@ class IntLattice:
 def lattice_image(g: int, h: int, M: KMatrix) -> IntLattice:
     """The lattice {N @ M : N in Mat(g, h; O_K)} in coordinates.
 
-    M must be a nonsingular h x h matrix over K.
+    M must be a nonsingular h x h matrix over K.  Right multiplication acts
+    on each row of N separately, so the image is g diagonal copies of the
+    one-row image under one scale; a block-diagonal matrix of HNF blocks is
+    already in HNF.
     """
     if M.rows != M.cols or M.rows != h:
         raise ValueError("M must be h x h")
-    field = M.field
-    rows: list[Sequence[Fraction]] = []
-    gens = (field.one(), field.delta())
-    for j in range(g):
-        for k in range(h):
-            for beta in gens:
-                N = [[field.zero() for _ in range(h)] for _ in range(g)]
-                N[j][k] = beta
-                rows.append(kmatrix_to_coords(KMatrix(N) @ M))
-    lat = IntLattice.from_rational_rows(rows, 2 * g * h)
-    if lat.rank != 2 * g * h:
+    # generators 1 * M_row and delta * M_row of each row image, where
+    # delta * (a + b delta) = -N(delta) b + (a + Tr(delta) b) delta
+    nrm, tr = M.field.delta_norm, M.field.delta_trace
+    rows: list[list[Fraction]] = []
+    for M_row in M.entry_rows():
+        rows.append([c for x in M_row for c in (x.a, x.b)])
+        rows.append([c for x in M_row for c in (-nrm * x.b, x.a + tr * x.b)])
+    row_lat = IntLattice.from_rational_rows(rows, 2 * h)
+    if row_lat.rank != 2 * h:
         raise SublatticeError("image lattice is not full rank (singular M)")
-    return lat
+    pad = [0] * (2 * h)
+    basis = tuple(
+        tuple(pad * j + list(r) + pad * (g - 1 - j))
+        for j in range(g)
+        for r in row_lat.basis
+    )
+    return IntLattice(2 * g * h, row_lat.scale, basis)
 
 
 def lattice_sum(L1: IntLattice, L2: IntLattice) -> IntLattice:
@@ -327,15 +339,15 @@ def lattice_intersect(L1: IntLattice, L2: IntLattice) -> IntLattice:
     stacked = a1 + [[-x for x in row] for row in a2]
     kernel = _left_kernel(stacked)
     r1 = len(a1)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for kv in kernel:
-        vec = [Fraction(0)] * L1.ambient_dim
+        vec = [0] * L1.ambient_dim
         for i in range(r1):
             if kv[i]:
                 for j in range(L1.ambient_dim):
                     vec[j] += kv[i] * a1[i][j]
-        rows.append([Fraction(x, s) for x in vec])
-    return IntLattice.from_rational_rows(rows, L1.ambient_dim)
+        rows.append(vec)
+    return IntLattice.from_int_rows(rows, s, L1.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -477,37 +489,22 @@ def character_phase(M: KMatrix, B: KMatrix) -> Fraction:
 
 
 def index_in(L: IntLattice, S: IntLattice) -> int:
-    """[L : S] for a finite-index sublattice S of L (no rep materialization)."""
+    """[L : S] for a finite-index sublattice S of L (no rep materialization).
+
+    Full-rank HNF bases are upper triangular, so the index is the ratio of
+    the covolumes: the products of the diagonals under each scale.
+    """
     n = L.rank
-    if n != L.ambient_dim or S.rank != n:
+    if n != L.ambient_dim or S.rank != n or S.ambient_dim != n:
         raise SublatticeError("index requires full-rank lattices")
-    bl_inv = _frac_matrix_inverse(L.rational_basis())
-    det = Fraction(1)
-    c_rows = []
-    for srow in S.rational_basis():
-        coeffs = [sum(srow[k] * bl_inv[k][j] for k in range(n)) for j in range(n)]
-        if any(x.denominator != 1 for x in coeffs):
-            raise SublatticeError("S is not a sublattice of L")
-        c_rows.append([int(x) for x in coeffs])
-    # |det C| via fraction-free elimination is overkill at these sizes
-    mat = [[Fraction(x) for x in row] for row in c_rows]
-    sign = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            raise SublatticeError("S has infinite index in L")
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            sign = -sign
-        det *= mat[col][col]
-        inv = Fraction(1) / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                f = mat[r][col] * inv
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    val = abs(det * sign)
-    assert val.denominator == 1
-    return int(val)
+    if not all(L.contains(row) for row in S.rational_basis()):
+        raise SublatticeError("S is not a sublattice of L")
+    num = L.scale**n
+    den = S.scale**n
+    for i in range(n):
+        num *= S.basis[i][i]
+        den *= L.basis[i][i]
+    return num // den
 
 
 def character_orthogonality_report(

@@ -34,7 +34,14 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .kfield import FieldId, KElement, KMatrix, dual_generator, re_trace_of_product
+from .kfield import (
+    FieldId,
+    KElement,
+    KMatrix,
+    dual_generator,
+    json_int,
+    re_trace_of_product,
+)
 from .lattices import FiniteAbelianGroup, character_group, shift_group
 from .thetas import (
     MatrixLike,
@@ -232,10 +239,10 @@ class RelationSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "RelationSpec":
-        field = FieldId(int(obj["d"]))
+        field = FieldId(json_int(obj["d"], "d"))
         spec = RelationSpec(
             field=field,
-            g=int(obj["g"]),
+            g=json_int(obj["g"], "g"),
             T=KMatrix.from_json(obj["T"], field),
             P=KMatrix.from_json(obj["P"], field),
             A0=KMatrix.from_json(obj["A0"], field),

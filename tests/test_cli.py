@@ -216,9 +216,23 @@ def test_decompose_missing_key(capsys):
         ["decompose", "--spec", json.dumps({"d": 1, "g": 1, "P": []})],
         ["eval", "--d", "4", "--W", "[[[0, 1]]]"],
         ["eval", "--d", "1", "--W", '[[["a", 1]]]'],
+        ["decompose", "--spec", json.dumps({"d": 2.9, "g": 1, "P": [[2]]})],
+        ["decompose", "--spec", json.dumps({"d": 2, "g": 1.5, "P": [[2]]})],
+        ["decompose", "--spec", json.dumps({"d": 2, "g": True, "P": [[2]]})],
+        ["decompose", "--spec", json.dumps({"d": 1, "g": 1, "P": [[[3.7, 2]]]})],
+        ["decompose", "--spec", json.dumps({"d": 1, "g": 1, "P": [[True]]})],
+        ["decompose", "--spec", json.dumps(
+            {"d": 1, "g": 1, "P": [[2]], "A0": {"rows": 1, "cols": 1,
+             "entries": [[{"a": [1.5, 2], "b": [0, 1]}]]}})],
+        ["groups", "--spec",
+         json.dumps(dict(json.loads(_spec_json(Fraction(2))), d=1.0))],
+        ["groups", "--spec",
+         json.dumps(dict(json.loads(_spec_json(Fraction(2))), g=1.5))],
     ],
     ids=["zero-denominator", "P-not-rows", "A0-no-entries", "g-not-int",
-         "P-empty", "d-not-squarefree", "W-entry-not-number"],
+         "P-empty", "d-not-squarefree", "W-entry-not-number", "d-float",
+         "g-float", "g-bool", "P-float-numerator", "P-bool", "A0-float-coord",
+         "spec-d-float", "spec-g-float"],
 )
 def test_malformed_input_exits_1(capsys, argv):
     code = main(argv)

@@ -10,6 +10,7 @@ from iqtheta import (
     FieldId,
     GroupCapError,
     KMatrix,
+    SublatticeError,
     character_group,
     character_orthogonality_report,
     character_phase,
@@ -18,6 +19,7 @@ from iqtheta import (
 from iqtheta.lattices import (
     IntLattice,
     index_in,
+    kmatrix_to_coords,
     lattice_image,
     lattice_intersect,
     lattice_sum,
@@ -154,6 +156,87 @@ def test_covolume_identity_random_T():
         rhs = index_in(std, inter)
         assert lhs == rhs, (lhs, rhs)
         checked += 1
+
+
+def _generic_image_rows(g, h, M):
+    # one generator per (row, column, basis element) of Mat(g, h; O_K)
+    field = M.field
+    rows = []
+    for j in range(g):
+        for k in range(h):
+            for beta in (field.one(), field.delta()):
+                N = [[field.zero()] * h for _ in range(g)]
+                N[j][k] = beta
+                rows.append(kmatrix_to_coords(KMatrix(N) @ M))
+    return rows
+
+
+def _abs_det(rows):
+    mat = [list(r) for r in rows]
+    n = len(mat)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        det *= mat[col][col]
+        for r in range(col + 1, n):
+            f = mat[r][col] / mat[col][col]
+            mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+    return abs(det)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_image_and_index_match_generic_construction(d):
+    # lattice_image against the HNF of all 2gh generator rows, and index_in
+    # against the covolume ratio from Fraction elimination
+    rng = random.Random(100 + d)
+    field = FieldId(d)
+    for g in (1, 2, 3):
+        for h in (1, 2, 3):
+            while True:
+                T = KMatrix(
+                    [
+                        [field.element(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                       rng.randint(-2, 2))
+                         for _ in range(h)]
+                        for _ in range(h)
+                    ]
+                )
+                if not T.det().is_zero():
+                    break
+            std = standard_matrix_lattice(g, h)
+            for M in (T.conj_transpose(), T.inverse()):
+                image = lattice_image(g, h, M)
+                generic = IntLattice.from_rational_rows(
+                    _generic_image_rows(g, h, M), 2 * g * h
+                )
+                assert image == generic, (d, g, h)
+                inter = lattice_intersect(image, std)
+                ratio = _abs_det(inter.rational_basis()) / _abs_det(
+                    image.rational_basis()
+                )
+                assert ratio.denominator == 1
+                assert index_in(image, inter) == ratio, (d, g, h)
+                assert index_in(std, inter) == _abs_det(inter.rational_basis())
+
+
+def test_index_in_error_paths():
+    L = IntLattice.from_rational_rows(
+        [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(3)]], 2
+    )
+    std = IntLattice.standard(2)
+    with pytest.raises(SublatticeError):
+        index_in(L, std)  # (1, 0) is not in L
+    assert index_in(std, L) == 6
+    line = IntLattice.from_rational_rows([[Fraction(1), Fraction(1)]], 2)
+    with pytest.raises(SublatticeError):
+        index_in(std, line)
+    with pytest.raises(SublatticeError):
+        index_in(line, line)
+    with pytest.raises(SublatticeError):
+        lattice_image(1, 2, KMatrix.from_rational_rows([[1, 2], [2, 4]], FieldId(1)))
 
 
 def test_character_phase_exact():

@@ -131,6 +131,48 @@ def test_dense_against_direct_sum(d):
 
 
 @pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("h", [1, 2])
+def test_dense_g2_against_direct_sum(d, h):
+    # g=2 oracle: W has off-diagonal entries and P^T != P, so the per-point
+    # exponent Tr(X^H W X P) is summed here straight from its definition
+    field = FieldId(d)
+    W = np.array([[0.3 + 2.0j, 0.2 - 0.1j], [0.1 + 0.15j, -0.2 + 2.1j]])
+    p01 = field.element(Fraction(1, 2), Fraction(1, 2))
+    if h == 2:
+        P = KMatrix(
+            [
+                [field.from_rational(2), p01],
+                [p01.conj(), field.from_rational(Fraction(5, 2))],
+            ]
+        )
+    else:
+        P = KMatrix([[field.from_rational(Fraction(3, 2))]])
+    A0 = KMatrix(
+        [
+            [field.element(Fraction(1, 3)), field.element(0, Fraction(1, 4))][:h],
+            [field.element(Fraction(-1, 5), Fraction(1, 3)), field.zero()][:h],
+        ]
+    )
+    B0 = KMatrix(
+        [
+            [field.element(Fraction(1, 5), Fraction(1, 3)), field.element(Fraction(1, 7))][:h],
+            [field.element(0, Fraction(-1, 2)), field.element(Fraction(2, 3), Fraction(1, 5))][:h],
+        ]
+    )
+    p_emb = P.embed()
+    b_emb = B0.embed()
+    cand = _brute_candidates(field, 2)
+    grids = np.meshgrid(*([cand] * (2 * h)), indexing="ij")
+    X = np.stack([gr.ravel() for gr in grids], axis=1).reshape(-1, 2, h)
+    X = X + A0.embed()
+    quad = np.einsum("nki,kl,nlj,ji->n", X.conj(), W, X, p_emb)
+    lin = np.einsum("nij,ij->n", X.conj(), b_emb).real
+    oracle = np.exp(1j * math.pi * quad + 2j * math.pi * lin).sum()
+    val = theta_general(field, W, P, A0, B0)
+    assert val.value == pytest.approx(complex(oracle), abs=1e-11)
+
+
+@pytest.mark.parametrize("d", [1, 3])
 def test_diagonal_factorization_against_direct_sum(d):
     field = FieldId(d)
     w = 1.2j
