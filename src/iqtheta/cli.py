@@ -183,6 +183,8 @@ def _resolve_preset(args: argparse.Namespace) -> Preset:
         return make_preset(args.preset, **_preset_kwargs(args))
     except ValueError as exc:
         raise CliParseError(str(exc)) from exc
+    except TypeError as exc:
+        raise CliParseError(f"preset {args.preset}: {exc}") from exc
 
 
 def _load_spec(path: str) -> RelationSpec:

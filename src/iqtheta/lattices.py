@@ -5,7 +5,10 @@ entry's coordinates (a, b) over the basis {1, delta}, row-major.  Matrices
 over O_K become exactly Z^(2gh).  Images of the standard lattice under right
 multiplication, intersections, and finite quotients are all computed in this
 coordinate picture with exact integer arithmetic (Hermite and Smith normal
-forms).
+forms).  The row HNF is canonical, so a lattice has one representation; a
+quotient L/S reads the coordinates of S over the HNF basis of L by
+back-substitution, and its coset representatives come from the Smith form
+and the inverse of its column transform, both kept in integers.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def _hnf_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
             for j in range(ncols):
                 r[j] = -r[j]
         pivots.append(p)
-    for i in range(len(result) - 1, -1, -1):
+    for i in range(len(result)):
         p = pivots[i]
         d = result[i][p]
         for k in range(i):
@@ -71,60 +74,45 @@ def _hnf_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _left_kernel(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis (HNF) of {x in Z^k : x @ mat = 0} for an integer k x n matrix."""
+    """Basis (HNF) of {x in Z^k : x @ mat = 0} for an integer k x n matrix.
+
+    The rows of HNF([mat | I]) whose mat-part vanishes span the kernel in
+    their I-part: the echelon rows with a pivot in mat cannot combine to 0.
+    """
     k = len(mat)
     n = len(mat[0]) if k else 0
-    # row-reduce [mat | I] and collect transform rows whose mat-part died
-    work = [list(mat[i]) + [1 if j == i else 0 for j in range(k)] for i in range(k)]
-    for col in range(n):
-        live = [r for r in work if r[col] != 0]
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            base = live[0]
-            for r in live[1:]:
-                q = r[col] // base[col]
-                for j in range(n + k):
-                    r[j] -= q * base[j]
-            live = [r for r in live if r[col] != 0]
-        if live:
-            work.remove(live[0])
-    kernel = [r[n:] for r in work if not any(r[:n])]
-    return _hnf_rows(kernel)
+    aug = [list(mat[i]) + [1 if j == i else 0 for j in range(k)] for i in range(k)]
+    return _hnf_rows([r[n:] for r in _hnf_rows(aug) if not any(r[:n])])
 
 
-def _snf_with_transforms(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form with transforms: returns (U, D, V) with U @ A @ V = D.
+def _smith_form(a: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Smith normal form of A: returns (diag, V^-1) with U @ A @ V = D.
 
-    D is diagonal with nonnegative entries in a divisibility chain.
+    diag is the nonnegative divisibility chain on the diagonal of D.  U is
+    not kept; V^-1 is updated in place, each column operation on A acting
+    on it as the inverse row operation.
     """
     rows = len(a)
     cols = len(a[0])
     A = [list(r) for r in a]
-    U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+    V_inv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def swap_cols(i, j):
         for r in A:
             r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
+        V_inv[i], V_inv[j] = V_inv[j], V_inv[i]
 
     def add_row(dst, src, q):
         # row_dst += q * row_src
         for j in range(cols):
             A[dst][j] += q * A[src][j]
-        for j in range(rows):
-            U[dst][j] += q * U[src][j]
 
     def add_col(dst, src, q):
+        # col_dst += q * col_src, so row_src(V^-1) -= q * row_dst(V^-1)
         for r in A:
             r[dst] += q * r[src]
-        for r in V:
-            r[dst] += q * r[src]
+        for j in range(cols):
+            V_inv[src][j] -= q * V_inv[dst][j]
 
     t = 0
     limit = min(rows, cols)
@@ -137,7 +125,7 @@ def _snf_with_transforms(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], l
                     best = (i, j)
         if best is None:
             break
-        swap_rows(t, best[0])
+        A[t], A[best[0]] = A[best[0]], A[t]
         swap_cols(t, best[1])
         dirty = False
         for i in range(t + 1, rows):
@@ -167,29 +155,9 @@ def _snf_with_transforms(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], l
         if stained:
             continue
         if A[t][t] < 0:
-            for j in range(cols):
-                A[t][j] = -A[t][j]
-            for j in range(rows):
-                U[t][j] = -U[t][j]
+            A[t] = [-x for x in A[t]]
         t += 1
-    return U, A, V
-
-
-def _frac_matrix_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    work = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise SublatticeError("singular coefficient matrix")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    return [A[i][i] for i in range(limit)], V_inv
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +243,27 @@ class IntLattice:
     def rational_basis(self) -> list[list[Fraction]]:
         return [[Fraction(x, self.scale) for x in row] for row in self.basis]
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
+    def coordinates(self, vec: Sequence[Fraction]) -> Optional[list[int]]:
+        """Integer coefficients of vec over the basis rows, None if vec is
+        not in the lattice (back-substitution down the echelon pivots)."""
         target = [Fraction(x) * self.scale for x in vec]
         if any(t.denominator != 1 for t in target):
-            return False
+            return None
         target = [int(t) for t in target]
-        pivots = [next(j for j, x in enumerate(row) if x != 0) for row in self.basis]
-        for row, p in zip(self.basis, pivots):
+        coeffs: list[int] = []
+        for row in self.basis:
+            p = next(j for j, x in enumerate(row) if x != 0)
             if target[p] % row[p] != 0:
-                return False
+                return None
             c = target[p] // row[p]
+            coeffs.append(c)
             if c:
-                for j in range(self.ambient_dim):
+                for j in range(p, self.ambient_dim):
                     target[j] -= c * row[j]
-        return not any(target)
+        return None if any(target) else coeffs
+
+    def contains(self, vec: Sequence[Fraction]) -> bool:
+        return self.coordinates(vec) is not None
 
     def contains_kmatrix(self, M: KMatrix) -> bool:
         return self.contains(kmatrix_to_coords(M))
@@ -406,16 +381,13 @@ def quotient_group(
     n = L.rank
     if n != L.ambient_dim or S.rank != n:
         raise SublatticeError("quotient requires full-rank lattices")
-    bl = L.rational_basis()
-    bl_inv = _frac_matrix_inverse(bl)
     c_rows: list[list[int]] = []
     for srow in S.rational_basis():
-        coeffs = [sum(srow[k] * bl_inv[k][j] for k in range(n)) for j in range(n)]
-        if any(x.denominator != 1 for x in coeffs):
+        coeffs = L.coordinates(srow)
+        if coeffs is None:
             raise SublatticeError("S is not a sublattice of L")
-        c_rows.append([int(x) for x in coeffs])
-    _, D, V = _snf_with_transforms(c_rows)
-    diag = [D[i][i] for i in range(n)]
+        c_rows.append(coeffs)
+    diag, v_inv = _smith_form(c_rows)
     if any(d == 0 for d in diag):
         raise SublatticeError("quotient is infinite")
     order = 1
@@ -424,8 +396,6 @@ def quotient_group(
     if order > max_order:
         raise GroupCapError(f"quotient order {order} exceeds cap {max_order}")
     factors = tuple(d for d in diag if d > 1)
-    v_inv_frac = _frac_matrix_inverse([[Fraction(x) for x in row] for row in V])
-    v_inv = [[int(x) for x in row] for row in v_inv_frac]
     positions = [i for i, d in enumerate(diag) if d > 1]
     reps: list[KMatrix] = []
     t = [0] * len(positions)
@@ -434,7 +404,10 @@ def quotient_group(
         for pos, val in zip(positions, t):
             full[pos] = val
         coeff = [sum(full[i] * v_inv[i][j] for i in range(n)) for j in range(n)]
-        vec = [sum(Fraction(coeff[i]) * bl[i][j] for i in range(n)) for j in range(n)]
+        vec = [
+            Fraction(sum(coeff[i] * L.basis[i][j] for i in range(n)), L.scale)
+            for j in range(n)
+        ]
         reps.append(coords_to_kmatrix(vec, g, h, field))
         # mixed-radix increment, last index fastest
         k = len(positions) - 1

@@ -20,7 +20,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -355,7 +356,7 @@ def _preset_double_formulas() -> Preset:
 
 
 def _preset_riemann_quad(
-    g: int,
+    g: int = 1,
     a1: Optional[Sequence[Fraction]] = None,
     a2: Optional[Sequence[Fraction]] = None,
 ) -> Preset:
@@ -422,9 +423,9 @@ def _prop_printed_shifts(field: FieldId) -> list[KMatrix]:
 
 
 def _preset_prop_half(
-    d: int,
-    g: int,
     variant: int,
+    d: int = 1,
+    g: int = 1,
     alpha1: Optional[KMatrix] = None,
     alpha2: Optional[KMatrix] = None,
 ) -> Preset:
@@ -544,7 +545,7 @@ def _cartan_matrix(field: FieldId, h: int) -> KMatrix:
 
 
 def _preset_cartan(
-    h: int, d: int, g: int, alphas: Optional[Sequence[KMatrix]] = None
+    h: int = 2, d: int = 1, g: int = 1, alphas: Optional[Sequence[KMatrix]] = None
 ) -> Preset:
     if h < 2:
         raise DomainError("cartan_Ah needs h >= 2")
@@ -756,7 +757,7 @@ def _cubic_statement_check(
     return IdentityCheck(name=name, g=g, lhs=(lhs,), rhs=tuple(rhs))
 
 
-def _preset_cubic(g: int, alphas: Optional[Sequence[KMatrix]] = None) -> Preset:
+def _preset_cubic(g: int = 1, alphas: Optional[Sequence[KMatrix]] = None) -> Preset:
     field = FieldId(3)
     if alphas is None:
         alphas = [_default_alpha(field, g, j + 1) for j in range(3)]
@@ -830,7 +831,7 @@ def _cubic_bracket_display(field: FieldId, g: int, which: int) -> IdentityCheck:
 
 
 def _preset_cubic_cor(
-    which: int, g: int, v: Optional[KMatrix] = None
+    which: int, g: int = 1, v: Optional[KMatrix] = None
 ) -> Preset:
     field = FieldId(3)
     if v is None:
@@ -928,7 +929,7 @@ def _quartic_printed_classes(field: FieldId) -> list[KMatrix]:
     return out
 
 
-def _preset_quartic(g: int, alphas: Optional[Sequence[KMatrix]] = None) -> Preset:
+def _preset_quartic(g: int = 1, alphas: Optional[Sequence[KMatrix]] = None) -> Preset:
     field = FieldId(1)
     if alphas is None:
         alphas = [_default_alpha(field, g, j + 1) for j in range(4)]
@@ -1007,7 +1008,7 @@ def _preset_quartic(g: int, alphas: Optional[Sequence[KMatrix]] = None) -> Prese
     )
 
 
-def _preset_quartic_zero(g: int) -> Preset:
+def _preset_quartic_zero(g: int = 1) -> Preset:
     field = FieldId(1)
     zero_col = _zero_col(field, g)
     preset = _preset_quartic(g, [zero_col] * 4)
@@ -1067,7 +1068,7 @@ def _preset_quartic_zero(g: int) -> Preset:
 
 
 def _preset_matsumoto(
-    g: int,
+    g: int = 1,
     a1: Optional[KMatrix] = None,
     a2: Optional[KMatrix] = None,
     b1: Optional[KMatrix] = None,
@@ -1178,64 +1179,43 @@ def _preset_matsumoto(
 # -- dispatch -------------------------------------------------------------------
 
 
+def _field_locked(
+    name: str, d_req: int, build: Callable[..., Preset]
+) -> Callable[..., Preset]:
+    def make(d: int = d_req, **params) -> Preset:
+        if d != d_req:
+            raise DomainError(f"{name} requires d = {d_req}")
+        return build(**params)
+
+    return make
+
+
+_BUILDERS: dict[str, Callable[..., Preset]] = {
+    "riemann_quad": _preset_riemann_quad,
+    "jacobi_identity": _preset_jacobi_identity,
+    "half_formulas": _preset_half_formulas,
+    "double_formulas": _preset_double_formulas,
+    "prop_half_general": partial(_preset_prop_half, 1),
+    "prop_half_general_2": partial(_preset_prop_half, 2),
+    "cartan_Ah": _preset_cartan,
+    "cubic_d3": _field_locked("cubic_d3", 3, _preset_cubic),
+    "cubic_d3_cor1": _field_locked("cubic_d3_cor1", 3, partial(_preset_cubic_cor, 1)),
+    "cubic_d3_cor2": _field_locked("cubic_d3_cor2", 3, partial(_preset_cubic_cor, 2)),
+    "quartic_d1": _field_locked("quartic_d1", 1, _preset_quartic),
+    "quartic_d1_zero": _field_locked("quartic_d1_zero", 1, _preset_quartic_zero),
+    "matsumoto": _field_locked("matsumoto", 1, _preset_matsumoto),
+}
+
+
 def make_preset(name: str, **params) -> Preset:
     """Construct a preset by name.  Unknown keys raise TypeError."""
-    if name == "riemann_quad":
-        return _preset_riemann_quad(
-            params.pop("g", 1), params.pop("a1", None), params.pop("a2", None)
-        )
-    if name == "jacobi_identity":
-        return _preset_jacobi_identity()
-    if name == "half_formulas":
-        return _preset_half_formulas()
-    if name == "double_formulas":
-        return _preset_double_formulas()
-    if name == "prop_half_general":
-        return _preset_prop_half(
-            params.pop("d", 1), params.pop("g", 1), 1,
-            params.pop("alpha1", None), params.pop("alpha2", None)
-        )
-    if name == "prop_half_general_2":
-        return _preset_prop_half(
-            params.pop("d", 1), params.pop("g", 1), 2,
-            params.pop("alpha1", None), params.pop("alpha2", None)
-        )
-    if name == "cartan_Ah":
-        return _preset_cartan(
-            params.pop("h", 2), params.pop("d", 1), params.pop("g", 1),
-            params.pop("alphas", None)
-        )
-    if name == "cubic_d3":
-        if params.pop("d", 3) != 3:
-            raise DomainError("cubic_d3 requires d = 3")
-        return _preset_cubic(params.pop("g", 1), params.pop("alphas", None))
-    if name == "cubic_d3_cor1":
-        if params.pop("d", 3) != 3:
-            raise DomainError("cubic_d3_cor1 requires d = 3")
-        return _preset_cubic_cor(1, params.pop("g", 1), params.pop("v", None))
-    if name == "cubic_d3_cor2":
-        if params.pop("d", 3) != 3:
-            raise DomainError("cubic_d3_cor2 requires d = 3")
-        return _preset_cubic_cor(2, params.pop("g", 1), params.pop("v", None))
-    if name == "quartic_d1":
-        if params.pop("d", 1) != 1:
-            raise DomainError("quartic_d1 requires d = 1")
-        return _preset_quartic(params.pop("g", 1), params.pop("alphas", None))
-    if name == "quartic_d1_zero":
-        if params.pop("d", 1) != 1:
-            raise DomainError("quartic_d1_zero requires d = 1")
-        return _preset_quartic_zero(params.pop("g", 1))
-    if name == "matsumoto":
-        if params.pop("d", 1) != 1:
-            raise DomainError("matsumoto requires d = 1")
-        return _preset_matsumoto(
-            params.pop("g", 1),
-            params.pop("a1", None), params.pop("a2", None),
-            params.pop("b1", None), params.pop("b2", None),
-        )
-    raise ValueError(
-        f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
-    )
+    try:
+        build = _BUILDERS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
+        ) from None
+    return build(**params)
 
 
 # -- default samples and the suite ------------------------------------------------

@@ -448,7 +448,6 @@ def decompose_rational_P(
     P: KMatrix,
     A0: KMatrix,
     B0: KMatrix,
-    max_order: int = 10**6,
 ) -> PDecomposition:
     """Expand Theta^P[A0; B0](W) as a polynomial in one-column thetas.
 
@@ -476,12 +475,7 @@ def decompose_rational_P(
         lam1, p1, k_mat, m_mat = _schur_split(cur)
         lambdas.append(lam1)
         chain.append(
-            (
-                k_mat,
-                m_mat,
-                shift_group(g, k_mat, max_order=max_order),
-                character_group(g, k_mat, max_order=max_order),
-            )
+            (k_mat, m_mat, shift_group(g, k_mat), character_group(g, k_mat))
         )
         cur = p1
     last = _rational_entry(cur[(0, 0)], "P")

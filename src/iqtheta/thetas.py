@@ -18,6 +18,11 @@ of X, vec(W X P) = (W kron P^T) x, so the chunk costs one matrix product over
 the flattened points rather than a small matrix product per point.  That form
 changes only the rounding of each exponent; the point order and the chunking
 are the same as for a per-point product.
+
+W is the only floating-point input.  P, A0 and B0 are exact matrices over K
+(a KMatrix, or nested lists of int/Fraction); A0 is reduced mod O_K once, at
+entry, and the float offsets and the cache key both come from that reduced
+matrix.
 """
 
 from __future__ import annotations
@@ -45,11 +50,13 @@ __all__ = [
 ]
 
 MatrixLike = Union[KMatrix, Sequence[Sequence[complex]], np.ndarray]
+ExactLike = Union[KMatrix, Sequence[Sequence[Union[int, Fraction]]]]
 
 # Fixed chunk sizes keep the floating-point summation order independent of
 # memory pressure and caller threading.
 _EVAL_CHUNK = 1 << 18
 _COMBINE_ELEMS = 1 << 23
+_MAX_POINTS = 6_000_000
 
 # Eigenvalues are snapped down to this grid before entering the tail bound, so
 # a one-ulp wobble in the eigensolver cannot move the chosen radius.
@@ -62,15 +69,12 @@ class ThetaParams:
 
     eps: float = 1e-12
     max_radius: float = 64.0
-    max_points: int = 6_000_000
 
     def __post_init__(self) -> None:
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
         if self.max_radius <= 0.0:
             raise ValueError("max_radius must be positive")
-        if self.max_points <= 0:
-            raise ValueError("max_points must be positive")
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,9 @@ class ThetaCache:
 
     Instances are meant to be short lived and private to a single relation
     evaluation so that hit counts are reproducible.  Keys must capture every
-    input that affects the value (field, shapes, W, P, characteristics, eps).
+    input that affects the value (field, shapes, W, P, characteristics, eps);
+    theta_general keys on A0 reduced mod O_K, so characteristics that differ
+    by an integral matrix share one entry.
     """
 
     def __init__(self) -> None:
@@ -183,39 +189,43 @@ def choose_radius(
     )
 
 
-def _delta_coords_value(x: complex, field: FieldId) -> tuple[float, float]:
-    dc = field.delta_complex
-    b = x.imag / dc.imag
-    a = x.real - b * dc.real
-    return (a, b)
-
-
 def _centered(f: Fraction) -> Fraction:
     return f - math.floor(f + Fraction(1, 2))
 
 
-def _reduce_offsets(A0: MatrixLike, field: FieldId, g: int, h: int) -> np.ndarray:
-    """Per-entry representatives of A0 mod O_K with delta-coordinates in
-    [-1/2, 1/2).  Shifting A0 by an integral matrix and reindexing N leaves
-    the theta sum unchanged for every B0, so this is value preserving."""
+def _reduce_mod_integral(A0: KMatrix) -> KMatrix:
+    """The representative of A0 mod Mat(g, h; O_K) whose entries have
+    delta-coordinates in [-1/2, 1/2).  Shifting A0 by an integral matrix and
+    reindexing N leaves the theta sum unchanged for every B0."""
+    return KMatrix(
+        [[KElement(_centered(x.a), _centered(x.b), x.field) for x in row]
+         for row in A0.entry_rows()]
+    )
+
+
+def _offsets(A0: KMatrix, field: FieldId) -> np.ndarray:
     dc = field.delta_complex
-    out = np.empty((g, h), dtype=np.complex128)
-    if isinstance(A0, KMatrix):
-        for i in range(g):
-            for j in range(h):
-                e = A0[(i, j)]
-                a = _centered(e.a)
-                b = _centered(e.b)
-                out[i, j] = float(a) + float(b) * dc
-        return out
-    arr = _as_complex_matrix(A0, "A0")
-    for i in range(g):
-        for j in range(h):
-            a, b = _delta_coords_value(complex(arr[i, j]), field)
-            a -= math.floor(a + 0.5)
-            b -= math.floor(b + 0.5)
-            out[i, j] = a + b * dc
-    return out
+    return np.array(
+        [[float(x.a) + float(x.b) * dc for x in row] for row in A0.entry_rows()],
+        dtype=np.complex128,
+    )
+
+
+def _exact(m: ExactLike, name: str, field: FieldId) -> KMatrix:
+    """m as a KMatrix: a KMatrix as is, nested lists of int/Fraction over
+    field; any other input (numpy arrays, floats, complex) is a TypeError."""
+    if isinstance(m, KMatrix):
+        return m
+    if isinstance(m, (list, tuple)) and all(
+        isinstance(row, (list, tuple))
+        and all(isinstance(x, (int, Fraction)) and not isinstance(x, bool) for x in row)
+        for row in m
+    ):
+        return KMatrix.from_rational_rows(m, field)
+    raise TypeError(
+        f"{name} must be a KMatrix or nested lists of int/Fraction, "
+        f"got {type(m).__name__}"
+    )
 
 
 def _entry_candidates(
@@ -254,7 +264,7 @@ def _entry_candidates(
 
 
 def _ball_combine(
-    weights: Sequence[np.ndarray], r2: float, max_points: int
+    weights: Sequence[np.ndarray], r2: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices into the per-slot candidate lists whose squared norms sum to
     at most r2.  Rows come out in lexicographic order of the index tuples."""
@@ -274,9 +284,9 @@ def _ball_combine(
             keep = grid <= r2
             rows, cols = np.nonzero(keep)
             count += len(rows)
-            if count > max_points:
+            if count > _MAX_POINTS:
                 raise TruncationError(
-                    f"lattice enumeration exceeds max_points={max_points}"
+                    f"lattice enumeration exceeds max_points={_MAX_POINTS}"
                 )
             parts_idx.append(
                 np.concatenate(
@@ -325,14 +335,14 @@ def _theta_dense(
         for i in range(g)
         for j in range(h)
     ]
-    idx, tot = _ball_combine(
-        [w2 for (_, w2) in cands], radius * radius + 1e-12, params.max_points
-    )
+    idx, tot = _ball_combine([w2 for (_, w2) in cands], radius * radius + 1e-12)
     n = idx.shape[0]
     if n == 0:
         raise TruncationError("empty lattice enumeration; radius too small")
-    order = np.argsort(tot, kind="stable")
-    idx = idx[order]
+    idx = idx[np.argsort(tot, kind="stable")]
+    # free the sort keys before the n x gh complex points: on the largest
+    # thetas they are the difference between one peak and the next
+    del tot
 
     flat = np.empty((n, g * h), dtype=np.complex128)
     for k in range(g * h):
@@ -354,103 +364,58 @@ def _theta_dense(
     return ThetaValue(_chunk_sum(chunks()), tail, n)
 
 
-def _fingerprint(m: MatrixLike):
-    if isinstance(m, KMatrix):
-        return m
-    arr = np.asarray(m, dtype=np.complex128)
-    return (arr.shape, arr.tobytes())
-
-
-def _column(m: MatrixLike, j: int, g: int, field: FieldId) -> MatrixLike:
-    if isinstance(m, KMatrix):
-        return KMatrix.column_vector([m[(i, j)] for i in range(g)])
-    arr = _as_complex_matrix(m, "matrix")
-    return arr[:, j : j + 1]
-
-
-def _diagonal_of(P: MatrixLike) -> Optional[list]:
-    """The diagonal of P if P is exactly diagonal, else None."""
-    if isinstance(P, KMatrix):
-        if P.rows != P.cols:
-            return None
-        for i in range(P.rows):
-            for j in range(P.cols):
-                if i != j and not P[(i, j)].is_zero():
-                    return None
-        return [P[(j, j)] for j in range(P.rows)]
-    arr = np.asarray(P, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        return None
-    off = arr - np.diag(np.diag(arr))
-    if np.any(off != 0):
-        return None
-    return [complex(arr[j, j]) for j in range(arr.shape[0])]
-
-
-def _check_hermitian(P: MatrixLike, arr: np.ndarray) -> None:
-    if isinstance(P, KMatrix):
-        if P.conj_transpose() != P:
-            raise DomainError("P must be Hermitian")
-        return
-    if not np.allclose(arr, arr.conj().T, rtol=0.0, atol=1e-12):
-        raise DomainError("P must be Hermitian")
-
-
 def theta_general(
     field: FieldId,
     W: MatrixLike,
-    P: MatrixLike,
-    A0: MatrixLike,
-    B0: MatrixLike,
+    P: ExactLike,
+    A0: ExactLike,
+    B0: ExactLike,
     params: Optional[ThetaParams] = None,
     cache: Optional[ThetaCache] = None,
 ) -> ThetaValue:
     """Evaluate Theta^P[A0; B0](W) for A0, B0 in Mat(g, h) over K.
 
-    W is g x g with (W - conj(W)^t)/(2i) positive definite; P is h x h
-    Hermitian positive definite.  When P is exactly diagonal the sum
-    factors over columns and each column factor is evaluated (and cached)
-    separately.
+    W is a g x g complex matrix with (W - conj(W)^t)/(2i) positive definite;
+    P (h x h Hermitian positive definite), A0 and B0 are exact: KMatrix
+    values or nested lists of int/Fraction.  A0 is reduced mod O_K before
+    anything else.  When P is exactly diagonal the sum factors over columns
+    and each column factor is evaluated (and cached) separately.
     """
     if params is None:
         params = ThetaParams()
+    P = _exact(P, "P", field)
+    A0 = _exact(A0, "A0", field)
+    B0 = _exact(B0, "B0", field)
     w_arr = _as_complex_matrix(W, "W")
     ok, lam_y = in_type1_domain(w_arr)
     if not ok:
         raise DomainError(
             f"W is not in the type-I domain: lam_min(Y)={lam_y:g} <= 0"
         )
-    a_arr = _as_complex_matrix(A0, "A0")
-    b_arr = _as_complex_matrix(B0, "B0")
-    g, h = a_arr.shape
+    g, h = A0.rows, A0.cols
     if w_arr.shape != (g, g):
         raise DomainError(f"W must be {g}x{g} to match A0, got {w_arr.shape}")
-    if b_arr.shape != (g, h):
-        raise DomainError(f"B0 must have shape {(g, h)}, got {b_arr.shape}")
-    p_arr = _as_complex_matrix(P, "P")
-    if p_arr.shape != (h, h):
-        raise DomainError(f"P must be {h}x{h} to match A0, got {p_arr.shape}")
-    _check_hermitian(P, p_arr)
+    if (B0.rows, B0.cols) != (g, h):
+        raise DomainError(f"B0 must have shape {(g, h)}, got {(B0.rows, B0.cols)}")
+    if (P.rows, P.cols) != (h, h):
+        raise DomainError(f"P must be {h}x{h} to match A0, got {(P.rows, P.cols)}")
+    if P.conj_transpose() != P:
+        raise DomainError("P must be Hermitian")
+    A0 = _reduce_mod_integral(A0)
 
-    diag = _diagonal_of(P)
-    if diag is not None and h > 1:
+    diagonal = all(P[(i, j)].is_zero() for i in range(h) for j in range(h) if i != j)
+    if diagonal and h > 1:
         total_pts = 0
         vals: list[complex] = []
         tails: list[float] = []
         col_params = replace(params, eps=params.eps / h)
         for j in range(h):
-            pj = diag[j]
-            p_sub = (
-                KMatrix([[pj]])
-                if isinstance(pj, KElement)
-                else np.array([[pj]], dtype=np.complex128)
-            )
             sub = theta_general(
                 field,
                 w_arr,
-                p_sub,
-                _column(A0, j, g, field),
-                _column(B0, j, g, field),
+                KMatrix([[P[(j, j)]]]),
+                A0.column(j),
+                B0.column(j),
                 col_params,
                 cache,
             )
@@ -473,16 +438,18 @@ def theta_general(
         g,
         h,
         w_arr.tobytes(),
-        _fingerprint(P),
-        _fingerprint(A0),
-        _fingerprint(B0),
+        P,
+        A0,
+        B0,
         params.eps,
         params.max_radius,
     )
 
     def compute() -> ThetaValue:
-        offsets = _reduce_offsets(A0, field, g, h)
-        return _theta_dense(field, w_arr, p_arr, offsets, b_arr, lam_y, params)
+        return _theta_dense(
+            field, w_arr, _as_complex_matrix(P, "P"), _offsets(A0, field),
+            _as_complex_matrix(B0, "B0"), lam_y, params,
+        )
 
     if cache is None:
         return compute()
@@ -491,8 +458,8 @@ def theta_general(
 
 def theta_check_variant(
     field: FieldId,
-    a: MatrixLike,
-    b: MatrixLike,
+    a: ExactLike,
+    b: ExactLike,
     W: MatrixLike,
     params: Optional[ThetaParams] = None,
     cache: Optional[ThetaCache] = None,
@@ -504,40 +471,17 @@ def theta_check_variant(
     For -d congruent to 1 mod 4 the series uses 2W and a doubled phase, equal
     to exp(-4*pi*i*Re(conj(a)^t b)) * Theta[a; 2b](2W).
     """
-    if params is None:
-        params = ThetaParams()
-    doubled = field.one_mod_four
-    if isinstance(a, KMatrix) and isinstance(b, KMatrix):
-        q = re_trace_of_product(a, b)
-        if doubled:
-            q *= 2
-        q -= math.floor(q)
-        phase = complex(np.exp(-2j * np.pi * float(q)))
-    else:
-        a_arr = _as_complex_matrix(a, "a")
-        b_arr = _as_complex_matrix(b, "b")
-        pairing = float(
-            np.sum(a_arr.real * b_arr.real) + np.sum(a_arr.imag * b_arr.imag)
-        )
-        if doubled:
-            pairing *= 2.0
-        phase = complex(np.exp(-2j * np.pi * pairing))
+    a = _exact(a, "a", field)
+    b = _exact(b, "b", field)
     w_arr = _as_complex_matrix(W, "W")
-    if doubled:
-        w_use = 2.0 * w_arr
-        if isinstance(b, KMatrix):
-            b_use: MatrixLike = b.scale(b.field.from_rational(2))
-        else:
-            b_use = 2.0 * _as_complex_matrix(b, "b")
-    else:
-        w_use = w_arr
-        b_use = b
-    one = (
-        KMatrix([[field.one()]])
-        if isinstance(a, KMatrix)
-        else np.array([[1.0]], dtype=np.complex128)
-    )
-    base = theta_general(field, w_use, one, a, b_use, params, cache)
+    q = re_trace_of_product(a, b)
+    if field.one_mod_four:
+        q *= 2
+        w_arr = 2.0 * w_arr
+        b = b.scale(2)
+    q -= math.floor(q)
+    phase = complex(np.exp(-2j * np.pi * float(q)))
+    base = theta_general(field, w_arr, KMatrix([[field.one()]]), a, b, params, cache)
     return ThetaValue(
         phase * base.value, base.tail_bound, base.lattice_points_used
     )
@@ -583,7 +527,7 @@ def riemann_theta_z0(
         hi = int(math.floor(radius - off[i]))
         u = np.arange(lo, hi + 1, dtype=np.float64) + off[i]
         cands.append((u, u * u))
-    idx, tot = _ball_combine([w2 for (_, w2) in cands], r2, params.max_points)
+    idx, tot = _ball_combine([w2 for (_, w2) in cands], r2)
     n = idx.shape[0]
     if n == 0:
         raise TruncationError("empty lattice enumeration; radius too small")

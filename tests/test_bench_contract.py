@@ -1,0 +1,86 @@
+"""The names and entry points that the benchmark under benchmarks/ relies on.
+
+`benchmarks/tracing.py` wraps iqtheta functions by name, and
+`benchmarks/draws.py` and `benchmarks/worker.py` import iqtheta names inside
+their functions.  Renaming any of them breaks the benchmark (and its
+``--trace`` pass) without failing another test.  The benchmark files are
+only read here, never written.
+"""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from iqtheta import (
+    FieldId,
+    KMatrix,
+    ThetaParams,
+    character_group,
+    run_paper_suite,
+    shift_group,
+)
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # keep benchmarks/ untouched
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_wrapped_names_resolve():
+    tracing = _load("tracing")
+    for layer, attr, _ in tracing.WRAPPED:
+        obj = importlib.import_module(f"iqtheta.{layer}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+            assert obj is not None, f"{layer}.{attr}"
+        assert callable(obj), f"{layer}.{attr}"
+
+
+def test_benchmark_imports_exist():
+    # every `from iqtheta... import name` and every `iqtheta.name` attribute
+    # read in the draw generator and the worker
+    for name in ("draws", "worker"):
+        tree = ast.parse((BENCH / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("iqtheta"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "iqtheta"):
+                assert hasattr(importlib.import_module("iqtheta"), node.attr) or (
+                    importlib.util.find_spec(f"iqtheta.{node.attr}") is not None
+                ), f"iqtheta.{node.attr}"
+
+
+def test_group_orders_match_groups():
+    draws = _load("draws")
+    field = FieldId(2)
+    T = KMatrix([[field.element(1, 1), field.zero()],
+                 [field.element(0, 1), field.from_rational(2)]])
+    for g in (1, 2):
+        assert draws.group_orders(g, 2, T) == (
+            shift_group(g, T).order,
+            character_group(g, T).order,
+        )
+
+
+def test_suite_entry_point_runs():
+    res = run_paper_suite(
+        params=ThetaParams(eps=1e-12), threads=1, plan=[("jacobi_identity", {})]
+    )
+    assert res.reports and all(r["passed"] for r in res.reports)
+    assert len(res.seconds) == len(res.reports)
+    for key in ("residual_rel", "theta_evals", "cache_hits", "term_count"):
+        assert all(key in r for r in res.reports)

@@ -228,16 +228,21 @@ def test_decompose_missing_key(capsys):
          json.dumps(dict(json.loads(_spec_json(Fraction(2))), d=1.0))],
         ["groups", "--spec",
          json.dumps(dict(json.loads(_spec_json(Fraction(2))), g=1.5))],
+        ["verify", "--preset", "jacobi_identity", "--g", "2"],
+        ["build", "--preset", "cubic_d3", "--h", "4"],
     ],
     ids=["zero-denominator", "P-not-rows", "A0-no-entries", "g-not-int",
          "P-empty", "d-not-squarefree", "W-entry-not-number", "d-float",
          "g-float", "g-bool", "P-float-numerator", "P-bool", "A0-float-coord",
-         "spec-d-float", "spec-g-float"],
+         "spec-d-float", "spec-g-float", "preset-unknown-g", "preset-unknown-h"],
 )
 def test_malformed_input_exits_1(capsys, argv):
     code = main(argv)
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "--preset" in argv:
+        assert f"preset {argv[argv.index('--preset') + 1]}:" in err
 
 
 def test_spec_file_input(tmp_path, capsys):

@@ -40,6 +40,41 @@ def test_hnf_basis_is_canonical():
     Lb = IntLattice.from_rational_rows(rows_b, 2)
     assert La == Lb
     assert La.basis == Lb.basis and La.scale == Lb.scale
+    # reducing above a later pivot must not re-dirty an earlier pivot column
+    Lc = IntLattice.from_int_rows([[1, 3, 0], [0, 2, 1], [0, 0, 4]], 1, 3)
+    Ld = IntLattice.from_int_rows([[1, 1, 3], [0, 2, 1], [0, 0, 4]], 1, 3)
+    assert Lc == Ld
+    assert Lc.basis == ((1, 1, 3), (0, 2, 1), (0, 0, 4))
+
+
+def _assert_hnf(basis):
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for i, p in enumerate(pivots):
+        assert basis[i][p] > 0
+        for k in range(i):
+            assert 0 <= basis[k][p] < basis[i][p]
+
+
+def test_hnf_canonical_under_unimodular_row_operations():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        base = IntLattice.from_int_rows(rows, 1, n)
+        _assert_hnf(base.basis)
+        mixed = [list(r) for r in rows]
+        for _ in range(12):
+            i, j = rng.sample(range(len(mixed)), 2) if len(mixed) > 1 else (0, 0)
+            op = rng.randint(0, 2)
+            if op == 0 and i != j:
+                q = rng.randint(-3, 3)
+                mixed[i] = [x + q * y for x, y in zip(mixed[i], mixed[j])]
+            elif op == 1:
+                mixed[i], mixed[j] = mixed[j], mixed[i]
+            else:
+                mixed[i] = [-x for x in mixed[i]]
+        assert IntLattice.from_int_rows(mixed, 1, n) == base
 
 
 def test_membership_and_index():
@@ -84,6 +119,53 @@ def test_quotient_invariant_factors_diagonal_case():
     assert grp.order == 6
     assert list(grp.invariant_factors) == [6]
     assert len(grp.representatives) == 6
+
+
+def test_quotient_group_against_sympy_smith_form():
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(23)
+    field = FieldId(2)
+    for trial in range(8):
+        h = 1 + trial % 2
+        n = 2 * h
+        while True:
+            basis = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                      for _ in range(n)] for _ in range(n)]
+            L = IntLattice.from_rational_rows(basis, n)
+            if L.rank == n:
+                break
+        while True:
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if sympy.Matrix(m).det() != 0 and abs(sympy.Matrix(m).det()) <= 60:
+                break
+        lb = L.rational_basis()
+        S = IntLattice.from_rational_rows(
+            [[sum(m[i][k] * lb[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)], n)
+        grp = quotient_group(L, S, field, 1, h)
+        c_rows = [L.coordinates(row) for row in S.rational_basis()]
+        snf = smith_normal_form(sympy.Matrix(c_rows))
+        expected = sorted(abs(int(snf[i, i])) for i in range(n))
+        assert list(grp.invariant_factors) == [x for x in expected if x > 1]
+        assert grp.order == index_in(L, S) == len(grp.representatives)
+        coords = [kmatrix_to_coords(r) for r in grp.representatives]
+        assert all(L.contains(c) for c in coords)
+        for i in range(len(coords)):
+            for j in range(i):
+                diff = [x - y for x, y in zip(coords[i], coords[j])]
+                assert not S.contains(diff)
+
+
+def test_coordinates_round_trip():
+    L = IntLattice.from_rational_rows(
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(0), Fraction(2, 3)]], 2
+    )
+    vec = [Fraction(3, 2), Fraction(-1, 3)]
+    c = L.coordinates(vec)
+    back = [sum(ci * row[j] for ci, row in zip(c, L.rational_basis())) for j in range(2)]
+    assert back == vec
+    assert L.coordinates([Fraction(1, 4), Fraction(0)]) is None
 
 
 def test_group_cap_raises():

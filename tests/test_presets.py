@@ -47,6 +47,14 @@ def test_unknown_preset_lists_names():
         make_preset("nonsense")
 
 
+@pytest.mark.parametrize("name,params", [("jacobi_identity", {"g": 2}),
+                                         ("cubic_d3", {"h": 4}),
+                                         ("matsumoto", {"alphas": None})])
+def test_unknown_preset_key_raises_type_error(name, params):
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        make_preset(name, **params)
+
+
 @pytest.mark.parametrize("name,d", [("cubic_d3", 2), ("quartic_d1", 3),
                                     ("matsumoto", 7), ("cubic_d3_cor1", 1)])
 def test_field_locked_presets_reject_other_d(name, d):

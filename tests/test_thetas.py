@@ -363,3 +363,77 @@ def test_cache_hits_are_counted():
     assert cache.misses == 1
     assert cache.hits == 1
     assert v1.value == v2.value
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_nested_rationals_match_kmatrix(d):
+    # nested int/Fraction rows are read as exact matrices over the field
+    field = FieldId(d)
+    W = [[0.2 + 1.1j]]
+    P = [[2, Fraction(1, 2)], [Fraction(1, 2), 3]]
+    A0 = [[Fraction(4, 3), Fraction(-1, 4)]]
+    B0 = [[Fraction(1, 2), 0]]
+    nested = theta_general(field, W, P, A0, B0)
+    exact = theta_general(
+        field,
+        W,
+        KMatrix.from_rational_rows(P, field),
+        KMatrix.from_rational_rows(A0, field),
+        KMatrix.from_rational_rows(B0, field),
+    )
+    assert nested == exact
+    a, b = [[Fraction(1, 3)]], [[Fraction(1, 5)]]
+    assert theta_check_variant(field, a, b, W) == theta_check_variant(
+        field,
+        KMatrix.from_rational_rows(a, field),
+        KMatrix.from_rational_rows(b, field),
+        W,
+    )
+
+
+@pytest.mark.parametrize(
+    "arg,value",
+    [
+        ("P", np.eye(1)),
+        ("P", [[2.0]]),
+        ("A0", [[0.5j]]),
+        ("A0", np.zeros((1, 1))),
+        ("B0", [[True]]),
+        ("B0", 0),
+    ],
+)
+def test_inexact_characteristics_rejected(arg, value):
+    field = FieldId(1)
+    args = {
+        "P": KMatrix([[field.one()]]),
+        "A0": KMatrix.zeros(1, 1, field),
+        "B0": KMatrix.zeros(1, 1, field),
+    }
+    args[arg] = value
+    with pytest.raises(TypeError, match=arg):
+        theta_general(field, [[1j]], args["P"], args["A0"], args["B0"])
+
+
+def test_check_variant_rejects_numpy():
+    field = FieldId(1)
+    with pytest.raises(TypeError, match="a must be"):
+        theta_check_variant(field, np.zeros((1, 1)), [[0]], [[1j]])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_integral_shift_shares_cache_entry(d):
+    # A0 is reduced mod O_K before the cache key is built
+    field = FieldId(d)
+    P = KMatrix([[field.from_rational(2), field.element(Fraction(1, 2))],
+                 [field.element(Fraction(1, 2)), field.from_rational(3)]])
+    A0 = KMatrix([[field.element(Fraction(2, 5), Fraction(1, 3)),
+                   field.element(Fraction(-1, 2), Fraction(1, 2))]])
+    S = KMatrix([[field.element(3, -2), field.element(-1, 4)]])
+    B0 = KMatrix([[field.element(Fraction(1, 7)), field.element(0, Fraction(1, 3))]])
+    W = [[0.1 + 0.9j]]
+    cache = ThetaCache()
+    v1 = theta_general(field, W, P, A0, B0, None, cache)
+    v2 = theta_general(field, W, P, A0 + S, B0, None, cache)
+    assert (cache.misses, cache.hits) == (1, 1)
+    assert v1 == v2
+    assert theta_general(field, W, P, A0 + S, B0) == v1
