@@ -20,7 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,6 +34,8 @@ from .relations import (
     Term,
     ThetaFactor,
     VerificationReport,
+    _cached_plan,
+    _lower_terms,
     _sum_terms,
     build_relation,
     evaluate_relation,
@@ -83,19 +85,26 @@ class IdentityCheck:
     rhs: tuple[Term, ...]
     needs_symmetric_W: bool = False
 
+    @cached_property
+    def _plans(self) -> dict:
+        """lhs and rhs lowered together, so they share leaves, per ThetaParams."""
+        return {}
+
     def evaluate(
         self, W: MatrixLike, params: Optional[ThetaParams] = None
     ) -> VerificationReport:
         if params is None:
             params = ThetaParams()
+        plan = _cached_plan(
+            self._plans, params, lambda: _lower_terms(params, (self.lhs, self.rhs))
+        )
         cache = ThetaCache()
-        lhs, lhs_riemann = _sum_terms(self.lhs, W, params, cache)
-        rhs, rhs_riemann = _sum_terms(self.rhs, W, params, cache)
+        _, (lhs, rhs) = _sum_terms(plan, W, cache)
         return VerificationReport.compare(
             lhs,
             rhs,
             len(self.lhs) + len(self.rhs),
-            cache.misses + lhs_riemann + rhs_riemann,
+            cache.misses + plan.riemann_evals,
             cache.hits,
             params.eps,
         )

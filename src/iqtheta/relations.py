@@ -21,6 +21,16 @@ Both sides are computed independently here; the report carries the residual.
 The same machinery, applied to unipotent rational T from a Schur
 complement ladder, rewrites Theta^P for any rational symmetric positive
 definite P as an exact-coefficient polynomial in one-column thetas.
+
+Every side is a sum of Terms, evaluated in two steps.  Lowering
+(`_lower_terms`) runs once per Term tuple and ThetaParams: each Term's
+float coefficient, and per factor either the thetas leaves it multiplies
+(see thetas._lower) with the scale of W they read, or a Riemann theta.
+The plan is cached on the object that owns the Terms (RelationInstance,
+IdentityCheck, PDecomposition), one per ThetaParams.  Evaluation
+(`_sum_terms`) takes one W: it builds and checks each scaled W once, then
+makes one ThetaCache lookup per leaf occurrence, in the order the terms and
+factors are written.  theta_general is the same pipeline for one factor.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -47,9 +57,13 @@ from .thetas import (
     MatrixLike,
     ThetaCache,
     ThetaParams,
+    _as_complex_matrix,
+    _at,
+    _Leaf,
+    _leaves_value,
+    _lower,
+    _lower_check,
     riemann_theta_z0,
-    theta_check_variant,
-    theta_general,
 )
 
 __all__ = [
@@ -106,37 +120,166 @@ def _phase(q: Fraction) -> complex:
     return complex(np.exp(-2j * np.pi * float(q)))
 
 
-def _sum_terms(
-    terms: Iterable[Term], W: MatrixLike, params: ThetaParams, cache: ThetaCache
-) -> tuple[complex, int]:
-    """The sum of terms at W, and how many Riemann thetas it evaluated.
+class _FieldOp:
+    """A field factor: the product of its leaves at W itself."""
 
-    Each term starts from float(coeff_scale) * phase and multiplies its
-    factors left to right; real and imaginary parts are summed with fsum.
-    Field and check factors go through cache; Riemann factors are never
-    cached, so their evaluations are counted here instead.
+    __slots__ = ("w", "leaves")
+
+    def __init__(self, w: int, leaves: tuple[_Leaf, ...]) -> None:
+        self.w = w
+        self.leaves = leaves
+
+    def value(self, ws: list, cache: ThetaCache) -> complex:
+        return _leaves_value(self.leaves, ws[self.w], cache).value
+
+
+class _CheckOp:
+    """A check factor: a fixed phase times one leaf at its scaled W."""
+
+    __slots__ = ("w", "leaf", "phase")
+
+    def __init__(self, w: int, leaf: _Leaf, phase: complex) -> None:
+        self.w = w
+        self.leaf = leaf
+        self.phase = phase
+
+    def value(self, ws: list, cache: ThetaCache) -> complex:
+        return self.phase * _leaves_value((self.leaf,), ws[self.w], cache).value
+
+
+class _RiemannOp:
+    """A Riemann factor, never cached: riemann_theta_z0 at its scaled W."""
+
+    __slots__ = ("w", "a", "b", "params")
+
+    def __init__(self, w: int, a: object, b: object, params: ThetaParams) -> None:
+        self.w = w
+        self.a = a
+        self.b = b
+        self.params = params
+
+    def value(self, ws: list, cache: ThetaCache) -> complex:
+        return riemann_theta_z0(self.a, self.b, ws[self.w][0], self.params).value
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Term sums lowered for one ThetaParams; see _lower_terms."""
+
+    # one entry per W the factors read: (float(w_scale), or None for W
+    # itself; whether it is doubled; whether leaves read it, so it needs
+    # the per-W check)
+    scales: tuple[tuple[Optional[float], bool, bool], ...]
+    bare: tuple[object, ...]
+    sides: tuple[tuple[tuple[complex, tuple[object, ...]], ...], ...]
+    riemann_evals: int
+
+
+def _lower_terms(
+    params: ThetaParams,
+    sides: Iterable[Iterable[Term]],
+    bare: Iterable[ThetaFactor] = (),
+) -> _Plan:
+    """Lower bare factors and Term sums together, so they share leaves.
+
+    Equal factors are lowered once, and equal leaf keys are interned, so a
+    cache hit compares keys by identity.  riemann_evals counts the Riemann
+    factor occurrences, each evaluated on every call.
     """
+    scales: dict[tuple[Optional[float], bool], int] = {}
+    checked: set[int] = set()
+    leaves: dict = {}
+    ops: dict[ThetaFactor, object] = {}
     riemann_evals = 0
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    for term in terms:
-        acc = float(term.coeff_scale) * _phase(term.coeff_q)
-        for f in term.factors:
-            if f.kind == "field":
-                tv = theta_general(f.a.field, W, f.p, f.a, f.b, params, cache)
-            elif f.kind == "check":
-                w = np.asarray(W, dtype=np.complex128) * float(f.w_scale)
-                tv = theta_check_variant(f.a.field, f.a, f.b, w, params, cache)
-            elif f.kind == "riemann":
-                om = np.asarray(W, dtype=np.complex128) * float(f.w_scale)
-                tv = riemann_theta_z0(f.a, f.b, om, params)
-                riemann_evals += 1
-            else:
-                raise ValueError(f"unknown factor kind {f.kind!r}")
-            acc *= tv.value
-        re_parts.append(acc.real)
-        im_parts.append(acc.imag)
-    return complex(math.fsum(re_parts), math.fsum(im_parts)), riemann_evals
+
+    def w_index(scale: Optional[float], doubled: bool, by_leaves: bool) -> int:
+        i = scales.setdefault((scale, doubled), len(scales))
+        if by_leaves:
+            checked.add(i)
+        return i
+
+    def intern(leaf: _Leaf) -> _Leaf:
+        return leaves.setdefault(leaf.key, leaf)
+
+    def lower(f: ThetaFactor) -> object:
+        nonlocal riemann_evals
+        if f.kind == "riemann":
+            riemann_evals += 1
+        op = ops.get(f)
+        if op is not None:
+            return op
+        if f.kind == "field":
+            lowered = _lower(f.a.field, f.p, f.a, f.b, params)
+            op = _FieldOp(w_index(None, False, True), tuple(map(intern, lowered)))
+        elif f.kind == "check":
+            phase, leaf, doubled = _lower_check(f.a.field, f.a, f.b, params)
+            op = _CheckOp(w_index(float(f.w_scale), doubled, True), intern(leaf), phase)
+        elif f.kind == "riemann":
+            op = _RiemannOp(w_index(float(f.w_scale), False, False), f.a, f.b, params)
+        else:
+            raise ValueError(f"unknown factor kind {f.kind!r}")
+        ops[f] = op
+        return op
+
+    bare_ops = tuple(lower(f) for f in bare)
+    lowered_sides = tuple(
+        tuple(
+            (
+                float(t.coeff_scale) * _phase(t.coeff_q),
+                tuple(lower(f) for f in t.factors),
+            )
+            for t in side
+        )
+        for side in sides
+    )
+    return _Plan(
+        scales=tuple(
+            (scale, doubled, i in checked)
+            for (scale, doubled), i in scales.items()
+        ),
+        bare=bare_ops,
+        sides=lowered_sides,
+        riemann_evals=riemann_evals,
+    )
+
+
+def _cached_plan(plans: dict, params: ThetaParams, lower: Callable[[], _Plan]) -> _Plan:
+    """plans[params], lowered on first use (plans is an owner's own dict)."""
+    plan = plans.get(params)
+    if plan is None:
+        plan = plans[params] = lower()
+    return plan
+
+
+def _sum_terms(
+    plan: _Plan, W: MatrixLike, cache: ThetaCache
+) -> tuple[list[complex], list[complex]]:
+    """The plan at W: the value of each bare factor, then the sum of each side.
+
+    Each scaled W is built once (W * float(w_scale), then doubled) and,
+    when leaves read it, checked once.  Each term starts from its
+    coefficient and multiplies its factors left to right; real and
+    imaginary parts are summed with fsum.
+    """
+    base = _as_complex_matrix(W, "W")
+    ws = []
+    for scale, doubled, by_leaves in plan.scales:
+        w = base if scale is None else base * scale
+        if doubled:
+            w = 2.0 * w
+        ws.append(_at(w) if by_leaves else (w,))
+    bare = [op.value(ws, cache) for op in plan.bare]
+    sums = []
+    for side in plan.sides:
+        re_parts: list[float] = []
+        im_parts: list[float] = []
+        for acc, ops in side:
+            for op in ops:
+                acc *= op.value(ws, cache)
+            re_parts.append(acc.real)
+            im_parts.append(acc.imag)
+        sums.append(complex(math.fsum(re_parts), math.fsum(im_parts)))
+    return bare, sums
 
 
 @dataclass(frozen=True)
@@ -294,6 +437,14 @@ class RelationInstance:
             for t in self.terms
         )
 
+    @cached_property
+    def _plans(self) -> dict:
+        """The lhs factor and rhs_terms lowered together, per ThetaParams."""
+        return {}
+
+    def _lhs_factor(self) -> ThetaFactor:
+        return ThetaFactor(kind="field", a=self.lhs_A, b=self.lhs_B, p=self.Q)
+
     def group_metadata(self) -> dict:
         return {
             "G1_order": self.G1.order,
@@ -351,17 +502,21 @@ def evaluate_relation(
         params = ThetaParams()
     if corrupt not in (None, "phase", "drop"):
         raise ValueError(f"unknown corruption mode: {corrupt!r}")
-    cache = ThetaCache()
-    lhs = theta_general(
-        inst.spec.field, W, inst.Q, inst.lhs_A, inst.lhs_B, params, cache
-    ).value
     terms = inst.rhs_terms
     if corrupt == "drop":
         terms = terms[1:]
     elif corrupt == "phase":
         first = replace(terms[0], coeff_q=terms[0].coeff_q + Fraction(1, 3))
         terms = (first,) + terms[1:]
-    rhs = float(inst.scale) * _sum_terms(terms, W, params, cache)[0]
+
+    def lower() -> _Plan:
+        return _lower_terms(params, (terms,), (inst._lhs_factor(),))
+
+    # a corrupted plan is lowered fresh and never cached
+    plan = lower() if corrupt else _cached_plan(inst._plans, params, lower)
+    cache = ThetaCache()
+    (lhs,), (rhs_sum,) = _sum_terms(plan, W, cache)
+    rhs = float(inst.scale) * rhs_sum
     return VerificationReport.compare(
         complex(lhs), rhs, len(inst.terms), cache.misses, cache.hits, params.eps
     )
@@ -389,6 +544,11 @@ class PDecomposition:
             prod *= lam
         return prod
 
+    @cached_property
+    def _plans(self) -> dict:
+        """The monomials lowered, per ThetaParams."""
+        return {}
+
     def evaluate(
         self,
         W: MatrixLike,
@@ -399,7 +559,10 @@ class PDecomposition:
             params = ThetaParams()
         if cache is None:
             cache = ThetaCache()
-        return _sum_terms(self.monomials, W, params, cache)[0]
+        plan = _cached_plan(
+            self._plans, params, lambda: _lower_terms(params, (self.monomials,))
+        )
+        return _sum_terms(plan, W, cache)[1][0]
 
 
 def _rational_entry(x: KElement, what: str) -> Fraction:

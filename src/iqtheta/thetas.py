@@ -20,9 +20,17 @@ changes only the rounding of each exponent; the point order and the chunking
 are the same as for a per-point product.
 
 W is the only floating-point input.  P, A0 and B0 are exact matrices over K
-(a KMatrix, or nested lists of int/Fraction); A0 is reduced mod O_K once, at
-entry, and the float offsets and the cache key both come from that reduced
-matrix.
+(a KMatrix, or nested lists of int/Fraction).
+
+Every theta runs in two steps.  Lowering (`_lower`) does all the exact,
+W-independent work once: it checks shapes and that P is Hermitian, reduces
+A0 mod O_K, splits an exactly diagonal P into 1x1 columns, and stores the
+float P, offsets and B0 of each resulting dense theta (a leaf) with its
+cache key.  Evaluation takes one W: the per-W check (`_at`: square, finite,
+inside H1, one eigensolve) runs once, then each leaf is one ThetaCache
+lookup and, on a miss, one `_theta_dense` call.  `theta_general` is the
+one-factor plan: lower, check W, evaluate the leaves.  Sums of many factors
+(relations.py) lower their whole term tuple once and evaluate it per W.
 """
 
 from __future__ import annotations
@@ -91,9 +99,10 @@ class ThetaCache:
 
     Instances are meant to be short lived and private to a single relation
     evaluation so that hit counts are reproducible.  Keys must capture every
-    input that affects the value (field, shapes, W, P, characteristics, eps);
-    theta_general keys on A0 reduced mod O_K, so characteristics that differ
-    by an integral matrix share one entry.
+    input that affects the value: a dense theta is keyed by (leaf key, W
+    bytes), where the leaf key holds the field, shapes, P, A0 reduced mod
+    O_K, B0, eps and max_radius, so characteristics that differ by an
+    integral matrix share one entry.
     """
 
     def __init__(self) -> None:
@@ -339,14 +348,8 @@ def _theta_dense(
     n = idx.shape[0]
     if n == 0:
         raise TruncationError("empty lattice enumeration; radius too small")
-    idx = idx[np.argsort(tot, kind="stable")]
-    # free the sort keys before the n x gh complex points: on the largest
-    # thetas they are the difference between one peak and the next
+    order = np.argsort(tot, kind="stable")
     del tot
-
-    flat = np.empty((n, g * h), dtype=np.complex128)
-    for k in range(g * h):
-        flat[:, k] = cands[k][0][idx[:, k]]
 
     # m_t = kron(W, P^T)^T, built by broadcasting: np.kron costs tens of
     # microseconds per call, which the many small thetas would pay.
@@ -355,13 +358,165 @@ def _theta_dense(
     b_im = np.ascontiguousarray(B0.imag).reshape(-1)
 
     def chunks():
+        # the points are gathered one chunk at a time, in sorted order, so
+        # memory holds O(chunk) complex points rather than all n of them
         for s in range(0, n, _EVAL_CHUNK):
-            x = flat[s : s + _EVAL_CHUNK]
+            rows = idx[order[s : s + _EVAL_CHUNK]]
+            x = np.empty((rows.shape[0], g * h), dtype=np.complex128)
+            for k in range(g * h):
+                x[:, k] = cands[k][0][rows[:, k]]
             e1 = np.einsum("nk,nk->n", x.conj(), x @ m_t)
             e2 = x.real @ b_re + x.imag @ b_im
             yield np.exp(1j * np.pi * e1 + 2j * np.pi * e2)
 
     return ThetaValue(_chunk_sum(chunks()), tail, n)
+
+
+class _LeafKey:
+    """The cache identity of one dense theta, hashed once at lowering:
+    (d, g, h, P, A0 reduced mod O_K, B0, eps, max_radius)."""
+
+    __slots__ = ("data", "_hash")
+
+    def __init__(self, data: tuple) -> None:
+        self.data = data
+        self._hash = hash(data)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, _LeafKey)
+            and self._hash == other._hash
+            and self.data == other.data
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _Leaf:
+    """One dense theta with every W-independent input precomputed."""
+
+    key: _LeafKey
+    field: FieldId
+    g: int
+    P: np.ndarray
+    offsets: np.ndarray
+    B0: np.ndarray
+    params: ThetaParams
+
+
+def _leaf(
+    field: FieldId, P: KMatrix, A0: KMatrix, B0: KMatrix, params: ThetaParams
+) -> _Leaf:
+    g, h = A0.rows, A0.cols
+    key = _LeafKey((field.d, g, h, P, A0, B0, params.eps, params.max_radius))
+    return _Leaf(
+        key, field, g, _as_complex_matrix(P, "P"), _offsets(A0, field),
+        _as_complex_matrix(B0, "B0"), params,
+    )
+
+
+def _lower(
+    field: FieldId, P: ExactLike, A0: ExactLike, B0: ExactLike, params: ThetaParams
+) -> tuple[_Leaf, ...]:
+    """Theta^P[A0; B0] as the leaves whose product it is: the exact checks,
+    the mod-O_K reduction of A0 and the float inputs, done once for every W.
+
+    An exactly diagonal P with h > 1 factors over columns: one 1x1 leaf per
+    column, each at eps/h.  Otherwise there is a single leaf.
+    """
+    P = _exact(P, "P", field)
+    A0 = _exact(A0, "A0", field)
+    B0 = _exact(B0, "B0", field)
+    g, h = A0.rows, A0.cols
+    if (B0.rows, B0.cols) != (g, h):
+        raise DomainError(f"B0 must have shape {(g, h)}, got {(B0.rows, B0.cols)}")
+    if (P.rows, P.cols) != (h, h):
+        raise DomainError(f"P must be {h}x{h} to match A0, got {(P.rows, P.cols)}")
+    if P.conj_transpose() != P:
+        raise DomainError("P must be Hermitian")
+    A0 = _reduce_mod_integral(A0)
+    diagonal = all(P[(i, j)].is_zero() for i in range(h) for j in range(h) if i != j)
+    if diagonal and h > 1:
+        col_params = replace(params, eps=params.eps / h)
+        return tuple(
+            _leaf(field, KMatrix([[P[(j, j)]]]), A0.column(j), B0.column(j), col_params)
+            for j in range(h)
+        )
+    return (_leaf(field, P, A0, B0, params),)
+
+
+def _lower_check(
+    field: FieldId, a: ExactLike, b: ExactLike, params: ThetaParams
+) -> tuple[complex, _Leaf, bool]:
+    """theta_check_variant lowered: (phase, leaf, whether W is doubled).
+
+    The value at W is phase times the leaf at W, or at 2W when doubled."""
+    a = _exact(a, "a", field)
+    b = _exact(b, "b", field)
+    q = re_trace_of_product(a, b)
+    doubled = field.one_mod_four
+    if doubled:
+        q *= 2
+        b = b.scale(2)
+    q -= math.floor(q)
+    phase = complex(np.exp(-2j * np.pi * float(q)))
+    (leaf,) = _lower(field, KMatrix([[field.one()]]), a, b, params)
+    return phase, leaf, doubled
+
+
+def _at(w: np.ndarray) -> tuple[np.ndarray, bytes, float]:
+    """The per-W check: w with its cache-key bytes and lam_min(Y).
+
+    DomainError unless w is square, finite and inside the type-I domain."""
+    if w.shape[0] != w.shape[1]:
+        raise DomainError(f"W must be square, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise DomainError("W must be finite")
+    ok, lam_y = in_type1_domain(w)
+    if not ok:
+        raise DomainError(
+            f"W is not in the type-I domain: lam_min(Y)={lam_y:g} <= 0"
+        )
+    return w, w.tobytes(), lam_y
+
+
+def _leaves_value(
+    leaves: tuple[_Leaf, ...],
+    at: tuple[np.ndarray, bytes, float],
+    cache: Optional[ThetaCache],
+) -> ThetaValue:
+    """The product of the leaves at a checked W (see _at), one cache lookup
+    per leaf; a single leaf is returned as is."""
+    w, w_bytes, lam_y = at
+    g = leaves[0].g
+    if w.shape != (g, g):
+        raise DomainError(f"W must be {g}x{g} to match A0, got {w.shape}")
+    vals: list[ThetaValue] = []
+    for leaf in leaves:
+
+        def compute(leaf: _Leaf = leaf) -> ThetaValue:
+            return _theta_dense(
+                leaf.field, w, leaf.P, leaf.offsets, leaf.B0, lam_y, leaf.params
+            )
+
+        if cache is None:
+            vals.append(compute())
+        else:
+            vals.append(cache.get_or_compute((leaf.key, w_bytes), compute))
+    if len(vals) == 1:
+        return vals[0]
+    prod = complex(1.0)
+    bound_hi = 1.0
+    bound_lo = 1.0
+    for v in vals:
+        prod *= v.value
+        bound_hi *= abs(v.value) + v.tail_bound
+        bound_lo *= abs(v.value)
+    return ThetaValue(
+        prod, bound_hi - bound_lo, sum(v.lattice_points_used for v in vals)
+    )
 
 
 def theta_general(
@@ -377,83 +532,15 @@ def theta_general(
 
     W is a g x g complex matrix with (W - conj(W)^t)/(2i) positive definite;
     P (h x h Hermitian positive definite), A0 and B0 are exact: KMatrix
-    values or nested lists of int/Fraction.  A0 is reduced mod O_K before
-    anything else.  When P is exactly diagonal the sum factors over columns
-    and each column factor is evaluated (and cached) separately.
+    values or nested lists of int/Fraction.  This is the one-factor plan:
+    lower (A0 is reduced mod O_K; when P is exactly diagonal the sum factors
+    over columns and each column is its own cached leaf), check W once, and
+    evaluate the leaves.
     """
     if params is None:
         params = ThetaParams()
-    P = _exact(P, "P", field)
-    A0 = _exact(A0, "A0", field)
-    B0 = _exact(B0, "B0", field)
-    w_arr = _as_complex_matrix(W, "W")
-    ok, lam_y = in_type1_domain(w_arr)
-    if not ok:
-        raise DomainError(
-            f"W is not in the type-I domain: lam_min(Y)={lam_y:g} <= 0"
-        )
-    g, h = A0.rows, A0.cols
-    if w_arr.shape != (g, g):
-        raise DomainError(f"W must be {g}x{g} to match A0, got {w_arr.shape}")
-    if (B0.rows, B0.cols) != (g, h):
-        raise DomainError(f"B0 must have shape {(g, h)}, got {(B0.rows, B0.cols)}")
-    if (P.rows, P.cols) != (h, h):
-        raise DomainError(f"P must be {h}x{h} to match A0, got {(P.rows, P.cols)}")
-    if P.conj_transpose() != P:
-        raise DomainError("P must be Hermitian")
-    A0 = _reduce_mod_integral(A0)
-
-    diagonal = all(P[(i, j)].is_zero() for i in range(h) for j in range(h) if i != j)
-    if diagonal and h > 1:
-        total_pts = 0
-        vals: list[complex] = []
-        tails: list[float] = []
-        col_params = replace(params, eps=params.eps / h)
-        for j in range(h):
-            sub = theta_general(
-                field,
-                w_arr,
-                KMatrix([[P[(j, j)]]]),
-                A0.column(j),
-                B0.column(j),
-                col_params,
-                cache,
-            )
-            vals.append(complex(sub.value))
-            tails.append(sub.tail_bound)
-            total_pts += sub.lattice_points_used
-        prod = complex(1.0)
-        for v in vals:
-            prod *= v
-        bound_hi = 1.0
-        bound_lo = 1.0
-        for v, t in zip(vals, tails):
-            bound_hi *= abs(v) + t
-            bound_lo *= abs(v)
-        return ThetaValue(prod, bound_hi - bound_lo, total_pts)
-
-    key = (
-        "theta",
-        field.d,
-        g,
-        h,
-        w_arr.tobytes(),
-        P,
-        A0,
-        B0,
-        params.eps,
-        params.max_radius,
-    )
-
-    def compute() -> ThetaValue:
-        return _theta_dense(
-            field, w_arr, _as_complex_matrix(P, "P"), _offsets(A0, field),
-            _as_complex_matrix(B0, "B0"), lam_y, params,
-        )
-
-    if cache is None:
-        return compute()
-    return cache.get_or_compute(key, compute)
+    leaves = _lower(field, P, A0, B0, params)
+    return _leaves_value(leaves, _at(_as_complex_matrix(W, "W")), cache)
 
 
 def theta_check_variant(
@@ -471,17 +558,13 @@ def theta_check_variant(
     For -d congruent to 1 mod 4 the series uses 2W and a doubled phase, equal
     to exp(-4*pi*i*Re(conj(a)^t b)) * Theta[a; 2b](2W).
     """
-    a = _exact(a, "a", field)
-    b = _exact(b, "b", field)
+    if params is None:
+        params = ThetaParams()
+    phase, leaf, doubled = _lower_check(field, a, b, params)
     w_arr = _as_complex_matrix(W, "W")
-    q = re_trace_of_product(a, b)
-    if field.one_mod_four:
-        q *= 2
+    if doubled:
         w_arr = 2.0 * w_arr
-        b = b.scale(2)
-    q -= math.floor(q)
-    phase = complex(np.exp(-2j * np.pi * float(q)))
-    base = theta_general(field, w_arr, KMatrix([[field.one()]]), a, b, params, cache)
+    base = _leaves_value((leaf,), _at(w_arr), cache)
     return ThetaValue(
         phase * base.value, base.tail_bound, base.lattice_points_used
     )
@@ -505,6 +588,8 @@ def riemann_theta_z0(
         params = ThetaParams()
     om = _as_complex_matrix(Omega, "Omega")
     g = om.shape[0]
+    if not np.isfinite(om).all():
+        raise DomainError("Omega must be finite")
     if om.shape != (g, g) or not np.allclose(om, om.T, rtol=0.0, atol=1e-12):
         raise DomainError("Omega must be symmetric")
     lam = _snap(float(np.linalg.eigvalsh(om.imag)[0]))
