@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -104,12 +105,25 @@ def _load_json(value: str) -> object:
         raise CliParseError(f"cannot read input: {exc}") from exc
 
 
+def _json_real(x: object) -> float:
+    """A finite JSON number as a float; bools, strings and numbers a float
+    cannot hold (1e400 reads as inf, 10**400 overflows) are rejected."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            v = float(x)
+        except OverflowError:
+            v = math.inf
+        if math.isfinite(v):
+            return v
+    raise CliParseError(
+        f"matrix entry must be a finite number or [re, im] of finite numbers, got {x!r}"
+    )
+
+
 def _entry_to_complex(x: object) -> complex:
-    if isinstance(x, (int, float)):
-        return complex(x)
     if isinstance(x, list) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    raise CliParseError(f"matrix entry must be a number or [re, im], got {x!r}")
+        return complex(_json_real(x[0]), _json_real(x[1]))
+    return complex(_json_real(x))
 
 
 def _parse_complex_matrix(value: str, name: str) -> np.ndarray:

@@ -6,18 +6,26 @@ The central object is
         exp(pi*i * Tr(conj(N+A0)^t W (N+A0) P) + 2*pi*i * Re Tr(conj(N+A0)^t B0))
 
 which converges exactly when Y = (W - conj(W)^t) / (2i) and P are positive
-definite.  Every term has modulus exp(-pi * Tr(X^H Y X P)) with X = N + A0,
-bounded by exp(-pi * lam_min(Y) * lam_min(P) * ||X||_F^2), so truncation to an
-embedded ball with an explicit tail bound is rigorous.
+definite.  Every term has modulus exp(-pi * Q(X)) with X = N + A0 and
+Q(X) = Re Tr(X^H Y X P), and Q(X) >= lam_min(Y) * lam_min(P) * ||X||_F^2.
+The radius r and the tail bound come from that isotropic decay, but the
+sum runs over the ellipsoid Q(X) <= lam_Y * lam_P * r^2, which lies inside
+the ball ||X||_F <= r and is much smaller when Y kron P is anisotropic.
+The tail bound stays rigorous: in the norm sqrt(Q) / rho, rho^2 =
+lam_Y * lam_P, distinct points are at least 1 apart (nonzero elements of
+O_K have modulus >= 1), so the packing argument of `shell_tail_bound`
+holds verbatim after that linear change of variables (see _theta_dense).
 
-Evaluation is deterministic: lattice points are enumerated in a fixed order,
-sorted by squared norm (ties broken by enumeration order), and summed in fixed
-chunks with compensated accumulation of the chunk subtotals.  Within a chunk,
-the exponent of every point is one quadratic form: with x the row-major vec
-of X, vec(W X P) = (W kron P^T) x, so the chunk costs one matrix product over
-the flattened points rather than a small matrix product per point.  That form
-changes only the rounding of each exponent; the point order and the chunking
-are the same as for a per-point product.
+The ellipsoid is enumerated Fincke-Pohst style (`_ellipsoid_points`): in
+the real coordinates (u, v) of each entry u + v*delta, from the Cholesky
+factor of the Gram matrix of Q, one coordinate at a time from the last,
+each level vectorized over the whole frontier.  Evaluation is
+deterministic: the points come in a fixed (lexicographic) order and are
+summed in that order in chunks, with compensated accumulation of the chunk
+subtotals.  Within a chunk, the exponent of every point is one quadratic
+form: with x the row-major vec of X, vec(W X P) = (W kron P^T) x, so the
+chunk costs one matrix product over the flattened points rather than a
+small matrix product per point.
 
 W is the only floating-point input.  P, A0 and B0 are exact matrices over K
 (a KMatrix, or nested lists of int/Fraction).
@@ -25,11 +33,13 @@ W is the only floating-point input.  P, A0 and B0 are exact matrices over K
 Every theta runs in two steps.  Lowering (`_lower`) does all the exact,
 W-independent work once: it checks shapes and that P is Hermitian, reduces
 A0 mod O_K, splits an exactly diagonal P into 1x1 columns, and stores the
-float P, offsets and B0 of each resulting dense theta (a leaf) with its
-cache key.  Evaluation takes one W: the per-W check (`_at`: square, finite,
-inside H1, one eigensolve) runs once, then each leaf is one ThetaCache
-lookup and, on a miss, one `_theta_dense` call.  `theta_general` is the
-one-factor plan: lower, check W, evaluate the leaves.  Sums of many factors
+exact inputs of each resulting dense theta (a leaf) with its cache key; the
+leaf's float data (P and lam_min(P), the offsets and their real
+coordinates, B0) is built on its first evaluation.  Evaluation takes one
+W: the per-W check (`_at`: square, finite, inside H1, one eigensolve) runs
+once, then each leaf is one ThetaCache lookup and, on a miss, one
+`_theta_dense` call.  `theta_general` is the one-factor plan: lower, check
+W, evaluate the leaves.  Sums of many factors
 (relations.py) lower their whole term tuple once and evaluate it per W.
 """
 
@@ -38,7 +48,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -237,41 +248,6 @@ def _exact(m: ExactLike, name: str, field: FieldId) -> KMatrix:
     )
 
 
-def _entry_candidates(
-    field: FieldId, offset: complex, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """All points x = u + v*delta + offset with |x| <= radius, enumerated in
-    lexicographic (v, u) order.  Returns (x values, squared norms)."""
-    dc = field.delta_complex
-    r2 = radius * radius + 1e-12
-    vs: list[np.ndarray] = []
-    us: list[np.ndarray] = []
-    v_lo = int(math.ceil((-radius - offset.imag) / dc.imag))
-    v_hi = int(math.floor((radius - offset.imag) / dc.imag))
-    for v in range(v_lo, v_hi + 1):
-        im = v * dc.imag + offset.imag
-        rem = r2 - im * im
-        if rem < 0.0:
-            continue
-        half = math.sqrt(rem)
-        center = v * dc.real + offset.real
-        u_lo = int(math.ceil(-half - center))
-        u_hi = int(math.floor(half - center))
-        if u_hi < u_lo:
-            continue
-        u = np.arange(u_lo, u_hi + 1, dtype=np.int64)
-        us.append(u)
-        vs.append(np.full(u.shape, v, dtype=np.int64))
-    if not us:
-        return (np.empty(0, dtype=np.complex128), np.empty(0))
-    u_all = np.concatenate(us)
-    v_all = np.concatenate(vs)
-    x = u_all + v_all * dc + offset
-    w2 = x.real * x.real + x.imag * x.imag
-    keep = w2 <= r2
-    return (np.ascontiguousarray(x[keep]), np.ascontiguousarray(w2[keep]))
-
-
 def _ball_combine(
     weights: Sequence[np.ndarray], r2: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -318,58 +294,73 @@ def _chunk_sum(values_iter) -> complex:
     return complex(math.fsum(sub_re), math.fsum(sub_im))
 
 
-def _theta_dense(
-    field: FieldId,
-    W: np.ndarray,
-    P: np.ndarray,
-    offsets: np.ndarray,
-    B0: np.ndarray,
-    lam_y: float,
-    params: ThetaParams,
-) -> ThetaValue:
-    g, h = offsets.shape
-    lam_p = _snap(float(np.linalg.eigvalsh(P)[0]))
-    if lam_p <= 0.0:
-        raise DomainError(f"P must be positive definite, lam_min={lam_p:g}")
-    decay = math.pi * _snap(lam_y) * lam_p
-    dim = 2 * g * h
-    offset_norm = math.sqrt(float(np.sum(np.abs(offsets) ** 2)))
-    radius = choose_radius(
-        params.eps, decay, dim, offset_norm=offset_norm, max_radius=params.max_radius
-    )
-    tail = shell_tail_bound(radius, decay, dim)
+def _ellipsoid_points(
+    R: np.ndarray, c: np.ndarray, bound: float, radius: int
+) -> tuple[int, Iterator[np.ndarray]]:
+    """The integer points z with |R (z + c)|^2 <= bound (Fincke-Pohst).
 
-    cands = [
-        _entry_candidates(field, complex(offsets[i, j]), float(radius))
-        for i in range(g)
-        for j in range(h)
-    ]
-    idx, tot = _ball_combine([w2 for (_, w2) in cands], radius * radius + 1e-12)
-    n = idx.shape[0]
-    if n == 0:
-        raise TruncationError("empty lattice enumeration; radius too small")
-    order = np.argsort(tot, kind="stable")
-    del tot
+    R is upper triangular with a positive diagonal, so the form is
+    sum_i R_ii^2 (y_i + sum_{j>i} R_ij/R_ii y_j)^2 with y = z + c, and each
+    coordinate, given the ones after it, ranges over one interval.  The
+    coordinates are fixed from the last to the first, each level
+    vectorized over the whole frontier; the root level (the last
+    coordinate) is done in scalars.  Returns the number of points and an
+    iterator over blocks of at most _EVAL_CHUNK of them (more only if one
+    interval is longer): float rows of integers whose column j is
+    coordinate n-1-j, in lexicographic order of (z_{n-1}, ..., z_0).  The
+    last level is expanded one block at a time, so memory holds the
+    frontier and one block, not every point.
 
-    # m_t = kron(W, P^T)^T, built by broadcasting: np.kron costs tens of
-    # microseconds per call, which the many small thetas would pay.
-    m_t = (W.T[:, None, :, None] * P[None, :, None, :]).reshape(g * h, g * h)
-    b_re = np.ascontiguousarray(B0.real).reshape(-1)
-    b_im = np.ascontiguousarray(B0.imag).reshape(-1)
+    TruncationError as soon as a level counts more than _MAX_POINTS
+    nodes, before that level is expanded; radius is only reported there.
+    """
+    n = len(c)
+    diag = np.diag(R)
+    q = R / diag[:, None]
+    r_top = float(diag[-1])
+    center = -float(c[-1])
+    half = math.sqrt(bound) / r_top
+    z = np.arange(math.ceil(center - half), math.floor(center + half) + 1,
+                  dtype=np.float64)
+    rem = bound - (r_top * (z - center)) ** 2
+    Z = z[:, None]
+    for i in range(n - 2, -1, -1):
+        # Z holds coordinates n-1, ..., i+1 of each node, in that order
+        qi = q[i, :i:-1]
+        center = -(Z @ qi) - (float(qi @ c[:i:-1]) + c[i])
+        half = np.sqrt(np.maximum(rem, 0.0)) / diag[i]
+        lo = np.ceil(center - half)
+        counts = (np.floor(center + half) - lo + 1.0).astype(np.int64)
+        np.maximum(counts, 0, out=counts)
+        total = int(counts.sum())
+        if total > _MAX_POINTS:
+            raise TruncationError(
+                f"lattice enumeration exceeds max_points={_MAX_POINTS}: "
+                f"{total} points after {n - i} of {n} coordinates "
+                f"(radius {radius}, dim {n})"
+            )
+        if i == 0:
+            break
+        node = np.repeat(np.arange(len(counts)), counts)
+        z = lo[node] + (np.arange(total) - (np.cumsum(counts) - counts)[node])
+        rem = rem[node] - (diag[i] * (z - center[node])) ** 2
+        Z = np.concatenate([Z[node], z[:, None]], axis=1)
 
-    def chunks():
-        # the points are gathered one chunk at a time, in sorted order, so
-        # memory holds O(chunk) complex points rather than all n of them
-        for s in range(0, n, _EVAL_CHUNK):
-            rows = idx[order[s : s + _EVAL_CHUNK]]
-            x = np.empty((rows.shape[0], g * h), dtype=np.complex128)
-            for k in range(g * h):
-                x[:, k] = cands[k][0][rows[:, k]]
-            e1 = np.einsum("nk,nk->n", x.conj(), x @ m_t)
-            e2 = x.real @ b_re + x.imag @ b_im
-            yield np.exp(1j * np.pi * e1 + 2j * np.pi * e2)
+    ends = np.cumsum(counts)
+    starts = ends - counts
 
-    return ThetaValue(_chunk_sum(chunks()), tail, n)
+    def blocks() -> Iterator[np.ndarray]:
+        s = 0
+        while s < len(counts):
+            e = max(int(np.searchsorted(ends, starts[s] + _EVAL_CHUNK, side="right")), s + 1)
+            node = np.repeat(np.arange(s, e), counts[s:e])
+            out = np.empty((len(node), n))
+            out[:, :-1] = Z[node]
+            out[:, -1] = lo[node] + (np.arange(starts[s], ends[e - 1]) - starts[node])
+            yield out
+            s = e
+
+    return total, blocks()
 
 
 class _LeafKey:
@@ -393,28 +384,119 @@ class _LeafKey:
         )
 
 
+class _LeafFloats(NamedTuple):
+    """The float inputs of a leaf's dense theta, all W-independent."""
+
+    P: np.ndarray
+    lam_p: float  # lam_min(P), unsnapped
+    offsets: np.ndarray  # A0 reduced mod O_K, embedded
+    offset_norm: float
+    coords: np.ndarray  # the (a, b) of each entry a + b*delta of A0, row-major
+    basis: np.ndarray  # conj(e_s) e_t for e = (1, delta)
+    b_re: np.ndarray
+    b_im: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class _Leaf:
-    """One dense theta with every W-independent input precomputed."""
+    """One dense theta: its cache key and exact inputs, A0 reduced mod O_K.
+
+    The float inputs are built on the first evaluation, not at lowering:
+    lowering a term sum builds many equal leaves that interning then drops.
+    """
 
     key: _LeafKey
     field: FieldId
-    g: int
-    P: np.ndarray
-    offsets: np.ndarray
-    B0: np.ndarray
+    P: KMatrix
+    A0: KMatrix
+    B0: KMatrix
     params: ThetaParams
+
+    @property
+    def g(self) -> int:
+        return self.A0.rows
+
+    @cached_property
+    def floats(self) -> _LeafFloats:
+        p = _as_complex_matrix(self.P, "P")
+        offsets = _offsets(self.A0, self.field)
+        b0 = _as_complex_matrix(self.B0, "B0")
+        e = np.array([1.0, self.field.delta_complex])
+        return _LeafFloats(
+            p,
+            float(np.linalg.eigvalsh(p)[0]),
+            offsets,
+            math.sqrt(float(np.sum(np.abs(offsets) ** 2))),
+            np.array([float(c) for row in self.A0.entry_rows() for x in row
+                      for c in (x.a, x.b)]),
+            e.conj()[:, None] * e[None, :],
+            np.ascontiguousarray(b0.real).reshape(-1),
+            np.ascontiguousarray(b0.imag).reshape(-1),
+        )
 
 
 def _leaf(
     field: FieldId, P: KMatrix, A0: KMatrix, B0: KMatrix, params: ThetaParams
 ) -> _Leaf:
-    g, h = A0.rows, A0.cols
-    key = _LeafKey((field.d, g, h, P, A0, B0, params.eps, params.max_radius))
-    return _Leaf(
-        key, field, g, _as_complex_matrix(P, "P"), _offsets(A0, field),
-        _as_complex_matrix(B0, "B0"), params,
+    key = (field.d, A0.rows, A0.cols, P, A0, B0, params.eps, params.max_radius)
+    return _Leaf(_LeafKey(key), field, P, A0, B0, params)
+
+
+def _theta_dense(leaf: _Leaf, W: np.ndarray, lam_y: float) -> ThetaValue:
+    """One leaf at a checked W (see _at): the sum over the ellipsoid
+    Q(X) = Re Tr(X^H Y X P) <= lam_Y lam_P r^2 of the shifted lattice.
+
+    The radius r and the tail bound are the isotropic ones: with
+    rho^2 = snap(lam_Y) snap(lam_P) <= lam_min(Y kron P^T), every term has
+    modulus exp(-pi Q(X)) = exp(-decay |X|'^2) in the norm |X|' =
+    sqrt(Q(X)) / rho, and distinct points differ by a nonzero N in
+    Mat(g, h; O_K), so Q(N) >= rho^2 |N|_F^2 >= rho^2: they are at least 1
+    apart in |.|'.  shell_tail_bound's packing argument holds verbatim
+    after this linear change of variables, so it bounds the terms with
+    |X|' >= r.  The enumerated set contains every point with Q < rho^2 r^2,
+    since the bound uses the unsnapped eigenvalues times (1 + 1e-9), so
+    float rounding can only add points; an empty ellipsoid gives the value
+    0, which the tail bound then covers.  The ellipsoid lies inside the
+    ball |X|_F <= r (Q >= lam_Y lam_P |X|_F^2); for g = h = 1 it is that
+    disk.
+    """
+    f = leaf.floats
+    g, h = f.offsets.shape
+    lam_p = _snap(f.lam_p)
+    if lam_p <= 0.0:
+        raise DomainError(f"P must be positive definite, lam_min={lam_p:g}")
+    decay = math.pi * _snap(lam_y) * lam_p
+    dim = 2 * g * h
+    radius = choose_radius(
+        leaf.params.eps, decay, dim, offset_norm=f.offset_norm,
+        max_radius=leaf.params.max_radius,
     )
+    tail = shell_tail_bound(radius, decay, dim)
+
+    # Gram matrix of Q in the real coordinates (u, v) of each entry, with
+    # x = u + v*delta + offset: G[(k,s),(l,t)] = Re(H[k,l] conj(e_s) e_t)
+    # for H = Y kron P^T and e = (1, delta), built by broadcasting
+    y = (W - W.conj().T) / 2j
+    hm = (y[:, None, :, None] * f.P.T[None, :, None, :]).reshape(g * h, g * h)
+    gram = (hm[:, None, :, None] * f.basis[None, :, None, :]).real
+    R = np.linalg.cholesky(gram.reshape(dim, dim)).T
+    bound = lam_y * f.lam_p * radius * radius * (1.0 + 1e-9)
+    n, blocks = _ellipsoid_points(R, f.coords, bound, radius)
+
+    # m_t = kron(W, P^T)^T, built by broadcasting: np.kron costs tens of
+    # microseconds per call, which the many small thetas would pay.
+    m_t = (W.T[:, None, :, None] * f.P[None, :, None, :]).reshape(g * h, g * h)
+    dc = leaf.field.delta_complex
+    off = f.offsets.reshape(-1)
+
+    def chunks():
+        for z in blocks:
+            x = z[:, dim - 1 :: -2] + z[:, dim - 2 :: -2] * dc + off
+            e1 = np.einsum("nk,nk->n", x.conj(), x @ m_t)
+            e2 = x.real @ f.b_re + x.imag @ f.b_im
+            yield np.exp(1j * np.pi * e1 + 2j * np.pi * e2)
+
+    return ThetaValue(_chunk_sum(chunks()), tail, n)
 
 
 def _lower(
@@ -497,9 +579,7 @@ def _leaves_value(
     for leaf in leaves:
 
         def compute(leaf: _Leaf = leaf) -> ThetaValue:
-            return _theta_dense(
-                leaf.field, w, leaf.P, leaf.offsets, leaf.B0, lam_y, leaf.params
-            )
+            return _theta_dense(leaf, w, lam_y)
 
         if cache is None:
             vals.append(compute())

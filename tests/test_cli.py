@@ -230,11 +230,15 @@ def test_decompose_missing_key(capsys):
          json.dumps(dict(json.loads(_spec_json(Fraction(2))), g=1.5))],
         ["verify", "--preset", "jacobi_identity", "--g", "2"],
         ["build", "--preset", "cubic_d3", "--h", "4"],
+        ["eval", "--d", "1", "--W", "[[[0, true]]]"],
+        ["eval", "--d", "1", "--W", "[[true]]"],
+        ["eval", "--d", "1", "--W", "[[[0.5, 1e400]]]"],
     ],
     ids=["zero-denominator", "P-not-rows", "A0-no-entries", "g-not-int",
          "P-empty", "d-not-squarefree", "W-entry-not-number", "d-float",
          "g-float", "g-bool", "P-float-numerator", "P-bool", "A0-float-coord",
-         "spec-d-float", "spec-g-float", "preset-unknown-g", "preset-unknown-h"],
+         "spec-d-float", "spec-g-float", "preset-unknown-g", "preset-unknown-h",
+         "W-part-bool", "W-entry-bool", "W-part-overflow"],
 )
 def test_malformed_input_exits_1(capsys, argv):
     code = main(argv)
