@@ -76,7 +76,7 @@ def _parsing(what: str):
         raise
     except KeyError as exc:
         raise CliParseError(f"cannot parse {what}: missing key {exc}") from exc
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliParseError(f"cannot parse {what}: {exc}") from exc
 
 
@@ -269,6 +269,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_groups(args: argparse.Namespace) -> int:
     _require_source(args)
+    if args.rep_limit < 0:
+        raise CliParseError(f"--rep-limit must be non-negative, got {args.rep_limit}")
     if args.preset:
         preset = _resolve_preset(args)
         if preset.relation is None:

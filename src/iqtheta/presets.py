@@ -1,12 +1,21 @@
 """Catalog of worked theta relations and classical identity checks.
 
 Each preset bundles an exactly constructed relation instance (where one
-exists), independent identity checks built from the printed closed forms,
-expected group metadata, and warnings produced by cross-checking the
-printed index-set parametrizations against the computed shift group.
-Pass or fail always rides on the computed groups; a printed
-parametrization that enumerates a different class set only produces a
-warning.
+exists), identity checks, expected group metadata, and warnings produced
+by cross-checking the printed index-set parametrizations against the
+computed shift group.  Pass or fail always rides on the computed groups; a
+printed parametrization that enumerates a different class set only
+produces a warning.
+
+The (T, P) families (the two-fold propositions, Cartan, cubic and its
+corollaries, quartic) write their printed one-row classes once.  The same
+list is compared exactly with G1 (`_printed_relation`) and, restated as
+the relation summed over those printed classes, is the statement check
+(`_printed_check`): Theta^Q at (alphas) on the left, and on the right the
+products of Theta^{P_jj} at the columns of A0 + rho for every g-tuple rho
+of printed rows, with A0 = (alphas) conj(T)^t.  Matsumoto's check-variant
+statement, the bracket displays and the real-theta identities are written
+out by hand.
 """
 
 from __future__ import annotations
@@ -128,19 +137,11 @@ def _zero_col(field: FieldId, g: int) -> KMatrix:
     return _col([field.zero()] * g)
 
 
-def _const_col(x: KElement, g: int) -> KMatrix:
-    return _col([x] * g)
-
-
 def _field_factor(a: KMatrix, b: KMatrix, scale: Fraction) -> ThetaFactor:
     field = a.field
     return ThetaFactor(
         kind="field", a=a, b=b, p=KMatrix([[field.from_rational(scale)]])
     )
-
-
-def _dense_factor(a: KMatrix, b: KMatrix, p: KMatrix) -> ThetaFactor:
-    return ThetaFactor(kind="field", a=a, b=b, p=p)
 
 
 def _plain_term(factors: Sequence[ThetaFactor],
@@ -172,39 +173,11 @@ def bracket_to_characteristic(
     raise DomainError("bracket characteristics are defined for d in {1, 3}")
 
 
-# -- residue systems used by the printed index sets --------------------------
-
-
-def _cubic_r_reps(field: FieldId) -> list[KElement]:
-    # O_K / 3 O_K via c1 + c2 sqrt(-3), c1, c2 in {0, 1, -1}
-    rt = field.sqrt_minus_d()
-    return [
-        field.from_rational(c1) + rt * c2
-        for c1 in (0, 1, -1)
-        for c2 in (0, 1, -1)
-    ]
-
-
-def _cubic_s_reps(field: FieldId) -> list[KElement]:
-    rt = field.sqrt_minus_d()
-    return [rt * c for c in (0, 1, -1)]
-
-
-def _quartic_r_reps(field: FieldId) -> list[KElement]:
-    return [
-        field.element(r1, r2) for r1 in (0, 1, -1, 2) for r2 in (0, 1, -1, 2)
-    ]
-
-
-def _quartic_s_reps(field: FieldId) -> list[KElement]:
-    return [field.element(s1, s2) for s1 in (0, 2) for s2 in (0, 2)]
-
-
 def _vectors(reps: Sequence[KElement], g: int) -> list[tuple[KElement, ...]]:
     return list(itertools.product(reps, repeat=g))
 
 
-# -- parametrization cross-checks --------------------------------------------
+# -- printed parametrizations -------------------------------------------------
 
 
 def _class_key(m: KMatrix) -> tuple:
@@ -239,6 +212,64 @@ def _compare_classes(
         f"{extra} outside the computed shift group, {missing} group classes missing "
         f"(group order {group.order})",
     )
+
+
+def _printed_relation(
+    name: str,
+    field: FieldId,
+    g: int,
+    T: KMatrix,
+    P: KMatrix,
+    alphas: Sequence[KMatrix],
+    printed: Sequence[KMatrix],
+) -> tuple[RelationInstance, bool, str]:
+    """The relation with A0 = (alphas) conj(T)^t and B0 = 0, so that its
+    left side is Theta^Q[(alphas); 0], and whether the printed one-row
+    classes enumerate the one-row shift group (G1 = G(1)^g)."""
+    A0 = _row_matrix(list(alphas)) @ T.conj_transpose()
+    B0 = KMatrix.zeros(g, T.rows, field)
+    inst = build_relation(RelationSpec(field, g, T, P, A0, B0, name=name))
+    matches, detail = _compare_classes(
+        inst.G1 if g == 1 else shift_group(1, T), printed
+    )
+    return inst, matches, detail
+
+
+def _printed_check(
+    inst: RelationInstance, printed: Sequence[KMatrix], name: str
+) -> IdentityCheck:
+    """The relation restated over its printed classes, for diagonal P,
+    B0 = 0 and trivial G2.
+
+    Left: Theta^Q at lhs_A, one 1x1 factor per column when Q is diagonal,
+    one dense factor otherwise.  Right: for each g-tuple rho of printed
+    rows, the product over j of Theta^{P_jj}[(A0 + rho)_j; 0].
+    """
+    spec = inst.spec
+    g, h, field = spec.g, spec.h, spec.field
+    zero = _zero_col(field, g)
+
+    def columns(cols: Sequence[Sequence[KElement]], p: KMatrix) -> list[ThetaFactor]:
+        return [
+            ThetaFactor(kind="field", a=_col(c), b=zero, p=KMatrix([[p[(j, j)]]]))
+            for j, c in enumerate(cols)
+        ]
+
+    Q = inst.Q
+    if all(Q[(i, j)].is_zero() for i in range(h) for j in range(h) if i != j):
+        lhs = columns(inst.lhs_A.transpose().entry_rows(), Q)
+    else:
+        lhs = [ThetaFactor(kind="field", a=inst.lhs_A, b=inst.lhs_B, p=Q)]
+    # row k of A0 + rho for each printed class rho, then every g-tuple of rows
+    shifted = [
+        [[a + x for a, x in zip(row, c.entry_rows()[0])] for c in printed]
+        for row in spec.A0.entry_rows()
+    ]
+    rhs = tuple(
+        _plain_term(columns(list(zip(*rows)), spec.P))
+        for rows in itertools.product(*shifted)
+    )
+    return IdentityCheck(name=name, g=g, lhs=(_plain_term(lhs),), rhs=rhs)
 
 
 # -- preset container ---------------------------------------------------------
@@ -443,77 +474,25 @@ def _preset_prop_half(
         alpha1 = _default_alpha(field, g, 1)
     if alpha2 is None:
         alpha2 = _default_alpha(field, g, 2)
-    delta = field.delta()
     dn = field.delta_norm
-    cd = delta.conj()
-    inv = field.one() / (cd * 2)
+    cd = field.delta().conj()
     one = field.one()
-    if variant == 1:
-        t_rows = [[cd, one], [cd, -one]]
-    else:
-        t_rows = [[one, one], [one, -one]]
-    T = KMatrix(t_rows).scale(inv)
-    P = KMatrix.from_rational_rows(
-        [[2 * dn, 0], [0, 2 * dn]], field
-    )
-    A0 = _row_matrix([alpha1, alpha2]) @ T.conj_transpose()
-    B0 = KMatrix([[field.zero()] * 2 for _ in range(g)])
+    first = cd if variant == 1 else one
+    T = KMatrix([[first, one], [first, -one]]).scale(one / (cd * 2))
+    P = KMatrix.from_rational_rows([[2 * dn, 0], [0, 2 * dn]], field)
     name = "prop_half_general" if variant == 1 else "prop_half_general_2"
-    spec = RelationSpec(field, g, T, P, A0, B0, name=name)
-    inst = build_relation(spec)
-
     printed = _prop_printed_shifts(field)
-    g1_row = inst.G1 if g == 1 else shift_group(1, T)
-    matches, detail = _compare_classes(g1_row, printed)
+    inst, matches, detail = _printed_relation(
+        name, field, g, T, P, [alpha1, alpha2], printed
+    )
     warnings = []
-    if not matches:
+    checks = []
+    if matches:
+        checks.append(_printed_check(inst, printed, f"{name}_statement_d{d}"))
+    else:
         warnings.append(
             f"{name} d={d}: {detail}; statement-form check skipped, "
             "verification uses the computed shift group"
-        )
-
-    checks: list[IdentityCheck] = []
-    two_dn = Fraction(2 * dn)
-    lhs_scale1 = Fraction(dn) if variant == 1 else Fraction(1)
-    lhs = _plain_term(
-        [
-            _field_factor(alpha1, _zero_col(field, g), lhs_scale1),
-            _field_factor(alpha2, _zero_col(field, g), Fraction(1)),
-        ]
-    )
-    if matches:
-        rhs_terms = []
-        two_delta = delta * 2
-        shift_vecs = _vectors(
-            [(u, v, w) for u in range(2 * dn) for v in range(2) for w in range(dn)],
-            g,
-        )
-        for rows in shift_vecs:
-            f1 = []
-            f2 = []
-            for k in range(g):
-                u, v, w = rows[k]
-                x = field.from_rational(u) + delta * v
-                base1 = alpha1[(k, 0)] * delta if variant == 1 else alpha1[(k, 0)]
-                s1 = (base1 + alpha2[(k, 0)] + x + field.from_rational(2 * w)) / two_delta
-                s2 = (base1 - alpha2[(k, 0)] + x) / two_delta
-                f1.append(s1)
-                f2.append(s2)
-            rhs_terms.append(
-                _plain_term(
-                    [
-                        _field_factor(_col(f1), _zero_col(field, g), two_dn),
-                        _field_factor(_col(f2), _zero_col(field, g), two_dn),
-                    ]
-                )
-            )
-        checks.append(
-            IdentityCheck(
-                name=f"{name}_statement_d{d}",
-                g=g,
-                lhs=(lhs,),
-                rhs=tuple(rhs_terms),
-            )
         )
 
     expected = {
@@ -582,89 +561,34 @@ def _preset_cartan(
             for i in range(h)
         ]
     )
-    A0 = _row_matrix(list(alphas)) @ T.conj_transpose()
-    B0 = KMatrix([[zero] * h for _ in range(g)])
-    spec = RelationSpec(field, g, T, P, A0, B0, name=f"cartan_A{h}")
-    inst = build_relation(spec)
-
-    # Q must be the Cartan matrix exactly
-    q_expected = _cartan_matrix(field, h)
-    q_ok = inst.Q == q_expected
-    warnings = []
-    if not q_ok:
-        warnings.append(f"cartan_Ah h={h} d={d}: Q differs from the Cartan matrix")
-
-    # printed classes, one row
+    # printed classes, one row: entry j is c_j - c_{j-1} with
+    # c_j = (u + delta v) / (delta (h + 1 - j)), c_0 = 0
     printed = []
     ranges = [
         [(u, v) for u in range(dn * (h + 1 - j)) for v in range(h + 1 - j)]
         for j in range(1, h + 1)
     ]
     for combo in itertools.product(*ranges):
-        entries = []
-        prev = None
-        for j in range(1, h + 1):
-            u, v = combo[j - 1]
-            cur = (field.from_rational(u) + delta * v) / (
-                delta * Fraction(h + 1 - j)
-            )
-            if prev is None:
-                entries.append(cur)
-            else:
-                entries.append(cur - prev)
-            prev = cur
-        printed.append(KMatrix([entries]))
-    g1_row = inst.G1 if g == 1 else shift_group(1, T)
-    matches, detail = _compare_classes(g1_row, printed)
-    if not matches:
+        cur = [
+            (field.from_rational(u) + delta * v) / (delta * Fraction(h + 1 - j))
+            for j, (u, v) in enumerate(combo, 1)
+        ]
+        printed.append(KMatrix([[c - p for c, p in zip(cur, [zero] + cur)]]))
+    inst, matches, detail = _printed_relation(
+        f"cartan_A{h}", field, g, T, P, alphas, printed
+    )
+
+    # Q must be the Cartan matrix exactly
+    q_ok = inst.Q == _cartan_matrix(field, h)
+    warnings = []
+    if not q_ok:
+        warnings.append(f"cartan_Ah h={h} d={d}: Q differs from the Cartan matrix")
+    checks = []
+    if matches:
+        checks.append(_printed_check(inst, printed, f"cartan_A{h}_statement_d{d}"))
+    else:
         warnings.append(
             f"cartan_Ah h={h} d={d}: {detail}; statement-form check skipped"
-        )
-
-    checks: list[IdentityCheck] = []
-    if matches:
-        lhs = _plain_term(
-            [_dense_factor(_row_matrix(list(alphas)), B0, q_expected)]
-        )
-        rhs_terms = []
-        row_combos = _vectors(list(itertools.product(*ranges)), g)
-        for combo_rows in row_combos:
-            factors = []
-            for j in range(1, h + 1):
-                col_entries = []
-                for k in range(g):
-                    combo = combo_rows[k]
-                    u, v = combo[j - 1]
-                    cur = (
-                        alphas[j - 1][(k, 0)]
-                        + field.from_rational(u)
-                        + delta * v
-                    ) / (delta * Fraction(h + 1 - j))
-                    if j == 1:
-                        col_entries.append(cur)
-                    else:
-                        u0, v0 = combo[j - 2]
-                        prev = (
-                            alphas[j - 2][(k, 0)]
-                            + field.from_rational(u0)
-                            + delta * v0
-                        ) / (delta * Fraction(h + 2 - j))
-                        col_entries.append(cur - prev)
-                factors.append(
-                    _field_factor(
-                        _col(col_entries),
-                        _zero_col(field, g),
-                        p_diag[j - 1],
-                    )
-                )
-            rhs_terms.append(_plain_term(factors))
-        checks.append(
-            IdentityCheck(
-                name=f"cartan_A{h}_statement_d{d}",
-                g=g,
-                lhs=(lhs,),
-                rhs=tuple(rhs_terms),
-            )
         )
 
     expected_order = 1
@@ -693,77 +617,30 @@ def _preset_cartan(
 # -- cubic family (d = 3) -------------------------------------------------------
 
 
-def _cubic_T(field: FieldId) -> KMatrix:
-    one = field.one()
-    w1 = field.delta() - one  # primitive cube root of unity
-    w2 = w1 * w1
-    third = Fraction(1, 3)
-    return KMatrix(
-        [
-            [one, one, one],
-            [one, w1, w2],
-            [one, w2, w1],
-        ]
-    ).scale(third)
-
-
-def _cubic_instance(
-    field: FieldId, g: int, alphas: Sequence[KMatrix], name: str
-) -> RelationInstance:
-    T = _cubic_T(field)
-    P = KMatrix.identity(3, field).scale(3)
-    A0 = _row_matrix(list(alphas)) @ T.conj_transpose()
-    B0 = KMatrix([[field.zero()] * 3 for _ in range(g)])
-    return build_relation(RelationSpec(field, g, T, P, A0, B0, name=name))
-
-
-def _cubic_printed_classes(field: FieldId) -> list[KMatrix]:
-    third = Fraction(1, 3)
-    out = []
-    for r in _cubic_r_reps(field):
-        for s in _cubic_s_reps(field):
-            first = (r * (-2) - s) * third
-            second = r * third
-            third_slot = (r + s) * third
-            out.append(KMatrix([[first, second, third_slot]]))
-    return out
-
-
-def _cubic_statement_check(
-    field: FieldId,
-    g: int,
-    alphas: Sequence[KMatrix],
-    name: str,
-) -> IdentityCheck:
+def _cubic_relation(
+    name: str, g: int, alphas: Sequence[KMatrix]
+) -> tuple[RelationInstance, bool, str, list[KMatrix]]:
+    """T = (1/3)[[1, 1, 1], [1, w, w^2], [1, w^2, w]] with w a primitive cube
+    root of unity, P = 3I, and the printed classes
+    ((-2r - s)/3, r/3, (r + s)/3), r in O_K/3O_K, s in sqrt(-3){0, 1, -1}."""
+    field = FieldId(3)
     one = field.one()
     w1 = field.delta() - one
     w2 = w1 * w1
     third = Fraction(1, 3)
-    zero = _zero_col(field, g)
-    lhs = _plain_term(
-        [_field_factor(a, zero, Fraction(1)) for a in alphas]
+    T = KMatrix([[one, one, one], [one, w1, w2], [one, w2, w1]]).scale(third)
+    rt = field.sqrt_minus_d()
+    r_reps = [field.from_rational(c1) + rt * c2 for c1 in (0, 1, -1) for c2 in (0, 1, -1)]
+    s_reps = [rt * c for c in (0, 1, -1)]
+    printed = [
+        KMatrix([[(r * (-2) - s) * third, r * third, (r + s) * third]])
+        for r in r_reps
+        for s in s_reps
+    ]
+    inst, matches, detail = _printed_relation(
+        name, field, g, T, KMatrix.identity(3, field).scale(3), alphas, printed
     )
-    r_vecs = _vectors(_cubic_r_reps(field), g)
-    s_vecs = _vectors(_cubic_s_reps(field), g)
-    rhs = []
-    for rv in r_vecs:
-        for sv in s_vecs:
-            c1 = []
-            c2 = []
-            c3 = []
-            for k in range(g):
-                a1 = alphas[0][(k, 0)]
-                a2 = alphas[1][(k, 0)]
-                a3 = alphas[2][(k, 0)]
-                c1.append((a1 + a2 * w2 + a3 * w1 + rv[k]) * third)
-                c2.append((a1 + a2 * w1 + a3 * w2 + rv[k] + sv[k]) * third)
-                c3.append((a1 + a2 + a3 + rv[k] - sv[k]) * third)
-            rhs.append(
-                _plain_term(
-                    [_field_factor(_col(c), zero, Fraction(3)) for c in (c1, c2, c3)]
-                )
-            )
-    return IdentityCheck(name=name, g=g, lhs=(lhs,), rhs=tuple(rhs))
+    return inst, matches, detail, printed
 
 
 def _preset_cubic(g: int = 1, alphas: Optional[Sequence[KMatrix]] = None) -> Preset:
@@ -772,13 +649,9 @@ def _preset_cubic(g: int = 1, alphas: Optional[Sequence[KMatrix]] = None) -> Pre
         alphas = [_default_alpha(field, g, j + 1) for j in range(3)]
     if len(alphas) != 3:
         raise DomainError("cubic_d3 needs three characteristic columns")
-    inst = _cubic_instance(field, g, alphas, "cubic_d3")
-    g1_row = inst.G1 if g == 1 else shift_group(1, inst.spec.T)
-    matches, detail = _compare_classes(g1_row, _cubic_printed_classes(field))
+    inst, matches, detail, printed = _cubic_relation("cubic_d3", g, alphas)
     warnings = [] if matches else [f"cubic_d3: {detail}"]
-    checks = [
-        _cubic_statement_check(field, g, alphas, f"cubic_d3_statement_g{g}")
-    ]
+    checks = [_printed_check(inst, printed, f"cubic_d3_statement_g{g}")]
     expected = {
         "printed_parametrization_count": 27**g,
         "computed_G1_order": inst.G1.order,
@@ -848,7 +721,6 @@ def _preset_cubic_cor(
             [field.element(Fraction(1, k + 5), 0) for k in range(g)]
         )
     inv_rt = field.sqrt_minus_d() * Fraction(-1, 3)  # 1/sqrt(-3)
-    ones = _const_col(field.one(), g)
     shift = _col([inv_rt for _ in range(g)])
     if which == 1:
         alphas = [v, v, v]
@@ -856,31 +728,8 @@ def _preset_cubic_cor(
     else:
         alphas = [v, v + shift, v - shift]
         name = "cubic_d3_cor2"
-    inst = _cubic_instance(field, g, alphas, name)
-
-    third = Fraction(1, 3)
-    zero_b = _zero_col(field, g)
-    lhs = _plain_term([_field_factor(a, zero_b, Fraction(1)) for a in alphas])
-    r_vecs = _vectors(_cubic_r_reps(field), g)
-    s_vecs = _vectors(_cubic_s_reps(field), g)
-    rhs = []
-    for rv in r_vecs:
-        for sv in s_vecs:
-            if which == 1:
-                c1 = [rv[k] * third for k in range(g)]
-                c2 = [(rv[k] + sv[k]) * third for k in range(g)]
-            else:
-                c1 = [(rv[k] - ones[(k, 0)]) * third for k in range(g)]
-                c2 = [(rv[k] + sv[k] + ones[(k, 0)]) * third for k in range(g)]
-            c3 = [v[(k, 0)] + (rv[k] - sv[k]) * third for k in range(g)]
-            rhs.append(
-                _plain_term(
-                    [_field_factor(_col(c), zero_b, Fraction(3)) for c in (c1, c2, c3)]
-                )
-            )
-    checks = [
-        IdentityCheck(name=f"{name}_printed_g{g}", g=g, lhs=(lhs,), rhs=tuple(rhs))
-    ]
+    inst, _, _, printed = _cubic_relation(name, g, alphas)
+    checks = [_printed_check(inst, printed, f"{name}_printed_g{g}")]
     if v.is_zero() and g <= 2:
         checks.append(_cubic_bracket_display(field, g, which))
     expected = {
@@ -905,98 +754,39 @@ def _preset_cubic_cor(
 # -- quartic family (d = 1) ------------------------------------------------------
 
 
-def _quartic_T(field: FieldId) -> KMatrix:
-    one = field.one()
-    i_ = field.delta()
-    m1 = -one
-    mi = -i_
-    quarter = Fraction(1, 4)
-    return KMatrix(
-        [
-            [one, i_, i_, m1],
-            [i_, one, m1, i_],
-            [mi, one, m1, mi],
-            [one, mi, mi, m1],
-        ]
-    ).scale(quarter)
-
-
-def _quartic_printed_classes(field: FieldId) -> list[KMatrix]:
-    i_ = field.delta()
-    quarter = Fraction(1, 4)
-    out = []
-    for r in _quartic_r_reps(field):
-        for s1 in _quartic_s_reps(field):
-            for s2 in _quartic_s_reps(field):
-                slots = [
-                    r,
-                    r * (-1) * i_ + s1,
-                    r * (-1) * i_ + s2,
-                    -r - s1 * i_ + s2 * i_,
-                ]
-                out.append(KMatrix([[x * quarter for x in slots]]))
-    return out
-
-
 def _preset_quartic(g: int = 1, alphas: Optional[Sequence[KMatrix]] = None) -> Preset:
     field = FieldId(1)
     if alphas is None:
         alphas = [_default_alpha(field, g, j + 1) for j in range(4)]
     if len(alphas) != 4:
         raise DomainError("quartic_d1 needs four characteristic columns")
-    T = _quartic_T(field)
-    P = KMatrix.identity(4, field).scale(4)
-    A0 = _row_matrix(list(alphas)) @ T.conj_transpose()
-    B0 = KMatrix([[field.zero()] * 4 for _ in range(g)])
-    inst = build_relation(RelationSpec(field, g, T, P, A0, B0, name="quartic_d1"))
-    g1_row = inst.G1 if g == 1 else shift_group(1, T)
-    matches, detail = _compare_classes(g1_row, _quartic_printed_classes(field))
-    warnings = [] if matches else [f"quartic_d1: {detail}"]
-
+    one = field.one()
     i_ = field.delta()
     quarter = Fraction(1, 4)
-    zero_b = _zero_col(field, g)
-    lhs = _plain_term([_field_factor(a, zero_b, Fraction(1)) for a in alphas])
-    r_vecs = _vectors(_quartic_r_reps(field), g)
-    s_vecs = _vectors(_quartic_s_reps(field), g)
-    rhs = []
-    for rv in r_vecs:
-        for s1v in s_vecs:
-            for s2v in s_vecs:
-                cols = [[], [], [], []]
-                for k in range(g):
-                    a1 = alphas[0][(k, 0)]
-                    a2 = alphas[1][(k, 0)]
-                    a3 = alphas[2][(k, 0)]
-                    a4 = alphas[3][(k, 0)]
-                    r = rv[k]
-                    s1 = s1v[k]
-                    s2 = s2v[k]
-                    cols[0].append((a1 - a2 * i_ - a3 * i_ - a4 + r) * quarter)
-                    cols[1].append(
-                        ((a1 * i_) * (-1) + a2 - a3 - a4 * i_ - r * i_ + s1)
-                        * quarter
-                    )
-                    cols[2].append(
-                        (a1 * i_ + a2 - a3 + a4 * i_ - r * i_ + s2) * quarter
-                    )
-                    cols[3].append(
-                        (a1 + a2 * i_ + a3 * i_ - a4 - r - s1 * i_ + s2 * i_)
-                        * quarter
-                    )
-                rhs.append(
-                    _plain_term(
-                        [
-                            _field_factor(_col(c), zero_b, Fraction(4))
-                            for c in cols
-                        ]
-                    )
-                )
-    checks = [
-        IdentityCheck(
-            name=f"quartic_d1_statement_g{g}", g=g, lhs=(lhs,), rhs=tuple(rhs)
-        )
+    T = KMatrix(
+        [
+            [one, i_, i_, -one],
+            [i_, one, -one, i_],
+            [-i_, one, -one, -i_],
+            [one, -i_, -i_, -one],
+        ]
+    ).scale(quarter)
+    # printed classes (r, -ir + s1, -ir + s2, -r - is1 + is2)/4 with
+    # r in O_K/4O_K and s1, s2 in 2O_K/4O_K
+    r_reps = [field.element(r1, r2) for r1 in (0, 1, -1, 2) for r2 in (0, 1, -1, 2)]
+    s_reps = [field.element(s1, s2) for s1 in (0, 2) for s2 in (0, 2)]
+    printed = [
+        KMatrix([[x * quarter for x in (r, -r * i_ + s1, -r * i_ + s2,
+                                        -r - s1 * i_ + s2 * i_)]])
+        for r in r_reps
+        for s1 in s_reps
+        for s2 in s_reps
     ]
+    inst, matches, detail = _printed_relation(
+        "quartic_d1", field, g, T, KMatrix.identity(4, field).scale(4), alphas, printed
+    )
+    warnings = [] if matches else [f"quartic_d1: {detail}"]
+    checks = [_printed_check(inst, printed, f"quartic_d1_statement_g{g}")]
     expected = {
         "printed_parametrization_count": 256**g,
         "computed_G1_order": inst.G1.order,

@@ -90,10 +90,11 @@ class ThetaParams:
     max_radius: float = 64.0
 
     def __post_init__(self) -> None:
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-        if self.max_radius <= 0.0:
-            raise ValueError("max_radius must be positive")
+        # written so that NaN fails too; inf is accepted
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not self.max_radius > 0.0:
+            raise ValueError(f"max_radius must be positive, got {self.max_radius}")
 
 
 @dataclass(frozen=True)
@@ -418,9 +419,14 @@ class _Leaf:
 
     @cached_property
     def floats(self) -> _LeafFloats:
-        p = _as_complex_matrix(self.P, "P")
+        try:
+            p = _as_complex_matrix(self.P, "P")
+            b0 = _as_complex_matrix(self.B0, "B0")
+        except OverflowError:
+            raise DomainError(
+                "an exact entry of P or B0 is too large for a float"
+            ) from None
         offsets = _offsets(self.A0, self.field)
-        b0 = _as_complex_matrix(self.B0, "B0")
         e = np.array([1.0, self.field.delta_complex])
         return _LeafFloats(
             p,

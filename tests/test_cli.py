@@ -233,12 +233,14 @@ def test_decompose_missing_key(capsys):
         ["eval", "--d", "1", "--W", "[[[0, true]]]"],
         ["eval", "--d", "1", "--W", "[[true]]"],
         ["eval", "--d", "1", "--W", "[[[0.5, 1e400]]]"],
+        ["eval", "--d", "1", "--W", "[[[0, 1]]]", "--B0",
+         json.dumps({"entries": [[{"a": [1], "b": [0, 1]}]]})],
     ],
     ids=["zero-denominator", "P-not-rows", "A0-no-entries", "g-not-int",
          "P-empty", "d-not-squarefree", "W-entry-not-number", "d-float",
          "g-float", "g-bool", "P-float-numerator", "P-bool", "A0-float-coord",
          "spec-d-float", "spec-g-float", "preset-unknown-g", "preset-unknown-h",
-         "W-part-bool", "W-entry-bool", "W-part-overflow"],
+         "W-part-bool", "W-entry-bool", "W-part-overflow", "B0-short-pair"],
 )
 def test_malformed_input_exits_1(capsys, argv):
     code = main(argv)
@@ -255,3 +257,46 @@ def test_spec_file_input(tmp_path, capsys):
     code, out = _run(capsys, ["groups", "--spec", f"@{path}"])
     assert code == 0
     assert json.loads(out)["G1"]["order"] == 4
+
+
+_EVAL = ["eval", "--d", "1", "--W", "[[[0, 1]]]"]
+_BIG = 10**400  # an exact integer no float can hold
+_BIG_ENTRY = json.dumps(
+    {"rows": 1, "cols": 1, "entries": [[{"a": [_BIG, 1], "b": [0, 1]}]]}
+)
+
+
+@pytest.mark.parametrize(
+    "argv,code,prefix",
+    [
+        (_EVAL + ["--max-radius", "nan"], 1, "error: "),
+        (_EVAL + ["--eps", "nan"], 1, "error: "),
+        (_EVAL + ["--P", _BIG_ENTRY], 2, "domain error: "),
+        (_EVAL + ["--B0", _BIG_ENTRY], 2, "domain error: "),
+        (["decompose", "--spec", json.dumps({"d": 1, "g": 1, "P": [[_BIG]]}),
+          "--W", "[[[0, 1]]]"], 2, "domain error: "),
+        (["groups", "--preset", "cubic_d3", "--rep-limit", "-1"], 1, "error: "),
+    ],
+    ids=["max-radius-nan", "eps-nan", "P-entry-too-large", "B0-entry-too-large",
+         "decompose-P-too-large", "rep-limit-negative"],
+)
+def test_rejected_settings_and_entries(capsys, argv, code, prefix):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), captured.err
+
+
+@pytest.mark.parametrize("flag,points", [("--eps", 5), ("--max-radius", 49)])
+def test_infinite_settings_accepted(capsys, flag, points):
+    code, out = _run(capsys, _EVAL + [flag, "inf"])
+    assert code == 0
+    assert json.loads(out)["lattice_points_used"] == points
+
+
+def test_rep_limit_zero_lists_no_representatives(capsys):
+    code, out = _run(capsys, ["groups", "--preset", "cubic_d3", "--rep-limit", "0"])
+    assert code == 0
+    g1 = json.loads(out)["G1"]
+    assert g1["representatives"] == [] and g1["representatives_truncated"]

@@ -1,14 +1,17 @@
 """Worked-example catalog: structure, printed-form cross-checks, suite output."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from iqtheta import (
+    DEFAULT_SUITE_PLAN,
     DomainError,
     FieldId,
+    KMatrix,
     PRESET_NAMES,
     bracket_to_characteristic,
     default_W_samples,
@@ -16,6 +19,7 @@ from iqtheta import (
     make_preset,
     run_paper_suite,
 )
+from iqtheta.thetas import _reduce_mod_integral
 
 
 def test_bracket_characteristics_d3():
@@ -217,3 +221,116 @@ def test_preset_names_all_constructible():
         preset = make_preset(name)
         assert preset.name == name
         assert preset.relation is not None or preset.identity_checks
+
+
+# -- statement checks restated from the printed classes -------------------------
+
+
+def _reduced(factors):
+    return tuple(_reduce_mod_integral(f.a) for f in factors)
+
+
+_REAL_THETA_PRESETS = {"jacobi_identity", "half_formulas", "double_formulas",
+                       "riemann_quad"}
+_FOLD_CASES = [e for e in DEFAULT_SUITE_PLAN if e[0] not in _REAL_THETA_PRESETS] + [
+    ("cubic_d3", {"g": 2}),
+    ("cartan_Ah", {"h": 2, "g": 2}),
+    ("prop_half_general_2", {"d": 1, "g": 2}),
+]
+
+
+@pytest.mark.parametrize(
+    "name,params", _FOLD_CASES,
+    ids=[f"{n}-" + "-".join(f"{k}{v}" for k, v in p.items()) for n, p in _FOLD_CASES],
+)
+def test_statement_checks_restate_the_relation(name, params):
+    # each term's factor characteristics, mod O_K, are the columns of one
+    # relation term's characteristic: the same multiset over all terms
+    preset = make_preset(name, **params)
+    inst = preset.relation
+    h = inst.spec.h
+    expected = Counter(
+        tuple(_reduce_mod_integral(t.a_char.column(j)) for j in range(h))
+        for t in inst.terms
+    )
+    checks = [c for c in preset.identity_checks if "bracket" not in c.name]
+    skipped = any("skipped" in w for w in preset.warnings)
+    assert len(checks) == (0 if skipped else 1)
+    for check in checks:
+        assert Counter(_reduced(t.factors) for t in check.rhs) == expected
+
+
+def _k(field, *xs):
+    return [field.element(Fraction(a), Fraction(b)) for a, b in xs]
+
+
+def _first_term(preset):
+    (check,) = [c for c in preset.identity_checks if "bracket" not in c.name]
+    return Counter(_reduced(check.rhs[0].factors))
+
+
+def _cols(*entries):
+    return Counter(_reduce_mod_integral(KMatrix([[x]])) for x in entries)
+
+
+@pytest.mark.parametrize("variant,d", [(1, 1), (2, 1), (2, 2), (2, 7)])
+def test_prop_half_printed_combinations(variant, d):
+    field = FieldId(d)
+    a1, a2 = _k(field, (Fraction(1, 5), Fraction(1, 7)),
+                (Fraction(2, 9), Fraction(-1, 4)))
+    name = "prop_half_general" if variant == 1 else "prop_half_general_2"
+    preset = make_preset(name, d=d, alpha1=KMatrix([[a1]]), alpha2=KMatrix([[a2]]))
+    delta = field.delta()
+    base = a1 * delta if variant == 1 else a1
+    two_delta = delta * 2
+    assert _first_term(preset) == _cols((base + a2) / two_delta,
+                                        (base - a2) / two_delta)
+
+
+@pytest.mark.parametrize("h,d", [(2, 1), (3, 3)])
+def test_cartan_printed_combinations(h, d):
+    field = FieldId(d)
+    alphas = _k(field, *[(Fraction(1, j + 4), Fraction(j, 7)) for j in range(h)])
+    preset = make_preset("cartan_Ah", h=h, d=d,
+                         alphas=[KMatrix([[a]]) for a in alphas])
+    delta = field.delta()
+    cur = [a / (delta * (h - j)) for j, a in enumerate(alphas)]
+    prev = [field.zero()] + cur
+    assert _first_term(preset) == _cols(*(c - p for c, p in zip(cur, prev)))
+
+
+def test_cubic_printed_combinations():
+    field = FieldId(3)
+    a1, a2, a3 = _k(field, (Fraction(1, 5), Fraction(1, 7)),
+                    (Fraction(2, 9), Fraction(-1, 4)), (Fraction(3, 11), 0))
+    w1 = field.delta() - field.one()
+    w2 = w1 * w1
+    preset = make_preset("cubic_d3", alphas=[KMatrix([[a]]) for a in (a1, a2, a3)])
+    assert _first_term(preset) == _cols(
+        (a1 + a2 * w2 + a3 * w1) / 3,
+        (a1 + a2 * w1 + a3 * w2) / 3,
+        (a1 + a2 + a3) / 3,
+    )
+    # the corollaries: equal characteristics v, and v split by 1/sqrt(-3)
+    v = field.element(Fraction(1, 5))
+    third = field.from_rational(Fraction(1, 3))
+    cor1 = make_preset("cubic_d3_cor1", v=KMatrix([[v]]))
+    assert _first_term(cor1) == _cols(field.zero(), field.zero(), v)
+    cor2 = make_preset("cubic_d3_cor2", v=KMatrix([[v]]))
+    assert _first_term(cor2) == _cols(-third, third, v)
+
+
+def test_quartic_printed_combinations():
+    field = FieldId(1)
+    a1, a2, a3, a4 = _k(field, (Fraction(1, 5), Fraction(1, 7)),
+                        (Fraction(2, 9), Fraction(-1, 4)), (Fraction(3, 11), 0),
+                        (0, Fraction(1, 6)))
+    i_ = field.delta()
+    preset = make_preset("quartic_d1",
+                         alphas=[KMatrix([[a]]) for a in (a1, a2, a3, a4)])
+    assert _first_term(preset) == _cols(
+        (a1 - a2 * i_ - a3 * i_ - a4) / 4,
+        (-a1 * i_ + a2 - a3 - a4 * i_) / 4,
+        (a1 * i_ + a2 - a3 + a4 * i_) / 4,
+        (a1 + a2 * i_ + a3 * i_ - a4) / 4,
+    )
