@@ -41,14 +41,24 @@ def json_int(x: object, what: str) -> int:
 
 
 def _is_squarefree(n: int) -> bool:
+    """Whether n > 0 has no square prime factor.
+
+    Trial division runs only while k^3 <= n for the cofactor n left so far:
+    then every prime factor of n exceeds the cube root of n, so n has at
+    most two, and it has a square factor exactly when it is a perfect
+    square other than 1.
+    """
     if n <= 0:
         return False
     k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    while k * k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return False
+        k += 1 if k == 2 else 2
+    r = math.isqrt(n)
+    return n == 1 or r * r != n
 
 
 @dataclass(frozen=True)
@@ -58,7 +68,9 @@ class FieldId:
     d: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or not _is_squarefree(self.d):
+        # d below 2^63 bounds the trial division of _is_squarefree
+        if (not isinstance(self.d, int) or not self.d < 2**63
+                or not _is_squarefree(self.d)):
             raise ValueError(f"d must be a squarefree positive integer, got {self.d!r}")
 
     @property

@@ -28,9 +28,11 @@ float coefficient, and per factor either the thetas leaves it multiplies
 (see thetas._lower) with the scale of W they read, or a Riemann theta.
 The plan is cached on the object that owns the Terms (RelationInstance,
 IdentityCheck, PDecomposition), one per ThetaParams.  Evaluation
-(`_sum_terms`) takes one W: it builds and checks each scaled W once, then
-makes one ThetaCache lookup per leaf occurrence, in the order the terms and
-factors are written.  theta_general is the same pipeline for one factor.
+(`_sum_terms`) takes one W: it builds and checks each scaled W once,
+evaluates the leaves the cache lacks in one batch per group of leaves that
+share a P (see thetas._evaluate_ahead), then makes one ThetaCache lookup
+per leaf occurrence, in the order the terms and factors are written.
+theta_general is the same pipeline for one factor.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ from .thetas import (
     ThetaParams,
     _as_complex_matrix,
     _at,
+    _evaluate_ahead,
+    _group_leaves,
     _Leaf,
     _leaves_value,
     _lower,
@@ -170,6 +174,9 @@ class _Plan:
     # itself; whether it is doubled; whether leaves read it, so it needs
     # the per-W check)
     scales: tuple[tuple[Optional[float], bool, bool], ...]
+    # per entry of scales, the distinct leaves read at that W, grouped for
+    # thetas._evaluate_ahead
+    groups: tuple[tuple[tuple[_Leaf, ...], ...], ...]
     bare: tuple[object, ...]
     sides: tuple[tuple[tuple[complex, tuple[object, ...]], ...], ...]
     riemann_evals: int
@@ -182,13 +189,16 @@ def _lower_terms(
 ) -> _Plan:
     """Lower bare factors and Term sums together, so they share leaves.
 
-    Equal factors are lowered once, and equal leaf keys are interned, so a
-    cache hit compares keys by identity.  riemann_evals counts the Riemann
-    factor occurrences, each evaluated on every call.
+    Equal factors are lowered once, each distinct P is checked once, and
+    equal leaf keys are interned, so a cache hit compares keys by identity.
+    riemann_evals counts the Riemann factor occurrences, each evaluated on
+    every call.
     """
     scales: dict[tuple[Optional[float], bool], int] = {}
     checked: set[int] = set()
     leaves: dict = {}
+    read: dict[int, dict] = {}  # per W index, its distinct leaves by key
+    p_columns: dict = {}
     ops: dict[ThetaFactor, object] = {}
     riemann_evals = 0
 
@@ -198,8 +208,10 @@ def _lower_terms(
             checked.add(i)
         return i
 
-    def intern(leaf: _Leaf) -> _Leaf:
-        return leaves.setdefault(leaf.key, leaf)
+    def intern(w: int, leaf: _Leaf) -> _Leaf:
+        leaf = leaves.setdefault(leaf.key, leaf)
+        read.setdefault(w, {})[leaf.key] = leaf
+        return leaf
 
     def lower(f: ThetaFactor) -> object:
         nonlocal riemann_evals
@@ -209,11 +221,13 @@ def _lower_terms(
         if op is not None:
             return op
         if f.kind == "field":
-            lowered = _lower(f.a.field, f.p, f.a, f.b, params)
-            op = _FieldOp(w_index(None, False, True), tuple(map(intern, lowered)))
+            lowered = _lower(f.a.field, f.p, f.a, f.b, params, p_columns)
+            w = w_index(None, False, True)
+            op = _FieldOp(w, tuple(intern(w, leaf) for leaf in lowered))
         elif f.kind == "check":
             phase, leaf, doubled = _lower_check(f.a.field, f.a, f.b, params)
-            op = _CheckOp(w_index(float(f.w_scale), doubled, True), intern(leaf), phase)
+            w = w_index(float(f.w_scale), doubled, True)
+            op = _CheckOp(w, intern(w, leaf), phase)
         elif f.kind == "riemann":
             op = _RiemannOp(w_index(float(f.w_scale), False, False), f.a, f.b, params)
         else:
@@ -237,6 +251,9 @@ def _lower_terms(
             (scale, doubled, i in checked)
             for (scale, doubled), i in scales.items()
         ),
+        groups=tuple(
+            _group_leaves(read.get(i, {}).values()) for i in range(len(scales))
+        ),
         bare=bare_ops,
         sides=lowered_sides,
         riemann_evals=riemann_evals,
@@ -257,9 +274,13 @@ def _sum_terms(
     """The plan at W: the value of each bare factor, then the sum of each side.
 
     Each scaled W is built once (W * float(w_scale), then doubled) and,
-    when leaves read it, checked once.  Each term starts from its
-    coefficient and multiplies its factors left to right; real and
-    imaginary parts are summed with fsum.
+    when leaves read it, checked once.  Then the leaves each W reads that
+    cache lacks are evaluated ahead, one batch per group of leaves that
+    share a P (thetas._evaluate_ahead), and the term loop reads every leaf
+    through the cache, so hits and misses count as if each factor were
+    evaluated alone.  Each term starts from its coefficient and multiplies
+    its factors left to right; real and imaginary parts are summed with
+    fsum.
     """
     base = _as_complex_matrix(W, "W")
     ws = []
@@ -268,6 +289,8 @@ def _sum_terms(
         if doubled:
             w = 2.0 * w
         ws.append(_at(w) if by_leaves else (w,))
+    for at, groups in zip(ws, plan.groups):
+        _evaluate_ahead(groups, at, cache)
     bare = [op.value(ws, cache) for op in plan.bare]
     sums = []
     for side in plan.sides:

@@ -34,13 +34,23 @@ Every theta runs in two steps.  Lowering (`_lower`) does all the exact,
 W-independent work once: it checks shapes and that P is Hermitian, reduces
 A0 mod O_K, splits an exactly diagonal P into 1x1 columns, and stores the
 exact inputs of each resulting dense theta (a leaf) with its cache key; the
-leaf's float data (P and lam_min(P), the offsets and their real
-coordinates, B0) is built on its first evaluation.  Evaluation takes one
-W: the per-W check (`_at`: square, finite, inside H1, one eigensolve) runs
-once, then each leaf is one ThetaCache lookup and, on a miss, one
-`_theta_dense` call.  `theta_general` is the one-factor plan: lower, check
-W, evaluate the leaves.  Sums of many factors
-(relations.py) lower their whole term tuple once and evaluate it per W.
+leaf's float data (the offsets and their real coordinates, B0) is built on
+its first evaluation.  Evaluation takes one W: the per-W check (`_at`:
+square, finite, inside H1, one eigensolve) runs once, then each leaf is one
+ThetaCache lookup.  `theta_general` is the one-factor plan: lower, check
+W, evaluate the leaves, each miss one `_theta_dense` call.
+
+Sums of many factors (relations.py) lower their whole term tuple once and
+evaluate it per W.  Their leaves at one W are grouped by what they share
+(field, shape, P, ThetaParams), and before the term loop the leaves the
+cache lacks are evaluated group by group (`_evaluate_ahead`, `_theta_batch`):
+lam_min(P), the Gram matrix and its Cholesky factor, the (W kron P^T) form
+and the radii are computed once per group, one enumeration runs over every
+leaf's center at once, and one exp covers each block of points of many
+leaves.  Each leaf keeps its own radius, tail bound, points and summation,
+so its ThetaValue is bit for bit the one a `_theta_dense` call of its own
+gives; `_theta_dense` is the batch of one.  The cache misses of the term
+loop then take these values, so hit and miss counts are unchanged.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -76,6 +86,9 @@ ExactLike = Union[KMatrix, Sequence[Sequence[Union[int, Fraction]]]]
 _EVAL_CHUNK = 1 << 18
 _COMBINE_ELEMS = 1 << 23
 _MAX_POINTS = 6_000_000
+# The leaves of one group are enumerated together in batches of about this
+# many points (by ellipsoid volume), so a batch's frontier stays small.
+_BATCH_POINTS = 1 << 13
 
 # Eigenvalues are snapped down to this grid before entering the tail bound, so
 # a one-ulp wobble in the eigensolver cannot move the chosen radius.
@@ -133,6 +146,10 @@ class ThetaCache:
         self.hits += 1
         return value
 
+    def __contains__(self, key) -> bool:
+        """Whether key is stored; counts neither a hit nor a miss."""
+        return key in self._store
+
 
 def _as_complex_matrix(m: MatrixLike, name: str) -> np.ndarray:
     if isinstance(m, KMatrix):
@@ -164,24 +181,92 @@ def in_type1_domain(W: MatrixLike, tol: float = 1e-10) -> tuple[bool, float]:
     return (lam > tol, lam)
 
 
+def _shell_term(k: int, decay: float, dim: int) -> float:
+    """The bound on the terms with norm in [k, k+1): at most
+    2^dim * ((k + 3/2)^dim - (k - 1/2)^dim) points, each of modulus at most
+    exp(-decay * k^2)."""
+    count = (2.0 ** dim) * ((k + 1.5) ** dim - (k - 0.5) ** dim)
+    return count * math.exp(-decay * k * k)
+
+
 def shell_tail_bound(radius: int, decay: float, dim: int) -> float:
     """Upper bound for the sum of exp(-decay * ||x||^2) over lattice points
     with ||x|| >= radius, assuming pairwise distances >= 1.
 
     Points with norm in [k, k+1) carry disjoint balls of radius 1/2 inside
     the annulus [k - 1/2, k + 3/2), so their count is at most
-    2^dim * ((k + 3/2)^dim - (k - 1/2)^dim).
+    2^dim * ((k + 3/2)^dim - (k - 1/2)^dim).  At most 512 shells are summed.
     """
     if decay <= 0.0:
         return float("inf")
     total = 0.0
     for k in range(max(radius, 1), max(radius, 1) + 512):
-        count = (2.0 ** dim) * ((k + 1.5) ** dim - (k - 0.5) ** dim)
-        term = count * math.exp(-decay * k * k)
+        term = _shell_term(k, decay, dim)
         total += term
         if term < total * 1e-18:
             break
     return total
+
+
+def _radius_floor(offset_norm: float) -> int:
+    return max(1, int(math.ceil(offset_norm)) + 1)
+
+
+def _shell_peak(decay: float, dim: int, cap: int) -> int:
+    """The first k >= 1 whose shell term is at least the next one's, or cap
+    if that k is larger.  The terms rise up to it and fall after it (the
+    log of the count is concave, the log of the exponential falls linearly
+    in k^2), so this is a doubling search and a bisection."""
+
+    def falls(k: int) -> bool:
+        return _shell_term(k + 1, decay, dim) <= _shell_term(k, decay, dim)
+
+    lo, hi = 0, 1
+    while not falls(hi):
+        if hi >= cap:
+            return cap
+        lo, hi = hi, min(2 * hi, cap)
+    return _bisect(falls, lo, hi)
+
+
+def _bisect(pred: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The first k in (lo, hi] with pred(k), for pred false at lo, true at
+    hi and monotone in between."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _first_fit(
+    eps: float, decay: float, dim: int, floor_r: int, last: int
+) -> Optional[int]:
+    """The smallest radius r in [floor_r, last] whose shell tail bound is
+    at most eps, or None; see choose_radius."""
+
+    def fits(r: int) -> bool:
+        return shell_tail_bound(r, decay, dim) <= eps
+
+    if floor_r <= last and fits(floor_r):
+        return floor_r
+    if floor_r >= last or decay <= 0.0:
+        return None
+    peak = _shell_peak(decay, dim, last + 1)
+    for r in range(max(floor_r + 1, peak - 512), min(peak, last + 1)):
+        if _shell_term(r, decay, dim) <= eps and fits(r):
+            return r
+    lo = max(floor_r, peak - 1)  # every radius up to lo fails
+    step = 1
+    while lo < last:
+        hi = min(lo + step, last)
+        if fits(hi):
+            return _bisect(fits, lo, hi)
+        lo = hi
+        step *= 2
+    return None
 
 
 def choose_radius(
@@ -191,23 +276,38 @@ def choose_radius(
     offset_norm: float = 0.0,
     max_radius: float = 64.0,
 ) -> int:
-    """Smallest integer radius whose shell tail bound is below eps.
+    """Smallest integer radius r, from a floor up to max_radius, whose shell
+    tail bound is at most eps.
 
     offset_norm only floors the radius so that the near-origin points of the
     shifted lattice are always enumerated.
+
+    The search takes O(log r) tail bounds, so an infinite max_radius ends
+    too.  It returns the smallest such radius because the tail bound S(r)
+    sums the shells [r, r + 512): the shell terms rise up to their peak and
+    fall after it, so S rises with r while the whole window lies before the
+    peak, and falls with r from the peak on.  Past a floor that does not
+    fit, the radii before the last 512 before the peak cannot fit; those
+    512 are tried in turn (skipping the ones whose first shell term alone
+    exceeds eps, since S(r) is at least that term), and from the peak on a
+    doubling search and a bisection find the first radius that fits.
     """
-    floor_r = max(1, int(math.ceil(offset_norm)) + 1)
-    r = floor_r
-    while r <= max_radius:
-        if shell_tail_bound(r, decay, dim) <= eps:
-            return r
-        r += 1
-    tail = shell_tail_bound(int(max_radius), decay, dim)
-    raise TruncationError(
-        f"required radius exceeds max_radius={max_radius:g}: "
-        f"tail bound at the cap is {tail:.3e} > eps={eps:.3e} "
-        f"(decay={decay:.3e}, dim={dim})"
-    )
+    last = int(min(max_radius, 2.0 ** 62))
+    try:
+        radius = _first_fit(eps, decay, dim, _radius_floor(offset_norm), last)
+    except OverflowError:  # the shell count at a huge radius and dim
+        raise TruncationError(
+            f"the tail bound overflows before it falls to eps={eps:.3e} "
+            f"(decay={decay:.3e}, dim={dim})"
+        ) from None
+    if radius is None:
+        tail = shell_tail_bound(last, decay, dim)
+        raise TruncationError(
+            f"required radius exceeds max_radius={max_radius:g}: "
+            f"tail bound at the cap is {tail:.3e} > eps={eps:.3e} "
+            f"(decay={decay:.3e}, dim={dim})"
+        )
+    return radius
 
 
 def _centered(f: Fraction) -> Fraction:
@@ -296,72 +396,95 @@ def _chunk_sum(values_iter) -> complex:
 
 
 def _ellipsoid_points(
-    R: np.ndarray, c: np.ndarray, bound: float, radius: int
-) -> tuple[int, Iterator[np.ndarray]]:
-    """The integer points z with |R (z + c)|^2 <= bound (Fincke-Pohst).
+    R: np.ndarray, C: np.ndarray, bounds: np.ndarray, radii: Sequence[int]
+) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, list[tuple[int, int, int]]]]]:
+    """The integer points z with |R (z + c)|^2 <= bound, for each row c of C
+    with its own bound (Fincke-Pohst).
 
     R is upper triangular with a positive diagonal, so the form is
     sum_i R_ii^2 (y_i + sum_{j>i} R_ij/R_ii y_j)^2 with y = z + c, and each
     coordinate, given the ones after it, ranges over one interval.  The
     coordinates are fixed from the last to the first, each level
-    vectorized over the whole frontier; the root level (the last
-    coordinate) is done in scalars.  Returns the number of points and an
-    iterator over blocks of at most _EVAL_CHUNK of them (more only if one
-    interval is longer): float rows of integers whose column j is
-    coordinate n-1-j, in lexicographic order of (z_{n-1}, ..., z_0).  The
-    last level is expanded one block at a time, so memory holds the
-    frontier and one block, not every point.
+    vectorized over the whole frontier of every center; a node keeps the
+    index of its center, and the nodes of one center stay contiguous.
 
-    TruncationError as soon as a level counts more than _MAX_POINTS
-    nodes, before that level is expanded; radius is only reported there.
+    Returns the number of points of each center and an iterator over
+    blocks (rows, segments): float rows of integers whose column j is
+    coordinate n-1-j, and (center, start, end) for each run of rows of one
+    center.  A center's points come in lexicographic order of
+    (z_{n-1}, ..., z_0), cut into pieces of at most _EVAL_CHUNK points
+    (more only if one interval is longer) at the same places whatever the
+    other centers are; a block holds consecutive whole pieces up to
+    _EVAL_CHUNK rows in all, or one longer piece.  The last level is
+    expanded one block at a time, so memory holds the frontier and one
+    block, not every point.
+
+    TruncationError as soon as a level counts more than _MAX_POINTS nodes
+    of one center, before that level is expanded; radii are only reported
+    there.
     """
-    n = len(c)
+    m, n = C.shape
     diag = np.diag(R)
     q = R / diag[:, None]
-    r_top = float(diag[-1])
-    center = -float(c[-1])
-    half = math.sqrt(bound) / r_top
-    z = np.arange(math.ceil(center - half), math.floor(center + half) + 1,
-                  dtype=np.float64)
-    rem = bound - (r_top * (z - center)) ** 2
-    Z = z[:, None]
-    for i in range(n - 2, -1, -1):
+    Z = np.empty((m, 0))
+    rem = np.asarray(bounds, dtype=np.float64)
+    owner = np.arange(m)
+    for i in range(n - 1, -1, -1):
         # Z holds coordinates n-1, ..., i+1 of each node, in that order
         qi = q[i, :i:-1]
-        center = -(Z @ qi) - (float(qi @ c[:i:-1]) + c[i])
+        center = -(Z @ qi) - (C[:, :i:-1] @ qi + C[:, i])[owner]
         half = np.sqrt(np.maximum(rem, 0.0)) / diag[i]
         lo = np.ceil(center - half)
         counts = (np.floor(center + half) - lo + 1.0).astype(np.int64)
         np.maximum(counts, 0, out=counts)
-        total = int(counts.sum())
-        if total > _MAX_POINTS:
+        per_center = np.bincount(owner, weights=counts, minlength=m)
+        over = np.flatnonzero(per_center > _MAX_POINTS)
+        if len(over):
+            j = int(over[0])
             raise TruncationError(
                 f"lattice enumeration exceeds max_points={_MAX_POINTS}: "
-                f"{total} points after {n - i} of {n} coordinates "
-                f"(radius {radius}, dim {n})"
+                f"{int(per_center[j])} points after {n - i} of {n} coordinates "
+                f"(radius {radii[j]}, dim {n})"
             )
         if i == 0:
             break
         node = np.repeat(np.arange(len(counts)), counts)
-        z = lo[node] + (np.arange(total) - (np.cumsum(counts) - counts)[node])
+        z = lo[node] + (np.arange(len(node)) - (np.cumsum(counts) - counts)[node])
         rem = rem[node] - (diag[i] * (z - center[node])) ** 2
         Z = np.concatenate([Z[node], z[:, None]], axis=1)
+        owner = owner[node]
 
     ends = np.cumsum(counts)
     starts = ends - counts
+    first = np.searchsorted(owner, np.arange(m + 1))
+    pieces = []  # (center, first node, end node)
+    for j in range(m):
+        s, stop = int(first[j]), int(first[j + 1])
+        while s < stop:
+            e = int(np.searchsorted(ends, starts[s] + _EVAL_CHUNK, side="right"))
+            e = min(max(e, s + 1), stop)
+            pieces.append((j, s, e))
+            s = e
 
-    def blocks() -> Iterator[np.ndarray]:
-        s = 0
-        while s < len(counts):
-            e = max(int(np.searchsorted(ends, starts[s] + _EVAL_CHUNK, side="right")), s + 1)
+    def blocks() -> Iterator[tuple[np.ndarray, list[tuple[int, int, int]]]]:
+        k = 0
+        while k < len(pieces):
+            s = pieces[k][1]
+            base = int(starts[s])
+            k_end = k + 1
+            while (k_end < len(pieces)
+                   and ends[pieces[k_end][2] - 1] - base <= _EVAL_CHUNK):
+                k_end += 1
+            e = pieces[k_end - 1][2]
             node = np.repeat(np.arange(s, e), counts[s:e])
             out = np.empty((len(node), n))
             out[:, :-1] = Z[node]
-            out[:, -1] = lo[node] + (np.arange(starts[s], ends[e - 1]) - starts[node])
-            yield out
-            s = e
+            out[:, -1] = lo[node] + (np.arange(base, ends[e - 1]) - starts[node])
+            yield out, [(j, int(starts[a]) - base, int(ends[b - 1]) - base)
+                        for j, a, b in pieces[k:k_end]]
+            k = k_end
 
-    return total, blocks()
+    return per_center.astype(np.int64), blocks()
 
 
 class _LeafKey:
@@ -386,16 +509,23 @@ class _LeafKey:
 
 
 class _LeafFloats(NamedTuple):
-    """The float inputs of a leaf's dense theta, all W-independent."""
+    """The float inputs of a leaf's dense theta that its group does not
+    share, all W-independent."""
 
-    P: np.ndarray
-    lam_p: float  # lam_min(P), unsnapped
     offsets: np.ndarray  # A0 reduced mod O_K, embedded
     offset_norm: float
     coords: np.ndarray  # the (a, b) of each entry a + b*delta of A0, row-major
-    basis: np.ndarray  # conj(e_s) e_t for e = (1, delta)
     b_re: np.ndarray
     b_im: np.ndarray
+
+
+def _float_matrix(m: KMatrix, name: str) -> np.ndarray:
+    try:
+        return _as_complex_matrix(m, name)
+    except OverflowError:
+        raise DomainError(
+            "an exact entry of P or B0 is too large for a float"
+        ) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,25 +547,21 @@ class _Leaf:
     def g(self) -> int:
         return self.A0.rows
 
+    @property
+    def group(self) -> tuple:
+        """What the leaves of one batch share: (d, g, h, P, eps, max_radius)."""
+        data = self.key.data
+        return data[:4] + data[6:]
+
     @cached_property
     def floats(self) -> _LeafFloats:
-        try:
-            p = _as_complex_matrix(self.P, "P")
-            b0 = _as_complex_matrix(self.B0, "B0")
-        except OverflowError:
-            raise DomainError(
-                "an exact entry of P or B0 is too large for a float"
-            ) from None
+        b0 = _float_matrix(self.B0, "B0")
         offsets = _offsets(self.A0, self.field)
-        e = np.array([1.0, self.field.delta_complex])
         return _LeafFloats(
-            p,
-            float(np.linalg.eigvalsh(p)[0]),
             offsets,
             math.sqrt(float(np.sum(np.abs(offsets) ** 2))),
             np.array([float(c) for row in self.A0.entry_rows() for x in row
                       for c in (x.a, x.b)]),
-            e.conj()[:, None] * e[None, :],
             np.ascontiguousarray(b0.real).reshape(-1),
             np.ascontiguousarray(b0.imag).reshape(-1),
         )
@@ -448,9 +574,20 @@ def _leaf(
     return _Leaf(_LeafKey(key), field, P, A0, B0, params)
 
 
-def _theta_dense(leaf: _Leaf, W: np.ndarray, lam_y: float) -> ThetaValue:
-    """One leaf at a checked W (see _at): the sum over the ellipsoid
-    Q(X) = Re Tr(X^H Y X P) <= lam_Y lam_P r^2 of the shifted lattice.
+def _group_leaves(leaves: Iterable[_Leaf]) -> tuple[tuple[_Leaf, ...], ...]:
+    """leaves grouped by _Leaf.group, each group in first-seen order."""
+    groups: dict[tuple, list[_Leaf]] = {}
+    for leaf in leaves:
+        groups.setdefault(leaf.group, []).append(leaf)
+    return tuple(map(tuple, groups.values()))
+
+
+def _theta_batch(
+    leaves: Sequence[_Leaf], W: np.ndarray, lam_y: float
+) -> list[ThetaValue]:
+    """The leaves of one group (see _Leaf.group) at a checked W (see _at):
+    for each leaf, the sum over the ellipsoid Q(X) = Re Tr(X^H Y X P) <=
+    lam_Y lam_P r^2 of its shifted lattice.
 
     The radius r and the tail bound are the isotropic ones: with
     rho^2 = snap(lam_Y) snap(lam_P) <= lam_min(Y kron P^T), every term has
@@ -465,54 +602,131 @@ def _theta_dense(leaf: _Leaf, W: np.ndarray, lam_y: float) -> ThetaValue:
     0, which the tail bound then covers.  The ellipsoid lies inside the
     ball |X|_F <= r (Q >= lam_Y lam_P |X|_F^2); for g = h = 1 it is that
     disk.
+
+    The Y kron P work is done once for the group: lam_min(P), the Gram
+    matrix of Q and its Cholesky factor, the (W kron P^T) form, and one
+    radius per radius floor.  The leaves are cut, in order, into batches
+    of about _BATCH_POINTS points by the ellipsoid volume, and each batch is
+    one enumeration and one exp per block; a leaf estimated above that runs
+    alone.  Each leaf keeps its own radius, bound, points and summation
+    (each piece of its points summed alone, the piece sums fsum-ed), so
+    its value does not depend on the other leaves of its batch.
     """
-    f = leaf.floats
-    g, h = f.offsets.shape
-    lam_p = _snap(f.lam_p)
+    p = _float_matrix(leaves[0].P, "P")
+    floats = [leaf.floats for leaf in leaves]
+    g, h = floats[0].offsets.shape
+    lam_p_raw = float(np.linalg.eigvalsh(p)[0])
+    lam_p = _snap(lam_p_raw)
     if lam_p <= 0.0:
         raise DomainError(f"P must be positive definite, lam_min={lam_p:g}")
     decay = math.pi * _snap(lam_y) * lam_p
     dim = 2 * g * h
-    radius = choose_radius(
-        leaf.params.eps, decay, dim, offset_norm=f.offset_norm,
-        max_radius=leaf.params.max_radius,
-    )
-    tail = shell_tail_bound(radius, decay, dim)
+    params = leaves[0].params
+    radius_at: dict[int, int] = {}
+    radii = []
+    for f in floats:
+        key = _radius_floor(f.offset_norm)
+        if key not in radius_at:
+            radius_at[key] = choose_radius(
+                params.eps, decay, dim, offset_norm=f.offset_norm,
+                max_radius=params.max_radius,
+            )
+        radii.append(radius_at[key])
+    tails = {r: shell_tail_bound(r, decay, dim) for r in radius_at.values()}
 
     # Gram matrix of Q in the real coordinates (u, v) of each entry, with
     # x = u + v*delta + offset: G[(k,s),(l,t)] = Re(H[k,l] conj(e_s) e_t)
     # for H = Y kron P^T and e = (1, delta), built by broadcasting
     y = (W - W.conj().T) / 2j
-    hm = (y[:, None, :, None] * f.P.T[None, :, None, :]).reshape(g * h, g * h)
-    gram = (hm[:, None, :, None] * f.basis[None, :, None, :]).real
+    hm = (y[:, None, :, None] * p.T[None, :, None, :]).reshape(g * h, g * h)
+    e = np.array([1.0, leaves[0].field.delta_complex])
+    basis = e.conj()[:, None] * e[None, :]
+    gram = (hm[:, None, :, None] * basis[None, :, None, :]).real
     R = np.linalg.cholesky(gram.reshape(dim, dim)).T
-    bound = lam_y * f.lam_p * radius * radius * (1.0 + 1e-9)
-    n, blocks = _ellipsoid_points(R, f.coords, bound, radius)
-
+    bounds = [lam_y * lam_p_raw * r * r * (1.0 + 1e-9) for r in radii]
     # m_t = kron(W, P^T)^T, built by broadcasting: np.kron costs tens of
     # microseconds per call, which the many small thetas would pay.
-    m_t = (W.T[:, None, :, None] * f.P[None, :, None, :]).reshape(g * h, g * h)
-    dc = leaf.field.delta_complex
-    off = f.offsets.reshape(-1)
+    m_t = (W.T[:, None, :, None] * p[None, :, None, :]).reshape(g * h, g * h)
 
-    def chunks():
-        for z in blocks:
-            x = z[:, dim - 1 :: -2] + z[:, dim - 2 :: -2] * dc + off
-            e1 = np.einsum("nk,nk->n", x.conj(), x @ m_t)
-            e2 = x.real @ f.b_re + x.imag @ f.b_im
-            yield np.exp(1j * np.pi * e1 + 2j * np.pi * e2)
+    # the points of each leaf, estimated by the volume of its ellipsoid:
+    # the unit ball's times the product of the half axes sqrt(bound) / R_ii
+    with np.errstate(over="ignore"):
+        estimates = (math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
+                     * np.prod(np.sqrt(bounds)[:, None] / np.diag(R), axis=1))
+    batches: list[list[int]] = [[]]
+    est = 0.0
+    for j, points in enumerate(estimates.tolist()):
+        if batches[-1] and est + points > _BATCH_POINTS:
+            batches.append([])
+            est = 0.0
+        batches[-1].append(j)
+        est += points
 
-    return ThetaValue(_chunk_sum(chunks()), tail, n)
+    dc = leaves[0].field.delta_complex
+    values: list[ThetaValue] = []
+    for batch in batches:
+        counts, blocks = _ellipsoid_points(
+            R, np.array([floats[j].coords for j in batch]),
+            np.array([bounds[j] for j in batch]), [radii[j] for j in batch],
+        )
+        offsets = np.array([floats[j].offsets.reshape(-1) for j in batch])
+        b_re = np.array([floats[j].b_re for j in batch])
+        b_im = np.array([floats[j].b_im for j in batch])
+        sums: list[tuple[list[float], list[float]]] = [([], []) for _ in batch]
+        for z, segments in blocks:
+            x = z[:, dim - 1 :: -2] + z[:, dim - 2 :: -2] * dc
+            e1 = np.empty(len(z), dtype=np.complex128)
+            e2 = np.empty(len(z))
+            # the matrix products run per segment: BLAS rounds a row
+            # differently depending on where it sits in the product
+            for j, start, end in segments:
+                xs = x[start:end]
+                xs += offsets[j]
+                e1[start:end] = np.einsum("nk,nk->n", xs.conj(), xs @ m_t)
+                e2[start:end] = xs.real @ b_re[j] + xs.imag @ b_im[j]
+            vals = np.exp(1j * np.pi * e1 + 2j * np.pi * e2)
+            for j, start, end in segments:
+                s = vals[start:end].sum()
+                sums[j][0].append(float(s.real))
+                sums[j][1].append(float(s.imag))
+        values.extend(
+            ThetaValue(complex(math.fsum(re), math.fsum(im)), tails[radii[j]],
+                       int(n))
+            for j, (re, im), n in zip(batch, sums, counts)
+        )
+    return values
+
+
+def _theta_dense(leaf: _Leaf, W: np.ndarray, lam_y: float) -> ThetaValue:
+    """One leaf at a checked W (see _at): the batch of one (_theta_batch)."""
+    return _theta_batch((leaf,), W, lam_y)[0]
+
+
+def _p_columns(P: KMatrix) -> tuple[KMatrix, ...]:
+    """The 1x1 diagonal entries of an exactly diagonal P with h > 1, else
+    (); DomainError unless P is Hermitian."""
+    if P.conj_transpose() != P:
+        raise DomainError("P must be Hermitian")
+    h = P.rows
+    if h > 1 and all(P[(i, j)].is_zero() for i in range(h) for j in range(h) if i != j):
+        return tuple(KMatrix([[P[(j, j)]]]) for j in range(h))
+    return ()
 
 
 def _lower(
-    field: FieldId, P: ExactLike, A0: ExactLike, B0: ExactLike, params: ThetaParams
+    field: FieldId,
+    P: ExactLike,
+    A0: ExactLike,
+    B0: ExactLike,
+    params: ThetaParams,
+    p_columns: Optional[dict] = None,
 ) -> tuple[_Leaf, ...]:
     """Theta^P[A0; B0] as the leaves whose product it is: the exact checks,
     the mod-O_K reduction of A0 and the float inputs, done once for every W.
 
     An exactly diagonal P with h > 1 factors over columns: one 1x1 leaf per
-    column, each at eps/h.  Otherwise there is a single leaf.
+    column, each at eps/h.  Otherwise there is a single leaf.  p_columns,
+    when given, memoizes _p_columns per P across the factors of one plan.
     """
     P = _exact(P, "P", field)
     A0 = _exact(A0, "A0", field)
@@ -522,15 +736,18 @@ def _lower(
         raise DomainError(f"B0 must have shape {(g, h)}, got {(B0.rows, B0.cols)}")
     if (P.rows, P.cols) != (h, h):
         raise DomainError(f"P must be {h}x{h} to match A0, got {(P.rows, P.cols)}")
-    if P.conj_transpose() != P:
-        raise DomainError("P must be Hermitian")
+    if p_columns is None:
+        cols = _p_columns(P)
+    else:
+        cols = p_columns.get(P)
+        if cols is None:
+            cols = p_columns[P] = _p_columns(P)
     A0 = _reduce_mod_integral(A0)
-    diagonal = all(P[(i, j)].is_zero() for i in range(h) for j in range(h) if i != j)
-    if diagonal and h > 1:
+    if cols:
         col_params = replace(params, eps=params.eps / h)
         return tuple(
-            _leaf(field, KMatrix([[P[(j, j)]]]), A0.column(j), B0.column(j), col_params)
-            for j in range(h)
+            _leaf(field, col, A0.column(j), B0.column(j), col_params)
+            for j, col in enumerate(cols)
         )
     return (_leaf(field, P, A0, B0, params),)
 
@@ -554,7 +771,16 @@ def _lower_check(
     return phase, leaf, doubled
 
 
-def _at(w: np.ndarray) -> tuple[np.ndarray, bytes, float]:
+class _CheckedW(NamedTuple):
+    """A W that passed the per-W check (see _at)."""
+
+    w: np.ndarray
+    key: bytes  # the cache-key bytes of w
+    lam_y: float  # lam_min(Y)
+    ready: dict  # leaf -> ThetaValue at w, evaluated ahead (_evaluate_ahead)
+
+
+def _at(w: np.ndarray) -> _CheckedW:
     """The per-W check: w with its cache-key bytes and lam_min(Y).
 
     DomainError unless w is square, finite and inside the type-I domain."""
@@ -567,17 +793,41 @@ def _at(w: np.ndarray) -> tuple[np.ndarray, bytes, float]:
         raise DomainError(
             f"W is not in the type-I domain: lam_min(Y)={lam_y:g} <= 0"
         )
-    return w, w.tobytes(), lam_y
+    return _CheckedW(w, w.tobytes(), lam_y, {})
+
+
+def _evaluate_ahead(
+    groups: Sequence[Sequence[_Leaf]], at: _CheckedW, cache: ThetaCache
+) -> None:
+    """Evaluate the leaves of each group (see _group_leaves) that cache
+    lacks at W, one _theta_batch per group, into at.ready, where the cache
+    misses of _leaves_value take them.
+
+    A group that does not match W, or whose batch raises, is left to
+    _leaves_value: evaluated leaf by leaf in term order, it raises the
+    error of the first failing leaf, as it would without the batch.
+    """
+    for group in groups:
+        if group[0].g != at.w.shape[0]:
+            continue
+        todo = [leaf for leaf in group if (leaf.key, at.key) not in cache]
+        if not todo:
+            continue
+        try:
+            at.ready.update(zip(todo, _theta_batch(todo, at.w, at.lam_y)))
+        except (DomainError, TruncationError, np.linalg.LinAlgError):
+            continue
 
 
 def _leaves_value(
     leaves: tuple[_Leaf, ...],
-    at: tuple[np.ndarray, bytes, float],
+    at: _CheckedW,
     cache: Optional[ThetaCache],
 ) -> ThetaValue:
     """The product of the leaves at a checked W (see _at), one cache lookup
-    per leaf; a single leaf is returned as is."""
-    w, w_bytes, lam_y = at
+    per leaf, a miss taking the leaf's value from at.ready when it is
+    there; a single leaf is returned as is."""
+    w, w_bytes, lam_y, ready = at
     g = leaves[0].g
     if w.shape != (g, g):
         raise DomainError(f"W must be {g}x{g} to match A0, got {w.shape}")
@@ -585,7 +835,8 @@ def _leaves_value(
     for leaf in leaves:
 
         def compute(leaf: _Leaf = leaf) -> ThetaValue:
-            return _theta_dense(leaf, w, lam_y)
+            value = ready.get(leaf)
+            return _theta_dense(leaf, w, lam_y) if value is None else value
 
         if cache is None:
             vals.append(compute())

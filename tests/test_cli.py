@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, JSON payload shapes, determinism."""
 
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -300,3 +302,39 @@ def test_rep_limit_zero_lists_no_representatives(capsys):
     assert code == 0
     g1 = json.loads(out)["G1"]
     assert g1["representatives"] == [] and g1["representatives_truncated"]
+
+
+_TINY_DECAY = ["eval", "--d", "1", "--W", "[[[0, 0.000001]]]", "--P",
+               json.dumps({"entries": [[{"a": [1, 1048576], "b": [0, 1]}]]})]
+
+
+@pytest.mark.parametrize(
+    "argv,code,prefix",
+    [
+        (_TINY_DECAY + ["--max-radius", "inf"], 3, "truncation error: "),
+        (["eval", "--d", str(999999937**2), "--W", "[[[0, 1]]]"], 1, "error: "),
+        (["eval", "--d", str(2**63), "--W", "[[[0, 1]]]"], 1, "error: "),
+    ],
+    ids=["max-radius-inf-tiny-decay", "d-square-of-large-prime", "d-2^63"],
+)
+def test_large_inputs_end_quickly(capsys, argv, code, prefix):
+    # these ran without bound: a radius search with no cap, and trial
+    # division up to sqrt(d)
+    start = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), captured.err
+
+
+def test_large_prime_d_evaluates(capsys):
+    # d = 10^18 + 3 is prime, so squarefree.  |delta| ~ 5e8 leaves only the
+    # rational integers within reach: the value is theta_3(exp(-pi))
+    start = time.perf_counter()
+    code, out = _run(capsys, ["eval", "--d", str(10**18 + 3), "--W", "[[[0, 1]]]"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert value[0] == pytest.approx(math.pi ** 0.25 / math.gamma(0.75), abs=1e-13)
+    assert value[1] == 0.0

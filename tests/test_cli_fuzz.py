@@ -1,6 +1,7 @@
-"""Property test of the command line: eval and decompose, on well-formed
-input with one node broken or removed, end in a documented exit code with
-one stderr line on failure, never a traceback."""
+"""Property test of the command line: eval and decompose, and groups and
+build on a relation spec, on well-formed input with one node broken or
+removed, end in a documented exit code with one stderr line on failure,
+never a traceback."""
 
 import contextlib
 import io
@@ -20,8 +21,7 @@ _scalar_junk = st.one_of(
     st.integers(-_BIG, _BIG),
 )
 _junk = st.one_of(_scalar_junk, st.lists(_scalar_junk, max_size=3))
-# d and g stay small: a large d spends its time in the squarefree test and
-# a large g in allocating g-row zero matrices
+# g stays small: a large g spends its time allocating g-row zero matrices
 _small_junk = st.one_of(
     st.booleans(), st.none(), st.text(max_size=3),
     st.floats(allow_nan=True, allow_infinity=True), st.integers(-2, 2),
@@ -73,7 +73,7 @@ def _broken(draw, obj):
     or replaced by junk or by an integer no float holds."""
     path = draw(st.sampled_from(list(_paths(obj))))
     action = draw(st.sampled_from(["junk", "big", "delete"]))
-    if path and path[0] in ("d", "g"):
+    if path and path[0] == "g":
         value = draw(_small_junk)
     elif action == "big":
         value = draw(st.sampled_from([_BIG, -_BIG, [_BIG, 1]]))
@@ -88,8 +88,6 @@ def _chars(draw, g, h):
                    for _ in range(g)])
 
 
-# --max-radius inf is left out: with an infinite cap, choose_radius searches
-# for a radius without end when the decay is tiny
 _BAD_SETTINGS = {"--eps": ["nan", "inf", "-inf", "0", "-1", "x"],
                  "--max-radius": ["nan", "-inf", "0", "-2", "1e-3", "x"]}
 
@@ -120,10 +118,11 @@ def _argv(draw):
         command = "decompose"
     for flag in _BAD_SETTINGS:
         if draw(st.booleans()):
-            parts[flag] = draw(st.sampled_from(["1e-3", "4"]))
+            parts[flag] = draw(st.sampled_from(["1e-3", "4", "inf"]))
     target = draw(st.sampled_from([None, *parts]))
     if target == "--d":
-        parts[target] = draw(st.sampled_from(["4", "0", "-7", "x", ""]))
+        parts[target] = draw(st.sampled_from(
+            ["4", "0", "-7", "x", "", str(999999937**2), str(2**63), str(_BIG)]))
     elif target in _BAD_SETTINGS:
         parts[target] = draw(st.sampled_from(_BAD_SETTINGS[target]))
     elif target is not None:
@@ -134,9 +133,34 @@ def _argv(draw):
     return argv
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+# invertible T over every field, g, h <= 2
+_T = {1: [_exact([[(2,)]]), _exact([[(1, 1)]]), _exact([[(1, 0, 2)]])],
+      2: [_exact([[(1,), (1,)], [(1,), (-1,)]]),
+          _exact([[(1, 1), (0,)], [(1,), (2,)]])]}
+
+
+@st.composite
+def _spec_argv(draw):
+    """groups or build on a well-formed relation spec, g, h <= 2, with at
+    most one node of the spec or the group order cap broken."""
+    g = draw(st.integers(1, 2))
+    h = draw(st.integers(1, 2))
+    spec = {"d": draw(st.sampled_from([1, 2, 3, 7])), "g": g,
+            "T": draw(st.sampled_from(_T[h])), "P": draw(st.sampled_from(_P[h])),
+            "A0": draw(_chars(g, h)), "B0": draw(_chars(g, h)), "name": "fuzz"}
+    argv = [draw(st.sampled_from(["groups", "build"]))]
+    target = draw(st.sampled_from([None, "--spec", "--max-order"]))
+    if target == "--spec":
+        spec = draw(_broken(spec))
+    argv.append(f"--spec={json.dumps(spec)}")
+    if target == "--max-order":
+        argv.append(f"--max-order={draw(st.sampled_from(['10', '0', '-1', 'x']))}")
+    return argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(argv=_argv())
+@given(argv=st.one_of(_argv(), _spec_argv()))
 def test_cli_ends_in_documented_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

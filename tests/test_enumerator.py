@@ -101,11 +101,11 @@ def _recorded_theta(monkeypatch, field, W, P, A0, B0):
     calls = []
     inner = thetas._ellipsoid_points
 
-    def recorder(R, c, bound, radius):
-        n, blocks = inner(R, c, bound, radius)
+    def recorder(R, C, bounds, radii):
+        counts, blocks = inner(R, C, bounds, radii)
         blocks = list(blocks)
-        calls.append((bound, radius, blocks))
-        return n, iter(blocks)
+        calls.append((bounds[0], radii[0], [z for z, _ in blocks]))
+        return counts, iter(blocks)
 
     monkeypatch.setattr(thetas, "_ellipsoid_points", recorder)
     val = theta_general(field, W, P, A0, B0)

@@ -215,6 +215,22 @@ def test_field_rejects_bad_d():
         FieldId(0)
     with pytest.raises(ValueError):
         FieldId(-3)
+    with pytest.raises(ValueError, match="squarefree positive integer"):
+        FieldId(2**63 + 3)  # squarefree, but past the trial division bound
+
+
+def test_squarefree_test_against_factorization():
+    from iqtheta.kfield import _is_squarefree
+
+    def reference(n):
+        return all(e == 1 for e in sympy.factorint(n).values())
+
+    for n in range(1, 3000):
+        assert _is_squarefree(n) == reference(n), n
+    p, q = 999983, 1000003  # primes above the cube root of their products
+    for n in (p * q, p * p, 2 * p * p, p * q * q, 3 * p * q, 10**18 + 3,
+              2**61 - 1, 2**63 - 25, 2**62 + 1):
+        assert _is_squarefree(n) == reference(n), n
 
 
 def test_delta_quadratic_equation():

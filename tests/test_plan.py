@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from iqtheta import (
+    DomainError,
     FieldId,
     KMatrix,
     ThetaCache,
     ThetaParams,
+    TruncationError,
     build_relation,
     decompose_rational_P,
     default_W_samples,
@@ -24,7 +26,7 @@ from iqtheta import (
     theta_check_variant,
     theta_general,
 )
-from iqtheta import presets, relations
+from iqtheta import presets, relations, thetas
 from iqtheta.relations import (
     RelationSpec,
     Term,
@@ -193,3 +195,164 @@ def test_evaluated_identity_check_is_collected(name):
     del check
     gc.collect()
     assert ref() is None
+
+
+# -- leaves evaluated in batches ------------------------------------------------
+
+
+def _group(d, g, h, count, seed=0):
+    """count leaves of one group: one P, characteristics from a fixed grid,
+    the first with A0 = 0 so that the radius floors differ."""
+    field = FieldId(d)
+    rng = np.random.default_rng(seed)
+    M = KMatrix([[field.element(int(rng.integers(-1, 2)), int(rng.integers(-1, 2)))
+                  for _ in range(h)] for _ in range(h)])
+    P = M.conj_transpose() @ M + KMatrix.identity(h, field)
+    params = ThetaParams(eps=1e-3)
+
+    def char(k):
+        if k == 0:
+            return KMatrix.zeros(g, h, field)
+        return KMatrix([[field.element(Fraction(int(rng.integers(-5, 6)), 6),
+                                       Fraction(int(rng.integers(-5, 6)), 6))
+                         for _ in range(h)] for _ in range(g)])
+
+    leaves = [thetas._leaf(field, P, thetas._reduce_mod_integral(char(k)), char(k + 1), params)
+              for k in range(count)]
+    (group,) = thetas._group_leaves(leaves)
+    return group
+
+
+def _W(g):
+    # Im W large enough that the radius floors, not eps, set the radii
+    return (np.array([[0.2 + 4.2j]]) if g == 1
+            else np.array([[0.1 + 4.0j, 0.3 - 0.2j], [0.3 - 0.2j, -0.2 + 5.0j]]))
+
+
+def _batch_calls(monkeypatch):
+    """The number of centers of each enumeration."""
+    calls = []
+    inner = thetas._ellipsoid_points
+
+    def counting(R, C, bounds, radii):
+        calls.append(len(C))
+        return inner(R, C, bounds, radii)
+
+    monkeypatch.setattr(thetas, "_ellipsoid_points", counting)
+    return calls
+
+
+def _one_by_one(leaves, W, lam_y):
+    return [thetas._theta_dense(leaf, W, lam_y) for leaf in leaves]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+@pytest.mark.parametrize("g,h", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_batch_is_bit_identical_to_one_leaf_calls(monkeypatch, d, g, h):
+    leaves = _group(d, g, h, 12, seed=10 * d + g + h)
+    floors = {thetas._radius_floor(leaf.floats.offset_norm) for leaf in leaves}
+    assert len(floors) > 1
+    W = _W(g)
+    lam_y = thetas._at(W).lam_y
+    calls = _batch_calls(monkeypatch)
+    got = thetas._theta_batch(leaves, W, lam_y)
+    assert calls == [len(leaves)]  # one enumeration for the whole group
+    want = _one_by_one(leaves, W, lam_y)
+    for a, b in zip(got, want):
+        assert (a.value, a.tail_bound, a.lattice_points_used) == (
+            b.value, b.tail_bound, b.lattice_points_used)
+    assert len({v.tail_bound for v in got}) > 1  # the radii differ too
+
+
+def test_batches_straddle_the_cap(monkeypatch):
+    leaves = _group(3, 2, 2, 16, seed=5)
+    W = _W(2)
+    lam_y = thetas._at(W).lam_y
+    want = _one_by_one(leaves, W, lam_y)
+    median = sorted(v.lattice_points_used for v in want)[len(want) // 2]
+    # a cap that a few leaves fill: the group runs as several batches
+    monkeypatch.setattr(thetas, "_BATCH_POINTS", 2.5 * median)
+    calls = _batch_calls(monkeypatch)
+    assert thetas._theta_batch(leaves, W, lam_y) == want
+    assert sum(calls) == len(leaves) and len(calls) > 1 and max(calls) > 1
+    # a cap below every leaf's estimate: each leaf runs alone
+    monkeypatch.setattr(thetas, "_BATCH_POINTS", 1e-9)
+    del calls[:]
+    assert thetas._theta_batch(leaves, W, lam_y) == want
+    assert calls == [1] * len(leaves)
+
+
+def test_over_budget_leaf_in_a_batch_raises(monkeypatch):
+    leaves = _group(1, 1, 2, 10, seed=3)
+    W = _W(1)
+    lam_y = thetas._at(W).lam_y
+    want = _one_by_one(leaves, W, lam_y)
+    points = [v.lattice_points_used for v in want]
+    worst = max(range(len(points)), key=points.__getitem__)
+    assert sorted(points)[-2] < points[worst]
+    monkeypatch.setattr(thetas, "_MAX_POINTS", points[worst] - 1)
+    calls = _batch_calls(monkeypatch)
+    with pytest.raises(TruncationError, match=f"exceeds max_points={points[worst] - 1}: "
+                       f"{points[worst]} points after 4 of 4 coordinates"):
+        thetas._theta_batch(leaves, W, lam_y)
+    assert calls == [len(leaves)]
+    for leaf, v in zip(leaves, want):  # the others stay within the budget
+        if v is not want[worst]:
+            assert thetas._theta_dense(leaf, W, lam_y) == v
+
+
+def test_failing_batch_raises_at_the_first_failing_factor(monkeypatch):
+    # the batch of the 1x2 leaves runs before the term loop and goes over
+    # budget, but a factor ahead of them in term order does not match W:
+    # the plan raises what one public call per factor raises first
+    field = FieldId(2)
+    params = ThetaParams(eps=1e-9)
+    P = KMatrix.from_rational_rows([[2, 1], [1, 2]], field)
+    wide = ThetaFactor("field", KMatrix.zeros(2, 2, field), KMatrix.zeros(2, 2, field), p=P)
+    fine = [ThetaFactor("field", _mat(field, 1, 2, k), _mat(field, 1, 2, k + 1), p=P)
+            for k in range(4)]
+    sides = (tuple(Term(Fraction(0), Fraction(1), (f,)) for f in [wide] + fine),)
+    plan = _lower_terms(params, sides)
+    W = [[0.1 + 1.3j]]
+    points = max(theta_general(field, W, f.p, f.a, f.b, params).lattice_points_used
+                 for f in fine)
+    monkeypatch.setattr(thetas, "_MAX_POINTS", points - 1)
+    with pytest.raises(TruncationError):
+        thetas._theta_batch(plan.groups[0][1], thetas._at(np.array(W)).w,
+                            thetas._at(np.array(W)).lam_y)
+    with pytest.raises(DomainError) as want:
+        _naive((), sides, W, params, ThetaCache())
+    with pytest.raises(DomainError) as got:
+        _sum_terms(plan, W, ThetaCache())
+    assert str(got.value) == str(want.value) == "W must be 2x2 to match A0, got (1, 1)"
+
+
+def _decomposition_cases():
+    field = FieldId(3)
+    A0 = KMatrix.from_rational_rows([[Fraction(1, 3), Fraction(-1, 4)]], field)
+    B0 = KMatrix.from_rational_rows([[Fraction(1, 5), Fraction(1, 2)]], field)
+    yield field, KMatrix.from_rational_rows([[2, -1], [-1, 2]], field), A0, B0
+    yield field, KMatrix.from_rational_rows([[3, 1], [1, 2]], field), A0, B0
+    yield (field, KMatrix.from_rational_rows([[Fraction(5, 2)]], field),
+           A0.column(0), B0.column(0))
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_shared_cache_counts_match_public_calls(case):
+    # PDecomposition.evaluate and then theta_general on one cache, as the
+    # decompose command does: the same values and the same hits and misses
+    # as one public call per factor on one cache
+    field, P, A0, B0 = list(_decomposition_cases())[case]
+    params = ThetaParams(eps=1e-11)
+    W = [[0.15 + 1.2j]]
+    dec = decompose_rational_P(field, 1, P, A0, B0)
+    cache = ThetaCache()
+    poly = dec.evaluate(W, params, cache)
+    direct = theta_general(field, W, P, A0, B0, params, cache)
+    naive_cache = ThetaCache()
+    _, (want_poly,) = _naive((), (dec.monomials,), W, params, naive_cache)
+    want_direct = theta_general(field, W, P, A0, B0, params, naive_cache)
+    assert poly == want_poly
+    assert direct == want_direct
+    assert (cache.hits, cache.misses) == (naive_cache.hits, naive_cache.misses)
+    assert cache.hits > 0

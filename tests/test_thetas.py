@@ -89,6 +89,60 @@ def test_choose_radius_cap():
         choose_radius(1e-300, 0.05, 8, max_radius=4.0)
 
 
+def _linear_radius(eps, decay, dim, offset_norm=0.0, max_radius=64.0):
+    """The radius search choose_radius replaced: r = floor, floor + 1, ...
+    up to max_radius; None where it raises."""
+    r = max(1, int(math.ceil(offset_norm)) + 1)
+    while r <= max_radius:
+        if shell_tail_bound(r, decay, dim) <= eps:
+            return r
+        r += 1
+    return None
+
+
+def _searched_radius(*args, **kwargs):
+    try:
+        return choose_radius(*args, **kwargs)
+    except TruncationError:
+        return None
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+def test_choose_radius_is_the_linear_search(dim):
+    for eps in (1e-300, 1e-15, 1e-12, 1e-6, 1e-2, 4.0):
+        for decay in (0.0, 1e-3, 0.05, 0.4, math.pi, 30.0):
+            for offset_norm in (0.0, 0.7, 3.2):
+                for max_radius in (0.5, 3.0, 64.0):
+                    case = (eps, decay, dim, offset_norm, max_radius)
+                    assert _searched_radius(*case) == _linear_radius(*case), case
+
+
+@pytest.mark.parametrize("eps,decay,dim", [
+    (20.0, 1e-4, 2), (3e3, 1e-4, 2), (6e4, 1e-4, 2), (8e4, 1e-4, 2),
+    (1e6, 1e-4, 2), (5e7, 1e-5, 2), (1e3, 1e-3, 4), (1e6, 1e-3, 4),
+    (1e-12, 1e-4, 2), (1e-3, 3e-4, 4),
+])
+def test_choose_radius_where_the_bound_first_rises(eps, decay, dim):
+    # with a small decay the shell terms rise before they fall, so the
+    # tail bound is not monotone in the radius; a large eps can be met
+    # on the rising stretch, before the peak (radii 55 and 10 for eps 6e4
+    # and 8e4, peak 70)
+    case = (eps, decay, dim, 0.0, 3000.0)
+    assert _searched_radius(*case) == _linear_radius(*case), case
+
+
+def test_choose_radius_without_a_cap_ends():
+    # the linear search never ended here: its radius is in the millions
+    decay = math.pi * 2.0 ** -40
+    r = choose_radius(1e-12, decay, 2, max_radius=math.inf)
+    assert shell_tail_bound(r, decay, 2) <= 1e-12 < shell_tail_bound(r - 1, decay, 2)
+    with pytest.raises(TruncationError, match="max_radius=inf"):
+        choose_radius(1e-12, 0.0, 2, max_radius=math.inf)
+    assert choose_radius(math.inf, 0.0, 2, max_radius=math.inf) == 1
+    with pytest.raises(TruncationError, match="overflows"):
+        choose_radius(1e-12, decay, 50, max_radius=math.inf)
+
+
 def test_in_type1_domain_frozen():
     ok, lam = in_type1_domain([[1j, 0.5], [-0.5, 1j]])
     assert ok
