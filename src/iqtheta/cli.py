@@ -180,6 +180,17 @@ def _emit(obj: object) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _verdict(passed: Sequence[bool]) -> int:
+    """EXIT_OK when every report passed, else EXIT_RESIDUAL with one stderr
+    line, as every other nonzero exit has."""
+    failed = sum(1 for ok in passed if not ok)
+    if not failed:
+        return EXIT_OK
+    print(f"residual: {failed} of {len(passed)} reports exceed their tolerance",
+          file=sys.stderr)
+    return EXIT_RESIDUAL
+
+
 # -- preset / spec resolution --------------------------------------------------
 
 
@@ -367,16 +378,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for idx, W in enumerate(_verify_samples(args, spec.g, False)):
             rep = evaluate_relation(inst, W, params, corrupt=corrupt)
             reports.append(dict(rep.to_json(), check="relation", W_index=idx))
-    all_passed = all(r["passed"] for r in reports)
     _emit(
         {
             "name": label,
             "reports": reports,
             "warnings": warnings,
-            "all_passed": all_passed,
+            "all_passed": all(r["passed"] for r in reports),
         }
     )
-    return EXIT_OK if all_passed else EXIT_RESIDUAL
+    return _verdict([r["passed"] for r in reports])
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -408,7 +418,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "lambda_product": _frac_pair(det),
         "monomial_count": len(decomp.monomials),
     }
-    exit_code = EXIT_OK
+    passed = []
     if args.W is not None:
         W = _parse_complex_matrix(args.W, "--W")
         cache = ThetaCache()
@@ -427,10 +437,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                 "passed": rep.passed,
             }
         )
-        if not rep.passed:
-            exit_code = EXIT_RESIDUAL
+        passed.append(rep.passed)
     _emit(out)
-    return exit_code
+    return _verdict(passed)
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
@@ -440,7 +449,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         sys.stdout.write(result.to_csv())
     else:
         print(result.to_json())
-    return EXIT_OK if result.all_passed else EXIT_RESIDUAL
+    return _verdict([r["passed"] for r in result.reports])
 
 
 # -- parser ----------------------------------------------------------------------

@@ -7,13 +7,16 @@ ring of integers O_K, where
     delta = (1 + sqrt(-d)) / 2  if -d is congruent to 1 mod 4 (i.e. d = 3 mod 4).
 
 With this basis an element is integral exactly when both coordinates are
-integers, which is what the lattice layer relies on.
+integers, which is what the lattice layer relies on.  An element is kept as
+(n + m*delta)/den in Python integers, reduced so that the form is unique;
+its products use delta^2 = Tr(delta)*delta - N(delta) for every d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -24,11 +27,12 @@ Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 
-def _frac(x: RationalLike) -> Fraction:
+def _ratio(x: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational, denominator > 0."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -73,46 +77,49 @@ class FieldId:
                 or not _is_squarefree(self.d)):
             raise ValueError(f"d must be a squarefree positive integer, got {self.d!r}")
 
-    @property
+    # the field's constants are read on every product, so each is computed
+    # once per FieldId (cached_property writes past the frozen __setattr__)
+
+    @cached_property
     def one_mod_four(self) -> bool:
         """True when -d = 1 mod 4, i.e. delta = (1 + sqrt(-d))/2."""
         return self.d % 4 == 3
 
-    @property
+    @cached_property
     def delta_norm(self) -> int:
         """|delta|^2, always a positive integer."""
         return (1 + self.d) // 4 if self.one_mod_four else self.d
 
-    @property
+    @cached_property
     def delta_trace(self) -> int:
         """delta + conj(delta)."""
         return 1 if self.one_mod_four else 0
 
-    @property
+    @cached_property
     def delta_complex(self) -> complex:
         im = math.sqrt(self.d)
         return complex(0.5, im / 2.0) if self.one_mod_four else complex(0.0, im)
 
     def zero(self) -> "KElement":
-        return KElement(Fraction(0), Fraction(0), self)
+        return _canonical(0, 0, 1, self)
 
     def one(self) -> "KElement":
-        return KElement(Fraction(1), Fraction(0), self)
+        return _canonical(1, 0, 1, self)
 
     def delta(self) -> "KElement":
-        return KElement(Fraction(0), Fraction(1), self)
+        return _canonical(0, 1, 1, self)
 
     def sqrt_minus_d(self) -> "KElement":
         """The element sqrt(-d), regardless of which basis delta uses."""
         if self.one_mod_four:
-            return KElement(Fraction(-1), Fraction(2), self)
+            return _canonical(-1, 2, 1, self)
         return self.delta()
 
     def from_rational(self, x: RationalLike) -> "KElement":
-        return KElement(_frac(x), Fraction(0), self)
+        return KElement(x, 0, self)
 
     def element(self, a: RationalLike, b: RationalLike = 0) -> "KElement":
-        return KElement(_frac(a), _frac(b), self)
+        return KElement(a, b, self)
 
     def units(self) -> tuple["KElement", ...]:
         """The unit group of O_K."""
@@ -127,94 +134,170 @@ class FieldId:
         return (one, -one)
 
 
-@dataclass(frozen=True)
 class KElement:
-    """a + b*delta with exact rational coordinates."""
+    """(n + m*delta) / den with Python integers, den > 0 and
+    gcd(n, m, den) = 1.
 
-    a: Fraction
-    b: Fraction
-    field: FieldId
+    The form is canonical, so equality and the hash read only n, m, den and
+    field.d; the hash is computed once.  The coordinates a = n/den and
+    b = m/den over {1, delta} are Fraction properties.  Instances are
+    immutable: every operation returns a new element.
+    """
+
+    __slots__ = ("n", "m", "den", "field", "_hash")
+
+    def __init__(self, a: RationalLike, b: RationalLike, field: FieldId) -> None:
+        an, ad = _ratio(a)
+        bn, bd = _ratio(b)
+        if ad == bd:
+            self.n, self.m, self.den = an, bn, ad
+        else:
+            # both fractions are reduced, so the common form is too
+            g = math.gcd(ad, bd)
+            self.n, self.m, self.den = an * (bd // g), bn * (ad // g), ad // g * bd
+        self.field = field
+        self._hash = None
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.n, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.m, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KElement):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.m == other.m
+            and self.den == other.den
+            and self.field.d == other.field.d
+        )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.n, self.m, self.den, self.field.d))
+        return h
+
+    def __repr__(self) -> str:
+        return f"KElement(a={self.a!r}, b={self.b!r}, field={self.field!r})"
 
     def _check(self, other: "KElement") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(f"fields differ: d={self.field.d} vs d={other.field.d}")
 
     def __add__(self, other: "KElement") -> "KElement":
         self._check(other)
-        return KElement(self.a + other.a, self.b + other.b, self.field)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _reduced(self.n + other.n, self.m + other.m, d1, self.field)
+        return _reduced(
+            self.n * d2 + other.n * d1, self.m * d2 + other.m * d1, d1 * d2, self.field
+        )
 
     def __sub__(self, other: "KElement") -> "KElement":
         self._check(other)
-        return KElement(self.a - other.a, self.b - other.b, self.field)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _reduced(self.n - other.n, self.m - other.m, d1, self.field)
+        return _reduced(
+            self.n * d2 - other.n * d1, self.m * d2 - other.m * d1, d1 * d2, self.field
+        )
 
     def __neg__(self) -> "KElement":
-        return KElement(-self.a, -self.b, self.field)
+        return _canonical(-self.n, -self.m, self.den, self.field)
 
     def __mul__(self, other: Union["KElement", RationalLike]) -> "KElement":
+        if isinstance(other, KElement):
+            self._check(other)
+            f = self.field
+            n1, m1, n2, m2 = self.n, self.m, other.n, other.m
+            mm = m1 * m2
+            # delta^2 = Tr(delta)*delta - N(delta)
+            return _reduced(
+                n1 * n2 - f.delta_norm * mm,
+                n1 * m2 + n2 * m1 + f.delta_trace * mm,
+                self.den * other.den,
+                f,
+            )
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            return KElement(self.a * c, self.b * c, self.field)
-        self._check(other)
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        if self.field.one_mod_four:
-            # delta^2 = delta - (1+d)/4
-            m = Fraction(1 + self.field.d, 4)
-            return KElement(a1 * a2 - m * b1 * b2, a1 * b2 + a2 * b1 + b1 * b2, self.field)
-        return KElement(a1 * a2 - self.field.d * b1 * b2, a1 * b2 + a2 * b1, self.field)
+            num, den = _ratio(other)
+            return _reduced(self.n * num, self.m * num, self.den * den, self.field)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Union["KElement", RationalLike]) -> "KElement":
+        if isinstance(other, KElement):
+            self._check(other)
+            f = self.field
+            t, nd = f.delta_trace, f.delta_norm
+            n2, m2 = other.n, other.m
+            norm = n2 * n2 + t * n2 * m2 + nd * m2 * m2
+            if norm == 0:
+                raise ZeroDivisionError("division by zero element")
+            # self * conj(other) / N(other), conj(n2 + m2 delta) = n2 + t*m2 - m2*delta
+            cn = n2 + t * m2
+            n1, m1 = self.n, self.m
+            return _reduced(
+                (n1 * cn + nd * m1 * m2) * other.den,
+                (m1 * cn - n1 * m2 - t * m1 * m2) * other.den,
+                self.den * norm,
+                f,
+            )
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if c == 0:
+            num, den = _ratio(other)
+            if num == 0:
                 raise ZeroDivisionError("division by zero")
-            return KElement(self.a / c, self.b / c, self.field)
-        self._check(other)
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero element")
-        return (self * other.conj()) / n
+            if num < 0:
+                num, den = -num, -den
+            return _reduced(self.n * den, self.m * den, self.den * num, self.field)
+        return NotImplemented
 
     def conj(self) -> "KElement":
-        if self.field.one_mod_four:
-            # conj(delta) = 1 - delta
-            return KElement(self.a + self.b, -self.b, self.field)
-        return KElement(self.a, -self.b, self.field)
+        # conj(delta) = Tr(delta) - delta
+        t = self.field.delta_trace
+        return _canonical(self.n + t * self.m, -self.m, self.den, self.field)
 
     def re(self) -> Fraction:
         """Real part under any complex embedding; exact."""
-        if self.field.one_mod_four:
-            return self.a + self.b / 2
-        return self.a
+        return Fraction(2 * self.n + self.field.delta_trace * self.m, 2 * self.den)
 
     def norm(self) -> Fraction:
         """x * conj(x) as an exact nonnegative rational."""
-        if self.field.one_mod_four:
-            return self.a * self.a + self.a * self.b + self.b * self.b * Fraction(1 + self.field.d, 4)
-        return self.a * self.a + self.field.d * self.b * self.b
+        f = self.field
+        n, m = self.n, self.m
+        return Fraction(
+            n * n + f.delta_trace * n * m + f.delta_norm * m * m, self.den * self.den
+        )
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.n == 0 and self.m == 0
 
     def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
+        return self.den == 1
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.m == 0
 
     def embed(self) -> complex:
+        # integer true division rounds like float(Fraction(n, den))
         dc = self.field.delta_complex
-        return complex(float(self.a) + float(self.b) * dc.real, float(self.b) * dc.imag)
+        a, b = self.n / self.den, self.m / self.den
+        return complex(a + b * dc.real, b * dc.imag)
 
     def __str__(self) -> str:
         a, b = self.a, self.b
         return f"{a.numerator}/{a.denominator}+{b.numerator}/{b.denominator}*delta"
 
     def to_json(self) -> dict:
+        a, b = self.a, self.b
         return {
-            "a": [self.a.numerator, self.a.denominator],
-            "b": [self.b.numerator, self.b.denominator],
+            "a": [a.numerator, a.denominator],
+            "b": [b.numerator, b.denominator],
         }
 
     @staticmethod
@@ -224,10 +307,32 @@ class KElement:
         return KElement(a, b, field)
 
 
+def _canonical(n: int, m: int, den: int, field: FieldId) -> KElement:
+    """(n + m*delta)/den, already in canonical form."""
+    x = object.__new__(KElement)
+    x.n = n
+    x.m = m
+    x.den = den
+    x.field = field
+    x._hash = None
+    return x
+
+
+def _reduced(n: int, m: int, den: int, field: FieldId) -> KElement:
+    """(n + m*delta)/den for den > 0, divided by gcd(n, m, den)."""
+    if den != 1:
+        g = math.gcd(n, m, den)
+        if g != 1:
+            n //= g
+            m //= g
+            den //= g
+    return _canonical(n, m, den, field)
+
+
 class KMatrix:
     """Immutable matrix over K with exact entries."""
 
-    __slots__ = ("rows", "cols", "field", "_entries")
+    __slots__ = ("rows", "cols", "field", "_entries", "_hash")
 
     def __init__(self, entries: Sequence[Sequence[KElement]]):
         rows = tuple(tuple(row) for row in entries)
@@ -238,14 +343,27 @@ class KMatrix:
             if len(row) != len(rows[0]):
                 raise ValueError("ragged rows")
             for x in row:
-                if x.field != field:
+                if x.field is not field and x.field != field:
                     raise FieldMismatchError("mixed fields in one matrix")
         self._entries = rows
         self.rows = len(rows)
         self.cols = len(rows[0])
         self.field = field
+        self._hash = None
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of(cls, rows: tuple[tuple[KElement, ...], ...], field: FieldId) -> "KMatrix":
+        """rows as a matrix without the checks of __init__: for a nonempty,
+        rectangular tuple of tuples over field, made from checked matrices."""
+        M = object.__new__(cls)
+        M._entries = rows
+        M.rows = len(rows)
+        M.cols = len(rows[0])
+        M.field = field
+        M._hash = None
+        return M
 
     @staticmethod
     def identity(n: int, field: FieldId) -> "KMatrix":
@@ -279,17 +397,24 @@ class KMatrix:
         return self._entries
 
     def column(self, j: int) -> "KMatrix":
-        return KMatrix([[row[j]] for row in self._entries])
+        return KMatrix._of(tuple((row[j],) for row in self._entries), self.field)
+
+    def columns(self, start: int) -> "KMatrix":
+        """The columns from start on (start < cols)."""
+        return KMatrix._of(tuple(row[start:] for row in self._entries), self.field)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, KMatrix)
-            and self.field == other.field
+            and self.field.d == other.field.d
             and self._entries == other._entries
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self._entries))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.field.d, self._entries))
+        return h
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(x) for x in row) for row in self._entries)
@@ -298,53 +423,51 @@ class KMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "KMatrix") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError("fields differ")
 
     def __add__(self, other: "KMatrix") -> "KMatrix":
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return KMatrix(
-            [
-                [self._entries[i][j] + other._entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
+        return KMatrix._of(
+            tuple(
+                tuple(x + y for x, y in zip(r1, r2))
+                for r1, r2 in zip(self._entries, other._entries)
+            ),
+            self.field,
         )
 
     def __sub__(self, other: "KMatrix") -> "KMatrix":
         return self + (-other)
 
     def __neg__(self) -> "KMatrix":
-        return KMatrix([[-x for x in row] for row in self._entries])
+        return KMatrix._of(tuple(tuple(-x for x in row) for row in self._entries), self.field)
 
     def __matmul__(self, other: "KMatrix") -> "KMatrix":
         self._check(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
+        other_cols = tuple(zip(*other._entries))
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.field.zero()
-                for k in range(self.cols):
-                    acc = acc + self._entries[i][k] * other._entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return KMatrix(out)
+        for row in self._entries:
+            out_row = []
+            for col in other_cols:
+                acc = row[0] * col[0]
+                for k in range(1, self.cols):
+                    acc = acc + row[k] * col[k]
+                out_row.append(acc)
+            out.append(tuple(out_row))
+        return KMatrix._of(tuple(out), self.field)
 
     def scale(self, c: Union[KElement, RationalLike]) -> "KMatrix":
-        if isinstance(c, (int, Fraction)):
-            c = self.field.element(c)
-        return KMatrix([[x * c for x in row] for row in self._entries])
+        return KMatrix._of(tuple(tuple(x * c for x in row) for row in self._entries), self.field)
 
     def transpose(self) -> "KMatrix":
-        return KMatrix(
-            [[self._entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return KMatrix._of(tuple(zip(*self._entries)), self.field)
 
     def conj(self) -> "KMatrix":
-        return KMatrix([[x.conj() for x in row] for row in self._entries])
+        return KMatrix._of(tuple(tuple(x.conj() for x in row) for row in self._entries), self.field)
 
     def conj_transpose(self) -> "KMatrix":
         return self.conj().transpose()
@@ -466,14 +589,24 @@ def dual_generator(field: FieldId) -> KElement:
 def re_trace_of_product(M: KMatrix, B: KMatrix) -> Fraction:
     """Re Tr(conj_transpose(M) @ B) as an exact rational.
 
-    Computed entrywise: sum over (i, j) of Re(conj(M[i,j]) * B[i,j]).
+    Computed entrywise: sum over (i, j) of Re(conj(x) * y) for x = M[i,j]
+    and y = B[i,j].  With x = (n1 + m1 delta)/den1 and y likewise, that is
+    (2 n1 n2 + Tr(delta)(n1 m2 + m1 n2) + 2 N(delta) m1 m2) / (2 den1 den2),
+    summed in integers over one growing denominator.
     """
     if M.field != B.field:
         raise FieldMismatchError("fields differ")
     if (M.rows, M.cols) != (B.rows, B.cols):
         raise ValueError("shape mismatch")
-    acc = Fraction(0)
-    for i in range(M.rows):
-        for j in range(M.cols):
-            acc += (M[i, j].conj() * B[i, j]).re()
-    return acc
+    t, nd2 = M.field.delta_trace, 2 * M.field.delta_norm
+    num, den = 0, 1
+    for row_m, row_b in zip(M.entry_rows(), B.entry_rows()):
+        for x, y in zip(row_m, row_b):
+            n1, m1, n2, m2 = x.n, x.m, y.n, y.m
+            term = 2 * n1 * n2 + t * (n1 * m2 + m1 * n2) + nd2 * m1 * m2
+            d = x.den * y.den
+            if d == den:
+                num += term
+            else:
+                num, den = num * d + term * den, den * d
+    return Fraction(num, 2 * den)

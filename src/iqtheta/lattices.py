@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import GroupCapError, SublatticeError
-from .kfield import FieldId, KElement, KMatrix, dual_generator, re_trace_of_product
+from .kfield import FieldId, KMatrix, _reduced, dual_generator, re_trace_of_product
 
 # ---------------------------------------------------------------------------
 # integer matrix helpers (rows are vectors; all exact)
@@ -175,19 +175,30 @@ def kmatrix_to_coords(M: KMatrix) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def coords_to_kmatrix(vec: Sequence[Fraction], g: int, h: int, field: FieldId) -> KMatrix:
-    if len(vec) != 2 * g * h:
+def _int_coords(M: KMatrix) -> tuple[list[int], int]:
+    """(nums, den) with kmatrix_to_coords(M) = nums / den entrywise and den
+    the least common denominator."""
+    den = math.lcm(*(x.den for row in M.entry_rows() for x in row))
+    nums: list[int] = []
+    for row in M.entry_rows():
+        for x in row:
+            k = den // x.den
+            nums.append(x.n * k)
+            nums.append(x.m * k)
+    return nums, den
+
+
+def coords_to_kmatrix(nums: Sequence[int], den: int, g: int, h: int, field: FieldId) -> KMatrix:
+    """The g x h matrix whose row-major (a, b) coordinates are nums / den."""
+    if len(nums) != 2 * g * h:
         raise ValueError("coordinate vector has wrong length")
-    entries = []
-    it = iter(vec)
-    for _ in range(g):
-        row = []
-        for _ in range(h):
-            a = next(it)
-            b = next(it)
-            row.append(KElement(Fraction(a), Fraction(b), field))
-        entries.append(row)
-    return KMatrix(entries)
+    return KMatrix(
+        [
+            [_reduced(nums[k], nums[k + 1], den, field)
+             for k in range(2 * h * i, 2 * h * (i + 1), 2)]
+            for i in range(g)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +256,18 @@ class IntLattice:
 
     def coordinates(self, vec: Sequence[Fraction]) -> Optional[list[int]]:
         """Integer coefficients of vec over the basis rows, None if vec is
-        not in the lattice (back-substitution down the echelon pivots)."""
-        target = [Fraction(x) * self.scale for x in vec]
-        if any(t.denominator != 1 for t in target):
+        not in the lattice."""
+        vec = [Fraction(x) for x in vec]
+        den = math.lcm(*(x.denominator for x in vec))
+        return self.scaled_coordinates([int(x * den) for x in vec], den)
+
+    def scaled_coordinates(self, nums: Sequence[int], den: int) -> Optional[list[int]]:
+        """coordinates() of the vector nums / den with integers nums and
+        den > 0, by back-substitution down the echelon pivots."""
+        s = self.scale
+        if any(x * s % den for x in nums):
             return None
-        target = [int(t) for t in target]
+        target = [x * s // den for x in nums]
         coeffs: list[int] = []
         for row in self.basis:
             p = next(j for j, x in enumerate(row) if x != 0)
@@ -266,7 +284,7 @@ class IntLattice:
         return self.coordinates(vec) is not None
 
     def contains_kmatrix(self, M: KMatrix) -> bool:
-        return self.contains(kmatrix_to_coords(M))
+        return self.scaled_coordinates(*_int_coords(M)) is not None
 
 
 def lattice_image(g: int, h: int, M: KMatrix) -> IntLattice:
@@ -280,13 +298,17 @@ def lattice_image(g: int, h: int, M: KMatrix) -> IntLattice:
     if M.rows != M.cols or M.rows != h:
         raise ValueError("M must be h x h")
     # generators 1 * M_row and delta * M_row of each row image, where
-    # delta * (a + b delta) = -N(delta) b + (a + Tr(delta) b) delta
+    # delta * (a + b delta) = -N(delta) b + (a + Tr(delta) b) delta, all
+    # over the common denominator of M
     nrm, tr = M.field.delta_norm, M.field.delta_trace
-    rows: list[list[Fraction]] = []
-    for M_row in M.entry_rows():
-        rows.append([c for x in M_row for c in (x.a, x.b)])
-        rows.append([c for x in M_row for c in (-nrm * x.b, x.a + tr * x.b)])
-    row_lat = IntLattice.from_rational_rows(rows, 2 * h)
+    nums, den = _int_coords(M)
+    rows: list[list[int]] = []
+    for i in range(h):
+        ab = nums[2 * h * i:2 * h * (i + 1)]
+        rows.append(ab)
+        rows.append([c for a, b in zip(ab[::2], ab[1::2])
+                     for c in (-nrm * b, a + tr * b)])
+    row_lat = IntLattice.from_int_rows(rows, den, 2 * h)
     if row_lat.rank != 2 * h:
         raise SublatticeError("image lattice is not full rank (singular M)")
     pad = [0] * (2 * h)
@@ -301,8 +323,9 @@ def lattice_image(g: int, h: int, M: KMatrix) -> IntLattice:
 def lattice_sum(L1: IntLattice, L2: IntLattice) -> IntLattice:
     if L1.ambient_dim != L2.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    rows = L1.rational_basis() + L2.rational_basis()
-    return IntLattice.from_rational_rows(rows, L1.ambient_dim)
+    s = math.lcm(L1.scale, L2.scale)
+    rows = [[x * (s // L.scale) for x in row] for L in (L1, L2) for row in L.basis]
+    return IntLattice.from_int_rows(rows, s, L1.ambient_dim)
 
 
 def lattice_intersect(L1: IntLattice, L2: IntLattice) -> IntLattice:
@@ -382,8 +405,8 @@ def quotient_group(
     if n != L.ambient_dim or S.rank != n:
         raise SublatticeError("quotient requires full-rank lattices")
     c_rows: list[list[int]] = []
-    for srow in S.rational_basis():
-        coeffs = L.coordinates(srow)
+    for srow in S.basis:
+        coeffs = L.scaled_coordinates(srow, S.scale)
         if coeffs is None:
             raise SublatticeError("S is not a sublattice of L")
         c_rows.append(coeffs)
@@ -404,11 +427,8 @@ def quotient_group(
         for pos, val in zip(positions, t):
             full[pos] = val
         coeff = [sum(full[i] * v_inv[i][j] for i in range(n)) for j in range(n)]
-        vec = [
-            Fraction(sum(coeff[i] * L.basis[i][j] for i in range(n)), L.scale)
-            for j in range(n)
-        ]
-        reps.append(coords_to_kmatrix(vec, g, h, field))
+        vec = [sum(coeff[i] * L.basis[i][j] for i in range(n)) for j in range(n)]
+        reps.append(coords_to_kmatrix(vec, L.scale, g, h, field))
         # mixed-radix increment, last index fastest
         k = len(positions) - 1
         while k >= 0:
@@ -470,7 +490,7 @@ def index_in(L: IntLattice, S: IntLattice) -> int:
     n = L.rank
     if n != L.ambient_dim or S.rank != n or S.ambient_dim != n:
         raise SublatticeError("index requires full-rank lattices")
-    if not all(L.contains(row) for row in S.rational_basis()):
+    if not all(L.scaled_coordinates(row, S.scale) is not None for row in S.basis):
         raise SublatticeError("S is not a sublattice of L")
     num = L.scale**n
     den = S.scale**n

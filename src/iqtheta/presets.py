@@ -181,11 +181,9 @@ def _vectors(reps: Sequence[KElement], g: int) -> list[tuple[KElement, ...]]:
 
 
 def _class_key(m: KMatrix) -> tuple:
-    out = []
-    for row in m.entry_rows():
-        for x in row:
-            out.append((x.a - math.floor(x.a), x.b - math.floor(x.b)))
-    return tuple(out)
+    """m mod Mat(g, h; O_K): each entry's (n mod den, m mod den, den), the
+    canonical form of its coordinates reduced into [0, 1)."""
+    return tuple((x.n % x.den, x.m % x.den, x.den) for row in m.entry_rows() for x in row)
 
 
 def _compare_classes(

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import DomainError, SingularMatrixError
+from .errors import DomainError, GroupCapError, SingularMatrixError
 from .kfield import (
     FieldId,
     KElement,
@@ -602,16 +602,16 @@ def _schur_split(P: KMatrix) -> tuple[Fraction, KMatrix, KMatrix, KMatrix]:
     """
     field = P.field
     h = P.rows
-    mu1 = _rational_entry(P[(0, 0)], "P")
     r = [P[(0, j)] for j in range(1, h)]  # 1 x (h-1)
     p1 = KMatrix([[P[(i, j)] for j in range(1, h)] for i in range(1, h)])
     p1_inv = p1.inverse()
     # column vector P1^-1 R^t
     r_col = KMatrix.column_vector(r)
     x = p1_inv @ r_col  # (h-1) x 1
-    lam1 = mu1 - sum(
-        (r[i] * x[(i, 0)]).a for i in range(h - 1)
-    )
+    mu1 = P[(0, 0)]
+    for i in range(h - 1):
+        mu1 = mu1 - r[i] * x[(i, 0)]
+    lam1 = _rational_entry(mu1, "P")
     if lam1 <= 0:
         raise DomainError(f"P is not positive definite: Schur pivot {lam1} <= 0")
     one = field.one()
@@ -626,6 +626,10 @@ def _schur_split(P: KMatrix) -> tuple[Fraction, KMatrix, KMatrix, KMatrix]:
             [-x[(i, 0)]] + [one if j == i else zero for j in range(h - 1)]
         )
     return (lam1, p1, KMatrix(k_rows), KMatrix(m_rows))
+
+
+# the monomial count's cap: the default order cap of each group
+_MAX_MONOMIALS = 10**6
 
 
 def decompose_rational_P(
@@ -653,23 +657,38 @@ def decompose_rational_P(
                 raise DomainError("P must be symmetric")
 
     # the pivot, unipotent factor and its two groups at each level depend on
-    # P alone, so build that chain once instead of once per branch
-    chain: list[tuple[KMatrix, KMatrix, FiniteAbelianGroup, FiniteAbelianGroup]] = []
+    # P alone, so build that chain once instead of once per branch: per
+    # level K^t, M = K^-1, the G1 representatives, the G2 representatives
+    # times the dual generator, and #G2
+    dual = dual_generator(field)
+    chain: list[tuple[KMatrix, KMatrix, tuple[KMatrix, ...], tuple[KMatrix, ...], int]] = []
     lambdas: list[Fraction] = []
     cur = P
     while cur.rows > 1:
         lam1, p1, k_mat, m_mat = _schur_split(cur)
         lambdas.append(lam1)
-        chain.append(
-            (k_mat, m_mat, shift_group(g, k_mat), character_group(g, k_mat))
-        )
+        g1, g2 = shift_group(g, k_mat), character_group(g, k_mat)
+        chain.append((
+            k_mat.transpose(),
+            m_mat,
+            g1.representatives,
+            tuple(rep.scale(dual) for rep in g2.representatives),
+            g2.order,
+        ))
         cur = p1
     last = _rational_entry(cur[(0, 0)], "P")
     if last <= 0:
         raise DomainError(f"P is not positive definite: pivot {last} <= 0")
     lambdas.append(last)
+    # the expansion has one monomial per choice of (A, B) in G1 x G2 at
+    # every level; refuse it before building it when that count exceeds
+    # the cap that bounds each group
+    count = math.prod(len(a_reps) * len(b_duals) for _, _, a_reps, b_duals, _ in chain)
+    if count > _MAX_MONOMIALS:
+        raise GroupCapError(
+            f"the decomposition has {count} monomials, over the cap {_MAX_MONOMIALS}"
+        )
 
-    dual = dual_generator(field)
     lam_mats = [KMatrix([[field.from_rational(lam)]]) for lam in lambdas]
     monomials: list[Term] = []
 
@@ -693,32 +712,25 @@ def decompose_rational_P(
                 )
             )
             return
-        h = len(lambdas) - level
-        k_mat, m_mat, g1, g2 = chain[level]
-        a_thm = A_cur @ k_mat.transpose()
+        k_t, m_mat, a_reps, b_duals, g2_order = chain[level]
+        a_thm = A_cur @ k_t
         b_thm = B_cur @ m_mat
-        scale_next = scale_acc / g2.order
-        for b_rep in g2.representatives:
-            b_dual = b_rep.scale(dual)
+        scale_next = scale_acc / g2_order
+        p = lam_mats[level]
+        for b_dual in b_duals:
             q = q_acc + re_trace_of_product(a_thm, b_dual)
             b_char = b_thm + b_dual
-            for a_rep in g1.representatives:
+            b_head, b_rest = b_char.column(0), b_char.columns(1)
+            for a_rep in a_reps:
                 a_char = a_thm + a_rep
                 recurse(
                     level + 1,
-                    KMatrix([[a_char[(i, j)] for j in range(1, h)] for i in range(g)]),
-                    KMatrix([[b_char[(i, j)] for j in range(1, h)] for i in range(g)]),
+                    a_char.columns(1),
+                    b_rest,
                     q,
                     scale_next,
                     factors
-                    + (
-                        ThetaFactor(
-                            kind="field",
-                            a=a_char.column(0),
-                            b=b_char.column(0),
-                            p=lam_mats[level],
-                        ),
-                    ),
+                    + (ThetaFactor(kind="field", a=a_char.column(0), b=b_head, p=p),),
                 )
 
     recurse(0, A0, B0, Fraction(0), Fraction(1), ())

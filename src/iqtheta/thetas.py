@@ -64,7 +64,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .kfield import FieldId, KElement, KMatrix, re_trace_of_product
+from .kfield import FieldId, KElement, KMatrix, _canonical, re_trace_of_product
 
 __all__ = [
     "ThetaParams",
@@ -310,24 +310,39 @@ def choose_radius(
     return radius
 
 
-def _centered(f: Fraction) -> Fraction:
-    return f - math.floor(f + Fraction(1, 2))
+def _centered(x: KElement) -> KElement:
+    """x - floor(a + 1/2) - floor(b + 1/2)*delta for x = a + b*delta.
+
+    With a = n/den, floor(a + 1/2) = (2n + den) // (2 den).  Shifting n and
+    m by multiples of den keeps gcd(n, m, den) = 1, so the result is
+    canonical as it stands."""
+    n, m, den = x.n, x.m, x.den
+    if den == 1:
+        return x.field.zero()
+    two_den = 2 * den
+    return _canonical(
+        n - (2 * n + den) // two_den * den,
+        m - (2 * m + den) // two_den * den,
+        den,
+        x.field,
+    )
 
 
 def _reduce_mod_integral(A0: KMatrix) -> KMatrix:
     """The representative of A0 mod Mat(g, h; O_K) whose entries have
     delta-coordinates in [-1/2, 1/2).  Shifting A0 by an integral matrix and
     reindexing N leaves the theta sum unchanged for every B0."""
-    return KMatrix(
-        [[KElement(_centered(x.a), _centered(x.b), x.field) for x in row]
-         for row in A0.entry_rows()]
+    return KMatrix._of(
+        tuple(tuple(_centered(x) for x in row) for row in A0.entry_rows()), A0.field
     )
 
 
 def _offsets(A0: KMatrix, field: FieldId) -> np.ndarray:
+    # n / den rounds like float(Fraction(n, den)), so the floats are the
+    # ones the rational coordinates give
     dc = field.delta_complex
     return np.array(
-        [[float(x.a) + float(x.b) * dc for x in row] for row in A0.entry_rows()],
+        [[x.n / x.den + (x.m / x.den) * dc for x in row] for row in A0.entry_rows()],
         dtype=np.complex128,
     )
 
@@ -560,8 +575,8 @@ class _Leaf:
         return _LeafFloats(
             offsets,
             math.sqrt(float(np.sum(np.abs(offsets) ** 2))),
-            np.array([float(c) for row in self.A0.entry_rows() for x in row
-                      for c in (x.a, x.b)]),
+            np.array([c / x.den for row in self.A0.entry_rows() for x in row
+                      for c in (x.n, x.m)]),
             np.ascontiguousarray(b0.real).reshape(-1),
             np.ascontiguousarray(b0.imag).reshape(-1),
         )

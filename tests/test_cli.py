@@ -338,3 +338,32 @@ def test_large_prime_d_evaluates(capsys):
     value = json.loads(out)["value"]
     assert value[0] == pytest.approx(math.pi ** 0.25 / math.gamma(0.75), abs=1e-13)
     assert value[1] == 0.0
+
+
+def _off_diagonal_spec(den: int) -> str:
+    return json.dumps({"d": 1, "g": 1, "P": [[1, [1, den]], [[1, den], 1]]})
+
+
+def test_decompose_refuses_an_expansion_over_the_cap(capsys):
+    # each group of the 1/97 spec has order 97^2, under the group cap, but
+    # the expansion has 97^4 monomials: it ran for minutes before the count
+    # was checked ahead of the expansion
+    start = time.perf_counter()
+    assert main(["decompose", "--spec", _off_diagonal_spec(97)]) == 4
+    assert time.perf_counter() - start < 2.0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("group cap: "), lines
+    assert str(97**4) in lines[0]
+    code, out = _run(capsys, ["decompose", "--spec", _off_diagonal_spec(7)])
+    assert code == 0
+    assert json.loads(out)["monomial_count"] == 7**4
+
+
+def test_residual_exit_writes_one_stderr_line(capsys):
+    assert main(["verify", "--preset", "matsumoto", "--corrupt-phase"]) == 5
+    captured = capsys.readouterr()
+    reports = json.loads(captured.out)["reports"]
+    failed = sum(not r["passed"] for r in reports)
+    assert failed > 0
+    lines = captured.err.splitlines()
+    assert lines == [f"residual: {failed} of {len(reports)} reports exceed their tolerance"]

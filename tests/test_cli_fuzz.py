@@ -1,7 +1,7 @@
-"""Property test of the command line: eval and decompose, and groups and
-build on a relation spec, on well-formed input with one node broken or
-removed, end in a documented exit code with one stderr line on failure,
-never a traceback."""
+"""Property test of the command line: eval and decompose, and groups,
+build and verify on a relation spec, on well-formed input with one node
+broken or removed, end in a documented exit code with one stderr line on
+failure, never a traceback."""
 
 import contextlib
 import io
@@ -141,14 +141,14 @@ _T = {1: [_exact([[(2,)]]), _exact([[(1, 1)]]), _exact([[(1, 0, 2)]])],
 
 @st.composite
 def _spec_argv(draw):
-    """groups or build on a well-formed relation spec, g, h <= 2, with at
-    most one node of the spec or the group order cap broken."""
+    """groups, build or verify on a well-formed relation spec, g, h <= 2,
+    with at most one node of the spec or the group order cap broken."""
     g = draw(st.integers(1, 2))
     h = draw(st.integers(1, 2))
     spec = {"d": draw(st.sampled_from([1, 2, 3, 7])), "g": g,
             "T": draw(st.sampled_from(_T[h])), "P": draw(st.sampled_from(_P[h])),
             "A0": draw(_chars(g, h)), "B0": draw(_chars(g, h)), "name": "fuzz"}
-    argv = [draw(st.sampled_from(["groups", "build"]))]
+    argv = [draw(st.sampled_from(["groups", "build", "verify"]))]
     target = draw(st.sampled_from([None, "--spec", "--max-order"]))
     if target == "--spec":
         spec = draw(_broken(spec))
