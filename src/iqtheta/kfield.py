@@ -381,10 +381,6 @@ class KMatrix:
         return KMatrix([[field.from_rational(x) for x in row] for row in rows])
 
     @staticmethod
-    def row_vector(entries: Iterable[KElement]) -> "KMatrix":
-        return KMatrix([list(entries)])
-
-    @staticmethod
     def column_vector(entries: Iterable[KElement]) -> "KMatrix":
         return KMatrix([[x] for x in entries])
 

@@ -447,16 +447,23 @@ def standard_matrix_lattice(g: int, h: int) -> IntLattice:
     return IntLattice.standard(2 * g * h)
 
 
+def quotient_lattices(g: int, M: KMatrix) -> tuple[IntLattice, IntLattice]:
+    """(L, S) for L = Lambda @ M and S = L meet Lambda, Lambda =
+    Mat(g, h; O_K): L / S is the shift group for M = conj_transpose(T) and
+    the character group for M = T^-1, and index_in(L, S) its order."""
+    h = M.rows
+    L = lattice_image(g, h, M)
+    return L, lattice_intersect(L, standard_matrix_lattice(g, h))
+
+
 def shift_group(g: int, T: KMatrix, max_order: int = 10**6) -> FiniteAbelianGroup:
     """The quotient (Lambda @ conj_transpose(T)) / its intersection with Lambda.
 
     Its cosets index the characteristic shifts on the right-hand side of the
     relation; Lambda = Mat(g, h; O_K).
     """
-    h = T.rows
-    L = lattice_image(g, h, T.conj_transpose())
-    S = lattice_intersect(L, standard_matrix_lattice(g, h))
-    return quotient_group(L, S, T.field, g, h, max_order)
+    L, S = quotient_lattices(g, T.conj_transpose())
+    return quotient_group(L, S, T.field, g, T.rows, max_order)
 
 
 def character_group(g: int, T: KMatrix, max_order: int = 10**6) -> FiniteAbelianGroup:
@@ -464,10 +471,8 @@ def character_group(g: int, T: KMatrix, max_order: int = 10**6) -> FiniteAbelian
 
     Its cosets index the character twists summed on the right-hand side.
     """
-    h = T.rows
-    L = lattice_image(g, h, T.inverse())
-    S = lattice_intersect(L, standard_matrix_lattice(g, h))
-    return quotient_group(L, S, T.field, g, h, max_order)
+    L, S = quotient_lattices(g, T.inverse())
+    return quotient_group(L, S, T.field, g, T.rows, max_order)
 
 
 def character_phase(M: KMatrix, B: KMatrix) -> Fraction:

@@ -26,7 +26,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -49,7 +48,7 @@ from .relations import (
     build_relation,
     evaluate_relation,
 )
-from .thetas import MatrixLike, ThetaCache, ThetaParams
+from .thetas import MatrixLike, ThetaParams
 
 __all__ = [
     "PRESET_NAMES",
@@ -107,15 +106,9 @@ class IdentityCheck:
         plan = _cached_plan(
             self._plans, params, lambda: _lower_terms(params, (self.lhs, self.rhs))
         )
-        cache = ThetaCache()
-        _, (lhs, rhs) = _sum_terms(plan, W, cache)
+        _, (lhs, rhs), evals, hits = _sum_terms(plan, W)
         return VerificationReport.compare(
-            lhs,
-            rhs,
-            len(self.lhs) + len(self.rhs),
-            cache.misses + plan.riemann_evals,
-            cache.hits,
-            params.eps,
+            lhs, rhs, len(self.lhs) + len(self.rhs), evals, hits, params.eps
         )
 
 
@@ -1191,26 +1184,18 @@ def run_paper_suite(
 ) -> SuiteResult:
     """Evaluate the full worked-example catalog at the default samples.
 
-    Reports come back in plan order regardless of thread count, and the
+    Entries run serially in plan order (threads has no effect), and the
     JSON payload contains no timing data, so output is reproducible.
     """
     if params is None:
         params = ThetaParams()
     if plan is None:
         plan = DEFAULT_SUITE_PLAN
-    entries = list(plan)
-    results: list[tuple[list, list, list]]
-    if threads <= 1:
-        results = [_run_one_preset(e, params) for e in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda e: _run_one_preset(e, params), entries)
-            )
     reports: list = []
     warnings: list = []
     seconds: list = []
-    for rows, secs, warns in results:
+    for entry in plan:
+        rows, secs, warns = _run_one_preset(entry, params)
         reports.extend(rows)
         seconds.extend(secs)
         warnings.extend(warns)

@@ -28,10 +28,12 @@ float coefficient, and per factor either the thetas leaves it multiplies
 (see thetas._lower) with the scale of W they read, or a Riemann theta.
 The plan is cached on the object that owns the Terms (RelationInstance,
 IdentityCheck, PDecomposition), one per ThetaParams.  Evaluation
-(`_sum_terms`) takes one W: it builds and checks each scaled W once,
-evaluates the leaves the cache lacks in one batch per group of leaves that
-share a P (see thetas._evaluate_ahead), then makes one ThetaCache lookup
-per leaf occurrence, in the order the terms and factors are written.
+(`_sum_terms`) takes one W: it builds and checks each scaled W once, and
+evaluates each distinct (leaf, W bytes) pair once into a table that
+belongs to that one evaluation, one batch per group of leaves that share
+a P (see thetas._evaluate_ahead).  The term loop reads that table in the
+order the terms and factors are written, and the plan works out its
+evaluation and hit counts from the table's size and its own reads.
 theta_general is the same pipeline for one factor.
 """
 
@@ -40,8 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Iterable, Optional
+from functools import cached_property, partial
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,10 +56,16 @@ from .kfield import (
     json_int,
     re_trace_of_product,
 )
-from .lattices import FiniteAbelianGroup, character_group, shift_group
+from .lattices import (
+    FiniteAbelianGroup,
+    character_group,
+    index_in,
+    quotient_group,
+    quotient_lattices,
+    shift_group,
+)
 from .thetas import (
     MatrixLike,
-    ThetaCache,
     ThetaParams,
     _as_complex_matrix,
     _at,
@@ -67,6 +75,7 @@ from .thetas import (
     _leaves_value,
     _lower,
     _lower_check,
+    _table_value,
     riemann_theta_z0,
 )
 
@@ -124,62 +133,30 @@ def _phase(q: Fraction) -> complex:
     return complex(np.exp(-2j * np.pi * float(q)))
 
 
-class _FieldOp:
-    """A field factor: the product of its leaves at W itself."""
+class _Op(NamedTuple):
+    """A factor lowered: the product of its leaves at the plan's W number w,
+    times phase for a check factor; a Riemann factor has no leaves and is
+    evaluated by riemann_theta_z0 on every read."""
 
-    __slots__ = ("w", "leaves")
-
-    def __init__(self, w: int, leaves: tuple[_Leaf, ...]) -> None:
-        self.w = w
-        self.leaves = leaves
-
-    def value(self, ws: list, cache: ThetaCache) -> complex:
-        return _leaves_value(self.leaves, ws[self.w], cache).value
-
-
-class _CheckOp:
-    """A check factor: a fixed phase times one leaf at its scaled W."""
-
-    __slots__ = ("w", "leaf", "phase")
-
-    def __init__(self, w: int, leaf: _Leaf, phase: complex) -> None:
-        self.w = w
-        self.leaf = leaf
-        self.phase = phase
-
-    def value(self, ws: list, cache: ThetaCache) -> complex:
-        return self.phase * _leaves_value((self.leaf,), ws[self.w], cache).value
-
-
-class _RiemannOp:
-    """A Riemann factor, never cached: riemann_theta_z0 at its scaled W."""
-
-    __slots__ = ("w", "a", "b", "params")
-
-    def __init__(self, w: int, a: object, b: object, params: ThetaParams) -> None:
-        self.w = w
-        self.a = a
-        self.b = b
-        self.params = params
-
-    def value(self, ws: list, cache: ThetaCache) -> complex:
-        return riemann_theta_z0(self.a, self.b, ws[self.w][0], self.params).value
+    w: int
+    leaves: tuple[_Leaf, ...] = ()
+    phase: Optional[complex] = None
+    riemann: Optional[tuple[object, object]] = None  # (a, b)
 
 
 @dataclass(frozen=True)
 class _Plan:
     """Term sums lowered for one ThetaParams; see _lower_terms."""
 
+    params: ThetaParams
     # one entry per W the factors read: (float(w_scale), or None for W
-    # itself; whether it is doubled; whether leaves read it, so it needs
-    # the per-W check)
-    scales: tuple[tuple[Optional[float], bool, bool], ...]
+    # itself; whether it is doubled)
+    scales: tuple[tuple[Optional[float], bool], ...]
     # per entry of scales, the distinct leaves read at that W, grouped for
-    # thetas._evaluate_ahead
+    # thetas._evaluate_ahead; empty when only Riemann factors read it
     groups: tuple[tuple[tuple[_Leaf, ...], ...], ...]
-    bare: tuple[object, ...]
-    sides: tuple[tuple[tuple[complex, tuple[object, ...]], ...], ...]
-    riemann_evals: int
+    bare: tuple[_Op, ...]
+    sides: tuple[tuple[tuple[complex, tuple[_Op, ...]], ...], ...]
 
 
 def _lower_terms(
@@ -190,46 +167,35 @@ def _lower_terms(
     """Lower bare factors and Term sums together, so they share leaves.
 
     Equal factors are lowered once, each distinct P is checked once, and
-    equal leaf keys are interned, so a cache hit compares keys by identity.
-    riemann_evals counts the Riemann factor occurrences, each evaluated on
-    every call.
+    equal leaf keys are interned, so a table lookup compares keys by
+    identity.
     """
     scales: dict[tuple[Optional[float], bool], int] = {}
-    checked: set[int] = set()
     leaves: dict = {}
     read: dict[int, dict] = {}  # per W index, its distinct leaves by key
     p_columns: dict = {}
-    ops: dict[ThetaFactor, object] = {}
-    riemann_evals = 0
-
-    def w_index(scale: Optional[float], doubled: bool, by_leaves: bool) -> int:
-        i = scales.setdefault((scale, doubled), len(scales))
-        if by_leaves:
-            checked.add(i)
-        return i
+    ops: dict[ThetaFactor, _Op] = {}
 
     def intern(w: int, leaf: _Leaf) -> _Leaf:
         leaf = leaves.setdefault(leaf.key, leaf)
         read.setdefault(w, {})[leaf.key] = leaf
         return leaf
 
-    def lower(f: ThetaFactor) -> object:
-        nonlocal riemann_evals
-        if f.kind == "riemann":
-            riemann_evals += 1
+    def lower(f: ThetaFactor) -> _Op:
         op = ops.get(f)
         if op is not None:
             return op
         if f.kind == "field":
             lowered = _lower(f.a.field, f.p, f.a, f.b, params, p_columns)
-            w = w_index(None, False, True)
-            op = _FieldOp(w, tuple(intern(w, leaf) for leaf in lowered))
+            w = scales.setdefault((None, False), len(scales))
+            op = _Op(w, tuple(intern(w, leaf) for leaf in lowered))
         elif f.kind == "check":
             phase, leaf, doubled = _lower_check(f.a.field, f.a, f.b, params)
-            w = w_index(float(f.w_scale), doubled, True)
-            op = _CheckOp(w, intern(w, leaf), phase)
+            w = scales.setdefault((float(f.w_scale), doubled), len(scales))
+            op = _Op(w, (intern(w, leaf),), phase)
         elif f.kind == "riemann":
-            op = _RiemannOp(w_index(float(f.w_scale), False, False), f.a, f.b, params)
+            w = scales.setdefault((float(f.w_scale), False), len(scales))
+            op = _Op(w, riemann=(f.a, f.b))
         else:
             raise ValueError(f"unknown factor kind {f.kind!r}")
         ops[f] = op
@@ -247,16 +213,13 @@ def _lower_terms(
         for side in sides
     )
     return _Plan(
-        scales=tuple(
-            (scale, doubled, i in checked)
-            for (scale, doubled), i in scales.items()
-        ),
+        params=params,
+        scales=tuple(scales),
         groups=tuple(
             _group_leaves(read.get(i, {}).values()) for i in range(len(scales))
         ),
         bare=bare_ops,
         sides=lowered_sides,
-        riemann_evals=riemann_evals,
     )
 
 
@@ -269,40 +232,53 @@ def _cached_plan(plans: dict, params: ThetaParams, lower: Callable[[], _Plan]) -
 
 
 def _sum_terms(
-    plan: _Plan, W: MatrixLike, cache: ThetaCache
-) -> tuple[list[complex], list[complex]]:
-    """The plan at W: the value of each bare factor, then the sum of each side.
+    plan: _Plan, W: MatrixLike
+) -> tuple[list[complex], list[complex], int, int]:
+    """The plan at W: the value of each bare factor, the sum of each side,
+    and the theta evaluations and hits of one public call per factor, all
+    on one fresh cache.
 
     Each scaled W is built once (W * float(w_scale), then doubled) and,
-    when leaves read it, checked once.  Then the leaves each W reads that
-    cache lacks are evaluated ahead, one batch per group of leaves that
-    share a P (thetas._evaluate_ahead), and the term loop reads every leaf
-    through the cache, so hits and misses count as if each factor were
-    evaluated alone.  Each term starts from its coefficient and multiplies
-    its factors left to right; real and imaginary parts are summed with
-    fsum.
+    when leaves read it, checked once, and its leaves are evaluated ahead
+    into this evaluation's table (thetas._evaluate_ahead), which the term
+    loop reads.  The evaluations are the table's entries plus the Riemann
+    reads, the hits the other leaf reads.  Each term starts from its
+    coefficient and multiplies its factors left to right; real and
+    imaginary parts are summed with fsum.
     """
     base = _as_complex_matrix(W, "W")
+    table: dict = {}
     ws = []
-    for scale, doubled, by_leaves in plan.scales:
+    for (scale, doubled), groups in zip(plan.scales, plan.groups):
         w = base if scale is None else base * scale
         if doubled:
             w = 2.0 * w
-        ws.append(_at(w) if by_leaves else (w,))
-    for at, groups in zip(ws, plan.groups):
-        _evaluate_ahead(groups, at, cache)
-    bare = [op.value(ws, cache) for op in plan.bare]
+        ws.append(_at(w) if groups else (w,))
+        _evaluate_ahead(groups, ws[-1], table)
+    read = partial(_table_value, table)
+    reads = riemann_reads = 0
+
+    def value(op: _Op) -> complex:
+        nonlocal reads, riemann_reads
+        if op.riemann is not None:
+            riemann_reads += 1
+            return riemann_theta_z0(*op.riemann, ws[op.w][0], plan.params).value
+        reads += len(op.leaves)
+        v = _leaves_value(op.leaves, ws[op.w], read).value
+        return v if op.phase is None else op.phase * v
+
+    bare = [value(op) for op in plan.bare]
     sums = []
     for side in plan.sides:
         re_parts: list[float] = []
         im_parts: list[float] = []
         for acc, ops in side:
             for op in ops:
-                acc *= op.value(ws, cache)
+                acc *= value(op)
             re_parts.append(acc.real)
             im_parts.append(acc.imag)
         sums.append(complex(math.fsum(re_parts), math.fsum(im_parts)))
-    return bare, sums
+    return bare, sums, len(table) + riemann_reads, reads - len(table)
 
 
 @dataclass(frozen=True)
@@ -537,11 +513,10 @@ def evaluate_relation(
 
     # a corrupted plan is lowered fresh and never cached
     plan = lower() if corrupt else _cached_plan(inst._plans, params, lower)
-    cache = ThetaCache()
-    (lhs,), (rhs_sum,) = _sum_terms(plan, W, cache)
+    (lhs,), (rhs_sum,), evals, hits = _sum_terms(plan, W)
     rhs = float(inst.scale) * rhs_sum
     return VerificationReport.compare(
-        complex(lhs), rhs, len(inst.terms), cache.misses, cache.hits, params.eps
+        complex(lhs), rhs, len(inst.terms), evals, hits, params.eps
     )
 
 
@@ -573,19 +548,14 @@ class PDecomposition:
         return {}
 
     def evaluate(
-        self,
-        W: MatrixLike,
-        params: Optional[ThetaParams] = None,
-        cache: Optional[ThetaCache] = None,
+        self, W: MatrixLike, params: Optional[ThetaParams] = None
     ) -> complex:
         if params is None:
             params = ThetaParams()
-        if cache is None:
-            cache = ThetaCache()
         plan = _cached_plan(
             self._plans, params, lambda: _lower_terms(params, (self.monomials,))
         )
-        return _sum_terms(plan, W, cache)[1][0]
+        return _sum_terms(plan, W)[1][0]
 
 
 def _rational_entry(x: KElement, what: str) -> Fraction:
@@ -657,37 +627,42 @@ def decompose_rational_P(
                 raise DomainError("P must be symmetric")
 
     # the pivot, unipotent factor and its two groups at each level depend on
-    # P alone, so build that chain once instead of once per branch: per
-    # level K^t, M = K^-1, the G1 representatives, the G2 representatives
-    # times the dual generator, and #G2
-    dual = dual_generator(field)
-    chain: list[tuple[KMatrix, KMatrix, tuple[KMatrix, ...], tuple[KMatrix, ...], int]] = []
+    # P alone, so build that chain once instead of once per branch.  The
+    # expansion has one monomial per choice of (A, B) in G1 x G2 at every
+    # level; the group orders come from their lattices (see shift_group and
+    # character_group), so an expansion over the cap that bounds each group
+    # is refused before any representative is built
+    levels = []
     lambdas: list[Fraction] = []
+    count = 1
     cur = P
     while cur.rows > 1:
         lam1, p1, k_mat, m_mat = _schur_split(cur)
         lambdas.append(lam1)
-        g1, g2 = shift_group(g, k_mat), character_group(g, k_mat)
-        chain.append((
-            k_mat.transpose(),
-            m_mat,
-            g1.representatives,
-            tuple(rep.scale(dual) for rep in g2.representatives),
-            g2.order,
-        ))
+        pairs = [quotient_lattices(g, M) for M in (k_mat.conj_transpose(), m_mat)]
+        count *= index_in(*pairs[0]) * index_in(*pairs[1])
+        levels.append((k_mat, m_mat, pairs))
         cur = p1
     last = _rational_entry(cur[(0, 0)], "P")
     if last <= 0:
         raise DomainError(f"P is not positive definite: pivot {last} <= 0")
     lambdas.append(last)
-    # the expansion has one monomial per choice of (A, B) in G1 x G2 at
-    # every level; refuse it before building it when that count exceeds
-    # the cap that bounds each group
-    count = math.prod(len(a_reps) * len(b_duals) for _, _, a_reps, b_duals, _ in chain)
     if count > _MAX_MONOMIALS:
         raise GroupCapError(
             f"the decomposition has {count} monomials, over the cap {_MAX_MONOMIALS}"
         )
+    # per level K^t, M = K^-1, the G1 representatives, and the G2
+    # representatives times the dual generator
+    dual = dual_generator(field)
+    chain: list[tuple[KMatrix, KMatrix, tuple[KMatrix, ...], tuple[KMatrix, ...]]] = []
+    for k_mat, m_mat, pairs in levels:
+        g1, g2 = (quotient_group(L, S, field, g, k_mat.rows) for L, S in pairs)
+        chain.append((
+            k_mat.transpose(),
+            m_mat,
+            g1.representatives,
+            tuple(rep.scale(dual) for rep in g2.representatives),
+        ))
 
     lam_mats = [KMatrix([[field.from_rational(lam)]]) for lam in lambdas]
     monomials: list[Term] = []
@@ -712,10 +687,10 @@ def decompose_rational_P(
                 )
             )
             return
-        k_t, m_mat, a_reps, b_duals, g2_order = chain[level]
+        k_t, m_mat, a_reps, b_duals = chain[level]
         a_thm = A_cur @ k_t
         b_thm = B_cur @ m_mat
-        scale_next = scale_acc / g2_order
+        scale_next = scale_acc / len(b_duals)
         p = lam_mats[level]
         for b_dual in b_duals:
             q = q_acc + re_trace_of_product(a_thm, b_dual)

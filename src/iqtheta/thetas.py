@@ -33,24 +33,25 @@ W is the only floating-point input.  P, A0 and B0 are exact matrices over K
 Every theta runs in two steps.  Lowering (`_lower`) does all the exact,
 W-independent work once: it checks shapes and that P is Hermitian, reduces
 A0 mod O_K, splits an exactly diagonal P into 1x1 columns, and stores the
-exact inputs of each resulting dense theta (a leaf) with its cache key; the
+exact inputs of each resulting dense theta (a leaf) with its key; the
 leaf's float data (the offsets and their real coordinates, B0) is built on
 its first evaluation.  Evaluation takes one W: the per-W check (`_at`:
-square, finite, inside H1, one eigensolve) runs once, then each leaf is one
-ThetaCache lookup.  `theta_general` is the one-factor plan: lower, check
-W, evaluate the leaves, each miss one `_theta_dense` call.
+square, finite, inside H1, one eigensolve) runs once, then `_leaves_value`
+multiplies the leaves' values.  `theta_general` is the one-factor plan,
+each leaf one `_theta_dense` call, through a ThetaCache if one is passed.
 
 Sums of many factors (relations.py) lower their whole term tuple once and
-evaluate it per W.  Their leaves at one W are grouped by what they share
-(field, shape, P, ThetaParams), and before the term loop the leaves the
-cache lacks are evaluated group by group (`_evaluate_ahead`, `_theta_batch`):
-lam_min(P), the Gram matrix and its Cholesky factor, the (W kron P^T) form
-and the radii are computed once per group, one enumeration runs over every
-leaf's center at once, and one exp covers each block of points of many
-leaves.  Each leaf keeps its own radius, tail bound, points and summation,
-so its ThetaValue is bit for bit the one a `_theta_dense` call of its own
-gives; `_theta_dense` is the batch of one.  The cache misses of the term
-loop then take these values, so hit and miss counts are unchanged.
+evaluate it per W into a table of leaf values, keyed by (leaf key, W
+bytes), that belongs to that one evaluation.  Before the term loop the
+leaves of each group that shares (field, shape, P, ThetaParams) are
+evaluated together (`_evaluate_ahead`, `_theta_batch`): lam_min(P), the
+Gram matrix and its Cholesky factor, the (W kron P^T) form and the radii
+are computed once per group, one enumeration runs over every leaf's center
+at once, and one exp covers each block of points of many leaves.  Each
+leaf keeps its own radius, tail bound, points and summation, so its
+ThetaValue is bit for bit the one a `_theta_dense` call of its own gives;
+`_theta_dense` is the batch of one, and the term loop uses it only for a
+leaf that a failed batch left out of the table (`_table_value`).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -120,14 +121,14 @@ class ThetaValue:
 
 
 class ThetaCache:
-    """Memo table for theta evaluations within one verification run.
+    """Memo table that callers of theta_general and theta_check_variant
+    share across their calls, counting hits and misses.
 
-    Instances are meant to be short lived and private to a single relation
-    evaluation so that hit counts are reproducible.  Keys must capture every
-    input that affects the value: a dense theta is keyed by (leaf key, W
-    bytes), where the leaf key holds the field, shapes, P, A0 reduced mod
-    O_K, B0, eps and max_radius, so characteristics that differ by an
-    integral matrix share one entry.
+    A dense theta is keyed by (leaf key, W bytes), where the leaf key holds
+    the field, shapes, P, A0 reduced mod O_K, B0, eps and max_radius, so
+    characteristics that differ by an integral matrix share one entry.
+    Term sums (relations.py) do not use it: each evaluation of a plan keeps
+    its own table of leaf values under the same keys.
     """
 
     def __init__(self) -> None:
@@ -145,10 +146,6 @@ class ThetaCache:
             return value
         self.hits += 1
         return value
-
-    def __contains__(self, key) -> bool:
-        """Whether key is stored; counts neither a hit nor a miss."""
-        return key in self._store
 
 
 def _as_complex_matrix(m: MatrixLike, name: str) -> np.ndarray:
@@ -503,7 +500,7 @@ def _ellipsoid_points(
 
 
 class _LeafKey:
-    """The cache identity of one dense theta, hashed once at lowering:
+    """The identity of one dense theta, hashed once at lowering:
     (d, g, h, P, A0 reduced mod O_K, B0, eps, max_radius)."""
 
     __slots__ = ("data", "_hash")
@@ -545,7 +542,7 @@ def _float_matrix(m: KMatrix, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Leaf:
-    """One dense theta: its cache key and exact inputs, A0 reduced mod O_K.
+    """One dense theta: its key and exact inputs, A0 reduced mod O_K.
 
     The float inputs are built on the first evaluation, not at lowering:
     lowering a term sum builds many equal leaves that interning then drops.
@@ -790,13 +787,12 @@ class _CheckedW(NamedTuple):
     """A W that passed the per-W check (see _at)."""
 
     w: np.ndarray
-    key: bytes  # the cache-key bytes of w
+    key: bytes  # the W bytes of a leaf's table or cache key
     lam_y: float  # lam_min(Y)
-    ready: dict  # leaf -> ThetaValue at w, evaluated ahead (_evaluate_ahead)
 
 
 def _at(w: np.ndarray) -> _CheckedW:
-    """The per-W check: w with its cache-key bytes and lam_min(Y).
+    """The per-W check: w with its key bytes and lam_min(Y).
 
     DomainError unless w is square, finite and inside the type-I domain."""
     if w.shape[0] != w.shape[1]:
@@ -808,55 +804,62 @@ def _at(w: np.ndarray) -> _CheckedW:
         raise DomainError(
             f"W is not in the type-I domain: lam_min(Y)={lam_y:g} <= 0"
         )
-    return _CheckedW(w, w.tobytes(), lam_y, {})
+    return _CheckedW(w, w.tobytes(), lam_y)
 
 
 def _evaluate_ahead(
-    groups: Sequence[Sequence[_Leaf]], at: _CheckedW, cache: ThetaCache
+    groups: Sequence[Sequence[_Leaf]], at: _CheckedW, table: dict
 ) -> None:
-    """Evaluate the leaves of each group (see _group_leaves) that cache
-    lacks at W, one _theta_batch per group, into at.ready, where the cache
-    misses of _leaves_value take them.
+    """Evaluate the leaves of each group (see _group_leaves) that table
+    lacks at W, one _theta_batch per group, into table (see _table_value).
 
-    A group that does not match W, or whose batch raises, is left to
-    _leaves_value: evaluated leaf by leaf in term order, it raises the
-    error of the first failing leaf, as it would without the batch.
+    A group that does not match W, or whose batch raises, is left out:
+    its leaves are then read one by one in term order, and the first
+    failing read raises the error it would raise without the batch.
     """
     for group in groups:
         if group[0].g != at.w.shape[0]:
             continue
-        todo = [leaf for leaf in group if (leaf.key, at.key) not in cache]
+        todo = [leaf for leaf in group if (leaf.key, at.key) not in table]
         if not todo:
             continue
         try:
-            at.ready.update(zip(todo, _theta_batch(todo, at.w, at.lam_y)))
+            values = _theta_batch(todo, at.w, at.lam_y)
         except (DomainError, TruncationError, np.linalg.LinAlgError):
             continue
+        table.update(((leaf.key, at.key), v) for leaf, v in zip(todo, values))
+
+
+def _table_value(table: dict, leaf: _Leaf, at: _CheckedW) -> ThetaValue:
+    """The leaf at a checked W from table, keyed by (leaf key, W bytes); a
+    leaf the table lacks is evaluated alone and stored."""
+    key = (leaf.key, at.key)
+    value = table.get(key)
+    if value is None:
+        value = table[key] = _theta_dense(leaf, at.w, at.lam_y)
+    return value
+
+
+def _cache_value(cache: Optional[ThetaCache], leaf: _Leaf, at: _CheckedW) -> ThetaValue:
+    """The leaf at a checked W through cache, or evaluated alone without one."""
+    if cache is None:
+        return _theta_dense(leaf, at.w, at.lam_y)
+    return cache.get_or_compute(
+        (leaf.key, at.key), lambda: _theta_dense(leaf, at.w, at.lam_y)
+    )
 
 
 def _leaves_value(
     leaves: tuple[_Leaf, ...],
     at: _CheckedW,
-    cache: Optional[ThetaCache],
+    value: Callable[[_Leaf, _CheckedW], ThetaValue],
 ) -> ThetaValue:
-    """The product of the leaves at a checked W (see _at), one cache lookup
-    per leaf, a miss taking the leaf's value from at.ready when it is
-    there; a single leaf is returned as is."""
-    w, w_bytes, lam_y, ready = at
+    """The product of the leaves at a checked W (see _at), each leaf's
+    value(leaf, at); a single leaf is returned as is."""
     g = leaves[0].g
-    if w.shape != (g, g):
-        raise DomainError(f"W must be {g}x{g} to match A0, got {w.shape}")
-    vals: list[ThetaValue] = []
-    for leaf in leaves:
-
-        def compute(leaf: _Leaf = leaf) -> ThetaValue:
-            value = ready.get(leaf)
-            return _theta_dense(leaf, w, lam_y) if value is None else value
-
-        if cache is None:
-            vals.append(compute())
-        else:
-            vals.append(cache.get_or_compute((leaf.key, w_bytes), compute))
+    if at.w.shape != (g, g):
+        raise DomainError(f"W must be {g}x{g} to match A0, got {at.w.shape}")
+    vals = [value(leaf, at) for leaf in leaves]
     if len(vals) == 1:
         return vals[0]
     prod = complex(1.0)
@@ -892,7 +895,9 @@ def theta_general(
     if params is None:
         params = ThetaParams()
     leaves = _lower(field, P, A0, B0, params)
-    return _leaves_value(leaves, _at(_as_complex_matrix(W, "W")), cache)
+    return _leaves_value(
+        leaves, _at(_as_complex_matrix(W, "W")), partial(_cache_value, cache)
+    )
 
 
 def theta_check_variant(
@@ -916,7 +921,7 @@ def theta_check_variant(
     w_arr = _as_complex_matrix(W, "W")
     if doubled:
         w_arr = 2.0 * w_arr
-    base = _leaves_value((leaf,), _at(w_arr), cache)
+    base = _leaves_value((leaf,), _at(w_arr), partial(_cache_value, cache))
     return ThetaValue(
         phase * base.value, base.tail_bound, base.lattice_points_used
     )

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from iqtheta import FieldId, KMatrix, RelationSpec
+from iqtheta import lattices
 from iqtheta.cli import main
 
 THETA_D1_AT_I = 1.1803405990160964  # (pi^(1/4)/Gamma(3/4))^2
@@ -344,19 +345,28 @@ def _off_diagonal_spec(den: int) -> str:
     return json.dumps({"d": 1, "g": 1, "P": [[1, [1, den]], [[1, den], 1]]})
 
 
-def test_decompose_refuses_an_expansion_over_the_cap(capsys):
+def test_decompose_refuses_an_expansion_over_the_cap(capsys, monkeypatch):
     # each group of the 1/97 spec has order 97^2, under the group cap, but
     # the expansion has 97^4 monomials: it ran for minutes before the count
-    # was checked ahead of the expansion
-    start = time.perf_counter()
-    assert main(["decompose", "--spec", _off_diagonal_spec(97)]) == 4
-    assert time.perf_counter() - start < 2.0
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("group cap: "), lines
-    assert str(97**4) in lines[0]
+    # was checked ahead of the expansion.  The 1/331 groups have 109,561
+    # representatives each, which took seconds to build before the count
+    # was taken from the lattices ahead of any representative
+    built = []
+    inner = lattices.coords_to_kmatrix
+    monkeypatch.setattr(lattices, "coords_to_kmatrix",
+                        lambda *args: built.append(args) or inner(*args))
+    for den in (97, 331):
+        start = time.perf_counter()
+        assert main(["decompose", "--spec", _off_diagonal_spec(den)]) == 4
+        assert time.perf_counter() - start < 2.0
+        assert built == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("group cap: "), lines
+        assert str(den**4) in lines[0]
     code, out = _run(capsys, ["decompose", "--spec", _off_diagonal_spec(7)])
     assert code == 0
     assert json.loads(out)["monomial_count"] == 7**4
+    assert built
 
 
 def test_residual_exit_writes_one_stderr_line(capsys):

@@ -1,6 +1,6 @@
 """Term plans: each Term sum is lowered once per owner and ThetaParams, and
 evaluating a plan at W gives, bit for bit, the sum of the public theta
-calls, with the same cache traffic."""
+calls, and the evaluation and hit counts of those calls on one cache."""
 
 import gc
 import math
@@ -111,14 +111,33 @@ def test_plan_matches_public_calls_bit_for_bit(d, g):
     )
     bare = (dense, checks[1], riemann[1])
     plan = _lower_terms(params, sides, bare)
-    assert plan.riemann_evals == 4
-    cache = ThetaCache()
-    got = _sum_terms(plan, W, cache)
+    *got, evals, hits = _sum_terms(plan, W)
     naive_cache = ThetaCache()
     want = _naive(bare, sides, W, params, naive_cache)
-    assert got == want  # complex ==: bit for bit
-    assert (cache.hits, cache.misses) == (naive_cache.hits, naive_cache.misses)
-    assert cache.hits > 0
+    assert tuple(got) == want  # complex ==: bit for bit
+    # the 4 Riemann reads are evaluated each time, outside the cache
+    assert (evals, hits) == (naive_cache.misses + 4, naive_cache.hits)
+    assert hits > 0
+
+
+def test_equal_w_bytes_share_a_leaf():
+    # a check factor at w_scale = 1 (d = 1: W is not doubled) and a field
+    # factor with P = [[1]] read the same leaf at W and at W * 1.0, whose
+    # bytes are equal: one evaluation and one hit, as one public call per
+    # factor on one cache
+    field = FieldId(1)
+    params = ThetaParams(eps=1e-11)
+    W = np.array([[0.15 + 1.1j]])
+    a, b = _col(field, 1, 1), _col(field, 1, 2)
+    check = ThetaFactor("check", a, b, w_scale=Fraction(1))
+    plain = ThetaFactor("field", a, b, p=KMatrix.identity(1, field))
+    sides = ((Term(Fraction(0), Fraction(1), (check, plain)),),)
+    plan = _lower_terms(params, sides)
+    assert len(plan.scales) == 2
+    *got, evals, hits = _sum_terms(plan, W)
+    cache = ThetaCache()
+    assert tuple(got) == _naive((), sides, W, params, cache)
+    assert (evals, hits) == (cache.misses, cache.hits) == (1, 1)
 
 
 def _relation():
@@ -323,7 +342,7 @@ def test_failing_batch_raises_at_the_first_failing_factor(monkeypatch):
     with pytest.raises(DomainError) as want:
         _naive((), sides, W, params, ThetaCache())
     with pytest.raises(DomainError) as got:
-        _sum_terms(plan, W, ThetaCache())
+        _sum_terms(plan, W)
     assert str(got.value) == str(want.value) == "W must be 2x2 to match A0, got (1, 1)"
 
 
@@ -339,20 +358,20 @@ def _decomposition_cases():
 
 @pytest.mark.parametrize("case", range(3))
 def test_shared_cache_counts_match_public_calls(case):
-    # PDecomposition.evaluate and then theta_general on one cache, as the
-    # decompose command does: the same values and the same hits and misses
-    # as one public call per factor on one cache
+    # a decomposition's plan gives the values of one public call per
+    # monomial factor, and the evaluation and hit counts of those calls on
+    # one cache; the direct theta is the same public call either way
     field, P, A0, B0 = list(_decomposition_cases())[case]
     params = ThetaParams(eps=1e-11)
     W = [[0.15 + 1.2j]]
     dec = decompose_rational_P(field, 1, P, A0, B0)
-    cache = ThetaCache()
-    poly = dec.evaluate(W, params, cache)
-    direct = theta_general(field, W, P, A0, B0, params, cache)
+    poly = dec.evaluate(W, params)
+    _, (got_poly,), evals, hits = _sum_terms(_lower_terms(params, (dec.monomials,)), W)
+    direct = theta_general(field, W, P, A0, B0, params)
     naive_cache = ThetaCache()
     _, (want_poly,) = _naive((), (dec.monomials,), W, params, naive_cache)
+    assert (evals, hits) == (naive_cache.misses, naive_cache.hits)
+    assert hits > 0 or len(dec.monomials) == 1  # a 1x1 P is one monomial
     want_direct = theta_general(field, W, P, A0, B0, params, naive_cache)
-    assert poly == want_poly
+    assert poly == got_poly == want_poly
     assert direct == want_direct
-    assert (cache.hits, cache.misses) == (naive_cache.hits, naive_cache.misses)
-    assert cache.hits > 0
