@@ -165,19 +165,10 @@ def _smith_form(a: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]
 # ---------------------------------------------------------------------------
 
 
-def kmatrix_to_coords(M: KMatrix) -> tuple[Fraction, ...]:
-    """Row-major (a, b) coordinates of a g x h matrix: a vector in Q^(2gh)."""
-    out: list[Fraction] = []
-    for row in M.entry_rows():
-        for x in row:
-            out.append(x.a)
-            out.append(x.b)
-    return tuple(out)
-
-
 def _int_coords(M: KMatrix) -> tuple[list[int], int]:
-    """(nums, den) with kmatrix_to_coords(M) = nums / den entrywise and den
-    the least common denominator."""
+    """(nums, den) with nums / den the row-major (a, b) coordinates of the
+    entries a + b*delta of M, a vector in Q^(2gh), and den their least
+    common denominator."""
     den = math.lcm(*(x.den for row in M.entry_rows() for x in row))
     nums: list[int] = []
     for row in M.entry_rows():
@@ -250,9 +241,6 @@ class IntLattice:
                 scale //= g
                 hnf = [[x // g for x in row] for row in hnf]
         return IntLattice(dim, scale, tuple(tuple(r) for r in hnf))
-
-    def rational_basis(self) -> list[list[Fraction]]:
-        return [[Fraction(x, self.scale) for x in row] for row in self.basis]
 
     def coordinates(self, vec: Sequence[Fraction]) -> Optional[list[int]]:
         """Integer coefficients of vec over the basis rows, None if vec is

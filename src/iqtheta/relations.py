@@ -24,10 +24,11 @@ definite P as an exact-coefficient polynomial in one-column thetas.
 
 Every side is a sum of Terms, evaluated in two steps.  Lowering
 (`_lower_terms`) runs once per Term tuple and ThetaParams: each Term's
-float coefficient, and per factor either the thetas leaves it multiplies
-(see thetas._lower) with the scale of W they read, or a Riemann theta.
-The plan is cached on the object that owns the Terms (RelationInstance,
-IdentityCheck, PDecomposition), one per ThetaParams.  Evaluation
+float coefficient, and per factor the thetas leaves it multiplies (see
+thetas._lower; a Riemann theta is one leaf over Z, see
+thetas._lower_riemann) with the scale of W they read.  The plan is cached
+on the object that owns the Terms (RelationInstance, IdentityCheck,
+PDecomposition), one per ThetaParams.  Evaluation
 (`_sum_terms`) takes one W: it builds and checks each scaled W once, and
 evaluates each distinct (leaf, W bytes) pair once into a table that
 belongs to that one evaluation, one batch per group of leaves that share
@@ -44,8 +45,6 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Optional
-
-import numpy as np
 
 from .errors import DomainError, GroupCapError, SingularMatrixError
 from .kfield import (
@@ -75,8 +74,9 @@ from .thetas import (
     _leaves_value,
     _lower,
     _lower_check,
+    _lower_riemann,
+    _phase,
     _table_value,
-    riemann_theta_z0,
 )
 
 __all__ = [
@@ -127,33 +127,24 @@ class Term:
     factors: tuple[ThetaFactor, ...]
 
 
-def _phase(q: Fraction) -> complex:
-    """exp(-2*pi*i*q) for exact rational q, reduced mod 1 first."""
-    q = q - math.floor(q)
-    return complex(np.exp(-2j * np.pi * float(q)))
-
-
 class _Op(NamedTuple):
     """A factor lowered: the product of its leaves at the plan's W number w,
-    times phase for a check factor; a Riemann factor has no leaves and is
-    evaluated by riemann_theta_z0 on every read."""
+    times phase for a check factor.  A Riemann factor is one leaf over Z."""
 
     w: int
-    leaves: tuple[_Leaf, ...] = ()
+    leaves: tuple[_Leaf, ...]
     phase: Optional[complex] = None
-    riemann: Optional[tuple[object, object]] = None  # (a, b)
 
 
 @dataclass(frozen=True)
 class _Plan:
     """Term sums lowered for one ThetaParams; see _lower_terms."""
 
-    params: ThetaParams
     # one entry per W the factors read: (float(w_scale), or None for W
     # itself; whether it is doubled)
     scales: tuple[tuple[Optional[float], bool], ...]
-    # per entry of scales, the distinct leaves read at that W, grouped for
-    # thetas._evaluate_ahead; empty when only Riemann factors read it
+    # per entry of scales, the distinct leaves read at that W (field and
+    # Riemann alike), grouped for thetas._evaluate_ahead
     groups: tuple[tuple[tuple[_Leaf, ...], ...], ...]
     bare: tuple[_Op, ...]
     sides: tuple[tuple[tuple[complex, tuple[_Op, ...]], ...], ...]
@@ -195,7 +186,7 @@ def _lower_terms(
             op = _Op(w, (intern(w, leaf),), phase)
         elif f.kind == "riemann":
             w = scales.setdefault((float(f.w_scale), False), len(scales))
-            op = _Op(w, riemann=(f.a, f.b))
+            op = _Op(w, (intern(w, _lower_riemann(f.a, f.b, params)),))
         else:
             raise ValueError(f"unknown factor kind {f.kind!r}")
         ops[f] = op
@@ -213,7 +204,6 @@ def _lower_terms(
         for side in sides
     )
     return _Plan(
-        params=params,
         scales=tuple(scales),
         groups=tuple(
             _group_leaves(read.get(i, {}).values()) for i in range(len(scales))
@@ -235,16 +225,15 @@ def _sum_terms(
     plan: _Plan, W: MatrixLike
 ) -> tuple[list[complex], list[complex], int, int]:
     """The plan at W: the value of each bare factor, the sum of each side,
-    and the theta evaluations and hits of one public call per factor, all
-    on one fresh cache.
+    and the theta evaluations and hits of the plan's leaf reads.
 
-    Each scaled W is built once (W * float(w_scale), then doubled) and,
-    when leaves read it, checked once, and its leaves are evaluated ahead
-    into this evaluation's table (thetas._evaluate_ahead), which the term
-    loop reads.  The evaluations are the table's entries plus the Riemann
-    reads, the hits the other leaf reads.  Each term starts from its
-    coefficient and multiplies its factors left to right; real and
-    imaginary parts are summed with fsum.
+    Each scaled W is built once (W * float(w_scale), then doubled) and
+    checked once, and its leaves, field and Riemann alike, are evaluated
+    ahead into this evaluation's table (thetas._evaluate_ahead), which the
+    term loop reads.  The evaluations are the table's entries, the hits the
+    other leaf reads.  Each term starts from its coefficient and multiplies
+    its factors left to right; real and imaginary parts are summed with
+    fsum.
     """
     base = _as_complex_matrix(W, "W")
     table: dict = {}
@@ -253,16 +242,13 @@ def _sum_terms(
         w = base if scale is None else base * scale
         if doubled:
             w = 2.0 * w
-        ws.append(_at(w) if groups else (w,))
+        ws.append(_at(w))
         _evaluate_ahead(groups, ws[-1], table)
     read = partial(_table_value, table)
-    reads = riemann_reads = 0
+    reads = 0
 
     def value(op: _Op) -> complex:
-        nonlocal reads, riemann_reads
-        if op.riemann is not None:
-            riemann_reads += 1
-            return riemann_theta_z0(*op.riemann, ws[op.w][0], plan.params).value
+        nonlocal reads
         reads += len(op.leaves)
         v = _leaves_value(op.leaves, ws[op.w], read).value
         return v if op.phase is None else op.phase * v
@@ -278,7 +264,7 @@ def _sum_terms(
             re_parts.append(acc.real)
             im_parts.append(acc.imag)
         sums.append(complex(math.fsum(re_parts), math.fsum(im_parts)))
-    return bare, sums, len(table) + riemann_reads, reads - len(table)
+    return bare, sums, len(table), reads - len(table)
 
 
 @dataclass(frozen=True)

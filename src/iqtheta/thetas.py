@@ -27,6 +27,11 @@ form: with x the row-major vec of X, vec(W X P) = (W kron P^T) x, so the
 chunk costs one matrix product over the flattened points rather than a
 small matrix product per point.
 
+The classical Riemann theta at z = 0 (`riemann_theta_z0`) is the same sum
+over N in Z^g, with P = [[1]] and a symmetric W = Omega: its leaf has the
+entry basis (1,) where a field theta's has (1, delta), and the enumerator,
+kernel and tail bound are the ones above.
+
 W is the only floating-point input.  P, A0 and B0 are exact matrices over K
 (a KMatrix, or nested lists of int/Fraction).
 
@@ -43,7 +48,8 @@ each leaf one `_theta_dense` call, through a ThetaCache if one is passed.
 Sums of many factors (relations.py) lower their whole term tuple once and
 evaluate it per W into a table of leaf values, keyed by (leaf key, W
 bytes), that belongs to that one evaluation.  Before the term loop the
-leaves of each group that shares (field, shape, P, ThetaParams) are
+leaves of each group that shares (field, shape, P, ThetaParams, entry
+basis) are
 evaluated together (`_evaluate_ahead`, `_theta_batch`): lam_min(P), the
 Gram matrix and its Cholesky factor, the (W kron P^T) form and the radii
 are computed once per group, one enumeration runs over every leaf's center
@@ -85,7 +91,6 @@ ExactLike = Union[KMatrix, Sequence[Sequence[Union[int, Fraction]]]]
 # Fixed chunk sizes keep the floating-point summation order independent of
 # memory pressure and caller threading.
 _EVAL_CHUNK = 1 << 18
-_COMBINE_ELEMS = 1 << 23
 _MAX_POINTS = 6_000_000
 # The leaves of one group are enumerated together in batches of about this
 # many points (by ellipsoid volume), so a batch's frontier stays small.
@@ -334,10 +339,10 @@ def _reduce_mod_integral(A0: KMatrix) -> KMatrix:
     )
 
 
-def _offsets(A0: KMatrix, field: FieldId) -> np.ndarray:
+def _offsets(A0: KMatrix, basis: tuple[complex, ...]) -> np.ndarray:
     # n / den rounds like float(Fraction(n, den)), so the floats are the
-    # ones the rational coordinates give
-    dc = field.delta_complex
+    # ones the rational coordinates give; over Z (basis (1,)) m is 0
+    dc = basis[1] if len(basis) == 2 else 0.0
     return np.array(
         [[x.n / x.den + (x.m / x.den) * dc for x in row] for row in A0.entry_rows()],
         dtype=np.complex128,
@@ -359,52 +364,6 @@ def _exact(m: ExactLike, name: str, field: FieldId) -> KMatrix:
         f"{name} must be a KMatrix or nested lists of int/Fraction, "
         f"got {type(m).__name__}"
     )
-
-
-def _ball_combine(
-    weights: Sequence[np.ndarray], r2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices into the per-slot candidate lists whose squared norms sum to
-    at most r2.  Rows come out in lexicographic order of the index tuples."""
-    idx = np.zeros((1, 0), dtype=np.int32)
-    tot = np.zeros(1)
-    for w2 in weights:
-        m = len(w2)
-        if m == 0:
-            return (np.zeros((0, idx.shape[1] + 1), dtype=np.int32), np.zeros(0))
-        step = max(1, _COMBINE_ELEMS // m)
-        parts_idx = []
-        parts_tot = []
-        count = 0
-        for s in range(0, len(tot), step):
-            block = tot[s : s + step]
-            grid = block[:, None] + w2[None, :]
-            keep = grid <= r2
-            rows, cols = np.nonzero(keep)
-            count += len(rows)
-            if count > _MAX_POINTS:
-                raise TruncationError(
-                    f"lattice enumeration exceeds max_points={_MAX_POINTS}"
-                )
-            parts_idx.append(
-                np.concatenate(
-                    [idx[s + rows], cols[:, None].astype(np.int32)], axis=1
-                )
-            )
-            parts_tot.append(grid[keep])
-        idx = np.concatenate(parts_idx, axis=0)
-        tot = np.concatenate(parts_tot)
-    return (idx, tot)
-
-
-def _chunk_sum(values_iter) -> complex:
-    sub_re: list[float] = []
-    sub_im: list[float] = []
-    for vals in values_iter:
-        s = vals.sum()
-        sub_re.append(float(s.real))
-        sub_im.append(float(s.imag))
-    return complex(math.fsum(sub_re), math.fsum(sub_im))
 
 
 def _ellipsoid_points(
@@ -501,7 +460,8 @@ def _ellipsoid_points(
 
 class _LeafKey:
     """The identity of one dense theta, hashed once at lowering:
-    (d, g, h, P, A0 reduced mod O_K, B0, eps, max_radius)."""
+    (d, g, h, P, A0 reduced mod the lattice, B0, eps, max_radius, entry
+    basis)."""
 
     __slots__ = ("data", "_hash")
 
@@ -524,9 +484,9 @@ class _LeafFloats(NamedTuple):
     """The float inputs of a leaf's dense theta that its group does not
     share, all W-independent."""
 
-    offsets: np.ndarray  # A0 reduced mod O_K, embedded
+    offsets: np.ndarray  # A0 reduced mod the lattice, embedded
     offset_norm: float
-    coords: np.ndarray  # the (a, b) of each entry a + b*delta of A0, row-major
+    coords: np.ndarray  # each entry's coordinates in the basis, row-major
     b_re: np.ndarray
     b_im: np.ndarray
 
@@ -540,9 +500,18 @@ def _float_matrix(m: KMatrix, name: str) -> np.ndarray:
         ) from None
 
 
+# The Z-basis of a real theta's entries; a field theta's is (1, delta).
+_Z_BASIS = (1.0,)
+# The field whose KMatrix holds a real theta's rational A0 and B0: any field
+# would do, since only their rational parts are read over _Z_BASIS.
+_RATIONALS = FieldId(1)
+
+
 @dataclass(frozen=True, eq=False)
 class _Leaf:
-    """One dense theta: its key and exact inputs, A0 reduced mod O_K.
+    """One dense theta over the lattice Mat(g, h; Z basis): its key and
+    exact inputs, A0 reduced mod that lattice.  The basis is (1, delta)
+    for O_K and (1,) for Z.
 
     The float inputs are built on the first evaluation, not at lowering:
     lowering a term sum builds many equal leaves that interning then drops.
@@ -554,6 +523,7 @@ class _Leaf:
     A0: KMatrix
     B0: KMatrix
     params: ThetaParams
+    basis: tuple[complex, ...]
 
     @property
     def g(self) -> int:
@@ -561,29 +531,39 @@ class _Leaf:
 
     @property
     def group(self) -> tuple:
-        """What the leaves of one batch share: (d, g, h, P, eps, max_radius)."""
+        """What the leaves of one batch share: (d, g, h, P, eps, max_radius,
+        basis)."""
         data = self.key.data
         return data[:4] + data[6:]
 
     @cached_property
     def floats(self) -> _LeafFloats:
         b0 = _float_matrix(self.B0, "B0")
-        offsets = _offsets(self.A0, self.field)
+        offsets = _offsets(self.A0, self.basis)
+        nb = len(self.basis)
         return _LeafFloats(
             offsets,
             math.sqrt(float(np.sum(np.abs(offsets) ** 2))),
             np.array([c / x.den for row in self.A0.entry_rows() for x in row
-                      for c in (x.n, x.m)]),
+                      for c in (x.n, x.m)[:nb]]),
             np.ascontiguousarray(b0.real).reshape(-1),
             np.ascontiguousarray(b0.imag).reshape(-1),
         )
 
 
 def _leaf(
-    field: FieldId, P: KMatrix, A0: KMatrix, B0: KMatrix, params: ThetaParams
+    field: FieldId,
+    P: KMatrix,
+    A0: KMatrix,
+    B0: KMatrix,
+    params: ThetaParams,
+    basis: Optional[tuple[complex, ...]] = None,
 ) -> _Leaf:
-    key = (field.d, A0.rows, A0.cols, P, A0, B0, params.eps, params.max_radius)
-    return _Leaf(_LeafKey(key), field, P, A0, B0, params)
+    if basis is None:
+        basis = (1.0, field.delta_complex)
+    key = (field.d, A0.rows, A0.cols, P, A0, B0, params.eps, params.max_radius,
+           basis)
+    return _Leaf(_LeafKey(key), field, P, A0, B0, params, basis)
 
 
 def _group_leaves(leaves: Iterable[_Leaf]) -> tuple[tuple[_Leaf, ...], ...]:
@@ -599,15 +579,15 @@ def _theta_batch(
 ) -> list[ThetaValue]:
     """The leaves of one group (see _Leaf.group) at a checked W (see _at):
     for each leaf, the sum over the ellipsoid Q(X) = Re Tr(X^H Y X P) <=
-    lam_Y lam_P r^2 of its shifted lattice.
+    lam_Y lam_P r^2 of its shifted lattice.  Over Z, W must be symmetric.
 
     The radius r and the tail bound are the isotropic ones: with
     rho^2 = snap(lam_Y) snap(lam_P) <= lam_min(Y kron P^T), every term has
     modulus exp(-pi Q(X)) = exp(-decay |X|'^2) in the norm |X|' =
     sqrt(Q(X)) / rho, and distinct points differ by a nonzero N in
-    Mat(g, h; O_K), so Q(N) >= rho^2 |N|_F^2 >= rho^2: they are at least 1
-    apart in |.|'.  shell_tail_bound's packing argument holds verbatim
-    after this linear change of variables, so it bounds the terms with
+    Mat(g, h; O_K) or Mat(g, h; Z), so Q(N) >= rho^2 |N|_F^2 >= rho^2: they
+    are at least 1 apart in |.|'.  shell_tail_bound's packing argument holds
+    verbatim after this linear change of variables, so it bounds the terms with
     |X|' >= r.  The enumerated set contains every point with Q < rho^2 r^2,
     since the bound uses the unsnapped eigenvalues times (1 + 1e-9), so
     float rounding can only add points; an empty ellipsoid gives the value
@@ -624,6 +604,10 @@ def _theta_batch(
     (each piece of its points summed alone, the piece sums fsum-ed), so
     its value does not depend on the other leaves of its batch.
     """
+    basis = leaves[0].basis
+    nb = len(basis)
+    if nb == 1:
+        _check_symmetric(W)
     p = _float_matrix(leaves[0].P, "P")
     floats = [leaf.floats for leaf in leaves]
     g, h = floats[0].offsets.shape
@@ -632,7 +616,7 @@ def _theta_batch(
     if lam_p <= 0.0:
         raise DomainError(f"P must be positive definite, lam_min={lam_p:g}")
     decay = math.pi * _snap(lam_y) * lam_p
-    dim = 2 * g * h
+    dim = nb * g * h
     params = leaves[0].params
     radius_at: dict[int, int] = {}
     radii = []
@@ -646,14 +630,14 @@ def _theta_batch(
         radii.append(radius_at[key])
     tails = {r: shell_tail_bound(r, decay, dim) for r in radius_at.values()}
 
-    # Gram matrix of Q in the real coordinates (u, v) of each entry, with
-    # x = u + v*delta + offset: G[(k,s),(l,t)] = Re(H[k,l] conj(e_s) e_t)
-    # for H = Y kron P^T and e = (1, delta), built by broadcasting
+    # Gram matrix of Q in the real coordinates of each entry in the basis
+    # e, x = sum_s u_s e_s + offset: G[(k,s),(l,t)] = Re(H[k,l] conj(e_s)
+    # e_t) for H = Y kron P^T, built by broadcasting
     y = (W - W.conj().T) / 2j
     hm = (y[:, None, :, None] * p.T[None, :, None, :]).reshape(g * h, g * h)
-    e = np.array([1.0, leaves[0].field.delta_complex])
-    basis = e.conj()[:, None] * e[None, :]
-    gram = (hm[:, None, :, None] * basis[None, :, None, :]).real
+    e = np.array(basis)
+    ee = e.conj()[:, None] * e[None, :]
+    gram = (hm[:, None, :, None] * ee[None, :, None, :]).real
     R = np.linalg.cholesky(gram.reshape(dim, dim)).T
     bounds = [lam_y * lam_p_raw * r * r * (1.0 + 1e-9) for r in radii]
     # m_t = kron(W, P^T)^T, built by broadcasting: np.kron costs tens of
@@ -674,7 +658,6 @@ def _theta_batch(
         batches[-1].append(j)
         est += points
 
-    dc = leaves[0].field.delta_complex
     values: list[ThetaValue] = []
     for batch in batches:
         counts, blocks = _ellipsoid_points(
@@ -686,7 +669,12 @@ def _theta_batch(
         b_im = np.array([floats[j].b_im for j in batch])
         sums: list[tuple[list[float], list[float]]] = [([], []) for _ in batch]
         for z, segments in blocks:
-            x = z[:, dim - 1 :: -2] + z[:, dim - 2 :: -2] * dc
+            # each entry's point, elementwise: a product z @ e rounds
+            # differently
+            if nb == 1:
+                x = z[:, ::-1].astype(np.complex128)
+            else:
+                x = z[:, dim - 1 :: -2] + z[:, dim - 2 :: -2] * basis[1]
             e1 = np.empty(len(z), dtype=np.complex128)
             e2 = np.empty(len(z))
             # the matrix products run per segment: BLAS rounds a row
@@ -764,6 +752,37 @@ def _lower(
     return (_leaf(field, P, A0, B0, params),)
 
 
+def _rational(x: object) -> Fraction:
+    """x exactly: an int or Fraction as it is, anything else as its float."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(float(x))
+
+
+def _lower_riemann(
+    a: Sequence[object], b: Sequence[object], params: ThetaParams
+) -> _Leaf:
+    """The Riemann theta with characteristics (a, b) as a leaf over Z: P =
+    [[1]], A0 = a reduced into [-1/2, 1/2), B0 = b, basis (1,)."""
+    A0, B0 = (KMatrix([[_RATIONALS.from_rational(_rational(x))] for x in v])
+              for v in (a, b))
+    if B0.rows != A0.rows:
+        raise DomainError(f"b must have {A0.rows} entries, got {B0.rows}")
+    one = KMatrix([[_RATIONALS.one()]])
+    return _leaf(_RATIONALS, one, _reduce_mod_integral(A0), B0, params, _Z_BASIS)
+
+
+def _check_symmetric(w: np.ndarray) -> None:
+    """DomainError unless w is square and symmetric, as a real theta's
+    period matrix must be."""
+    if w.shape[0] != w.shape[1] or not np.allclose(w, w.T, rtol=0.0, atol=1e-12):
+        raise DomainError("Omega must be symmetric")
+
+
+def _phase(q: Fraction) -> complex:
+    """exp(-2*pi*i*q) for exact rational q, reduced mod 1 first."""
+    q = q - math.floor(q)
+    return complex(np.exp(-2j * np.pi * float(q)))
+
+
 def _lower_check(
     field: FieldId, a: ExactLike, b: ExactLike, params: ThetaParams
 ) -> tuple[complex, _Leaf, bool]:
@@ -777,10 +796,8 @@ def _lower_check(
     if doubled:
         q *= 2
         b = b.scale(2)
-    q -= math.floor(q)
-    phase = complex(np.exp(-2j * np.pi * float(q)))
     (leaf,) = _lower(field, KMatrix([[field.one()]]), a, b, params)
-    return phase, leaf, doubled
+    return _phase(q), leaf, doubled
 
 
 class _CheckedW(NamedTuple):
@@ -938,52 +955,22 @@ def riemann_theta_z0(
         sum over n in Z^g of
             exp(pi*i * (n+a)^t Omega (n+a) + 2*pi*i * (n+a)^t b)
 
-    Omega must be symmetric with positive definite imaginary part.  Serves
-    as an independent reference implementation for genus-g identities.
+    Omega must be symmetric with positive definite imaginary part.  a and b
+    are taken exactly (a float as the rational it is).  This is the batch
+    of one of a leaf over Z (see _lower_riemann): the field thetas' kernel
+    with the basis (1,).
     """
     if params is None:
         params = ThetaParams()
     om = _as_complex_matrix(Omega, "Omega")
-    g = om.shape[0]
     if not np.isfinite(om).all():
         raise DomainError("Omega must be finite")
-    if om.shape != (g, g) or not np.allclose(om, om.T, rtol=0.0, atol=1e-12):
-        raise DomainError("Omega must be symmetric")
-    lam = _snap(float(np.linalg.eigvalsh(om.imag)[0]))
+    _check_symmetric(om)
+    lam_y = in_type1_domain(om)[1]
+    lam = _snap(lam_y)
     if lam <= 0.0:
         raise DomainError(f"Im(Omega) must be positive definite, lam_min={lam:g}")
-    a_vec = np.asarray(a, dtype=np.float64).reshape(g)
-    b_vec = np.asarray(b, dtype=np.float64).reshape(g)
-    off = a_vec - np.floor(a_vec + 0.5)
-    decay = math.pi * lam
-    offset_norm = float(np.linalg.norm(off))
-    radius = choose_radius(
-        params.eps, decay, g, offset_norm=offset_norm, max_radius=params.max_radius
-    )
-    tail = shell_tail_bound(radius, decay, g)
-
-    r2 = radius * radius + 1e-12
-    cands = []
-    for i in range(g):
-        lo = int(math.ceil(-radius - off[i]))
-        hi = int(math.floor(radius - off[i]))
-        u = np.arange(lo, hi + 1, dtype=np.float64) + off[i]
-        cands.append((u, u * u))
-    idx, tot = _ball_combine([w2 for (_, w2) in cands], r2)
-    n = idx.shape[0]
-    if n == 0:
-        raise TruncationError("empty lattice enumeration; radius too small")
-    order = np.argsort(tot, kind="stable")
-    idx = idx[order]
-    pts = np.empty((n, g), dtype=np.float64)
-    for k in range(g):
-        pts[:, k] = cands[k][0][idx[:, k]]
-
-    def chunks():
-        for s in range(0, n, _EVAL_CHUNK):
-            x = pts[s : s + _EVAL_CHUNK]
-            e1 = np.einsum("ni,ij,nj->n", x, om, x)
-            e2 = x @ b_vec
-            yield np.exp(1j * np.pi * e1 + 2j * np.pi * e2)
-
-    return ThetaValue(_chunk_sum(chunks()), tail, n)
+    leaf = _lower_riemann(a, b, params)
+    if leaf.g != om.shape[0]:
+        raise DomainError(f"a must have {om.shape[0]} entries, got {leaf.g}")
+    return _theta_dense(leaf, om, lam_y)

@@ -1,8 +1,8 @@
 """The names and entry points that the benchmark under benchmarks/ relies on.
 
-`benchmarks/tracing.py` wraps iqtheta functions by name, and
-`benchmarks/draws.py` and `benchmarks/worker.py` import iqtheta names inside
-their functions.  Renaming any of them breaks the benchmark (and its
+`benchmarks/tracing.py` wraps iqtheta functions by name and patches
+`ThetaCache.get_or_compute`, and `benchmarks/draws.py` and
+`benchmarks/worker.py` import iqtheta names inside their functions.  Renaming any of them breaks the benchmark (and its
 ``--trace`` pass) without failing another test.  The benchmark files are
 only read here, never written.
 """
@@ -48,15 +48,25 @@ def test_wrapped_names_resolve():
 
 
 def test_benchmark_imports_exist():
-    # every `from iqtheta... import name` and every `iqtheta.name` attribute
-    # read in the draw generator and the worker
-    for name in ("draws", "worker"):
+    # every `from iqtheta... import name`, every attribute read of a name so
+    # imported (the tracer's `ThetaCache.get_or_compute`) and every
+    # `iqtheta.name` attribute read in the draw generator, the worker and
+    # the tracer
+    for name in ("draws", "worker", "tracing"):
         tree = ast.parse((BENCH / f"{name}.py").read_text())
+        imported = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("iqtheta"):
                 module = importlib.import_module(node.module)
                 for alias in node.names:
                     assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                    imported[alias.asname or alias.name] = getattr(module, alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in imported):
+                assert hasattr(imported[node.value.id], node.attr), (
+                    f"{node.value.id}.{node.attr}"
+                )
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id == "iqtheta"):
                 assert hasattr(importlib.import_module("iqtheta"), node.attr) or (

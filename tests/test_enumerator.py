@@ -4,20 +4,59 @@ replaced and against brute-force box sums.
 `_theta_dense` sums over the ellipsoid Q(X) = Re Tr(X^H Y X P) <= bound with
 bound = lam_Y lam_P r^2 (1 + 1e-9); the oracle here is the isotropic ball
 |X|_F <= r that it used to enumerate (per-entry candidate discs combined by
-`thetas._ball_combine`), filtered by Q computed straight from its
-definition.
+`_ball_combine`, the enumerator's former code), filtered by Q computed
+straight from its definition.
 """
 
 import math
 import re
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from iqtheta import FieldId, KMatrix, ThetaParams, TruncationError, theta_general
 from iqtheta import thetas
-from iqtheta.thetas import _ball_combine, choose_radius, in_type1_domain
+from iqtheta.thetas import _MAX_POINTS, choose_radius, in_type1_domain
+
+_COMBINE_ELEMS = 1 << 23
+
+
+def _ball_combine(
+    weights: Sequence[np.ndarray], r2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into the per-slot candidate lists whose squared norms sum to
+    at most r2.  Rows come out in lexicographic order of the index tuples."""
+    idx = np.zeros((1, 0), dtype=np.int32)
+    tot = np.zeros(1)
+    for w2 in weights:
+        m = len(w2)
+        if m == 0:
+            return (np.zeros((0, idx.shape[1] + 1), dtype=np.int32), np.zeros(0))
+        step = max(1, _COMBINE_ELEMS // m)
+        parts_idx = []
+        parts_tot = []
+        count = 0
+        for s in range(0, len(tot), step):
+            block = tot[s : s + step]
+            grid = block[:, None] + w2[None, :]
+            keep = grid <= r2
+            rows, cols = np.nonzero(keep)
+            count += len(rows)
+            if count > _MAX_POINTS:
+                raise TruncationError(
+                    f"lattice enumeration exceeds max_points={_MAX_POINTS}"
+                )
+            parts_idx.append(
+                np.concatenate(
+                    [idx[s + rows], cols[:, None].astype(np.int32)], axis=1
+                )
+            )
+            parts_tot.append(grid[keep])
+        idx = np.concatenate(parts_idx, axis=0)
+        tot = np.concatenate(parts_tot)
+    return (idx, tot)
 
 
 def _entry_candidates(field, offset, radius):

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from iqtheta import FieldId, KElement, KMatrix
-from iqtheta.thetas import _offsets, _reduce_mod_integral
+from iqtheta.thetas import _Z_BASIS, _offsets, _reduce_mod_integral
 
 # small fields, both kinds of integral basis, and two large squarefree d
 # (999999937 is prime and 1 mod 4, 10^18 + 3 is prime and 3 mod 4)
@@ -155,7 +155,11 @@ def test_floats_match_float_of_fraction(d, entries):
         assert x.embed() == complex(a + b * dc.real, b * dc.imag)
     A0 = KMatrix([xs])
     want = np.array([[float(x.a) + float(x.b) * dc for x in xs]])
-    assert _offsets(A0, field).tobytes() == want.tobytes()
+    assert _offsets(A0, (1.0, dc)).tobytes() == want.tobytes()
+    # over Z (a real theta's basis) the offsets are the rational parts
+    rational = KMatrix([[field.from_rational(x.a) for x in xs]])
+    want = np.array([[float(x.a) for x in xs]], dtype=np.complex128)
+    assert _offsets(rational, _Z_BASIS).tobytes() == want.tobytes()
 
 
 def _centered(f: Fraction) -> Fraction:

@@ -1,15 +1,18 @@
 """Theta evaluators: frozen references, brute-force oracles, invariances."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from iqtheta import (
     DomainError,
     FieldId,
+    IdentityCheck,
     KMatrix,
     ThetaCache,
     ThetaParams,
@@ -22,6 +25,7 @@ from iqtheta import (
     theta_general,
 )
 from iqtheta.kfield import hat, re_trace_of_product
+from iqtheta.relations import Term, ThetaFactor
 
 # closed form for the classical value at tau = i: pi^(1/4) / Gamma(3/4)
 THETA00_AT_I = math.pi ** 0.25 / math.gamma(0.75)
@@ -65,6 +69,52 @@ def test_riemann_special_characteristics():
     assert v01 == pytest.approx(v00 * 2 ** (-0.25), abs=1e-12)
     assert v10 == pytest.approx(v01, abs=1e-12)
     assert abs(v11) < 1e-12
+
+
+def _mp_riemann(a, b, omega, n_max=12):
+    """The Riemann theta at z = 0 as a direct sum over the box |n_i| <= n_max
+    at 40 digits, from the exact binary values of the float inputs; the
+    terms left out are below 1e-40 for lam_min(Im Omega) >= 0.7."""
+    g = len(a)
+    with mpmath.workdps(40):
+        om = [[mpmath.mpc(complex(omega[i][j])) for j in range(g)] for i in range(g)]
+        a = [mpmath.mpf(Fraction(x).numerator) / Fraction(x).denominator for x in a]
+        b = [mpmath.mpf(Fraction(x).numerator) / Fraction(x).denominator for x in b]
+        total = mpmath.mpc(0)
+        for n in itertools.product(range(-n_max, n_max + 1), repeat=g):
+            x = [n[i] + a[i] for i in range(g)]
+            quad = sum(x[i] * om[i][j] * x[j] for i in range(g) for j in range(g))
+            lin = sum(x[i] * b[i] for i in range(g))
+            total += mpmath.exp(1j * mpmath.pi * quad + 2j * mpmath.pi * lin)
+        return complex(total), total
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, -0.2 + 1.5j])
+@pytest.mark.parametrize("a,b", [(0, 0), (HALF, 0), (0, HALF), (HALF, HALF),
+                                 (Fraction(1, 3), Fraction(-1, 5))])
+def test_riemann_matches_mpmath_genus_1(tau, a, b):
+    val = riemann_theta_z0([a], [b], [[tau]])
+    want, exact = _mp_riemann([a], [b], [[tau]])
+    assert abs(val.value - want) <= val.tail_bound + 1e-14
+    if b in (0, HALF) and a in (0, HALF):
+        # the oracle is Jacobi's theta_3, theta_4, theta_2 or 0 at q = e(tau/2)
+        with mpmath.workdps(40):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            jt = {(0, 0): mpmath.jtheta(3, 0, q), (0, HALF): mpmath.jtheta(4, 0, q),
+                  (HALF, 0): mpmath.jtheta(2, 0, q), (HALF, HALF): mpmath.mpc(0)}
+            assert abs(exact - jt[(a, b)]) < mpmath.mpf(10) ** -30
+
+
+def test_riemann_matches_mpmath_genus_2():
+    omega = [[0.2 + 1.1j, 0.3 + 0.25j], [0.3 + 0.25j, -0.1 + 0.9j]]
+    a, b = [HALF, Fraction(1, 3)], [Fraction(1, 4), 0]
+    val = riemann_theta_z0(a, b, omega)
+    want, _ = _mp_riemann(a, b, omega)
+    assert abs(val.value - want) <= val.tail_bound + 1e-14
+    assert val.lattice_points_used > 0
 
 
 def test_radius_and_tail_frozen():
@@ -395,6 +445,12 @@ def test_domain_errors():
         riemann_theta_z0([0.0, 0.0], [0.0, 0.0], [[1j, 0.5], [0.0, 1j]])
     with pytest.raises(DomainError, match="positive definite"):
         riemann_theta_z0([0.0], [0.0], [[0.5 - 1j]])
+    # a Riemann factor read through a plan checks symmetry as well
+    real = ThetaFactor("riemann", (Fraction(0),) * 2, (Fraction(0),) * 2)
+    check = IdentityCheck("riemann", 2, lhs=(Term(Fraction(0), Fraction(1), (real,)),),
+                          rhs=())
+    with pytest.raises(DomainError, match="symmetric"):
+        check.evaluate(np.array([[1j, 0.5], [0.0, 1j]]))
 
 
 def test_truncation_error_at_radius_cap():
