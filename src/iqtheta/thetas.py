@@ -25,7 +25,11 @@ summed in that order in chunks, with compensated accumulation of the chunk
 subtotals.  Within a chunk, the exponent of every point is one quadratic
 form: with x the row-major vec of X, vec(W X P) = (W kron P^T) x, so the
 chunk costs one matrix product over the flattened points rather than a
-small matrix product per point.
+small matrix product per point.  The linear phase e(Re Tr(X^H B0)) is exact:
+with X = A0 + sum_i z_i e_i over integer coordinates z, it is e(q0) times
+the root of unity e((z.k mod M) / M), with q0, M and the integers k read
+off A0 and B0 (`_LeafPhase`), so only the quadratic part is rounded inside
+exp.
 
 The classical Riemann theta at z = 0 (`riemann_theta_z0`) is the same sum
 over N in Z^g, with P = [[1]] and a symmetric W = Omega: its leaf has the
@@ -39,9 +43,10 @@ Every theta runs in two steps.  Lowering (`_lower`) does all the exact,
 W-independent work once: it checks shapes and that P is Hermitian, reduces
 A0 mod O_K, splits an exactly diagonal P into 1x1 columns, and stores the
 exact inputs of each resulting dense theta (a leaf) with its key; the
-leaf's float data (the offsets and their real coordinates, B0) is built on
-its first evaluation.  Evaluation takes one W: the per-W check (`_at`:
-square, finite, inside H1, one eigensolve) runs once, then `_leaves_value`
+leaf's float data (the offsets and their real coordinates) and its exact
+phase data are built on its first evaluation.  Evaluation takes one W: the
+per-W check (`_at`: square, finite, inside H1 with lam_min(Y) at least the
+eigenvalue grid, one eigensolve) runs once, then `_leaves_value`
 multiplies the leaves' values.  `theta_general` is the one-factor plan,
 each leaf one `_theta_dense` call, through a ThetaCache if one is passed.
 
@@ -49,13 +54,16 @@ Sums of many factors (relations.py) lower their whole term tuple once and
 evaluate it per W into a table of leaf values, keyed by (leaf key, W
 bytes), that belongs to that one evaluation.  Before the term loop the
 leaves of each group that shares (field, shape, P, ThetaParams, entry
-basis) are
-evaluated together (`_evaluate_ahead`, `_theta_batch`): lam_min(P), the
-Gram matrix and its Cholesky factor, the (W kron P^T) form and the radii
-are computed once per group, one enumeration runs over every leaf's center
-at once, and one exp covers each block of points of many leaves.  Each
-leaf keeps its own radius, tail bound, points and summation, so its
-ThetaValue is bit for bit the one a `_theta_dense` call of its own gives;
+basis) are evaluated together (`_evaluate_ahead`, `_theta_batch`):
+lam_min(P), the Gram matrix and its Cholesky factor, the (W kron P^T) form
+and the radii are computed once per group.  Within a group, the leaves that
+share A0 mod the lattice form a family (in a relation, the thetas at
+B0 + c b for b in G2): they share the points and the quadratic exponent,
+so one enumeration runs over one center per family and one exp per point
+serves the whole family; each leaf then applies its own exact phase.
+Radii, tail bounds and point counts are the ones a leaf gets alone, and a
+leaf's summation does not depend on its batch or family, so its ThetaValue
+is bit for bit the one a `_theta_dense` call of its own gives;
 `_theta_dense` is the batch of one, and the term loop uses it only for a
 leaf that a failed batch left out of the table (`_table_value`).
 """
@@ -63,9 +71,10 @@ leaf that a failed batch left out of the table (`_table_value`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -95,6 +104,13 @@ _MAX_POINTS = 6_000_000
 # The leaves of one group are enumerated together in batches of about this
 # many points (by ellipsoid volume), so a batch's frontier stays small.
 _BATCH_POINTS = 1 << 13
+
+# A leaf's roots of unity exp(2 pi i j / M) come from a cached table when M
+# is at most this, and are computed per point above it.
+_ROOTS_MAX = 1 << 10
+# Integers below this are exact in a float64, and so is a sum of them that
+# stays below it, in any order.
+_FLOAT_INTS = 2.0 ** 53
 
 # Eigenvalues are snapped down to this grid before entering the tail bound, so
 # a one-ulp wobble in the eigensolver cannot move the chosen radius.
@@ -482,13 +498,25 @@ class _LeafKey:
 
 class _LeafFloats(NamedTuple):
     """The float inputs of a leaf's dense theta that its group does not
-    share, all W-independent."""
+    share, all W-independent.  They depend on A0 only, so a family (see
+    _theta_batch) reads its first leaf's."""
 
     offsets: np.ndarray  # A0 reduced mod the lattice, embedded
     offset_norm: float
     coords: np.ndarray  # each entry's coordinates in the basis, row-major
-    b_re: np.ndarray
-    b_im: np.ndarray
+
+
+class _LeafPhase(NamedTuple):
+    """A leaf's linear phase, exactly.  For a point X = A0 + sum_i z_i e_i
+    (e_i runs over the basis times each entry's matrix unit, A0 reduced
+    mod the lattice), Re Tr(X^H B0) = q0 + sum_i z_i t_i with
+    q0 = Re Tr(A0^H B0) and t_i = Re(conj(e_i) B0_entry) rational, so
+    e(Re Tr(X^H B0)) = e(q0) e((z.k mod M) / M) for M the common
+    denominator of the t_i and the integers k = M t mod M.  W-independent."""
+
+    modulus: int  # M
+    k: tuple[int, ...]  # in the enumerator's column order, coordinate n-1-j
+    shift: complex  # e(q0)
 
 
 def _float_matrix(m: KMatrix, name: str) -> np.ndarray:
@@ -538,7 +566,6 @@ class _Leaf:
 
     @cached_property
     def floats(self) -> _LeafFloats:
-        b0 = _float_matrix(self.B0, "B0")
         offsets = _offsets(self.A0, self.basis)
         nb = len(self.basis)
         return _LeafFloats(
@@ -546,9 +573,26 @@ class _Leaf:
             math.sqrt(float(np.sum(np.abs(offsets) ** 2))),
             np.array([c / x.den for row in self.A0.entry_rows() for x in row
                       for c in (x.n, x.m)[:nb]]),
-            np.ascontiguousarray(b0.real).reshape(-1),
-            np.ascontiguousarray(b0.imag).reshape(-1),
         )
+
+    @cached_property
+    def phase(self) -> _LeafPhase:
+        _float_matrix(self.B0, "B0")  # read exactly, but kept in float range
+        # t = Re(conj(e) y) for y = (n + m delta) / den is a / (2 den), with
+        # a = 2n + Tr(delta) m for e = 1 and Tr(delta) n + 2 N(delta) m for
+        # e = delta; each t kept as its reduced (numerator, denominator)
+        tr, nd2 = self.field.delta_trace, 2 * self.field.delta_norm
+        nb = len(self.basis)
+        t = []
+        for row in self.B0.entry_rows():
+            for y in row:
+                n, m, den = y.n, y.m, 2 * y.den
+                for a in (2 * n + tr * m, tr * n + nd2 * m)[:nb]:
+                    c = math.gcd(a, den)
+                    t.append((a // c, den // c))
+        modulus = math.lcm(*(den for _, den in t))
+        k = tuple(a * (modulus // den) % modulus for a, den in reversed(t))
+        return _LeafPhase(modulus, k, _phase(-re_trace_of_product(self.A0, self.B0)))
 
 
 def _leaf(
@@ -574,6 +618,41 @@ def _group_leaves(leaves: Iterable[_Leaf]) -> tuple[tuple[_Leaf, ...], ...]:
     return tuple(map(tuple, groups.values()))
 
 
+@lru_cache(maxsize=64)
+def _roots(modulus: int) -> np.ndarray:
+    """exp(2 pi i (j / modulus)) for j < modulus, the expression that
+    _phase_sum evaluates above the table size; read-only, since the cache
+    hands it to every caller."""
+    table = np.exp(2j * np.pi * (np.arange(modulus) / modulus))
+    table.flags.writeable = False
+    return table
+
+
+def _phase_sum(
+    quad: np.ndarray, z: np.ndarray, zmax: float, phase: _LeafPhase
+) -> complex:
+    """The sum over the rows z of integer coordinates (column j is
+    coordinate n-1-j) of quad times e((z.k mod M) / M); zmax bounds |z|.
+
+    The residue r is exact: as floats while every partial sum of z.k stays
+    below 2^53, else in Python integers.  e(r / M) is exp(2 pi i (r / M))
+    with r / M correctly rounded either way (int / int rounds correctly),
+    taken from a table of _roots up to _ROOTS_MAX: the same floats, so the
+    value does not depend on the path."""
+    modulus, k, _ = phase
+    if modulus == 1:
+        return quad.sum()
+    if modulus < _FLOAT_INTS and zmax * sum(k) < _FLOAT_INTS:
+        r = np.mod(z @ np.array(k, dtype=np.float64), modulus)
+        if modulus <= _ROOTS_MAX:
+            return (quad * _roots(modulus)[r.astype(np.intp)]).sum()
+        q = r / modulus
+    else:
+        q = np.array([sum(map(operator.mul, row, k)) % modulus / modulus
+                      for row in z.astype(np.int64).tolist()])
+    return (quad * np.exp(2j * np.pi * q)).sum()
+
+
 def _theta_batch(
     leaves: Sequence[_Leaf], W: np.ndarray, lam_y: float
 ) -> list[ThetaValue]:
@@ -597,19 +676,31 @@ def _theta_batch(
 
     The Y kron P work is done once for the group: lam_min(P), the Gram
     matrix of Q and its Cholesky factor, the (W kron P^T) form, and one
-    radius per radius floor.  The leaves are cut, in order, into batches
-    of about _BATCH_POINTS points by the ellipsoid volume, and each batch is
-    one enumeration and one exp per block; a leaf estimated above that runs
-    alone.  Each leaf keeps its own radius, bound, points and summation
-    (each piece of its points summed alone, the piece sums fsum-ed), so
-    its value does not depend on the other leaves of its batch.
+    radius per radius floor.  The leaves that share A0 reduced mod the
+    lattice form a family: they share the offsets, radius, bound, points
+    and quadratic exponent, and differ only in the linear phase.  Each
+    family is one center of the enumeration and one exp(i pi e1) per
+    point; each leaf then takes its exact phase e(q0) e(z.k / M) (see
+    _LeafPhase) from the integer coordinates z.  The families are cut, in
+    order, into batches of about _BATCH_POINTS points by the ellipsoid
+    volume, one enumeration each; a family estimated above that runs alone.
+    Each leaf keeps its own summation (each piece of its points summed
+    alone, the piece sums fsum-ed, then times e(q0)), so its value does not
+    depend on the other leaves of its batch or family.
     """
     basis = leaves[0].basis
     nb = len(basis)
     if nb == 1:
         _check_symmetric(W)
     p = _float_matrix(leaves[0].P, "P")
-    floats = [leaf.floats for leaf in leaves]
+    # the family of each leaf, numbered by first leaf; a family's float
+    # data is its first leaf's
+    first: dict[KMatrix, int] = {}
+    family = [first.setdefault(leaf.key.data[4], len(first)) for leaf in leaves]
+    members: list[list[int]] = [[] for _ in first]
+    for i, f in enumerate(family):
+        members[f].append(i)
+    floats = [leaves[js[0]].floats for js in members]
     g, h = floats[0].offsets.shape
     lam_p_raw = float(np.linalg.eigvalsh(p)[0])
     lam_p = _snap(lam_p_raw)
@@ -629,6 +720,7 @@ def _theta_batch(
             )
         radii.append(radius_at[key])
     tails = {r: shell_tail_bound(r, decay, dim) for r in radius_at.values()}
+    phases = [leaf.phase for leaf in leaves]
 
     # Gram matrix of Q in the real coordinates of each entry in the basis
     # e, x = sum_s u_s e_s + offset: G[(k,s),(l,t)] = Re(H[k,l] conj(e_s)
@@ -644,30 +736,30 @@ def _theta_batch(
     # microseconds per call, which the many small thetas would pay.
     m_t = (W.T[:, None, :, None] * p[None, :, None, :]).reshape(g * h, g * h)
 
-    # the points of each leaf, estimated by the volume of its ellipsoid:
+    # the points of each family, estimated by the volume of its ellipsoid:
     # the unit ball's times the product of the half axes sqrt(bound) / R_ii
     with np.errstate(over="ignore"):
         estimates = (math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
                      * np.prod(np.sqrt(bounds)[:, None] / np.diag(R), axis=1))
     batches: list[list[int]] = [[]]
     est = 0.0
-    for j, points in enumerate(estimates.tolist()):
-        if batches[-1] and est + points > _BATCH_POINTS:
+    for f, estimate in enumerate(estimates.tolist()):
+        if batches[-1] and est + estimate > _BATCH_POINTS:
             batches.append([])
             est = 0.0
-        batches[-1].append(j)
-        est += points
+        batches[-1].append(f)
+        est += estimate
 
-    values: list[ThetaValue] = []
+    sums: list[tuple[list[float], list[float]]] = [([], []) for _ in leaves]
+    points = [0] * len(members)
     for batch in batches:
         counts, blocks = _ellipsoid_points(
-            R, np.array([floats[j].coords for j in batch]),
-            np.array([bounds[j] for j in batch]), [radii[j] for j in batch],
+            R, np.array([floats[f].coords for f in batch]),
+            np.array([bounds[f] for f in batch]), [radii[f] for f in batch],
         )
-        offsets = np.array([floats[j].offsets.reshape(-1) for j in batch])
-        b_re = np.array([floats[j].b_re for j in batch])
-        b_im = np.array([floats[j].b_im for j in batch])
-        sums: list[tuple[list[float], list[float]]] = [([], []) for _ in batch]
+        for f, n in zip(batch, counts.tolist()):
+            points[f] = n
+        offsets = np.array([floats[f].offsets.reshape(-1) for f in batch])
         for z, segments in blocks:
             # each entry's point, elementwise: a product z @ e rounds
             # differently
@@ -676,25 +768,24 @@ def _theta_batch(
             else:
                 x = z[:, dim - 1 :: -2] + z[:, dim - 2 :: -2] * basis[1]
             e1 = np.empty(len(z), dtype=np.complex128)
-            e2 = np.empty(len(z))
             # the matrix products run per segment: BLAS rounds a row
             # differently depending on where it sits in the product
             for j, start, end in segments:
                 xs = x[start:end]
                 xs += offsets[j]
                 e1[start:end] = np.einsum("nk,nk->n", xs.conj(), xs @ m_t)
-                e2[start:end] = xs.real @ b_re[j] + xs.imag @ b_im[j]
-            vals = np.exp(1j * np.pi * e1 + 2j * np.pi * e2)
+            quad = np.exp(1j * np.pi * e1)
+            zmax = float(np.abs(z).max(initial=0.0))
             for j, start, end in segments:
-                s = vals[start:end].sum()
-                sums[j][0].append(float(s.real))
-                sums[j][1].append(float(s.imag))
-        values.extend(
-            ThetaValue(complex(math.fsum(re), math.fsum(im)), tails[radii[j]],
-                       int(n))
-            for j, (re, im), n in zip(batch, sums, counts)
-        )
-    return values
+                for i in members[batch[j]]:
+                    s = _phase_sum(quad[start:end], z[start:end], zmax, phases[i])
+                    sums[i][0].append(float(s.real))
+                    sums[i][1].append(float(s.imag))
+    return [
+        ThetaValue(phase.shift * complex(math.fsum(re), math.fsum(im)),
+                   tails[radii[f]], points[f])
+        for phase, f, (re, im) in zip(phases, family, sums)
+    ]
 
 
 def _theta_dense(leaf: _Leaf, W: np.ndarray, lam_y: float) -> ThetaValue:
@@ -779,8 +870,8 @@ def _check_symmetric(w: np.ndarray) -> None:
 
 def _phase(q: Fraction) -> complex:
     """exp(-2*pi*i*q) for exact rational q, reduced mod 1 first."""
-    q = q - math.floor(q)
-    return complex(np.exp(-2j * np.pi * float(q)))
+    # (n mod den) / den rounds like float(q - floor(q))
+    return complex(np.exp(-2j * np.pi * (q.numerator % q.denominator / q.denominator)))
 
 
 def _lower_check(
@@ -811,15 +902,18 @@ class _CheckedW(NamedTuple):
 def _at(w: np.ndarray) -> _CheckedW:
     """The per-W check: w with its key bytes and lam_min(Y).
 
-    DomainError unless w is square, finite and inside the type-I domain."""
+    DomainError unless w is square, finite and inside the type-I domain
+    with a lam_min(Y) that the tail bound can use: one that _snap keeps
+    above 0."""
     if w.shape[0] != w.shape[1]:
         raise DomainError(f"W must be square, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise DomainError("W must be finite")
-    ok, lam_y = in_type1_domain(w)
-    if not ok:
+    lam_y = in_type1_domain(w)[1]
+    if _snap(lam_y) <= 0.0:
         raise DomainError(
-            f"W is not in the type-I domain: lam_min(Y)={lam_y:g} <= 0"
+            f"W is not in the type-I domain: Y must be positive definite, "
+            f"lam_min(Y)={lam_y:g} < {_LAMBDA_GRID:g}"
         )
     return _CheckedW(w, w.tobytes(), lam_y)
 
@@ -962,15 +1056,8 @@ def riemann_theta_z0(
     """
     if params is None:
         params = ThetaParams()
-    om = _as_complex_matrix(Omega, "Omega")
-    if not np.isfinite(om).all():
-        raise DomainError("Omega must be finite")
-    _check_symmetric(om)
-    lam_y = in_type1_domain(om)[1]
-    lam = _snap(lam_y)
-    if lam <= 0.0:
-        raise DomainError(f"Im(Omega) must be positive definite, lam_min={lam:g}")
+    at = _at(_as_complex_matrix(Omega, "Omega"))
     leaf = _lower_riemann(a, b, params)
-    if leaf.g != om.shape[0]:
-        raise DomainError(f"a must have {om.shape[0]} entries, got {leaf.g}")
-    return _theta_dense(leaf, om, lam_y)
+    if leaf.g != at.w.shape[0]:
+        raise DomainError(f"a must have {at.w.shape[0]} entries, got {leaf.g}")
+    return _theta_dense(leaf, at.w, at.lam_y)

@@ -49,6 +49,13 @@ def test_eval_rejects_lower_halfplane(capsys):
     assert code == 2
 
 
+def test_eval_rejects_w_below_the_eigenvalue_grid(capsys):
+    # lam_min(Y) = 5e-7 is positive but snaps to 0: a domain error, not a
+    # truncation at decay 0
+    code, _ = _run(capsys, ["eval", "--d", "1", "--W", "[[[0, 5e-7]]]"])
+    assert code == 2
+
+
 def test_eval_truncation_exit(capsys):
     code, _ = _run(
         capsys,

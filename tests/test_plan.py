@@ -262,6 +262,11 @@ def _batch_calls(monkeypatch):
     return calls
 
 
+def _families(leaves):
+    """The number of distinct A0 reduced mod the lattice."""
+    return len({leaf.A0 for leaf in leaves})
+
+
 def _one_by_one(leaves, W, lam_y):
     return [thetas._theta_dense(leaf, W, lam_y) for leaf in leaves]
 
@@ -276,7 +281,8 @@ def test_batch_is_bit_identical_to_one_leaf_calls(monkeypatch, d, g, h):
     lam_y = thetas._at(W).lam_y
     calls = _batch_calls(monkeypatch)
     got = thetas._theta_batch(leaves, W, lam_y)
-    assert calls == [len(leaves)]  # one enumeration for the whole group
+    # one enumeration for the whole group, one center per family
+    assert calls == [_families(leaves)]
     want = _one_by_one(leaves, W, lam_y)
     for a, b in zip(got, want):
         assert (a.value, a.tail_bound, a.lattice_points_used) == (
@@ -294,12 +300,62 @@ def test_batches_straddle_the_cap(monkeypatch):
     monkeypatch.setattr(thetas, "_BATCH_POINTS", 2.5 * median)
     calls = _batch_calls(monkeypatch)
     assert thetas._theta_batch(leaves, W, lam_y) == want
-    assert sum(calls) == len(leaves) and len(calls) > 1 and max(calls) > 1
-    # a cap below every leaf's estimate: each leaf runs alone
+    assert sum(calls) == _families(leaves) and len(calls) > 1 and max(calls) > 1
+    # a cap below every family's estimate: each family runs alone
     monkeypatch.setattr(thetas, "_BATCH_POINTS", 1e-9)
     del calls[:]
     assert thetas._theta_batch(leaves, W, lam_y) == want
-    assert calls == [1] * len(leaves)
+    assert calls == [1] * _families(leaves)
+
+
+def _assert_batches_by_family(monkeypatch, plan, W):
+    """Each group of the plan at W: bit for bit the one-leaf calls, and one
+    enumeration with one center per family."""
+    at = thetas._at(np.asarray(W, dtype=complex))
+    calls = _batch_calls(monkeypatch)
+    leaves = families = 0
+    for group in plan.groups[0]:
+        del calls[:]
+        got = thetas._theta_batch(group, at.w, at.lam_y)
+        assert calls == [_families(group)]
+        assert got == _one_by_one(group, at.w, at.lam_y)
+        leaves += len(group)
+        families += _families(group)
+    return leaves, families
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+@pytest.mark.parametrize("g", [1, 2])
+def test_relation_leaves_batch_by_family(monkeypatch, d, g):
+    # with this T, |G1| = 1 and |G2| > 1: the right-hand thetas share their
+    # A0 and differ in B0 + c b, b in G2, so they are one family of leaves
+    # that differ only in the linear phase (denominators well above 1)
+    field = FieldId(d)
+    one, zero = field.one(), field.zero()
+    T = KMatrix([[one + field.delta(), zero], [one, one + one]])
+    P = KMatrix.from_rational_rows([[2, 1], [1, 2]], field)
+    A0 = KMatrix([[field.element(Fraction(1, 3), Fraction(1, 2)),
+                   field.element(Fraction(1, 4))]] * g)
+    B0 = KMatrix([[field.element(Fraction(1, 5)),
+                   field.element(Fraction(1, 2), Fraction(1, 7))]] * g)
+    inst = build_relation(RelationSpec(field, g, T, P, A0, B0))
+    plan = _lower_terms(ThetaParams(eps=1e-6), (inst.rhs_terms,), (inst._lhs_factor(),))
+    leaves, families = _assert_batches_by_family(monkeypatch, plan, _W(g))
+    assert leaves == 1 + len(inst.terms) and families == 2
+    assert all(leaf.phase.modulus > 1 for group in plan.groups[0] for leaf in group)
+
+
+def test_decomposition_leaves_batch_by_family(monkeypatch):
+    field = FieldId(3)
+    P = KMatrix.from_rational_rows([[2, -1], [-1, 2]], field)
+    A0 = KMatrix.from_rational_rows([[Fraction(1, 3), Fraction(-1, 4)],
+                                     [Fraction(1, 2), 0]], field)
+    B0 = KMatrix.from_rational_rows([[Fraction(1, 5), Fraction(1, 2)],
+                                     [0, Fraction(1, 3)]], field)
+    dec = decompose_rational_P(field, 2, P, A0, B0)
+    plan = _lower_terms(ThetaParams(eps=1e-9), (dec.monomials,))
+    leaves, families = _assert_batches_by_family(monkeypatch, plan, _W(2))
+    assert (leaves, families) == (16 + 256, 1 + 16)
 
 
 def test_over_budget_leaf_in_a_batch_raises(monkeypatch):

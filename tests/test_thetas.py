@@ -24,6 +24,7 @@ from iqtheta import (
     theta_check_variant,
     theta_general,
 )
+from iqtheta import thetas
 from iqtheta.kfield import hat, re_trace_of_product
 from iqtheta.relations import Term, ThetaFactor
 
@@ -115,6 +116,65 @@ def test_riemann_matches_mpmath_genus_2():
     want, _ = _mp_riemann(a, b, omega)
     assert abs(val.value - want) <= val.tail_bound + 1e-14
     assert val.lattice_points_used > 0
+
+
+def _mp_element(x, field):
+    """A KElement at 40 digits, from its exact coordinates."""
+    delta = mpmath.sqrt(-field.d)
+    if field.one_mod_four:
+        delta = (1 + delta) / 2
+    return (x.n + x.m * delta) / mpmath.mpf(x.den)
+
+
+def _mp_theta_1x1(field, w, p, a0, b0, n_max=10):
+    """Theta^p[a0; b0](w) at g = h = 1 as a direct sum over N = u + v delta,
+    |u|, |v| <= n_max, at 40 digits; the terms left out are below 1e-100 for
+    Im(w) p >= 1.5."""
+    with mpmath.workdps(40):
+        w = mpmath.mpc(complex(w))
+        p = mpmath.mpf(p.numerator) / p.denominator
+        delta, a0, b0 = (_mp_element(x, field) for x in (field.delta(), a0, b0))
+        total = mpmath.mpc(0)
+        for u, v in itertools.product(range(-n_max, n_max + 1), repeat=2):
+            x = u + v * delta + a0
+            total += mpmath.exp(1j * mpmath.pi * abs(x) ** 2 * w * p
+                                + 2j * mpmath.pi * mpmath.re(mpmath.conj(x) * b0))
+        return complex(total)
+
+
+@pytest.mark.parametrize("d,b0,den,modulus", [
+    (2, (3, -2), 1, 1),  # B0 integral and t = (3, -4): no phase but e(q0)
+    (7, (1, 2), 1031, 2062),  # above the table of roots of unity
+    # about 1 + delta with M near 2^63: z.k passes 2^63 already at z =
+    # (1, 1), where an int64 that wraps mod 2^64 is off by about 0.05 M
+    (1, (9 * 10**18 - 1, 9 * 10**18 - 2), 9 * 10**18 + 1, 9 * 10**18 + 1),
+], ids=["integral", "above-the-table", "above-2^40"])
+def test_exact_linear_phase_matches_mpmath(d, b0, den, modulus):
+    field = FieldId(d)
+    a0 = field.element(Fraction(1, 3), Fraction(1, 5))
+    b0 = field.element(Fraction(b0[0], den), Fraction(b0[1], den))
+    p = Fraction(3, 2)
+    w = 0.2 + 1.1j
+    P, A0, B0 = KMatrix([[field.from_rational(p)]]), KMatrix([[a0]]), KMatrix([[b0]])
+    (leaf,) = thetas._lower(field, P, A0, B0, ThetaParams())
+    assert leaf.phase.modulus == modulus
+    if modulus > 1:
+        assert modulus > thetas._ROOTS_MAX
+    val = theta_general(field, [[w]], P, A0, B0)
+    if den > 2**40:
+        assert sum(leaf.phase.k) >= 2**63 and val.lattice_points_used > 9
+    want = _mp_theta_1x1(field, w, p, a0, b0)
+    assert abs(val.value - want) <= val.tail_bound + 1e-13
+
+
+def test_w_below_the_eigenvalue_grid_is_a_domain_error():
+    # lam_min(Y) = 5e-7 passes the 1e-10 membership test but snaps to 0,
+    # where no tail bound exists
+    field = FieldId(1)
+    with pytest.raises(DomainError, match="type-I domain"):
+        theta_general(field, [[5e-7j]], [[1]], [[0]], [[0]])
+    with pytest.raises(DomainError, match="positive definite"):
+        riemann_theta_z0([0], [0], [[5e-7j]])
 
 
 def test_radius_and_tail_frozen():
