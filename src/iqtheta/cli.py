@@ -46,7 +46,7 @@ from .relations import (
     decompose_rational_P,
     evaluate_relation,
 )
-from .thetas import ThetaParams, theta_general
+from .thetas import ThetaParams, _at, theta_general
 
 __all__ = ["main"]
 
@@ -408,6 +408,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             else KMatrix.zeros(g, h, field)
             for key in ("A0", "B0")
         )
+    # --W is checked as the evaluation checks it, but before the expansion
+    W = None if args.W is None else _at(_parse_complex_matrix(args.W, "--W")).w
+    if W is not None and W.shape != (g, g):
+        raise DomainError(f"W must be {g}x{g} to match A0, got {W.shape}")
     decomp = decompose_rational_P(field, g, P, A0, B0)
     det = decomp.lambda_product()
     out = {
@@ -416,16 +420,15 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "h": h,
         "lambdas": [_frac_pair(x) for x in decomp.lambdas],
         "lambda_product": _frac_pair(det),
-        "monomial_count": len(decomp.monomials),
+        "monomial_count": len(decomp.expansion),
     }
     passed = []
-    if args.W is not None:
-        W = _parse_complex_matrix(args.W, "--W")
+    if W is not None:
         poly = decomp.evaluate(W, params)
         direct = theta_general(field, W, P, A0, B0, params).value
         # only the residual and the verdict are printed, not the counts
         rep = VerificationReport.compare(
-            direct, poly, len(decomp.monomials), 0, 0, params.eps
+            direct, poly, len(decomp.expansion), 0, 0, params.eps
         )
         out.update(
             {

@@ -26,9 +26,12 @@ Every side is a sum of Terms, evaluated in two steps.  Lowering
 (`_lower_terms`) runs once per Term tuple and ThetaParams: each Term's
 float coefficient, and per factor the thetas leaves it multiplies (see
 thetas._lower; a Riemann theta is one leaf over Z, see
-thetas._lower_riemann) with the scale of W they read.  The plan is cached
-on the object that owns the Terms (RelationInstance, IdentityCheck,
-PDecomposition), one per ThetaParams.  Evaluation
+thetas._lower_riemann) with the scale of W they read.  A decomposition is
+compiled at emission instead: its expansion runs in integers and interns
+each one-column leaf as it is emitted, so its plan takes one thetas._leaf
+per distinct leaf and lowers no factor.  The plan is cached on the object
+that owns the sum (RelationInstance, IdentityCheck, PDecomposition), one
+per ThetaParams.  Evaluation
 (`_sum_terms`) takes one W: it builds and checks each scaled W once, and
 evaluates each distinct (leaf, W bytes) pair once into a table that
 belongs to that one evaluation, one batch per group of leaves that share
@@ -41,10 +44,11 @@ theta_general is the same pipeline for one factor.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Callable, Iterable, NamedTuple, Optional
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .errors import DomainError, GroupCapError, SingularMatrixError
 from .kfield import (
@@ -57,7 +61,9 @@ from .kfield import (
 )
 from .lattices import (
     FiniteAbelianGroup,
+    _int_coords,
     character_group,
+    coords_to_kmatrix,
     index_in,
     quotient_group,
     quotient_lattices,
@@ -68,9 +74,11 @@ from .thetas import (
     ThetaParams,
     _as_complex_matrix,
     _at,
+    _center,
     _evaluate_ahead,
     _group_leaves,
     _Leaf,
+    _leaf,
     _leaves_value,
     _lower,
     _lower_check,
@@ -152,19 +160,20 @@ class _Plan:
 
 def _lower_terms(
     params: ThetaParams,
-    sides: Iterable[Iterable[Term]],
+    sides: Iterable[Union[Iterable[Term], "PDecomposition"]],
     bare: Iterable[ThetaFactor] = (),
 ) -> _Plan:
     """Lower bare factors and Term sums together, so they share leaves.
 
-    Equal factors are lowered once, each distinct P is checked once, and
-    equal leaf keys are interned, so a table lookup compares keys by
-    identity.
+    Equal factors are lowered once, and equal leaf keys are interned, so a
+    table lookup compares keys by identity.  A side may be a
+    PDecomposition, whose expansion is compiled to leaves already: it takes
+    one _leaf per entry of its leaves, read at W itself, and lowers no
+    factor.
     """
     scales: dict[tuple[Optional[float], bool], int] = {}
     leaves: dict = {}
     read: dict[int, dict] = {}  # per W index, its distinct leaves by key
-    p_columns: dict = {}
     ops: dict[ThetaFactor, _Op] = {}
 
     def intern(w: int, leaf: _Leaf) -> _Leaf:
@@ -177,7 +186,7 @@ def _lower_terms(
         if op is not None:
             return op
         if f.kind == "field":
-            lowered = _lower(f.a.field, f.p, f.a, f.b, params, p_columns)
+            lowered = _lower(f.a.field, f.p, f.a, f.b, params)
             w = scales.setdefault((None, False), len(scales))
             op = _Op(w, tuple(intern(w, leaf) for leaf in lowered))
         elif f.kind == "check":
@@ -192,9 +201,19 @@ def _lower_terms(
         ops[f] = op
         return op
 
+    def compiled(dec: PDecomposition) -> tuple:
+        w = scales.setdefault((None, False), len(scales))
+        leaf_ops = [_Op(w, (intern(w, _leaf(dec.field, p, a, b, params)),))
+                    for p, a, b in dec.leaves]
+        scale = float(dec.scale)
+        coeffs = {q: scale * _phase(Fraction(q, dec.q_den))
+                  for q in {q for q, _ in dec.expansion}}
+        return tuple((coeffs[q], tuple(leaf_ops[i] for i in idx))
+                     for q, idx in dec.expansion)
+
     bare_ops = tuple(lower(f) for f in bare)
     lowered_sides = tuple(
-        tuple(
+        compiled(side) if isinstance(side, PDecomposition) else tuple(
             (
                 float(t.coeff_scale) * _phase(t.coeff_q),
                 tuple(lower(f) for f in t.factors),
@@ -511,16 +530,22 @@ def evaluate_relation(
 
 @dataclass(frozen=True)
 class PDecomposition:
-    """Schur pivot sequence (one entry per level, repeats kept) plus monomials.
+    """Schur pivot sequence (one entry per level, repeats kept) plus the
+    expansion, compiled to one-column leaves as it was emitted.
 
-    Each monomial is a Term whose factors are one-column field thetas
-    Theta^(lam_j)[a_j; b_j](W), one per level j.
+    leaves holds each distinct Theta^(lam)[a; b] once, as ([[lam]], a
+    reduced mod O_K, b), in the order the monomials first read them.  A
+    monomial (q, leaf indices, one per level) of expansion stands for
+    scale * exp(-2*pi*i*q / q_den) times the product of its leaves.
     """
 
     field: FieldId
     g: int
     lambdas: tuple[Fraction, ...]
-    monomials: tuple[Term, ...]
+    scale: Fraction
+    q_den: int
+    leaves: tuple[tuple[KMatrix, KMatrix, KMatrix], ...]
+    expansion: tuple[tuple[int, tuple[int, ...]], ...]
 
     def lambda_product(self) -> Fraction:
         prod = Fraction(1)
@@ -529,8 +554,18 @@ class PDecomposition:
         return prod
 
     @cached_property
+    def monomials(self) -> tuple[Term, ...]:
+        """The expansion as Terms of one-column field factors, built on
+        first use; evaluation does not read them."""
+        factors = [ThetaFactor(kind="field", a=a, b=b, p=p) for p, a, b in self.leaves]
+        return tuple(
+            Term(Fraction(q, self.q_den), self.scale, tuple(factors[i] for i in idx))
+            for q, idx in self.expansion
+        )
+
+    @cached_property
     def _plans(self) -> dict:
-        """The monomials lowered, per ThetaParams."""
+        """The expansion as a plan, per ThetaParams."""
         return {}
 
     def evaluate(
@@ -538,9 +573,7 @@ class PDecomposition:
     ) -> complex:
         if params is None:
             params = ThetaParams()
-        plan = _cached_plan(
-            self._plans, params, lambda: _lower_terms(params, (self.monomials,))
-        )
+        plan = _cached_plan(self._plans, params, lambda: _lower_terms(params, (self,)))
         return _sum_terms(plan, W)[1][0]
 
 
@@ -627,7 +660,7 @@ def decompose_rational_P(
         lambdas.append(lam1)
         pairs = [quotient_lattices(g, M) for M in (k_mat.conj_transpose(), m_mat)]
         count *= index_in(*pairs[0]) * index_in(*pairs[1])
-        levels.append((k_mat, m_mat, pairs))
+        levels.append((k_mat, pairs))
         cur = p1
     last = _rational_entry(cur[(0, 0)], "P")
     if last <= 0:
@@ -637,64 +670,89 @@ def decompose_rational_P(
         raise GroupCapError(
             f"the decomposition has {count} monomials, over the cap {_MAX_MONOMIALS}"
         )
-    # per level K^t, M = K^-1, the G1 representatives, and the G2
-    # representatives times the dual generator
+
+    # The expansion runs in integers.  Every A of the recursion is kept over
+    # one denominator da and every B over db, multiples of the denominators
+    # at every level, so a sum is a sum of integers and a product with a
+    # rational x of K an exact integer division, and Re Tr(A^H B) has the
+    # denominator 2 da db.  A column is (n_0, m_0, n_1, m_1, ...) for the
+    # entries (n_i + m_i delta) / den.
     dual = dual_generator(field)
-    chain: list[tuple[KMatrix, KMatrix, tuple[KMatrix, ...], tuple[KMatrix, ...]]] = []
-    for k_mat, m_mat, pairs in levels:
-        g1, g2 = (quotient_group(L, S, field, g, k_mat.rows) for L, S in pairs)
-        chain.append((
-            k_mat.transpose(),
-            m_mat,
-            g1.representatives,
-            tuple(rep.scale(dual) for rep in g2.representatives),
-        ))
+    da, db = _int_coords(A0)[1], _int_coords(B0)[1]
+    groups = []
+    for k_mat, pairs in levels:
+        a_reps, b_reps = (quotient_group(L, S, field, g, k_mat.rows).representatives
+                          for L, S in pairs)
+        b_duals = [rep.scale(dual) for rep in b_reps]
+        x = [k_mat[(i, 0)] for i in range(1, k_mat.rows)]
+        dx = math.lcm(*(v.den for v in x))
+        da = math.lcm(da * dx, *(_int_coords(a)[1] for a in a_reps))
+        db = math.lcm(db * dx, *(_int_coords(b)[1] for b in b_duals))
+        groups.append((x, a_reps, b_duals))
+    q_den = 2 * da * db
+    t, nd2 = field.delta_trace, 2 * field.delta_norm
 
-    lam_mats = [KMatrix([[field.from_rational(lam)]]) for lam in lambdas]
-    monomials: list[Term] = []
+    def weights(cols):  # w with Re Tr(A^H B) = (A . w) / q_den
+        return tuple(w for col in cols for n, m in zip(col[::2], col[1::2])
+                     for w in (2 * n + t * m, t * n + nd2 * m))
 
-    def recurse(
-        level: int,
-        A_cur: KMatrix,
-        B_cur: KMatrix,
-        q_acc: Fraction,
-        scale_acc: Fraction,
-        factors: tuple[ThetaFactor, ...],
-    ) -> None:
+    chain = [
+        ([(v.n, v.den) for v in x], [_int_columns(a, da) for a in a_reps],
+         [(c, weights(c)) for c in (_int_columns(b, db) for b in b_duals)])
+        for x, a_reps, b_duals in groups
+    ]
+    pivot = [lambdas.index(lam) for lam in lambdas]
+    leaf_ids: dict[tuple, int] = {}  # (pivot, a, b) -> index, in first-read order
+    expansion: list[tuple[int, tuple[int, ...]]] = []
+
+    def leaf(level: int, a: tuple, b: tuple) -> int:
+        return leaf_ids.setdefault((pivot[level], a, b), len(leaf_ids))
+
+    def reduced(col) -> tuple:  # mod O_K, as thetas._reduce_mod_integral
+        return tuple(_center(v, da) for v in col)
+
+    def recurse(level: int, A: tuple, B: tuple, q: int, prefix: tuple) -> None:
         if level == len(chain):
-            last_factor = ThetaFactor(
-                kind="field", a=A_cur, b=B_cur, p=lam_mats[level]
-            )
-            monomials.append(
-                Term(
-                    coeff_q=q_acc - math.floor(q_acc),
-                    coeff_scale=scale_acc,
-                    factors=factors + (last_factor,),
-                )
-            )
+            expansion.append((q, prefix + (leaf(level, reduced(A[0]), B[0]),)))
             return
-        k_t, m_mat, a_reps, b_duals = chain[level]
-        a_thm = A_cur @ k_t
-        b_thm = B_cur @ m_mat
-        scale_next = scale_acc / len(b_duals)
-        p = lam_mats[level]
-        for b_dual in b_duals:
-            q = q_acc + re_trace_of_product(a_thm, b_dual)
-            b_char = b_thm + b_dual
-            b_head, b_rest = b_char.column(0), b_char.columns(1)
-            for a_rep in a_reps:
-                a_char = a_thm + a_rep
-                recurse(
-                    level + 1,
-                    a_char.columns(1),
-                    b_rest,
-                    q,
-                    scale_next,
-                    factors
-                    + (ThetaFactor(kind="field", a=a_char.column(0), b=b_head, p=p),),
-                )
+        xs, a_reps, b_duals = chain[level]
+        # A K^t adds x_j times column 0 to column j; B K^-1 subtracts the x_j
+        # multiples of the columns j from column 0
+        a0 = A[0]
+        a_rest = [tuple(u + v * n // d for u, v in zip(col, a0))
+                  for col, (n, d) in zip(A[1:], xs)]
+        a_flat = a0 + sum(a_rest, ())
+        b0 = B[0]
+        for col, (n, d) in zip(B[1:], xs):
+            b0 = tuple(u - v * n // d for u, v in zip(b0, col))
+        a_next = [(reduced(_add(a0, r[0])),
+                   tuple(map(_add, a_rest, r[1:]))) for r in a_reps]
+        for s, w in b_duals:
+            q_next = (q + sum(map(operator.mul, a_flat, w))) % q_den
+            b = _add(b0, s[0])
+            B_next = tuple(map(_add, B[1:], s[1:]))
+            for a, A_next in a_next:
+                recurse(level + 1, A_next, B_next, q_next, prefix + (leaf(level, a, b),))
 
-    recurse(0, A0, B0, Fraction(0), Fraction(1), ())
+    recurse(0, _int_columns(A0, da), _int_columns(B0, db), 0, ())
+
+    column = lru_cache(maxsize=None)(partial(coords_to_kmatrix, g=g, h=1, field=field))
+    p_mats = [KMatrix([[field.from_rational(lam)]]) for lam in lambdas]
     return PDecomposition(
-        field=field, g=g, lambdas=tuple(lambdas), monomials=tuple(monomials)
+        field=field, g=g, lambdas=tuple(lambdas),
+        scale=Fraction(1, math.prod(len(b) for _, _, b in groups)), q_den=q_den,
+        leaves=tuple((p_mats[j], column(a, da), column(b, db)) for j, a, b in leaf_ids),
+        expansion=tuple(expansion),
     )
+
+
+def _add(u: tuple, v: tuple) -> tuple:
+    return tuple(map(operator.add, u, v))
+
+
+def _int_columns(M: KMatrix, den: int) -> tuple[tuple[int, ...], ...]:
+    """The columns of M as coordinate vectors (see lattices._int_coords)
+    over den, a multiple of each entry's denominator."""
+    nums, own = _int_coords(M.transpose())
+    k, c = den // own, 2 * M.rows
+    return tuple(tuple(v * k for v in nums[j:j + c]) for j in range(0, len(nums), c))

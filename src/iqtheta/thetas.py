@@ -328,22 +328,20 @@ def choose_radius(
     return radius
 
 
+def _center(n: int, den: int) -> int:
+    """n - floor(n/den + 1/2) * den, with floor(n/den + 1/2) =
+    (2n + den) // (2 den): n/den moved into [-1/2, 1/2) by an integer."""
+    return n - (2 * n + den) // (2 * den) * den
+
+
 def _centered(x: KElement) -> KElement:
     """x - floor(a + 1/2) - floor(b + 1/2)*delta for x = a + b*delta.
 
-    With a = n/den, floor(a + 1/2) = (2n + den) // (2 den).  Shifting n and
-    m by multiples of den keeps gcd(n, m, den) = 1, so the result is
-    canonical as it stands."""
-    n, m, den = x.n, x.m, x.den
-    if den == 1:
+    Shifting n and m by multiples of den keeps gcd(n, m, den) = 1, so the
+    result is canonical as it stands."""
+    if x.den == 1:
         return x.field.zero()
-    two_den = 2 * den
-    return _canonical(
-        n - (2 * n + den) // two_den * den,
-        m - (2 * m + den) // two_den * den,
-        den,
-        x.field,
-    )
+    return _canonical(_center(x.n, x.den), _center(x.m, x.den), x.den, x.field)
 
 
 def _reduce_mod_integral(A0: KMatrix) -> KMatrix:
@@ -519,15 +517,6 @@ class _LeafPhase(NamedTuple):
     shift: complex  # e(q0)
 
 
-def _float_matrix(m: KMatrix, name: str) -> np.ndarray:
-    try:
-        return _as_complex_matrix(m, name)
-    except OverflowError:
-        raise DomainError(
-            "an exact entry of P or B0 is too large for a float"
-        ) from None
-
-
 # The Z-basis of a real theta's entries; a field theta's is (1, delta).
 _Z_BASIS = (1.0,)
 # The field whose KMatrix holds a real theta's rational A0 and B0: any field
@@ -577,22 +566,30 @@ class _Leaf:
 
     @cached_property
     def phase(self) -> _LeafPhase:
-        _float_matrix(self.B0, "B0")  # read exactly, but kept in float range
-        # t = Re(conj(e) y) for y = (n + m delta) / den is a / (2 den), with
-        # a = 2n + Tr(delta) m for e = 1 and Tr(delta) n + 2 N(delta) m for
-        # e = delta; each t kept as its reduced (numerator, denominator)
-        tr, nd2 = self.field.delta_trace, 2 * self.field.delta_norm
-        nb = len(self.basis)
-        t = []
-        for row in self.B0.entry_rows():
-            for y in row:
-                n, m, den = y.n, y.m, 2 * y.den
-                for a in (2 * n + tr * m, tr * n + nd2 * m)[:nb]:
-                    c = math.gcd(a, den)
-                    t.append((a // c, den // c))
-        modulus = math.lcm(*(den for _, den in t))
-        k = tuple(a * (modulus // den) % modulus for a, den in reversed(t))
+        modulus, k = _phase_residues(self.field, self.B0, len(self.basis))
         return _LeafPhase(modulus, k, _phase(-re_trace_of_product(self.A0, self.B0)))
+
+
+@lru_cache(maxsize=1 << 12)
+def _phase_residues(
+    field: FieldId, B0: KMatrix, nb: int
+) -> tuple[int, tuple[int, ...]]:
+    """The modulus M and the integers k of _LeafPhase, which depend on B0
+    and the basis alone: the leaves of a relation, and of each Schur level
+    of a decomposition, repeat each B0 across G1."""
+    # t = Re(conj(e) y) for y = (n + m delta) / den is a / (2 den), with
+    # a = 2n + Tr(delta) m for e = 1 and Tr(delta) n + 2 N(delta) m for
+    # e = delta; each t kept as its reduced (numerator, denominator)
+    tr, nd2 = field.delta_trace, 2 * field.delta_norm
+    t = []
+    for row in B0.entry_rows():
+        for y in row:
+            n, m, den = y.n, y.m, 2 * y.den
+            for a in (2 * n + tr * m, tr * n + nd2 * m)[:nb]:
+                c = math.gcd(a, den)
+                t.append((a // c, den // c))
+    modulus = math.lcm(*(den for _, den in t))
+    return modulus, tuple(a * (modulus // den) % modulus for a, den in reversed(t))
 
 
 def _leaf(
@@ -692,7 +689,10 @@ def _theta_batch(
     nb = len(basis)
     if nb == 1:
         _check_symmetric(W)
-    p = _float_matrix(leaves[0].P, "P")
+    try:
+        p = _as_complex_matrix(leaves[0].P, "P")
+    except OverflowError:
+        raise DomainError("an exact entry of P is too large for a float") from None
     # the family of each leaf, numbered by first leaf; a family's float
     # data is its first leaf's
     first: dict[KMatrix, int] = {}
@@ -793,9 +793,11 @@ def _theta_dense(leaf: _Leaf, W: np.ndarray, lam_y: float) -> ThetaValue:
     return _theta_batch((leaf,), W, lam_y)[0]
 
 
+@lru_cache(maxsize=1 << 8)
 def _p_columns(P: KMatrix) -> tuple[KMatrix, ...]:
     """The 1x1 diagonal entries of an exactly diagonal P with h > 1, else
-    (); DomainError unless P is Hermitian."""
+    (); DomainError unless P is Hermitian.  Cached: the factors of a plan
+    share a few P."""
     if P.conj_transpose() != P:
         raise DomainError("P must be Hermitian")
     h = P.rows
@@ -810,14 +812,12 @@ def _lower(
     A0: ExactLike,
     B0: ExactLike,
     params: ThetaParams,
-    p_columns: Optional[dict] = None,
 ) -> tuple[_Leaf, ...]:
     """Theta^P[A0; B0] as the leaves whose product it is: the exact checks,
     the mod-O_K reduction of A0 and the float inputs, done once for every W.
 
     An exactly diagonal P with h > 1 factors over columns: one 1x1 leaf per
-    column, each at eps/h.  Otherwise there is a single leaf.  p_columns,
-    when given, memoizes _p_columns per P across the factors of one plan.
+    column, each at eps/h.  Otherwise there is a single leaf.
     """
     P = _exact(P, "P", field)
     A0 = _exact(A0, "A0", field)
@@ -827,12 +827,7 @@ def _lower(
         raise DomainError(f"B0 must have shape {(g, h)}, got {(B0.rows, B0.cols)}")
     if (P.rows, P.cols) != (h, h):
         raise DomainError(f"P must be {h}x{h} to match A0, got {(P.rows, P.cols)}")
-    if p_columns is None:
-        cols = _p_columns(P)
-    else:
-        cols = p_columns.get(P)
-        if cols is None:
-            cols = p_columns[P] = _p_columns(P)
+    cols = _p_columns(P)
     A0 = _reduce_mod_integral(A0)
     if cols:
         col_params = replace(params, eps=params.eps / h)

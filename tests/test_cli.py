@@ -4,11 +4,12 @@ import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from iqtheta import FieldId, KMatrix, RelationSpec
-from iqtheta import lattices
+from iqtheta import cli, lattices
 from iqtheta.cli import main
 
 THETA_D1_AT_I = 1.1803405990160964  # (pi^(1/4)/Gamma(3/4))^2
@@ -209,6 +210,41 @@ def test_decompose_rejects_misshapen_A0(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "w,code,err",
+    [
+        ("junk", 1, "error: invalid JSON input: Expecting value: line 1 column 1 (char 0)"),
+        ("[[[0, 1]]]", 2, "domain error: W must be 2x2 to match A0, got (1, 1)"),
+        ("[[[0, 1], [0, 0]]]", 2, "domain error: W must be square, got shape (1, 2)"),
+    ],
+    ids=["W-junk", "W-1x1", "W-not-square"],
+)
+def test_decompose_checks_w_before_expanding(capsys, monkeypatch, w, code, err):
+    # this spec expands to 390,625 monomials, which took seconds before a
+    # bad --W was read
+    def expand(*args):
+        raise AssertionError("the expansion started")
+
+    monkeypatch.setattr(cli, "decompose_rational_P", expand)
+    spec = json.dumps({"d": 1, "g": 2, "P": [[2, 1], [1, 5]]})
+    assert main(["decompose", "--spec", spec, "--W", w]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [err]
+
+
+_GOLDEN = json.loads((Path(__file__).parent / "data" / "decompose_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN["specs"]))
+def test_decompose_output_is_unchanged(capsys, name):
+    # the stdout that the expansion through Terms and factor-by-factor
+    # lowering printed for (g, h) = (1, 2), (2, 2) and (1, 3)
+    code, out = _run(capsys, ["decompose", "--spec", json.dumps(_GOLDEN["specs"][name]),
+                              "--W", json.dumps(_GOLDEN["W"][name])])
+    assert code == 0
+    assert out == _GOLDEN["stdout"][name]
+
+
 def test_decompose_missing_key(capsys):
     code, _ = _run(capsys, ["decompose", "--spec", json.dumps({"d": 1, "g": 1})])
     assert code == 1
@@ -282,12 +318,11 @@ _BIG_ENTRY = json.dumps(
         (_EVAL + ["--max-radius", "nan"], 1, "error: "),
         (_EVAL + ["--eps", "nan"], 1, "error: "),
         (_EVAL + ["--P", _BIG_ENTRY], 2, "domain error: "),
-        (_EVAL + ["--B0", _BIG_ENTRY], 2, "domain error: "),
         (["decompose", "--spec", json.dumps({"d": 1, "g": 1, "P": [[_BIG]]}),
           "--W", "[[[0, 1]]]"], 2, "domain error: "),
         (["groups", "--preset", "cubic_d3", "--rep-limit", "-1"], 1, "error: "),
     ],
-    ids=["max-radius-nan", "eps-nan", "P-entry-too-large", "B0-entry-too-large",
+    ids=["max-radius-nan", "eps-nan", "P-entry-too-large",
          "decompose-P-too-large", "rep-limit-negative"],
 )
 def test_rejected_settings_and_entries(capsys, argv, code, prefix):
@@ -296,6 +331,28 @@ def test_rejected_settings_and_entries(capsys, argv, code, prefix):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), captured.err
+
+
+def _entry(a):
+    a = Fraction(a)
+    return json.dumps({"rows": 1, "cols": 1, "entries": [
+        [{"a": [a.numerator, a.denominator], "b": [0, 1]}]]})
+
+
+@pytest.mark.parametrize("huge,small", [(_BIG, 0), (Fraction(_BIG + 1, 2), Fraction(1, 2))],
+                         ids=["integral", "half"])
+def test_b0_entry_too_large_for_a_float_is_read_exactly(capsys, huge, small):
+    # B0 enters only the exact linear phase, which depends on B0 mod the
+    # dual lattice: 10^400 acts as 0 and (10^400 + 1)/2 as 1/2
+    code, out = _run(capsys, _EVAL + ["--B0", _entry(huge)])
+    assert code == 0
+    assert (code, out) == _run(capsys, _EVAL + ["--B0", _entry(small)])
+
+
+def test_p_entry_too_large_names_p(capsys):
+    assert main(_EVAL + ["--P", _BIG_ENTRY]) == 2
+    err = capsys.readouterr().err
+    assert err == "domain error: an exact entry of P is too large for a float\n"
 
 
 @pytest.mark.parametrize("flag,points", [("--eps", 5), ("--max-radius", 49)])

@@ -27,6 +27,8 @@ from iqtheta import (
     theta_general,
 )
 from iqtheta import presets, relations, thetas
+from iqtheta.kfield import dual_generator, re_trace_of_product
+from iqtheta.lattices import character_group, shift_group
 from iqtheta.relations import (
     RelationSpec,
     Term,
@@ -432,3 +434,111 @@ def test_shared_cache_counts_match_public_calls(case):
     want_direct = theta_general(field, W, P, A0, B0, params, naive_cache)
     assert poly == got_poly == want_poly
     assert direct == want_direct
+
+
+# -- decompositions compiled to leaves ------------------------------------------
+
+
+def _decomposition_input(d, g, h):
+    """(field, g, P, A0, B0) with characteristics off the lattice: h = 2
+    has one Schur level, h = 3 two (both with groups > 1 at g = 1; the
+    second is trivial at g = 2, which keeps the expansion small)."""
+    field = FieldId(d)
+    rows = {2: [[2, -1], [-1, 2]],
+            3: ([[3, Fraction(3, 2), 0], [Fraction(3, 2), 2, 1], [0, 1, 2]] if g == 1
+                else [[3, 1, 1], [1, 2, 0], [1, 0, 2]])}[h]
+    P = KMatrix.from_rational_rows(rows, field)
+    A0 = KMatrix([[field.element(Fraction(1 + i, 3 + j), Fraction(j - i, 4)) for j in range(h)]
+                  for i in range(g)])
+    B0 = KMatrix([[field.element(Fraction(i - j, 5), Fraction(1, 2 + i + j)) for j in range(h)]
+                  for i in range(g)])
+    return field, g, P, A0, B0
+
+
+def _reference_monomials(field, g, P, A0, B0):
+    """The expansion as Terms through KMatrix and Fraction arithmetic, with
+    the characteristics unreduced: at each Schur level, Theta^P[A; B] is
+    1/#G2 times the sum over b in G2 and a in G1 of
+    exp(-2 pi i Re Tr((A K^t)^H c b)) times the leading column's theta
+    and the rest at (A K^t + a, B K^-1 + c b)."""
+    dual = dual_generator(field)
+    levels, cur = [], P
+    while cur.rows > 1:
+        lam, cur, K, M = relations._schur_split(cur)
+        levels.append((KMatrix([[field.from_rational(lam)]]), K.transpose(), M,
+                       shift_group(g, K).representatives,
+                       [b.scale(dual) for b in character_group(g, K).representatives]))
+    last = KMatrix([[cur[(0, 0)]]])
+    terms = []
+
+    def recurse(level, A, B, q, scale, factors):
+        if level == len(levels):
+            terms.append(Term(q - math.floor(q), scale,
+                              factors + (ThetaFactor("field", A, B, p=last),)))
+            return
+        p, k_t, M, a_reps, b_duals = levels[level]
+        a_thm, b_thm = A @ k_t, B @ M
+        for b in b_duals:
+            q_b = q + re_trace_of_product(a_thm, b)
+            b_char = b_thm + b
+            for a in a_reps:
+                a_char = a_thm + a
+                recurse(level + 1, a_char.columns(1), b_char.columns(1), q_b,
+                        scale / len(b_duals),
+                        factors + (ThetaFactor("field", a_char.column(0), b_char.column(0), p=p),))
+
+    recurse(0, A0, B0, Fraction(0), Fraction(1), ())
+    return tuple(terms)
+
+
+def _leaf_keys(plan):
+    return [[[leaf.key for leaf in op.leaves] for op in ops] for _, ops in plan.sides[0]]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("h", [2, 3])
+def test_compiled_plan_matches_lowered_monomials(d, g, h):
+    # the plan a decomposition compiles from its leaf table is the plan
+    # that lowering its monomials factor by factor gives, and the plan of
+    # the expansion through KMatrix arithmetic: the same coefficients, the
+    # same leaves per term, the same groups and the same values bit for bit
+    args = _decomposition_input(d, g, h)
+    dec = decompose_rational_P(*args)
+    params = ThetaParams(eps=1e-9)
+    compiled = _lower_terms(params, (dec,))
+    W = _W(g)
+    for terms in (dec.monomials, _reference_monomials(*args)):
+        lowered = _lower_terms(params, (terms,))
+        assert compiled.scales == lowered.scales == ((None, False),)
+        assert [c for c, _ in compiled.sides[0]] == [c for c, _ in lowered.sides[0]]
+        assert _leaf_keys(compiled) == _leaf_keys(lowered)
+        assert ([[leaf.key for leaf in group] for group in compiled.groups[0]]
+                == [[leaf.key for leaf in group] for group in lowered.groups[0]])
+        assert _sum_terms(compiled, W) == _sum_terms(lowered, W)
+    assert len(dec.leaves) == sum(map(len, compiled.groups[0]))
+    assert len({c for c, _ in compiled.sides[0]}) > 1
+
+
+def test_decomposition_lowers_no_factor(monkeypatch):
+    # evaluating a fresh decomposition builds each of its distinct leaves
+    # once and lowers no factor
+    lowered, leaves = [], []
+    for name, calls in (("_lower", lowered), ("_leaf", leaves)):
+        inner = getattr(thetas, name)
+
+        def counting(*args, _inner=inner, _calls=calls, **kwargs):
+            _calls.append(args)
+            return _inner(*args, **kwargs)
+
+        for module in (thetas, relations):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    dec = decompose_rational_P(*_decomposition_input(3, 1, 3))
+    assert (lowered, leaves) == ([], [])
+    dec.evaluate(_W(1), ThetaParams(eps=1e-9))
+    (plan,) = dec._plans.values()
+    distinct = {leaf.key for group in plan.groups[0] for leaf in group}
+    assert lowered == []
+    assert len(leaves) == len(distinct) == len(dec.leaves)
+    assert sum(len(ops) for _, ops in plan.sides[0]) > len(distinct)
