@@ -48,7 +48,7 @@ from .relations import (
     build_relation,
     evaluate_relation,
 )
-from .thetas import MatrixLike, ThetaParams
+from .thetas import MatrixLike, ThetaParams, _check_factor, _z_factor
 
 __all__ = [
     "PRESET_NAMES",
@@ -106,7 +106,7 @@ class IdentityCheck:
         plan = _cached_plan(
             self._plans, params, lambda: _lower_terms(params, (self.lhs, self.rhs))
         )
-        _, (lhs, rhs), evals, hits = _sum_terms(plan, W)
+        (lhs, rhs), evals, hits = _sum_terms(plan, W)
         return VerificationReport.compare(
             lhs, rhs, len(self.lhs) + len(self.rhs), evals, hits, params.eps
         )
@@ -131,10 +131,7 @@ def _zero_col(field: FieldId, g: int) -> KMatrix:
 
 
 def _field_factor(a: KMatrix, b: KMatrix, scale: Fraction) -> ThetaFactor:
-    field = a.field
-    return ThetaFactor(
-        kind="field", a=a, b=b, p=KMatrix([[field.from_rational(scale)]])
-    )
+    return ThetaFactor(a, b, KMatrix([[a.field.from_rational(scale)]]))
 
 
 def _plain_term(factors: Sequence[ThetaFactor],
@@ -242,7 +239,7 @@ def _printed_check(
 
     def columns(cols: Sequence[Sequence[KElement]], p: KMatrix) -> list[ThetaFactor]:
         return [
-            ThetaFactor(kind="field", a=_col(c), b=zero, p=KMatrix([[p[(j, j)]]]))
+            ThetaFactor(_col(c), zero, KMatrix([[p[(j, j)]]]))
             for j, c in enumerate(cols)
         ]
 
@@ -250,7 +247,7 @@ def _printed_check(
     if all(Q[(i, j)].is_zero() for i in range(h) for j in range(h) if i != j):
         lhs = columns(inst.lhs_A.transpose().entry_rows(), Q)
     else:
-        lhs = [ThetaFactor(kind="field", a=inst.lhs_A, b=inst.lhs_B, p=Q)]
+        lhs = [ThetaFactor(inst.lhs_A, inst.lhs_B, Q)]
     # row k of A0 + rho for each printed class rho, then every g-tuple of rows
     shifted = [
         [[a + x for a, x in zip(row, c.entry_rows()[0])] for c in printed]
@@ -290,9 +287,7 @@ def _default_alpha(field: FieldId, g: int, j: int) -> KMatrix:
 
 
 def _jacobi_factor(a: Fraction, b: Fraction, scale: int = 1) -> ThetaFactor:
-    return ThetaFactor(
-        kind="riemann", a=(a,), b=(b,), w_scale=Fraction(scale)
-    )
+    return ThetaFactor(*_z_factor((a,), (b,), scale))
 
 
 def _preset_jacobi_identity() -> Preset:
@@ -399,10 +394,7 @@ def _preset_riemann_quad(
     a2 = tuple(Fraction(x) for x in a2)
     zeros = tuple(Fraction(0) for _ in range(g))
     lhs = _plain_term(
-        [
-            ThetaFactor(kind="riemann", a=a1, b=zeros),
-            ThetaFactor(kind="riemann", a=a2, b=zeros),
-        ]
+        [ThetaFactor(*_z_factor(a1, zeros)), ThetaFactor(*_z_factor(a2, zeros))]
     )
     rhs = []
     for dvec in itertools.product((Fraction(0), Fraction(1)), repeat=g):
@@ -411,8 +403,8 @@ def _preset_riemann_quad(
         rhs.append(
             _plain_term(
                 [
-                    ThetaFactor(kind="riemann", a=c1, b=zeros, w_scale=Fraction(2)),
-                    ThetaFactor(kind="riemann", a=c2, b=zeros, w_scale=Fraction(2)),
+                    ThetaFactor(*_z_factor(c1, zeros, 2)),
+                    ThetaFactor(*_z_factor(c2, zeros, 2)),
                 ]
             )
         )
@@ -913,13 +905,19 @@ def _preset_matsumoto(
         "does not reproduce the product side for generic b; the verified form "
         "uses conj(e) in its place"
     )
-    lhs = _plain_term(
-        [
-            ThetaFactor(kind="check", a=a1 + a2, b=b1 + b2),
-            ThetaFactor(kind="check", a=a1 - a2, b=b1 - b2),
-        ],
-        scale=Fraction(2**g),
-    )
+
+    def checks(q: Fraction, *pairs: tuple[KMatrix, KMatrix]) -> tuple:
+        """q plus the phases of the check-variant thetas at pairs, reduced
+        mod 1, and their factors."""
+        factors = []
+        for a, b in pairs:
+            q_ab, factor = _check_factor(field, a, b)
+            q += q_ab
+            factors.append(ThetaFactor(*factor))
+        return q - math.floor(q), factors
+
+    q, factors = checks(Fraction(0), (a1 + a2, b1 + b2), (a1 - a2, b1 - b2))
+    lhs = _plain_term(factors, scale=Fraction(2**g), q=q)
     b_sum = b1 + b2
     rhs = []
     for ev in _vectors(e_reps, g):
@@ -929,15 +927,10 @@ def _preset_matsumoto(
                 q -= (one_plus_i * ev[k].conj() * b_sum[(k, 0)]).re()
             e_col = _col(list(ev))
             f_col = _col(list(fv))
-            rhs.append(
-                _plain_term(
-                    [
-                        ThetaFactor(kind="check", a=e_col + a1s, b=f_col + b1s),
-                        ThetaFactor(kind="check", a=e_col + a2s, b=f_col + b2s),
-                    ],
-                    q=q - math.floor(q),
-                )
+            q, factors = checks(
+                q, (e_col + a1s, f_col + b1s), (e_col + a2s, f_col + b2s)
             )
+            rhs.append(_plain_term(factors, q=q))
     check = IdentityCheck(
         name=f"matsumoto_statement_g{g}", g=g, lhs=(lhs,), rhs=tuple(rhs)
     )

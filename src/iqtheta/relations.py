@@ -22,23 +22,23 @@ The same machinery, applied to unipotent rational T from a Schur
 complement ladder, rewrites Theta^P for any rational symmetric positive
 definite P as an exact-coefficient polynomial in one-column thetas.
 
-Every side is a sum of Terms, evaluated in two steps.  Lowering
-(`_lower_terms`) runs once per Term tuple and ThetaParams: each Term's
-float coefficient, and per factor the thetas leaves it multiplies (see
-thetas._lower; a Riemann theta is one leaf over Z, see
-thetas._lower_riemann) with the scale of W they read.  A decomposition is
-compiled at emission instead: its expansion runs in integers and interns
-each one-column leaf as it is emitted, so its plan takes one thetas._leaf
-per distinct leaf and lowers no factor.  The plan is cached on the object
-that owns the sum (RelationInstance, IdentityCheck, PDecomposition), one
-per ThetaParams.  Evaluation
-(`_sum_terms`) takes one W: it builds and checks each scaled W once, and
-evaluates each distinct (leaf, W bytes) pair once into a table that
-belongs to that one evaluation, one batch per group of leaves that share
-a P (see thetas._evaluate_ahead).  The term loop reads that table in the
-order the terms and factors are written, and the plan works out its
-evaluation and hit counts from the table's size and its own reads.
-theta_general is the same pipeline for one factor.
+Every side is a sum of Terms, evaluated in two steps.  A factor is one
+theta (a, b, P) over O_K or Z: scaling W by s is scaling P by s, and the
+phase of a check-variant theta is part of its Term's coefficient, so every
+factor reads W itself.  Lowering (`_lower_terms`) runs once per Term tuple
+and ThetaParams: each Term's float coefficient, and per factor the dense
+thetas (leaves) whose product it is (see thetas._lower).  A decomposition
+is compiled at emission instead: its expansion runs in integers and
+interns each one-column leaf as it is emitted, so its plan takes one
+thetas._leaf per distinct leaf and lowers no factor.  The plan is cached
+on the object that owns the sum (RelationInstance, IdentityCheck,
+PDecomposition), one per ThetaParams.  Evaluation (`_sum_terms`) takes one W: it checks W once, and
+evaluates each distinct leaf once into a table that belongs to that one
+evaluation, one batch per group of leaves that share a P (see
+thetas._evaluate_ahead).  The term loop reads that table in the order the
+terms and factors are written, and the plan works out its evaluation and
+hit counts from the table's size and its own reads.  theta_general is the
+same pipeline for one factor.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import operator
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import DomainError, GroupCapError, SingularMatrixError
 from .kfield import (
@@ -81,9 +81,8 @@ from .thetas import (
     _leaf,
     _leaves_value,
     _lower,
-    _lower_check,
-    _lower_riemann,
     _phase,
+    _phase_of,
     _table_value,
 )
 
@@ -106,28 +105,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThetaFactor:
-    """One theta factor inside a product term.
+    """One theta factor inside a product term: Theta^p[a; b](W), the sum
+    over Mat(g, h; O_K) for lattice "O_K" and over Mat(g, h; Z) for lattice
+    "Z" (a Riemann theta at z = 0, built by thetas._z_factor).
 
-    kind "field": Theta^p[a; b](W) over an imaginary quadratic order, with
-    p an exact square matrix (a scalar [[s]] encodes the argument s*W).
-    kind "check": the linear-phase variant at w_scale * W.
-    kind "riemann": the classical real theta at z = 0 and w_scale * Omega,
-    with a and b tuples of rationals.
+    a and b are exact g x h characteristics and p an exact h x h Hermitian
+    matrix; scaling W by s is the factor with s*p, so a scalar [[s]]
+    encodes the argument s*W.  A check-variant theta is a factor times a
+    phase (thetas._check_factor), and the phase goes into its Term's
+    coefficient.
     """
 
-    kind: str
-    a: object
-    b: object
-    p: Optional[KMatrix] = None
-    w_scale: Fraction = Fraction(1)
+    a: KMatrix
+    b: KMatrix
+    p: KMatrix
+    lattice: str = "O_K"
 
 
 @dataclass(frozen=True)
 class Term:
     """coeff_scale * exp(-2*pi*i*coeff_q) * prod of the factors at W.
 
-    Relation right hand sides, identity check sides and P-decomposition
-    monomials are all sums of these.
+    Both sides of a relation (the left one a single Term), identity check
+    sides and P-decomposition monomials are all sums of these.
     """
 
     coeff_q: Fraction
@@ -135,101 +135,60 @@ class Term:
     factors: tuple[ThetaFactor, ...]
 
 
-class _Op(NamedTuple):
-    """A factor lowered: the product of its leaves at the plan's W number w,
-    times phase for a check factor.  A Riemann factor is one leaf over Z."""
-
-    w: int
-    leaves: tuple[_Leaf, ...]
-    phase: Optional[complex] = None
-
-
 @dataclass(frozen=True)
 class _Plan:
     """Term sums lowered for one ThetaParams; see _lower_terms."""
 
-    # one entry per W the factors read: (float(w_scale), or None for W
-    # itself; whether it is doubled)
-    scales: tuple[tuple[Optional[float], bool], ...]
-    # per entry of scales, the distinct leaves read at that W (field and
-    # Riemann alike), grouped for thetas._evaluate_ahead
-    groups: tuple[tuple[tuple[_Leaf, ...], ...], ...]
-    bare: tuple[_Op, ...]
-    sides: tuple[tuple[tuple[complex, tuple[_Op, ...]], ...], ...]
+    # the distinct leaves the factors read, grouped for thetas._evaluate_ahead
+    groups: tuple[tuple[_Leaf, ...], ...]
+    # per side, per term: its coefficient and, per factor, the leaves whose
+    # product the factor is
+    sides: tuple[tuple[tuple[complex, tuple[tuple[_Leaf, ...], ...]], ...], ...]
 
 
 def _lower_terms(
-    params: ThetaParams,
-    sides: Iterable[Union[Iterable[Term], "PDecomposition"]],
-    bare: Iterable[ThetaFactor] = (),
+    params: ThetaParams, sides: Iterable[Union[Iterable[Term], "PDecomposition"]]
 ) -> _Plan:
-    """Lower bare factors and Term sums together, so they share leaves.
+    """Lower Term sums together, so they share leaves.
 
     Equal factors are lowered once, and equal leaf keys are interned, so a
     table lookup compares keys by identity.  A side may be a
     PDecomposition, whose expansion is compiled to leaves already: it takes
-    one _leaf per entry of its leaves, read at W itself, and lowers no
-    factor.
+    one _leaf per entry of its leaves and lowers no factor.
     """
-    scales: dict[tuple[Optional[float], bool], int] = {}
-    leaves: dict = {}
-    read: dict[int, dict] = {}  # per W index, its distinct leaves by key
-    ops: dict[ThetaFactor, _Op] = {}
+    leaves: dict = {}  # the distinct leaves by key, in first-read order
+    lowered: dict[ThetaFactor, tuple[_Leaf, ...]] = {}
 
-    def intern(w: int, leaf: _Leaf) -> _Leaf:
-        leaf = leaves.setdefault(leaf.key, leaf)
-        read.setdefault(w, {})[leaf.key] = leaf
-        return leaf
+    def intern(leaf: _Leaf) -> _Leaf:
+        return leaves.setdefault(leaf.key, leaf)
 
-    def lower(f: ThetaFactor) -> _Op:
-        op = ops.get(f)
-        if op is not None:
-            return op
-        if f.kind == "field":
-            lowered = _lower(f.a.field, f.p, f.a, f.b, params)
-            w = scales.setdefault((None, False), len(scales))
-            op = _Op(w, tuple(intern(w, leaf) for leaf in lowered))
-        elif f.kind == "check":
-            phase, leaf, doubled = _lower_check(f.a.field, f.a, f.b, params)
-            w = scales.setdefault((float(f.w_scale), doubled), len(scales))
-            op = _Op(w, (intern(w, leaf),), phase)
-        elif f.kind == "riemann":
-            w = scales.setdefault((float(f.w_scale), False), len(scales))
-            op = _Op(w, (intern(w, _lower_riemann(f.a, f.b, params)),))
-        else:
-            raise ValueError(f"unknown factor kind {f.kind!r}")
-        ops[f] = op
-        return op
+    def lower(f: ThetaFactor) -> tuple[_Leaf, ...]:
+        got = lowered.get(f)
+        if got is None:
+            got = lowered[f] = tuple(
+                map(intern, _lower(f.a.field, f.p, f.a, f.b, params, f.lattice))
+            )
+        return got
 
     def compiled(dec: PDecomposition) -> tuple:
-        w = scales.setdefault((None, False), len(scales))
-        leaf_ops = [_Op(w, (intern(w, _leaf(dec.field, p, a, b, params)),))
-                    for p, a, b in dec.leaves]
+        factors = [(intern(_leaf(dec.field, p, a, b, params)),) for p, a, b in dec.leaves]
         scale = float(dec.scale)
-        coeffs = {q: scale * _phase(Fraction(q, dec.q_den))
+        coeffs = {q: scale * _phase_of(q, dec.q_den)
                   for q in {q for q, _ in dec.expansion}}
-        return tuple((coeffs[q], tuple(leaf_ops[i] for i in idx))
+        return tuple((coeffs[q], tuple(factors[i] for i in idx))
                      for q, idx in dec.expansion)
 
-    bare_ops = tuple(lower(f) for f in bare)
     lowered_sides = tuple(
         compiled(side) if isinstance(side, PDecomposition) else tuple(
             (
                 float(t.coeff_scale) * _phase(t.coeff_q),
-                tuple(lower(f) for f in t.factors),
+                tuple(map(lower, t.factors)),
             )
             for t in side
         )
         for side in sides
     )
-    return _Plan(
-        scales=tuple(scales),
-        groups=tuple(
-            _group_leaves(read.get(i, {}).values()) for i in range(len(scales))
-        ),
-        bare=bare_ops,
-        sides=lowered_sides,
-    )
+    return _Plan(groups=_group_leaves(leaves.values()), sides=lowered_sides)
 
 
 def _cached_plan(plans: dict, params: ThetaParams, lower: Callable[[], _Plan]) -> _Plan:
@@ -240,50 +199,34 @@ def _cached_plan(plans: dict, params: ThetaParams, lower: Callable[[], _Plan]) -
     return plan
 
 
-def _sum_terms(
-    plan: _Plan, W: MatrixLike
-) -> tuple[list[complex], list[complex], int, int]:
-    """The plan at W: the value of each bare factor, the sum of each side,
-    and the theta evaluations and hits of the plan's leaf reads.
+def _sum_terms(plan: _Plan, W: MatrixLike) -> tuple[list[complex], int, int]:
+    """The plan at W: the sum of each side, and the theta evaluations and
+    hits of the plan's leaf reads.
 
-    Each scaled W is built once (W * float(w_scale), then doubled) and
-    checked once, and its leaves, field and Riemann alike, are evaluated
-    ahead into this evaluation's table (thetas._evaluate_ahead), which the
-    term loop reads.  The evaluations are the table's entries, the hits the
-    other leaf reads.  Each term starts from its coefficient and multiplies
-    its factors left to right; real and imaginary parts are summed with
-    fsum.
+    W is checked once (thetas._at), and the plan's leaves, field and
+    Riemann alike, are evaluated ahead into this evaluation's table
+    (thetas._evaluate_ahead), which the term loop reads.  The evaluations
+    are the table's entries, the hits the other leaf reads.  Each term
+    starts from its coefficient and multiplies its factors left to right;
+    real and imaginary parts are summed with fsum.
     """
-    base = _as_complex_matrix(W, "W")
+    at = _at(_as_complex_matrix(W, "W"))
     table: dict = {}
-    ws = []
-    for (scale, doubled), groups in zip(plan.scales, plan.groups):
-        w = base if scale is None else base * scale
-        if doubled:
-            w = 2.0 * w
-        ws.append(_at(w))
-        _evaluate_ahead(groups, ws[-1], table)
+    _evaluate_ahead(plan.groups, at, table)
     read = partial(_table_value, table)
     reads = 0
-
-    def value(op: _Op) -> complex:
-        nonlocal reads
-        reads += len(op.leaves)
-        v = _leaves_value(op.leaves, ws[op.w], read).value
-        return v if op.phase is None else op.phase * v
-
-    bare = [value(op) for op in plan.bare]
     sums = []
     for side in plan.sides:
         re_parts: list[float] = []
         im_parts: list[float] = []
-        for acc, ops in side:
-            for op in ops:
-                acc *= value(op)
+        for acc, factors in side:
+            for leaves in factors:
+                reads += len(leaves)
+                acc *= _leaves_value(leaves, at, read).value
             re_parts.append(acc.real)
             im_parts.append(acc.imag)
         sums.append(complex(math.fsum(re_parts), math.fsum(im_parts)))
-    return bare, sums, len(table), reads - len(table)
+    return sums, len(table), reads - len(table)
 
 
 @dataclass(frozen=True)
@@ -426,6 +369,13 @@ class RelationInstance:
         return Fraction(1, self.G2.order)
 
     @cached_property
+    def lhs_terms(self) -> tuple[Term, ...]:
+        """The left side, Theta^Q[lhs_A; lhs_B], as one Term with
+        coefficient 1."""
+        lhs = ThetaFactor(self.lhs_A, self.lhs_B, self.Q)
+        return (Term(Fraction(0), Fraction(1), (lhs,)),)
+
+    @cached_property
     def rhs_terms(self) -> tuple[Term, ...]:
         """terms as Term objects for the shared sum, built once per instance.
 
@@ -433,21 +383,14 @@ class RelationInstance:
         """
         P = self.spec.P
         return tuple(
-            Term(
-                coeff_q=t.phase_q,
-                coeff_scale=Fraction(1),
-                factors=(ThetaFactor(kind="field", a=t.a_char, b=t.b_char, p=P),),
-            )
+            Term(t.phase_q, Fraction(1), (ThetaFactor(t.a_char, t.b_char, P),))
             for t in self.terms
         )
 
     @cached_property
     def _plans(self) -> dict:
-        """The lhs factor and rhs_terms lowered together, per ThetaParams."""
+        """lhs_terms and rhs_terms lowered together, per ThetaParams."""
         return {}
-
-    def _lhs_factor(self) -> ThetaFactor:
-        return ThetaFactor(kind="field", a=self.lhs_A, b=self.lhs_B, p=self.Q)
 
     def group_metadata(self) -> dict:
         return {
@@ -514,14 +457,14 @@ def evaluate_relation(
         terms = (first,) + terms[1:]
 
     def lower() -> _Plan:
-        return _lower_terms(params, (terms,), (inst._lhs_factor(),))
+        return _lower_terms(params, (inst.lhs_terms, terms))
 
     # a corrupted plan is lowered fresh and never cached
     plan = lower() if corrupt else _cached_plan(inst._plans, params, lower)
-    (lhs,), (rhs_sum,), evals, hits = _sum_terms(plan, W)
+    (lhs, rhs_sum), evals, hits = _sum_terms(plan, W)
     rhs = float(inst.scale) * rhs_sum
     return VerificationReport.compare(
-        complex(lhs), rhs, len(inst.terms), evals, hits, params.eps
+        lhs, rhs, len(inst.terms), evals, hits, params.eps
     )
 
 
@@ -557,7 +500,7 @@ class PDecomposition:
     def monomials(self) -> tuple[Term, ...]:
         """The expansion as Terms of one-column field factors, built on
         first use; evaluation does not read them."""
-        factors = [ThetaFactor(kind="field", a=a, b=b, p=p) for p, a, b in self.leaves]
+        factors = [ThetaFactor(a, b, p) for p, a, b in self.leaves]
         return tuple(
             Term(Fraction(q, self.q_den), self.scale, tuple(factors[i] for i in idx))
             for q, idx in self.expansion
@@ -574,7 +517,7 @@ class PDecomposition:
         if params is None:
             params = ThetaParams()
         plan = _cached_plan(self._plans, params, lambda: _lower_terms(params, (self,)))
-        return _sum_terms(plan, W)[1][0]
+        return _sum_terms(plan, W)[0][0]
 
 
 def _rational_entry(x: KElement, what: str) -> Fraction:

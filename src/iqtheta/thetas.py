@@ -31,17 +31,21 @@ the root of unity e((z.k mod M) / M), with q0, M and the integers k read
 off A0 and B0 (`_LeafPhase`), so only the quadratic part is rounded inside
 exp.
 
-The classical Riemann theta at z = 0 (`riemann_theta_z0`) is the same sum
-over N in Z^g, with P = [[1]] and a symmetric W = Omega: its leaf has the
-entry basis (1,) where a field theta's has (1, delta), and the enumerator,
-kernel and tail bound are the ones above.
+The classical Riemann theta at z = 0 and s * Omega is the same sum over N
+in Z^g, with P = [[s]] and a symmetric W = Omega (`_z_factor`;
+`riemann_theta_z0` is s = 1): its leaf has the entry basis (1,) where a
+field theta's has (1, delta), and the enumerator, kernel and tail bound are
+the ones above.  Scaling W is always scaling P, so a theta reads W itself:
+the check variant (`theta_check_variant`) is an exact phase times one
+theta, with P = [[2]] where its series runs at 2W (`_check_factor`).
 
 W is the only floating-point input.  P, A0 and B0 are exact matrices over K
 (a KMatrix, or nested lists of int/Fraction).
 
 Every theta runs in two steps.  Lowering (`_lower`) does all the exact,
 W-independent work once: it checks shapes and that P is Hermitian, reduces
-A0 mod O_K, splits an exactly diagonal P into 1x1 columns, and stores the
+A0 mod the lattice (O_K or Z), splits an exactly diagonal P into 1x1
+columns, and stores the
 exact inputs of each resulting dense theta (a leaf) with its key; the
 leaf's float data (the offsets and their real coordinates) and its exact
 phase data are built on its first evaluation.  Evaluation takes one W: the
@@ -51,7 +55,7 @@ multiplies the leaves' values.  `theta_general` is the one-factor plan,
 each leaf one `_theta_dense` call, through a ThetaCache if one is passed.
 
 Sums of many factors (relations.py) lower their whole term tuple once and
-evaluate it per W into a table of leaf values, keyed by (leaf key, W
+evaluate it at one W into a table of leaf values, keyed by (leaf key, W
 bytes), that belongs to that one evaluation.  Before the term loop the
 leaves of each group that shares (field, shape, P, ThetaParams, entry
 basis) are evaluated together (`_evaluate_ahead`, `_theta_batch`):
@@ -81,6 +85,7 @@ import numpy as np
 
 from .errors import DomainError, TruncationError
 from .kfield import FieldId, KElement, KMatrix, _canonical, re_trace_of_product
+from .lattices import _int_coords
 
 __all__ = [
     "ThetaParams",
@@ -519,6 +524,8 @@ class _LeafPhase(NamedTuple):
 
 # The Z-basis of a real theta's entries; a field theta's is (1, delta).
 _Z_BASIS = (1.0,)
+# The leaf basis of each lattice a theta sums over (None: the field's).
+_BASES = {"O_K": None, "Z": _Z_BASIS}
 # The field whose KMatrix holds a real theta's rational A0 and B0: any field
 # would do, since only their rational parts are read over _Z_BASIS.
 _RATIONALS = FieldId(1)
@@ -566,30 +573,37 @@ class _Leaf:
 
     @cached_property
     def phase(self) -> _LeafPhase:
-        modulus, k = _phase_residues(self.field, self.B0, len(self.basis))
-        return _LeafPhase(modulus, k, _phase(-re_trace_of_product(self.A0, self.B0)))
+        nb = len(self.basis)
+        modulus, k, den, w = _phase_residues(self.field, self.B0, nb)
+        # q0 = Re Tr(A0^H B0) = (c . w) / (den_a den) for the coordinates
+        # c / den_a of A0's entries in the basis
+        nums, den_a = _int_coords(self.A0)
+        q0 = sum(map(operator.mul, nums if nb == 2 else nums[::2], w))
+        return _LeafPhase(modulus, k, _phase_of(-q0, den_a * den))
 
 
 @lru_cache(maxsize=1 << 12)
 def _phase_residues(
     field: FieldId, B0: KMatrix, nb: int
-) -> tuple[int, tuple[int, ...]]:
-    """The modulus M and the integers k of _LeafPhase, which depend on B0
-    and the basis alone: the leaves of a relation, and of each Schur level
-    of a decomposition, repeat each B0 across G1."""
-    # t = Re(conj(e) y) for y = (n + m delta) / den is a / (2 den), with
-    # a = 2n + Tr(delta) m for e = 1 and Tr(delta) n + 2 N(delta) m for
-    # e = delta; each t kept as its reduced (numerator, denominator)
+) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
+    """The Re pairing with B0 in integers, and the modulus M and the
+    integers k of _LeafPhase read off it; all depend on B0 and the basis
+    alone: the leaves of a relation, and of each Schur level of a
+    decomposition, repeat each B0 across G1.
+
+    Returns (M, k, D, w) with t_i = Re(conj(e_i) y) = w_i / D for each
+    entry y of B0, row-major, and each basis element e_i."""
+    # for y = (n + m delta) / den, t = a / (2 den) with a = 2n + Tr(delta) m
+    # for e = 1 and Tr(delta) n + 2 N(delta) m for e = delta
     tr, nd2 = field.delta_trace, 2 * field.delta_norm
-    t = []
-    for row in B0.entry_rows():
-        for y in row:
-            n, m, den = y.n, y.m, 2 * y.den
-            for a in (2 * n + tr * m, tr * n + nd2 * m)[:nb]:
-                c = math.gcd(a, den)
-                t.append((a // c, den // c))
-    modulus = math.lcm(*(den for _, den in t))
-    return modulus, tuple(a * (modulus // den) % modulus for a, den in reversed(t))
+    ys = [y for row in B0.entry_rows() for y in row]
+    den = 2 * math.lcm(*(y.den for y in ys))
+    w = tuple(a * (den // (2 * y.den)) for y in ys
+              for a in (2 * y.n + tr * y.m, tr * y.n + nd2 * y.m)[:nb])
+    # M is the lcm of the reduced denominators of the t_i, and k_i = M t_i
+    common = math.gcd(den, *w)
+    modulus = den // common
+    return modulus, tuple(v // common % modulus for v in reversed(w)), den, w
 
 
 def _leaf(
@@ -812,13 +826,19 @@ def _lower(
     A0: ExactLike,
     B0: ExactLike,
     params: ThetaParams,
+    lattice: str = "O_K",
 ) -> tuple[_Leaf, ...]:
     """Theta^P[A0; B0] as the leaves whose product it is: the exact checks,
-    the mod-O_K reduction of A0 and the float inputs, done once for every W.
+    the mod-lattice reduction of A0 and the float inputs, done once for
+    every W.  The sum runs over Mat(g, h; O_K), or over Mat(g, h; Z) for
+    lattice "Z" (see _z_factor).
 
     An exactly diagonal P with h > 1 factors over columns: one 1x1 leaf per
     column, each at eps/h.  Otherwise there is a single leaf.
     """
+    if lattice not in _BASES:
+        raise ValueError(f"unknown lattice {lattice!r}")
+    basis = _BASES[lattice]
     P = _exact(P, "P", field)
     A0 = _exact(A0, "A0", field)
     B0 = _exact(B0, "B0", field)
@@ -832,10 +852,10 @@ def _lower(
     if cols:
         col_params = replace(params, eps=params.eps / h)
         return tuple(
-            _leaf(field, col, A0.column(j), B0.column(j), col_params)
+            _leaf(field, col, A0.column(j), B0.column(j), col_params, basis)
             for j, col in enumerate(cols)
         )
-    return (_leaf(field, P, A0, B0, params),)
+    return (_leaf(field, P, A0, B0, params, basis),)
 
 
 def _rational(x: object) -> Fraction:
@@ -843,17 +863,18 @@ def _rational(x: object) -> Fraction:
     return x if isinstance(x, (int, Fraction)) else Fraction(float(x))
 
 
-def _lower_riemann(
-    a: Sequence[object], b: Sequence[object], params: ThetaParams
-) -> _Leaf:
-    """The Riemann theta with characteristics (a, b) as a leaf over Z: P =
-    [[1]], A0 = a reduced into [-1/2, 1/2), B0 = b, basis (1,)."""
+def _z_factor(
+    a: Sequence[object], b: Sequence[object], scale: object = 1
+) -> tuple[KMatrix, KMatrix, KMatrix, str]:
+    """The Riemann theta with characteristics (a, b) at z = 0 and
+    scale * Omega, as the factor (A0, B0, P, lattice) of the theta over Z
+    with A0 = a, B0 = b and P = [[scale]], all exact (a float as the
+    rational it is)."""
     A0, B0 = (KMatrix([[_RATIONALS.from_rational(_rational(x))] for x in v])
               for v in (a, b))
     if B0.rows != A0.rows:
         raise DomainError(f"b must have {A0.rows} entries, got {B0.rows}")
-    one = KMatrix([[_RATIONALS.one()]])
-    return _leaf(_RATIONALS, one, _reduce_mod_integral(A0), B0, params, _Z_BASIS)
+    return A0, B0, KMatrix([[_RATIONALS.from_rational(_rational(scale))]]), "Z"
 
 
 def _check_symmetric(w: np.ndarray) -> None:
@@ -865,25 +886,31 @@ def _check_symmetric(w: np.ndarray) -> None:
 
 def _phase(q: Fraction) -> complex:
     """exp(-2*pi*i*q) for exact rational q, reduced mod 1 first."""
-    # (n mod den) / den rounds like float(q - floor(q))
-    return complex(np.exp(-2j * np.pi * (q.numerator % q.denominator / q.denominator)))
+    return _phase_of(q.numerator, q.denominator)
 
 
-def _lower_check(
-    field: FieldId, a: ExactLike, b: ExactLike, params: ThetaParams
-) -> tuple[complex, _Leaf, bool]:
-    """theta_check_variant lowered: (phase, leaf, whether W is doubled).
+def _phase_of(n: int, den: int) -> complex:
+    """exp(-2*pi*i*n/den), n/den reduced mod 1 first."""
+    # (n mod den) / den rounds like float(q - floor(q)) for q = n/den,
+    # whatever factor n and den share (int / int rounds correctly)
+    return complex(np.exp(-2j * np.pi * (n % den / den)))
 
-    The value at W is phase times the leaf at W, or at 2W when doubled."""
+
+def _check_factor(
+    field: FieldId, a: ExactLike, b: ExactLike
+) -> tuple[Fraction, tuple[KMatrix, KMatrix, KMatrix, str]]:
+    """theta_check_variant[a; b](W) = exp(-2*pi*i*q) Theta^P[a; b'](W):
+    (q, the factor (a, b', P, lattice)).
+
+    For -d not congruent to 1 mod 4, q = Re Tr(a^H b), b' = b and P = [[1]];
+    for -d congruent to 1 mod 4 the series runs at 2W with a doubled phase,
+    so q, b' and P are doubled."""
     a = _exact(a, "a", field)
     b = _exact(b, "b", field)
     q = re_trace_of_product(a, b)
-    doubled = field.one_mod_four
-    if doubled:
-        q *= 2
-        b = b.scale(2)
-    (leaf,) = _lower(field, KMatrix([[field.one()]]), a, b, params)
-    return _phase(q), leaf, doubled
+    if field.one_mod_four:
+        return 2 * q, (a, b.scale(2), KMatrix([[field.from_rational(2)]]), "O_K")
+    return q, (a, b, KMatrix([[field.one()]]), "O_K")
 
 
 class _CheckedW(NamedTuple):
@@ -1019,17 +1046,19 @@ def theta_check_variant(
     For -d not congruent to 1 mod 4 the linear phase reads the lattice point
     alone, which differs from Theta[a; b](W) by exp(-2*pi*i*Re(conj(a)^t b)).
     For -d congruent to 1 mod 4 the series uses 2W and a doubled phase, equal
-    to exp(-4*pi*i*Re(conj(a)^t b)) * Theta[a; 2b](2W).
+    to exp(-4*pi*i*Re(conj(a)^t b)) * Theta[a; 2b](2W), evaluated as
+    Theta^P[a; 2b](W) with P = [[2]] (see _check_factor).
     """
     if params is None:
         params = ThetaParams()
-    phase, leaf, doubled = _lower_check(field, a, b, params)
-    w_arr = _as_complex_matrix(W, "W")
-    if doubled:
-        w_arr = 2.0 * w_arr
-    base = _leaves_value((leaf,), _at(w_arr), partial(_cache_value, cache))
+    q, (a, b, P, _) = _check_factor(field, a, b)
+    base = _leaves_value(
+        _lower(field, P, a, b, params),
+        _at(_as_complex_matrix(W, "W")),
+        partial(_cache_value, cache),
+    )
     return ThetaValue(
-        phase * base.value, base.tail_bound, base.lattice_points_used
+        _phase(q) * base.value, base.tail_bound, base.lattice_points_used
     )
 
 
@@ -1046,13 +1075,14 @@ def riemann_theta_z0(
 
     Omega must be symmetric with positive definite imaginary part.  a and b
     are taken exactly (a float as the rational it is).  This is the batch
-    of one of a leaf over Z (see _lower_riemann): the field thetas' kernel
+    of one of a leaf over Z (see _z_factor): the field thetas' kernel
     with the basis (1,).
     """
     if params is None:
         params = ThetaParams()
     at = _at(_as_complex_matrix(Omega, "Omega"))
-    leaf = _lower_riemann(a, b, params)
+    A0, B0, P, lattice = _z_factor(a, b)
+    (leaf,) = _lower(_RATIONALS, P, A0, B0, params, lattice)
     if leaf.g != at.w.shape[0]:
         raise DomainError(f"a must have {at.w.shape[0]} entries, got {leaf.g}")
     return _theta_dense(leaf, at.w, at.lam_y)

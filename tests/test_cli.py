@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -243,6 +246,26 @@ def test_decompose_output_is_unchanged(capsys, name):
                               "--W", json.dumps(_GOLDEN["W"][name])])
     assert code == 0
     assert out == _GOLDEN["stdout"][name]
+
+
+def test_main_builds_its_parser_once(capsys):
+    # in-process calls of main share one parser, built on the first call,
+    # and print and exit as separate processes do
+    cli._parser.cache_clear()
+    name = "g1_h2"
+    a0 = {"rows": 1, "cols": 1, "entries": [[{"a": [1, 3], "b": [1, 2]}]]}
+    argvs = [["eval", "--d", "3", "--W", "[[[0.1, 1.2]]]", "--A0", json.dumps(a0)],
+             ["decompose", "--spec", json.dumps(_GOLDEN["specs"][name]),
+              "--W", json.dumps(_GOLDEN["W"][name])]]
+    got = [_run(capsys, argv) for argv in argvs]
+    assert cli._parser.cache_info().misses == 1
+    src = Path(__file__).parent.parent / "src"
+    for argv, (code, out) in zip(argvs, got):
+        proc = subprocess.run([sys.executable, "-m", "iqtheta", *argv], capture_output=True,
+                              text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (proc.returncode, proc.stdout) == (code, out)
+    assert [code for code, _ in got] == [0, 0]
+    assert got[1][1] == _GOLDEN["stdout"][name]
 
 
 def test_decompose_missing_key(capsys):

@@ -40,17 +40,15 @@ from iqtheta.relations import (
 
 
 def _factor_value(f, W, params, cache):
-    if f.kind == "field":
+    if f.lattice == "O_K":
         return theta_general(f.a.field, W, f.p, f.a, f.b, params, cache).value
-    w = W * float(f.w_scale)
-    if f.kind == "check":
-        return theta_check_variant(f.a.field, f.a, f.b, w, params, cache).value
-    return riemann_theta_z0(f.a, f.b, w, params).value
+    # over Z, P = [[s]] is the Riemann theta at s * Omega
+    a, b = ([row[0].a for row in m.entry_rows()] for m in (f.a, f.b))
+    return riemann_theta_z0(a, b, np.asarray(W) * float(f.p[(0, 0)].a), params).value
 
 
-def _naive(bare, sides, W, params, cache):
+def _naive(sides, W, params, cache):
     """The plan's sums, one public call per factor occurrence."""
-    values = [_factor_value(f, W, params, cache) for f in bare]
     sums = []
     for side in sides:
         re_parts, im_parts = [], []
@@ -61,7 +59,7 @@ def _naive(bare, sides, W, params, cache):
             re_parts.append(acc.real)
             im_parts.append(acc.imag)
         sums.append(complex(math.fsum(re_parts), math.fsum(im_parts)))
-    return values, sums
+    return sums
 
 
 def _col(field, g, seed):
@@ -89,15 +87,20 @@ def test_plan_matches_public_calls_bit_for_bit(d, g):
          else np.array([[0.1 + 1.2j, 0.2 - 0.1j], [0.2 - 0.1j, -0.3 + 0.9j]]))
     p01 = field.element(Fraction(1, 2), Fraction(1, 2))
     dense_p = KMatrix([[field.from_rational(2), p01], [p01.conj(), field.from_rational(3)]])
-    diag2 = ThetaFactor("field", _mat(field, g, 2, 1), _mat(field, g, 2, 2),
-                        p=_diag(field, [2, Fraction(5, 2)]))
-    diag3 = ThetaFactor("field", _mat(field, g, 3, 3), _mat(field, g, 3, -1),
-                        p=_diag(field, [1, 2, Fraction(3, 2)]))
-    dense = ThetaFactor("field", _mat(field, g, 2, 0), _mat(field, g, 2, 5), p=dense_p)
-    checks = [ThetaFactor("check", _col(field, g, k), _col(field, g, 2 - k), w_scale=s)
-              for k, s in enumerate((Fraction(1, 2), Fraction(1), Fraction(2)))]
-    riemann = [ThetaFactor("riemann", tuple(Fraction(k, 2) for _ in range(g)),
-                           tuple(Fraction(1 - k, 2) for _ in range(g)), w_scale=Fraction(s))
+    diag2 = ThetaFactor(_mat(field, g, 2, 1), _mat(field, g, 2, 2),
+                        _diag(field, [2, Fraction(5, 2)]))
+    diag3 = ThetaFactor(_mat(field, g, 3, 3), _mat(field, g, 3, -1),
+                        _diag(field, [1, 2, Fraction(3, 2)]))
+    dense = ThetaFactor(_mat(field, g, 2, 0), _mat(field, g, 2, 5), dense_p)
+    # check-variant thetas at s * W: their phases go into the coefficients
+    phases, checks = [], []
+    for k, s in enumerate((Fraction(1, 2), Fraction(1), Fraction(2))):
+        q, (a, b, p, lattice) = thetas._check_factor(
+            field, _col(field, g, k), _col(field, g, 2 - k))
+        phases.append(q)
+        checks.append(ThetaFactor(a, b, p.scale(s), lattice))
+    riemann = [ThetaFactor(*thetas._z_factor(tuple(Fraction(k, 2) for _ in range(g)),
+                                             tuple(Fraction(1 - k, 2) for _ in range(g)), s))
                for k, s in ((0, 1), (1, 2))]
     sides = (
         (
@@ -106,17 +109,16 @@ def test_plan_matches_public_calls_bit_for_bit(d, g):
             Term(Fraction(5, 7), Fraction(3), (diag3,)),
         ),
         (
-            Term(Fraction(1, 4), Fraction(1), tuple(checks)),
-            Term(Fraction(0), Fraction(1, 2), (checks[0], riemann[0], riemann[0])),
-            Term(Fraction(2, 3), Fraction(1), (riemann[1], checks[2], dense)),
+            Term(Fraction(1, 4) + sum(phases), Fraction(1), tuple(checks)),
+            Term(phases[0], Fraction(1, 2), (checks[0], riemann[0], riemann[0])),
+            Term(Fraction(2, 3) + phases[2], Fraction(1), (riemann[1], checks[2], dense)),
         ),
-    )
-    bare = (dense, checks[1], riemann[1])
-    plan = _lower_terms(params, sides, bare)
-    *got, evals, hits = _sum_terms(plan, W)
+    ) + tuple((Term(Fraction(0), Fraction(1), (f,)),) for f in (dense, checks[1], riemann[1]))
+    plan = _lower_terms(params, sides)
+    got, evals, hits = _sum_terms(plan, W)
     naive_cache = ThetaCache()
-    want = _naive(bare, sides, W, params, naive_cache)
-    assert tuple(got) == want  # complex ==: bit for bit
+    want = _naive(sides, W, params, naive_cache)
+    assert got == want  # complex ==: bit for bit
     # the naive sum evaluates each of the 4 Riemann reads outside the
     # cache; the plan reads its 2 Riemann leaves from its table
     assert (evals, hits) == (naive_cache.misses + 2, naive_cache.hits + 2)
@@ -124,23 +126,46 @@ def test_plan_matches_public_calls_bit_for_bit(d, g):
 
 
 def test_equal_w_bytes_share_a_leaf():
-    # a check factor at w_scale = 1 (d = 1: W is not doubled) and a field
-    # factor with P = [[1]] read the same leaf at W and at W * 1.0, whose
-    # bytes are equal: one evaluation and one hit, as one public call per
-    # factor on one cache
+    # a check-variant factor (d = 1: P = [[1]], b as it is) and a field
+    # factor with P = [[1]] read the same leaf at W: one evaluation and one
+    # hit, as one public call per factor on one cache
     field = FieldId(1)
     params = ThetaParams(eps=1e-11)
     W = np.array([[0.15 + 1.1j]])
     a, b = _col(field, 1, 1), _col(field, 1, 2)
-    check = ThetaFactor("check", a, b, w_scale=Fraction(1))
-    plain = ThetaFactor("field", a, b, p=KMatrix.identity(1, field))
-    sides = ((Term(Fraction(0), Fraction(1), (check, plain)),),)
+    q, check = thetas._check_factor(field, a, b)
+    plain = ThetaFactor(a, b, KMatrix.identity(1, field))
+    sides = ((Term(q, Fraction(1), (ThetaFactor(*check), plain)),),)
     plan = _lower_terms(params, sides)
-    assert len(plan.scales) == 2
-    *got, evals, hits = _sum_terms(plan, W)
+    got, evals, hits = _sum_terms(plan, W)
     cache = ThetaCache()
-    assert tuple(got) == _naive((), sides, W, params, cache)
+    assert got == _naive(sides, W, params, cache)
     assert (evals, hits) == (cache.misses, cache.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("g", [1, 2])
+def test_folded_check_form_matches_theta_check_variant(d, g):
+    # a check-variant theta as a plain factor with its phase in the Term's
+    # coefficient gives theta_check_variant times the Term's own phase, to
+    # a few ulps (one phase of the exact sum, against rounded phases multiplied)
+    field = FieldId(d)
+    params = ThetaParams(eps=1e-11)
+    W = (np.array([[0.15 + 1.1j]]) if g == 1
+         else np.array([[0.1 + 1.2j, 0.2 - 0.1j], [0.2 - 0.1j, -0.3 + 0.9j]]))
+    for k in range(3):
+        pairs = [(_col(field, g, k), _col(field, g, 2 - k)),
+                 (_col(field, g, k + 1), _col(field, g, -k))]
+        for q0 in (Fraction(0), Fraction(1, 3), Fraction(5, 7)):
+            q, factors, want = q0, [], _phase(q0)
+            for a, b in pairs:
+                q_ab, factor = thetas._check_factor(field, a, b)
+                q += q_ab
+                factors.append(ThetaFactor(*factor))
+                want *= theta_check_variant(field, a, b, W, params).value
+            (got,), _, _ = _sum_terms(
+                _lower_terms(params, ((Term(q, Fraction(1), tuple(factors)),),)), W)
+            assert abs(got - want) <= 8 * np.finfo(float).eps * abs(want)
 
 
 def _relation():
@@ -205,6 +230,30 @@ def test_plan_lowered_once_per_owner_and_params(monkeypatch):
     assert dec.evaluate(W) == dec.evaluate(W)
     dec.evaluate(W, coarse)
     assert len(calls) == 2
+
+
+def test_an_evaluation_reads_w_once(monkeypatch):
+    # a plan reads W itself once, whatever the scales of W its factors
+    # stand for (here 1 and 2 in the Riemann quadratic, a doubled check
+    # variant at d = 3): one conversion, one check and one batch pass
+    calls = []
+    for name in ("_as_complex_matrix", "_at", "_evaluate_ahead"):
+        inner = getattr(relations, name)
+        monkeypatch.setattr(relations, name, lambda *args, _inner=inner, _name=name:
+                            calls.append(_name) or _inner(*args))
+    field = FieldId(3)
+    q, check = thetas._check_factor(field, _col(field, 1, 1), _col(field, 1, 2))
+    sides = ((Term(q, Fraction(1), (ThetaFactor(*check),)),),)
+    owners = [
+        lambda W: evaluate_relation(_relation(), W),
+        make_preset("riemann_quad").identity_checks[0].evaluate,
+        lambda W: _sum_terms(_lower_terms(ThetaParams(), sides), W),
+        decompose_rational_P(*_decomposition_input(3, 1, 3)).evaluate,
+    ]
+    for evaluate in owners:
+        del calls[:]
+        evaluate([[0.1 + 1.05j]])
+        assert calls == ["_as_complex_matrix", "_at", "_evaluate_ahead"]
 
 
 @pytest.mark.parametrize("name", ["jacobi_identity", "prop_half_general", "matsumoto"])
@@ -316,7 +365,7 @@ def _assert_batches_by_family(monkeypatch, plan, W):
     at = thetas._at(np.asarray(W, dtype=complex))
     calls = _batch_calls(monkeypatch)
     leaves = families = 0
-    for group in plan.groups[0]:
+    for group in plan.groups:
         del calls[:]
         got = thetas._theta_batch(group, at.w, at.lam_y)
         assert calls == [_families(group)]
@@ -341,10 +390,10 @@ def test_relation_leaves_batch_by_family(monkeypatch, d, g):
     B0 = KMatrix([[field.element(Fraction(1, 5)),
                    field.element(Fraction(1, 2), Fraction(1, 7))]] * g)
     inst = build_relation(RelationSpec(field, g, T, P, A0, B0))
-    plan = _lower_terms(ThetaParams(eps=1e-6), (inst.rhs_terms,), (inst._lhs_factor(),))
+    plan = _lower_terms(ThetaParams(eps=1e-6), (inst.lhs_terms, inst.rhs_terms))
     leaves, families = _assert_batches_by_family(monkeypatch, plan, _W(g))
     assert leaves == 1 + len(inst.terms) and families == 2
-    assert all(leaf.phase.modulus > 1 for group in plan.groups[0] for leaf in group)
+    assert all(leaf.phase.modulus > 1 for group in plan.groups for leaf in group)
 
 
 def test_decomposition_leaves_batch_by_family(monkeypatch):
@@ -386,8 +435,8 @@ def test_failing_batch_raises_at_the_first_failing_factor(monkeypatch):
     field = FieldId(2)
     params = ThetaParams(eps=1e-9)
     P = KMatrix.from_rational_rows([[2, 1], [1, 2]], field)
-    wide = ThetaFactor("field", KMatrix.zeros(2, 2, field), KMatrix.zeros(2, 2, field), p=P)
-    fine = [ThetaFactor("field", _mat(field, 1, 2, k), _mat(field, 1, 2, k + 1), p=P)
+    wide = ThetaFactor(KMatrix.zeros(2, 2, field), KMatrix.zeros(2, 2, field), P)
+    fine = [ThetaFactor(_mat(field, 1, 2, k), _mat(field, 1, 2, k + 1), P)
             for k in range(4)]
     sides = (tuple(Term(Fraction(0), Fraction(1), (f,)) for f in [wide] + fine),)
     plan = _lower_terms(params, sides)
@@ -396,10 +445,10 @@ def test_failing_batch_raises_at_the_first_failing_factor(monkeypatch):
                  for f in fine)
     monkeypatch.setattr(thetas, "_MAX_POINTS", points - 1)
     with pytest.raises(TruncationError):
-        thetas._theta_batch(plan.groups[0][1], thetas._at(np.array(W)).w,
+        thetas._theta_batch(plan.groups[1], thetas._at(np.array(W)).w,
                             thetas._at(np.array(W)).lam_y)
     with pytest.raises(DomainError) as want:
-        _naive((), sides, W, params, ThetaCache())
+        _naive(sides, W, params, ThetaCache())
     with pytest.raises(DomainError) as got:
         _sum_terms(plan, W)
     assert str(got.value) == str(want.value) == "W must be 2x2 to match A0, got (1, 1)"
@@ -425,10 +474,10 @@ def test_shared_cache_counts_match_public_calls(case):
     W = [[0.15 + 1.2j]]
     dec = decompose_rational_P(field, 1, P, A0, B0)
     poly = dec.evaluate(W, params)
-    _, (got_poly,), evals, hits = _sum_terms(_lower_terms(params, (dec.monomials,)), W)
+    (got_poly,), evals, hits = _sum_terms(_lower_terms(params, (dec.monomials,)), W)
     direct = theta_general(field, W, P, A0, B0, params)
     naive_cache = ThetaCache()
-    _, (want_poly,) = _naive((), (dec.monomials,), W, params, naive_cache)
+    (want_poly,) = _naive((dec.monomials,), W, params, naive_cache)
     assert (evals, hits) == (naive_cache.misses, naive_cache.hits)
     assert hits > 0 or len(dec.monomials) == 1  # a 1x1 P is one monomial
     want_direct = theta_general(field, W, P, A0, B0, params, naive_cache)
@@ -474,7 +523,7 @@ def _reference_monomials(field, g, P, A0, B0):
     def recurse(level, A, B, q, scale, factors):
         if level == len(levels):
             terms.append(Term(q - math.floor(q), scale,
-                              factors + (ThetaFactor("field", A, B, p=last),)))
+                              factors + (ThetaFactor(A, B, last),)))
             return
         p, k_t, M, a_reps, b_duals = levels[level]
         a_thm, b_thm = A @ k_t, B @ M
@@ -485,14 +534,15 @@ def _reference_monomials(field, g, P, A0, B0):
                 a_char = a_thm + a
                 recurse(level + 1, a_char.columns(1), b_char.columns(1), q_b,
                         scale / len(b_duals),
-                        factors + (ThetaFactor("field", a_char.column(0), b_char.column(0), p=p),))
+                        factors + (ThetaFactor(a_char.column(0), b_char.column(0), p),))
 
     recurse(0, A0, B0, Fraction(0), Fraction(1), ())
     return tuple(terms)
 
 
 def _leaf_keys(plan):
-    return [[[leaf.key for leaf in op.leaves] for op in ops] for _, ops in plan.sides[0]]
+    return [[[leaf.key for leaf in leaves] for leaves in factors]
+            for _, factors in plan.sides[0]]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
@@ -510,13 +560,12 @@ def test_compiled_plan_matches_lowered_monomials(d, g, h):
     W = _W(g)
     for terms in (dec.monomials, _reference_monomials(*args)):
         lowered = _lower_terms(params, (terms,))
-        assert compiled.scales == lowered.scales == ((None, False),)
         assert [c for c, _ in compiled.sides[0]] == [c for c, _ in lowered.sides[0]]
         assert _leaf_keys(compiled) == _leaf_keys(lowered)
-        assert ([[leaf.key for leaf in group] for group in compiled.groups[0]]
-                == [[leaf.key for leaf in group] for group in lowered.groups[0]])
+        assert ([[leaf.key for leaf in group] for group in compiled.groups]
+                == [[leaf.key for leaf in group] for group in lowered.groups])
         assert _sum_terms(compiled, W) == _sum_terms(lowered, W)
-    assert len(dec.leaves) == sum(map(len, compiled.groups[0]))
+    assert len(dec.leaves) == sum(map(len, compiled.groups))
     assert len({c for c, _ in compiled.sides[0]}) > 1
 
 
@@ -538,7 +587,7 @@ def test_decomposition_lowers_no_factor(monkeypatch):
     assert (lowered, leaves) == ([], [])
     dec.evaluate(_W(1), ThetaParams(eps=1e-9))
     (plan,) = dec._plans.values()
-    distinct = {leaf.key for group in plan.groups[0] for leaf in group}
+    distinct = {leaf.key for group in plan.groups for leaf in group}
     assert lowered == []
     assert len(leaves) == len(distinct) == len(dec.leaves)
     assert sum(len(ops) for _, ops in plan.sides[0]) > len(distinct)

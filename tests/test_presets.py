@@ -3,6 +3,7 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +207,21 @@ def test_suite_small_plan_shapes():
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("preset,")
     assert len(lines) == 10
+
+
+_SUITE_GOLDEN = json.loads((Path(__file__).parent / "data" / "suite_golden.json").read_text())
+
+
+def test_suite_reports_are_unchanged():
+    # the recorded suite: the same warnings, and the same reports in the
+    # same order with the same counts, tolerances and verdicts; a residual
+    # may move by rounding but stays within its tolerance
+    result = run_paper_suite()
+    assert result.warnings == _SUITE_GOLDEN["warnings"]
+    exact = ("id", "term_count", "theta_evals", "cache_hits", "tolerance", "passed")
+    assert ([{k: r[k] for k in exact} for r in result.reports]
+            == [{k: r[k] for k in exact} for r in _SUITE_GOLDEN["reports"]])
+    assert all(r["residual_rel"] <= r["tolerance"] for r in result.reports)
 
 
 def test_suite_thread_order_stable():

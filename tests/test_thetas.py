@@ -18,6 +18,7 @@ from iqtheta import (
     ThetaParams,
     TruncationError,
     choose_radius,
+    default_omega_samples,
     in_type1_domain,
     riemann_theta_z0,
     shell_tail_bound,
@@ -165,6 +166,34 @@ def test_exact_linear_phase_matches_mpmath(d, b0, den, modulus):
         assert sum(leaf.phase.k) >= 2**63 and val.lattice_points_used > 9
     want = _mp_theta_1x1(field, w, p, a0, b0)
     assert abs(val.value - want) <= val.tail_bound + 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 11, 15])
+def test_leaf_shift_is_the_phase_of_q0_bit_for_bit(d):
+    # e(q0) from the integers of A0 and B0 is the Fraction form's
+    # _phase(-Re Tr(A0^H B0)), over O_K and over Z, for any size of B0
+    field = FieldId(d)
+    rng = np.random.default_rng(d)
+    params = ThetaParams()
+
+    def frac(top=40):
+        return Fraction(int(rng.integers(-top, top + 1)), int(rng.integers(1, 30)))
+
+    cases = []
+    for g, h in ((1, 1), (1, 2), (2, 2), (2, 3)):
+        for _ in range(20):
+            A0, B0 = (KMatrix([[field.element(frac(), frac()) for _ in range(h)]
+                               for _ in range(g)]) for _ in range(2))
+            cases.append((KMatrix.identity(h, field), thetas._reduce_mod_integral(A0), B0))
+    big = KMatrix([[field.element(Fraction(10**400 + 1, 7), Fraction(-(10**400), 9))]])
+    cases.append((KMatrix.identity(1, field), cases[0][1], big))
+    leaves = [thetas._leaf(field, P, A0, B0, params) for P, A0, B0 in cases]
+    for g in (1, 2):
+        a, b = ([frac() for _ in range(g)] for _ in range(2))
+        A0, B0, P, lattice = thetas._z_factor(a, b, 2)
+        leaves += thetas._lower(thetas._RATIONALS, P, A0, B0, params, lattice)
+    for leaf in leaves:
+        assert leaf.phase.shift == thetas._phase(-re_trace_of_product(leaf.A0, leaf.B0))
 
 
 def test_w_below_the_eigenvalue_grid_is_a_domain_error():
@@ -487,6 +516,33 @@ def test_check_variant_modulus_matches_plain_theta():
     assert abs(chk) == pytest.approx(abs(plain), abs=1e-12)
 
 
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(1), Fraction(2)])
+@pytest.mark.parametrize("g", [1, 2])
+def test_z_factor_at_scale_s_is_the_theta_at_s_omega(g, s):
+    # over Z, P = [[s]] at Omega is the Riemann theta at s * Omega: the same
+    # points and value bit for bit.  The decay pi snap(lam_Y) s is at most
+    # pi snap(s lam_Y) for an integral s, so the tail bound is no smaller
+    # there; for s = 1/2 either may be the smaller, and both are rigorous
+    params = ThetaParams()
+    rng = np.random.default_rng(7 * g)
+    omegas = list(default_omega_samples(g))
+    for _ in range(6):
+        m = rng.normal(size=(g, g))
+        x = rng.normal(size=(g, g))
+        omegas.append(x + x.T + 1j * (m @ m.T + 0.3 * np.eye(g)))
+    chars = [tuple(Fraction(int(v), 6) for v in rng.integers(-5, 6, size=g)) for _ in range(3)]
+    for omega in omegas:
+        at = thetas._at(np.asarray(omega))
+        for a, b in itertools.product(chars, repeat=2):
+            A0, B0, P, lattice = thetas._z_factor(a, b, s)
+            (leaf,) = thetas._lower(thetas._RATIONALS, P, A0, B0, params, lattice)
+            got = thetas._theta_dense(leaf, at.w, at.lam_y)
+            want = riemann_theta_z0(a, b, omega * float(s), params)
+            assert (got.value, got.lattice_points_used) == (want.value, want.lattice_points_used)
+            if s.denominator == 1:
+                assert got.tail_bound >= want.tail_bound
+
+
 def test_domain_errors():
     field = FieldId(1)
     one = KMatrix([[field.one()]])
@@ -506,7 +562,7 @@ def test_domain_errors():
     with pytest.raises(DomainError, match="positive definite"):
         riemann_theta_z0([0.0], [0.0], [[0.5 - 1j]])
     # a Riemann factor read through a plan checks symmetry as well
-    real = ThetaFactor("riemann", (Fraction(0),) * 2, (Fraction(0),) * 2)
+    real = ThetaFactor(*thetas._z_factor((Fraction(0),) * 2, (Fraction(0),) * 2))
     check = IdentityCheck("riemann", 2, lhs=(Term(Fraction(0), Fraction(1), (real,)),),
                           rhs=())
     with pytest.raises(DomainError, match="symmetric"):
