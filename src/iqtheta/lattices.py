@@ -5,15 +5,18 @@ entry's coordinates (a, b) over the basis {1, delta}, row-major.  Matrices
 over O_K become exactly Z^(2gh).  Images of the standard lattice under right
 multiplication, intersections, and finite quotients are all computed in this
 coordinate picture with exact integer arithmetic (Hermite and Smith normal
-forms).  The row HNF is canonical, so a lattice has one representation; a
-quotient L/S reads the coordinates of S over the HNF basis of L by
-back-substitution, and its coset representatives come from the Smith form
-and the inverse of its column transform, both kept in integers.
+forms).  The row HNF is canonical, so a lattice has one representation.  An
+intersection reads one basis over the other by back-substitution and takes
+one Smith form; a quotient L/S reads the coordinates of S over the HNF basis
+of L the same way, and its coset representatives are sums of generators
+read off the Smith form and the inverse of its column transform, all kept
+in integers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -73,18 +76,6 @@ def _hnf_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return result
 
 
-def _left_kernel(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis (HNF) of {x in Z^k : x @ mat = 0} for an integer k x n matrix.
-
-    The rows of HNF([mat | I]) whose mat-part vanishes span the kernel in
-    their I-part: the echelon rows with a pivot in mat cannot combine to 0.
-    """
-    k = len(mat)
-    n = len(mat[0]) if k else 0
-    aug = [list(mat[i]) + [1 if j == i else 0 for j in range(k)] for i in range(k)]
-    return _hnf_rows([r[n:] for r in _hnf_rows(aug) if not any(r[:n])])
-
-
 def _smith_form(a: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """Smith normal form of A: returns (diag, V^-1) with U @ A @ V = D.
 
@@ -96,11 +87,6 @@ def _smith_form(a: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]
     cols = len(a[0])
     A = [list(r) for r in a]
     V_inv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_cols(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        V_inv[i], V_inv[j] = V_inv[j], V_inv[i]
 
     def add_row(dst, src, q):
         # row_dst += q * row_src
@@ -117,16 +103,22 @@ def _smith_form(a: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        # locate a minimal-magnitude nonzero pivot in the trailing block
+        # a minimal-magnitude nonzero pivot of the trailing block, the first
+        # in row-major order, moves to (t, t); a unit ends the search
         best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
+        for cand in ((abs(A[i][j]), i, j) for i in range(t, rows)
+                     for j in range(t, cols) if A[i][j]):
+            if best is None or cand < best:
+                best = cand
+                if cand[0] == 1:
+                    break
         if best is None:
             break
-        A[t], A[best[0]] = A[best[0]], A[t]
-        swap_cols(t, best[1])
+        _, bi, bj = best
+        A[t], A[bi] = A[bi], A[t]
+        for r in A:
+            r[t], r[bj] = r[bj], r[t]
+        V_inv[t], V_inv[bj] = V_inv[bj], V_inv[t]
         dirty = False
         for i in range(t + 1, rows):
             if A[i][t] != 0:
@@ -142,17 +134,13 @@ def _smith_form(a: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]
                     dirty = True
         if dirty:
             continue
-        # force divisibility of the trailing block by the pivot
-        stained = False
-        for i in range(t + 1, rows):
-            if stained:
-                break
-            for j in range(t + 1, cols):
-                if A[i][j] % A[t][t] != 0:
-                    add_row(t, i, 1)
-                    stained = True
-                    break
-        if stained:
+        # force divisibility of the trailing block by the pivot (a unit
+        # divides everything)
+        p = A[t][t]
+        stained = None if abs(p) == 1 else next(
+            (i for i in range(t + 1, rows) if any(A[i][j] % p for j in range(t + 1, cols))), None)
+        if stained is not None:
+            add_row(t, stained, 1)
             continue
         if A[t][t] < 0:
             A[t] = [-x for x in A[t]]
@@ -231,15 +219,10 @@ class IntLattice:
     def from_int_rows(rows: Sequence[Sequence[int]], scale: int, dim: int) -> "IntLattice":
         """(1/scale) * Z-span of integer rows, normalized."""
         hnf = _hnf_rows(rows)
-        if hnf:
-            g = scale
-            for row in hnf:
-                for x in row:
-                    if x:
-                        g = math.gcd(g, abs(x))
-            if g > 1:
-                scale //= g
-                hnf = [[x // g for x in row] for row in hnf]
+        g = math.gcd(scale, *(x for row in hnf for x in row)) if hnf else 1
+        if g > 1:
+            scale //= g
+            hnf = [[x // g for x in row] for row in hnf]
         return IntLattice(dim, scale, tuple(tuple(r) for r in hnf))
 
     def coordinates(self, vec: Sequence[Fraction]) -> Optional[list[int]]:
@@ -317,23 +300,42 @@ def lattice_sum(L1: IntLattice, L2: IntLattice) -> IntLattice:
 
 
 def lattice_intersect(L1: IntLattice, L2: IntLattice) -> IntLattice:
+    """L1 meet L2 for full-rank lattices, read off one Smith form.
+
+    Over L2's triangular basis B2, L1's basis is K / D with K = s2 B1
+    adj(B2) and D = s1 det(B2) (back-substitution).  With U K V = diag(a_i),
+    L1 is spanned by the rows (a_i / D) (V^-1)_i, V^-1 unimodular, so the
+    meet with Z^n is spanned by lcm(a_i, D) / D (V^-1)_i, mapped through B2.
+    """
     if L1.ambient_dim != L2.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    s = L1.scale * L2.scale // math.gcd(L1.scale, L2.scale)
-    a1 = [[x * (s // L1.scale) for x in row] for row in L1.basis]
-    a2 = [[x * (s // L2.scale) for x in row] for row in L2.basis]
-    stacked = a1 + [[-x for x in row] for row in a2]
-    kernel = _left_kernel(stacked)
-    r1 = len(a1)
-    rows: list[list[int]] = []
-    for kv in kernel:
-        vec = [0] * L1.ambient_dim
-        for i in range(r1):
-            if kv[i]:
-                for j in range(L1.ambient_dim):
-                    vec[j] += kv[i] * a1[i][j]
+    n = L1.ambient_dim
+    if L1.rank != n or L2.rank != n:
+        raise SublatticeError("intersection requires full-rank lattices")
+    B2 = L2.basis
+    # per column of B2, its nonzero entries above the pivot (none for Lambda)
+    above = [[(i, B2[i][j]) for i in range(j) if B2[i][j]] for j in range(n)]
+    delta = math.prod(B2[j][j] for j in range(n))
+    c, K = delta * L2.scale, []
+    for row in L1.basis:
+        y: list[int] = []  # y B2 = delta s2 row, y = s2 row adj(B2)
+        for j, col in enumerate(above):
+            acc = c * row[j]
+            for i, b in col:
+                acc -= y[i] * b
+            y.append(acc // B2[j][j])
+        K.append(y)
+    D = L1.scale * delta
+    diag, v_inv = _smith_form(K)
+    rows = []
+    for a, v in zip(diag, v_inv):
+        r = [math.lcm(a, D) // D * x for x in v]
+        vec = [x * B2[j][j] for j, x in enumerate(r)]
+        for j, col in enumerate(above):
+            for i, b in col:
+                vec[j] += r[i] * b
         rows.append(vec)
-    return IntLattice.from_int_rows(rows, s, L1.ambient_dim)
+    return IntLattice.from_int_rows(rows, L2.scale, n)
 
 
 # ---------------------------------------------------------------------------
@@ -407,26 +409,20 @@ def quotient_group(
     if order > max_order:
         raise GroupCapError(f"quotient order {order} exceeds cap {max_order}")
     factors = tuple(d for d in diag if d > 1)
-    positions = [i for i, d in enumerate(diag) if d > 1]
-    reps: list[KMatrix] = []
-    t = [0] * len(positions)
-    while True:
-        full = [0] * n
-        for pos, val in zip(positions, t):
-            full[pos] = val
-        coeff = [sum(full[i] * v_inv[i][j] for i in range(n)) for j in range(n)]
-        vec = [sum(coeff[i] * L.basis[i][j] for i in range(n)) for j in range(n)]
-        reps.append(coords_to_kmatrix(vec, L.scale, g, h, field))
-        # mixed-radix increment, last index fastest
-        k = len(positions) - 1
-        while k >= 0:
-            t[k] += 1
-            if t[k] < factors[k]:
-                break
-            t[k] = 0
-            k -= 1
-        if k < 0:
-            break
+    # the coset of Smith coordinates t is sum_i t_i gens_i, gens_i the row
+    # of V^-1 at the i-th factor mapped through the basis; the vectors are
+    # listed mixed-radix, the last factor fastest, by adding generators
+    gens = [tuple(sum(v[i] * L.basis[i][j] for i in range(j + 1)) for j in range(n))
+            for d, v in zip(diag, v_inv) if d > 1]
+    vecs = [(0,) * n]
+    for d, gen in zip(factors, gens):
+        out = []
+        for vec in vecs:
+            for _ in range(d):
+                out.append(vec)
+                vec = tuple(map(operator.add, vec, gen))
+        vecs = out
+    reps = [coords_to_kmatrix(vec, L.scale, g, h, field) for vec in vecs]
     return FiniteAbelianGroup(factors, tuple(reps), order)
 
 
@@ -508,8 +504,7 @@ def character_orthogonality_report(
     field = T.field
     image = lattice_image(g, h, T.conj_transpose())
     total = lattice_sum(image, standard_matrix_lattice(g, h))
-    s = lattice_intersect(total, image)  # = image, but normalizes scale
-    cosets = quotient_group(total, s, field, g, h, max_order)
+    cosets = quotient_group(total, image, field, g, h, max_order)
     g2 = character_group(g, T, max_order)
     report = []
     for M in cosets.representatives:

@@ -642,9 +642,7 @@ def _preset_cubic(g: int = 1, alphas: Optional[Sequence[KMatrix]] = None) -> Pre
         "expected_G2_trivial": True,
         "parametrization_matches": matches,
         "scaled_args": ["3", "3", "3"],
-        "all_phases_zero_when_B0_zero": all(
-            t.phase_q == 0 for t in inst.terms
-        ),
+        "all_phases_zero_when_B0_zero": all(q == 0 for q, _ in inst.expansion),
     }
     return Preset(
         name="cubic_d3",

@@ -25,13 +25,12 @@ definite P as an exact-coefficient polynomial in one-column thetas.
 Every side is a sum of Terms, evaluated in two steps.  A factor is one
 theta (a, b, P) over O_K or Z: scaling W by s is scaling P by s, and the
 phase of a check-variant theta is part of its Term's coefficient, so every
-factor reads W itself.  Lowering (`_lower_terms`) runs once per Term tuple
-and ThetaParams: each Term's float coefficient, and per factor the dense
-thetas (leaves) whose product it is (see thetas._lower).  A decomposition
-is compiled at emission instead: its expansion runs in integers and
-interns each one-column leaf as it is emitted, so its plan takes one
-thetas._leaf per distinct leaf and lowers no factor.  The plan is cached
-on the object that owns the sum (RelationInstance, IdentityCheck,
+factor reads W itself.  Lowering (`_lower_terms`) runs once per sum and
+ThetaParams.  A relation's right side and a decomposition are compiled as
+they are emitted (_Compiled): built in integers, each leaf interned in a
+table, so the plan takes one thetas._leaf per entry.  Other Term sums are
+lowered factor by factor (see thetas._lower).  The plan is cached on the
+object that owns the sum (RelationInstance, IdentityCheck,
 PDecomposition), one per ThetaParams.  Evaluation (`_sum_terms`) takes one W: it checks W once, and
 evaluates each distinct leaf once into a table that belongs to that one
 evaluation, one batch per group of leaves that share a P (see
@@ -81,6 +80,7 @@ from .thetas import (
     _leaf,
     _leaves_value,
     _lower,
+    _p_columns,
     _phase,
     _phase_of,
     _table_value,
@@ -146,15 +146,25 @@ class _Plan:
     sides: tuple[tuple[tuple[complex, tuple[tuple[_Leaf, ...], ...]], ...], ...]
 
 
+class _Compiled:
+    """A sum compiled to leaves as it was emitted (RelationInstance,
+    PDecomposition): leaves holds each distinct leaf (P, a, b) once, in
+    first-read order, and a term (q, leaf indices) of expansion stands for
+    coeff_scale * exp(-2*pi*i*q / q_den) times its factors, each the
+    product of factor_leaves of its leaves at eps / factor_leaves."""
+
+    coeff_scale = Fraction(1)
+    factor_leaves = 1
+
+
 def _lower_terms(
-    params: ThetaParams, sides: Iterable[Union[Iterable[Term], "PDecomposition"]]
+    params: ThetaParams, sides: Iterable[Union[Iterable[Term], _Compiled]]
 ) -> _Plan:
-    """Lower Term sums together, so they share leaves.
+    """Lower sums together, so they share leaves.
 
     Equal factors are lowered once, and equal leaf keys are interned, so a
-    table lookup compares keys by identity.  A side may be a
-    PDecomposition, whose expansion is compiled to leaves already: it takes
-    one _leaf per entry of its leaves and lowers no factor.
+    table lookup compares keys by identity.  A compiled side takes one
+    _leaf per entry of its leaves and lowers no factor.
     """
     leaves: dict = {}  # the distinct leaves by key, in first-read order
     lowered: dict[ThetaFactor, tuple[_Leaf, ...]] = {}
@@ -170,16 +180,21 @@ def _lower_terms(
             )
         return got
 
-    def compiled(dec: PDecomposition) -> tuple:
-        factors = [(intern(_leaf(dec.field, p, a, b, params)),) for p, a, b in dec.leaves]
-        scale = float(dec.scale)
-        coeffs = {q: scale * _phase_of(q, dec.q_den)
-                  for q in {q for q, _ in dec.expansion}}
-        return tuple((coeffs[q], tuple(factors[i] for i in idx))
-                     for q, idx in dec.expansion)
+    def compiled(side: _Compiled) -> tuple:
+        w = side.factor_leaves
+        leaf_params = replace(params, eps=params.eps / w) if w > 1 else params
+        leaves = [intern(_leaf(p.field, p, a, b, leaf_params)) for p, a, b in side.leaves]
+        scale = float(side.coeff_scale)
+        coeffs = {q: scale * _phase_of(q, side.q_den)
+                  for q in {q for q, _ in side.expansion}}
+        return tuple(
+            (coeffs[q], tuple(tuple(leaves[i] for i in idx[k:k + w])
+                              for k in range(0, len(idx), w)))
+            for q, idx in side.expansion
+        )
 
     lowered_sides = tuple(
-        compiled(side) if isinstance(side, PDecomposition) else tuple(
+        compiled(side) if isinstance(side, _Compiled) else tuple(
             (
                 float(t.coeff_scale) * _phase(t.coeff_q),
                 tuple(map(lower, t.factors)),
@@ -355,18 +370,34 @@ class RelationTerm:
 
 
 @dataclass(frozen=True)
-class RelationInstance:
+class RelationInstance(_Compiled):
+    """A relation: its left side Theta^Q[lhs_A; lhs_B], its groups, and its
+    right side compiled (see build_relation).  The common factor
+    scale = 1/#G2 stays outside the sum."""
+
     spec: RelationSpec
     Q: KMatrix
     lhs_A: KMatrix
     lhs_B: KMatrix
     G1: FiniteAbelianGroup
     G2: FiniteAbelianGroup
-    terms: tuple[RelationTerm, ...]
+    q_den: int
+    leaves: tuple[tuple[KMatrix, KMatrix, KMatrix], ...]
+    expansion: tuple[tuple[int, tuple[int, ...]], ...]
+    factor_leaves: int = 1
 
     @property
     def scale(self) -> Fraction:
         return Fraction(1, self.G2.order)
+
+    @cached_property
+    def terms(self) -> tuple[RelationTerm, ...]:
+        """The right side's summands with exact characteristics, built on
+        first use; evaluation does not read them."""
+        A0, B0, c = self.spec.A0, self.spec.B0, dual_generator(self.spec.field)
+        duals = [(b, b.scale(c)) for b in self.G2.representatives]
+        return tuple(RelationTerm(a, b, A0 + a, B0 + bc, re_trace_of_product(A0, bc) % 1)
+                     for b, bc in duals for a in self.G1.representatives)
 
     @cached_property
     def lhs_terms(self) -> tuple[Term, ...]:
@@ -377,10 +408,7 @@ class RelationInstance:
 
     @cached_property
     def rhs_terms(self) -> tuple[Term, ...]:
-        """terms as Term objects for the shared sum, built once per instance.
-
-        The common factor scale = 1/#G2 stays outside the sum.
-        """
+        """terms as Term objects, built on first use; scale stays outside."""
         P = self.spec.P
         return tuple(
             Term(t.phase_q, Fraction(1), (ThetaFactor(t.a_char, t.b_char, P),))
@@ -389,7 +417,8 @@ class RelationInstance:
 
     @cached_property
     def _plans(self) -> dict:
-        """lhs_terms and rhs_terms lowered together, per ThetaParams."""
+        """The left side and the compiled right side lowered together, per
+        ThetaParams."""
         return {}
 
     def group_metadata(self) -> dict:
@@ -398,12 +427,19 @@ class RelationInstance:
             "G1_invariant_factors": list(self.G1.invariant_factors),
             "G2_order": self.G2.order,
             "G2_invariant_factors": list(self.G2.invariant_factors),
-            "term_count": len(self.terms),
+            "term_count": self.G1.order * self.G2.order,
         }
 
 
 def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstance:
-    """Assemble groups, characteristics and exact phases for spec."""
+    """Assemble the groups, and the right side compiled in integers.
+
+    A term is B in G2 (outer) and A in G1 (inner), with the phase
+    q / q_den = Re Tr(A0^H c B) mod 1 and the factor Theta^P[A0 + A; B0 + c B].
+    A0 + A (reduced mod O_K) and B0 + c B are integer columns over one
+    denominator each, cut into parts: single columns for an exactly diagonal
+    P with h > 1 (see thetas._lower), else all columns.  A leaf is keyed by
+    the indices of its P and its parts."""
     spec.validate()
     try:
         lhs_A = spec.A0 @ spec.T.conj_transpose().inverse()
@@ -414,23 +450,38 @@ def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstan
     g2 = character_group(spec.g, spec.T, max_order=max_order)
     lhs_B = spec.B0 @ spec.T
     dual = dual_generator(spec.field)
-    terms: list[RelationTerm] = []
-    for b_rep in g2.representatives:
-        b_dual = b_rep.scale(dual)
-        q = re_trace_of_product(spec.A0, b_dual)
-        q = q - math.floor(q)
-        for a_rep in g1.representatives:
-            terms.append(
-                RelationTerm(
-                    a_shift=a_rep,
-                    b_shift=b_rep,
-                    a_char=spec.A0 + a_rep,
-                    b_char=spec.B0 + b_dual,
-                    phase_q=q,
-                )
-            )
+    b_duals = [rep.scale(dual) for rep in g2.representatives]
+    qs = [re_trace_of_product(spec.A0, b) for b in b_duals]
+    q_den = math.lcm(*(q.denominator for q in qs))
+    ps = _p_columns(spec.P) or (spec.P,)
+    w = spec.h // len(ps)  # columns per part
+
+    def parts(base: KMatrix, reps, center: bool) -> tuple[list, list]:
+        """Per rep, the indices of the parts of base + rep; the distinct
+        parts as matrices, by index."""
+        den = math.lcm(*(x.den for M in (base, *reps) for row in M.entry_rows() for x in row))
+        base_cols, out, table = _int_columns(base, den), [], {}
+        for rep in reps:
+            m = tuple(map(_add, base_cols, _int_columns(rep, den)))
+            if center:
+                m = tuple(tuple(_center(v, den) for v in col) for col in m)
+            out.append([table.setdefault(m[j:j + w], len(table)) for j in range(0, len(m), w)])
+        return out, [coords_to_kmatrix(sum(cols, ()), den, w, spec.g, spec.field).transpose()
+                     for cols in table]
+
+    a_parts, a_mats = parts(spec.A0, g1.representatives, True)
+    b_parts, b_mats = parts(spec.B0, b_duals, False)
+    p_ids = [ps.index(p) for p in ps]
+    leaf_ids: dict[tuple, int] = {}  # (P, A part, B part) -> index, in first-read order
+    expansion = tuple(
+        (q.numerator * (q_den // q.denominator) % q_den,
+         tuple(leaf_ids.setdefault(key, len(leaf_ids)) for key in zip(p_ids, a, b)))
+        for q, b in zip(qs, b_parts) for a in a_parts
+    )
     return RelationInstance(
-        spec=spec, Q=Q, lhs_A=lhs_A, lhs_B=lhs_B, G1=g1, G2=g2, terms=tuple(terms)
+        spec=spec, Q=Q, lhs_A=lhs_A, lhs_B=lhs_B, G1=g1, G2=g2, q_den=q_den,
+        factor_leaves=len(ps), expansion=expansion,
+        leaves=tuple((ps[p], a_mats[a], b_mats[b]) for p, a, b in leaf_ids),
     )
 
 
@@ -442,45 +493,38 @@ def evaluate_relation(
 ) -> VerificationReport:
     """Evaluate both sides of the relation at W and report the residual.
 
-    corrupt is a test hook: "phase" perturbs one term coefficient and
-    "drop" omits one term, so harness failure detection can be exercised.
+    corrupt is a test hook: "phase" moves the phase of the first term of
+    the right side by 1/3 and "drop" omits that term, so harness failure
+    detection can be exercised.
     """
     if params is None:
         params = ThetaParams()
     if corrupt not in (None, "phase", "drop"):
         raise ValueError(f"unknown corruption mode: {corrupt!r}")
-    terms = inst.rhs_terms
+    # a corrupted relation is a new instance, so its plan is lowered fresh
+    term_count = inst.G1.order * inst.G2.order
     if corrupt == "drop":
-        terms = terms[1:]
-    elif corrupt == "phase":
-        first = replace(terms[0], coeff_q=terms[0].coeff_q + Fraction(1, 3))
-        terms = (first,) + terms[1:]
-
-    def lower() -> _Plan:
-        return _lower_terms(params, (inst.lhs_terms, terms))
-
-    # a corrupted plan is lowered fresh and never cached
-    plan = lower() if corrupt else _cached_plan(inst._plans, params, lower)
+        inst = replace(inst, expansion=inst.expansion[1:])
+    elif corrupt == "phase":  # over 3 q_den, the first q moves by q_den
+        (q, idx), *rest = inst.expansion
+        inst = replace(inst, q_den=3 * inst.q_den, expansion=(
+            (3 * q + inst.q_den, idx), *((3 * r, i) for r, i in rest)))
+    plan = _cached_plan(inst._plans, params,
+                        lambda: _lower_terms(params, (inst.lhs_terms, inst)))
     (lhs, rhs_sum), evals, hits = _sum_terms(plan, W)
     rhs = float(inst.scale) * rhs_sum
-    return VerificationReport.compare(
-        lhs, rhs, len(inst.terms), evals, hits, params.eps
-    )
+    return VerificationReport.compare(lhs, rhs, term_count, evals, hits, params.eps)
 
 
 # -- rational P as a polynomial in one-column thetas ------------------------
 
 
 @dataclass(frozen=True)
-class PDecomposition:
+class PDecomposition(_Compiled):
     """Schur pivot sequence (one entry per level, repeats kept) plus the
-    expansion, compiled to one-column leaves as it was emitted.
-
-    leaves holds each distinct Theta^(lam)[a; b] once, as ([[lam]], a
-    reduced mod O_K, b), in the order the monomials first read them.  A
-    monomial (q, leaf indices, one per level) of expansion stands for
-    scale * exp(-2*pi*i*q / q_den) times the product of its leaves.
-    """
+    expansion, compiled to one-column leaves as it was emitted (see
+    _Compiled): a leaf is ([[lam]], a reduced mod O_K, b), and a monomial
+    has one leaf per level, each its own factor, and coefficient scale."""
 
     field: FieldId
     g: int
@@ -489,6 +533,10 @@ class PDecomposition:
     q_den: int
     leaves: tuple[tuple[KMatrix, KMatrix, KMatrix], ...]
     expansion: tuple[tuple[int, tuple[int, ...]], ...]
+
+    @property
+    def coeff_scale(self) -> Fraction:
+        return self.scale
 
     def lambda_product(self) -> Fraction:
         prod = Fraction(1)
@@ -696,6 +744,5 @@ def _add(u: tuple, v: tuple) -> tuple:
 def _int_columns(M: KMatrix, den: int) -> tuple[tuple[int, ...], ...]:
     """The columns of M as coordinate vectors (see lattices._int_coords)
     over den, a multiple of each entry's denominator."""
-    nums, own = _int_coords(M.transpose())
-    k, c = den // own, 2 * M.rows
-    return tuple(tuple(v * k for v in nums[j:j + c]) for j in range(0, len(nums), c))
+    return tuple(tuple(v for x in col for k in (den // x.den,) for v in (x.n * k, x.m * k))
+                 for col in zip(*M.entry_rows()))

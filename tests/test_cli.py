@@ -248,6 +248,22 @@ def test_decompose_output_is_unchanged(capsys, name):
     assert out == _GOLDEN["stdout"][name]
 
 
+_GROUPS = json.loads((Path(__file__).parent / "data" / "groups_golden.json").read_text())
+_GROUPS_ARGV = {**{name: ["--spec", json.dumps(spec)] for name, spec in _GROUPS["specs"].items()},
+                **_GROUPS["presets"]}
+
+
+@pytest.mark.parametrize("name", sorted(_GROUPS_ARGV))
+def test_groups_output_is_unchanged(capsys, name):
+    # every representative of both groups, in the order that the leaves of
+    # a relation follow, for fixed specs over d in {1, 2, 3, 7}, g in {1, 2}
+    # and h in {1, 2, 3} and for the suite's relation presets
+    code, out = _run(capsys, ["groups", *_GROUPS_ARGV[name],
+                              "--rep-limit", str(_GROUPS["rep_limit"])])
+    assert code == 0
+    assert out == json.dumps(_GROUPS["stdout"][name], indent=2) + "\n"
+
+
 def test_main_builds_its_parser_once(capsys):
     # in-process calls of main share one parser, built on the first call,
     # and print and exit as separate processes do

@@ -1,5 +1,6 @@
 """Integer lattices, finite quotients, and exact character sums."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from iqtheta import (
 )
 from iqtheta.lattices import (
     IntLattice,
+    _hnf_rows,
     index_in,
     lattice_image,
     lattice_intersect,
@@ -96,25 +98,91 @@ def test_membership_and_index():
     assert index_in(L, S) == 2
 
 
-def test_sum_and_intersection_sandwich():
+def _reference_intersect(L1, L2):
+    """L1 meet L2 through a left kernel: the rows x of HNF([M | I]) with
+    x M = 0, for M the basis of L1 stacked on minus that of L2."""
+    s = math.lcm(L1.scale, L2.scale)
+    n = L1.ambient_dim
+    a1 = [[x * (s // L1.scale) for x in row] for row in L1.basis]
+    stacked = a1 + [[-x * (s // L2.scale) for x in row] for row in L2.basis]
+    k = len(stacked)
+    aug = [row + [int(i == j) for j in range(k)] for i, row in enumerate(stacked)]
+    kernel = [r[n:] for r in _hnf_rows(aug) if not any(r[:n])]
+    rows = [[sum(kv[i] * a1[i][j] for i in range(len(a1))) for j in range(n)]
+            for kv in kernel]
+    return IntLattice.from_int_rows(rows, s, n)
+
+
+def _random_T(rng, field, h):
+    while True:
+        T = KMatrix([[field.element(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                    Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+                      for _ in range(h)] for _ in range(h)])
+        if not T.det().is_zero():
+            return T
+
+
+def _intersection_pairs():
     rng = random.Random(11)
-    for _ in range(10):
-        rows1 = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                  for _ in range(4)] for _ in range(4)]
-        rows2 = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                  for _ in range(4)] for _ in range(4)]
-        L1 = IntLattice.from_rational_rows(rows1, 4)
-        L2 = IntLattice.from_rational_rows(rows2, 4)
-        if L1.rank < 4 or L2.rank < 4:
-            continue
+    pairs = []
+    while len(pairs) < 40:  # random full-rank pairs of dimension 2 to 6
+        n = rng.randint(2, 6)
+        L1, L2 = (IntLattice.from_rational_rows(
+            [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)], n) for _ in range(2))
+        if L1.rank == L2.rank == n:
+            pairs.append((L1, L2))
+    for d in (1, 2, 3, 7):  # the images that the groups intersect with Lambda
+        field = FieldId(d)
+        for g in (1, 2):
+            for h in (1, 2, 3):
+                T = _random_T(rng, field, h)
+                for M in (T.conj_transpose(), T.inverse()):
+                    pairs.append((lattice_image(g, h, M), standard_matrix_lattice(g, h)))
+    return pairs
+
+
+def test_sum_and_intersection_sandwich():
+    # the intersection is the one a left-kernel construction gives, so it is
+    # no proper sublattice of L1 meet L2, and [L1 : L1 meet L2] = [L1 + L2 : L2]
+    for L1, L2 in _intersection_pairs():
         inter = lattice_intersect(L1, L2)
         total = lattice_sum(L1, L2)
+        assert inter == _reference_intersect(L1, L2) == lattice_intersect(L2, L1)
         for vec in rational_basis(inter):
             assert L1.contains(vec) and L2.contains(vec)
-        for vec in rational_basis(L1):
+        for vec in rational_basis(L1) + rational_basis(L2):
             assert total.contains(vec)
-        for vec in rational_basis(L2):
-            assert total.contains(vec)
+        assert index_in(L1, inter) == index_in(total, L2)
+        assert index_in(L2, inter) == index_in(total, L1)
+
+
+def test_intersection_refuses_rank_deficient_lattices():
+    std = IntLattice.standard(2)
+    line = IntLattice.from_rational_rows([[Fraction(1), Fraction(1)]], 2)
+    for pair in ((line, std), (std, line), (line, line)):
+        with pytest.raises(SublatticeError):
+            lattice_intersect(*pair)
+    with pytest.raises(ValueError):
+        lattice_intersect(std, IntLattice.standard(3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_image_is_canonical(d):
+    # lattice_image returns the canonical HNF under the normalized scale, so
+    # it equals the lattice of its own basis rows and the image it is read
+    # back as inside the sum with Lambda (character_orthogonality_report)
+    rng = random.Random(200 + d)
+    field = FieldId(d)
+    for g in (1, 2):
+        for h in (1, 2, 3):
+            T = _random_T(rng, field, h)
+            for M in (T.conj_transpose(), T.inverse()):
+                image = lattice_image(g, h, M)
+                assert image == IntLattice.from_int_rows(
+                    image.basis, image.scale, image.ambient_dim)
+                total = lattice_sum(image, standard_matrix_lattice(g, h))
+                assert lattice_intersect(total, image) == image
 
 
 def test_quotient_invariant_factors_diagonal_case():

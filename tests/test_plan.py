@@ -4,6 +4,7 @@ calls, and the evaluation and hit counts of those calls on one cache."""
 
 import gc
 import math
+import random
 import weakref
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import pytest
 from iqtheta import (
     DomainError,
     FieldId,
+    GroupCapError,
     KMatrix,
     ThetaCache,
     ThetaParams,
@@ -569,9 +571,56 @@ def test_compiled_plan_matches_lowered_monomials(d, g, h):
     assert len({c for c, _ in compiled.sides[0]}) > 1
 
 
-def test_decomposition_lowers_no_factor(monkeypatch):
-    # evaluating a fresh decomposition builds each of its distinct leaves
-    # once and lowers no factor
+def _random_relation(d, g, h, diagonal, seed):
+    """A relation with random T, A0 and B0 and 2 to 48 terms; P is diagonal
+    with entries in 1..3, or h + 1 on the diagonal and 1 elsewhere."""
+    rng = random.Random(seed)
+    field = FieldId(d)
+
+    def entry(den):
+        return field.element(Fraction(rng.randint(-3, 3), den),
+                             Fraction(rng.randint(-2, 2), den))
+
+    P = KMatrix.from_rational_rows(
+        [[(rng.randint(1, 3) if diagonal else h + 1) if i == j else int(not diagonal)
+          for j in range(h)] for i in range(h)], field)
+    while True:
+        T = KMatrix([[entry(rng.choice((1, 2))) for _ in range(h)] for _ in range(h)])
+        A0, B0 = (KMatrix([[entry(rng.randint(2, 5)) for _ in range(h)] for _ in range(g)])
+                  for _ in range(2))
+        if T.det().is_zero():
+            continue
+        try:
+            inst = build_relation(RelationSpec(field, g, T, P, A0, B0), max_order=48)
+        except GroupCapError:
+            continue
+        if 2 <= inst.G1.order * inst.G2.order <= 48:
+            return inst
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_compiled_relation_matches_lowered_terms(d, g, diagonal):
+    # the plan of a relation's compiled right side is the plan that lowering
+    # its Terms factor by factor gives: the same coefficients, the same
+    # leaves per factor, the same groups and the same values bit for bit
+    inst = _random_relation(d, g, 3 if g == 1 else 2, diagonal, seed=10 * d + g)
+    assert (inst.factor_leaves > 1) == diagonal
+    params = ThetaParams(eps=1e-6)
+    compiled = _lower_terms(params, (inst.lhs_terms, inst))
+    lowered = _lower_terms(params, (inst.lhs_terms, inst.rhs_terms))
+    for got, want in zip(compiled.sides, lowered.sides):
+        assert [c for c, _ in got] == [c for c, _ in want]
+        assert ([[[leaf.key for leaf in leaves] for leaves in factors] for _, factors in got]
+                == [[[leaf.key for leaf in leaves] for leaves in factors] for _, factors in want])
+    assert ([[leaf.key for leaf in group] for group in compiled.groups]
+            == [[leaf.key for leaf in group] for group in lowered.groups])
+    assert _sum_terms(compiled, _W(g)) == _sum_terms(lowered, _W(g))
+
+
+def _lower_and_leaf_calls(monkeypatch):
+    """The argument lists of every thetas._lower and thetas._leaf call."""
     lowered, leaves = [], []
     for name, calls in (("_lower", lowered), ("_leaf", leaves)):
         inner = getattr(thetas, name)
@@ -583,6 +632,13 @@ def test_decomposition_lowers_no_factor(monkeypatch):
         for module in (thetas, relations):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
+    return lowered, leaves
+
+
+def test_decomposition_lowers_no_factor(monkeypatch):
+    # evaluating a fresh decomposition builds each of its distinct leaves
+    # once and lowers no factor
+    lowered, leaves = _lower_and_leaf_calls(monkeypatch)
     dec = decompose_rational_P(*_decomposition_input(3, 1, 3))
     assert (lowered, leaves) == ([], [])
     dec.evaluate(_W(1), ThetaParams(eps=1e-9))
@@ -591,3 +647,17 @@ def test_decomposition_lowers_no_factor(monkeypatch):
     assert lowered == []
     assert len(leaves) == len(distinct) == len(dec.leaves)
     assert sum(len(ops) for _, ops in plan.sides[0]) > len(distinct)
+
+
+def test_relation_lowers_only_its_left_side(monkeypatch):
+    # evaluating a fresh relation lowers its left factor and builds each
+    # distinct leaf of its right side once
+    lowered, leaves = _lower_and_leaf_calls(monkeypatch)
+    inst = _random_relation(3, 1, 3, True, seed=5)
+    evaluate_relation(inst, _W(1), ThetaParams(eps=1e-6))
+    (plan,) = inst._plans.values()
+    distinct = {leaf.key for group in plan.groups for leaf in group}
+    assert len(lowered) == 1
+    assert len(leaves) == len(inst.leaves) + 1 == len(distinct)
+    assert [len(factor) for _, factors in plan.sides[1] for factor in factors] == [
+        inst.factor_leaves] * len(inst.expansion)

@@ -1,26 +1,39 @@
 """Relation assembly, evaluation, corruption controls, and P decomposition."""
 
+import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
 from iqtheta import (
+    DEFAULT_SUITE_PLAN,
     DomainError,
     FieldId,
     KMatrix,
-    RelationInstance,
     RelationSpec,
+    ThetaParams,
     build_relation,
     decompose_rational_P,
+    default_W_samples,
     evaluate_relation,
+    make_preset,
     theta_general,
 )
 from iqtheta.kfield import hat, re_trace_of_product
-from iqtheta.relations import RelationTerm
+from iqtheta.relations import (
+    RelationTerm,
+    Term,
+    ThetaFactor,
+    VerificationReport,
+    _lower_terms,
+    _sum_terms,
+)
 
 
 def _cubic_spec():
@@ -122,18 +135,17 @@ def test_rhs_independent_of_coset_representatives():
                 phase_q=q,
             )
         )
-    moved = RelationInstance(
-        spec=spec,
-        Q=inst.Q,
-        lhs_A=inst.lhs_A,
-        lhs_B=inst.lhs_B,
-        G1=inst.G1,
-        G2=inst.G2,
-        terms=tuple(terms),
+    # the moved terms as a Term sum, lowered factor by factor
+    moved = tuple(
+        Term(t.phase_q, Fraction(1), (ThetaFactor(t.a_char, t.b_char, spec.P),))
+        for t in terms
     )
     W = [[0.15 + 0.95j]]
     r1 = evaluate_relation(inst, W)
-    r2 = evaluate_relation(moved, W)
+    (moved_sum,), _, _ = _sum_terms(_lower_terms(ThetaParams(), (moved,)), W)
+    r2 = VerificationReport.compare(
+        r1.lhs, float(inst.scale) * moved_sum, len(moved), 0, 0, ThetaParams().eps
+    )
     assert r2.rhs == pytest.approx(r1.rhs, abs=1e-11)
     assert r1.passed and r2.passed
 
@@ -151,6 +163,84 @@ def test_corruption_controls_fail_loudly():
     assert broken_drop.residual_rel > 1e-3
     with pytest.raises(ValueError, match="corruption"):
         evaluate_relation(inst, W, corrupt="bogus")
+
+
+@pytest.mark.parametrize("mode", ["phase", "drop"])
+def test_corruption_matches_the_corrupted_terms(mode):
+    # the corrupted compiled side is the Term sum with the first term's
+    # phase moved by 1/3, or without that term, to the bit
+    inst = build_relation(_matsumoto_spec())
+    W = [[0.15 + 0.95j]]
+    terms = inst.rhs_terms
+    if mode == "phase":
+        terms = (replace(terms[0], coeff_q=terms[0].coeff_q + Fraction(1, 3)),) + terms[1:]
+    else:
+        terms = terms[1:]
+    (lhs, rhs_sum), _, _ = _sum_terms(_lower_terms(ThetaParams(), (inst.lhs_terms, terms)), W)
+    rep = evaluate_relation(inst, W, corrupt=mode)
+    assert (rep.lhs, rep.rhs) == (lhs, float(inst.scale) * rhs_sum)
+    assert rep.term_count == 4 and not rep.passed
+
+
+def test_build_and_evaluate_make_no_terms():
+    # the right side is compiled: building, evaluating and the metadata
+    # read no RelationTerm, and the terms built on first use match it
+    for spec in (_cubic_spec(), _matsumoto_spec()):
+        inst = build_relation(spec)
+        rep = evaluate_relation(inst, [[0.1 + 1.05j]])
+        evaluate_relation(inst, [[0.1 + 1.05j]], corrupt="phase")
+        meta = inst.group_metadata()
+        assert "terms" not in inst.__dict__ and "rhs_terms" not in inst.__dict__
+        assert rep.term_count == meta["term_count"] == len(inst.terms)
+        assert len(inst.expansion) == len(inst.rhs_terms) == len(inst.terms)
+        assert [Fraction(q, inst.q_den) for q, _ in inst.expansion] == [
+            t.phase_q for t in inst.terms]
+
+
+_RELATIONS = json.loads(
+    (Path(__file__).parent / "data" / "groups_golden.json").read_text())["relations"]
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def _terms_digest(inst):
+    return _digest([[t.a_char.to_json(), t.b_char.to_json(),
+                     [t.phase_q.numerator, t.phase_q.denominator]] for t in inst.terms])
+
+
+def _plan_digest(plan):
+    # the leaves in batch order (key data), and per side and term the
+    # coefficient's bits and each factor's leaves by position
+    leaves = [leaf for group in plan.groups for leaf in group]
+    pos = {leaf.key: i for i, leaf in enumerate(leaves)}
+    keys = [[d, g, h, P.to_json(), A.to_json(), B.to_json(), repr(eps), repr(r), repr(basis)]
+            for d, g, h, P, A, B, eps, r, basis in (leaf.key.data for leaf in leaves)]
+    sides = [[[c.real.hex(), c.imag.hex(), [[pos[leaf.key] for leaf in f] for f in factors]]
+              for c, factors in side] for side in plan.sides]
+    return _digest([[len(group) for group in plan.groups], keys, sides])
+
+
+def test_suite_relations_are_unchanged():
+    # per relation of the suite, the terms built on first use (a_char,
+    # b_char, phase_q, in order) and the plan that evaluation lowers (leaf
+    # keys, groups, coefficients) are those that building the terms and
+    # lowering them factor by factor gave
+    params = ThetaParams()
+    seen = set()
+    for name, kwargs in DEFAULT_SUITE_PLAN:
+        preset = make_preset(name, **kwargs)
+        inst = preset.relation
+        if inst is None:
+            continue
+        key = ":".join([name] + [f"{k}{v}" for k, v in sorted(kwargs.items())])
+        evaluate_relation(inst, default_W_samples(preset.g)[0], params)
+        assert "terms" not in inst.__dict__ and "rhs_terms" not in inst.__dict__
+        assert _plan_digest(inst._plans[params]) == _RELATIONS[key]["plan"], key
+        assert _terms_digest(inst) == _RELATIONS[key]["terms"], key
+        seen.add(key)
+    assert seen == set(_RELATIONS)
 
 
 def test_spec_json_roundtrip():
