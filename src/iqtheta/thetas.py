@@ -64,7 +64,8 @@ and the radii are computed once per group.  Within a group, the leaves that
 share A0 mod the lattice form a family (in a relation, the thetas at
 B0 + c b for b in G2): they share the points and the quadratic exponent,
 so one enumeration runs over one center per family and one exp per point
-serves the whole family; each leaf then applies its own exact phase.
+serves the whole family; each leaf then applies its own exact phase,
+one phase sum serving the leaves of a family that differ only in e(q0).
 Radii, tail bounds and point counts are the ones a leaf gets alone, and a
 leaf's summation does not depend on its batch or family, so its ThetaValue
 is bit for bit the one a `_theta_dense` call of its own gives;
@@ -111,7 +112,8 @@ _MAX_POINTS = 6_000_000
 _BATCH_POINTS = 1 << 13
 
 # A leaf's roots of unity exp(2 pi i j / M) come from a cached table when M
-# is at most this, and are computed per point above it.
+# is at most this; above it, from a table built for one piece of at least M
+# points, else per point (see _phase_sum).
 _ROOTS_MAX = 1 << 10
 # Integers below this are exact in a float64, and so is a sum of them that
 # stays below it, in any order.
@@ -446,15 +448,7 @@ def _ellipsoid_points(
 
     ends = np.cumsum(counts)
     starts = ends - counts
-    first = np.searchsorted(owner, np.arange(m + 1))
-    pieces = []  # (center, first node, end node)
-    for j in range(m):
-        s, stop = int(first[j]), int(first[j + 1])
-        while s < stop:
-            e = int(np.searchsorted(ends, starts[s] + _EVAL_CHUNK, side="right"))
-            e = min(max(e, s + 1), stop)
-            pieces.append((j, s, e))
-            s = e
+    pieces = _pieces(owner, starts, ends, per_center)
 
     def blocks() -> Iterator[tuple[np.ndarray, list[tuple[int, int, int]]]]:
         k = 0
@@ -475,6 +469,26 @@ def _ellipsoid_points(
             k = k_end
 
     return per_center.astype(np.int64), blocks()
+
+
+def _pieces(
+    owner: np.ndarray, starts: np.ndarray, ends: np.ndarray, per_center: np.ndarray
+) -> list[tuple[int, int, int]]:
+    """The nodes of each center (owner sorted; node s holds points
+    starts[s]:ends[s]) cut in order into pieces (center, first node, end
+    node) of at most _EVAL_CHUNK points, or of one node that has more."""
+    first = np.searchsorted(owner, np.arange(len(per_center) + 1)).tolist()
+    whole = (per_center <= _EVAL_CHUNK).tolist()
+    pieces = []
+    for j, (s, stop) in enumerate(zip(first, first[1:])):
+        while s < stop:
+            e = stop
+            if not whole[j]:
+                e = int(np.searchsorted(ends, starts[s] + _EVAL_CHUNK, side="right"))
+                e = min(max(e, s + 1), stop)
+            pieces.append((j, s, e))
+            s = e
+    return pieces
 
 
 class _LeafKey:
@@ -632,35 +646,46 @@ def _group_leaves(leaves: Iterable[_Leaf]) -> tuple[tuple[_Leaf, ...], ...]:
 @lru_cache(maxsize=64)
 def _roots(modulus: int) -> np.ndarray:
     """exp(2 pi i (j / modulus)) for j < modulus, the expression that
-    _phase_sum evaluates above the table size; read-only, since the cache
-    hands it to every caller."""
+    _phase_sum evaluates per point; read-only, since the cache hands it to
+    every caller (_roots.__wrapped__ builds it uncached)."""
     table = np.exp(2j * np.pi * (np.arange(modulus) / modulus))
     table.flags.writeable = False
     return table
 
 
 def _phase_sum(
-    quad: np.ndarray, z: np.ndarray, zmax: float, phase: _LeafPhase
+    quad: np.ndarray, z: np.ndarray, zmax: float, modulus: int, k: tuple[int, ...]
 ) -> complex:
     """The sum over the rows z of integer coordinates (column j is
-    coordinate n-1-j) of quad times e((z.k mod M) / M); zmax bounds |z|.
+    coordinate n-1-j) of quad times e((z.k mod M) / M), M = modulus; zmax
+    bounds |z|.
 
-    The residue r is exact: as floats while every partial sum of z.k stays
-    below 2^53, else in Python integers.  e(r / M) is exp(2 pi i (r / M))
-    with r / M correctly rounded either way (int / int rounds correctly),
-    taken from a table of _roots up to _ROOTS_MAX: the same floats, so the
+    The residue r is exact: as floats while M + zmax sum(k) < 2^53, else
+    in Python integers.  e(r / M) is exp(2 pi i (r / M)) with r / M
+    correctly rounded either way (int / int rounds correctly); on the float
+    path it is read from a table of _roots, cached up to _ROOTS_MAX and
+    built for this call up to the number of rows: the same floats, so the
     value does not depend on the path."""
-    modulus, k, _ = phase
     if modulus == 1:
         return quad.sum()
-    if modulus < _FLOAT_INTS and zmax * sum(k) < _FLOAT_INTS:
-        r = np.mod(z @ np.array(k, dtype=np.float64), modulus)
+    if modulus < _FLOAT_INTS and modulus + zmax * sum(k) < _FLOAT_INTS:
+        # z.k and its partial sums are integers below 2^53 - M in absolute
+        # value, so v is exact.  floor(fl(v / M)) could only be off by
+        # rounding up to the next integer N, which needs N - v / M (at
+        # least 1 / M) <= |v / M| 2^-53, so |v| >= 2^53.  So q is
+        # floor(v / M), and r = v - M q is exact (|M q| < |v| + M) and in
+        # [0, M): np.mod on floats costs ten times as much.
+        v = z @ np.array(k, dtype=np.float64)
+        r = v - modulus * np.floor(v / modulus)
         if modulus <= _ROOTS_MAX:
-            return (quad * _roots(modulus)[r.astype(np.intp)]).sum()
-        q = r / modulus
-    else:
-        q = np.array([sum(map(operator.mul, row, k)) % modulus / modulus
-                      for row in z.astype(np.int64).tolist()])
+            roots = _roots(modulus)
+        elif modulus <= len(quad):
+            roots = _roots.__wrapped__(modulus)
+        else:
+            return (quad * np.exp(2j * np.pi * (r / modulus))).sum()
+        return (quad * roots[r.astype(np.intp)]).sum()
+    q = np.array([sum(map(operator.mul, row, k)) % modulus / modulus
+                  for row in z.astype(np.int64).tolist()])
     return (quad * np.exp(2j * np.pi * q)).sum()
 
 
@@ -692,7 +717,8 @@ def _theta_batch(
     and quadratic exponent, and differ only in the linear phase.  Each
     family is one center of the enumeration and one exp(i pi e1) per
     point; each leaf then takes its exact phase e(q0) e(z.k / M) (see
-    _LeafPhase) from the integer coordinates z.  The families are cut, in
+    _LeafPhase) from the integer coordinates z, in one _phase_sum per piece
+    for each distinct (M, k) of the family.  The families are cut, in
     order, into batches of about _BATCH_POINTS points by the ellipsoid
     volume, one enumeration each; a family estimated above that runs alone.
     Each leaf keeps its own summation (each piece of its points summed
@@ -735,6 +761,14 @@ def _theta_batch(
         radii.append(radius_at[key])
     tails = {r: shell_tail_bound(r, decay, dim) for r in radius_at.values()}
     phases = [leaf.phase for leaf in leaves]
+    # the leaves of a family with equal (M, k) differ only in e(q0), so
+    # they share their sums: one per (family, M, k), numbered by first leaf
+    shared: dict[tuple, int] = {}
+    sum_of = [shared.setdefault((f, *phase[:2]), len(shared))
+              for f, phase in zip(family, phases)]
+    family_sums: list[list[tuple]] = [[] for _ in members]
+    for (f, *mk), c in shared.items():
+        family_sums[f].append((c, *mk))
 
     # Gram matrix of Q in the real coordinates of each entry in the basis
     # e, x = sum_s u_s e_s + offset: G[(k,s),(l,t)] = Re(H[k,l] conj(e_s)
@@ -764,7 +798,7 @@ def _theta_batch(
         batches[-1].append(f)
         est += estimate
 
-    sums: list[tuple[list[float], list[float]]] = [([], []) for _ in leaves]
+    sums: list[tuple[list[float], list[float]]] = [([], []) for _ in shared]
     points = [0] * len(members)
     for batch in batches:
         counts, blocks = _ellipsoid_points(
@@ -789,16 +823,18 @@ def _theta_batch(
                 xs += offsets[j]
                 e1[start:end] = np.einsum("nk,nk->n", xs.conj(), xs @ m_t)
             quad = np.exp(1j * np.pi * e1)
-            zmax = float(np.abs(z).max(initial=0.0))
+            zmax = 0.0
+            if any(m > 1 for j, _, _ in segments for _, m, _ in family_sums[batch[j]]):
+                zmax = float(max(z.max(initial=0.0), -z.min(initial=0.0)))
             for j, start, end in segments:
-                for i in members[batch[j]]:
-                    s = _phase_sum(quad[start:end], z[start:end], zmax, phases[i])
-                    sums[i][0].append(float(s.real))
-                    sums[i][1].append(float(s.imag))
+                for c, modulus, k in family_sums[batch[j]]:
+                    s = _phase_sum(quad[start:end], z[start:end], zmax, modulus, k)
+                    sums[c][0].append(float(s.real))
+                    sums[c][1].append(float(s.imag))
+    totals = [complex(math.fsum(re), math.fsum(im)) for re, im in sums]
     return [
-        ThetaValue(phase.shift * complex(math.fsum(re), math.fsum(im)),
-                   tails[radii[f]], points[f])
-        for phase, f, (re, im) in zip(phases, family, sums)
+        ThetaValue(phase.shift * totals[c], tails[radii[f]], points[f])
+        for phase, f, c in zip(phases, family, sum_of)
     ]
 
 

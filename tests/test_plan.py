@@ -6,6 +6,7 @@ import gc
 import math
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -315,6 +316,20 @@ def _batch_calls(monkeypatch):
     return calls
 
 
+def _recorded(monkeypatch, name):
+    """The calls of thetas.<name>, as (arguments, result)."""
+    calls = []
+    inner = getattr(thetas, name)
+
+    def recording(*args):
+        out = inner(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(thetas, name, recording)
+    return calls
+
+
 def _families(leaves):
     """The number of distinct A0 reduced mod the lattice."""
     return len({leaf.A0 for leaf in leaves})
@@ -343,6 +358,41 @@ def test_batch_is_bit_identical_to_one_leaf_calls(monkeypatch, d, g, h):
     assert len({v.tail_bound for v in got}) > 1  # the radii differ too
 
 
+def _reference_pieces(owner, starts, ends, per_center):
+    """Each center's nodes cut into pieces of at most _EVAL_CHUNK points
+    (or one node), one searchsorted per piece."""
+    m = len(per_center)
+    first = np.searchsorted(owner, np.arange(m + 1))
+    pieces = []
+    for j in range(m):
+        s, stop = int(first[j]), int(first[j + 1])
+        while s < stop:
+            e = int(np.searchsorted(ends, starts[s] + thetas._EVAL_CHUNK, side="right"))
+            e = min(max(e, s + 1), stop)
+            pieces.append((j, s, e))
+            s = e
+    return pieces
+
+
+def test_centers_cut_into_pieces(monkeypatch):
+    leaves = _group(3, 2, 2, 16, seed=5)
+    W = _W(2)
+    lam_y = thetas._at(W).lam_y
+    points = sorted(v.lattice_points_used for v in _one_by_one(leaves, W, lam_y))
+    # one batch, and a chunk that the larger families overflow: their
+    # centers are cut into several pieces, the others stay whole
+    monkeypatch.setattr(thetas, "_BATCH_POINTS", math.inf)
+    monkeypatch.setattr(thetas, "_EVAL_CHUNK", points[len(points) // 2])
+    cuts = _recorded(monkeypatch, "_pieces")
+    want = _one_by_one(leaves, W, lam_y)
+    assert thetas._theta_batch(leaves, W, lam_y) == want
+    for args, pieces in cuts:
+        assert pieces == _reference_pieces(*args)
+    per_center = Counter(j for j, _, _ in cuts[-1][1])
+    assert len(per_center) == _families(leaves) > 1
+    assert max(per_center.values()) > 1 and min(per_center.values()) == 1
+
+
 def test_batches_straddle_the_cap(monkeypatch):
     leaves = _group(3, 2, 2, 16, seed=5)
     W = _W(2)
@@ -362,19 +412,31 @@ def test_batches_straddle_the_cap(monkeypatch):
 
 
 def _assert_batches_by_family(monkeypatch, plan, W):
-    """Each group of the plan at W: bit for bit the one-leaf calls, and one
-    enumeration with one center per family."""
+    """Each group of the plan at W: bit for bit the one-leaf calls, one
+    enumeration with one center per family, and one phase sum per piece
+    for each distinct (M, k) of a family.  Returns the leaves, families
+    and phase sums of the plan."""
     at = thetas._at(np.asarray(W, dtype=complex))
     calls = _batch_calls(monkeypatch)
-    leaves = families = 0
+    cuts = _recorded(monkeypatch, "_pieces")
+    sums = _recorded(monkeypatch, "_phase_sum")
+    leaves = families = phase_sums = 0
     for group in plan.groups:
-        del calls[:]
+        del calls[:], cuts[:], sums[:]
         got = thetas._theta_batch(group, at.w, at.lam_y)
         assert calls == [_families(group)]
+        ((_, pieces),) = cuts
+        per_center = Counter(j for j, _, _ in pieces)
+        phases: dict = {}  # each family's A0, in first-seen order -> its (M, k)
+        for leaf in group:
+            phases.setdefault(leaf.A0, set()).add(leaf.phase[:2])
+        assert len(sums) == sum(len(ks) * per_center[f]
+                                for f, ks in enumerate(phases.values()))
+        phase_sums += len(sums)
         assert got == _one_by_one(group, at.w, at.lam_y)
         leaves += len(group)
         families += _families(group)
-    return leaves, families
+    return leaves, families, phase_sums
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
@@ -393,7 +455,7 @@ def test_relation_leaves_batch_by_family(monkeypatch, d, g):
                    field.element(Fraction(1, 2), Fraction(1, 7))]] * g)
     inst = build_relation(RelationSpec(field, g, T, P, A0, B0))
     plan = _lower_terms(ThetaParams(eps=1e-6), (inst.lhs_terms, inst.rhs_terms))
-    leaves, families = _assert_batches_by_family(monkeypatch, plan, _W(g))
+    leaves, families, _ = _assert_batches_by_family(monkeypatch, plan, _W(g))
     assert leaves == 1 + len(inst.terms) and families == 2
     assert all(leaf.phase.modulus > 1 for group in plan.groups for leaf in group)
 
@@ -407,8 +469,11 @@ def test_decomposition_leaves_batch_by_family(monkeypatch):
                                      [0, Fraction(1, 3)]], field)
     dec = decompose_rational_P(field, 2, P, A0, B0)
     plan = _lower_terms(ThetaParams(eps=1e-9), (dec.monomials,))
-    leaves, families = _assert_batches_by_family(monkeypatch, plan, _W(2))
+    leaves, families, phase_sums = _assert_batches_by_family(monkeypatch, plan, _W(2))
     assert (leaves, families) == (16 + 256, 1 + 16)
+    # the one family of 16 leaves has 16 (M, k), and each of the 16
+    # families of 16 leaves shares one (M, k): 32 phase sums, not 272
+    assert phase_sums == 16 + 16
 
 
 def test_over_budget_leaf_in_a_batch_raises(monkeypatch):

@@ -196,6 +196,51 @@ def test_leaf_shift_is_the_phase_of_q0_bit_for_bit(d):
         assert leaf.phase.shift == thetas._phase(-re_trace_of_product(leaf.A0, leaf.B0))
 
 
+def _reference_phase_sum(quad, z, modulus, k):
+    """sum quad e((z.k mod M) / M), residues in Python integers and each
+    root exp(2 pi i (r / M)) on its own."""
+    q = [sum(a * b for a, b in zip(row, k)) % modulus / modulus
+         for row in z.astype(np.int64).tolist()]
+    return (quad * np.exp(2j * np.pi * np.array(q))).sum()
+
+
+# M + zmax sum(k) is just below 2^53 at zmax = _BELOW and just above it at
+# _BELOW + 1, where every z.k is still a float but, for z = -zmax (1, 1, 1),
+# M floor(z.k / M) is odd and above 2^53: not a float
+_EDGE_M, _EDGE_K = 1027, (900, 55, 1)
+_BELOW = (2**53 - 1 - _EDGE_M) // sum(_EDGE_K)
+
+
+@pytest.mark.parametrize("modulus,k,zmax,built", [
+    (1, (0, 0, 0), 40, False),
+    (7, (3, 0, 6), 40, False),  # the cached table
+    (1031, (1030, 17, 512), 40, True),  # _ROOTS_MAX < M <= rows
+    (2003, (2002, 1, 1000), 40, False),  # M > rows: per point
+    (_EDGE_M, _EDGE_K, _BELOW, True),  # the float path, at its edge
+    (_EDGE_M, _EDGE_K, _BELOW + 1, False),  # the Python-integer path
+], ids=["M=1", "cached-table", "built-table", "per-point", "float-edge", "int-edge"])
+def test_phase_sum_residue_paths_bit_for_bit(monkeypatch, modulus, k, zmax, built):
+    rows = 2000
+    assert thetas._ROOTS_MAX < _EDGE_M < 1031 <= rows < 2003
+    float_path = modulus + zmax * sum(k) < 2**53  # in integers
+    assert float_path == (zmax != _BELOW + 1)
+    if not float_path:
+        mq = modulus * -(-zmax * sum(k) // modulus)
+        assert zmax * sum(k) < 2**53 < mq and float(mq) != mq
+    rng = np.random.default_rng(modulus + zmax)
+    z = rng.integers(-zmax, zmax + 1, size=(rows, 3))
+    z[:4] = [[zmax] * 3, [-zmax] * 3, [zmax, -zmax, zmax], [0, 0, 0]]
+    assert (z < 0).any()
+    quad = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    tables = []
+    uncached = thetas._roots.__wrapped__
+    monkeypatch.setattr(thetas._roots, "__wrapped__",
+                        lambda m: tables.append(m) or uncached(m))
+    got = thetas._phase_sum(quad, z.astype(np.float64), float(zmax), modulus, k)
+    assert got == _reference_phase_sum(quad, z, modulus, k)
+    assert tables == ([modulus] if built else [])
+
+
 def test_w_below_the_eigenvalue_grid_is_a_domain_error():
     # lam_min(Y) = 5e-7 passes the 1e-10 membership test but snaps to 0,
     # where no tail bound exists
