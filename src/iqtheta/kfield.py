@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import FieldMismatchError, SingularMatrixError
 
@@ -471,53 +471,102 @@ class KMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def _eliminate(
+        self, augment: bool
+    ) -> Optional[tuple[int, int, tuple[int, int], list[list[int]]]]:
+        """Fraction-free Gauss-Jordan elimination (Bareiss) over O_K on
+        A = D M, D the common denominator of the entries, augmented by the
+        identity when augment is set.  Entries are kept as integer pairs
+        (a, b) for a + b*delta, flat per row.  Each update
+        (p x - r y) / prev by the previous pivot prev is an exact division
+        in O_K (Sylvester's identity), computed in integers as
+        x conj(prev) / N(prev).  The pivot is the first nonzero entry of
+        its column.
+
+        Returns (D, s, p, rows) for the sign s = +-1 of the row swaps,
+        the last pivot p = (a, b) = s det(A) and the eliminated rows, whose
+        right block, when augmented, is p A^-1; None when M is singular.
+        """
+        n = self.rows
+        nd, t = self.field.delta_norm, self.field.delta_trace
+        D = math.lcm(*(x.den for row in self._entries for x in row))
+        width = 2 * n * (2 if augment else 1)
+        work: list[list[int]] = []
+        for i, row in enumerate(self._entries):
+            r = []
+            for x in row:
+                k = D // x.den
+                r.append(x.n * k)
+                r.append(x.m * k)
+            if augment:
+                r.extend([0] * (2 * n))
+                r[2 * (n + i)] = 1
+            work.append(r)
+        sign = 1
+        # conj(prev) = (ca + cb delta) and N(prev), for prev = 1 at first
+        ca, cb, norm = 1, 0, 1
+        for k in range(n):
+            kk = 2 * k
+            piv = next((i for i in range(k, n) if work[i][kk] or work[i][kk + 1]), None)
+            if piv is None:
+                return None
+            if piv != k:
+                work[k], work[piv] = work[piv], work[k]
+                sign = -sign
+            prow = work[k]
+            pa, pb = prow[kk], prow[kk + 1]
+            divide = (ca, cb, norm) != (1, 0, 1)
+            for i in range(n):
+                if i == k:
+                    continue
+                row = work[i]
+                ra, rb = row[kk], row[kk + 1]
+                row[kk] = row[kk + 1] = 0
+                for j in range(kk + 2, width, 2):
+                    xa, xb, ya, yb = row[j], row[j + 1], prow[j], prow[j + 1]
+                    # u = p x - r y, then u conj(prev) / N(prev)
+                    ua = pa * xa - ra * ya - nd * (pb * xb - rb * yb)
+                    ub = pa * xb + pb * xa - ra * yb - rb * ya + t * (pb * xb - rb * yb)
+                    if divide:
+                        ua, ub = (ua * ca - nd * ub * cb) // norm, \
+                            (ua * cb + ub * ca + t * ub * cb) // norm
+                    row[j], row[j + 1] = ua, ub
+            ca, cb, norm = pa + t * pb, -pb, pa * pa + t * pa * pb + nd * pb * pb
+        return D, sign, (pa, pb), work
+
     def det(self) -> KElement:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        work = [list(row) for row in self._entries]
-        det = self.field.one()
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-            if pivot is None:
-                return self.field.zero()
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            det = det * work[col][col]
-            inv = self.field.one() / work[col][col]
-            for r in range(col + 1, n):
-                if work[r][col].is_zero():
-                    continue
-                factor = work[r][col] * inv
-                for c in range(col, n):
-                    work[r][c] = work[r][c] - factor * work[col][c]
-        return det
+        out = self._eliminate(False)
+        if out is None:
+            return self.field.zero()
+        D, sign, (a, b), _ = out
+        return _reduced(sign * a, sign * b, D**self.rows, self.field)
 
     def inverse(self) -> "KMatrix":
-        """Exact inverse by Gauss-Jordan elimination, pivot = first nonzero entry."""
+        """Exact inverse read off the fraction-free elimination (_eliminate):
+        M^-1 = D (p A^-1) / p for A = D M, each entry one division by p in
+        O_K, x conj(p) / N(p)."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        work = [list(row) for row in self._entries]
-        aug = [list(KMatrix.identity(n, self.field)._entries[i]) for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = self.field.one() / work[col][col]
-            work[col] = [x * inv for x in work[col]]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r == col or work[r][col].is_zero():
-                    continue
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return KMatrix(aug)
+        out = self._eliminate(True)
+        if out is None:
+            raise SingularMatrixError("matrix is singular")
+        D, _, (pa, pb), work = out
+        n, f = self.rows, self.field
+        nd, t = f.delta_norm, f.delta_trace
+        ca, cb = D * (pa + t * pb), -D * pb
+        norm = pa * pa + t * pa * pb + nd * pb * pb
+        return KMatrix._of(
+            tuple(
+                tuple(
+                    _reduced(xa * ca - nd * xb * cb, xa * cb + xb * ca + t * xb * cb, norm, f)
+                    for xa, xb in zip(row[2 * n::2], row[2 * n + 1::2])
+                )
+                for row in work
+            ),
+            f,
+        )
 
     def trace(self) -> KElement:
         if not self.is_square():

@@ -10,14 +10,19 @@ intersection reads one basis over the other by back-substitution and takes
 one Smith form; a quotient L/S reads the coordinates of S over the HNF basis
 of L the same way, and its coset representatives are sums of generators
 read off the Smith form and the inverse of its column transform, all kept
-in integers.
+in integers.  The index [L : S] of full-rank lattices reads the diagonal
+pivots: each row of S back-substitutes from its diagonal on, and the index
+is the ratio of the diagonal products.  Images of T^-1 take the inverse
+from KMatrix.inverse, one fraction-free elimination over O_K.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -33,46 +38,50 @@ def _hnf_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Canonical row Hermite normal form.
 
     Returns an echelon basis with positive pivots and the entries above each
-    pivot reduced into [0, pivot).  Zero rows are dropped.
+    pivot reduced into [0, pivot).  Zero rows are dropped.  Column by
+    column, the rows still in play are gcd-eliminated by the one of least
+    magnitude until one row carries the column; it becomes the next pivot
+    row and reduces the rows above it.  The rows in play are zero before the
+    column, so every row operation starts there.
     """
-    work = [list(r) for r in rows if any(r)]
+    work = [list(r) for r in rows]
     if not work:
         return []
     ncols = len(work[0])
     result: list[list[int]] = []
     for col in range(ncols):
-        live = [r for r in work if r[col] != 0]
+        live = [r for r in work if r[col]]
         if not live:
             continue
-        # gcd-eliminate until one row carries this column
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            base = live[0]
-            for r in live[1:]:
-                q = r[col] // base[col]
-                for j in range(ncols):
-                    r[j] -= q * base[j]
-            live = [r for r in live if r[col] != 0]
-        pivot_row = live[0]
-        work.remove(pivot_row)
-        work = [r for r in work if any(r)]
-        result.append(pivot_row)
-    # normalize pivot signs and reduce above-pivot entries
-    pivots = []
-    for r in result:
-        p = next(j for j, x in enumerate(r) if x != 0)
-        if r[p] < 0:
-            for j in range(ncols):
-                r[j] = -r[j]
-        pivots.append(p)
-    for i in range(len(result)):
-        p = pivots[i]
-        d = result[i][p]
-        for k in range(i):
-            q = result[k][p] // d
+        work = [r for r in work if not r[col]]
+        while True:
+            base, least = live[0], abs(live[0][col])
+            for r in live:
+                x = r[col]
+                if -least < x < least:
+                    base, least = r, abs(x)
+            b = base[col]
+            left = []
+            for r in live:
+                if r is not base:
+                    q = r[col] // b
+                    for j in range(col, ncols):
+                        r[j] -= q * base[j]
+                    (left if r[col] else work).append(r)
+            if not left:
+                break
+            left.append(base)
+            live = left
+        if b < 0:
+            for j in range(col, ncols):
+                base[j] = -base[j]
+            b = -b
+        for r in result:
+            q = r[col] // b
             if q:
-                for j in range(ncols):
-                    result[k][j] -= q * result[i][j]
+                for j in range(col, ncols):
+                    r[j] -= q * base[j]
+        result.append(base)
     return result
 
 
@@ -81,69 +90,78 @@ def _smith_form(a: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]
 
     diag is the nonnegative divisibility chain on the diagonal of D.  U is
     not kept; V^-1 is updated in place, each column operation on A acting
-    on it as the inverse row operation.
+    on it as the inverse row operation.  Rows and columns before the
+    current pivot t are zero off the diagonal, so the operations start at
+    t (their entries there would stay zero).
     """
     rows = len(a)
     cols = len(a[0])
     A = [list(r) for r in a]
     V_inv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
-    def add_row(dst, src, q):
-        # row_dst += q * row_src
-        for j in range(cols):
-            A[dst][j] += q * A[src][j]
-
-    def add_col(dst, src, q):
-        # col_dst += q * col_src, so row_src(V^-1) -= q * row_dst(V^-1)
-        for r in A:
-            r[dst] += q * r[src]
-        for j in range(cols):
-            V_inv[src][j] -= q * V_inv[dst][j]
-
     t = 0
     limit = min(rows, cols)
     while t < limit:
         # a minimal-magnitude nonzero pivot of the trailing block, the first
         # in row-major order, moves to (t, t); a unit ends the search
-        best = None
-        for cand in ((abs(A[i][j]), i, j) for i in range(t, rows)
-                     for j in range(t, cols) if A[i][j]):
-            if best is None or cand < best:
-                best = cand
-                if cand[0] == 1:
-                    break
-        if best is None:
+        best, bi, bj = 0, t, t
+        for i in range(t, rows):
+            row = A[i]
+            for j in range(t, cols):
+                x = row[j]
+                if x:
+                    if x < 0:
+                        x = -x
+                    if x < best or not best:
+                        best, bi, bj = x, i, j
+                        if x == 1:
+                            break
+            if best == 1:
+                break
+        if not best:
             break
-        _, bi, bj = best
-        A[t], A[bi] = A[bi], A[t]
-        for r in A:
-            r[t], r[bj] = r[bj], r[t]
-        V_inv[t], V_inv[bj] = V_inv[bj], V_inv[t]
+        if bi != t:
+            A[t], A[bi] = A[bi], A[t]
+        if bj != t:
+            for r in A[t:]:
+                r[t], r[bj] = r[bj], r[t]
+            V_inv[t], V_inv[bj] = V_inv[bj], V_inv[t]
         dirty = False
+        top = A[t]
+        p = top[t]
         for i in range(t + 1, rows):
-            if A[i][t] != 0:
-                add_row(i, t, -(A[i][t] // A[t][t]))
-                if A[i][t] != 0:
+            row = A[i]
+            if row[t]:
+                q = row[t] // p
+                for j in range(t, cols):
+                    row[j] -= q * top[j]
+                if row[t]:
                     dirty = True
         if dirty:
             continue
+        # col_j -= q col_t, so row_t(V^-1) += q row_j(V^-1); column t is
+        # zero below the pivot now, so the column operation changes top only
+        vt = V_inv[t]
         for j in range(t + 1, cols):
-            if A[t][j] != 0:
-                add_col(j, t, -(A[t][j] // A[t][t]))
-                if A[t][j] != 0:
+            if top[j]:
+                q = top[j] // p
+                top[j] -= q * p
+                for k, v in enumerate(V_inv[j]):
+                    vt[k] += q * v
+                if top[j]:
                     dirty = True
         if dirty:
             continue
         # force divisibility of the trailing block by the pivot (a unit
         # divides everything)
-        p = A[t][t]
         stained = None if abs(p) == 1 else next(
-            (i for i in range(t + 1, rows) if any(A[i][j] % p for j in range(t + 1, cols))), None)
+            (i for i in range(t + 1, rows) if any(map(p.__rmod__, A[i][t + 1:]))), None)
         if stained is not None:
-            add_row(t, stained, 1)
+            for j, x in enumerate(A[stained]):
+                top[j] += x
             continue
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
+        if p < 0:
+            A[t] = [-x for x in top]
         t += 1
     return [A[i][i] for i in range(limit)], V_inv
 
@@ -219,7 +237,7 @@ class IntLattice:
     def from_int_rows(rows: Sequence[Sequence[int]], scale: int, dim: int) -> "IntLattice":
         """(1/scale) * Z-span of integer rows, normalized."""
         hnf = _hnf_rows(rows)
-        g = math.gcd(scale, *(x for row in hnf for x in row)) if hnf else 1
+        g = math.gcd(scale, *itertools.chain.from_iterable(hnf)) if hnf else 1
         if g > 1:
             scale //= g
             hnf = [[x // g for x in row] for row in hnf]
@@ -232,21 +250,29 @@ class IntLattice:
         den = math.lcm(*(x.denominator for x in vec))
         return self.scaled_coordinates([int(x * den) for x in vec], den)
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis row."""
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
+
     def scaled_coordinates(self, nums: Sequence[int], den: int) -> Optional[list[int]]:
         """coordinates() of the vector nums / den with integers nums and
-        den > 0, by back-substitution down the echelon pivots."""
+        den > 0, by back-substitution down the echelon pivots.
+
+        The target scale nums - den sum_i c_i b_i stays in integers: the
+        coefficient at a pivot p with entry e is its p-th entry over den e,
+        and the vector lies in the lattice when each of these divisions is
+        exact and nothing is left off the pivots."""
         s = self.scale
-        if any(x * s % den for x in nums):
-            return None
-        target = [x * s // den for x in nums]
+        target = [x * s for x in nums]
         coeffs: list[int] = []
-        for row in self.basis:
-            p = next(j for j, x in enumerate(row) if x != 0)
-            if target[p] % row[p] != 0:
+        for row, p in zip(self.basis, self.pivots):
+            c, r = divmod(target[p], den * row[p])
+            if r:
                 return None
-            c = target[p] // row[p]
             coeffs.append(c)
             if c:
+                c *= den
                 for j in range(p, self.ambient_dim):
                     target[j] -= c * row[j]
         return None if any(target) else coeffs
@@ -313,27 +339,30 @@ def lattice_intersect(L1: IntLattice, L2: IntLattice) -> IntLattice:
     if L1.rank != n or L2.rank != n:
         raise SublatticeError("intersection requires full-rank lattices")
     B2 = L2.basis
-    # per column of B2, its nonzero entries above the pivot (none for Lambda)
-    above = [[(i, B2[i][j]) for i in range(j) if B2[i][j]] for j in range(n)]
-    delta = math.prod(B2[j][j] for j in range(n))
-    c, K = delta * L2.scale, []
+    # the columns of B2 that are not unit vectors, each with its pivot and
+    # its nonzero entries above the pivot (none for Lambda)
+    cols = [(j, B2[j][j], [(i, B2[i][j]) for i in range(j) if B2[i][j]]) for j in range(n)]
+    cols = [(j, p, above) for j, p, above in cols if above or p != 1]
+    det2 = math.prod(p for _, p, _ in cols)
+    c = det2 * L2.scale
+    K = []
     for row in L1.basis:
-        y: list[int] = []  # y B2 = delta s2 row, y = s2 row adj(B2)
-        for j, col in enumerate(above):
-            acc = c * row[j]
-            for i, b in col:
+        y = [c * x for x in row]  # y B2 = det(B2) s2 row, y = s2 row adj(B2)
+        for j, p, above in cols:
+            acc = y[j]
+            for i, b in above:
                 acc -= y[i] * b
-            y.append(acc // B2[j][j])
+            y[j] = acc // p
         K.append(y)
-    D = L1.scale * delta
+    D = L1.scale * det2
     diag, v_inv = _smith_form(K)
     rows = []
     for a, v in zip(diag, v_inv):
-        r = [math.lcm(a, D) // D * x for x in v]
-        vec = [x * B2[j][j] for j, x in enumerate(r)]
-        for j, col in enumerate(above):
-            for i, b in col:
-                vec[j] += r[i] * b
+        m = math.lcm(a, D) // D
+        r = [m * x for x in v]
+        vec = r[:]  # r B2
+        for j, p, above in cols:
+            vec[j] = r[j] * p + sum(r[i] * b for i, b in above)
         rows.append(vec)
     return IntLattice.from_int_rows(rows, L2.scale, n)
 
@@ -479,13 +508,25 @@ def index_in(L: IntLattice, S: IntLattice) -> int:
     n = L.rank
     if n != L.ambient_dim or S.rank != n or S.ambient_dim != n:
         raise SublatticeError("index requires full-rank lattices")
-    if not all(L.scaled_coordinates(row, S.scale) is not None for row in S.basis):
-        raise SublatticeError("S is not a sublattice of L")
-    num = L.scale**n
-    den = S.scale**n
+    # row i of S, over the scale of L, back-substituted from column i on:
+    # both bases are upper triangular with their pivots on the diagonal
+    B, num, den = L.basis, L.scale, S.scale
+    for i, row in enumerate(S.basis):
+        t = [x * num for x in row]
+        for j in range(i, n):
+            if t[j]:
+                c, r = divmod(t[j], den * B[j][j])
+                if r:
+                    raise SublatticeError("S is not a sublattice of L")
+                c *= den
+                bj = B[j]
+                for k in range(j + 1, n):
+                    t[k] -= c * bj[k]
+    num **= n
+    den **= n
     for i in range(n):
         num *= S.basis[i][i]
-        den *= L.basis[i][i]
+        den *= B[i][i]
     return num // den
 
 

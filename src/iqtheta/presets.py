@@ -28,7 +28,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -236,12 +236,12 @@ def _printed_check(
     spec = inst.spec
     g, h, field = spec.g, spec.h, spec.field
     zero = _zero_col(field, g)
+    # the terms repeat a few columns and diagonal entries many times
+    col = cache(_col)
+    entry = cache(lambda p, j: KMatrix([[p[(j, j)]]]))
 
     def columns(cols: Sequence[Sequence[KElement]], p: KMatrix) -> list[ThetaFactor]:
-        return [
-            ThetaFactor(_col(c), zero, KMatrix([[p[(j, j)]]]))
-            for j, c in enumerate(cols)
-        ]
+        return [ThetaFactor(col(tuple(c)), zero, entry(p, j)) for j, c in enumerate(cols)]
 
     Q = inst.Q
     if all(Q[(i, j)].is_zero() for i in range(h) for j in range(h) if i != j):

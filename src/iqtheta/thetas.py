@@ -653,14 +653,22 @@ def _roots(modulus: int) -> np.ndarray:
     return table
 
 
+def _float_residues(modulus: int, zmax: float, k: tuple[int, ...]) -> bool:
+    """Whether z.k and its residue mod M = modulus are exact as floats for
+    every row z with |z| <= zmax (see _phase_sum)."""
+    return modulus < _FLOAT_INTS and modulus + zmax * sum(k) < _FLOAT_INTS
+
+
 def _phase_sum(
-    quad: np.ndarray, z: np.ndarray, zmax: float, modulus: int, k: tuple[int, ...]
+    quad: np.ndarray, z: np.ndarray, v: Optional[np.ndarray], modulus: int,
+    k: tuple[int, ...]
 ) -> complex:
     """The sum over the rows z of integer coordinates (column j is
-    coordinate n-1-j) of quad times e((z.k mod M) / M), M = modulus; zmax
-    bounds |z|.
+    coordinate n-1-j) of quad times e((z.k mod M) / M), M = modulus.
 
-    The residue r is exact: as floats while M + zmax sum(k) < 2^53, else
+    v is z.k as floats where _float_residues holds, else None; the caller
+    computes it for all the (M, k) of a piece in one matrix product, exact
+    in any summation order.  The residue r is exact: from v as floats, else
     in Python integers.  e(r / M) is exp(2 pi i (r / M)) with r / M
     correctly rounded either way (int / int rounds correctly); on the float
     path it is read from a table of _roots, cached up to _ROOTS_MAX and
@@ -668,14 +676,13 @@ def _phase_sum(
     value does not depend on the path."""
     if modulus == 1:
         return quad.sum()
-    if modulus < _FLOAT_INTS and modulus + zmax * sum(k) < _FLOAT_INTS:
+    if v is not None:
         # z.k and its partial sums are integers below 2^53 - M in absolute
         # value, so v is exact.  floor(fl(v / M)) could only be off by
         # rounding up to the next integer N, which needs N - v / M (at
         # least 1 / M) <= |v / M| 2^-53, so |v| >= 2^53.  So q is
         # floor(v / M), and r = v - M q is exact (|M q| < |v| + M) and in
         # [0, M): np.mod on floats costs ten times as much.
-        v = z @ np.array(k, dtype=np.float64)
         r = v - modulus * np.floor(v / modulus)
         if modulus <= _ROOTS_MAX:
             roots = _roots(modulus)
@@ -766,9 +773,18 @@ def _theta_batch(
     shared: dict[tuple, int] = {}
     sum_of = [shared.setdefault((f, *phase[:2]), len(shared))
               for f, phase in zip(family, phases)]
+    # per family, its sums (c, M, k, row), and the k of those with
+    # 1 < M < 2^53 as the rows of one float matrix (k < M, so exact), for
+    # the products z K^T of each piece; row indexes it
     family_sums: list[list[tuple]] = [[] for _ in members]
-    for (f, *mk), c in shared.items():
-        family_sums[f].append((c, *mk))
+    family_ks: list = [[] for _ in members]
+    for (f, modulus, k), c in shared.items():
+        row = None
+        if 1 < modulus < _FLOAT_INTS:
+            row = len(family_ks[f])
+            family_ks[f].append(k)
+        family_sums[f].append((c, modulus, k, row))
+    family_ks = [np.array(ks, dtype=np.float64) if ks else None for ks in family_ks]
 
     # Gram matrix of Q in the real coordinates of each entry in the basis
     # e, x = sum_s u_s e_s + offset: G[(k,s),(l,t)] = Re(H[k,l] conj(e_s)
@@ -824,11 +840,22 @@ def _theta_batch(
                 e1[start:end] = np.einsum("nk,nk->n", xs.conj(), xs @ m_t)
             quad = np.exp(1j * np.pi * e1)
             zmax = 0.0
-            if any(m > 1 for j, _, _ in segments for _, m, _ in family_sums[batch[j]]):
+            if any(family_ks[batch[j]] is not None for j, _, _ in segments):
                 zmax = float(max(z.max(initial=0.0), -z.min(initial=0.0)))
             for j, start, end in segments:
-                for c, modulus, k in family_sums[batch[j]]:
-                    s = _phase_sum(quad[start:end], z[start:end], zmax, modulus, k)
+                f = batch[j]
+                zs = z[start:end]
+                # one product per block of sums, a block about _EVAL_CHUNK
+                # values, so the residues never outgrow the points
+                step = max(1, _EVAL_CHUNK // max(1, len(zs)))
+                for c, modulus, k, row in family_sums[f]:
+                    v = None
+                    if row is not None:
+                        if row % step == 0:
+                            zk = family_ks[f][row:row + step] @ zs.T
+                        if _float_residues(modulus, zmax, k):
+                            v = zk[row % step]
+                    s = _phase_sum(quad[start:end], zs, v, modulus, k)
                     sums[c][0].append(float(s.real))
                     sums[c][1].append(float(s.imag))
     totals = [complex(math.fsum(re), math.fsum(im)) for re, im in sums]

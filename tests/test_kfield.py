@@ -171,6 +171,23 @@ def test_matrix_inverse_roundtrip(d):
             continue
         assert M @ inv == KMatrix.identity(2, field)
         assert inv @ M == KMatrix.identity(2, field)
+    # 3 x 3 and 4 x 4 with denominators
+    inverted = 0
+    for n in (3, 4):
+        for _ in range(8):
+            M = KMatrix(
+                [[field.element(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+                  for _ in range(n)] for _ in range(n)]
+            )
+            try:
+                inv = M.inverse()
+            except SingularMatrixError:
+                continue
+            inverted += 1
+            assert M @ inv == KMatrix.identity(n, field)
+            assert inv @ M == KMatrix.identity(n, field)
+    assert inverted >= 12
 
 
 def test_singular_matrix_raises():

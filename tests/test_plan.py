@@ -476,6 +476,26 @@ def test_decomposition_leaves_batch_by_family(monkeypatch):
     assert phase_sums == 16 + 16
 
 
+def test_residues_in_blocks_of_sums(monkeypatch):
+    # a piece of n points takes z K^T in blocks of _EVAL_CHUNK // n sums:
+    # with pieces of at most 40 points, the 16 (M, k) of the decomposition's
+    # first family run one or a few per block, bit for bit the one-leaf calls
+    monkeypatch.setattr(thetas, "_EVAL_CHUNK", 40)
+    steps = []
+    exact = thetas._float_residues
+    monkeypatch.setattr(thetas, "_float_residues", lambda *a: steps.append(a) or exact(*a))
+    field = FieldId(3)
+    P = KMatrix.from_rational_rows([[2, -1], [-1, 2]], field)
+    A0 = KMatrix.from_rational_rows([[Fraction(1, 3), Fraction(-1, 4)],
+                                     [Fraction(1, 2), 0]], field)
+    B0 = KMatrix.from_rational_rows([[Fraction(1, 5), Fraction(1, 2)],
+                                     [0, Fraction(1, 3)]], field)
+    plan = _lower_terms(ThetaParams(eps=1e-9),
+                        (decompose_rational_P(field, 2, P, A0, B0).monomials,))
+    _assert_batches_by_family(monkeypatch, plan, _W(2))
+    assert len(steps) > 1000
+
+
 def test_over_budget_leaf_in_a_batch_raises(monkeypatch):
     leaves = _group(1, 1, 2, 10, seed=3)
     W = _W(1)

@@ -236,7 +236,10 @@ def test_phase_sum_residue_paths_bit_for_bit(monkeypatch, modulus, k, zmax, buil
     uncached = thetas._roots.__wrapped__
     monkeypatch.setattr(thetas._roots, "__wrapped__",
                         lambda m: tables.append(m) or uncached(m))
-    got = thetas._phase_sum(quad, z.astype(np.float64), float(zmax), modulus, k)
+    zf = z.astype(np.float64)
+    assert thetas._float_residues(modulus, float(zmax), k) == float_path
+    v = zf @ np.array(k, dtype=np.float64) if float_path else None
+    got = thetas._phase_sum(quad, zf, v, modulus, k)
     assert got == _reference_phase_sum(quad, z, modulus, k)
     assert tables == ([modulus] if built else [])
 
