@@ -377,13 +377,25 @@ class FiniteAbelianGroup:
     """A finite quotient L/S with canonical coset representatives.
 
     invariant_factors is the ascending divisibility chain (entries > 1);
-    representatives are KMatrix cosets enumerated mixed-radix over the
-    factors (last factor fastest), starting with the zero coset.
+    the representatives are enumerated mixed-radix over the factors (last
+    factor fastest), starting with the zero coset.  coords holds each as
+    its integer coordinates over scale (see _int_coords: row-major (a, b)
+    of each entry of a g x h matrix over field); representatives are the
+    same cosets as KMatrix values, built on first use.
     """
 
     invariant_factors: tuple[int, ...]
-    representatives: tuple[KMatrix, ...]
     order: int
+    coords: tuple[tuple[int, ...], ...]
+    scale: int
+    g: int
+    h: int
+    field: FieldId
+
+    @cached_property
+    def representatives(self) -> tuple[KMatrix, ...]:
+        return tuple(coords_to_kmatrix(v, self.scale, self.g, self.h, self.field)
+                     for v in self.coords)
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -416,7 +428,8 @@ def quotient_group(
 
     Coset representatives are canonical: Smith-form coordinates range over the
     fundamental box [0, d_i) of the invariant factors, enumerated mixed-radix
-    with the last factor fastest, mapped back through the lattice basis.
+    with the last factor fastest, mapped back through the lattice basis and
+    kept as integer coordinates over L.scale.
     """
     if L.ambient_dim != S.ambient_dim:
         raise ValueError("ambient dimensions differ")
@@ -451,8 +464,7 @@ def quotient_group(
                 out.append(vec)
                 vec = tuple(map(operator.add, vec, gen))
         vecs = out
-    reps = [coords_to_kmatrix(vec, L.scale, g, h, field) for vec in vecs]
-    return FiniteAbelianGroup(factors, tuple(reps), order)
+    return FiniteAbelianGroup(factors, order, tuple(vecs), L.scale, g, h, field)
 
 
 def standard_matrix_lattice(g: int, h: int) -> IntLattice:

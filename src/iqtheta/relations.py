@@ -26,18 +26,23 @@ Every side is a sum of Terms, evaluated in two steps.  A factor is one
 theta (a, b, P) over O_K or Z: scaling W by s is scaling P by s, and the
 phase of a check-variant theta is part of its Term's coefficient, so every
 factor reads W itself.  Lowering (`_lower_terms`) runs once per sum and
-ThetaParams.  A relation's right side and a decomposition are compiled as
-they are emitted (_Compiled): built in integers, each leaf interned in a
-table, so the plan takes one thetas._leaf per entry.  Other Term sums are
-lowered factor by factor (see thetas._lower).  The plan is cached on the
-object that owns the sum (RelationInstance, IdentityCheck,
-PDecomposition), one per ThetaParams.  Evaluation (`_sum_terms`) takes one W: it checks W once, and
-evaluates each distinct leaf once into a table that belongs to that one
+ThetaParams, and gives one plan format for every side: a table of distinct
+leaves, each keyed by integers (thetas._LeafKey), and per side rows
+(coefficient, table indices).  A relation's right side and a decomposition
+are compiled as they are emitted (_Compiled): their leaves are integer
+coordinates, which go straight into the leaf table, and their expansion,
+read through the table indices of its leaves, is the rows.  Other Term sums (a relation's left side, the presets' identity
+checks) lower each distinct factor once (see thetas._lower) into the same
+table.  A factor of several leaves (an exactly diagonal P, split into
+columns) is a product entry of the table.  The plan is cached on the object
+that owns the sum (RelationInstance, IdentityCheck, PDecomposition), one per
+ThetaParams.  Evaluation (`_sum_terms`) takes one W: it checks W once,
+evaluates each leaf once into a list of values that belongs to that one
 evaluation, one batch per group of leaves that share a P (see
-thetas._evaluate_ahead).  The term loop reads that table in the order the
-terms and factors are written, and the plan works out its evaluation and
-hit counts from the table's size and its own reads.  theta_general is the
-same pipeline for one factor.
+thetas._evaluate_ahead), then each product, and multiplies each row's
+entries by index in the order the terms and factors are written.  The
+evaluation and hit counts are the number of values and the leaf reads of
+the rows beyond them.  theta_general is the same pipeline for one factor.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ import math
 import operator
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterable, Optional, Union
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DomainError, GroupCapError, SingularMatrixError
 from .kfield import (
@@ -73,17 +78,21 @@ from .thetas import (
     ThetaParams,
     _as_complex_matrix,
     _at,
+    _block,
     _center,
     _evaluate_ahead,
     _group_leaves,
+    _int_key,
     _Leaf,
     _leaf,
-    _leaves_value,
+    _leaf_alone,
+    _LeafKey,
     _lower,
-    _p_columns,
+    _p_parts,
     _phase,
     _phase_of,
-    _table_value,
+    _product,
+    _weights,
 )
 
 __all__ = [
@@ -137,19 +146,32 @@ class Term:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Term sums lowered for one ThetaParams; see _lower_terms."""
+    """Term sums lowered for one ThetaParams (see _lower_terms), read by
+    index from one table of values per evaluation.
 
-    # the distinct leaves the factors read, grouped for thetas._evaluate_ahead
-    groups: tuple[tuple[_Leaf, ...], ...]
-    # per side, per term: its coefficient and, per factor, the leaves whose
-    # product the factor is
-    sides: tuple[tuple[tuple[complex, tuple[tuple[_Leaf, ...], ...]], ...], ...]
+    The table holds each leaf's value, in the order of leaves, then each
+    product's: the product of its leaves (thetas._product), as a factor
+    of several leaves is.  A row (coefficient, table indices) is its
+    coefficient times those entries, left to right."""
+
+    leaves: tuple[_Leaf, ...]  # each distinct leaf once, in first-read order
+    groups: tuple[tuple[int, ...], ...]  # leaf indices, for thetas._evaluate_ahead
+    products: tuple[tuple[int, ...], ...]  # leaf indices; table entry len(leaves) + k
+    sides: tuple[tuple[tuple[complex, tuple[int, ...]], ...], ...]
+    reads: int  # the leaf reads of the rows, a product's leaves each one
+
+    def factor(self, i: int) -> tuple[int, ...]:
+        """The leaves whose product table entry i is."""
+        n = len(self.leaves)
+        return (i,) if i < n else self.products[i - n]
 
 
 class _Compiled:
-    """A sum compiled to leaves as it was emitted (RelationInstance,
-    PDecomposition): leaves holds each distinct leaf (P, a, b) once, in
-    first-read order, and a term (q, leaf indices) of expansion stands for
+    """A sum compiled to integer leaves as it was emitted (RelationInstance,
+    PDecomposition).  leaves holds each distinct leaf once, in first-read
+    order, as (index into ps, A0, B0), A0 and B0 as they are keyed
+    (thetas._LeafKey), and ps each part of P with its key, as
+    thetas._p_parts gives them; a term (q, leaf indices) of expansion stands for
     coeff_scale * exp(-2*pi*i*q / q_den) times its factors, each the
     product of factor_leaves of its leaves at eps / factor_leaves."""
 
@@ -160,19 +182,25 @@ class _Compiled:
 def _lower_terms(
     params: ThetaParams, sides: Iterable[Union[Iterable[Term], _Compiled]]
 ) -> _Plan:
-    """Lower sums together, so they share leaves.
+    """Lower sums together into one plan, so they share leaves.
 
-    Equal factors are lowered once, and equal leaf keys are interned, so a
-    table lookup compares keys by identity.  A compiled side takes one
-    _leaf per entry of its leaves and lowers no factor.
+    Equal leaf keys are interned to one index.  A compiled side passes its
+    integer leaves straight to thetas._leaf and reads its expansion's leaf
+    indices through the interned ones; any other side lowers each distinct factor once (thetas._lower).
+    Every leaf is interned before any row is built, so that each distinct
+    factor of several leaves can follow the leaves as one product entry.
     """
-    leaves: dict = {}  # the distinct leaves by key, in first-read order
-    lowered: dict[ThetaFactor, tuple[_Leaf, ...]] = {}
+    index: dict[_LeafKey, int] = {}
+    leaves: list[_Leaf] = []
+    lowered: dict[ThetaFactor, tuple[int, ...]] = {}
 
-    def intern(leaf: _Leaf) -> _Leaf:
-        return leaves.setdefault(leaf.key, leaf)
+    def intern(leaf: _Leaf) -> int:
+        i = index.setdefault(leaf.key, len(leaves))
+        if i == len(leaves):
+            leaves.append(leaf)
+        return i
 
-    def lower(f: ThetaFactor) -> tuple[_Leaf, ...]:
+    def lower(f: ThetaFactor) -> tuple[int, ...]:
         got = lowered.get(f)
         if got is None:
             got = lowered[f] = tuple(
@@ -180,30 +208,47 @@ def _lower_terms(
             )
         return got
 
-    def compiled(side: _Compiled) -> tuple:
-        w = side.factor_leaves
-        leaf_params = replace(params, eps=params.eps / w) if w > 1 else params
-        leaves = [intern(_leaf(p.field, p, a, b, leaf_params)) for p, a, b in side.leaves]
-        scale = float(side.coeff_scale)
-        coeffs = {q: scale * _phase_of(q, side.q_den)
-                  for q in {q for q, _ in side.expansion}}
-        return tuple(
-            (coeffs[q], tuple(tuple(leaves[i] for i in idx[k:k + w])
-                              for k in range(0, len(idx), w)))
-            for q, idx in side.expansion
-        )
+    # per side: a compiled side with the index of each of its leaves, or
+    # the Terms with the leaf indices of each factor
+    staged = []
+    for side in sides:
+        if isinstance(side, _Compiled):
+            w = side.factor_leaves
+            leaf_params = replace(params, eps=params.eps / w) if w > 1 else params
+            staged.append((side, [intern(_leaf(side.ps[j][0].field, *side.ps[j], a, b,
+                                               leaf_params))
+                                  for j, a, b in side.leaves]))
+        else:
+            side = tuple(side)
+            staged.append((side, [tuple(map(lower, t.factors)) for t in side]))
 
-    lowered_sides = tuple(
-        compiled(side) if isinstance(side, _Compiled) else tuple(
-            (
-                float(t.coeff_scale) * _phase(t.coeff_q),
-                tuple(map(lower, t.factors)),
-            )
-            for t in side
-        )
-        for side in sides
-    )
-    return _Plan(groups=_group_leaves(leaves.values()), sides=lowered_sides)
+    n = len(leaves)
+    products: dict[tuple[int, ...], int] = {}
+
+    def entry(f: tuple[int, ...]) -> int:
+        return f[0] if len(f) == 1 else n + products.setdefault(f, len(products))
+
+    rows = []
+    reads = 0
+    for side, ids in staged:
+        if isinstance(side, _Compiled):
+            w = side.factor_leaves
+            scale = float(side.coeff_scale)
+            coeffs = {q: scale * _phase_of(q, side.q_den)
+                      for q in {q for q, _ in side.expansion}}
+            rows.append(tuple(
+                (coeffs[q], tuple(map(ids.__getitem__, idx)) if w == 1 else
+                 tuple(entry(tuple(map(ids.__getitem__, idx[k:k + w])))
+                       for k in range(0, len(idx), w)))
+                for q, idx in side.expansion))
+            reads += sum(len(idx) for _, idx in side.expansion)
+        else:
+            rows.append(tuple(
+                (float(t.coeff_scale) * _phase(t.coeff_q), tuple(map(entry, factors)))
+                for t, factors in zip(side, ids)))
+            reads += sum(len(f) for factors in ids for f in factors)
+    return _Plan(leaves=tuple(leaves), groups=_group_leaves(leaves),
+                 products=tuple(products), sides=tuple(rows), reads=reads)
 
 
 def _cached_plan(plans: dict, params: ThetaParams, lower: Callable[[], _Plan]) -> _Plan:
@@ -219,29 +264,37 @@ def _sum_terms(plan: _Plan, W: MatrixLike) -> tuple[list[complex], int, int]:
     hits of the plan's leaf reads.
 
     W is checked once (thetas._at), and the plan's leaves, field and
-    Riemann alike, are evaluated ahead into this evaluation's table
-    (thetas._evaluate_ahead), which the term loop reads.  The evaluations
-    are the table's entries, the hits the other leaf reads.  Each term
-    starts from its coefficient and multiplies its factors left to right;
+    Riemann alike, are evaluated ahead (thetas._evaluate_ahead).  A leaf
+    that a batch left out is read alone, in term order, so the first
+    failing read raises what it raises alone.  The evaluations are the
+    leaves with a value, the hits the other leaf reads.  Each term starts
+    from its coefficient and multiplies its table entries left to right;
     real and imaginary parts are summed with fsum.
     """
     at = _at(_as_complex_matrix(W, "W"))
-    table: dict = {}
-    _evaluate_ahead(plan.groups, at, table)
-    read = partial(_table_value, table)
-    reads = 0
+    values = _evaluate_ahead(plan.leaves, plan.groups, at)
+    if any(v is None for v in values):
+        for side in plan.sides:
+            for _, idx in side:
+                for i in idx:
+                    for j in plan.factor(i):
+                        if values[j] is None:
+                            values[j] = _leaf_alone(plan.leaves[j], at)
+    table = [None if v is None else v.value for v in values]
+    evals = len(table) - table.count(None)
+    for f in plan.products:
+        table.append(_product(map(table.__getitem__, f)))
     sums = []
     for side in plan.sides:
         re_parts: list[float] = []
         im_parts: list[float] = []
-        for acc, factors in side:
-            for leaves in factors:
-                reads += len(leaves)
-                acc *= _leaves_value(leaves, at, read).value
+        for acc, idx in side:
+            for i in idx:
+                acc *= table[i]
             re_parts.append(acc.real)
             im_parts.append(acc.imag)
         sums.append(complex(math.fsum(re_parts), math.fsum(im_parts)))
-    return sums, len(table), reads - len(table)
+    return sums, evals, plan.reads - evals
 
 
 @dataclass(frozen=True)
@@ -382,7 +435,8 @@ class RelationInstance(_Compiled):
     G1: FiniteAbelianGroup
     G2: FiniteAbelianGroup
     q_den: int
-    leaves: tuple[tuple[KMatrix, KMatrix, KMatrix], ...]
+    ps: tuple[tuple[KMatrix, tuple[tuple[int, ...], int]], ...]
+    leaves: tuple[tuple[int, tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]], ...]
     expansion: tuple[tuple[int, tuple[int, ...]], ...]
     factor_leaves: int = 1
 
@@ -436,10 +490,11 @@ def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstan
 
     A term is B in G2 (outer) and A in G1 (inner), with the phase
     q / q_den = Re Tr(A0^H c B) mod 1 and the factor Theta^P[A0 + A; B0 + c B].
-    A0 + A (reduced mod O_K) and B0 + c B are integer columns over one
-    denominator each, cut into parts: single columns for an exactly diagonal
-    P with h > 1 (see thetas._lower), else all columns.  A leaf is keyed by
-    the indices of its P and its parts."""
+    A0 + A (reduced mod O_K) and B0 + c B are read off the groups' integer
+    coordinates, each over one denominator, and cut into parts: single
+    columns for an exactly diagonal P with h > 1 (see thetas._lower), else
+    the whole matrix.  A leaf is keyed by the indices of its P and its
+    parts."""
     spec.validate()
     try:
         lhs_A = spec.A0 @ spec.T.conj_transpose().inverse()
@@ -449,39 +504,45 @@ def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstan
     g1 = shift_group(spec.g, spec.T, max_order=max_order)
     g2 = character_group(spec.g, spec.T, max_order=max_order)
     lhs_B = spec.B0 @ spec.T
-    dual = dual_generator(spec.field)
-    b_duals = [rep.scale(dual) for rep in g2.representatives]
-    qs = [re_trace_of_product(spec.A0, b) for b in b_duals]
-    q_den = math.lcm(*(q.denominator for q in qs))
-    ps = _p_columns(spec.P) or (spec.P,)
-    w = spec.h // len(ps)  # columns per part
+    g, h = spec.g, spec.h
+    b_duals, b_den = _dual_coords(g2)
+    a0, a0_den = _int_coords(spec.A0)
+    # q_i / (2 a0_den b_den) = Re Tr(A0^H c B_i), and q_den the lcm of their
+    # reduced denominators
+    qs = [sum(map(operator.mul, a0, _weights(b, spec.field))) for b in b_duals]
+    common = math.gcd(2 * a0_den * b_den, *qs)
+    q_den = 2 * a0_den * b_den // common
+    ps = _p_parts(spec.P)
+    w = h // len(ps)  # columns per part
 
-    def parts(base: KMatrix, reps, center: bool) -> tuple[list, list]:
+    def parts(base: list[int], base_den: int, reps, rep_den: int, center: bool):
         """Per rep, the indices of the parts of base + rep; the distinct
-        parts as matrices, by index."""
-        den = math.lcm(*(x.den for M in (base, *reps) for row in M.entry_rows() for x in row))
-        base_cols, out, table = _int_columns(base, den), [], {}
+        parts as leaf keys (see thetas._int_key), by index."""
+        den = math.lcm(base_den, rep_den)
+        base = [v * (den // base_den) for v in base]
+        k = den // rep_den
+        out, table = [], {}
         for rep in reps:
-            m = tuple(map(_add, base_cols, _int_columns(rep, den)))
+            m = [u + v * k for u, v in zip(base, rep)]
             if center:
-                m = tuple(tuple(_center(v, den) for v in col) for col in m)
-            out.append([table.setdefault(m[j:j + w], len(table)) for j in range(0, len(m), w)])
-        return out, [coords_to_kmatrix(sum(cols, ()), den, w, spec.g, spec.field).transpose()
-                     for cols in table]
+                m = [_center(v, den) for v in m]
+            out.append([table.setdefault(tuple(_block(m, g, h, j, w)), len(table))
+                        for j in range(len(ps))])
+        return out, [_int_key(part, den) for part in table]
 
-    a_parts, a_mats = parts(spec.A0, g1.representatives, True)
-    b_parts, b_mats = parts(spec.B0, b_duals, False)
+    a_parts, a_coords = parts(a0, a0_den, g1.coords, g1.scale, True)
+    b_parts, b_coords = parts(*_int_coords(spec.B0), b_duals, b_den, False)
     p_ids = [ps.index(p) for p in ps]
     leaf_ids: dict[tuple, int] = {}  # (P, A part, B part) -> index, in first-read order
     expansion = tuple(
-        (q.numerator * (q_den // q.denominator) % q_den,
+        (q // common % q_den,
          tuple(leaf_ids.setdefault(key, len(leaf_ids)) for key in zip(p_ids, a, b)))
         for q, b in zip(qs, b_parts) for a in a_parts
     )
     return RelationInstance(
         spec=spec, Q=Q, lhs_A=lhs_A, lhs_B=lhs_B, G1=g1, G2=g2, q_den=q_den,
-        factor_leaves=len(ps), expansion=expansion,
-        leaves=tuple((ps[p], a_mats[a], b_mats[b]) for p, a, b in leaf_ids),
+        ps=ps, factor_leaves=len(ps), expansion=expansion,
+        leaves=tuple((p, a_coords[a], b_coords[b]) for p, a, b in leaf_ids),
     )
 
 
@@ -523,15 +584,18 @@ def evaluate_relation(
 class PDecomposition(_Compiled):
     """Schur pivot sequence (one entry per level, repeats kept) plus the
     expansion, compiled to one-column leaves as it was emitted (see
-    _Compiled): a leaf is ([[lam]], a reduced mod O_K, b), and a monomial
-    has one leaf per level, each its own factor, and coefficient scale."""
+    _Compiled): a leaf is ([[lam]], a reduced mod O_K, b), ps holds each
+    [[lam]] with its key, by the index of lam's first entry in lambdas, and
+    a monomial has one leaf per level, each its own factor, and coefficient
+    scale."""
 
     field: FieldId
     g: int
     lambdas: tuple[Fraction, ...]
     scale: Fraction
     q_den: int
-    leaves: tuple[tuple[KMatrix, KMatrix, KMatrix], ...]
+    ps: tuple[tuple[KMatrix, tuple[tuple[int, ...], int]], ...]
+    leaves: tuple[tuple[int, tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]], ...]
     expansion: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
@@ -548,7 +612,8 @@ class PDecomposition(_Compiled):
     def monomials(self) -> tuple[Term, ...]:
         """The expansion as Terms of one-column field factors, built on
         first use; evaluation does not read them."""
-        factors = [ThetaFactor(a, b, p) for p, a, b in self.leaves]
+        factors = [ThetaFactor(*(coords_to_kmatrix(*x, self.g, 1, self.field) for x in (a, b)),
+                               self.ps[j][0]) for j, a, b in self.leaves]
         return tuple(
             Term(Fraction(q, self.q_den), self.scale, tuple(factors[i] for i in idx))
             for q, idx in self.expansion
@@ -668,29 +733,23 @@ def decompose_rational_P(
     # rational x of K an exact integer division, and Re Tr(A^H B) has the
     # denominator 2 da db.  A column is (n_0, m_0, n_1, m_1, ...) for the
     # entries (n_i + m_i delta) / den.
-    dual = dual_generator(field)
     da, db = _int_coords(A0)[1], _int_coords(B0)[1]
     groups = []
     for k_mat, pairs in levels:
-        a_reps, b_reps = (quotient_group(L, S, field, g, k_mat.rows).representatives
-                          for L, S in pairs)
-        b_duals = [rep.scale(dual) for rep in b_reps]
+        a_grp, b_grp = (quotient_group(L, S, field, g, k_mat.rows) for L, S in pairs)
+        b_duals, b_den = _dual_coords(b_grp)
         x = [k_mat[(i, 0)] for i in range(1, k_mat.rows)]
         dx = math.lcm(*(v.den for v in x))
-        da = math.lcm(da * dx, *(_int_coords(a)[1] for a in a_reps))
-        db = math.lcm(db * dx, *(_int_coords(b)[1] for b in b_duals))
-        groups.append((x, a_reps, b_duals))
+        da = math.lcm(da * dx, _least_den(a_grp.coords, a_grp.scale))
+        db = math.lcm(db * dx, _least_den(b_duals, b_den))
+        groups.append((x, a_grp, b_duals, b_den))
     q_den = 2 * da * db
-    t, nd2 = field.delta_trace, 2 * field.delta_norm
-
-    def weights(cols):  # w with Re Tr(A^H B) = (A . w) / q_den
-        return tuple(w for col in cols for n, m in zip(col[::2], col[1::2])
-                     for w in (2 * n + t * m, t * n + nd2 * m))
-
     chain = [
-        ([(v.n, v.den) for v in x], [_int_columns(a, da) for a in a_reps],
-         [(c, weights(c)) for c in (_int_columns(b, db) for b in b_duals)])
-        for x, a_reps, b_duals in groups
+        ([(v.n, v.den) for v in x],
+         [_columns(a, a_grp.scale, da, g, a_grp.h) for a in a_grp.coords],
+         [(c, _weights(sum(c, ()), field))
+          for c in (_columns(b, b_den, db, g, a_grp.h) for b in b_duals)])
+        for x, a_grp, b_duals, b_den in groups
     ]
     pivot = [lambdas.index(lam) for lam in lambdas]
     leaf_ids: dict[tuple, int] = {}  # (pivot, a, b) -> index, in first-read order
@@ -699,7 +758,7 @@ def decompose_rational_P(
     def leaf(level: int, a: tuple, b: tuple) -> int:
         return leaf_ids.setdefault((pivot[level], a, b), len(leaf_ids))
 
-    def reduced(col) -> tuple:  # mod O_K, as thetas._reduce_mod_integral
+    def reduced(col) -> tuple:  # mod O_K, as thetas._int_key centers
         return tuple(_center(v, da) for v in col)
 
     def recurse(level: int, A: tuple, B: tuple, q: int, prefix: tuple) -> None:
@@ -725,14 +784,15 @@ def decompose_rational_P(
             for a, A_next in a_next:
                 recurse(level + 1, A_next, B_next, q_next, prefix + (leaf(level, a, b),))
 
-    recurse(0, _int_columns(A0, da), _int_columns(B0, db), 0, ())
+    recurse(0, _columns(*_int_coords(A0), da, g, P.rows),
+            _columns(*_int_coords(B0), db, g, P.rows), 0, ())
 
-    column = lru_cache(maxsize=None)(partial(coords_to_kmatrix, g=g, h=1, field=field))
-    p_mats = [KMatrix([[field.from_rational(lam)]]) for lam in lambdas]
+    key = lru_cache(maxsize=None)(_int_key)  # columns repeat across the leaves
     return PDecomposition(
         field=field, g=g, lambdas=tuple(lambdas),
-        scale=Fraction(1, math.prod(len(b) for _, _, b in groups)), q_den=q_den,
-        leaves=tuple((p_mats[j], column(a, da), column(b, db)) for j, a, b in leaf_ids),
+        scale=Fraction(1, math.prod(len(b) for _, _, b, _ in groups)), q_den=q_den,
+        ps=tuple(_p_parts(KMatrix([[field.from_rational(lam)]]))[0] for lam in lambdas),
+        leaves=tuple((j, key(a, da), key(b, db)) for j, a, b in leaf_ids),
         expansion=tuple(expansion),
     )
 
@@ -741,8 +801,30 @@ def _add(u: tuple, v: tuple) -> tuple:
     return tuple(map(operator.add, u, v))
 
 
-def _int_columns(M: KMatrix, den: int) -> tuple[tuple[int, ...], ...]:
-    """The columns of M as coordinate vectors (see lattices._int_coords)
-    over den, a multiple of each entry's denominator."""
-    return tuple(tuple(v for x in col for k in (den // x.den,) for v in (x.n * k, x.m * k))
-                 for col in zip(*M.entry_rows()))
+def _columns(
+    nums: Sequence[int], den: int, target: int, g: int, h: int
+) -> tuple[tuple[int, ...], ...]:
+    """The columns of the g x h matrix with row-major coordinates nums / den
+    (see lattices._int_coords), each (n_0, m_0, n_1, m_1, ...) over target,
+    a multiple of the least common denominator of nums / den."""
+    return tuple(tuple(v * target // den for v in _block(nums, g, h, j, 1)) for j in range(h))
+
+
+def _least_den(vecs: Iterable[Iterable[int]], den: int) -> int:
+    """The least common denominator of every coordinate v / den of vecs."""
+    return den // math.gcd(den, *(v for vec in vecs for v in vec))
+
+
+def _dual_coords(group: FiniteAbelianGroup) -> tuple[list[list[int]], int]:
+    """c B for each representative B of group and c = dual_generator, as
+    coordinates over one denominator (see lattices._int_coords)."""
+    c = dual_generator(group.field)
+    t, nd = group.field.delta_trace, group.field.delta_norm
+    out = []
+    for v in group.coords:
+        cb = []
+        for n, m in zip(v[::2], v[1::2]):  # (n + m delta)(c.n + c.m delta)
+            mm = m * c.m
+            cb += (n * c.n - nd * mm, n * c.m + m * c.n + t * mm)
+        out.append(cb)
+    return out, group.scale * c.den

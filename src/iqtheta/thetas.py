@@ -43,22 +43,24 @@ W is the only floating-point input.  P, A0 and B0 are exact matrices over K
 (a KMatrix, or nested lists of int/Fraction).
 
 Every theta runs in two steps.  Lowering (`_lower`) does all the exact,
-W-independent work once: it checks shapes and that P is Hermitian, reduces
-A0 mod the lattice (O_K or Z), splits an exactly diagonal P into 1x1
-columns, and stores the
-exact inputs of each resulting dense theta (a leaf) with its key; the
-leaf's float data (the offsets and their real coordinates) and its exact
-phase data are built on its first evaluation.  Evaluation takes one W: the
-per-W check (`_at`: square, finite, inside H1 with lam_min(Y) at least the
-eigenvalue grid, one eigensolve) runs once, then `_leaves_value`
-multiplies the leaves' values.  `theta_general` is the one-factor plan,
-each leaf one `_theta_dense` call, through a ThetaCache if one is passed.
+W-independent work once: it checks shapes and that P is Hermitian, splits
+an exactly diagonal P into 1x1 columns, and keys each resulting dense theta
+(a leaf) by integers: A0 reduced mod the lattice (O_K or Z) and B0 as
+coordinate tuples over their least common denominator (`_LeafKey`), so
+equal rationals give equal keys whichever path built them.  The leaf's
+float data (the offsets and their real coordinates) and its exact phase
+data are read off those integers on its first evaluation.  Evaluation
+takes one W: the per-W check (`_at`: square, finite, inside H1 with
+lam_min(Y) at least the eigenvalue grid, one eigensolve) runs once, then
+`_leaves_value` multiplies the leaves' values.  `theta_general` is the
+one-factor plan, each leaf one `_theta_dense` call, through a ThetaCache if
+one is passed.
 
-Sums of many factors (relations.py) lower their whole term tuple once and
-evaluate it at one W into a table of leaf values, keyed by (leaf key, W
-bytes), that belongs to that one evaluation.  Before the term loop the
-leaves of each group that shares (field, shape, P, ThetaParams, entry
-basis) are evaluated together (`_evaluate_ahead`, `_theta_batch`):
+Sums of many factors (relations.py) lower their whole term tuple once into
+a table of distinct leaves and evaluate it at one W into a list of leaf
+values, by index, that belongs to that one evaluation.  Before the term
+loop the leaves of each group that shares (field, shape, P, ThetaParams,
+entry basis) are evaluated together (`_evaluate_ahead`, `_theta_batch`):
 lam_min(P), the Gram matrix and its Cholesky factor, the (W kron P^T) form
 and the radii are computed once per group.  Within a group, the leaves that
 share A0 mod the lattice form a family (in a relation, the thetas at
@@ -69,8 +71,8 @@ one phase sum serving the leaves of a family that differ only in e(q0).
 Radii, tail bounds and point counts are the ones a leaf gets alone, and a
 leaf's summation does not depend on its batch or family, so its ThetaValue
 is bit for bit the one a `_theta_dense` call of its own gives;
-`_theta_dense` is the batch of one, and the term loop uses it only for a
-leaf that a failed batch left out of the table (`_table_value`).
+`_theta_dense` is the batch of one, and a plan uses it only for a leaf that
+a failed batch left out (`_leaf_alone`).
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .kfield import FieldId, KElement, KMatrix, _canonical, re_trace_of_product
+from .kfield import FieldId, KMatrix, re_trace_of_product
 from .lattices import _int_coords
 
 __all__ = [
@@ -341,33 +343,32 @@ def _center(n: int, den: int) -> int:
     return n - (2 * n + den) // (2 * den) * den
 
 
-def _centered(x: KElement) -> KElement:
-    """x - floor(a + 1/2) - floor(b + 1/2)*delta for x = a + b*delta.
-
-    Shifting n and m by multiples of den keeps gcd(n, m, den) = 1, so the
-    result is canonical as it stands."""
-    if x.den == 1:
-        return x.field.zero()
-    return _canonical(_center(x.n, x.den), _center(x.m, x.den), x.den, x.field)
-
-
-def _reduce_mod_integral(A0: KMatrix) -> KMatrix:
-    """The representative of A0 mod Mat(g, h; O_K) whose entries have
-    delta-coordinates in [-1/2, 1/2).  Shifting A0 by an integral matrix and
-    reindexing N leaves the theta sum unchanged for every B0."""
-    return KMatrix._of(
-        tuple(tuple(_centered(x) for x in row) for row in A0.entry_rows()), A0.field
-    )
+def _int_key(
+    nums: Sequence[int], den: int, center: bool = False
+) -> tuple[tuple[int, ...], int]:
+    """The coordinates nums / den over their least common denominator, as
+    (nums, den); with center, each first moved into [-1/2, 1/2) by an
+    integer (see _center), which is A0 reduced mod the lattice.  Equal
+    rationals give equal pairs."""
+    if center:
+        nums = [_center(v, den) for v in nums]
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(v // g for v in nums), den // g
 
 
-def _offsets(A0: KMatrix, basis: tuple[complex, ...]) -> np.ndarray:
+def _offsets(
+    nums: Sequence[int], den: int, g: int, h: int, basis: tuple[complex, ...]
+) -> np.ndarray:
+    """The g x h matrix with row-major coordinates nums / den, embedded."""
     # n / den rounds like float(Fraction(n, den)), so the floats are the
     # ones the rational coordinates give; over Z (basis (1,)) m is 0
     dc = basis[1] if len(basis) == 2 else 0.0
     return np.array(
-        [[x.n / x.den + (x.m / x.den) * dc for x in row] for row in A0.entry_rows()],
+        [n / den + (m / den) * dc for n, m in zip(nums[::2], nums[1::2])],
         dtype=np.complex128,
-    )
+    ).reshape(g, h)
 
 
 def _exact(m: ExactLike, name: str, field: FieldId) -> KMatrix:
@@ -493,8 +494,11 @@ def _pieces(
 
 class _LeafKey:
     """The identity of one dense theta, hashed once at lowering:
-    (d, g, h, P, A0 reduced mod the lattice, B0, eps, max_radius, entry
-    basis)."""
+    (d, g, h, P, A0, B0, eps, max_radius, entry basis), where P, A0 and B0
+    are each (nums, den), the row-major coordinates (n, m) of the entries
+    (n + m delta) / den over their least common denominator (see _int_key),
+    and A0 is reduced mod the lattice.  Equal rationals give equal keys, so
+    a leaf interns whichever path built it."""
 
     __slots__ = ("data", "_hash")
 
@@ -547,25 +551,33 @@ _RATIONALS = FieldId(1)
 
 @dataclass(frozen=True, eq=False)
 class _Leaf:
-    """One dense theta over the lattice Mat(g, h; Z basis): its key and
-    exact inputs, A0 reduced mod that lattice.  The basis is (1, delta)
-    for O_K and (1,) for Z.
+    """One dense theta over the lattice Mat(g, h; Z basis): its key, which
+    holds A0 (reduced mod that lattice) and B0 in integers, and its P.  The
+    basis is (1, delta) for O_K and (1,) for Z.
 
-    The float inputs are built on the first evaluation, not at lowering:
-    lowering a term sum builds many equal leaves that interning then drops.
+    The float and phase inputs are built on the first evaluation, not at
+    lowering: lowering a term sum builds many equal leaves that interning
+    then drops.
     """
 
     key: _LeafKey
     field: FieldId
     P: KMatrix
-    A0: KMatrix
-    B0: KMatrix
     params: ThetaParams
     basis: tuple[complex, ...]
 
     @property
     def g(self) -> int:
-        return self.A0.rows
+        return self.key.data[1]
+
+    @property
+    def A0(self) -> tuple[tuple[int, ...], int]:
+        """A0 reduced mod the lattice, as (nums, den) (see _LeafKey)."""
+        return self.key.data[4]
+
+    @property
+    def B0(self) -> tuple[tuple[int, ...], int]:
+        return self.key.data[5]
 
     @property
     def group(self) -> tuple:
@@ -576,70 +588,84 @@ class _Leaf:
 
     @cached_property
     def floats(self) -> _LeafFloats:
-        offsets = _offsets(self.A0, self.basis)
-        nb = len(self.basis)
+        (nums, den), g, h = self.A0, self.g, self.P.rows
+        offsets = _offsets(nums, den, g, h, self.basis)
         return _LeafFloats(
             offsets,
             math.sqrt(float(np.sum(np.abs(offsets) ** 2))),
-            np.array([c / x.den for row in self.A0.entry_rows() for x in row
-                      for c in (x.n, x.m)[:nb]]),
+            np.array([c / den for c in (nums if len(self.basis) == 2 else nums[::2])]),
         )
 
     @cached_property
     def phase(self) -> _LeafPhase:
         nb = len(self.basis)
-        modulus, k, den, w = _phase_residues(self.field, self.B0, nb)
+        modulus, k, den, w = _phase_residues(self.field, *self.B0, nb)
         # q0 = Re Tr(A0^H B0) = (c . w) / (den_a den) for the coordinates
         # c / den_a of A0's entries in the basis
-        nums, den_a = _int_coords(self.A0)
+        nums, den_a = self.A0
         q0 = sum(map(operator.mul, nums if nb == 2 else nums[::2], w))
         return _LeafPhase(modulus, k, _phase_of(-q0, den_a * den))
 
 
 @lru_cache(maxsize=1 << 12)
 def _phase_residues(
-    field: FieldId, B0: KMatrix, nb: int
+    field: FieldId, nums: tuple[int, ...], den: int, nb: int
 ) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
-    """The Re pairing with B0 in integers, and the modulus M and the
-    integers k of _LeafPhase read off it; all depend on B0 and the basis
-    alone: the leaves of a relation, and of each Schur level of a
-    decomposition, repeat each B0 across G1.
+    """The Re pairing with B0 = nums / den (row-major coordinates, see
+    _LeafKey) in integers, and the modulus M and the integers k of
+    _LeafPhase read off it; all depend on B0 and the basis alone: the
+    leaves of a relation, and of each Schur level of a decomposition,
+    repeat each B0 across G1.
 
     Returns (M, k, D, w) with t_i = Re(conj(e_i) y) = w_i / D for each
     entry y of B0, row-major, and each basis element e_i."""
-    # for y = (n + m delta) / den, t = a / (2 den) with a = 2n + Tr(delta) m
-    # for e = 1 and Tr(delta) n + 2 N(delta) m for e = delta
-    tr, nd2 = field.delta_trace, 2 * field.delta_norm
-    ys = [y for row in B0.entry_rows() for y in row]
-    den = 2 * math.lcm(*(y.den for y in ys))
-    w = tuple(a * (den // (2 * y.den)) for y in ys
-              for a in (2 * y.n + tr * y.m, tr * y.n + nd2 * y.m)[:nb])
+    w = _weights(nums, field)
+    if nb == 1:
+        w = w[::2]
     # M is the lcm of the reduced denominators of the t_i, and k_i = M t_i
-    common = math.gcd(den, *w)
-    modulus = den // common
-    return modulus, tuple(v // common % modulus for v in reversed(w)), den, w
+    common = math.gcd(2 * den, *w)
+    modulus = 2 * den // common
+    return modulus, tuple(v // common % modulus for v in reversed(w)), 2 * den, w
+
+
+def _weights(nums: Sequence[int], field: FieldId) -> tuple[int, ...]:
+    """The Re pairing in integers: w with Re Tr(X^H Y) = (x . w) / (2 dx dy)
+    for X and Y with row-major coordinates x / dx and nums / dy (see
+    _LeafKey)."""
+    # for y = (n + m delta) / dy, Re(y) = (2n + Tr(delta) m) / (2 dy) and
+    # Re(conj(delta) y) = (Tr(delta) n + 2 N(delta) m) / (2 dy)
+    tr, nd2 = field.delta_trace, 2 * field.delta_norm
+    return tuple(w for n, m in zip(nums[::2], nums[1::2])
+                 for w in (2 * n + tr * m, tr * n + nd2 * m))
 
 
 def _leaf(
     field: FieldId,
     P: KMatrix,
-    A0: KMatrix,
-    B0: KMatrix,
+    p_key: tuple[tuple[int, ...], int],
+    a: tuple[Sequence[int], int],
+    b: tuple[Sequence[int], int],
     params: ThetaParams,
     basis: Optional[tuple[complex, ...]] = None,
 ) -> _Leaf:
+    """The leaf Theta^P[A0; B0] for A0 and B0 given as their keys (see
+    _LeafKey): row-major coordinates (nums, den) over the least common
+    denominator, A0 reduced mod the lattice (_int_key gives all three);
+    p_key is P's."""
     if basis is None:
         basis = (1.0, field.delta_complex)
-    key = (field.d, A0.rows, A0.cols, P, A0, B0, params.eps, params.max_radius,
+    h = P.rows
+    key = (field.d, len(a[0]) // (2 * h), h, p_key, a, b, params.eps, params.max_radius,
            basis)
-    return _Leaf(_LeafKey(key), field, P, A0, B0, params, basis)
+    return _Leaf(_LeafKey(key), field, P, params, basis)
 
 
-def _group_leaves(leaves: Iterable[_Leaf]) -> tuple[tuple[_Leaf, ...], ...]:
-    """leaves grouped by _Leaf.group, each group in first-seen order."""
-    groups: dict[tuple, list[_Leaf]] = {}
-    for leaf in leaves:
-        groups.setdefault(leaf.group, []).append(leaf)
+def _group_leaves(leaves: Sequence[_Leaf]) -> tuple[tuple[int, ...], ...]:
+    """The indices of leaves grouped by _Leaf.group, each group in
+    first-seen order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, leaf in enumerate(leaves):
+        groups.setdefault(leaf.group, []).append(i)
     return tuple(map(tuple, groups.values()))
 
 
@@ -742,8 +768,8 @@ def _theta_batch(
         raise DomainError("an exact entry of P is too large for a float") from None
     # the family of each leaf, numbered by first leaf; a family's float
     # data is its first leaf's
-    first: dict[KMatrix, int] = {}
-    family = [first.setdefault(leaf.key.data[4], len(first)) for leaf in leaves]
+    first: dict[tuple, int] = {}
+    family = [first.setdefault(leaf.A0, len(first)) for leaf in leaves]
     members: list[list[int]] = [[] for _ in first]
     for i, f in enumerate(family):
         members[f].append(i)
@@ -871,16 +897,24 @@ def _theta_dense(leaf: _Leaf, W: np.ndarray, lam_y: float) -> ThetaValue:
 
 
 @lru_cache(maxsize=1 << 8)
-def _p_columns(P: KMatrix) -> tuple[KMatrix, ...]:
-    """The 1x1 diagonal entries of an exactly diagonal P with h > 1, else
-    (); DomainError unless P is Hermitian.  Cached: the factors of a plan
-    share a few P."""
+def _p_parts(P: KMatrix) -> tuple[tuple[KMatrix, tuple[tuple[int, ...], int]], ...]:
+    """The parts of P with their keys (see _LeafKey): the 1x1 diagonal
+    entries of an exactly diagonal P with h > 1, else P itself; DomainError
+    unless P is Hermitian.  Cached: the factors of a plan share a few P."""
     if P.conj_transpose() != P:
         raise DomainError("P must be Hermitian")
     h = P.rows
     if h > 1 and all(P[(i, j)].is_zero() for i in range(h) for j in range(h) if i != j):
-        return tuple(KMatrix([[P[(j, j)]]]) for j in range(h))
-    return ()
+        parts = [KMatrix([[P[(j, j)]]]) for j in range(h)]
+    else:
+        parts = [P]
+    return tuple((p, _int_key(*_int_coords(p))) for p in parts)
+
+
+def _block(nums: Sequence[int], g: int, h: int, j: int, w: int) -> list[int]:
+    """Columns j*w up to (j + 1)*w of the g x h matrix with row-major
+    coordinates nums (see _LeafKey), row-major."""
+    return [v for i in range(g) for v in nums[2 * (i * h + j * w):2 * (i * h + j * w + w)]]
 
 
 def _lower(
@@ -891,10 +925,10 @@ def _lower(
     params: ThetaParams,
     lattice: str = "O_K",
 ) -> tuple[_Leaf, ...]:
-    """Theta^P[A0; B0] as the leaves whose product it is: the exact checks,
-    the mod-lattice reduction of A0 and the float inputs, done once for
-    every W.  The sum runs over Mat(g, h; O_K), or over Mat(g, h; Z) for
-    lattice "Z" (see _z_factor).
+    """Theta^P[A0; B0] as the leaves whose product it is: the exact checks
+    and the coordinates of A0 and B0, done once for every W.  The sum runs
+    over Mat(g, h; O_K), or over Mat(g, h; Z) for lattice "Z" (see
+    _z_factor).
 
     An exactly diagonal P with h > 1 factors over columns: one 1x1 leaf per
     column, each at eps/h.  Otherwise there is a single leaf.
@@ -910,15 +944,17 @@ def _lower(
         raise DomainError(f"B0 must have shape {(g, h)}, got {(B0.rows, B0.cols)}")
     if (P.rows, P.cols) != (h, h):
         raise DomainError(f"P must be {h}x{h} to match A0, got {(P.rows, P.cols)}")
-    cols = _p_columns(P)
-    A0 = _reduce_mod_integral(A0)
-    if cols:
-        col_params = replace(params, eps=params.eps / h)
-        return tuple(
-            _leaf(field, col, A0.column(j), B0.column(j), col_params, basis)
-            for j, col in enumerate(cols)
-        )
-    return (_leaf(field, P, A0, B0, params, basis),)
+    parts = _p_parts(P)
+    (a, da), (b, db) = _int_coords(A0), _int_coords(B0)
+    if len(parts) == 1:
+        return (_leaf(field, *parts[0], _int_key(a, da, center=True), _int_key(b, db),
+                      params, basis),)
+    col_params = replace(params, eps=params.eps / h)
+    return tuple(
+        _leaf(field, col, key, _int_key(_block(a, g, h, j, 1), da, center=True),
+              _int_key(_block(b, g, h, j, 1), db), col_params, basis)
+        for j, (col, key) in enumerate(parts)
+    )
 
 
 def _rational(x: object) -> Fraction:
@@ -980,7 +1016,7 @@ class _CheckedW(NamedTuple):
     """A W that passed the per-W check (see _at)."""
 
     w: np.ndarray
-    key: bytes  # the W bytes of a leaf's table or cache key
+    key: bytes  # the W bytes of a ThetaCache key
     lam_y: float  # lam_min(Y)
 
 
@@ -1004,36 +1040,38 @@ def _at(w: np.ndarray) -> _CheckedW:
 
 
 def _evaluate_ahead(
-    groups: Sequence[Sequence[_Leaf]], at: _CheckedW, table: dict
-) -> None:
-    """Evaluate the leaves of each group (see _group_leaves) that table
-    lacks at W, one _theta_batch per group, into table (see _table_value).
-
-    A group that does not match W, or whose batch raises, is left out:
-    its leaves are then read one by one in term order, and the first
-    failing read raises the error it would raise without the batch.
+    leaves: Sequence[_Leaf], groups: Sequence[Sequence[int]], at: _CheckedW
+) -> list[Optional[ThetaValue]]:
+    """The value of each leaf at W, one _theta_batch per group of leaf
+    indices (see _group_leaves), None for the leaves of a group that does
+    not match W or whose batch raises: the caller reads those alone (see
+    _leaf_alone) in its own order, so the first failing read raises the
+    error it would raise without the batch.
     """
+    values: list[Optional[ThetaValue]] = [None] * len(leaves)
     for group in groups:
-        if group[0].g != at.w.shape[0]:
-            continue
-        todo = [leaf for leaf in group if (leaf.key, at.key) not in table]
-        if not todo:
+        todo = [leaves[i] for i in group]
+        if todo[0].g != at.w.shape[0]:
             continue
         try:
-            values = _theta_batch(todo, at.w, at.lam_y)
+            got = _theta_batch(todo, at.w, at.lam_y)
         except (DomainError, TruncationError, np.linalg.LinAlgError):
             continue
-        table.update(((leaf.key, at.key), v) for leaf, v in zip(todo, values))
+        for i, v in zip(group, got):
+            values[i] = v
+    return values
 
 
-def _table_value(table: dict, leaf: _Leaf, at: _CheckedW) -> ThetaValue:
-    """The leaf at a checked W from table, keyed by (leaf key, W bytes); a
-    leaf the table lacks is evaluated alone and stored."""
-    key = (leaf.key, at.key)
-    value = table.get(key)
-    if value is None:
-        value = table[key] = _theta_dense(leaf, at.w, at.lam_y)
-    return value
+def _check_g(g: int, at: _CheckedW) -> None:
+    if at.w.shape != (g, g):
+        raise DomainError(f"W must be {g}x{g} to match A0, got {at.w.shape}")
+
+
+def _leaf_alone(leaf: _Leaf, at: _CheckedW) -> ThetaValue:
+    """The leaf at a checked W, evaluated alone: the batch of one, after
+    the check that W matches its g."""
+    _check_g(leaf.g, at)
+    return _theta_dense(leaf, at.w, at.lam_y)
 
 
 def _cache_value(cache: Optional[ThetaCache], leaf: _Leaf, at: _CheckedW) -> ThetaValue:
@@ -1045,6 +1083,15 @@ def _cache_value(cache: Optional[ThetaCache], leaf: _Leaf, at: _CheckedW) -> The
     )
 
 
+def _product(values: Iterable[complex]) -> complex:
+    """The product of values from complex(1.0), left to right: the value of
+    a factor of several leaves, here and in a plan's table alike."""
+    prod = complex(1.0)
+    for v in values:
+        prod *= v
+    return prod
+
+
 def _leaves_value(
     leaves: tuple[_Leaf, ...],
     at: _CheckedW,
@@ -1052,21 +1099,18 @@ def _leaves_value(
 ) -> ThetaValue:
     """The product of the leaves at a checked W (see _at), each leaf's
     value(leaf, at); a single leaf is returned as is."""
-    g = leaves[0].g
-    if at.w.shape != (g, g):
-        raise DomainError(f"W must be {g}x{g} to match A0, got {at.w.shape}")
+    _check_g(leaves[0].g, at)
     vals = [value(leaf, at) for leaf in leaves]
     if len(vals) == 1:
         return vals[0]
-    prod = complex(1.0)
     bound_hi = 1.0
     bound_lo = 1.0
     for v in vals:
-        prod *= v.value
         bound_hi *= abs(v.value) + v.tail_bound
         bound_lo *= abs(v.value)
     return ThetaValue(
-        prod, bound_hi - bound_lo, sum(v.lattice_points_used for v in vals)
+        _product(v.value for v in vals), bound_hi - bound_lo,
+        sum(v.lattice_points_used for v in vals),
     )
 
 

@@ -1,0 +1,13 @@
+"""Shared test helpers (imported by the test modules beside this file)."""
+
+from iqtheta.kfield import KMatrix
+from iqtheta.lattices import _int_coords, coords_to_kmatrix
+from iqtheta.thetas import _int_key
+
+
+def reduce_mod_integral(A0: KMatrix) -> KMatrix:
+    """The representative of A0 mod Mat(g, h; O_K) whose entries have
+    delta-coordinates in [-1/2, 1/2), as a leaf keys its A0 (thetas._int_key
+    with center)."""
+    return coords_to_kmatrix(*_int_key(*_int_coords(A0), center=True), A0.rows, A0.cols,
+                             A0.field)

@@ -11,16 +11,27 @@ import ast
 import importlib
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from iqtheta import (
     FieldId,
     KMatrix,
+    RelationSpec,
     ThetaParams,
+    build_relation,
     character_group,
+    decompose_rational_P,
+    riemann_theta_z0,
     run_paper_suite,
     shift_group,
+    theta_check_variant,
+    theta_general,
 )
+from iqtheta import thetas
+from iqtheta.lattices import quotient_group, quotient_lattices
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -74,11 +85,15 @@ def test_benchmark_imports_exist():
                 ), f"iqtheta.{node.attr}"
 
 
+def _T(field):
+    return KMatrix([[field.element(1, 1), field.zero()],
+                    [field.element(0, 1), field.from_rational(2)]])
+
+
 def test_group_orders_match_groups():
     draws = _load("draws")
     field = FieldId(2)
-    T = KMatrix([[field.element(1, 1), field.zero()],
-                 [field.element(0, 1), field.from_rational(2)]])
+    T = _T(field)
     for g in (1, 2):
         assert draws.group_orders(g, 2, T) == (
             shift_group(g, T).order,
@@ -94,3 +109,41 @@ def test_suite_entry_point_runs():
     assert len(res.seconds) == len(res.reports)
     for key in ("residual_rel", "theta_evals", "cache_hits", "term_count"):
         assert all(key in r for r in res.reports)
+
+
+def test_trace_counts_read_results():
+    # every count the tracer takes from a wrapped call's result (terms,
+    # monomials, representatives, points) reads the result that call
+    # returns, so a traced pass cannot break on the shape of a relation, a
+    # decomposition, a quotient group or a theta value
+    tracing = _load("tracing")
+    field = FieldId(2)
+    T = _T(field)
+    P = KMatrix.from_rational_rows([[2, 1], [1, 2]], field)
+    A0 = KMatrix.from_rational_rows([[Fraction(1, 3), Fraction(1, 4)]], field)
+    B0 = KMatrix.from_rational_rows([[Fraction(1, 5), 0]], field)
+    W = [[0.1 + 1.1j]]
+    inst = build_relation(RelationSpec(field, 1, T, P, A0, B0))
+    dec = decompose_rational_P(field, 1, P, A0, B0)
+    group = quotient_group(*quotient_lattices(1, T.inverse()), field, 1, 2)
+    at = thetas._at(np.array(W))
+    (leaf,) = thetas._lower(field, P, A0, B0, ThetaParams())
+    results = {
+        "relations.build_relation": (inst, inst.G1.order * inst.G2.order),
+        "relations.decompose_rational_P": (dec, len(dec.expansion)),
+        "lattices.quotient_group": (group, group.order),
+        "thetas.theta_general": theta_general(field, W, P, A0, B0),
+        "thetas.theta_check_variant": theta_check_variant(field, A0.column(0), B0.column(0), W),
+        "thetas.riemann_theta_z0": riemann_theta_z0([Fraction(1, 2)], [0], W),
+        "thetas._theta_dense": thetas._theta_dense(leaf, at.w, at.lam_y),
+    }
+    for name, result in results.items():
+        if isinstance(result, thetas.ThetaValue):
+            results[name] = (result, result.lattice_points_used)
+    counted = set()
+    for layer, attr, count in tracing.WRAPPED:
+        if count is not None:
+            result, want = results[f"{layer}.{attr}"]
+            assert count(result) == want > 1, f"{layer}.{attr}"
+            counted.add(f"{layer}.{attr}")
+    assert counted == set(results)

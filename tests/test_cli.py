@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from iqtheta import FieldId, KMatrix, RelationSpec
-from iqtheta import cli, lattices
+from iqtheta import cli, relations
 from iqtheta.cli import main
 
 THETA_D1_AT_I = 1.1803405990160964  # (pi^(1/4)/Gamma(3/4))^2
@@ -453,10 +453,11 @@ def test_decompose_refuses_an_expansion_over_the_cap(capsys, monkeypatch):
     # the expansion has 97^4 monomials: it ran for minutes before the count
     # was checked ahead of the expansion.  The 1/331 groups have 109,561
     # representatives each, which took seconds to build before the count
-    # was taken from the lattices ahead of any representative
+    # was taken from the lattices ahead of any representative (the
+    # representatives are built by quotient_group, as integer coordinates)
     built = []
-    inner = lattices.coords_to_kmatrix
-    monkeypatch.setattr(lattices, "coords_to_kmatrix",
+    inner = relations.quotient_group
+    monkeypatch.setattr(relations, "quotient_group",
                         lambda *args: built.append(args) or inner(*args))
     for den in (97, 331):
         start = time.perf_counter()

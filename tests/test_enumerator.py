@@ -20,6 +20,8 @@ from iqtheta import FieldId, KMatrix, ThetaParams, TruncationError, theta_genera
 from iqtheta import thetas
 from iqtheta.thetas import _MAX_POINTS, choose_radius, in_type1_domain
 
+from _helpers import reduce_mod_integral
+
 _COMBINE_ELEMS = 1 << 23
 
 
@@ -177,7 +179,7 @@ SHAPES = [(1, 2), (2, 1), (2, 2), (1, 3)]
 def test_ellipsoid_points_are_the_filtered_ball(monkeypatch, d, g, h):
     field, W, P, A0, B0 = _random_case(1000 * d + 10 * g + h, d, g, h)
     val, z, bound, radius = _recorded_theta(monkeypatch, field, W, P, A0, B0)
-    A0r = thetas._reduce_mod_integral(A0)
+    A0r = reduce_mod_integral(A0)
     offsets = A0r.embed()
     y = (W - W.conj().T) / 2j
     p = P.embed()
@@ -223,7 +225,7 @@ def test_skipped_ball_points_stay_below_the_tail_bound(monkeypatch):
     B0 = KMatrix([[field.element(Fraction(1, 7), Fraction(1, 3))],
                   [field.element(Fraction(-1, 2), 0)]])
     val, z, bound, radius = _recorded_theta(monkeypatch, field, W, P, A0, B0)
-    offsets = thetas._reduce_mod_integral(A0).embed()
+    offsets = reduce_mod_integral(A0).embed()
     p = P.embed()
     m = 2 * radius + 2
     axis = np.arange(-m, m + 1)
@@ -247,7 +249,7 @@ def test_over_cap_raises_with_the_cost(monkeypatch):
         math.pi * thetas._snap(in_type1_domain(W)[1])
         * thetas._snap(float(np.linalg.eigvalsh(P.embed())[0])),
         8,
-        offset_norm=float(np.linalg.norm(thetas._reduce_mod_integral(A0).embed())),
+        offset_norm=float(np.linalg.norm(reduce_mod_integral(A0).embed())),
     )
     cap = full.lattice_points_used // 2
     monkeypatch.setattr(thetas, "_MAX_POINTS", cap)

@@ -11,7 +11,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from iqtheta import FieldId, KElement, KMatrix
-from iqtheta.thetas import _Z_BASIS, _offsets, _reduce_mod_integral
+from iqtheta.lattices import _int_coords
+from iqtheta.thetas import _Z_BASIS, _offsets
+
+from _helpers import reduce_mod_integral
 
 # small fields, both kinds of integral basis, and two large squarefree d
 # (999999937 is prime and 1 mod 4, 10^18 + 3 is prime and 3 mod 4)
@@ -155,11 +158,11 @@ def test_floats_match_float_of_fraction(d, entries):
         assert x.embed() == complex(a + b * dc.real, b * dc.imag)
     A0 = KMatrix([xs])
     want = np.array([[float(x.a) + float(x.b) * dc for x in xs]])
-    assert _offsets(A0, (1.0, dc)).tobytes() == want.tobytes()
+    assert _offsets(*_int_coords(A0), 1, len(xs), (1.0, dc)).tobytes() == want.tobytes()
     # over Z (a real theta's basis) the offsets are the rational parts
     rational = KMatrix([[field.from_rational(x.a) for x in xs]])
     want = np.array([[float(x.a) for x in xs]], dtype=np.complex128)
-    assert _offsets(rational, _Z_BASIS).tobytes() == want.tobytes()
+    assert _offsets(*_int_coords(rational), 1, len(xs), _Z_BASIS).tobytes() == want.tobytes()
 
 
 def _centered(f: Fraction) -> Fraction:
@@ -178,7 +181,7 @@ _boundary = st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
 def test_reduce_mod_integral_is_the_fraction_definition(d, entries):
     field = FIELDS[d]
     A0 = KMatrix([[KElement(a, b, field) for a, b in entries]])
-    got = _reduce_mod_integral(A0)
+    got = reduce_mod_integral(A0)
     for x, (a, b) in zip(got.entry_rows()[0], entries):
         assert (x.a, x.b) == (_centered(a), _centered(b))
         assert x.den > 0 and math.gcd(x.n, x.m, x.den) == 1
@@ -189,8 +192,8 @@ def test_reduce_mod_integral_is_the_fraction_definition(d, entries):
 def test_reduce_mod_integral_boundary():
     field = FieldId(1)
     for a in (Fraction(1, 2), Fraction(-1, 2), Fraction(5, 2), Fraction(-5, 2)):
-        (x,), = _reduce_mod_integral(KMatrix([[field.element(a, -a)]])).entry_rows()
+        (x,), = reduce_mod_integral(KMatrix([[field.element(a, -a)]])).entry_rows()
         assert (x.a, x.b) == (Fraction(-1, 2), Fraction(-1, 2))
-    (x,), = _reduce_mod_integral(
+    (x,), = reduce_mod_integral(
         KMatrix([[field.element(Fraction(-7, 3), Fraction(7, 3))]])).entry_rows()
     assert (x.a, x.b) == (Fraction(-1, 3), Fraction(1, 3))

@@ -31,7 +31,7 @@ from iqtheta import (
 )
 from iqtheta import presets, relations, thetas
 from iqtheta.kfield import dual_generator, re_trace_of_product
-from iqtheta.lattices import character_group, shift_group
+from iqtheta.lattices import _int_coords, character_group, shift_group
 from iqtheta.relations import (
     RelationSpec,
     Term,
@@ -291,10 +291,12 @@ def _group(d, g, h, count, seed=0):
                                        Fraction(int(rng.integers(-5, 6)), 6))
                          for _ in range(h)] for _ in range(g)])
 
-    leaves = [thetas._leaf(field, P, thetas._reduce_mod_integral(char(k)), char(k + 1), params)
+    leaves = [thetas._leaf(field, P, thetas._int_key(*_int_coords(P)),
+                           thetas._int_key(*_int_coords(char(k)), center=True),
+                           thetas._int_key(*_int_coords(char(k + 1))), params)
               for k in range(count)]
     (group,) = thetas._group_leaves(leaves)
-    return group
+    return tuple(leaves[i] for i in group)
 
 
 def _W(g):
@@ -333,6 +335,11 @@ def _recorded(monkeypatch, name):
 def _families(leaves):
     """The number of distinct A0 reduced mod the lattice."""
     return len({leaf.A0 for leaf in leaves})
+
+
+def _group_leaves(plan):
+    """The plan's groups of leaves, in batch order."""
+    return [[plan.leaves[i] for i in group] for group in plan.groups]
 
 
 def _one_by_one(leaves, W, lam_y):
@@ -421,7 +428,7 @@ def _assert_batches_by_family(monkeypatch, plan, W):
     cuts = _recorded(monkeypatch, "_pieces")
     sums = _recorded(monkeypatch, "_phase_sum")
     leaves = families = phase_sums = 0
-    for group in plan.groups:
+    for group in _group_leaves(plan):
         del calls[:], cuts[:], sums[:]
         got = thetas._theta_batch(group, at.w, at.lam_y)
         assert calls == [_families(group)]
@@ -457,7 +464,7 @@ def test_relation_leaves_batch_by_family(monkeypatch, d, g):
     plan = _lower_terms(ThetaParams(eps=1e-6), (inst.lhs_terms, inst.rhs_terms))
     leaves, families, _ = _assert_batches_by_family(monkeypatch, plan, _W(g))
     assert leaves == 1 + len(inst.terms) and families == 2
-    assert all(leaf.phase.modulus > 1 for group in plan.groups for leaf in group)
+    assert all(leaf.phase.modulus > 1 for leaf in plan.leaves)
 
 
 def test_decomposition_leaves_batch_by_family(monkeypatch):
@@ -532,7 +539,7 @@ def test_failing_batch_raises_at_the_first_failing_factor(monkeypatch):
                  for f in fine)
     monkeypatch.setattr(thetas, "_MAX_POINTS", points - 1)
     with pytest.raises(TruncationError):
-        thetas._theta_batch(plan.groups[1], thetas._at(np.array(W)).w,
+        thetas._theta_batch(_group_leaves(plan)[1], thetas._at(np.array(W)).w,
                             thetas._at(np.array(W)).lam_y)
     with pytest.raises(DomainError) as want:
         _naive(sides, W, params, ThetaCache())
@@ -627,9 +634,14 @@ def _reference_monomials(field, g, P, A0, B0):
     return tuple(terms)
 
 
-def _leaf_keys(plan):
-    return [[[leaf.key for leaf in leaves] for leaves in factors]
-            for _, factors in plan.sides[0]]
+def _leaf_keys(plan, side=0):
+    """Per term of the side, the keys of each factor's leaves."""
+    return [[[plan.leaves[j].key for j in plan.factor(i)] for i in idx]
+            for _, idx in plan.sides[side]]
+
+
+def _group_keys(plan):
+    return [[leaf.key for leaf in group] for group in _group_leaves(plan)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
@@ -649,8 +661,7 @@ def test_compiled_plan_matches_lowered_monomials(d, g, h):
         lowered = _lower_terms(params, (terms,))
         assert [c for c, _ in compiled.sides[0]] == [c for c, _ in lowered.sides[0]]
         assert _leaf_keys(compiled) == _leaf_keys(lowered)
-        assert ([[leaf.key for leaf in group] for group in compiled.groups]
-                == [[leaf.key for leaf in group] for group in lowered.groups])
+        assert _group_keys(compiled) == _group_keys(lowered)
         assert _sum_terms(compiled, W) == _sum_terms(lowered, W)
     assert len(dec.leaves) == sum(map(len, compiled.groups))
     assert len({c for c, _ in compiled.sides[0]}) > 1
@@ -695,12 +706,10 @@ def test_compiled_relation_matches_lowered_terms(d, g, diagonal):
     params = ThetaParams(eps=1e-6)
     compiled = _lower_terms(params, (inst.lhs_terms, inst))
     lowered = _lower_terms(params, (inst.lhs_terms, inst.rhs_terms))
-    for got, want in zip(compiled.sides, lowered.sides):
+    for side, (got, want) in enumerate(zip(compiled.sides, lowered.sides)):
         assert [c for c, _ in got] == [c for c, _ in want]
-        assert ([[[leaf.key for leaf in leaves] for leaves in factors] for _, factors in got]
-                == [[[leaf.key for leaf in leaves] for leaves in factors] for _, factors in want])
-    assert ([[leaf.key for leaf in group] for group in compiled.groups]
-            == [[leaf.key for leaf in group] for group in lowered.groups])
+        assert _leaf_keys(compiled, side) == _leaf_keys(lowered, side)
+    assert _group_keys(compiled) == _group_keys(lowered)
     assert _sum_terms(compiled, _W(g)) == _sum_terms(lowered, _W(g))
 
 
@@ -728,7 +737,7 @@ def test_decomposition_lowers_no_factor(monkeypatch):
     assert (lowered, leaves) == ([], [])
     dec.evaluate(_W(1), ThetaParams(eps=1e-9))
     (plan,) = dec._plans.values()
-    distinct = {leaf.key for group in plan.groups for leaf in group}
+    distinct = {leaf.key for leaf in plan.leaves}
     assert lowered == []
     assert len(leaves) == len(distinct) == len(dec.leaves)
     assert sum(len(ops) for _, ops in plan.sides[0]) > len(distinct)
@@ -741,8 +750,50 @@ def test_relation_lowers_only_its_left_side(monkeypatch):
     inst = _random_relation(3, 1, 3, True, seed=5)
     evaluate_relation(inst, _W(1), ThetaParams(eps=1e-6))
     (plan,) = inst._plans.values()
-    distinct = {leaf.key for group in plan.groups for leaf in group}
+    distinct = {leaf.key for leaf in plan.leaves}
     assert len(lowered) == 1
     assert len(leaves) == len(inst.leaves) + 1 == len(distinct)
-    assert [len(factor) for _, factors in plan.sides[1] for factor in factors] == [
+    assert [len(plan.factor(i)) for _, idx in plan.sides[1] for i in idx] == [
         inst.factor_leaves] * len(inst.expansion)
+
+
+def test_plan_reads_leaves_by_index(monkeypatch):
+    # a decomposition and a relation's right side go into the leaf table
+    # as the integers they were compiled to: lowering them constructs and
+    # hashes no KMatrix.  The term loop multiplies table entries by index,
+    # without the one-factor reader _leaves_value, and counts the
+    # evaluations and hits that reading each factor through one cache gave
+    inst = _random_relation(1, 1, 3, True, seed=0)
+    dec = decompose_rational_P(*_decomposition_input(3, 1, 3))
+    (check,) = make_preset("jacobi_identity").identity_checks
+    params = ThetaParams(eps=1e-9)
+    made, hashed = [], []
+    init, of, hash_ = KMatrix.__init__, KMatrix._of.__func__, KMatrix.__hash__
+    with monkeypatch.context() as m:
+        m.setattr(KMatrix, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+        m.setattr(KMatrix, "_of", classmethod(lambda cls, *a: made.append(a) or of(cls, *a)))
+        m.setattr(KMatrix, "__hash__", lambda self: hashed.append(self) or hash_(self))
+        for side in (dec, inst):
+            assert len(_lower_terms(params, (side,)).leaves) == len(side.leaves)
+        assert (made, hashed) == ([], [])
+        _lower_terms(params, (inst.lhs_terms,))  # the probes see factor lowering
+        assert made and hashed
+
+    assert not hasattr(thetas, "_table_value")
+    read = []
+    inner = thetas._leaves_value
+    monkeypatch.setattr(thetas, "_leaves_value", lambda *a: read.append(a) or inner(*a))
+    cases = [((inst.lhs_terms, inst), (13, 84)), ((dec,), (49, 719)),
+             ((check.lhs, check.rhs), (3, 9))]
+    for sides, counts in cases:
+        plan = _lower_terms(params, sides)
+        _, evals, hits = _sum_terms(plan, _W(1))
+        assert (evals, hits) == counts
+        assert evals == len(plan.leaves)
+        assert evals + hits == plan.reads == sum(
+            len(plan.factor(i)) for side in plan.sides for _, idx in side for i in idx)
+    assert read == []
+    theta_general(FieldId(1), _W(1), [[1]], [[0]], [[0]])  # the probe sees a public call
+    assert len(read) == 1
+    # the relation's diagonal P makes each of its terms a product of columns
+    assert len(_lower_terms(params, (inst,)).products) == len(inst.expansion)

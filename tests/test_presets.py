@@ -20,7 +20,8 @@ from iqtheta import (
     make_preset,
     run_paper_suite,
 )
-from iqtheta.thetas import _reduce_mod_integral
+
+from _helpers import reduce_mod_integral
 
 
 def test_bracket_characteristics_d3():
@@ -243,7 +244,7 @@ def test_preset_names_all_constructible():
 
 
 def _reduced(factors):
-    return tuple(_reduce_mod_integral(f.a) for f in factors)
+    return tuple(reduce_mod_integral(f.a) for f in factors)
 
 
 _REAL_THETA_PRESETS = {"jacobi_identity", "half_formulas", "double_formulas",
@@ -266,7 +267,7 @@ def test_statement_checks_restate_the_relation(name, params):
     inst = preset.relation
     h = inst.spec.h
     expected = Counter(
-        tuple(_reduce_mod_integral(t.a_char.column(j)) for j in range(h))
+        tuple(reduce_mod_integral(t.a_char.column(j)) for j in range(h))
         for t in inst.terms
     )
     checks = [c for c in preset.identity_checks if "bracket" not in c.name]
@@ -286,7 +287,7 @@ def _first_term(preset):
 
 
 def _cols(*entries):
-    return Counter(_reduce_mod_integral(KMatrix([[x]])) for x in entries)
+    return Counter(reduce_mod_integral(KMatrix([[x]])) for x in entries)
 
 
 @pytest.mark.parametrize("variant,d", [(1, 1), (2, 1), (2, 2), (2, 7)])

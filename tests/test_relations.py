@@ -26,6 +26,7 @@ from iqtheta import (
     theta_general,
 )
 from iqtheta.kfield import hat, re_trace_of_product
+from iqtheta.lattices import coords_to_kmatrix
 from iqtheta.relations import (
     RelationTerm,
     Term,
@@ -211,14 +212,19 @@ def _terms_digest(inst):
 
 
 def _plan_digest(plan):
-    # the leaves in batch order (key data), and per side and term the
-    # coefficient's bits and each factor's leaves by position
-    leaves = [leaf for group in plan.groups for leaf in group]
-    pos = {leaf.key: i for i, leaf in enumerate(leaves)}
-    keys = [[d, g, h, P.to_json(), A.to_json(), B.to_json(), repr(eps), repr(r), repr(basis)]
-            for d, g, h, P, A, B, eps, r, basis in (leaf.key.data for leaf in leaves)]
-    sides = [[[c.real.hex(), c.imag.hex(), [[pos[leaf.key] for leaf in f] for f in factors]]
-              for c, factors in side] for side in plan.sides]
+    # the leaves in batch order (key data, the integer coordinates of A0
+    # and B0 as matrices), and per side and term the coefficient's bits and
+    # each factor's leaves by position
+    order = [i for group in plan.groups for i in group]
+    pos = {i: k for k, i in enumerate(order)}
+    keys = []
+    for i in order:
+        leaf = plan.leaves[i]
+        d, g, h, _, A, B, eps, r, basis = leaf.key.data
+        A, B = (coords_to_kmatrix(*x, g, h, leaf.field).to_json() for x in (A, B))
+        keys.append([d, g, h, leaf.P.to_json(), A, B, repr(eps), repr(r), repr(basis)])
+    sides = [[[c.real.hex(), c.imag.hex(), [[pos[j] for j in plan.factor(i)] for i in idx]]
+              for c, idx in side] for side in plan.sides]
     return _digest([[len(group) for group in plan.groups], keys, sides])
 
 

@@ -27,7 +27,10 @@ from iqtheta import (
 )
 from iqtheta import thetas
 from iqtheta.kfield import hat, re_trace_of_product
+from iqtheta.lattices import _int_coords
 from iqtheta.relations import Term, ThetaFactor
+
+from _helpers import reduce_mod_integral
 
 # closed form for the classical value at tau = i: pi^(1/4) / Gamma(3/4)
 THETA00_AT_I = math.pi ** 0.25 / math.gamma(0.75)
@@ -184,16 +187,92 @@ def test_leaf_shift_is_the_phase_of_q0_bit_for_bit(d):
         for _ in range(20):
             A0, B0 = (KMatrix([[field.element(frac(), frac()) for _ in range(h)]
                                for _ in range(g)]) for _ in range(2))
-            cases.append((KMatrix.identity(h, field), thetas._reduce_mod_integral(A0), B0))
+            cases.append((KMatrix.identity(h, field), reduce_mod_integral(A0), B0))
     big = KMatrix([[field.element(Fraction(10**400 + 1, 7), Fraction(-(10**400), 9))]])
     cases.append((KMatrix.identity(1, field), cases[0][1], big))
-    leaves = [thetas._leaf(field, P, A0, B0, params) for P, A0, B0 in cases]
+    leaves = [(thetas._leaf(field, P, *(thetas._int_key(*_int_coords(M)) for M in (P, A0, B0)),
+                            params), A0, B0)
+              for P, A0, B0 in cases]
     for g in (1, 2):
         a, b = ([frac() for _ in range(g)] for _ in range(2))
         A0, B0, P, lattice = thetas._z_factor(a, b, 2)
-        leaves += thetas._lower(thetas._RATIONALS, P, A0, B0, params, lattice)
-    for leaf in leaves:
-        assert leaf.phase.shift == thetas._phase(-re_trace_of_product(leaf.A0, leaf.B0))
+        (leaf,) = thetas._lower(thetas._RATIONALS, P, A0, B0, params, lattice)
+        leaves.append((leaf, reduce_mod_integral(A0), B0))
+    for leaf, A0, B0 in leaves:
+        assert leaf.phase.shift == thetas._phase(-re_trace_of_product(A0, B0))
+
+
+def _reference_leaf_data(field, A0, B0, nb):
+    """The floats and the phase of a leaf from the Fractions of each entry:
+    A0 reduced mod the lattice entry by entry, t_i = Re(conj(e_i) y) for
+    e = 1 (and delta when nb = 2), M the lcm of their denominators."""
+    dc = field.delta_complex if nb == 2 else 0.0
+    half = Fraction(1, 2)
+    red = [[(x.a - math.floor(x.a + half), x.b - math.floor(x.b + half)) for x in row]
+           for row in A0.entry_rows()]
+    offsets = np.array([[float(a) + float(b) * dc for a, b in row] for row in red],
+                       dtype=np.complex128)
+    coords = np.array([float(v) for row in red for ab in row for v in ab[:nb]])
+    tr, nd = Fraction(field.delta_trace), Fraction(field.delta_norm)
+    ts = [t for row in B0.entry_rows() for y in row
+          for t in (y.a + y.b * tr / 2, y.a * tr / 2 + y.b * nd)[:nb]]
+    modulus = math.lcm(*(t.denominator for t in ts))
+    k = tuple(int(t * modulus) % modulus for t in reversed(ts))
+    A0_red = KMatrix([[field.element(a, b) for a, b in row] for row in red])
+    return offsets, coords, (modulus, k, thetas._phase(-re_trace_of_product(A0_red, B0)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 11, 15])
+def test_integer_leaf_matches_kmatrix_lowering(d):
+    # a leaf built from integer coordinates over an unreduced common
+    # denominator is the leaf that _lower builds from the KMatrix factor,
+    # A0 shifted by an integral matrix in both: one key, so the two intern
+    # to one leaf, and bit for bit the floats and the phase (M, k, e(q0))
+    # that the Fractions of the entries give; over O_K and over Z
+    field = FieldId(d)
+    rng = np.random.default_rng(100 + d)
+    params = ThetaParams(eps=1e-9)
+
+    def frac():
+        return Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 13)))
+
+    def unreduced(M):  # M's coordinates over a multiple of their least denominator
+        nums, den = _int_coords(M)
+        k = int(rng.integers(2, 6))
+        return [v * k for v in nums], den * k
+
+    cases = []  # (field, P, A0, B0, N, lattice)
+    for g, h in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (2, 3)):
+        # a dense Hermitian P (one leaf per factor)
+        off = field.element(Fraction(1, 2), Fraction(1, 3))
+        P = KMatrix([[field.from_rational(h + 1) if i == j else (off if i < j else off.conj())
+                      for j in range(h)] for i in range(h)])
+        for _ in range(4):
+            A0, B0 = (KMatrix([[field.element(frac(), frac()) for _ in range(h)]
+                               for _ in range(g)]) for _ in range(2))
+            N = KMatrix([[field.element(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+                          for _ in range(h)] for _ in range(g)])
+            cases.append((field, P, A0, B0, N, "O_K"))
+    for g in (1, 2):
+        for _ in range(4):
+            A0, B0, P, lattice = thetas._z_factor([frac() for _ in range(g)],
+                                                  [frac() for _ in range(g)], frac() ** 2 + 1)
+            N = KMatrix([[thetas._RATIONALS.from_rational(int(rng.integers(-3, 4)))]
+                         for _ in range(g)])
+            cases.append((thetas._RATIONALS, P, A0, B0, N, lattice))
+    for fld, P, A0, B0, N, lattice in cases:
+        basis = thetas._BASES[lattice]
+        (lowered,) = thetas._lower(fld, P, A0 + N, B0, params, lattice)
+        leaf = thetas._leaf(fld, P, thetas._int_key(*_int_coords(P)),
+                            thetas._int_key(*unreduced(A0 + N), center=True),
+                            thetas._int_key(*unreduced(B0)), params, basis)
+        assert leaf.key == lowered.key and len({leaf.key, lowered.key}) == 1
+        offsets, coords, phase = _reference_leaf_data(fld, A0, B0, len(leaf.basis))
+        for got in (leaf, lowered):
+            assert got.floats.offsets.tobytes() == offsets.tobytes()
+            assert got.floats.coords.tobytes() == coords.tobytes()
+            assert got.phase == phase
+        assert leaf.floats.offset_norm == lowered.floats.offset_norm
 
 
 def _reference_phase_sum(quad, z, modulus, k):
