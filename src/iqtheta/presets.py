@@ -7,15 +7,23 @@ computed shift group.  Pass or fail always rides on the computed groups; a
 printed parametrization that enumerates a different class set only
 produces a warning.
 
-The (T, P) families (the two-fold propositions, Cartan, cubic and its
-corollaries, quartic) write their printed one-row classes once.  The same
-list is compared exactly with G1 (`_printed_relation`) and, restated as
-the relation summed over those printed classes, is the statement check
-(`_printed_check`): Theta^Q at (alphas) on the left, and on the right the
-products of Theta^{P_jj} at the columns of A0 + rho for every g-tuple rho
-of printed rows, with A0 = (alphas) conj(T)^t.  Matsumoto's check-variant
-statement, the bracket displays and the real-theta identities are written
-out by hand.
+Every preset is assembled by one of two builders:
+
+- `_family_preset`, for the (T, P) families (the two-fold propositions,
+  Cartan, cubic and its corollaries, quartic and its zero case,
+  Matsumoto).  A family writes its printed one-row classes once.  The list
+  is compared exactly with G1 (`_printed_relation`) and, restated as the
+  relation summed over those classes, is the statement check
+  (`_printed_check`): Theta^Q at (alphas) on the left, and on the right
+  the products of Theta^{P_jj} at the columns of A0 + rho for every
+  g-tuple rho of printed rows, with A0 = (alphas) conj(T)^t.  Further
+  checks ride along: the cubic and quartic bracket displays
+  (`_bracket_check`) and Matsumoto's check-variant statement, written out
+  by hand.
+- `_identity_preset`, for the real-theta identities (Jacobi, the half and
+  double formulas, Riemann's quartic), each given as data: a check is
+  (name, lhs, rhs), a side a list of terms (scale, factors), and a factor
+  (a, b, s) is Theta[a; b](s Omega).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence
@@ -130,10 +138,6 @@ def _zero_col(field: FieldId, g: int) -> KMatrix:
     return _col([field.zero()] * g)
 
 
-def _field_factor(a: KMatrix, b: KMatrix, scale: Fraction) -> ThetaFactor:
-    return ThetaFactor(a, b, KMatrix([[a.field.from_rational(scale)]]))
-
-
 def _plain_term(factors: Sequence[ThetaFactor],
                 scale: Fraction = Fraction(1),
                 q: Fraction = Fraction(0)) -> Term:
@@ -163,8 +167,27 @@ def bracket_to_characteristic(
     raise DomainError("bracket characteristics are defined for d in {1, 3}")
 
 
-def _vectors(reps: Sequence[KElement], g: int) -> list[tuple[KElement, ...]]:
-    return list(itertools.product(reps, repeat=g))
+def _bracket_check(
+    name: str,
+    field: FieldId,
+    g: int,
+    lhs_rows: Sequence[Sequence[tuple[int, int]]],
+    rhs_rows: Sequence[Sequence[Sequence[tuple[int, int]]]],
+    scale: int,
+) -> IdentityCheck:
+    """A bracket display: on the left the product over lhs_rows of the
+    thetas at W, on the right, for each term of rhs_rows, the product of
+    the thetas at scale*W; each factor's characteristic is the column of
+    its g bracket labels (bracket_to_characteristic), with b = 0."""
+    zero = _zero_col(field, g)
+    factor = cache(lambda rows, s: ThetaFactor(
+        bracket_to_characteristic(field, rows), zero, KMatrix([[field.from_rational(s)]])))
+
+    def term(factor_rows: Sequence[Sequence[tuple[int, int]]], s: int) -> Term:
+        return _plain_term([factor(tuple(rows), s) for rows in factor_rows])
+
+    return IdentityCheck(name=name, g=g, lhs=(term(lhs_rows, 1),),
+                         rhs=tuple(term(t, scale) for t in rhs_rows))
 
 
 # -- printed parametrizations -------------------------------------------------
@@ -275,6 +298,32 @@ class Preset:
     warnings: tuple[str, ...] = ()
 
 
+def _family_preset(
+    name: str,
+    params: dict,
+    inst: RelationInstance,
+    printed: Sequence[KMatrix],
+    check: Optional[str],
+    expected: dict,
+    warnings: Sequence[str] = (),
+    extra: Sequence[IdentityCheck] = (),
+) -> Preset:
+    """A (T, P) family's preset: its relation, the statement check named
+    check over the printed classes (none when check is None), then the
+    extra checks."""
+    checks = () if check is None else (_printed_check(inst, printed, check),)
+    return Preset(
+        name=name,
+        params=params,
+        field=inst.spec.field,
+        g=inst.spec.g,
+        relation=inst,
+        identity_checks=checks + tuple(extra),
+        expected=expected,
+        warnings=tuple(warnings),
+    )
+
+
 def _default_alpha(field: FieldId, g: int, j: int) -> KMatrix:
     # deterministic small characteristics, distinct per slot and row
     return _col(
@@ -286,99 +335,58 @@ def _default_alpha(field: FieldId, g: int, j: int) -> KMatrix:
 # -- classical real-theta presets ---------------------------------------------
 
 
-def _jacobi_factor(a: Fraction, b: Fraction, scale: int = 1) -> ThetaFactor:
-    return ThetaFactor(*_z_factor((a,), (b,), scale))
+def _identity_preset(
+    name: str, params: dict, g: int, expected: dict, checks: Sequence[tuple]
+) -> Preset:
+    """Real-theta identities, each at symmetric Omega.  A check is (name,
+    lhs, rhs), a side a list of terms (scale, factors), and a factor
+    (a, b, s) is Theta[a; b](s Omega), a and b g-tuples of rationals; each
+    distinct factor is built once."""
+    factor = cache(lambda a, b, s: ThetaFactor(*_z_factor(a, b, s)))
 
+    def side(terms: Sequence[tuple]) -> tuple[Term, ...]:
+        return tuple(_plain_term([factor(*f) for f in factors], Fraction(scale))
+                     for scale, factors in terms)
 
-def _preset_jacobi_identity() -> Preset:
-    h_ = Fraction(1, 2)
-    z = Fraction(0)
-    t00 = _jacobi_factor(z, z)
-    t10 = _jacobi_factor(h_, z)
-    t01 = _jacobi_factor(z, h_)
-    check = IdentityCheck(
-        name="jacobi_identity",
-        g=1,
-        lhs=(_plain_term([t00] * 4),),
-        rhs=(_plain_term([t10] * 4), _plain_term([t01] * 4)),
-        needs_symmetric_W=True,
-    )
     return Preset(
-        name="jacobi_identity",
-        params={},
+        name=name,
+        params=params,
         field=None,
-        g=1,
+        g=g,
         relation=None,
-        identity_checks=(check,),
-        expected={"identity_count": 1},
-    )
-
-
-def _preset_half_formulas() -> Preset:
-    h_ = Fraction(1, 2)
-    z = Fraction(0)
-    t00 = _jacobi_factor(z, z)
-    t10 = _jacobi_factor(h_, z)
-    t00_2 = _jacobi_factor(z, z, 2)
-    t10_2 = _jacobi_factor(h_, z, 2)
-    sq = IdentityCheck(
-        name="half_formulas_sum_of_squares",
-        g=1,
-        lhs=(_plain_term([t00, t00]),),
-        rhs=(_plain_term([t00_2, t00_2]), _plain_term([t10_2, t10_2])),
-        needs_symmetric_W=True,
-    )
-    cross = IdentityCheck(
-        name="half_formulas_cross",
-        g=1,
-        lhs=(_plain_term([t10, t10]),),
-        rhs=(_plain_term([t00_2, t10_2], scale=Fraction(2)),),
-        needs_symmetric_W=True,
-    )
-    return Preset(
-        name="half_formulas",
-        params={},
-        field=None,
-        g=1,
-        relation=None,
-        identity_checks=(sq, cross),
-        expected={"identity_count": 2},
-    )
-
-
-def _preset_double_formulas() -> Preset:
-    h_ = Fraction(1, 2)
-    z = Fraction(0)
-    t00 = _jacobi_factor(z, z)
-    t01 = _jacobi_factor(z, h_)
-    t00_2 = _jacobi_factor(z, z, 2)
-    t01_2 = _jacobi_factor(z, h_, 2)
-    avg = IdentityCheck(
-        name="double_formulas_average",
-        g=1,
-        lhs=(_plain_term([t00_2, t00_2]),),
-        rhs=(
-            _plain_term([t00, t00], scale=Fraction(1, 2)),
-            _plain_term([t01, t01], scale=Fraction(1, 2)),
+        identity_checks=tuple(
+            IdentityCheck(check, g, side(lhs), side(rhs), needs_symmetric_W=True)
+            for check, lhs, rhs in checks
         ),
-        needs_symmetric_W=True,
+        expected=expected,
     )
-    geo = IdentityCheck(
-        name="double_formulas_geometric",
-        g=1,
-        lhs=(_plain_term([t01_2, t01_2]),),
-        rhs=(_plain_term([t00, t01]),),
-        needs_symmetric_W=True,
-    )
-    return Preset(
-        name="double_formulas",
-        params={},
-        field=None,
-        g=1,
-        relation=None,
-        identity_checks=(avg, geo),
-        expected={"identity_count": 2},
-    )
+
+
+# Theta[a; b](s Omega) at g = 1, as (a, b, s)
+_HALF = Fraction(1, 2)
+_T00, _T10, _T01 = ((0,), (0,), 1), ((_HALF,), (0,), 1), ((0,), (_HALF,), 1)
+_T00_2, _T10_2, _T01_2 = ((0,), (0,), 2), ((_HALF,), (0,), 2), ((0,), (_HALF,), 2)
+
+_GENUS_ONE = {
+    "jacobi_identity": (
+        ("jacobi_identity", [(1, [_T00] * 4)], [(1, [_T10] * 4), (1, [_T01] * 4)]),
+    ),
+    "half_formulas": (
+        ("half_formulas_sum_of_squares", [(1, [_T00, _T00])],
+         [(1, [_T00_2, _T00_2]), (1, [_T10_2, _T10_2])]),
+        ("half_formulas_cross", [(1, [_T10, _T10])], [(2, [_T00_2, _T10_2])]),
+    ),
+    "double_formulas": (
+        ("double_formulas_average", [(1, [_T00_2, _T00_2])],
+         [(_HALF, [_T00, _T00]), (_HALF, [_T01, _T01])]),
+        ("double_formulas_geometric", [(1, [_T01_2, _T01_2])], [(1, [_T00, _T01])]),
+    ),
+}
+
+
+def _preset_genus_one(name: str) -> Preset:
+    checks = _GENUS_ONE[name]
+    return _identity_preset(name, {}, 1, {"identity_count": len(checks)}, checks)
 
 
 def _preset_riemann_quad(
@@ -392,37 +400,18 @@ def _preset_riemann_quad(
         a2 = tuple(Fraction(k % 2, 2) for k in range(g))
     a1 = tuple(Fraction(x) for x in a1)
     a2 = tuple(Fraction(x) for x in a2)
-    zeros = tuple(Fraction(0) for _ in range(g))
-    lhs = _plain_term(
-        [ThetaFactor(*_z_factor(a1, zeros)), ThetaFactor(*_z_factor(a2, zeros))]
-    )
+    zeros = (0,) * g
     rhs = []
-    for dvec in itertools.product((Fraction(0), Fraction(1)), repeat=g):
+    for dvec in itertools.product((0, 1), repeat=g):
         c1 = tuple((d + x + y) / 2 for d, x, y in zip(dvec, a1, a2))
         c2 = tuple((d + x - y) / 2 for d, x, y in zip(dvec, a1, a2))
-        rhs.append(
-            _plain_term(
-                [
-                    ThetaFactor(*_z_factor(c1, zeros, 2)),
-                    ThetaFactor(*_z_factor(c2, zeros, 2)),
-                ]
-            )
-        )
-    check = IdentityCheck(
-        name=f"riemann_quad_g{g}",
-        g=g,
-        lhs=(lhs,),
-        rhs=tuple(rhs),
-        needs_symmetric_W=True,
-    )
-    return Preset(
-        name="riemann_quad",
-        params={"g": g, "a1": [str(x) for x in a1], "a2": [str(x) for x in a2]},
-        field=None,
-        g=g,
-        relation=None,
-        identity_checks=(check,),
-        expected={"rhs_terms": 2**g},
+        rhs.append((1, [(c1, zeros, 2), (c2, zeros, 2)]))
+    return _identity_preset(
+        "riemann_quad",
+        {"g": g, "a1": [str(x) for x in a1], "a2": [str(x) for x in a2]},
+        g,
+        {"rhs_terms": 2**g},
+        [(f"riemann_quad_g{g}", [(1, [(a1, zeros, 1), (a2, zeros, 1)])], rhs)],
     )
 
 
@@ -468,32 +457,19 @@ def _preset_prop_half(
     inst, matches, detail = _printed_relation(
         name, field, g, T, P, [alpha1, alpha2], printed
     )
-    warnings = []
-    checks = []
-    if matches:
-        checks.append(_printed_check(inst, printed, f"{name}_statement_d{d}"))
-    else:
-        warnings.append(
-            f"{name} d={d}: {detail}; statement-form check skipped, "
-            "verification uses the computed shift group"
-        )
-
     expected = {
-        "printed_parametrization_count": (4 * dn * dn) ** g,
+        "printed_parametrization_count": len(printed) ** g,
         "computed_G1_order": inst.G1.order,
         "expected_G2_trivial": True,
         "parametrization_matches": matches,
         "scaled_args": [str(2 * dn)] * 2,
     }
-    return Preset(
-        name=name,
-        params={"d": d, "g": g},
-        field=field,
-        g=g,
-        relation=inst,
-        identity_checks=tuple(checks),
-        expected=expected,
-        warnings=tuple(warnings),
+    skipped = (f"{name} d={d}: {detail}; statement-form check skipped, "
+               "verification uses the computed shift group")
+    return _family_preset(
+        name, {"d": d, "g": g}, inst, printed,
+        f"{name}_statement_d{d}" if matches else None, expected,
+        () if matches else (skipped,),
     )
 
 
@@ -566,34 +542,21 @@ def _preset_cartan(
     warnings = []
     if not q_ok:
         warnings.append(f"cartan_Ah h={h} d={d}: Q differs from the Cartan matrix")
-    checks = []
-    if matches:
-        checks.append(_printed_check(inst, printed, f"cartan_A{h}_statement_d{d}"))
-    else:
+    if not matches:
         warnings.append(
             f"cartan_Ah h={h} d={d}: {detail}; statement-form check skipped"
         )
-
-    expected_order = 1
-    for j in range(1, h + 1):
-        expected_order *= dn * (h + 1 - j) ** 2
     expected = {
-        "printed_parametrization_count": expected_order**g,
+        "printed_parametrization_count": len(printed) ** g,
         "computed_G1_order": inst.G1.order,
         "expected_G2_trivial": True,
         "parametrization_matches": matches,
         "Q_is_cartan_matrix": q_ok,
         "scaled_args": [str(x) for x in p_diag],
     }
-    return Preset(
-        name="cartan_Ah",
-        params={"h": h, "d": d, "g": g},
-        field=field,
-        g=g,
-        relation=inst,
-        identity_checks=tuple(checks),
-        expected=expected,
-        warnings=tuple(warnings),
+    return _family_preset(
+        "cartan_Ah", {"h": h, "d": d, "g": g}, inst, printed,
+        f"cartan_A{h}_statement_d{d}" if matches else None, expected, warnings,
     )
 
 
@@ -633,10 +596,8 @@ def _preset_cubic(g: int = 1, alphas: Optional[Sequence[KMatrix]] = None) -> Pre
     if len(alphas) != 3:
         raise DomainError("cubic_d3 needs three characteristic columns")
     inst, matches, detail, printed = _cubic_relation("cubic_d3", g, alphas)
-    warnings = [] if matches else [f"cubic_d3: {detail}"]
-    checks = [_printed_check(inst, printed, f"cubic_d3_statement_g{g}")]
     expected = {
-        "printed_parametrization_count": 27**g,
+        "printed_parametrization_count": len(printed) ** g,
         "computed_G1_order": inst.G1.order,
         "expected_G1_order": 27**g,
         "expected_G2_trivial": True,
@@ -644,52 +605,9 @@ def _preset_cubic(g: int = 1, alphas: Optional[Sequence[KMatrix]] = None) -> Pre
         "scaled_args": ["3", "3", "3"],
         "all_phases_zero_when_B0_zero": all(q == 0 for q, _ in inst.expansion),
     }
-    return Preset(
-        name="cubic_d3",
-        params={"g": g},
-        field=field,
-        g=g,
-        relation=inst,
-        identity_checks=tuple(checks),
-        expected=expected,
-        warnings=tuple(warnings),
-    )
-
-
-def _cubic_bracket_display(field: FieldId, g: int, which: int) -> IdentityCheck:
-    # corollary 1: (Theta{0,0})^3(W), corollary 2: the product of Theta{0,c}
-    # over c in (0, 1, -1); each a 27^g-term sum at 3W over bracket labels
-    shift = 0 if which == 1 else 1
-    zero_b = _zero_col(field, g)
-    lhs = _plain_term(
-        [
-            _field_factor(
-                bracket_to_characteristic(field, [(0, c * shift)] * g),
-                zero_b,
-                Fraction(1),
-            )
-            for c in (0, 1, -1)
-        ]
-    )
-    labels = list(itertools.product((0, 1, -1), repeat=3))  # rho1, rho2, sigma2
-    rhs = []
-    for combo in itertools.product(labels, repeat=g):
-        rows1 = [(c[0] - shift, c[1]) for c in combo]
-        rows2 = [(c[0] + shift, c[1] + c[2]) for c in combo]
-        rows3 = [(c[0], c[1] - c[2]) for c in combo]
-        rhs.append(
-            _plain_term(
-                [
-                    _field_factor(
-                        bracket_to_characteristic(field, rows), zero_b, Fraction(3)
-                    )
-                    for rows in (rows1, rows2, rows3)
-                ]
-            )
-        )
-    name = "cube" if which == 1 else "product"
-    return IdentityCheck(
-        name=f"cubic_bracket_{name}_g{g}", g=g, lhs=(lhs,), rhs=tuple(rhs)
+    return _family_preset(
+        "cubic_d3", {"g": g}, inst, printed, f"cubic_d3_statement_g{g}", expected,
+        () if matches else (f"cubic_d3: {detail}",),
     )
 
 
@@ -710,9 +628,19 @@ def _preset_cubic_cor(
         alphas = [v, v + shift, v - shift]
         name = "cubic_d3_cor2"
     inst, _, _, printed = _cubic_relation(name, g, alphas)
-    checks = [_printed_check(inst, printed, f"{name}_printed_g{g}")]
+    display = ()
     if v.is_zero() and g <= 2:
-        checks.append(_cubic_bracket_display(field, g, which))
+        # corollary 1: (Theta{0,0})^3(W), corollary 2: the product of
+        # Theta{0,c} over c in (0, 1, -1); each a 27^g-term sum at 3W over
+        # the bracket labels (rho1, rho2, sigma2) of each row
+        step = 0 if which == 1 else 1
+        rhs = [list(zip(*[((r1 - step, r2), (r1 + step, r2 + s2), (r1, r2 - s2))
+                          for r1, r2, s2 in combo]))
+               for combo in itertools.product(itertools.product((0, 1, -1), repeat=3),
+                                              repeat=g)]
+        display = (_bracket_check(
+            f"cubic_bracket_{'cube' if which == 1 else 'product'}_g{g}", field, g,
+            [[(0, c * step)] * g for c in (0, 1, -1)], rhs, 3),)
     expected = {
         "computed_G1_order": inst.G1.order,
         "expected_G1_order": 27**g,
@@ -721,14 +649,8 @@ def _preset_cubic_cor(
         "specialization": "equal characteristics" if which == 1 else
                           "characteristics split by 1/sqrt(-3)",
     }
-    return Preset(
-        name=name,
-        params={"g": g},
-        field=field,
-        g=g,
-        relation=inst,
-        identity_checks=tuple(checks),
-        expected=expected,
+    return _family_preset(
+        name, {"g": g}, inst, printed, f"{name}_printed_g{g}", expected, extra=display
     )
 
 
@@ -766,81 +688,42 @@ def _preset_quartic(g: int = 1, alphas: Optional[Sequence[KMatrix]] = None) -> P
     inst, matches, detail = _printed_relation(
         "quartic_d1", field, g, T, KMatrix.identity(4, field).scale(4), alphas, printed
     )
-    warnings = [] if matches else [f"quartic_d1: {detail}"]
-    checks = [_printed_check(inst, printed, f"quartic_d1_statement_g{g}")]
     expected = {
-        "printed_parametrization_count": 256**g,
+        "printed_parametrization_count": len(printed) ** g,
         "computed_G1_order": inst.G1.order,
         "expected_G1_order": 256**g,
         "expected_G2_trivial": True,
         "parametrization_matches": matches,
         "scaled_args": ["4", "4", "4", "4"],
     }
-    return Preset(
-        name="quartic_d1",
-        params={"g": g},
-        field=field,
-        g=g,
-        relation=inst,
-        identity_checks=tuple(checks),
-        expected=expected,
-        warnings=tuple(warnings),
+    return _family_preset(
+        "quartic_d1", {"g": g}, inst, printed, f"quartic_d1_statement_g{g}", expected,
+        () if matches else (f"quartic_d1: {detail}",),
     )
 
 
 def _preset_quartic_zero(g: int = 1) -> Preset:
+    # quartic_d1 at zero characteristics, with the bracket display added
     field = FieldId(1)
-    zero_col = _zero_col(field, g)
-    preset = _preset_quartic(g, [zero_col] * 4)
-    zero_b = zero_col
-    z_char = bracket_to_characteristic(field, [(0, 0)] * g)
-    lhs = _plain_term([_field_factor(z_char, zero_b, Fraction(1))] * 4)
+    preset = _preset_quartic(g, [_zero_col(field, g)] * 4)
+    # (Theta{0,0})^4(W) as a 256^g-term sum at 4W over the bracket labels
+    # rho in O_K/4O_K and sigma, sigma' in 2O_K/4O_K of each row
     rho_labels = list(itertools.product((0, 1, -1, 2), repeat=2))
     sig_labels = list(itertools.product((0, 2), repeat=2))
-    rhs = []
-    for rho in itertools.product(rho_labels, repeat=g):
-        for sig in itertools.product(sig_labels, repeat=g):
-            for sigp in itertools.product(sig_labels, repeat=g):
-                rows1 = [(rho[k][0], rho[k][1]) for k in range(g)]
-                rows2 = [
-                    (rho[k][1] + sig[k][0], -rho[k][0] + sig[k][1])
-                    for k in range(g)
-                ]
-                rows3 = [
-                    (rho[k][1] + sigp[k][0], -rho[k][0] + sigp[k][1])
-                    for k in range(g)
-                ]
-                rows4 = [
-                    (
-                        -rho[k][0] + sig[k][1] - sigp[k][1],
-                        -rho[k][1] - sig[k][0] + sigp[k][0],
-                    )
-                    for k in range(g)
-                ]
-                rhs.append(
-                    _plain_term(
-                        [
-                            _field_factor(
-                                bracket_to_characteristic(field, rows),
-                                zero_b,
-                                Fraction(4),
-                            )
-                            for rows in (rows1, rows2, rows3, rows4)
-                        ]
-                    )
-                )
-    display = IdentityCheck(
-        name=f"quartic_bracket_fourth_g{g}", g=g, lhs=(lhs,), rhs=tuple(rhs)
-    )
-    return Preset(
-        name="quartic_d1_zero",
-        params={"g": g},
-        field=field,
-        g=g,
-        relation=preset.relation,
-        identity_checks=preset.identity_checks + (display,),
-        expected=dict(preset.expected, specialization="all characteristics zero"),
-        warnings=preset.warnings,
+    rhs = [
+        list(zip(*[((r1, r2), (r2 + s1, -r1 + s2), (r2 + t1, -r1 + t2),
+                    (-r1 + s2 - t2, -r2 - s1 + t1))
+                   for (r1, r2), (s1, s2), (t1, t2) in zip(rho, sig, sigp)]))
+        for rho in itertools.product(rho_labels, repeat=g)
+        for sig in itertools.product(sig_labels, repeat=g)
+        for sigp in itertools.product(sig_labels, repeat=g)
+    ]
+    display = _bracket_check(f"quartic_bracket_fourth_g{g}", field, g,
+                             [[(0, 0)] * g] * 4, rhs, 4)
+    return _family_preset(
+        "quartic_d1_zero", {"g": g}, preset.relation, (), None,
+        dict(preset.expected, specialization="all characteristics zero"),
+        preset.warnings, preset.identity_checks + (display,),
     )
 
 
@@ -883,9 +766,7 @@ def _preset_matsumoto(
 
     # printed G1 = G2: diagonal pairs (e, e) over e in {0, (1-i)/2} per row
     e_reps = [field.zero(), (one - i_) * half]
-    printed = []
-    for ev in _vectors(e_reps, 1):
-        printed.append(KMatrix([[ev[0], ev[0]]]))
+    printed = [KMatrix([[e, e]]) for e in e_reps]
     g1_row = inst.G1 if g == 1 else shift_group(1, T)
     m1, d1 = _compare_classes(g1_row, printed)
     g2_row = inst.G2 if g == 1 else character_group(1, T)
@@ -918,8 +799,8 @@ def _preset_matsumoto(
     lhs = _plain_term(factors, scale=Fraction(2**g), q=q)
     b_sum = b1 + b2
     rhs = []
-    for ev in _vectors(e_reps, g):
-        for fv in _vectors(e_reps, g):
+    for ev in itertools.product(e_reps, repeat=g):
+        for fv in itertools.product(e_reps, repeat=g):
             q = Fraction(0)
             for k in range(g):
                 q -= (one_plus_i * ev[k].conj() * b_sum[(k, 0)]).re()
@@ -945,15 +826,8 @@ def _preset_matsumoto(
             "exp(2*pi*i*Re((1+i)^t conj(e)(b1+b2))), rep-independent; "
             "the printed conj(f) variant only agrees when the b phase is trivial",
     }
-    return Preset(
-        name="matsumoto",
-        params={"g": g},
-        field=field,
-        g=g,
-        relation=inst,
-        identity_checks=(check,),
-        expected=expected,
-        warnings=tuple(warnings),
+    return _family_preset(
+        "matsumoto", {"g": g}, inst, printed, None, expected, warnings, (check,)
     )
 
 
@@ -973,9 +847,7 @@ def _field_locked(
 
 _BUILDERS: dict[str, Callable[..., Preset]] = {
     "riemann_quad": _preset_riemann_quad,
-    "jacobi_identity": _preset_jacobi_identity,
-    "half_formulas": _preset_half_formulas,
-    "double_formulas": _preset_double_formulas,
+    **{name: partial(_preset_genus_one, name) for name in _GENUS_ONE},
     "prop_half_general": partial(_preset_prop_half, 1),
     "prop_half_general_2": partial(_preset_prop_half, 2),
     "cartan_Ah": _preset_cartan,
@@ -996,6 +868,8 @@ def make_preset(name: str, **params) -> Preset:
         raise ValueError(
             f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
         ) from None
+    if params.get("g", 1) < 1:
+        raise ValueError(f"preset {name} needs g >= 1, got g = {params['g']}")
     return build(**params)
 
 
@@ -1103,58 +977,35 @@ def _run_one_preset(
 ) -> tuple[list, list, list]:
     name, kwargs = entry
     preset = make_preset(name, **dict(kwargs))
+    head = {
+        "preset": preset.name,
+        "params": {k: v for k, v in preset.params.items() if isinstance(v, (int, str))},
+        "g": preset.g,
+        "d": preset.field.d if preset.field is not None else None,
+    }
+    order_g1 = preset.relation.G1.order if preset.relation is not None else None
+    # (check id, samples, evaluation at (W, params)) in report order
+    runs = [] if preset.relation is None else [
+        ("relation", default_W_samples(preset.g), partial(evaluate_relation, preset.relation))
+    ]
+    runs += [
+        (check.name,
+         (default_omega_samples if check.needs_symmetric_W else default_W_samples)(check.g),
+         check.evaluate)
+        for check in preset.identity_checks
+    ]
     rows = []
     secs = []
-    warnings = [w for w in preset.warnings]
-    d_val = preset.field.d if preset.field is not None else None
-
-    def add_row(check_id: str, w_idx: int, order_g1, rep) -> None:
-        rows.append(
-            {
-                "id": check_id,
-                "preset": preset.name,
-                "params": {k: v for k, v in preset.params.items()
-                           if isinstance(v, (int, str))},
-                "g": preset.g,
-                "d": d_val,
-                "W_index": w_idx,
-                "order_G1": order_g1,
-                "residual_abs": rep.residual_abs,
-                "residual_rel": rep.residual_rel,
-                "term_count": rep.term_count,
-                "theta_evals": rep.theta_evals,
-                "cache_hits": rep.cache_hits,
-                "tolerance": rep.tolerance,
-                "passed": rep.passed,
-            }
-        )
-
-    if preset.relation is not None:
-        for w_idx, W in enumerate(default_W_samples(preset.g)):
-            t0 = time.perf_counter()
-            rep = evaluate_relation(preset.relation, W, params)
-            secs.append(time.perf_counter() - t0)
-            add_row(
-                _entry_id(preset, "relation", w_idx),
-                w_idx,
-                preset.relation.G1.order,
-                rep,
-            )
-    for check in preset.identity_checks:
-        samples = (
-            default_omega_samples(check.g)
-            if check.needs_symmetric_W
-            else default_W_samples(check.g)
-        )
+    for check_id, samples, evaluate in runs:
         for w_idx, W in enumerate(samples):
             t0 = time.perf_counter()
-            rep = check.evaluate(W, params)
+            rep = evaluate(W, params)
             secs.append(time.perf_counter() - t0)
-            order_g1 = (
-                preset.relation.G1.order if preset.relation is not None else None
-            )
-            add_row(_entry_id(preset, check.name, w_idx), w_idx, order_g1, rep)
-    return rows, secs, warnings
+            fields = asdict(rep)
+            del fields["lhs"], fields["rhs"]
+            rows.append({"id": _entry_id(preset, check_id, w_idx), **head,
+                         "W_index": w_idx, "order_G1": order_g1, **fields})
+    return rows, secs, list(preset.warnings)
 
 
 def _entry_id(preset: Preset, check: str, w_idx: int) -> str:

@@ -494,7 +494,10 @@ def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstan
     coordinates, each over one denominator, and cut into parts: single
     columns for an exactly diagonal P with h > 1 (see thetas._lower), else
     the whole matrix.  A leaf is keyed by the indices of its P and its
-    parts."""
+    parts.
+
+    max_order caps each group and the term count |G1| |G2|, which is
+    checked before the expansion is built: GroupCapError over the cap."""
     spec.validate()
     try:
         lhs_A = spec.A0 @ spec.T.conj_transpose().inverse()
@@ -503,6 +506,10 @@ def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstan
     Q = spec.T.conj_transpose() @ spec.P @ spec.T
     g1 = shift_group(spec.g, spec.T, max_order=max_order)
     g2 = character_group(spec.g, spec.T, max_order=max_order)
+    if g1.order * g2.order > max_order:
+        raise GroupCapError(
+            f"the relation has {g1.order * g2.order} terms, over the cap {max_order}"
+        )
     lhs_B = spec.B0 @ spec.T
     g, h = spec.g, spec.h
     b_duals, b_den = _dual_coords(g2)

@@ -1,5 +1,7 @@
 """Command line behavior: exit codes, JSON payload shapes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from iqtheta import FieldId, KMatrix, RelationSpec
+from iqtheta import DEFAULT_SUITE_PLAN, PRESET_NAMES, FieldId, KMatrix, RelationSpec
 from iqtheta import cli, relations
 from iqtheta.cli import main
 
@@ -264,6 +266,50 @@ def test_groups_output_is_unchanged(capsys, name):
     assert out == json.dumps(_GROUPS["stdout"][name], indent=2) + "\n"
 
 
+def _preset_cases() -> dict:
+    """The flags of every preset with its defaults, every suite entry, and
+    g = 2 variants of six presets, keyed by the flags after the name."""
+    entries = [(name, {}) for name in PRESET_NAMES] + list(DEFAULT_SUITE_PLAN) + [
+        (name, dict(kw, g=2)) for name, kw in (
+            ("cubic_d3", {}), ("cartan_Ah", {"h": 2}), ("prop_half_general_2", {"d": 1}),
+            ("cubic_d3_cor1", {}), ("matsumoto", {}), ("riemann_quad", {}))]
+    cases = {}
+    for name, kw in entries:
+        argv = ["--preset", name, *(x for k, v in kw.items() for x in (f"--{k}", str(v)))]
+        cases.setdefault(" ".join(argv[1:]), argv)
+    return cases
+
+
+def _preset_outputs(argv: list) -> dict:
+    """`build` exit code and stdout (as JSON), and `verify`'s exit code,
+    warnings and reports without their values and residuals."""
+    out = {}
+    for cmd in ("build", "verify"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            code = main([cmd, *argv])
+        out[cmd] = {"code": code, "stdout": json.loads(buf.getvalue() or "null")}
+    verify = out["verify"]["stdout"]
+    for rep in verify["reports"]:
+        residual = rep.pop("residual_rel")
+        assert residual <= rep["tolerance"]
+        for key in ("lhs", "rhs", "residual_abs"):
+            del rep[key]
+    return out
+
+
+_PRESETS = json.loads((Path(__file__).parent / "data" / "presets_golden.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(_preset_cases()))
+def test_preset_output_is_unchanged(key):
+    # build's stdout byte for byte, and verify's reports with their counts,
+    # tolerances and verdicts, with each residual within its tolerance
+    assert sorted(_PRESETS) == sorted(_preset_cases())
+    got = _preset_outputs(_preset_cases()[key])
+    assert got == _PRESETS[key]
+
+
 def test_main_builds_its_parser_once(capsys):
     # in-process calls of main share one parser, built on the first call,
     # and print and exit as separate processes do
@@ -471,6 +517,27 @@ def test_decompose_refuses_an_expansion_over_the_cap(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["monomial_count"] == 7**4
     assert built
+
+
+def test_build_refuses_a_relation_over_the_term_cap(capsys):
+    # T = 37/31: groups of 961 and 1,369 elements, each under the cap, but
+    # 1,315,609 terms, which took seconds and hundreds of MB to expand
+    start = time.perf_counter()
+    assert main(["build", "--spec", _spec_json(Fraction(37, 31))]) == 4
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("group cap: ") and "1315609" in lines[0]
+
+
+@pytest.mark.parametrize("cmd,name", [("build", "cubic_d3"), ("verify", "riemann_quad"),
+                                      ("groups", "cartan_Ah")])
+def test_preset_rejects_g_below_one(capsys, cmd, name):
+    assert main([cmd, "--preset", name, "--g", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: preset {name} needs g >= 1, got g = 0\n"
 
 
 def test_residual_exit_writes_one_stderr_line(capsys):

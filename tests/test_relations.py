@@ -15,6 +15,7 @@ from iqtheta import (
     DEFAULT_SUITE_PLAN,
     DomainError,
     FieldId,
+    GroupCapError,
     KMatrix,
     RelationSpec,
     ThetaParams,
@@ -26,7 +27,7 @@ from iqtheta import (
     theta_general,
 )
 from iqtheta.kfield import hat, re_trace_of_product
-from iqtheta.lattices import coords_to_kmatrix
+from iqtheta.lattices import character_group, coords_to_kmatrix, shift_group
 from iqtheta.relations import (
     RelationTerm,
     Term,
@@ -196,6 +197,19 @@ def test_build_and_evaluate_make_no_terms():
         assert len(inst.expansion) == len(inst.rhs_terms) == len(inst.terms)
         assert [Fraction(q, inst.q_den) for q, _ in inst.expansion] == [
             t.phase_q for t in inst.terms]
+
+
+def test_build_caps_the_term_count():
+    # T = 13/11: the groups have 121 and 169 elements, each under a cap of
+    # 1000, but the right side has 121 * 169 = 20,449 terms
+    field = FieldId(1)
+    T = KMatrix([[field.element(Fraction(13, 11))]])
+    spec = RelationSpec(field, 1, T, KMatrix.identity(1, field),
+                        KMatrix.zeros(1, 1, field), KMatrix.zeros(1, 1, field))
+    assert sorted((shift_group(1, T, 1000).order, character_group(1, T, 1000).order)) == [121, 169]
+    with pytest.raises(GroupCapError, match="the relation has 20449 terms, over the cap 1000"):
+        build_relation(spec, max_order=1000)
+    assert len(build_relation(spec, max_order=20449).expansion) == 20449
 
 
 _RELATIONS = json.loads(
