@@ -206,11 +206,9 @@ def _preset_kwargs(args: argparse.Namespace) -> dict:
 
 def _resolve_preset(args: argparse.Namespace) -> Preset:
     try:
-        return make_preset(args.preset, **_preset_kwargs(args))
-    except ValueError as exc:
+        return make_preset(args.preset, args.max_order, **_preset_kwargs(args))
+    except (ValueError, TypeError) as exc:  # both messages name the preset
         raise CliParseError(str(exc)) from exc
-    except TypeError as exc:
-        raise CliParseError(f"preset {args.preset}: {exc}") from exc
 
 
 def _load_spec(path: str) -> RelationSpec:

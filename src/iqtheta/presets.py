@@ -29,6 +29,7 @@ Every preset is assembled by one of two builders:
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import itertools
 import json
@@ -233,13 +234,14 @@ def _printed_relation(
     P: KMatrix,
     alphas: Sequence[KMatrix],
     printed: Sequence[KMatrix],
+    max_order: int,
 ) -> tuple[RelationInstance, bool, str]:
     """The relation with A0 = (alphas) conj(T)^t and B0 = 0, so that its
     left side is Theta^Q[(alphas); 0], and whether the printed one-row
     classes enumerate the one-row shift group (G1 = G(1)^g)."""
     A0 = _row_matrix(list(alphas)) @ T.conj_transpose()
     B0 = KMatrix.zeros(g, T.rows, field)
-    inst = build_relation(RelationSpec(field, g, T, P, A0, B0, name=name))
+    inst = build_relation(RelationSpec(field, g, T, P, A0, B0, name=name), max_order)
     matches, detail = _compare_classes(
         inst.G1 if g == 1 else shift_group(1, T), printed
     )
@@ -440,6 +442,7 @@ def _preset_prop_half(
     g: int = 1,
     alpha1: Optional[KMatrix] = None,
     alpha2: Optional[KMatrix] = None,
+    max_order: int = 10**6,
 ) -> Preset:
     field = FieldId(d)
     if alpha1 is None:
@@ -455,7 +458,7 @@ def _preset_prop_half(
     name = "prop_half_general" if variant == 1 else "prop_half_general_2"
     printed = _prop_printed_shifts(field)
     inst, matches, detail = _printed_relation(
-        name, field, g, T, P, [alpha1, alpha2], printed
+        name, field, g, T, P, [alpha1, alpha2], printed, max_order
     )
     expected = {
         "printed_parametrization_count": len(printed) ** g,
@@ -492,7 +495,8 @@ def _cartan_matrix(field: FieldId, h: int) -> KMatrix:
 
 
 def _preset_cartan(
-    h: int = 2, d: int = 1, g: int = 1, alphas: Optional[Sequence[KMatrix]] = None
+    h: int = 2, d: int = 1, g: int = 1, alphas: Optional[Sequence[KMatrix]] = None,
+    max_order: int = 10**6,
 ) -> Preset:
     if h < 2:
         raise DomainError("cartan_Ah needs h >= 2")
@@ -534,7 +538,7 @@ def _preset_cartan(
         ]
         printed.append(KMatrix([[c - p for c, p in zip(cur, [zero] + cur)]]))
     inst, matches, detail = _printed_relation(
-        f"cartan_A{h}", field, g, T, P, alphas, printed
+        f"cartan_A{h}", field, g, T, P, alphas, printed, max_order
     )
 
     # Q must be the Cartan matrix exactly
@@ -564,7 +568,7 @@ def _preset_cartan(
 
 
 def _cubic_relation(
-    name: str, g: int, alphas: Sequence[KMatrix]
+    name: str, g: int, alphas: Sequence[KMatrix], max_order: int
 ) -> tuple[RelationInstance, bool, str, list[KMatrix]]:
     """T = (1/3)[[1, 1, 1], [1, w, w^2], [1, w^2, w]] with w a primitive cube
     root of unity, P = 3I, and the printed classes
@@ -584,18 +588,20 @@ def _cubic_relation(
         for s in s_reps
     ]
     inst, matches, detail = _printed_relation(
-        name, field, g, T, KMatrix.identity(3, field).scale(3), alphas, printed
+        name, field, g, T, KMatrix.identity(3, field).scale(3), alphas, printed, max_order
     )
     return inst, matches, detail, printed
 
 
-def _preset_cubic(g: int = 1, alphas: Optional[Sequence[KMatrix]] = None) -> Preset:
+def _preset_cubic(
+    g: int = 1, alphas: Optional[Sequence[KMatrix]] = None, max_order: int = 10**6
+) -> Preset:
     field = FieldId(3)
     if alphas is None:
         alphas = [_default_alpha(field, g, j + 1) for j in range(3)]
     if len(alphas) != 3:
         raise DomainError("cubic_d3 needs three characteristic columns")
-    inst, matches, detail, printed = _cubic_relation("cubic_d3", g, alphas)
+    inst, matches, detail, printed = _cubic_relation("cubic_d3", g, alphas, max_order)
     expected = {
         "printed_parametrization_count": len(printed) ** g,
         "computed_G1_order": inst.G1.order,
@@ -612,7 +618,7 @@ def _preset_cubic(g: int = 1, alphas: Optional[Sequence[KMatrix]] = None) -> Pre
 
 
 def _preset_cubic_cor(
-    which: int, g: int = 1, v: Optional[KMatrix] = None
+    which: int, g: int = 1, v: Optional[KMatrix] = None, max_order: int = 10**6
 ) -> Preset:
     field = FieldId(3)
     if v is None:
@@ -627,7 +633,7 @@ def _preset_cubic_cor(
     else:
         alphas = [v, v + shift, v - shift]
         name = "cubic_d3_cor2"
-    inst, _, _, printed = _cubic_relation(name, g, alphas)
+    inst, _, _, printed = _cubic_relation(name, g, alphas, max_order)
     display = ()
     if v.is_zero() and g <= 2:
         # corollary 1: (Theta{0,0})^3(W), corollary 2: the product of
@@ -657,7 +663,9 @@ def _preset_cubic_cor(
 # -- quartic family (d = 1) ------------------------------------------------------
 
 
-def _preset_quartic(g: int = 1, alphas: Optional[Sequence[KMatrix]] = None) -> Preset:
+def _preset_quartic(
+    g: int = 1, alphas: Optional[Sequence[KMatrix]] = None, max_order: int = 10**6
+) -> Preset:
     field = FieldId(1)
     if alphas is None:
         alphas = [_default_alpha(field, g, j + 1) for j in range(4)]
@@ -686,7 +694,8 @@ def _preset_quartic(g: int = 1, alphas: Optional[Sequence[KMatrix]] = None) -> P
         for s2 in s_reps
     ]
     inst, matches, detail = _printed_relation(
-        "quartic_d1", field, g, T, KMatrix.identity(4, field).scale(4), alphas, printed
+        "quartic_d1", field, g, T, KMatrix.identity(4, field).scale(4), alphas, printed,
+        max_order,
     )
     expected = {
         "printed_parametrization_count": len(printed) ** g,
@@ -702,10 +711,10 @@ def _preset_quartic(g: int = 1, alphas: Optional[Sequence[KMatrix]] = None) -> P
     )
 
 
-def _preset_quartic_zero(g: int = 1) -> Preset:
+def _preset_quartic_zero(g: int = 1, max_order: int = 10**6) -> Preset:
     # quartic_d1 at zero characteristics, with the bracket display added
     field = FieldId(1)
-    preset = _preset_quartic(g, [_zero_col(field, g)] * 4)
+    preset = _preset_quartic(g, [_zero_col(field, g)] * 4, max_order)
     # (Theta{0,0})^4(W) as a 256^g-term sum at 4W over the bracket labels
     # rho in O_K/4O_K and sigma, sigma' in 2O_K/4O_K of each row
     rho_labels = list(itertools.product((0, 1, -1, 2), repeat=2))
@@ -736,6 +745,7 @@ def _preset_matsumoto(
     a2: Optional[KMatrix] = None,
     b1: Optional[KMatrix] = None,
     b2: Optional[KMatrix] = None,
+    max_order: int = 10**6,
 ) -> Preset:
     field = FieldId(1)
     if a1 is None:
@@ -762,7 +772,7 @@ def _preset_matsumoto(
     A0 = _row_matrix([a1s, a2s])
     B0 = _row_matrix([b1s, b2s])
     spec = RelationSpec(field, g, T, P, A0, B0, name="matsumoto")
-    inst = build_relation(spec)
+    inst = build_relation(spec, max_order)
 
     # printed G1 = G2: diagonal pairs (e, e) over e in {0, (1-i)/2} per row
     e_reps = [field.zero(), (one - i_) * half]
@@ -842,6 +852,10 @@ def _field_locked(
             raise DomainError(f"{name} requires d = {d_req}")
         return build(**params)
 
+    # make takes d and the parameters of build (see make_preset)
+    sig = inspect.signature(build)
+    d_param = inspect.Parameter("d", inspect.Parameter.POSITIONAL_OR_KEYWORD, default=d_req)
+    make.__signature__ = sig.replace(parameters=[d_param, *sig.parameters.values()])
     return make
 
 
@@ -860,16 +874,27 @@ _BUILDERS: dict[str, Callable[..., Preset]] = {
 }
 
 
-def make_preset(name: str, **params) -> Preset:
-    """Construct a preset by name.  Unknown keys raise TypeError."""
+def make_preset(name: str, max_order: int = 10**6, **params) -> Preset:
+    """Construct a preset by name.  max_order caps the groups and the term
+    count of its relation, if it has one (see build_relation).  A parameter
+    that the preset does not take raises TypeError, naming the ones it
+    takes."""
     try:
         build = _BUILDERS[name]
     except KeyError:
         raise ValueError(
             f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
         ) from None
+    accepted = inspect.signature(build).parameters
+    takes = [p for p in accepted if p != "max_order"]
+    unknown = [k for k in params if k not in takes]
+    if unknown:
+        raise TypeError(f"preset {name}: takes {', '.join(takes) or 'no parameters'}; "
+                        f"got unexpected keyword {', '.join(unknown)}")
     if params.get("g", 1) < 1:
         raise ValueError(f"preset {name} needs g >= 1, got g = {params['g']}")
+    if "max_order" in accepted:
+        params["max_order"] = max_order
     return build(**params)
 
 

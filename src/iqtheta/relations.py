@@ -27,32 +27,39 @@ theta (a, b, P) over O_K or Z: scaling W by s is scaling P by s, and the
 phase of a check-variant theta is part of its Term's coefficient, so every
 factor reads W itself.  Lowering (`_lower_terms`) runs once per sum and
 ThetaParams, and gives one plan format for every side: a table of distinct
-leaves, each keyed by integers (thetas._LeafKey), and per side rows
-(coefficient, table indices).  A relation's right side and a decomposition
-are compiled as they are emitted (_Compiled): their leaves are integer
-coordinates, which go straight into the leaf table, and their expansion,
-read through the table indices of its leaves, is the rows.  Other Term sums (a relation's left side, the presets' identity
-checks) lower each distinct factor once (see thetas._lower) into the same
-table.  A factor of several leaves (an exactly diagonal P, split into
-columns) is a product entry of the table.  The plan is cached on the object
-that owns the sum (RelationInstance, IdentityCheck, PDecomposition), one per
-ThetaParams.  Evaluation (`_sum_terms`) takes one W: it checks W once,
-evaluates each leaf once into a list of values that belongs to that one
-evaluation, one batch per group of leaves that share a P (see
-thetas._evaluate_ahead), then each product, and multiplies each row's
-entries by index in the order the terms and factors are written.  The
-evaluation and hit counts are the number of values and the leaf reads of
-the rows beyond them.  theta_general is the same pipeline for one factor.
+leaves, each keyed by integers and held by family (thetas._Family: the
+leaves that share P and A0 and differ in B0, one record each), and per
+side rows (coefficient, table indices).  A relation's right side and a
+decomposition are compiled as they are emitted (_Compiled): their leaves
+are integer coordinates, interned by family and then by B0, and each
+family goes straight into the table; their expansion, read through the
+table indices of its leaves, is the rows.  Other Term sums (a relation's
+left side, the presets' identity checks) lower each distinct factor once
+(see thetas._lower) into the same table.  A factor of several leaves (an
+exactly diagonal P, split into columns) is a product entry of the table.
+The plan is cached on the object that owns the sum (RelationInstance,
+IdentityCheck, PDecomposition), one per ThetaParams, and so are its
+families' W-independent phases.  Evaluation (`_sum_terms`) takes one W: it
+checks W once, evaluates each leaf once into a list of values that
+belongs to that one evaluation, one batch per group of families that share
+a P (see thetas._evaluate_ahead), then each product, and multiplies each
+row's entries by index in the order the terms and factors are written.
+The evaluation and hit counts are the number of values and the leaf reads
+of the rows beyond them.  theta_general is the same pipeline for one
+factor.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import operator
+from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DomainError, GroupCapError, SingularMatrixError
 from .kfield import (
@@ -81,12 +88,9 @@ from .thetas import (
     _block,
     _center,
     _evaluate_ahead,
-    _group_leaves,
+    _Family,
     _int_key,
-    _Leaf,
-    _leaf,
     _leaf_alone,
-    _LeafKey,
     _lower,
     _p_parts,
     _phase,
@@ -149,31 +153,39 @@ class _Plan:
     """Term sums lowered for one ThetaParams (see _lower_terms), read by
     index from one table of values per evaluation.
 
-    The table holds each leaf's value, in the order of leaves, then each
-    product's: the product of its leaves (thetas._product), as a factor
-    of several leaves is.  A row (coefficient, table indices) is its
-    coefficient times those entries, left to right."""
+    The table holds each family's leaves, family by family (family f's
+    leaf j is entry starts[f] + j), then each product's value: the product
+    of its leaves (thetas._product), as a factor of several leaves is.  A
+    row (coefficient, table indices) is its coefficient times those
+    entries, left to right."""
 
-    leaves: tuple[_Leaf, ...]  # each distinct leaf once, in first-read order
-    groups: tuple[tuple[int, ...], ...]  # leaf indices, for thetas._evaluate_ahead
-    products: tuple[tuple[int, ...], ...]  # leaf indices; table entry len(leaves) + k
+    families: tuple[_Family, ...]  # each distinct (group, A0) once, in first-read order
+    starts: tuple[int, ...]  # per family its first table entry, then the leaf count
+    groups: tuple[tuple[int, ...], ...]  # family indices, for thetas._evaluate_ahead
+    products: tuple[tuple[int, ...], ...]  # leaf entries; table entry starts[-1] + k
     sides: tuple[tuple[tuple[complex, tuple[int, ...]], ...], ...]
     reads: int  # the leaf reads of the rows, a product's leaves each one
 
     def factor(self, i: int) -> tuple[int, ...]:
         """The leaves whose product table entry i is."""
-        n = len(self.leaves)
+        n = self.starts[-1]
         return (i,) if i < n else self.products[i - n]
+
+    def leaf(self, i: int) -> _Family:
+        """The leaf of table entry i, as a family of one."""
+        f = bisect.bisect_right(self.starts, i) - 1
+        return self.families[f].leaf(i - self.starts[f])
 
 
 class _Compiled:
     """A sum compiled to integer leaves as it was emitted (RelationInstance,
-    PDecomposition).  leaves holds each distinct leaf once, in first-read
-    order, as (index into ps, A0, B0), A0 and B0 as they are keyed
-    (thetas._LeafKey), and ps each part of P with its key, as
-    thetas._p_parts gives them; a term (q, leaf indices) of expansion stands for
-    coeff_scale * exp(-2*pi*i*q / q_den) times its factors, each the
-    product of factor_leaves of its leaves at eps / factor_leaves."""
+    PDecomposition).  families holds each distinct (P, A0) once, in
+    first-read order, as (index into ps, A0, its B0 keys, their leaf
+    indices), A0 and each B0 as they are keyed (thetas._Family), and ps
+    each part of P with its key, as thetas._p_parts gives them; a term
+    (q, leaf indices) of expansion stands for coeff_scale *
+    exp(-2*pi*i*q / q_den) times its factors, each the product of
+    factor_leaves of its leaves at eps / factor_leaves."""
 
     coeff_scale = Fraction(1)
     factor_leaves = 1
@@ -184,70 +196,88 @@ def _lower_terms(
 ) -> _Plan:
     """Lower sums together into one plan, so they share leaves.
 
-    Equal leaf keys are interned to one index.  A compiled side passes its
-    integer leaves straight to thetas._leaf and reads its expansion's leaf
-    indices through the interned ones; any other side lowers each distinct factor once (thetas._lower).
-    Every leaf is interned before any row is built, so that each distinct
+    Leaves are interned by family, (group, A0), and then by B0 within it.
+    A compiled side passes each of its families straight to one
+    thetas._Family and reads its expansion's leaf indices through the
+    interned ones; any other side lowers each distinct factor once
+    (thetas._lower).  Every leaf is interned before any row is built, so
+    that the table holds each family's leaves together and each distinct
     factor of several leaves can follow the leaves as one product entry.
     """
-    index: dict[_LeafKey, int] = {}
-    leaves: list[_Leaf] = []
-    lowered: dict[ThetaFactor, tuple[int, ...]] = {}
+    families: list[_Family] = []
+    index: dict[tuple, int] = {}  # (group, A0) -> family index
+    lowered: dict[ThetaFactor, tuple[tuple[int, int], ...]] = {}
 
-    def intern(leaf: _Leaf) -> int:
-        i = index.setdefault(leaf.key, len(leaves))
-        if i == len(leaves):
-            leaves.append(leaf)
-        return i
+    def intern(fam: _Family) -> tuple[int, Sequence[int]]:
+        """fam's index in families and the positions of its B0 keys there."""
+        f = index.setdefault((fam.group, fam.a), len(families))
+        if f == len(families):
+            families.append(fam)
+            return f, range(len(fam.bs))
+        return f, list(map(families[f].intern, fam.bs))
 
-    def lower(f: ThetaFactor) -> tuple[int, ...]:
+    def lower(f: ThetaFactor) -> tuple[tuple[int, int], ...]:
+        """Per leaf of the factor, (family index, position in the family)."""
         got = lowered.get(f)
         if got is None:
             got = lowered[f] = tuple(
-                map(intern, _lower(f.a.field, f.p, f.a, f.b, params, f.lattice))
-            )
+                (i, slots[0]) for i, slots in
+                map(intern, _lower(f.a.field, f.p, f.a, f.b, params, f.lattice)))
         return got
 
-    # per side: a compiled side with the index of each of its leaves, or
-    # the Terms with the leaf indices of each factor
+    # per side: a compiled side with, per family, its leaf indices and
+    # where they went, or the Terms with the (family, position) of each
+    # factor's leaves
     staged = []
     for side in sides:
         if isinstance(side, _Compiled):
             w = side.factor_leaves
             leaf_params = replace(params, eps=params.eps / w) if w > 1 else params
-            staged.append((side, [intern(_leaf(side.ps[j][0].field, *side.ps[j], a, b,
-                                               leaf_params))
-                                  for j, a, b in side.leaves]))
+            staged.append((side, [(ids, intern(_Family(side.ps[j][0].field, *side.ps[j], a,
+                                                       leaf_params, bs=bs)))
+                                  for j, a, bs, ids in side.families]))
         else:
             side = tuple(side)
             staged.append((side, [tuple(map(lower, t.factors)) for t in side]))
 
-    n = len(leaves)
+    starts = (0, *itertools.accumulate(len(fam.bs) for fam in families))
+    n = starts[-1]
     products: dict[tuple[int, ...], int] = {}
 
     def entry(f: tuple[int, ...]) -> int:
         return f[0] if len(f) == 1 else n + products.setdefault(f, len(products))
 
+    # each distinct factor's leaves as table entries
+    leaf_entries = {leaves: tuple(starts[f] + j for f, j in leaves) for leaves in lowered.values()}
     rows = []
     reads = 0
-    for side, ids in staged:
+    for side, got in staged:
         if isinstance(side, _Compiled):
+            ids = [0] * sum(len(leaf_ids) for leaf_ids, _ in got)
+            for leaf_ids, (f, slots) in got:
+                for i, j in zip(leaf_ids, slots):
+                    ids[i] = starts[f] + j
             w = side.factor_leaves
             scale = float(side.coeff_scale)
             coeffs = {q: scale * _phase_of(q, side.q_den)
                       for q in {q for q, _ in side.expansion}}
-            rows.append(tuple(
+            rows.append(tuple([
                 (coeffs[q], tuple(map(ids.__getitem__, idx)) if w == 1 else
                  tuple(entry(tuple(map(ids.__getitem__, idx[k:k + w])))
                        for k in range(0, len(idx), w)))
-                for q, idx in side.expansion))
+                for q, idx in side.expansion]))
             reads += sum(len(idx) for _, idx in side.expansion)
         else:
             rows.append(tuple(
-                (float(t.coeff_scale) * _phase(t.coeff_q), tuple(map(entry, factors)))
-                for t, factors in zip(side, ids)))
-            reads += sum(len(f) for factors in ids for f in factors)
-    return _Plan(leaves=tuple(leaves), groups=_group_leaves(leaves),
+                (float(t.coeff_scale) * _phase(t.coeff_q),
+                 tuple(map(entry, map(leaf_entries.__getitem__, factors))))
+                for t, factors in zip(side, got)))
+            reads += sum(len(f) for factors in got for f in factors)
+    groups: dict[tuple, list[int]] = {}
+    for f, fam in enumerate(families):
+        groups.setdefault(fam.group, []).append(f)
+    return _Plan(families=tuple(families), starts=starts,
+                 groups=tuple(map(tuple, groups.values())),
                  products=tuple(products), sides=tuple(rows), reads=reads)
 
 
@@ -263,7 +293,7 @@ def _sum_terms(plan: _Plan, W: MatrixLike) -> tuple[list[complex], int, int]:
     """The plan at W: the sum of each side, and the theta evaluations and
     hits of the plan's leaf reads.
 
-    W is checked once (thetas._at), and the plan's leaves, field and
+    W is checked once (thetas._at), and the plan's families, field and
     Riemann alike, are evaluated ahead (thetas._evaluate_ahead).  A leaf
     that a batch left out is read alone, in term order, so the first
     failing read raises what it raises alone.  The evaluations are the
@@ -272,15 +302,16 @@ def _sum_terms(plan: _Plan, W: MatrixLike) -> tuple[list[complex], int, int]:
     real and imaginary parts are summed with fsum.
     """
     at = _at(_as_complex_matrix(W, "W"))
-    values = _evaluate_ahead(plan.leaves, plan.groups, at)
-    if any(v is None for v in values):
+    table: list = []
+    for fam, got in zip(plan.families, _evaluate_ahead(plan.families, plan.groups, at)):
+        table.extend([None] * len(fam.bs) if got is None else got.values)
+    if table.count(None):
         for side in plan.sides:
             for _, idx in side:
                 for i in idx:
                     for j in plan.factor(i):
-                        if values[j] is None:
-                            values[j] = _leaf_alone(plan.leaves[j], at)
-    table = [None if v is None else v.value for v in values]
+                        if table[j] is None:
+                            table[j] = _leaf_alone(plan.leaf(j), at).value
     evals = len(table) - table.count(None)
     for f in plan.products:
         table.append(_product(map(table.__getitem__, f)))
@@ -436,7 +467,7 @@ class RelationInstance(_Compiled):
     G2: FiniteAbelianGroup
     q_den: int
     ps: tuple[tuple[KMatrix, tuple[tuple[int, ...], int]], ...]
-    leaves: tuple[tuple[int, tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]], ...]
+    families: tuple[tuple[int, tuple, tuple[tuple, ...], tuple[int, ...]], ...]
     expansion: tuple[tuple[int, tuple[int, ...]], ...]
     factor_leaves: int = 1
 
@@ -493,8 +524,8 @@ def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstan
     A0 + A (reduced mod O_K) and B0 + c B are read off the groups' integer
     coordinates, each over one denominator, and cut into parts: single
     columns for an exactly diagonal P with h > 1 (see thetas._lower), else
-    the whole matrix.  A leaf is keyed by the indices of its P and its
-    parts.
+    the whole matrix.  A leaf is interned by its family, the indices of
+    its P and its A part, and then by the index of its B part.
 
     max_order caps each group and the term count |G1| |G2|, which is
     checked before the expansion is built: GroupCapError over the cap."""
@@ -540,16 +571,17 @@ def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstan
     a_parts, a_coords = parts(a0, a0_den, g1.coords, g1.scale, True)
     b_parts, b_coords = parts(*_int_coords(spec.B0), b_duals, b_den, False)
     p_ids = [ps.index(p) for p in ps]
-    leaf_ids: dict[tuple, int] = {}  # (P, A part, B part) -> index, in first-read order
+    families = defaultdict(partial(_LeafIds, itertools.count()))  # (P, A part) -> B part
+    a_fams = [[families[key] for key in zip(p_ids, a)] for a in a_parts]
     expansion = tuple(
-        (q // common % q_den,
-         tuple(leaf_ids.setdefault(key, len(leaf_ids)) for key in zip(p_ids, a, b)))
-        for q, b in zip(qs, b_parts) for a in a_parts
+        (q // common % q_den, tuple([fam[k] for fam, k in zip(fams, b)]))
+        for q, b in zip(qs, b_parts) for fams in a_fams
     )
     return RelationInstance(
         spec=spec, Q=Q, lhs_A=lhs_A, lhs_B=lhs_B, G1=g1, G2=g2, q_den=q_den,
         ps=ps, factor_leaves=len(ps), expansion=expansion,
-        leaves=tuple((p, a_coords[a], b_coords[b]) for p, a, b in leaf_ids),
+        families=tuple((p, a_coords[a], tuple(map(b_coords.__getitem__, fam)),
+                        tuple(fam.values())) for (p, a), fam in families.items()),
     )
 
 
@@ -591,10 +623,10 @@ def evaluate_relation(
 class PDecomposition(_Compiled):
     """Schur pivot sequence (one entry per level, repeats kept) plus the
     expansion, compiled to one-column leaves as it was emitted (see
-    _Compiled): a leaf is ([[lam]], a reduced mod O_K, b), ps holds each
-    [[lam]] with its key, by the index of lam's first entry in lambdas, and
-    a monomial has one leaf per level, each its own factor, and coefficient
-    scale."""
+    _Compiled): a family is ([[lam]], a reduced mod O_K) with its b, ps
+    holds each [[lam]] with its key, by the index of lam's first entry in
+    lambdas, and a monomial has one leaf per level, each its own factor,
+    and coefficient scale."""
 
     field: FieldId
     g: int
@@ -602,7 +634,7 @@ class PDecomposition(_Compiled):
     scale: Fraction
     q_den: int
     ps: tuple[tuple[KMatrix, tuple[tuple[int, ...], int]], ...]
-    leaves: tuple[tuple[int, tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]], ...]
+    families: tuple[tuple[int, tuple, tuple[tuple, ...], tuple[int, ...]], ...]
     expansion: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
@@ -619,8 +651,9 @@ class PDecomposition(_Compiled):
     def monomials(self) -> tuple[Term, ...]:
         """The expansion as Terms of one-column field factors, built on
         first use; evaluation does not read them."""
-        factors = [ThetaFactor(*(coords_to_kmatrix(*x, self.g, 1, self.field) for x in (a, b)),
-                               self.ps[j][0]) for j, a, b in self.leaves]
+        col = partial(coords_to_kmatrix, g=self.g, h=1, field=self.field)
+        factors = {i: ThetaFactor(col(*a), col(*b), self.ps[j][0])
+                   for j, a, bs, ids in self.families for b, i in zip(bs, ids)}
         return tuple(
             Term(Fraction(q, self.q_den), self.scale, tuple(factors[i] for i in idx))
             for q, idx in self.expansion
@@ -759,19 +792,13 @@ def decompose_rational_P(
         for x, a_grp, b_duals, b_den in groups
     ]
     pivot = [lambdas.index(lam) for lam in lambdas]
-    leaf_ids: dict[tuple, int] = {}  # (pivot, a, b) -> index, in first-read order
+    families = defaultdict(partial(_LeafIds, itertools.count()))  # (pivot, a) -> b
     expansion: list[tuple[int, tuple[int, ...]]] = []
 
-    def leaf(level: int, a: tuple, b: tuple) -> int:
-        return leaf_ids.setdefault((pivot[level], a, b), len(leaf_ids))
-
-    def reduced(col) -> tuple:  # mod O_K, as thetas._int_key centers
-        return tuple(_center(v, da) for v in col)
+    def reduced(col) -> tuple:  # mod O_K, as thetas._center does
+        return tuple([v - (2 * v + da) // (2 * da) * da for v in col])
 
     def recurse(level: int, A: tuple, B: tuple, q: int, prefix: tuple) -> None:
-        if level == len(chain):
-            expansion.append((q, prefix + (leaf(level, reduced(A[0]), B[0]),)))
-            return
         xs, a_reps, b_duals = chain[level]
         # A K^t adds x_j times column 0 to column j; B K^-1 subtracts the x_j
         # multiples of the columns j from column 0
@@ -782,26 +809,54 @@ def decompose_rational_P(
         b0 = B[0]
         for col, (n, d) in zip(B[1:], xs):
             b0 = tuple(u - v * n // d for u, v in zip(b0, col))
-        a_next = [(reduced(_add(a0, r[0])),
+        a_next = [(families[pivot[level], reduced(_add(a0, r[0]))],
                    tuple(map(_add, a_rest, r[1:]))) for r in a_reps]
+        last = level + 1 == len(chain)
+        if last:  # what is left is the last column, whose family A alone fixes
+            a_next = [(fam, families[pivot[-1], reduced(A_next[0])]) for fam, A_next in a_next]
         for s, w in b_duals:
             q_next = (q + sum(map(operator.mul, a_flat, w))) % q_den
             b = _add(b0, s[0])
             B_next = tuple(map(_add, B[1:], s[1:]))
-            for a, A_next in a_next:
-                recurse(level + 1, A_next, B_next, q_next, prefix + (leaf(level, a, b),))
+            if last:
+                expansion.extend([(q_next, prefix + (fam[b], fam_last[B_next[0]]))
+                                  for fam, fam_last in a_next])
+                continue
+            for fam, A_next in a_next:
+                recurse(level + 1, A_next, B_next, q_next, prefix + (fam[b],))
 
-    recurse(0, _columns(*_int_coords(A0), da, g, P.rows),
-            _columns(*_int_coords(B0), db, g, P.rows), 0, ())
+    A = _columns(*_int_coords(A0), da, g, P.rows)
+    B = _columns(*_int_coords(B0), db, g, P.rows)
+    if chain:
+        recurse(0, A, B, 0, ())
+    else:
+        expansion.append((0, (families[pivot[0], reduced(A[0])][B[0]],)))
 
     key = lru_cache(maxsize=None)(_int_key)  # columns repeat across the leaves
     return PDecomposition(
         field=field, g=g, lambdas=tuple(lambdas),
         scale=Fraction(1, math.prod(len(b) for _, _, b, _ in groups)), q_den=q_den,
         ps=tuple(_p_parts(KMatrix([[field.from_rational(lam)]]))[0] for lam in lambdas),
-        leaves=tuple((j, key(a, da), key(b, db)) for j, a, b in leaf_ids),
+        families=tuple((j, key(a, da), tuple(key(b, db) for b in fam), tuple(fam.values()))
+                       for (j, a), fam in families.items()),
         expansion=tuple(expansion),
     )
+
+
+class _LeafIds(dict):
+    """A family's leaves as they are emitted: B0 -> leaf index, a new B0
+    taking the next index of count.  The families of one sum share count,
+    in defaultdict(partial(_LeafIds, itertools.count())), keyed by (P, A0):
+    families and leaves each in first-read order, leaves numbered across
+    families."""
+
+    def __init__(self, count: Iterator[int]) -> None:
+        super().__init__()
+        self.count = count
+
+    def __missing__(self, b) -> int:
+        i = self[b] = next(self.count)
+        return i
 
 
 def _add(u: tuple, v: tuple) -> tuple:

@@ -28,7 +28,7 @@ chunk costs one matrix product over the flattened points rather than a
 small matrix product per point.  The linear phase e(Re Tr(X^H B0)) is exact:
 with X = A0 + sum_i z_i e_i over integer coordinates z, it is e(q0) times
 the root of unity e((z.k mod M) / M), with q0, M and the integers k read
-off A0 and B0 (`_LeafPhase`), so only the quadratic part is rounded inside
+off A0 and B0 (`_FamilyPhases`), so only the quadratic part is rounded inside
 exp.
 
 The classical Riemann theta at z = 0 and s * Omega is the same sum over N
@@ -46,33 +46,35 @@ Every theta runs in two steps.  Lowering (`_lower`) does all the exact,
 W-independent work once: it checks shapes and that P is Hermitian, splits
 an exactly diagonal P into 1x1 columns, and keys each resulting dense theta
 (a leaf) by integers: A0 reduced mod the lattice (O_K or Z) and B0 as
-coordinate tuples over their least common denominator (`_LeafKey`), so
-equal rationals give equal keys whichever path built them.  The leaf's
-float data (the offsets and their real coordinates) and its exact phase
-data are read off those integers on its first evaluation.  Evaluation
+coordinate tuples over their least common denominator (see `_Family`), so
+equal rationals give equal keys whichever path built them.  Evaluation
 takes one W: the per-W check (`_at`: square, finite, inside H1 with
 lam_min(Y) at least the eigenvalue grid, one eigensolve) runs once, then
 `_leaves_value` multiplies the leaves' values.  `theta_general` is the
-one-factor plan, each leaf one `_theta_dense` call, through a ThetaCache if
-one is passed.
+one-factor plan: each leaf is a family of one, one `_theta_dense` call,
+through a ThetaCache if one is passed.
 
 Sums of many factors (relations.py) lower their whole term tuple once into
-a table of distinct leaves and evaluate it at one W into a list of leaf
-values, by index, that belongs to that one evaluation.  Before the term
-loop the leaves of each group that shares (field, shape, P, ThetaParams,
-entry basis) are evaluated together (`_evaluate_ahead`, `_theta_batch`):
+a table of distinct leaves held as families (`_Family`): the leaves that
+share (field, shape, P, ThetaParams, entry basis), their group, and A0 mod
+the lattice, and differ only in B0 (in a relation, the thetas at
+B0 + c b for b in G2), each family one record with its tuple of B0 keys.
+A plan is evaluated at one W into a list of leaf values, by index, that
+belongs to that one evaluation.  Before the term loop the families of each
+group are evaluated together (`_evaluate_ahead`, `_theta_batch`):
 lam_min(P), the Gram matrix and its Cholesky factor, the (W kron P^T) form
-and the radii are computed once per group.  Within a group, the leaves that
-share A0 mod the lattice form a family (in a relation, the thetas at
-B0 + c b for b in G2): they share the points and the quadratic exponent,
-so one enumeration runs over one center per family and one exp per point
-serves the whole family; each leaf then applies its own exact phase,
-one phase sum serving the leaves of a family that differ only in e(q0).
-Radii, tail bounds and point counts are the ones a leaf gets alone, and a
-leaf's summation does not depend on its batch or family, so its ThetaValue
-is bit for bit the one a `_theta_dense` call of its own gives;
-`_theta_dense` is the batch of one, and a plan uses it only for a leaf that
-a failed batch left out (`_leaf_alone`).
+and the radii are computed once per group.  A family's leaves share the
+points and the quadratic exponent, so one enumeration runs over one center
+per family and one exp per point serves the whole family; each leaf then
+applies its own exact phase, one phase sum serving the leaves of a family
+that differ only in e(q0).  A family's float inputs, its e(q0) and its
+shared phase sums do not depend on W and are built once, on its first
+evaluation.  The batch returns each family's values with the one tail
+bound and point count they share.  Radii, tail bounds and point counts are
+the ones a leaf gets alone, and a leaf's summation does not depend on its
+batch or family, so its value is bit for bit the one a `_theta_dense` call
+of its own gives; `_theta_dense` is the batch of one, and a plan uses it
+only for a leaf that a failed batch left out (`_leaf_alone`).
 """
 
 from __future__ import annotations
@@ -492,52 +494,37 @@ def _pieces(
     return pieces
 
 
-class _LeafKey:
-    """The identity of one dense theta, hashed once at lowering:
-    (d, g, h, P, A0, B0, eps, max_radius, entry basis), where P, A0 and B0
-    are each (nums, den), the row-major coordinates (n, m) of the entries
-    (n + m delta) / den over their least common denominator (see _int_key),
-    and A0 is reduced mod the lattice.  Equal rationals give equal keys, so
-    a leaf interns whichever path built it."""
-
-    __slots__ = ("data", "_hash")
-
-    def __init__(self, data: tuple) -> None:
-        self.data = data
-        self._hash = hash(data)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, _LeafKey)
-            and self._hash == other._hash
-            and self.data == other.data
-        )
-
-
-class _LeafFloats(NamedTuple):
-    """The float inputs of a leaf's dense theta that its group does not
-    share, all W-independent.  They depend on A0 only, so a family (see
-    _theta_batch) reads its first leaf's."""
+class _FamilyFloats(NamedTuple):
+    """The float inputs of a family's dense thetas that its group does not
+    share, all W-independent; they depend on A0 only."""
 
     offsets: np.ndarray  # A0 reduced mod the lattice, embedded
     offset_norm: float
     coords: np.ndarray  # each entry's coordinates in the basis, row-major
 
 
-class _LeafPhase(NamedTuple):
-    """A leaf's linear phase, exactly.  For a point X = A0 + sum_i z_i e_i
+class _FamilyPhases(NamedTuple):
+    """A family's linear phases, exactly.  For a point X = A0 + sum_i z_i e_i
     (e_i runs over the basis times each entry's matrix unit, A0 reduced
     mod the lattice), Re Tr(X^H B0) = q0 + sum_i z_i t_i with
     q0 = Re Tr(A0^H B0) and t_i = Re(conj(e_i) B0_entry) rational, so
     e(Re Tr(X^H B0)) = e(q0) e((z.k mod M) / M) for M the common
-    denominator of the t_i and the integers k = M t mod M.  W-independent."""
+    denominator of the t_i and the integers k = M t mod M.  The leaves with
+    equal (M, k) differ only in e(q0), so they share one phase sum.
+    W-independent."""
 
-    modulus: int  # M
-    k: tuple[int, ...]  # in the enumerator's column order, coordinate n-1-j
-    shift: complex  # e(q0)
+    # per phase sum: (M, k in the enumerator's column order, its row of ks or None)
+    sums: tuple[tuple[int, tuple[int, ...], Optional[int]], ...]
+    ks: Optional[np.ndarray]  # the k of the sums with 1 < M < 2^53, as float rows
+    leaves: tuple[tuple[int, complex], ...]  # per B0 of the family: (its sum, e(q0))
+
+
+class _FamilyValue(NamedTuple):
+    """A family at one W: each leaf's value, and the bound and points they share."""
+
+    values: list[complex]
+    tail_bound: float
+    points: int
 
 
 # The Z-basis of a real theta's entries; a field theta's is (1, delta).
@@ -549,62 +536,86 @@ _BASES = {"O_K": None, "Z": _Z_BASIS}
 _RATIONALS = FieldId(1)
 
 
-@dataclass(frozen=True, eq=False)
-class _Leaf:
-    """One dense theta over the lattice Mat(g, h; Z basis): its key, which
-    holds A0 (reduced mod that lattice) and B0 in integers, and its P.  The
-    basis is (1, delta) for O_K and (1,) for Z.
+class _Family:
+    """The dense thetas Theta^P[A0; B0] over the lattice Mat(g, h; Z basis)
+    that share P, A0 reduced mod that lattice, eps, max_radius and the
+    basis ((1, delta) for O_K, (1,) for Z): one leaf per B0 key of bs.
 
-    The float and phase inputs are built on the first evaluation, not at
-    lowering: lowering a term sum builds many equal leaves that interning
-    then drops.
-    """
+    A0 and each B0 are keys (nums, den): the row-major coordinates (n, m)
+    of the entries (n + m delta) / den over their least common denominator
+    (see _int_key), so equal rationals give equal keys whichever path built
+    them.  The float and phase inputs are built on the first evaluation and
+    kept for every later W, so bs is complete by then."""
 
-    key: _LeafKey
-    field: FieldId
-    P: KMatrix
-    params: ThetaParams
-    basis: tuple[complex, ...]
+    def __init__(self, field: FieldId, P: KMatrix, p_key: tuple, a: tuple,
+                 params: ThetaParams, basis: Optional[tuple] = None, bs: Sequence = ()) -> None:
+        if basis is None:
+            basis = (1.0, field.delta_complex)
+        h = P.rows
+        # what the families of one batch share
+        self.group = (field.d, len(a[0]) // (2 * h), h, p_key, params.eps,
+                      params.max_radius, basis)
+        self.field, self.P, self.params, self.basis = field, P, params, basis
+        self.a, self.bs = a, list(bs)
+        self._slots: Optional[dict] = None
 
     @property
     def g(self) -> int:
-        return self.key.data[1]
+        return self.group[1]
 
     @property
-    def A0(self) -> tuple[tuple[int, ...], int]:
-        """A0 reduced mod the lattice, as (nums, den) (see _LeafKey)."""
-        return self.key.data[4]
+    def key(self) -> tuple:
+        """The identity of the family: its group, A0 and B0 keys."""
+        return self.group, self.a, tuple(self.bs)
 
-    @property
-    def B0(self) -> tuple[tuple[int, ...], int]:
-        return self.key.data[5]
+    def intern(self, b: tuple[tuple[int, ...], int]) -> int:
+        """b's position in bs, appended if new (lowering only: see phases)."""
+        if self._slots is None:
+            self._slots = {x: j for j, x in enumerate(self.bs)}
+        j = self._slots.setdefault(b, len(self.bs))
+        if j == len(self.bs):
+            self.bs.append(b)
+        return j
 
-    @property
-    def group(self) -> tuple:
-        """What the leaves of one batch share: (d, g, h, P, eps, max_radius,
-        basis)."""
-        data = self.key.data
-        return data[:4] + data[6:]
+    def leaf(self, j: int) -> "_Family":
+        """The family of leaf j alone."""
+        return _Family(self.field, self.P, self.group[3], self.a, self.params,
+                       self.basis, (self.bs[j],))
 
     @cached_property
-    def floats(self) -> _LeafFloats:
-        (nums, den), g, h = self.A0, self.g, self.P.rows
+    def floats(self) -> _FamilyFloats:
+        (nums, den), g, h = self.a, self.g, self.P.rows
         offsets = _offsets(nums, den, g, h, self.basis)
-        return _LeafFloats(
+        return _FamilyFloats(
             offsets,
             math.sqrt(float(np.sum(np.abs(offsets) ** 2))),
             np.array([c / den for c in (nums if len(self.basis) == 2 else nums[::2])]),
         )
 
     @cached_property
-    def phase(self) -> _LeafPhase:
+    def phases(self) -> _FamilyPhases:
         nb = len(self.basis)
-        modulus, k, den, w = _phase_residues(self.field, *self.B0, nb)
-        # q0 = Re Tr(A0^H B0) = (c . w) / (den_a den) for the coordinates
-        # c / den_a of A0's entries in the basis
-        nums, den_a = self.A0
-        q0 = sum(map(operator.mul, nums if nb == 2 else nums[::2], w))
-        return _LeafPhase(modulus, k, _phase_of(-q0, den_a * den))
+        nums, den_a = self.a
+        if nb == 1:
+            nums = nums[::2]
+        shared: dict[tuple, int] = {}  # (M, k) -> its sum
+        leaves = []
+        for b in self.bs:
+            modulus, k, den, w = _phase_residues(self.field, *b, nb)
+            # q0 = Re Tr(A0^H B0) = (c . w) / (den_a den) for the
+            # coordinates c / den_a of A0's entries in the basis
+            q0 = sum(map(operator.mul, nums, w))
+            leaves.append((shared.setdefault((modulus, k), len(shared)),
+                           _phase_of(-q0, den_a * den)))
+        sums, ks = [], []
+        for modulus, k in shared:
+            row = None
+            if 1 < modulus < _FLOAT_INTS:  # k < M, so exact as floats
+                row = len(ks)
+                ks.append(k)
+            sums.append((modulus, k, row))
+        return _FamilyPhases(tuple(sums), np.array(ks, dtype=np.float64) if ks else None,
+                             tuple(leaves))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -612,8 +623,8 @@ def _phase_residues(
     field: FieldId, nums: tuple[int, ...], den: int, nb: int
 ) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
     """The Re pairing with B0 = nums / den (row-major coordinates, see
-    _LeafKey) in integers, and the modulus M and the integers k of
-    _LeafPhase read off it; all depend on B0 and the basis alone: the
+    _Family) in integers, and the modulus M and the integers k of
+    _FamilyPhases read off it; all depend on B0 and the basis alone: the
     leaves of a relation, and of each Schur level of a decomposition,
     repeat each B0 across G1.
 
@@ -631,42 +642,12 @@ def _phase_residues(
 def _weights(nums: Sequence[int], field: FieldId) -> tuple[int, ...]:
     """The Re pairing in integers: w with Re Tr(X^H Y) = (x . w) / (2 dx dy)
     for X and Y with row-major coordinates x / dx and nums / dy (see
-    _LeafKey)."""
+    _Family)."""
     # for y = (n + m delta) / dy, Re(y) = (2n + Tr(delta) m) / (2 dy) and
     # Re(conj(delta) y) = (Tr(delta) n + 2 N(delta) m) / (2 dy)
     tr, nd2 = field.delta_trace, 2 * field.delta_norm
     return tuple(w for n, m in zip(nums[::2], nums[1::2])
                  for w in (2 * n + tr * m, tr * n + nd2 * m))
-
-
-def _leaf(
-    field: FieldId,
-    P: KMatrix,
-    p_key: tuple[tuple[int, ...], int],
-    a: tuple[Sequence[int], int],
-    b: tuple[Sequence[int], int],
-    params: ThetaParams,
-    basis: Optional[tuple[complex, ...]] = None,
-) -> _Leaf:
-    """The leaf Theta^P[A0; B0] for A0 and B0 given as their keys (see
-    _LeafKey): row-major coordinates (nums, den) over the least common
-    denominator, A0 reduced mod the lattice (_int_key gives all three);
-    p_key is P's."""
-    if basis is None:
-        basis = (1.0, field.delta_complex)
-    h = P.rows
-    key = (field.d, len(a[0]) // (2 * h), h, p_key, a, b, params.eps, params.max_radius,
-           basis)
-    return _Leaf(_LeafKey(key), field, P, params, basis)
-
-
-def _group_leaves(leaves: Sequence[_Leaf]) -> tuple[tuple[int, ...], ...]:
-    """The indices of leaves grouped by _Leaf.group, each group in
-    first-seen order."""
-    groups: dict[tuple, list[int]] = {}
-    for i, leaf in enumerate(leaves):
-        groups.setdefault(leaf.group, []).append(i)
-    return tuple(map(tuple, groups.values()))
 
 
 @lru_cache(maxsize=64)
@@ -723,11 +704,11 @@ def _phase_sum(
 
 
 def _theta_batch(
-    leaves: Sequence[_Leaf], W: np.ndarray, lam_y: float
-) -> list[ThetaValue]:
-    """The leaves of one group (see _Leaf.group) at a checked W (see _at):
-    for each leaf, the sum over the ellipsoid Q(X) = Re Tr(X^H Y X P) <=
-    lam_Y lam_P r^2 of its shifted lattice.  Over Z, W must be symmetric.
+    families: Sequence[_Family], W: np.ndarray, lam_y: float
+) -> list[_FamilyValue]:
+    """The families of one group (see _Family.group) at a checked W (see
+    _at): for each leaf, the sum over the ellipsoid Q(X) = Re Tr(X^H Y X P)
+    <= lam_Y lam_P r^2 of its shifted lattice.  Over Z, W must be symmetric.
 
     The radius r and the tail bound are the isotropic ones: with
     rho^2 = snap(lam_Y) snap(lam_P) <= lam_min(Y kron P^T), every term has
@@ -745,35 +726,28 @@ def _theta_batch(
 
     The Y kron P work is done once for the group: lam_min(P), the Gram
     matrix of Q and its Cholesky factor, the (W kron P^T) form, and one
-    radius per radius floor.  The leaves that share A0 reduced mod the
-    lattice form a family: they share the offsets, radius, bound, points
-    and quadratic exponent, and differ only in the linear phase.  Each
-    family is one center of the enumeration and one exp(i pi e1) per
-    point; each leaf then takes its exact phase e(q0) e(z.k / M) (see
-    _LeafPhase) from the integer coordinates z, in one _phase_sum per piece
-    for each distinct (M, k) of the family.  The families are cut, in
-    order, into batches of about _BATCH_POINTS points by the ellipsoid
-    volume, one enumeration each; a family estimated above that runs alone.
-    Each leaf keeps its own summation (each piece of its points summed
-    alone, the piece sums fsum-ed, then times e(q0)), so its value does not
-    depend on the other leaves of its batch or family.
+    radius per radius floor.  A family's leaves share the offsets, radius,
+    bound, points and quadratic exponent, and differ only in the linear
+    phase: each family is one center of the enumeration and one
+    exp(i pi e1) per point, and each of its phase sums (see _FamilyPhases)
+    takes e(z.k / M) from the integer coordinates z in one _phase_sum per
+    piece.  The families are cut, in order, into batches of about
+    _BATCH_POINTS points by the ellipsoid volume, one enumeration each; a
+    family estimated above that runs alone.  Each leaf keeps its own
+    summation (each piece of its points summed alone, the piece sums
+    fsum-ed, then times e(q0)), so its value does not depend on the other
+    leaves of its batch or family.
     """
-    basis = leaves[0].basis
+    first = families[0]
+    basis = first.basis
     nb = len(basis)
     if nb == 1:
         _check_symmetric(W)
     try:
-        p = _as_complex_matrix(leaves[0].P, "P")
+        p = _as_complex_matrix(first.P, "P")
     except OverflowError:
         raise DomainError("an exact entry of P is too large for a float") from None
-    # the family of each leaf, numbered by first leaf; a family's float
-    # data is its first leaf's
-    first: dict[tuple, int] = {}
-    family = [first.setdefault(leaf.A0, len(first)) for leaf in leaves]
-    members: list[list[int]] = [[] for _ in first]
-    for i, f in enumerate(family):
-        members[f].append(i)
-    floats = [leaves[js[0]].floats for js in members]
+    floats = [fam.floats for fam in families]
     g, h = floats[0].offsets.shape
     lam_p_raw = float(np.linalg.eigvalsh(p)[0])
     lam_p = _snap(lam_p_raw)
@@ -781,7 +755,7 @@ def _theta_batch(
         raise DomainError(f"P must be positive definite, lam_min={lam_p:g}")
     decay = math.pi * _snap(lam_y) * lam_p
     dim = nb * g * h
-    params = leaves[0].params
+    params = first.params
     radius_at: dict[int, int] = {}
     radii = []
     for f in floats:
@@ -793,24 +767,7 @@ def _theta_batch(
             )
         radii.append(radius_at[key])
     tails = {r: shell_tail_bound(r, decay, dim) for r in radius_at.values()}
-    phases = [leaf.phase for leaf in leaves]
-    # the leaves of a family with equal (M, k) differ only in e(q0), so
-    # they share their sums: one per (family, M, k), numbered by first leaf
-    shared: dict[tuple, int] = {}
-    sum_of = [shared.setdefault((f, *phase[:2]), len(shared))
-              for f, phase in zip(family, phases)]
-    # per family, its sums (c, M, k, row), and the k of those with
-    # 1 < M < 2^53 as the rows of one float matrix (k < M, so exact), for
-    # the products z K^T of each piece; row indexes it
-    family_sums: list[list[tuple]] = [[] for _ in members]
-    family_ks: list = [[] for _ in members]
-    for (f, modulus, k), c in shared.items():
-        row = None
-        if 1 < modulus < _FLOAT_INTS:
-            row = len(family_ks[f])
-            family_ks[f].append(k)
-        family_sums[f].append((c, modulus, k, row))
-    family_ks = [np.array(ks, dtype=np.float64) if ks else None for ks in family_ks]
+    phases = [fam.phases for fam in families]
 
     # Gram matrix of Q in the real coordinates of each entry in the basis
     # e, x = sum_s u_s e_s + offset: G[(k,s),(l,t)] = Re(H[k,l] conj(e_s)
@@ -840,8 +797,9 @@ def _theta_batch(
         batches[-1].append(f)
         est += estimate
 
-    sums: list[tuple[list[float], list[float]]] = [([], []) for _ in shared]
-    points = [0] * len(members)
+    # per family and phase sum, the real and imaginary parts of its pieces
+    sums = [[([], []) for _ in ph.sums] for ph in phases]
+    points = [0] * len(families)
     for batch in batches:
         counts, blocks = _ellipsoid_points(
             R, np.array([floats[f].coords for f in batch]),
@@ -866,39 +824,42 @@ def _theta_batch(
                 e1[start:end] = np.einsum("nk,nk->n", xs.conj(), xs @ m_t)
             quad = np.exp(1j * np.pi * e1)
             zmax = 0.0
-            if any(family_ks[batch[j]] is not None for j, _, _ in segments):
+            if any(phases[batch[j]].ks is not None for j, _, _ in segments):
                 zmax = float(max(z.max(initial=0.0), -z.min(initial=0.0)))
             for j, start, end in segments:
                 f = batch[j]
+                ks = phases[f].ks
                 zs = z[start:end]
                 # one product per block of sums, a block about _EVAL_CHUNK
                 # values, so the residues never outgrow the points
                 step = max(1, _EVAL_CHUNK // max(1, len(zs)))
-                for c, modulus, k, row in family_sums[f]:
+                for (modulus, k, row), (re, im) in zip(phases[f].sums, sums[f]):
                     v = None
                     if row is not None:
                         if row % step == 0:
-                            zk = family_ks[f][row:row + step] @ zs.T
+                            zk = ks[row:row + step] @ zs.T
                         if _float_residues(modulus, zmax, k):
                             v = zk[row % step]
                     s = _phase_sum(quad[start:end], zs, v, modulus, k)
-                    sums[c][0].append(float(s.real))
-                    sums[c][1].append(float(s.imag))
-    totals = [complex(math.fsum(re), math.fsum(im)) for re, im in sums]
-    return [
-        ThetaValue(phase.shift * totals[c], tails[radii[f]], points[f])
-        for phase, f, c in zip(phases, family, sum_of)
-    ]
+                    re.append(float(s.real))
+                    im.append(float(s.imag))
+    out = []
+    for f, (ph, parts) in enumerate(zip(phases, sums)):
+        totals = [complex(math.fsum(re), math.fsum(im)) for re, im in parts]
+        out.append(_FamilyValue([shift * totals[c] for c, shift in ph.leaves],
+                                tails[radii[f]], points[f]))
+    return out
 
 
-def _theta_dense(leaf: _Leaf, W: np.ndarray, lam_y: float) -> ThetaValue:
-    """One leaf at a checked W (see _at): the batch of one (_theta_batch)."""
-    return _theta_batch((leaf,), W, lam_y)[0]
+def _theta_dense(leaf: _Family, W: np.ndarray, lam_y: float) -> ThetaValue:
+    """One leaf (a family of one) at a checked W (see _at): the batch of one."""
+    (value,), tail, points = _theta_batch((leaf,), W, lam_y)[0]
+    return ThetaValue(value, tail, points)
 
 
 @lru_cache(maxsize=1 << 8)
 def _p_parts(P: KMatrix) -> tuple[tuple[KMatrix, tuple[tuple[int, ...], int]], ...]:
-    """The parts of P with their keys (see _LeafKey): the 1x1 diagonal
+    """The parts of P with their keys (see _Family): the 1x1 diagonal
     entries of an exactly diagonal P with h > 1, else P itself; DomainError
     unless P is Hermitian.  Cached: the factors of a plan share a few P."""
     if P.conj_transpose() != P:
@@ -913,7 +874,7 @@ def _p_parts(P: KMatrix) -> tuple[tuple[KMatrix, tuple[tuple[int, ...], int]], .
 
 def _block(nums: Sequence[int], g: int, h: int, j: int, w: int) -> list[int]:
     """Columns j*w up to (j + 1)*w of the g x h matrix with row-major
-    coordinates nums (see _LeafKey), row-major."""
+    coordinates nums (see _Family), row-major."""
     return [v for i in range(g) for v in nums[2 * (i * h + j * w):2 * (i * h + j * w + w)]]
 
 
@@ -924,9 +885,10 @@ def _lower(
     B0: ExactLike,
     params: ThetaParams,
     lattice: str = "O_K",
-) -> tuple[_Leaf, ...]:
-    """Theta^P[A0; B0] as the leaves whose product it is: the exact checks
-    and the coordinates of A0 and B0, done once for every W.  The sum runs
+) -> tuple[_Family, ...]:
+    """Theta^P[A0; B0] as the leaves whose product it is, each a family of
+    one: the exact checks and the coordinates of A0 and B0, done once for
+    every W.  The sum runs
     over Mat(g, h; O_K), or over Mat(g, h; Z) for lattice "Z" (see
     _z_factor).
 
@@ -947,12 +909,12 @@ def _lower(
     parts = _p_parts(P)
     (a, da), (b, db) = _int_coords(A0), _int_coords(B0)
     if len(parts) == 1:
-        return (_leaf(field, *parts[0], _int_key(a, da, center=True), _int_key(b, db),
-                      params, basis),)
+        return (_Family(field, *parts[0], _int_key(a, da, center=True), params, basis,
+                        (_int_key(b, db),)),)
     col_params = replace(params, eps=params.eps / h)
     return tuple(
-        _leaf(field, col, key, _int_key(_block(a, g, h, j, 1), da, center=True),
-              _int_key(_block(b, g, h, j, 1), db), col_params, basis)
+        _Family(field, col, key, _int_key(_block(a, g, h, j, 1), da, center=True),
+                col_params, basis, (_int_key(_block(b, g, h, j, 1), db),))
         for j, (col, key) in enumerate(parts)
     )
 
@@ -990,9 +952,16 @@ def _phase(q: Fraction) -> complex:
 
 def _phase_of(n: int, den: int) -> complex:
     """exp(-2*pi*i*n/den), n/den reduced mod 1 first."""
-    # (n mod den) / den rounds like float(q - floor(q)) for q = n/den,
-    # whatever factor n and den share (int / int rounds correctly)
-    return complex(np.exp(-2j * np.pi * (n % den / den)))
+    return _residue_phase(n % den, den)
+
+
+@lru_cache(maxsize=1 << 12)
+def _residue_phase(r: int, den: int) -> complex:
+    """exp(-2*pi*i*r/den) for 0 <= r < den, memoized: the leaves of a plan
+    repeat few residues."""
+    # r / den rounds like float(q - floor(q)) for q = n/den and r = n mod
+    # den, whatever factor n and den share (int / int rounds correctly)
+    return complex(np.exp(-2j * np.pi * (r / den)))
 
 
 def _check_factor(
@@ -1040,25 +1009,25 @@ def _at(w: np.ndarray) -> _CheckedW:
 
 
 def _evaluate_ahead(
-    leaves: Sequence[_Leaf], groups: Sequence[Sequence[int]], at: _CheckedW
-) -> list[Optional[ThetaValue]]:
-    """The value of each leaf at W, one _theta_batch per group of leaf
-    indices (see _group_leaves), None for the leaves of a group that does
-    not match W or whose batch raises: the caller reads those alone (see
-    _leaf_alone) in its own order, so the first failing read raises the
-    error it would raise without the batch.
+    families: Sequence[_Family], groups: Sequence[Sequence[int]], at: _CheckedW
+) -> list[Optional[_FamilyValue]]:
+    """Each family at W, one _theta_batch per group of family indices, None
+    for the families of a group that does not match W or whose batch
+    raises: the caller reads their leaves alone (see _leaf_alone) in its
+    own order, so the first failing read raises the error it would raise
+    without the batch.
     """
-    values: list[Optional[ThetaValue]] = [None] * len(leaves)
+    values: list[Optional[_FamilyValue]] = [None] * len(families)
     for group in groups:
-        todo = [leaves[i] for i in group]
+        todo = [families[f] for f in group]
         if todo[0].g != at.w.shape[0]:
             continue
         try:
             got = _theta_batch(todo, at.w, at.lam_y)
         except (DomainError, TruncationError, np.linalg.LinAlgError):
             continue
-        for i, v in zip(group, got):
-            values[i] = v
+        for f, v in zip(group, got):
+            values[f] = v
     return values
 
 
@@ -1067,14 +1036,14 @@ def _check_g(g: int, at: _CheckedW) -> None:
         raise DomainError(f"W must be {g}x{g} to match A0, got {at.w.shape}")
 
 
-def _leaf_alone(leaf: _Leaf, at: _CheckedW) -> ThetaValue:
+def _leaf_alone(leaf: _Family, at: _CheckedW) -> ThetaValue:
     """The leaf at a checked W, evaluated alone: the batch of one, after
     the check that W matches its g."""
     _check_g(leaf.g, at)
     return _theta_dense(leaf, at.w, at.lam_y)
 
 
-def _cache_value(cache: Optional[ThetaCache], leaf: _Leaf, at: _CheckedW) -> ThetaValue:
+def _cache_value(cache: Optional[ThetaCache], leaf: _Family, at: _CheckedW) -> ThetaValue:
     """The leaf at a checked W through cache, or evaluated alone without one."""
     if cache is None:
         return _theta_dense(leaf, at.w, at.lam_y)
@@ -1093,9 +1062,9 @@ def _product(values: Iterable[complex]) -> complex:
 
 
 def _leaves_value(
-    leaves: tuple[_Leaf, ...],
+    leaves: tuple[_Family, ...],
     at: _CheckedW,
-    value: Callable[[_Leaf, _CheckedW], ThetaValue],
+    value: Callable[[_Family, _CheckedW], ThetaValue],
 ) -> ThetaValue:
     """The product of the leaves at a checked W (see _at), each leaf's
     value(leaf, at); a single leaf is returned as is."""

@@ -11,3 +11,11 @@ def reduce_mod_integral(A0: KMatrix) -> KMatrix:
     with center)."""
     return coords_to_kmatrix(*_int_key(*_int_coords(A0), center=True), A0.rows, A0.cols,
                              A0.field)
+
+
+def leaf_phase(family, j: int = 0) -> tuple:
+    """The linear phase (M, k, e(q0)) of leaf j of a thetas._Family."""
+    phases = family.phases
+    c, shift = phases.leaves[j]
+    modulus, k, _ = phases.sums[c]
+    return modulus, k, shift

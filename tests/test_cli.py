@@ -540,6 +540,30 @@ def test_preset_rejects_g_below_one(capsys, cmd, name):
     assert captured.err == f"error: preset {name} needs g >= 1, got g = 0\n"
 
 
+def test_preset_relation_obeys_max_order(capsys):
+    # matsumoto at g = 3 has groups of 8 and 64 terms: over a cap of 10,
+    # a preset's relation is refused as the same relation given by --spec is
+    assert main(["build", "--preset", "matsumoto", "--g", "3", "--max-order", "10"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["group cap: the relation has 64 terms, over the cap 10"]
+    code, out = _run(capsys, ["build", "--preset", "matsumoto", "--g", "3", "--max-order", "64"])
+    assert code == 0 and json.loads(out)["groups"]["term_count"] == 64
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["verify", "--preset", "jacobi_identity", "--g", "2"],
+     "preset jacobi_identity: takes no parameters; got unexpected keyword g"),
+    (["build", "--preset", "cubic_d3", "--h", "4"],
+     "preset cubic_d3: takes d, g, alphas; got unexpected keyword h"),
+])
+def test_preset_parameter_error_names_the_preset(capsys, argv, err):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_residual_exit_writes_one_stderr_line(capsys):
     assert main(["verify", "--preset", "matsumoto", "--corrupt-phase"]) == 5
     captured = capsys.readouterr()

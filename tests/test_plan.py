@@ -3,11 +3,13 @@ evaluating a plan at W gives, bit for bit, the sum of the public theta
 calls, and the evaluation and hit counts of those calls on one cache."""
 
 import gc
+import json
 import math
 import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from iqtheta import (
     KMatrix,
     ThetaCache,
     ThetaParams,
+    ThetaValue,
     TruncationError,
     build_relation,
     decompose_rational_P,
@@ -30,6 +33,7 @@ from iqtheta import (
     theta_general,
 )
 from iqtheta import presets, relations, thetas
+from iqtheta.cli import main
 from iqtheta.kfield import dual_generator, re_trace_of_product
 from iqtheta.lattices import _int_coords, character_group, shift_group
 from iqtheta.relations import (
@@ -40,6 +44,8 @@ from iqtheta.relations import (
     _phase,
     _sum_terms,
 )
+
+from _helpers import leaf_phase
 
 
 def _factor_value(f, W, params, cache):
@@ -275,8 +281,9 @@ def test_evaluated_identity_check_is_collected(name):
 
 
 def _group(d, g, h, count, seed=0):
-    """count leaves of one group: one P, characteristics from a fixed grid,
-    the first with A0 = 0 so that the radius floors differ."""
+    """count leaves of one group as its families: one P, characteristics
+    from a fixed grid, the first with A0 = 0 so that the radius floors
+    differ."""
     field = FieldId(d)
     rng = np.random.default_rng(seed)
     M = KMatrix([[field.element(int(rng.integers(-1, 2)), int(rng.integers(-1, 2)))
@@ -291,12 +298,14 @@ def _group(d, g, h, count, seed=0):
                                        Fraction(int(rng.integers(-5, 6)), 6))
                          for _ in range(h)] for _ in range(g)])
 
-    leaves = [thetas._leaf(field, P, thetas._int_key(*_int_coords(P)),
-                           thetas._int_key(*_int_coords(char(k)), center=True),
-                           thetas._int_key(*_int_coords(char(k + 1))), params)
-              for k in range(count)]
-    (group,) = thetas._group_leaves(leaves)
-    return tuple(leaves[i] for i in group)
+    families: dict = {}  # A0 -> its family
+    for k in range(count):
+        a = thetas._int_key(*_int_coords(char(k)), center=True)
+        b = thetas._int_key(*_int_coords(char(k + 1)))
+        if a not in families:
+            families[a] = thetas._Family(field, P, thetas._int_key(*_int_coords(P)), a, params)
+        families[a].intern(b)
+    return tuple(families.values())
 
 
 def _W(g):
@@ -332,33 +341,39 @@ def _recorded(monkeypatch, name):
     return calls
 
 
-def _families(leaves):
-    """The number of distinct A0 reduced mod the lattice."""
-    return len({leaf.A0 for leaf in leaves})
+def _leaves(families):
+    """The leaves of the families, in order, each a family of one."""
+    return [fam.leaf(j) for fam in families for j in range(len(fam.bs))]
 
 
-def _group_leaves(plan):
-    """The plan's groups of leaves, in batch order."""
-    return [[plan.leaves[i] for i in group] for group in plan.groups]
+def _group_families(plan):
+    """The plan's groups of families, in batch order."""
+    return [[plan.families[f] for f in group] for group in plan.groups]
 
 
-def _one_by_one(leaves, W, lam_y):
-    return [thetas._theta_dense(leaf, W, lam_y) for leaf in leaves]
+def _values(got):
+    """The values of a batch of families, leaf by leaf, as ThetaValues."""
+    return [ThetaValue(v, r.tail_bound, r.points) for r in got for v in r.values]
+
+
+def _one_by_one(families, W, lam_y):
+    return [thetas._theta_dense(leaf, W, lam_y) for leaf in _leaves(families)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
 @pytest.mark.parametrize("g,h", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_batch_is_bit_identical_to_one_leaf_calls(monkeypatch, d, g, h):
-    leaves = _group(d, g, h, 12, seed=10 * d + g + h)
-    floors = {thetas._radius_floor(leaf.floats.offset_norm) for leaf in leaves}
+    families = _group(d, g, h, 12, seed=10 * d + g + h)
+    floors = {thetas._radius_floor(fam.floats.offset_norm) for fam in families}
     assert len(floors) > 1
     W = _W(g)
     lam_y = thetas._at(W).lam_y
     calls = _batch_calls(monkeypatch)
-    got = thetas._theta_batch(leaves, W, lam_y)
+    got = _values(thetas._theta_batch(families, W, lam_y))
     # one enumeration for the whole group, one center per family
-    assert calls == [_families(leaves)]
-    want = _one_by_one(leaves, W, lam_y)
+    assert calls == [len(families)]
+    want = _one_by_one(families, W, lam_y)
+    assert len(got) == len(want) == 12
     for a, b in zip(got, want):
         assert (a.value, a.tail_bound, a.lattice_points_used) == (
             b.value, b.tail_bound, b.lattice_points_used)
@@ -382,67 +397,67 @@ def _reference_pieces(owner, starts, ends, per_center):
 
 
 def test_centers_cut_into_pieces(monkeypatch):
-    leaves = _group(3, 2, 2, 16, seed=5)
+    families = _group(3, 2, 2, 16, seed=5)
     W = _W(2)
     lam_y = thetas._at(W).lam_y
-    points = sorted(v.lattice_points_used for v in _one_by_one(leaves, W, lam_y))
+    points = sorted(v.lattice_points_used for v in _one_by_one(families, W, lam_y))
     # one batch, and a chunk that the larger families overflow: their
     # centers are cut into several pieces, the others stay whole
     monkeypatch.setattr(thetas, "_BATCH_POINTS", math.inf)
     monkeypatch.setattr(thetas, "_EVAL_CHUNK", points[len(points) // 2])
     cuts = _recorded(monkeypatch, "_pieces")
-    want = _one_by_one(leaves, W, lam_y)
-    assert thetas._theta_batch(leaves, W, lam_y) == want
+    want = _one_by_one(families, W, lam_y)
+    assert _values(thetas._theta_batch(families, W, lam_y)) == want
     for args, pieces in cuts:
         assert pieces == _reference_pieces(*args)
     per_center = Counter(j for j, _, _ in cuts[-1][1])
-    assert len(per_center) == _families(leaves) > 1
+    assert len(per_center) == len(families) > 1
     assert max(per_center.values()) > 1 and min(per_center.values()) == 1
 
 
 def test_batches_straddle_the_cap(monkeypatch):
-    leaves = _group(3, 2, 2, 16, seed=5)
+    families = _group(3, 2, 2, 16, seed=5)
     W = _W(2)
     lam_y = thetas._at(W).lam_y
-    want = _one_by_one(leaves, W, lam_y)
+    want = _one_by_one(families, W, lam_y)
     median = sorted(v.lattice_points_used for v in want)[len(want) // 2]
     # a cap that a few leaves fill: the group runs as several batches
     monkeypatch.setattr(thetas, "_BATCH_POINTS", 2.5 * median)
     calls = _batch_calls(monkeypatch)
-    assert thetas._theta_batch(leaves, W, lam_y) == want
-    assert sum(calls) == _families(leaves) and len(calls) > 1 and max(calls) > 1
+    assert _values(thetas._theta_batch(families, W, lam_y)) == want
+    assert sum(calls) == len(families) and len(calls) > 1 and max(calls) > 1
     # a cap below every family's estimate: each family runs alone
     monkeypatch.setattr(thetas, "_BATCH_POINTS", 1e-9)
     del calls[:]
-    assert thetas._theta_batch(leaves, W, lam_y) == want
-    assert calls == [1] * _families(leaves)
+    assert _values(thetas._theta_batch(families, W, lam_y)) == want
+    assert calls == [1] * len(families)
 
 
 def _assert_batches_by_family(monkeypatch, plan, W):
     """Each group of the plan at W: bit for bit the one-leaf calls, one
-    enumeration with one center per family, and one phase sum per piece
-    for each distinct (M, k) of a family.  Returns the leaves, families
-    and phase sums of the plan."""
+    enumeration with one center per family (one family per A0), and one
+    phase sum per piece for each distinct (M, k) of a family's leaves.
+    Returns the leaves, families and phase sums of the plan."""
     at = thetas._at(np.asarray(W, dtype=complex))
     calls = _batch_calls(monkeypatch)
     cuts = _recorded(monkeypatch, "_pieces")
     sums = _recorded(monkeypatch, "_phase_sum")
     leaves = families = phase_sums = 0
-    for group in _group_leaves(plan):
+    for group in _group_families(plan):
         del calls[:], cuts[:], sums[:]
         got = thetas._theta_batch(group, at.w, at.lam_y)
-        assert calls == [_families(group)]
+        assert len({fam.a for fam in group}) == len(group)
+        assert calls == [len(group)]
         ((_, pieces),) = cuts
         per_center = Counter(j for j, _, _ in pieces)
-        phases: dict = {}  # each family's A0, in first-seen order -> its (M, k)
-        for leaf in group:
-            phases.setdefault(leaf.A0, set()).add(leaf.phase[:2])
-        assert len(sums) == sum(len(ks) * per_center[f]
-                                for f, ks in enumerate(phases.values()))
+        # each family's distinct (M, k), read off each B0 alone
+        phases = [{thetas._phase_residues(fam.field, *b, len(fam.basis))[:2] for b in fam.bs}
+                  for fam in group]
+        assert len(sums) == sum(len(ks) * per_center[f] for f, ks in enumerate(phases))
         phase_sums += len(sums)
-        assert got == _one_by_one(group, at.w, at.lam_y)
-        leaves += len(group)
-        families += _families(group)
+        assert _values(got) == _one_by_one(group, at.w, at.lam_y)
+        leaves += len(_leaves(group))
+        families += len(group)
     return leaves, families, phase_sums
 
 
@@ -464,7 +479,7 @@ def test_relation_leaves_batch_by_family(monkeypatch, d, g):
     plan = _lower_terms(ThetaParams(eps=1e-6), (inst.lhs_terms, inst.rhs_terms))
     leaves, families, _ = _assert_batches_by_family(monkeypatch, plan, _W(g))
     assert leaves == 1 + len(inst.terms) and families == 2
-    assert all(leaf.phase.modulus > 1 for leaf in plan.leaves)
+    assert all(leaf_phase(leaf)[0] > 1 for leaf in _leaves(plan.families))
 
 
 def test_decomposition_leaves_batch_by_family(monkeypatch):
@@ -504,10 +519,10 @@ def test_residues_in_blocks_of_sums(monkeypatch):
 
 
 def test_over_budget_leaf_in_a_batch_raises(monkeypatch):
-    leaves = _group(1, 1, 2, 10, seed=3)
+    families = _group(1, 1, 2, 10, seed=3)
     W = _W(1)
     lam_y = thetas._at(W).lam_y
-    want = _one_by_one(leaves, W, lam_y)
+    want = _one_by_one(families, W, lam_y)
     points = [v.lattice_points_used for v in want]
     worst = max(range(len(points)), key=points.__getitem__)
     assert sorted(points)[-2] < points[worst]
@@ -515,9 +530,9 @@ def test_over_budget_leaf_in_a_batch_raises(monkeypatch):
     calls = _batch_calls(monkeypatch)
     with pytest.raises(TruncationError, match=f"exceeds max_points={points[worst] - 1}: "
                        f"{points[worst]} points after 4 of 4 coordinates"):
-        thetas._theta_batch(leaves, W, lam_y)
-    assert calls == [len(leaves)]
-    for leaf, v in zip(leaves, want):  # the others stay within the budget
+        thetas._theta_batch(families, W, lam_y)
+    assert calls == [len(families)] == [10]
+    for leaf, v in zip(_leaves(families), want):  # the others stay within the budget
         if v is not want[worst]:
             assert thetas._theta_dense(leaf, W, lam_y) == v
 
@@ -539,7 +554,7 @@ def test_failing_batch_raises_at_the_first_failing_factor(monkeypatch):
                  for f in fine)
     monkeypatch.setattr(thetas, "_MAX_POINTS", points - 1)
     with pytest.raises(TruncationError):
-        thetas._theta_batch(_group_leaves(plan)[1], thetas._at(np.array(W)).w,
+        thetas._theta_batch(_group_families(plan)[1], thetas._at(np.array(W)).w,
                             thetas._at(np.array(W)).lam_y)
     with pytest.raises(DomainError) as want:
         _naive(sides, W, params, ThetaCache())
@@ -636,12 +651,12 @@ def _reference_monomials(field, g, P, A0, B0):
 
 def _leaf_keys(plan, side=0):
     """Per term of the side, the keys of each factor's leaves."""
-    return [[[plan.leaves[j].key for j in plan.factor(i)] for i in idx]
+    return [[[plan.leaf(j).key for j in plan.factor(i)] for i in idx]
             for _, idx in plan.sides[side]]
 
 
 def _group_keys(plan):
-    return [[leaf.key for leaf in group] for group in _group_leaves(plan)]
+    return [[leaf.key for leaf in _leaves(group)] for group in _group_families(plan)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
@@ -663,7 +678,7 @@ def test_compiled_plan_matches_lowered_monomials(d, g, h):
         assert _leaf_keys(compiled) == _leaf_keys(lowered)
         assert _group_keys(compiled) == _group_keys(lowered)
         assert _sum_terms(compiled, W) == _sum_terms(lowered, W)
-    assert len(dec.leaves) == sum(map(len, compiled.groups))
+    assert _leaf_count(dec) == sum(len(_leaves(group)) for group in _group_families(compiled))
     assert len({c for c, _ in compiled.sides[0]}) > 1
 
 
@@ -713,48 +728,86 @@ def test_compiled_relation_matches_lowered_terms(d, g, diagonal):
     assert _sum_terms(compiled, _W(g)) == _sum_terms(lowered, _W(g))
 
 
-def _lower_and_leaf_calls(monkeypatch):
-    """The argument lists of every thetas._lower and thetas._leaf call."""
-    lowered, leaves = [], []
-    for name, calls in (("_lower", lowered), ("_leaf", leaves)):
-        inner = getattr(thetas, name)
+def _lower_and_family_calls(monkeypatch):
+    """The argument lists of every thetas._lower call and of every
+    thetas._Family built."""
+    lowered, families = [], []
+    inner = thetas._lower
+    monkeypatch.setattr(relations, "_lower", lambda *args: lowered.append(args) or inner(*args))
 
-        def counting(*args, _inner=inner, _calls=calls, **kwargs):
-            _calls.append(args)
-            return _inner(*args, **kwargs)
+    class Counted(thetas._Family):
+        def __init__(self, *args, **kwargs):
+            families.append(args)
+            super().__init__(*args, **kwargs)
 
-        for module in (thetas, relations):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting)
-    return lowered, leaves
+    for module in (thetas, relations):
+        monkeypatch.setattr(module, "_Family", Counted)
+    return lowered, families
+
+
+def _distinct_leaves(plan):
+    return {leaf.key for leaf in _leaves(plan.families)}
+
+
+def _leaf_count(side):
+    """The leaves of a compiled side."""
+    return sum(len(ids) for *_, ids in side.families)
 
 
 def test_decomposition_lowers_no_factor(monkeypatch):
-    # evaluating a fresh decomposition builds each of its distinct leaves
-    # once and lowers no factor
-    lowered, leaves = _lower_and_leaf_calls(monkeypatch)
+    # evaluating a fresh decomposition builds one record per family of its
+    # distinct leaves, and lowers no factor
+    lowered, families = _lower_and_family_calls(monkeypatch)
     dec = decompose_rational_P(*_decomposition_input(3, 1, 3))
-    assert (lowered, leaves) == ([], [])
+    assert (lowered, families) == ([], [])
     dec.evaluate(_W(1), ThetaParams(eps=1e-9))
     (plan,) = dec._plans.values()
-    distinct = {leaf.key for leaf in plan.leaves}
     assert lowered == []
-    assert len(leaves) == len(distinct) == len(dec.leaves)
+    assert len(families) == len(plan.families) == len(dec.families)
+    distinct = _distinct_leaves(plan)
+    assert plan.starts[-1] == len(distinct) == _leaf_count(dec) > len(dec.families)
     assert sum(len(ops) for _, ops in plan.sides[0]) > len(distinct)
 
 
 def test_relation_lowers_only_its_left_side(monkeypatch):
-    # evaluating a fresh relation lowers its left factor and builds each
-    # distinct leaf of its right side once
-    lowered, leaves = _lower_and_leaf_calls(monkeypatch)
+    # evaluating a fresh relation lowers its left factor (one leaf) and
+    # builds one record per family of its right side
+    lowered, families = _lower_and_family_calls(monkeypatch)
     inst = _random_relation(3, 1, 3, True, seed=5)
     evaluate_relation(inst, _W(1), ThetaParams(eps=1e-6))
     (plan,) = inst._plans.values()
-    distinct = {leaf.key for leaf in plan.leaves}
     assert len(lowered) == 1
-    assert len(leaves) == len(inst.leaves) + 1 == len(distinct)
+    assert len(families) == len(inst.families) + 1 == len(plan.families)
+    assert plan.starts[-1] == _leaf_count(inst) + 1 == len(_distinct_leaves(plan))
     assert [len(plan.factor(i)) for _, idx in plan.sides[1] for i in idx] == [
         inst.factor_leaves] * len(inst.expansion)
+
+
+def test_lowering_builds_one_record_per_family(monkeypatch):
+    # a decomposition and a relation's right side are lowered family by
+    # family: one thetas._Family per family of their leaves and no record
+    # per leaf; the families' phase data is built once per plan, not once
+    # per W
+    assert not hasattr(thetas, "_Leaf") and not hasattr(thetas, "_LeafKey")
+    lowered, families = _lower_and_family_calls(monkeypatch)
+    params = ThetaParams(eps=1e-9)
+    dec = decompose_rational_P(*_decomposition_input(3, 1, 3))
+    inst = _random_relation(1, 1, 3, True, seed=0)
+    for side in (dec, inst):
+        del families[:]
+        plan = _lower_terms(params, (side,))
+        assert len(families) == len(plan.families) == len(side.families)
+        assert plan.starts[-1] == _leaf_count(side) > len(side.families)
+    assert lowered == []
+    made = []
+    inner = thetas._FamilyPhases
+    monkeypatch.setattr(thetas, "_FamilyPhases", lambda *a: made.append(a) or inner(*a))
+    plan = _lower_terms(params, (dec,))
+    first = _sum_terms(plan, _W(1))
+    assert len(made) == len(plan.families)
+    _sum_terms(plan, [[0.3 + 1.7j]])
+    assert _sum_terms(plan, _W(1)) == first
+    assert len(made) == len(plan.families)
 
 
 def test_plan_reads_leaves_by_index(monkeypatch):
@@ -774,7 +827,7 @@ def test_plan_reads_leaves_by_index(monkeypatch):
         m.setattr(KMatrix, "_of", classmethod(lambda cls, *a: made.append(a) or of(cls, *a)))
         m.setattr(KMatrix, "__hash__", lambda self: hashed.append(self) or hash_(self))
         for side in (dec, inst):
-            assert len(_lower_terms(params, (side,)).leaves) == len(side.leaves)
+            assert _lower_terms(params, (side,)).starts[-1] == _leaf_count(side)
         assert (made, hashed) == ([], [])
         _lower_terms(params, (inst.lhs_terms,))  # the probes see factor lowering
         assert made and hashed
@@ -789,7 +842,7 @@ def test_plan_reads_leaves_by_index(monkeypatch):
         plan = _lower_terms(params, sides)
         _, evals, hits = _sum_terms(plan, _W(1))
         assert (evals, hits) == counts
-        assert evals == len(plan.leaves)
+        assert evals == plan.starts[-1]
         assert evals + hits == plan.reads == sum(
             len(plan.factor(i)) for side in plan.sides for _, idx in side for i in idx)
     assert read == []
@@ -797,3 +850,32 @@ def test_plan_reads_leaves_by_index(monkeypatch):
     assert len(read) == 1
     # the relation's diagonal P makes each of its terms a product of columns
     assert len(_lower_terms(params, (inst,)).products) == len(inst.expansion)
+
+
+# -- recorded outputs of the relation and decomposition plans -------------------
+
+
+_PLAN_GOLDEN = json.loads((Path(__file__).parent / "data" / "plan_golden.json").read_text())
+
+
+@pytest.mark.parametrize("k", range(len(_PLAN_GOLDEN["relations"])))
+def test_recorded_relation_is_unchanged(k):
+    # the 19 relations of the criterion-4 draws (the random_relations
+    # benchmark's), each at its recorded W: both sides bit for bit and the
+    # evaluation and hit counts
+    unit = _PLAN_GOLDEN["relations"][k]
+    W = np.array([[complex(re, im) for re, im in row] for row in unit["W"]])
+    rep = evaluate_relation(build_relation(RelationSpec.from_json(unit["spec"])), W,
+                            ThetaParams(eps=unit["eps"]))
+    assert [rep.lhs.real.hex(), rep.lhs.imag.hex()] == unit["lhs"]
+    assert [rep.rhs.real.hex(), rep.rhs.imag.hex()] == unit["rhs"]
+    assert (rep.theta_evals, rep.cache_hits) == (unit["theta_evals"], unit["cache_hits"])
+
+
+@pytest.mark.parametrize("k", range(len(_PLAN_GOLDEN["decompose"])))
+def test_recorded_decomposition_output_is_unchanged(capsys, k):
+    # the 10 criterion-7 draws (the decompose benchmark's) through the CLI:
+    # stdout byte for byte
+    unit = _PLAN_GOLDEN["decompose"][k]
+    assert main(unit["argv"]) == 0
+    assert capsys.readouterr().out == unit["stdout"]

@@ -228,18 +228,28 @@ def _terms_digest(inst):
 def _plan_digest(plan):
     # the leaves in batch order (key data, the integer coordinates of A0
     # and B0 as matrices), and per side and term the coefficient's bits and
-    # each factor's leaves by position
-    order = [i for group in plan.groups for i in group]
+    # each factor's leaves by position.  Batch order is group by group,
+    # each group's leaves in the order the rows first read them
+    first: dict = {}
+    for side in plan.sides:
+        for _, idx in side:
+            for i in idx:
+                for j in plan.factor(i):
+                    first.setdefault(j, len(first))
+    group_of = {f: k for k, group in enumerate(plan.groups) for f in group}
+    family_of = [f for f, fam in enumerate(plan.families) for _ in fam.bs]
+    order = sorted(range(plan.starts[-1]), key=lambda j: (group_of[family_of[j]], first[j]))
     pos = {i: k for k, i in enumerate(order)}
     keys = []
     for i in order:
-        leaf = plan.leaves[i]
-        d, g, h, _, A, B, eps, r, basis = leaf.key.data
-        A, B = (coords_to_kmatrix(*x, g, h, leaf.field).to_json() for x in (A, B))
+        leaf = plan.leaf(i)
+        d, g, h, _, eps, r, basis = leaf.group
+        A, B = (coords_to_kmatrix(*x, g, h, leaf.field).to_json() for x in (leaf.a, leaf.bs[0]))
         keys.append([d, g, h, leaf.P.to_json(), A, B, repr(eps), repr(r), repr(basis)])
     sides = [[[c.real.hex(), c.imag.hex(), [[pos[j] for j in plan.factor(i)] for i in idx]]
               for c, idx in side] for side in plan.sides]
-    return _digest([[len(group) for group in plan.groups], keys, sides])
+    sizes = [sum(len(plan.families[f].bs) for f in group) for group in plan.groups]
+    return _digest([sizes, keys, sides])
 
 
 def test_suite_relations_are_unchanged():

@@ -30,7 +30,7 @@ from iqtheta.kfield import hat, re_trace_of_product
 from iqtheta.lattices import _int_coords
 from iqtheta.relations import Term, ThetaFactor
 
-from _helpers import reduce_mod_integral
+from _helpers import leaf_phase, reduce_mod_integral
 
 # closed form for the classical value at tau = i: pi^(1/4) / Gamma(3/4)
 THETA00_AT_I = math.pi ** 0.25 / math.gamma(0.75)
@@ -161,14 +161,36 @@ def test_exact_linear_phase_matches_mpmath(d, b0, den, modulus):
     w = 0.2 + 1.1j
     P, A0, B0 = KMatrix([[field.from_rational(p)]]), KMatrix([[a0]]), KMatrix([[b0]])
     (leaf,) = thetas._lower(field, P, A0, B0, ThetaParams())
-    assert leaf.phase.modulus == modulus
+    leaf_modulus, leaf_k, _ = leaf_phase(leaf)
+    assert leaf_modulus == modulus
     if modulus > 1:
         assert modulus > thetas._ROOTS_MAX
     val = theta_general(field, [[w]], P, A0, B0)
     if den > 2**40:
-        assert sum(leaf.phase.k) >= 2**63 and val.lattice_points_used > 9
+        assert sum(leaf_k) >= 2**63 and val.lattice_points_used > 9
     want = _mp_theta_1x1(field, w, p, a0, b0)
     assert abs(val.value - want) <= val.tail_bound + 1e-13
+
+
+def test_phase_of_is_memoized_bit_for_bit():
+    # _phase_of reads a bounded memo of (n mod den, den): bit for bit the
+    # numpy scalar exp of the reduced fraction, for negative n, den up to
+    # 2^60 and beyond, and on a repeated call
+    rng = np.random.default_rng(11)
+    dens = [1, 2, 3, 7, 12, 1031, 2**31 - 1, 2**53 + 1, 2**60, 2**60 + 33, 3**40]
+    cases = [(n, den) for den in dens
+             for n in (0, 1, -1, den - 1, -den - 1, 5 * den + 3, -7 * den + 2, -(2**70) + 5)]
+    cases += [(int(rng.integers(-2**62, 2**62)) * int(rng.integers(1, 2**8)),
+               int(rng.integers(1, 2**60))) for _ in range(6000)]
+    cases += [(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 400))) for _ in range(3000)]
+    thetas._residue_phase.cache_clear()
+    for n, den in cases:
+        want = complex(np.exp(-2j * np.pi * (n % den / den)))
+        for got in (thetas._phase_of(n, den), thetas._phase_of(n, den)):
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    info = thetas._residue_phase.cache_info()
+    assert info.hits >= len(cases)  # each repeated call at least
+    assert info.maxsize is not None and info.currsize == info.maxsize < len(cases)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 11, 15])
@@ -190,8 +212,8 @@ def test_leaf_shift_is_the_phase_of_q0_bit_for_bit(d):
             cases.append((KMatrix.identity(h, field), reduce_mod_integral(A0), B0))
     big = KMatrix([[field.element(Fraction(10**400 + 1, 7), Fraction(-(10**400), 9))]])
     cases.append((KMatrix.identity(1, field), cases[0][1], big))
-    leaves = [(thetas._leaf(field, P, *(thetas._int_key(*_int_coords(M)) for M in (P, A0, B0)),
-                            params), A0, B0)
+    leaves = [(thetas._Family(field, P, *(thetas._int_key(*_int_coords(M)) for M in (P, A0)),
+                              params, bs=(thetas._int_key(*_int_coords(B0)),)), A0, B0)
               for P, A0, B0 in cases]
     for g in (1, 2):
         a, b = ([frac() for _ in range(g)] for _ in range(2))
@@ -199,7 +221,7 @@ def test_leaf_shift_is_the_phase_of_q0_bit_for_bit(d):
         (leaf,) = thetas._lower(thetas._RATIONALS, P, A0, B0, params, lattice)
         leaves.append((leaf, reduce_mod_integral(A0), B0))
     for leaf, A0, B0 in leaves:
-        assert leaf.phase.shift == thetas._phase(-re_trace_of_product(A0, B0))
+        assert leaf_phase(leaf)[2] == thetas._phase(-re_trace_of_product(A0, B0))
 
 
 def _reference_leaf_data(field, A0, B0, nb):
@@ -263,15 +285,15 @@ def test_integer_leaf_matches_kmatrix_lowering(d):
     for fld, P, A0, B0, N, lattice in cases:
         basis = thetas._BASES[lattice]
         (lowered,) = thetas._lower(fld, P, A0 + N, B0, params, lattice)
-        leaf = thetas._leaf(fld, P, thetas._int_key(*_int_coords(P)),
-                            thetas._int_key(*unreduced(A0 + N), center=True),
-                            thetas._int_key(*unreduced(B0)), params, basis)
+        leaf = thetas._Family(fld, P, thetas._int_key(*_int_coords(P)),
+                              thetas._int_key(*unreduced(A0 + N), center=True), params,
+                              basis, (thetas._int_key(*unreduced(B0)),))
         assert leaf.key == lowered.key and len({leaf.key, lowered.key}) == 1
         offsets, coords, phase = _reference_leaf_data(fld, A0, B0, len(leaf.basis))
         for got in (leaf, lowered):
             assert got.floats.offsets.tobytes() == offsets.tobytes()
             assert got.floats.coords.tobytes() == coords.tobytes()
-            assert got.phase == phase
+            assert leaf_phase(got) == phase
         assert leaf.floats.offset_norm == lowered.floats.offset_norm
 
 
