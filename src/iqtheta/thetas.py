@@ -463,15 +463,29 @@ def _ellipsoid_points(
                    and ends[pieces[k_end][2] - 1] - base <= _EVAL_CHUNK):
                 k_end += 1
             e = pieces[k_end - 1][2]
-            node = np.repeat(np.arange(s, e), counts[s:e])
-            out = np.empty((len(node), n))
-            out[:, :-1] = Z[node]
-            out[:, -1] = lo[node] + (np.arange(base, ends[e - 1]) - starts[node])
-            yield out, [(j, int(starts[a]) - base, int(ends[b - 1]) - base)
-                        for j, a, b in pieces[k:k_end]]
+            yield _block_rows(Z, lo, starts, counts, s, e), [
+                (j, int(starts[a]) - base, int(ends[b - 1]) - base)
+                for j, a, b in pieces[k:k_end]]
             k = k_end
 
     return per_center.astype(np.int64), blocks()
+
+
+def _block_rows(
+    Z: np.ndarray, lo: np.ndarray, starts: np.ndarray, counts: np.ndarray, s: int, e: int
+) -> np.ndarray:
+    """The rows of the points of nodes s..e-1 (see _ellipsoid_points): node
+    i's coordinates Z[i] repeated counts[i] times, each row ending in lo[i]
+    plus its index among node i's points, by one row-repeat of the nodes.
+    The sums are of integers below 2^53, so exact, and a zero comes out
+    +0.0 (an int64 index is added last), even where lo[i] is np.ceil's
+    -0.0."""
+    nodes = np.empty((e - s, Z.shape[1] + 1))
+    nodes[:, :-1] = Z[s:e]
+    nodes[:, -1] = lo[s:e] - (starts[s:e] - starts[s])
+    rows = np.repeat(nodes, counts[s:e], axis=0)
+    rows[:, -1] += np.arange(len(rows))
+    return rows
 
 
 def _pieces(
@@ -600,8 +614,9 @@ class _Family:
             nums = nums[::2]
         shared: dict[tuple, int] = {}  # (M, k) -> its sum
         leaves = []
+        d = self.field.d
         for b in self.bs:
-            modulus, k, den, w = _phase_residues(self.field, *b, nb)
+            modulus, k, den, w = _phase_residues(d, *b, nb)
             # q0 = Re Tr(A0^H B0) = (c . w) / (den_a den) for the
             # coordinates c / den_a of A0's entries in the basis
             q0 = sum(map(operator.mul, nums, w))
@@ -618,19 +633,24 @@ class _Family:
                              tuple(leaves))
 
 
+# each d's FieldId, built once: FieldId(d) checks that d is squarefree
+_field = lru_cache(maxsize=64)(FieldId)
+
+
 @lru_cache(maxsize=1 << 12)
 def _phase_residues(
-    field: FieldId, nums: tuple[int, ...], den: int, nb: int
+    d: int, nums: tuple[int, ...], den: int, nb: int
 ) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
     """The Re pairing with B0 = nums / den (row-major coordinates, see
-    _Family) in integers, and the modulus M and the integers k of
-    _FamilyPhases read off it; all depend on B0 and the basis alone: the
-    leaves of a relation, and of each Schur level of a decomposition,
-    repeat each B0 across G1.
+    _Family) over Q(sqrt(-d)) in integers, and the modulus M and the
+    integers k of _FamilyPhases read off it; all depend on B0 and the basis
+    alone: the leaves of a relation, and of each Schur level of a
+    decomposition, repeat each B0 across G1.  The cache is keyed on ints
+    only: a FieldId, a dataclass, hashes in Python.
 
     Returns (M, k, D, w) with t_i = Re(conj(e_i) y) = w_i / D for each
     entry y of B0, row-major, and each basis element e_i."""
-    w = _weights(nums, field)
+    w = _weights(nums, _field(d))
     if nb == 1:
         w = w[::2]
     # M is the lcm of the reduced denominators of the t_i, and k_i = M t_i
@@ -690,17 +710,45 @@ def _phase_sum(
         # least 1 / M) <= |v / M| 2^-53, so |v| >= 2^53.  So q is
         # floor(v / M), and r = v - M q is exact (|M q| < |v| + M) and in
         # [0, M): np.mod on floats costs ten times as much.
-        r = v - modulus * np.floor(v / modulus)
+        r = np.floor(v / modulus)
+        r *= modulus
+        np.subtract(v, r, out=r)
         if modulus <= _ROOTS_MAX:
             roots = _roots(modulus)
         elif modulus <= len(quad):
             roots = _roots.__wrapped__(modulus)
         else:
-            return (quad * np.exp(2j * np.pi * (r / modulus))).sum()
+            r /= modulus
+            return (quad * _turns(r)).sum()
         return (quad * roots[r.astype(np.intp)]).sum()
     q = np.array([sum(map(operator.mul, row, k)) % modulus / modulus
                   for row in z.astype(np.int64).tolist()])
-    return (quad * np.exp(2j * np.pi * q)).sum()
+    return (quad * _turns(q)).sum()
+
+
+def _turns(q: np.ndarray) -> np.ndarray:
+    """exp(2 pi i q), in one new array."""
+    e = np.multiply(2j * np.pi, q)
+    return np.exp(e, out=e)
+
+
+def _entries(z: np.ndarray, basis: tuple[complex, ...]) -> np.ndarray:
+    """The entries of the points z (rows of integer coordinates, column j
+    is coordinate n-1-j), elementwise (a product z @ e rounds differently):
+    entry i is z_{2i} + z_{2i+1} delta over (1, delta), written through
+    its real and imaginary views with the roundings of that complex
+    expression, so bit for bit the same on rows without -0.0 (see
+    _block_rows)."""
+    n = z.shape[1]
+    x = np.empty((len(z), n // len(basis)), dtype=np.complex128)
+    if len(basis) == 1:
+        x.real = z[:, ::-1]
+        x.imag = 0.0
+        return x
+    np.multiply(z[:, n - 2 :: -2], basis[1].real, out=x.real)
+    x.real += z[:, n - 1 :: -2]
+    np.multiply(z[:, n - 2 :: -2], basis[1].imag, out=x.imag)
+    return x
 
 
 def _theta_batch(
@@ -809,20 +857,18 @@ def _theta_batch(
             points[f] = n
         offsets = np.array([floats[f].offsets.reshape(-1) for f in batch])
         for z, segments in blocks:
-            # each entry's point, elementwise: a product z @ e rounds
-            # differently
-            if nb == 1:
-                x = z[:, ::-1].astype(np.complex128)
-            else:
-                x = z[:, dim - 1 :: -2] + z[:, dim - 2 :: -2] * basis[1]
+            x = _entries(z, basis)
+            y = np.empty_like(x)
             e1 = np.empty(len(z), dtype=np.complex128)
             # the matrix products run per segment: BLAS rounds a row
             # differently depending on where it sits in the product
             for j, start, end in segments:
                 xs = x[start:end]
                 xs += offsets[j]
-                e1[start:end] = np.einsum("nk,nk->n", xs.conj(), xs @ m_t)
-            quad = np.exp(1j * np.pi * e1)
+                ys = np.matmul(xs, m_t, out=y[: end - start])
+                np.einsum("nk,nk->n", np.conjugate(xs, out=xs), ys, out=e1[start:end])
+            del x, y, xs, ys  # the phase sums read only z and quad
+            quad = np.exp(np.multiply(1j * np.pi, e1, out=e1), out=e1)
             zmax = 0.0
             if any(phases[batch[j]].ks is not None for j, _, _ in segments):
                 zmax = float(max(z.max(initial=0.0), -z.min(initial=0.0)))

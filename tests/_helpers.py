@@ -1,5 +1,7 @@
 """Shared test helpers (imported by the test modules beside this file)."""
 
+import tracemalloc
+
 from iqtheta.kfield import KMatrix
 from iqtheta.lattices import _int_coords, coords_to_kmatrix
 from iqtheta.thetas import _int_key
@@ -19,3 +21,19 @@ def leaf_phase(family, j: int = 0) -> tuple:
     c, shift = phases.leaves[j]
     modulus, k, _ = phases.sums[c]
     return modulus, k, shift
+
+
+def traced_peak(f, *args):
+    """(f(*args), the peak of the memory traced by tracemalloc during the
+    call, in bytes above what was traced when it started)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -8,9 +8,11 @@ bound = lam_Y lam_P r^2 (1 + 1e-9); the oracle here is the isotropic ball
 straight from its definition.
 """
 
+import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -18,9 +20,10 @@ import pytest
 
 from iqtheta import FieldId, KMatrix, ThetaParams, TruncationError, theta_general
 from iqtheta import thetas
+from iqtheta.relations import RelationSpec, build_relation, evaluate_relation
 from iqtheta.thetas import _MAX_POINTS, choose_radius, in_type1_domain
 
-from _helpers import reduce_mod_integral
+from _helpers import reduce_mod_integral, traced_peak
 
 _COMBINE_ELEMS = 1 << 23
 
@@ -296,3 +299,110 @@ def test_empty_ellipsoid_is_zero_within_the_tail():
     offsets = np.array([[0.0], [0.5]])
     terms = _terms(_points_to_x(field, box, offsets), W, np.eye(1), np.zeros((2, 1)))
     assert 0.0 < abs(terms.sum()) <= val.tail_bound
+
+
+# -- the kernel's per-point arrays on recorded inputs ----------------------------
+
+
+_PLAN_GOLDEN = json.loads((Path(__file__).parent / "data" / "plan_golden.json").read_text())
+# the criterion-4 relation of plan_golden.json with the largest family: the
+# random_relations benchmark's peak, one family of 80,907 points at dim 8
+_LARGEST = 13
+
+
+@pytest.fixture(scope="module")
+def recorded_batches():
+    """The _theta_batch calls of relation _LARGEST at its recorded W, each
+    as ((families, W, lam_y), its largest family's point count)."""
+    unit = _PLAN_GOLDEN["relations"][_LARGEST]
+    calls = []
+    inner = thetas._theta_batch
+
+    def recorder(families, W, lam_y):
+        out = inner(families, W, lam_y)
+        calls.append(((families, W, lam_y), max(v.points for v in out)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thetas, "_theta_batch", recorder)
+        W = np.array([[complex(re, im) for re, im in row] for row in unit["W"]])
+        evaluate_relation(build_relation(RelationSpec.from_json(unit["spec"])), W,
+                          ThetaParams(eps=unit["eps"]))
+    return calls
+
+
+def test_largest_recorded_family_holds_only_its_point_arrays(recorded_batches):
+    # the batch of one family holds its rows, entries, products and phases
+    # per point (64 + 64 + 64 + 16 bytes at dim 8 over O_K) at its peak: it
+    # read 344 bytes a point with temporaries of the rows and entries
+    args, points = max(recorded_batches, key=lambda call: call[1])
+    assert (points, len(args[0])) == (80_907, 1)
+    assert points <= thetas._EVAL_CHUNK  # one piece, one segment
+    ((value, _, _),), peak = traced_peak(thetas._theta_batch, *args)
+    assert value == thetas._theta_batch(*args)[0].values
+    assert peak / points < 300
+
+
+def _gathered_rows(Z, lo, starts, counts, s, e):
+    """The rows of nodes s..e-1 as the enumerator used to build them: a
+    gather of the node rows, then lo plus each point's index in its node."""
+    node = np.repeat(np.arange(s, e), counts[s:e])
+    out = np.empty((len(node), Z.shape[1] + 1))
+    out[:, :-1] = Z[node]
+    out[:, -1] = lo[node] + (np.arange(starts[s], starts[s] + len(node)) - starts[node])
+    return out
+
+
+def _summed_entries(z, basis):
+    """The entries z_{2i} + z_{2i+1} delta as one complex expression."""
+    n = z.shape[1]
+    if len(basis) == 1:
+        return z[:, ::-1].astype(np.complex128)
+    return z[:, n - 1 :: -2] + z[:, n - 2 :: -2] * basis[1]
+
+
+def _checking_rows(monkeypatch):
+    """Make _block_rows and _entries assert, on every call, that they give
+    the bits of the expressions they replaced; returns, per _block_rows
+    call, whether some lo of its nodes was -0.0."""
+    signed = []
+    rows_of, entries_of = thetas._block_rows, thetas._entries
+
+    def rows(Z, lo, starts, counts, s, e):
+        out = rows_of(Z, lo, starts, counts, s, e)
+        assert out.tobytes() == _gathered_rows(Z, lo, starts, counts, s, e).tobytes()
+        signed.append(bool(np.signbit(lo[s:e][lo[s:e] == 0]).any()))
+        return out
+
+    def entries(z, basis):
+        out = entries_of(z, basis)
+        assert out.tobytes() == _summed_entries(z, basis).tobytes()
+        return out
+
+    monkeypatch.setattr(thetas, "_block_rows", rows)
+    monkeypatch.setattr(thetas, "_entries", entries)
+    return signed
+
+
+def test_rows_and_entries_are_the_bits_of_the_old_expressions(monkeypatch, recorded_batches):
+    signed = _checking_rows(monkeypatch)
+    for args, _ in recorded_batches:
+        thetas._theta_batch(*args)
+    assert len(signed) >= len(recorded_batches)
+    # the largest family again, in blocks that start past its first node
+    monkeypatch.setattr(thetas, "_EVAL_CHUNK", 4096)
+    del signed[:]
+    thetas._theta_batch(*max(recorded_batches, key=lambda call: call[1])[0])
+    assert len(signed) > 10
+
+    # a center -1/4 with half-width 1/2 puts np.ceil(-3/4) = -0.0 at each
+    # level; the rows still hold +0.0, and so do the entries' parts
+    del signed[:]
+    counts, blocks = thetas._ellipsoid_points(
+        np.eye(2), np.array([[0.25, 0.25]]), np.array([0.25]), [1])
+    ((z, segments),) = list(blocks)
+    assert counts.tolist() == [1] and segments == [(0, 0, 1)] and signed == [True]
+    assert z.tolist() == [[0.0, 0.0]] and not np.signbit(z).any()
+    for basis in (thetas._Z_BASIS, (1.0, FieldId(3).delta_complex), (1.0, 1j)):
+        x = thetas._entries(z, basis)
+        assert not np.signbit(x.view(np.float64)).any()

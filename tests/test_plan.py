@@ -451,7 +451,7 @@ def _assert_batches_by_family(monkeypatch, plan, W):
         ((_, pieces),) = cuts
         per_center = Counter(j for j, _, _ in pieces)
         # each family's distinct (M, k), read off each B0 alone
-        phases = [{thetas._phase_residues(fam.field, *b, len(fam.basis))[:2] for b in fam.bs}
+        phases = [{thetas._phase_residues(fam.field.d, *b, len(fam.basis))[:2] for b in fam.bs}
                   for fam in group]
         assert len(sums) == sum(len(ks) * per_center[f] for f, ks in enumerate(phases))
         phase_sums += len(sums)
