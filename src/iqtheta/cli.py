@@ -43,6 +43,7 @@ from .presets import (
 from .relations import (
     RelationSpec,
     VerificationReport,
+    _check_term_count,
     build_relation,
     decompose_rational_P,
     evaluate_relation,
@@ -211,6 +212,13 @@ def _resolve_preset(args: argparse.Namespace) -> Preset:
         raise CliParseError(str(exc)) from exc
 
 
+def _preset_with_relation(args: argparse.Namespace) -> Preset:
+    preset = _resolve_preset(args)
+    if preset.relation is None:
+        raise DomainError(f"preset {preset.name} carries no relation instance")
+    return preset
+
+
 def _load_spec(path: str) -> RelationSpec:
     obj = _load_json(path)
     if not isinstance(obj, dict):
@@ -282,14 +290,8 @@ def _cmd_groups(args: argparse.Namespace) -> int:
     if args.rep_limit < 0:
         raise CliParseError(f"--rep-limit must be non-negative, got {args.rep_limit}")
     if args.preset:
-        preset = _resolve_preset(args)
-        if preset.relation is None:
-            raise DomainError(
-                f"preset {preset.name} carries no relation instance"
-            )
-        name = preset.name
-        g = preset.g
-        d = preset.field.d
+        preset = _preset_with_relation(args)
+        name, g, d = preset.name, preset.g, preset.field.d
         G1, G2 = preset.relation.G1, preset.relation.G2
     else:
         spec = _load_spec(args.spec)
@@ -297,6 +299,7 @@ def _cmd_groups(args: argparse.Namespace) -> int:
         g, d = spec.g, spec.field.d
         G1 = shift_group(spec.g, spec.T, max_order=args.max_order)
         G2 = character_group(spec.g, spec.T, max_order=args.max_order)
+        _check_term_count(G1, G2, args.max_order)
     _emit(
         {
             "name": name,
@@ -312,11 +315,7 @@ def _cmd_groups(args: argparse.Namespace) -> int:
 def _cmd_build(args: argparse.Namespace) -> int:
     _require_source(args)
     if args.preset:
-        preset = _resolve_preset(args)
-        if preset.relation is None:
-            raise DomainError(
-                f"preset {preset.name} carries no relation instance"
-            )
+        preset = _preset_with_relation(args)
         inst = preset.relation
         extra = {"expected": preset.expected, "warnings": list(preset.warnings)}
     else:
@@ -471,7 +470,8 @@ def _add_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, help="squarefree field parameter")
     p.add_argument("--h", type=int, help="chain length for cartan_Ah")
     p.add_argument("--max-order", type=int, default=10**6, dest="max_order",
-                   help="group order cap (default 1e6)")
+                   help="cap on each group's order and on the relation's "
+                        "term count |G1|*|G2| (default 1e6)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,12 +18,16 @@ Every preset is assembled by one of two builders:
   the products of Theta^{P_jj} at the columns of A0 + rho for every
   g-tuple rho of printed rows, with A0 = (alphas) conj(T)^t.  Further
   checks ride along: the cubic and quartic bracket displays
-  (`_bracket_check`) and Matsumoto's check-variant statement, written out
-  by hand.
+  (`_bracket_check`) and Matsumoto's check-variant statement, read off
+  per-row choices (`_choice_keys`).
 - `_identity_preset`, for the real-theta identities (Jacobi, the half and
   double formulas, Riemann's quartic), each given as data: a check is
   (name, lhs, rhs), a side a list of terms (scale, factors), and a factor
   (a, b, s) is Theta[a; b](s Omega).
+
+Every check side is emitted compiled (relations._sum): rows of integer
+leaf keys (thetas._leaf_keys) with integer phases over one denominator and
+one coefficient scale, so no check builds a Term or lowers a factor.
 """
 
 from __future__ import annotations
@@ -38,26 +42,26 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .kfield import FieldId, KElement, KMatrix
+from .kfield import FieldId, KElement, KMatrix, re_trace_of_product
 from .lattices import FiniteAbelianGroup, character_group, shift_group
 from .relations import (
     RelationInstance,
     RelationSpec,
-    Term,
-    ThetaFactor,
     VerificationReport,
     _cached_plan,
     _lower_terms,
+    _Sum,
+    _sum,
     _sum_terms,
     build_relation,
     evaluate_relation,
 )
-from .thetas import MatrixLike, ThetaParams, _check_factor, _z_factor
+from .thetas import MatrixLike, ThetaParams, _block, _int_key, _leaf_keys, _p_parts, _z_factor
 
 __all__ = [
     "PRESET_NAMES",
@@ -94,12 +98,14 @@ PRESET_NAMES = (
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """lhs == rhs, each side a sum of coefficiented theta products."""
+    """lhs == rhs, each side a sum of coefficiented theta products,
+    compiled to integer leaves (relations._Sum); its term count is the
+    rows of both."""
 
     name: str
     g: int
-    lhs: tuple[Term, ...]
-    rhs: tuple[Term, ...]
+    lhs: _Sum
+    rhs: _Sum
     needs_symmetric_W: bool = False
 
     @cached_property
@@ -116,9 +122,8 @@ class IdentityCheck:
             self._plans, params, lambda: _lower_terms(params, (self.lhs, self.rhs))
         )
         (lhs, rhs), evals, hits = _sum_terms(plan, W)
-        return VerificationReport.compare(
-            lhs, rhs, len(self.lhs) + len(self.rhs), evals, hits, params.eps
-        )
+        terms = len(self.lhs.expansion) + len(self.rhs.expansion)
+        return VerificationReport.compare(lhs, rhs, terms, evals, hits, params.eps)
 
 
 # -- small constructors ------------------------------------------------------
@@ -135,14 +140,21 @@ def _row_matrix(cols: Sequence[KMatrix]) -> KMatrix:
     )
 
 
-def _zero_col(field: FieldId, g: int) -> KMatrix:
-    return _col([field.zero()] * g)
-
-
-def _plain_term(factors: Sequence[ThetaFactor],
-                scale: Fraction = Fraction(1),
-                q: Fraction = Fraction(0)) -> Term:
-    return Term(coeff_q=q, coeff_scale=scale, factors=tuple(factors))
+def _choice_keys(
+    rows: Sequence[Sequence[Sequence[KElement]]], w: int, center: bool
+) -> Iterator[tuple[tuple, ...]]:
+    """For each g-tuple of choices, in product order, of one row of h
+    entries among rows[k] for each row k: the leaf keys (see
+    thetas._leaf_keys) of the matrix of those rows, one per part of w
+    columns, centered mod O_K when center.  Each key is read off the rows'
+    integer coordinates over one denominator."""
+    den = math.lcm(*(x.den for row in rows for c in row for x in c))
+    coords = [[tuple(v for x in c for v in (x.n * (den // x.den), x.m * (den // x.den)))
+               for c in row] for row in rows]
+    g, h = len(rows), len(rows[0][0])
+    for choice in itertools.product(*coords):
+        nums = tuple(itertools.chain.from_iterable(choice))
+        yield tuple(_int_key(_block(nums, g, h, j, w), den, center) for j in range(h // w))
 
 
 def bracket_to_characteristic(
@@ -180,15 +192,14 @@ def _bracket_check(
     thetas at W, on the right, for each term of rhs_rows, the product of
     the thetas at scale*W; each factor's characteristic is the column of
     its g bracket labels (bracket_to_characteristic), with b = 0."""
-    zero = _zero_col(field, g)
-    factor = cache(lambda rows, s: ThetaFactor(
-        bracket_to_characteristic(field, rows), zero, KMatrix([[field.from_rational(s)]])))
+    zero = KMatrix.zeros(g, 1, field)
+    leaf = cache(lambda rows, s: _leaf_keys(
+        KMatrix([[field.from_rational(s)]]), bracket_to_characteristic(field, rows), zero)[0])
 
-    def term(factor_rows: Sequence[Sequence[tuple[int, int]]], s: int) -> Term:
-        return _plain_term([factor(tuple(rows), s) for rows in factor_rows])
+    def side(terms: Sequence[Sequence[Sequence[tuple[int, int]]]], s: int) -> _Sum:
+        return _sum([(0, [leaf(tuple(rows), s) for rows in t]) for t in terms])
 
-    return IdentityCheck(name=name, g=g, lhs=(term(lhs_rows, 1),),
-                         rhs=tuple(term(t, scale) for t in rhs_rows))
+    return IdentityCheck(name=name, g=g, lhs=side([lhs_rows], 1), rhs=side(rhs_rows, scale))
 
 
 # -- printed parametrizations -------------------------------------------------
@@ -251,38 +262,22 @@ def _printed_relation(
 def _printed_check(
     inst: RelationInstance, printed: Sequence[KMatrix], name: str
 ) -> IdentityCheck:
-    """The relation restated over its printed classes, for diagonal P,
-    B0 = 0 and trivial G2.
-
-    Left: Theta^Q at lhs_A, one 1x1 factor per column when Q is diagonal,
-    one dense factor otherwise.  Right: for each g-tuple rho of printed
-    rows, the product over j of Theta^{P_jj}[(A0 + rho)_j; 0].
-    """
+    """The relation restated over its printed classes, for B0 = 0 and
+    trivial G2, each leaf its own factor at eps.  Left: the leaves of
+    Theta^Q at lhs_A (see thetas._leaf_keys), one 1x1 leaf per column when
+    Q is diagonal.  Right: for each g-tuple rho of printed rows, the
+    product over the parts P_j of P (its diagonal entries) of
+    Theta^{P_j}[(A0 + rho)_j; 0]."""
     spec = inst.spec
-    g, h, field = spec.g, spec.h, spec.field
-    zero = _zero_col(field, g)
-    # the terms repeat a few columns and diagonal entries many times
-    col = cache(_col)
-    entry = cache(lambda p, j: KMatrix([[p[(j, j)]]]))
-
-    def columns(cols: Sequence[Sequence[KElement]], p: KMatrix) -> list[ThetaFactor]:
-        return [ThetaFactor(col(tuple(c)), zero, entry(p, j)) for j, c in enumerate(cols)]
-
-    Q = inst.Q
-    if all(Q[(i, j)].is_zero() for i in range(h) for j in range(h) if i != j):
-        lhs = columns(inst.lhs_A.transpose().entry_rows(), Q)
-    else:
-        lhs = [ThetaFactor(inst.lhs_A, inst.lhs_B, Q)]
+    parts = _p_parts(spec.P)
+    zero = ((0,) * (2 * spec.g * spec.h // len(parts)), 1)
     # row k of A0 + rho for each printed class rho, then every g-tuple of rows
-    shifted = [
-        [[a + x for a, x in zip(row, c.entry_rows()[0])] for c in printed]
-        for row in spec.A0.entry_rows()
-    ]
-    rhs = tuple(
-        _plain_term(columns(list(zip(*rows)), spec.P))
-        for rows in itertools.product(*shifted)
-    )
-    return IdentityCheck(name=name, g=g, lhs=(_plain_term(lhs),), rhs=rhs)
+    shifted = [[[a + x for a, x in zip(row, c.entry_rows()[0])] for c in printed]
+               for row in spec.A0.entry_rows()]
+    rhs = _sum((0, [(p, a, zero) for p, a in zip(parts, keys)])
+               for keys in _choice_keys(shifted, spec.h // len(parts), True))
+    lhs = _sum([(0, _leaf_keys(inst.Q, inst.lhs_A, inst.lhs_B))])
+    return IdentityCheck(name=name, g=spec.g, lhs=lhs, rhs=rhs)
 
 
 # -- preset container ---------------------------------------------------------
@@ -341,14 +336,19 @@ def _identity_preset(
     name: str, params: dict, g: int, expected: dict, checks: Sequence[tuple]
 ) -> Preset:
     """Real-theta identities, each at symmetric Omega.  A check is (name,
-    lhs, rhs), a side a list of terms (scale, factors), and a factor
-    (a, b, s) is Theta[a; b](s Omega), a and b g-tuples of rationals; each
-    distinct factor is built once."""
-    factor = cache(lambda a, b, s: ThetaFactor(*_z_factor(a, b, s)))
+    lhs, rhs), a side a list of terms (scale, factors) of one scale, and a
+    factor (a, b, s) is Theta[a; b](s Omega), a and b g-tuples of
+    rationals, compiled over Z; each distinct factor is keyed once."""
 
-    def side(terms: Sequence[tuple]) -> tuple[Term, ...]:
-        return tuple(_plain_term([factor(*f) for f in factors], Fraction(scale))
-                     for scale, factors in terms)
+    @cache
+    def leaf(a: tuple, b: tuple, s: object) -> tuple:
+        A0, B0, P, _ = _z_factor(a, b, s)
+        return _leaf_keys(P, A0, B0)[0]
+
+    def side(terms: Sequence[tuple]) -> _Sum:
+        (scale,) = {scale for scale, _ in terms}
+        return _sum([(0, [leaf(*f) for f in factors]) for _, factors in terms],
+                    coeff_scale=Fraction(scale), lattice="Z")
 
     return Preset(
         name=name,
@@ -402,6 +402,9 @@ def _preset_riemann_quad(
         a2 = tuple(Fraction(k % 2, 2) for k in range(g))
     a1 = tuple(Fraction(x) for x in a1)
     a2 = tuple(Fraction(x) for x in a2)
+    for name, a in (("a1", a1), ("a2", a2)):
+        if len(a) != g:
+            raise DomainError(f"riemann_quad: {name} must have g = {g} entries, got {len(a)}")
     zeros = (0,) * g
     rhs = []
     for dvec in itertools.product((0, 1), repeat=g):
@@ -714,7 +717,7 @@ def _preset_quartic(
 def _preset_quartic_zero(g: int = 1, max_order: int = 10**6) -> Preset:
     # quartic_d1 at zero characteristics, with the bracket display added
     field = FieldId(1)
-    preset = _preset_quartic(g, [_zero_col(field, g)] * 4, max_order)
+    preset = _preset_quartic(g, [KMatrix.zeros(g, 1, field)] * 4, max_order)
     # (Theta{0,0})^4(W) as a 256^g-term sum at 4W over the bracket labels
     # rho in O_K/4O_K and sigma, sigma' in 2O_K/4O_K of each row
     rho_labels = list(itertools.product((0, 1, -1, 2), repeat=2))
@@ -753,13 +756,15 @@ def _preset_matsumoto(
     if a2 is None:
         a2 = _default_alpha(field, g, 2)
     if b1 is None:
-        b1 = _col(
-            [field.element(Fraction(1, k + 4), Fraction(1, k + 2)) for k in range(g)]
-        )
+        b1 = _col([field.element(Fraction(1, k + 4), Fraction(1, k + 2)) for k in range(g)])
     if b2 is None:
-        b2 = _col(
-            [field.element(Fraction(1, k + 6), Fraction(1, k + 3)) for k in range(g)]
-        )
+        b2 = _col([field.element(Fraction(1, k + 6), Fraction(1, k + 3)) for k in range(g)])
+    for name, x in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2)):
+        if not (isinstance(x, KMatrix) and (x.rows, x.cols) == (g, 1) and x.field == field):
+            got = (f"{x.rows} x {x.cols} over d = {x.field.d}" if isinstance(x, KMatrix)
+                   else type(x).__name__)
+            raise DomainError(f"matsumoto: {name} must be a {g} x 1 KMatrix over d = 1, "
+                              f"got {got}")
     one = field.one()
     i_ = field.delta()
     half = Fraction(1, 2)
@@ -795,34 +800,37 @@ def _preset_matsumoto(
         "uses conj(e) in its place"
     )
 
-    def checks(q: Fraction, *pairs: tuple[KMatrix, KMatrix]) -> tuple:
-        """q plus the phases of the check-variant thetas at pairs, reduced
-        mod 1, and their factors."""
-        factors = []
-        for a, b in pairs:
-            q_ab, factor = _check_factor(field, a, b)
-            q += q_ab
-            factors.append(ThetaFactor(*factor))
-        return q - math.floor(q), factors
-
-    q, factors = checks(Fraction(0), (a1 + a2, b1 + b2), (a1 - a2, b1 - b2))
-    lhs = _plain_term(factors, scale=Fraction(2**g), q=q)
-    b_sum = b1 + b2
-    rhs = []
-    for ev in itertools.product(e_reps, repeat=g):
-        for fv in itertools.product(e_reps, repeat=g):
-            q = Fraction(0)
-            for k in range(g):
-                q -= (one_plus_i * ev[k].conj() * b_sum[(k, 0)]).re()
-            e_col = _col(list(ev))
-            f_col = _col(list(fv))
-            q, factors = checks(
-                q, (e_col + a1s, f_col + b1s), (e_col + a2s, f_col + b2s)
-            )
-            rhs.append(_plain_term(factors, q=q))
-    check = IdentityCheck(
-        name=f"matsumoto_statement_g{g}", g=g, lhs=(lhs,), rhs=tuple(rhs)
+    # Over d = 1 (-1 is not 1 mod 4), theta_check[a; b] is
+    # exp(-2*pi*i*Re(a^H b)) Theta^[[1]][a; b]: one leaf over P = [[1]], its
+    # phase in its term's q.  Left: 2^g times the thetas at (a1 + a2,
+    # b1 + b2) and (a1 - a2, b1 - b2)
+    pairs = ((a1 + a2, b1 + b2), (a1 - a2, b1 - b2))
+    q_lhs = sum(re_trace_of_product(a, b) for a, b in pairs) % 1
+    lhs = [_leaf_keys(KMatrix([[one]]), a, b)[0] for a, b in pairs]
+    p = lhs[0][0]
+    # Right: for each g-tuple e and f of choices in e_reps (f inner), the
+    # thetas at (e + a1s, f + b1s) and (e + a2s, f + b2s), all read off the
+    # per-row choices (e_k, f_k): keys concatenate rows, and q sums the
+    # rows' integer phases -Re((1+i) conj(e_k)(b1 + b2)_k) + Re(conj(e_k +
+    # a1s_k)(f_k + b1s_k)) + Re(conj(e_k + a2s_k)(f_k + b2s_k)) over q_den
+    cols = [[m[(k, 0)] for k in range(g)] for m in (a1s, a2s, b1s, b2s, b1 + b2)]
+    # per column, the key of e + col for each g-tuple e, A0's (a1s, a2s) centered
+    keys = [[key for (key,) in _choice_keys([[[e + x] for e in e_reps] for x in col], 1,
+                                            center=k < 2)] for k, col in enumerate(cols[:4])]
+    phases = [[[-(one_plus_i * e.conj() * y).re() + ((e + x1).conj() * (f + y1)).re()
+                + ((e + x2).conj() * (f + y2)).re() for f in e_reps] for e in e_reps]
+              for x1, x2, y1, y2, y in zip(*cols)]
+    q_den = math.lcm(*(r.denominator for row in phases for rs in row for r in rs))
+    phases = [[[r.numerator * (q_den // r.denominator) for r in rs] for rs in row]
+              for row in phases]
+    rhs = (
+        (q % q_den, [(p, keys[0][i], keys[2][j]), (p, keys[1][i], keys[3][j])])
+        for i, es in enumerate(itertools.product((0, 1), repeat=g))
+        for j, q in enumerate(map(sum, itertools.product(*(r[e] for r, e in zip(phases, es)))))
     )
+    check = IdentityCheck(
+        name=f"matsumoto_statement_g{g}", g=g, rhs=_sum(rhs, q_den=q_den),
+        lhs=_sum([(q_lhs.numerator, lhs)], q_den=q_lhs.denominator, coeff_scale=Fraction(2**g)))
     expected = {
         "computed_G1_order": inst.G1.order,
         "computed_G2_order": inst.G2.order,

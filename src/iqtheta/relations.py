@@ -22,31 +22,26 @@ The same machinery, applied to unipotent rational T from a Schur
 complement ladder, rewrites Theta^P for any rational symmetric positive
 definite P as an exact-coefficient polynomial in one-column thetas.
 
-Every side is a sum of Terms, evaluated in two steps.  A factor is one
-theta (a, b, P) over O_K or Z: scaling W by s is scaling P by s, and the
-phase of a check-variant theta is part of its Term's coefficient, so every
-factor reads W itself.  Lowering (`_lower_terms`) runs once per sum and
-ThetaParams, and gives one plan format for every side: a table of distinct
-leaves, each keyed by integers and held by family (thetas._Family: the
-leaves that share P and A0 and differ in B0, one record each), and per
-side rows (coefficient, table indices).  A relation's right side and a
-decomposition are compiled as they are emitted (_Compiled): their leaves
-are integer coordinates, interned by family and then by B0, and each
-family goes straight into the table; their expansion, read through the
-table indices of its leaves, is the rows.  Other Term sums (a relation's
-left side, the presets' identity checks) lower each distinct factor once
-(see thetas._lower) into the same table.  A factor of several leaves (an
-exactly diagonal P, split into columns) is a product entry of the table.
-The plan is cached on the object that owns the sum (RelationInstance,
-IdentityCheck, PDecomposition), one per ThetaParams, and so are its
-families' W-independent phases.  Evaluation (`_sum_terms`) takes one W: it
-checks W once, evaluates each leaf once into a list of values that
-belongs to that one evaluation, one batch per group of families that share
-a P (see thetas._evaluate_ahead), then each product, and multiplies each
-row's entries by index in the order the terms and factors are written.
-The evaluation and hit counts are the number of values and the leaf reads
-of the rows beyond them.  theta_general is the same pipeline for one
-factor.
+Every side is a sum of products of thetas, compiled in integers as it is
+emitted (_Compiled): a relation's two sides, a decomposition, and the
+presets' identity checks (_sum).  A factor is one theta (a, b, P) over O_K
+or Z: scaling W by s is scaling P by s, and the phase of a check-variant
+theta is part of its term's coefficient, so every factor reads W itself.
+A side's leaves are keyed by integers (thetas._leaf_keys) and interned by
+family (the leaves that share P and A0 and differ in B0), then by B0; its
+rows are (q, leaf indices).  Lowering (`_lower_terms`) puts each family
+into one table of distinct leaves (thetas._Family) and each product of
+several leaves (an exactly diagonal P, split into columns) after them,
+once per owner (RelationInstance, IdentityCheck, PDecomposition) and
+ThetaParams.  Evaluation (`_sum_terms`) takes one W: it checks W once,
+evaluates each leaf once into a list of values that belongs to that one
+evaluation, one batch per group of families that share a P (see
+thetas._evaluate_ahead), then each product, and multiplies each row's
+entries by index in the order the terms and factors are written.  The
+evaluation and hit counts are the number of values and the leaf reads of
+the rows beyond them.  Terms (RelationInstance.lhs_terms and rhs_terms,
+PDecomposition.monomials) are the public description, which evaluation
+does not read.
 """
 
 from __future__ import annotations
@@ -59,7 +54,7 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, GroupCapError, SingularMatrixError
 from .kfield import (
@@ -81,6 +76,7 @@ from .lattices import (
     shift_group,
 )
 from .thetas import (
+    _BASES,
     MatrixLike,
     ThetaParams,
     _as_complex_matrix,
@@ -91,9 +87,8 @@ from .thetas import (
     _Family,
     _int_key,
     _leaf_alone,
-    _lower,
+    _leaf_keys,
     _p_parts,
-    _phase,
     _phase_of,
     _product,
     _weights,
@@ -120,14 +115,9 @@ __all__ = [
 class ThetaFactor:
     """One theta factor inside a product term: Theta^p[a; b](W), the sum
     over Mat(g, h; O_K) for lattice "O_K" and over Mat(g, h; Z) for lattice
-    "Z" (a Riemann theta at z = 0, built by thetas._z_factor).
-
-    a and b are exact g x h characteristics and p an exact h x h Hermitian
-    matrix; scaling W by s is the factor with s*p, so a scalar [[s]]
-    encodes the argument s*W.  A check-variant theta is a factor times a
-    phase (thetas._check_factor), and the phase goes into its Term's
-    coefficient.
-    """
+    "Z" (a Riemann theta at z = 0, built by thetas._z_factor).  a and b are
+    exact g x h characteristics and p an exact h x h Hermitian matrix;
+    scaling W by s is the factor with s*p."""
 
     a: KMatrix
     b: KMatrix
@@ -137,11 +127,8 @@ class ThetaFactor:
 
 @dataclass(frozen=True)
 class Term:
-    """coeff_scale * exp(-2*pi*i*coeff_q) * prod of the factors at W.
-
-    Both sides of a relation (the left one a single Term), identity check
-    sides and P-decomposition monomials are all sums of these.
-    """
+    """coeff_scale * exp(-2*pi*i*coeff_q) * prod of the factors at W: the
+    public description of the sums, which evaluation reads compiled."""
 
     coeff_q: Fraction
     coeff_scale: Fraction
@@ -150,8 +137,8 @@ class Term:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Term sums lowered for one ThetaParams (see _lower_terms), read by
-    index from one table of values per evaluation.
+    """Compiled sums lowered for one ThetaParams (see _lower_terms), read
+    by index from one table of values per evaluation.
 
     The table holds each family's leaves, family by family (family f's
     leaf j is entry starts[f] + j), then each product's value: the product
@@ -178,35 +165,62 @@ class _Plan:
 
 
 class _Compiled:
-    """A sum compiled to integer leaves as it was emitted (RelationInstance,
-    PDecomposition).  families holds each distinct (P, A0) once, in
-    first-read order, as (index into ps, A0, its B0 keys, their leaf
-    indices), A0 and each B0 as they are keyed (thetas._Family), and ps
-    each part of P with its key, as thetas._p_parts gives them; a term
-    (q, leaf indices) of expansion stands for coeff_scale *
+    """A sum compiled to integer leaves as it was emitted (_Sum,
+    RelationInstance, PDecomposition).  families holds each distinct
+    (P, A0) once, in first-read order, as (index into ps, A0, its B0 keys,
+    their leaf indices), A0 and each B0 as they are keyed (thetas._Family),
+    and ps each part of P with its key, as thetas._p_parts gives them; a
+    term (q, leaf indices) of expansion stands for coeff_scale *
     exp(-2*pi*i*q / q_den) times its factors, each the product of
-    factor_leaves of its leaves at eps / factor_leaves."""
+    factor_leaves of its leaves at eps / factor_leaves, every theta summed
+    over the lattice ("O_K" or "Z", see thetas._BASES)."""
 
     coeff_scale = Fraction(1)
     factor_leaves = 1
+    lattice = "O_K"
 
 
-def _lower_terms(
-    params: ThetaParams, sides: Iterable[Union[Iterable[Term], _Compiled]]
-) -> _Plan:
-    """Lower sums together into one plan, so they share leaves.
+@dataclass(frozen=True)
+class _Sum(_Compiled):
+    """A compiled sum (see _Compiled) as _sum emits it."""
 
-    Leaves are interned by family, (group, A0), and then by B0 within it.
-    A compiled side passes each of its families straight to one
-    thetas._Family and reads its expansion's leaf indices through the
-    interned ones; any other side lowers each distinct factor once
-    (thetas._lower).  Every leaf is interned before any row is built, so
-    that the table holds each family's leaves together and each distinct
-    factor of several leaves can follow the leaves as one product entry.
-    """
+    ps: tuple[tuple[KMatrix, tuple[tuple[int, ...], int]], ...]
+    families: tuple[tuple[int, tuple, tuple[tuple, ...], tuple[int, ...]], ...]
+    expansion: tuple[tuple[int, tuple[int, ...]], ...]
+    q_den: int = 1
+    coeff_scale: Fraction = Fraction(1)
+    factor_leaves: int = 1
+    lattice: str = "O_K"
+
+
+def _sum(rows: Iterable[tuple[int, Iterable[tuple]]], **side) -> _Sum:
+    """The rows (q, leaves) as a _Sum with the fields side gives, a leaf as
+    thetas._leaf_keys gives it; parts, families and leaves interned in
+    first-read order."""
+    parts: dict = {}  # P key -> the part with its key
+    families = defaultdict(partial(_LeafIds, itertools.count()))  # (P key, A0) -> B0
+    expansion = []
+    for q, leaves in rows:
+        ids = []
+        for p, a, b in leaves:
+            parts.setdefault(p[1], p)
+            ids.append(families[p[1], a][b])
+        expansion.append((q, tuple(ids)))
+    index = {key: j for j, key in enumerate(parts)}
+    return _Sum(ps=tuple(parts.values()), expansion=tuple(expansion),
+                families=tuple((index[p], a, tuple(fam), tuple(fam.values()))
+                               for (p, a), fam in families.items()), **side)
+
+
+def _lower_terms(params: ThetaParams, sides: Iterable[_Compiled]) -> _Plan:
+    """Lower compiled sums together into one plan, so they share leaves.
+
+    Each family of a side goes straight into one thetas._Family, interned
+    by (group, A0) and then by B0, and the side's rows read its leaf
+    indices through the interned ones.  Every leaf is interned before any
+    row is built, so each product of several leaves follows them."""
     families: list[_Family] = []
     index: dict[tuple, int] = {}  # (group, A0) -> family index
-    lowered: dict[ThetaFactor, tuple[tuple[int, int], ...]] = {}
 
     def intern(fam: _Family) -> tuple[int, Sequence[int]]:
         """fam's index in families and the positions of its B0 keys there."""
@@ -216,63 +230,37 @@ def _lower_terms(
             return f, range(len(fam.bs))
         return f, list(map(families[f].intern, fam.bs))
 
-    def lower(f: ThetaFactor) -> tuple[tuple[int, int], ...]:
-        """Per leaf of the factor, (family index, position in the family)."""
-        got = lowered.get(f)
-        if got is None:
-            got = lowered[f] = tuple(
-                (i, slots[0]) for i, slots in
-                map(intern, _lower(f.a.field, f.p, f.a, f.b, params, f.lattice)))
-        return got
-
-    # per side: a compiled side with, per family, its leaf indices and
-    # where they went, or the Terms with the (family, position) of each
-    # factor's leaves
+    # per side, per family its leaf indices and where they went
     staged = []
     for side in sides:
-        if isinstance(side, _Compiled):
-            w = side.factor_leaves
-            leaf_params = replace(params, eps=params.eps / w) if w > 1 else params
-            staged.append((side, [(ids, intern(_Family(side.ps[j][0].field, *side.ps[j], a,
-                                                       leaf_params, bs=bs)))
-                                  for j, a, bs, ids in side.families]))
-        else:
-            side = tuple(side)
-            staged.append((side, [tuple(map(lower, t.factors)) for t in side]))
+        w = side.factor_leaves
+        leaf_params = replace(params, eps=params.eps / w) if w > 1 else params
+        basis = _BASES[side.lattice]
+        staged.append((side, [(ids, intern(_Family(side.ps[j][0].field, *side.ps[j], a,
+                                                   leaf_params, basis, bs)))
+                              for j, a, bs, ids in side.families]))
 
     starts = (0, *itertools.accumulate(len(fam.bs) for fam in families))
     n = starts[-1]
     products: dict[tuple[int, ...], int] = {}
-
-    def entry(f: tuple[int, ...]) -> int:
-        return f[0] if len(f) == 1 else n + products.setdefault(f, len(products))
-
-    # each distinct factor's leaves as table entries
-    leaf_entries = {leaves: tuple(starts[f] + j for f, j in leaves) for leaves in lowered.values()}
     rows = []
     reads = 0
     for side, got in staged:
-        if isinstance(side, _Compiled):
-            ids = [0] * sum(len(leaf_ids) for leaf_ids, _ in got)
-            for leaf_ids, (f, slots) in got:
-                for i, j in zip(leaf_ids, slots):
-                    ids[i] = starts[f] + j
-            w = side.factor_leaves
-            scale = float(side.coeff_scale)
-            coeffs = {q: scale * _phase_of(q, side.q_den)
-                      for q in {q for q, _ in side.expansion}}
-            rows.append(tuple([
-                (coeffs[q], tuple(map(ids.__getitem__, idx)) if w == 1 else
-                 tuple(entry(tuple(map(ids.__getitem__, idx[k:k + w])))
-                       for k in range(0, len(idx), w)))
-                for q, idx in side.expansion]))
-            reads += sum(len(idx) for _, idx in side.expansion)
-        else:
-            rows.append(tuple(
-                (float(t.coeff_scale) * _phase(t.coeff_q),
-                 tuple(map(entry, map(leaf_entries.__getitem__, factors))))
-                for t, factors in zip(side, got)))
-            reads += sum(len(f) for factors in got for f in factors)
+        ids = [0] * sum(len(leaf_ids) for leaf_ids, _ in got)
+        for leaf_ids, (f, slots) in got:
+            for i, j in zip(leaf_ids, slots):
+                ids[i] = starts[f] + j
+        w = side.factor_leaves
+        scale = float(side.coeff_scale)
+        coeffs = {q: scale * _phase_of(q, side.q_den)
+                  for q in {q for q, _ in side.expansion}}
+        rows.append(tuple([
+            (coeffs[q], tuple(map(ids.__getitem__, idx)) if w == 1 else
+             tuple(n + products.setdefault(tuple(map(ids.__getitem__, idx[k:k + w])),
+                                           len(products))
+                   for k in range(0, len(idx), w)))
+            for q, idx in side.expansion]))
+        reads += sum(len(idx) for _, idx in side.expansion)
     groups: dict[tuple, list[int]] = {}
     for f, fam in enumerate(families):
         groups.setdefault(fam.group, []).append(f)
@@ -485,6 +473,13 @@ class RelationInstance(_Compiled):
                      for b, bc in duals for a in self.G1.representatives)
 
     @cached_property
+    def lhs(self) -> _Sum:
+        """The left side, Theta^Q[lhs_A; lhs_B] with coefficient 1, compiled:
+        one row, one factor of the leaves of thetas._leaf_keys."""
+        leaves = _leaf_keys(self.Q, self.lhs_A, self.lhs_B)
+        return _sum([(0, leaves)], factor_leaves=len(leaves))
+
+    @cached_property
     def lhs_terms(self) -> tuple[Term, ...]:
         """The left side, Theta^Q[lhs_A; lhs_B], as one Term with
         coefficient 1."""
@@ -502,8 +497,7 @@ class RelationInstance(_Compiled):
 
     @cached_property
     def _plans(self) -> dict:
-        """The left side and the compiled right side lowered together, per
-        ThetaParams."""
+        """The two sides lowered together, per ThetaParams."""
         return {}
 
     def group_metadata(self) -> dict:
@@ -516,6 +510,13 @@ class RelationInstance(_Compiled):
         }
 
 
+def _check_term_count(g1: FiniteAbelianGroup, g2: FiniteAbelianGroup, max_order: int) -> None:
+    """GroupCapError when the relation over g1 and g2 has over max_order terms."""
+    if g1.order * g2.order > max_order:
+        raise GroupCapError(
+            f"the relation has {g1.order * g2.order} terms, over the cap {max_order}")
+
+
 def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstance:
     """Assemble the groups, and the right side compiled in integers.
 
@@ -523,7 +524,7 @@ def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstan
     q / q_den = Re Tr(A0^H c B) mod 1 and the factor Theta^P[A0 + A; B0 + c B].
     A0 + A (reduced mod O_K) and B0 + c B are read off the groups' integer
     coordinates, each over one denominator, and cut into parts: single
-    columns for an exactly diagonal P with h > 1 (see thetas._lower), else
+    columns for an exactly diagonal P with h > 1 (see thetas._leaf_keys), else
     the whole matrix.  A leaf is interned by its family, the indices of
     its P and its A part, and then by the index of its B part.
 
@@ -537,10 +538,7 @@ def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstan
     Q = spec.T.conj_transpose() @ spec.P @ spec.T
     g1 = shift_group(spec.g, spec.T, max_order=max_order)
     g2 = character_group(spec.g, spec.T, max_order=max_order)
-    if g1.order * g2.order > max_order:
-        raise GroupCapError(
-            f"the relation has {g1.order * g2.order} terms, over the cap {max_order}"
-        )
+    _check_term_count(g1, g2, max_order)
     lhs_B = spec.B0 @ spec.T
     g, h = spec.g, spec.h
     b_duals, b_den = _dual_coords(g2)
@@ -609,8 +607,7 @@ def evaluate_relation(
         (q, idx), *rest = inst.expansion
         inst = replace(inst, q_den=3 * inst.q_den, expansion=(
             (3 * q + inst.q_den, idx), *((3 * r, i) for r, i in rest)))
-    plan = _cached_plan(inst._plans, params,
-                        lambda: _lower_terms(params, (inst.lhs_terms, inst)))
+    plan = _cached_plan(inst._plans, params, lambda: _lower_terms(params, (inst.lhs, inst)))
     (lhs, rhs_sum), evals, hits = _sum_terms(plan, W)
     rhs = float(inst.scale) * rhs_sum
     return VerificationReport.compare(lhs, rhs, term_count, evals, hits, params.eps)

@@ -37,31 +37,30 @@ in Z^g, with P = [[s]] and a symmetric W = Omega (`_z_factor`;
 field theta's has (1, delta), and the enumerator, kernel and tail bound are
 the ones above.  Scaling W is always scaling P, so a theta reads W itself:
 the check variant (`theta_check_variant`) is an exact phase times one
-theta, with P = [[2]] where its series runs at 2W (`_check_factor`).
+theta, with P = [[2]] where its series runs at 2W.
 
 W is the only floating-point input.  P, A0 and B0 are exact matrices over K
 (a KMatrix, or nested lists of int/Fraction).
 
-Every theta runs in two steps.  Lowering (`_lower`) does all the exact,
-W-independent work once: it checks shapes and that P is Hermitian, splits
-an exactly diagonal P into 1x1 columns, and keys each resulting dense theta
-(a leaf) by integers: A0 reduced mod the lattice (O_K or Z) and B0 as
-coordinate tuples over their least common denominator (see `_Family`), so
-equal rationals give equal keys whichever path built them.  Evaluation
-takes one W: the per-W check (`_at`: square, finite, inside H1 with
-lam_min(Y) at least the eigenvalue grid, one eigensolve) runs once, then
-`_leaves_value` multiplies the leaves' values.  `theta_general` is the
-one-factor plan: each leaf is a family of one, one `_theta_dense` call,
-through a ThetaCache if one is passed.
+Every theta runs in two steps.  The exact, W-independent work is done
+once: `_leaf_keys` splits an exactly diagonal P into 1x1 columns and keys
+each resulting dense theta (a leaf) by integers: A0 reduced mod the
+lattice (O_K or Z) and B0 as coordinates over their least common
+denominator (see `_Family`), so equal rationals give equal keys whichever
+path built them.  Evaluation takes one W: the per-W check (`_at`: square,
+finite, inside H1 with lam_min(Y) at least the eigenvalue grid, one
+eigensolve) runs once, then the leaves are evaluated.  Only the three
+public thetas lower matrices (`_lower`: shapes, then `_leaf_keys`), each
+leaf one `_theta_dense` call, through a ThetaCache if one is passed.
 
-Sums of many factors (relations.py) lower their whole term tuple once into
-a table of distinct leaves held as families (`_Family`): the leaves that
-share (field, shape, P, ThetaParams, entry basis), their group, and A0 mod
-the lattice, and differ only in B0 (in a relation, the thetas at
-B0 + c b for b in G2), each family one record with its tuple of B0 keys.
-A plan is evaluated at one W into a list of leaf values, by index, that
-belongs to that one evaluation.  Before the term loop the families of each
-group are evaluated together (`_evaluate_ahead`, `_theta_batch`):
+Sums of many factors (relations.py) are compiled to these keys as they are
+built, and lowered once into a table of distinct leaves held as families
+(`_Family`): the leaves that share (field, shape, P, ThetaParams, entry
+basis), their group, and A0 mod the lattice, and differ only in B0 (in a
+relation, the thetas at B0 + c b for b in G2), one record each with its B0
+keys.  A plan is evaluated at one W into a list of leaf values, by index,
+that belongs to that one evaluation.  Before the term loop the families of
+each group are evaluated together (`_evaluate_ahead`, `_theta_batch`):
 lam_min(P), the Gram matrix and its Cholesky factor, the (W kron P^T) form
 and the radii are computed once per group.  A family's leaves share the
 points and the quadratic exponent, so one enumeration runs over one center
@@ -159,7 +158,7 @@ class ThetaCache:
     A dense theta is keyed by (leaf key, W bytes), where the leaf key holds
     the field, shapes, P, A0 reduced mod O_K, B0, eps and max_radius, so
     characteristics that differ by an integral matrix share one entry.
-    Term sums (relations.py) do not use it: each evaluation of a plan keeps
+    Compiled sums (relations.py) do not use it: each evaluation of a plan keeps
     its own table of leaf values under the same keys.
     """
 
@@ -924,6 +923,22 @@ def _block(nums: Sequence[int], g: int, h: int, j: int, w: int) -> list[int]:
     return [v for i in range(g) for v in nums[2 * (i * h + j * w):2 * (i * h + j * w + w)]]
 
 
+def _leaf_keys(
+    P: KMatrix, A0: KMatrix, B0: KMatrix
+) -> tuple[tuple[tuple[KMatrix, tuple], tuple, tuple], ...]:
+    """Theta^P[A0; B0] keyed by integers: per part of P (see _p_parts), the
+    part with its key, the columns of A0 under it reduced mod the lattice
+    and those of B0, each a key (nums, den) (see _Family).  The theta is the
+    product of these leaves, each at eps over their number."""
+    parts = _p_parts(P)
+    g, h = A0.rows, A0.cols
+    w = h // len(parts)  # columns per part
+    (a, da), (b, db) = _int_coords(A0), _int_coords(B0)
+    return tuple((part, _int_key(_block(a, g, h, j, w), da, center=True),
+                  _int_key(_block(b, g, h, j, w), db))
+                 for j, part in enumerate(parts))
+
+
 def _lower(
     field: FieldId,
     P: ExactLike,
@@ -933,17 +948,12 @@ def _lower(
     lattice: str = "O_K",
 ) -> tuple[_Family, ...]:
     """Theta^P[A0; B0] as the leaves whose product it is, each a family of
-    one: the exact checks and the coordinates of A0 and B0, done once for
-    every W.  The sum runs
-    over Mat(g, h; O_K), or over Mat(g, h; Z) for lattice "Z" (see
-    _z_factor).
-
-    An exactly diagonal P with h > 1 factors over columns: one 1x1 leaf per
-    column, each at eps/h.  Otherwise there is a single leaf.
-    """
+    one: the exact checks and the keys of _leaf_keys, done once for every
+    W.  The sum runs over Mat(g, h; O_K), or over Mat(g, h; Z) for lattice
+    "Z" (see _z_factor).  An exactly diagonal P with h > 1 factors over
+    columns: one 1x1 leaf per column, each at eps/h."""
     if lattice not in _BASES:
         raise ValueError(f"unknown lattice {lattice!r}")
-    basis = _BASES[lattice]
     P = _exact(P, "P", field)
     A0 = _exact(A0, "A0", field)
     B0 = _exact(B0, "B0", field)
@@ -952,17 +962,11 @@ def _lower(
         raise DomainError(f"B0 must have shape {(g, h)}, got {(B0.rows, B0.cols)}")
     if (P.rows, P.cols) != (h, h):
         raise DomainError(f"P must be {h}x{h} to match A0, got {(P.rows, P.cols)}")
-    parts = _p_parts(P)
-    (a, da), (b, db) = _int_coords(A0), _int_coords(B0)
-    if len(parts) == 1:
-        return (_Family(field, *parts[0], _int_key(a, da, center=True), params, basis,
-                        (_int_key(b, db),)),)
-    col_params = replace(params, eps=params.eps / h)
-    return tuple(
-        _Family(field, col, key, _int_key(_block(a, g, h, j, 1), da, center=True),
-                col_params, basis, (_int_key(_block(b, g, h, j, 1), db),))
-        for j, (col, key) in enumerate(parts)
-    )
+    leaves = _leaf_keys(P, A0, B0)
+    if len(leaves) > 1:
+        params = replace(params, eps=params.eps / len(leaves))
+    return tuple(_Family(field, *part, a, params, _BASES[lattice], (b,))
+                 for part, a, b in leaves)
 
 
 def _rational(x: object) -> Fraction:
@@ -1008,23 +1012,6 @@ def _residue_phase(r: int, den: int) -> complex:
     # r / den rounds like float(q - floor(q)) for q = n/den and r = n mod
     # den, whatever factor n and den share (int / int rounds correctly)
     return complex(np.exp(-2j * np.pi * (r / den)))
-
-
-def _check_factor(
-    field: FieldId, a: ExactLike, b: ExactLike
-) -> tuple[Fraction, tuple[KMatrix, KMatrix, KMatrix, str]]:
-    """theta_check_variant[a; b](W) = exp(-2*pi*i*q) Theta^P[a; b'](W):
-    (q, the factor (a, b', P, lattice)).
-
-    For -d not congruent to 1 mod 4, q = Re Tr(a^H b), b' = b and P = [[1]];
-    for -d congruent to 1 mod 4 the series runs at 2W with a doubled phase,
-    so q, b' and P are doubled."""
-    a = _exact(a, "a", field)
-    b = _exact(b, "b", field)
-    q = re_trace_of_product(a, b)
-    if field.one_mod_four:
-        return 2 * q, (a, b.scale(2), KMatrix([[field.from_rational(2)]]), "O_K")
-    return q, (a, b, KMatrix([[field.one()]]), "O_K")
 
 
 class _CheckedW(NamedTuple):
@@ -1169,11 +1156,15 @@ def theta_check_variant(
     alone, which differs from Theta[a; b](W) by exp(-2*pi*i*Re(conj(a)^t b)).
     For -d congruent to 1 mod 4 the series uses 2W and a doubled phase, equal
     to exp(-4*pi*i*Re(conj(a)^t b)) * Theta[a; 2b](2W), evaluated as
-    Theta^P[a; 2b](W) with P = [[2]] (see _check_factor).
+    Theta^P[a; 2b](W) with P = [[2]].
     """
     if params is None:
         params = ThetaParams()
-    q, (a, b, P, _) = _check_factor(field, a, b)
+    a = _exact(a, "a", field)
+    b = _exact(b, "b", field)
+    q, P = re_trace_of_product(a, b), KMatrix([[field.one()]])
+    if field.one_mod_four:
+        q, b, P = 2 * q, b.scale(2), KMatrix([[field.from_rational(2)]])
     base = _leaves_value(
         _lower(field, P, a, b, params),
         _at(_as_complex_matrix(W, "W")),

@@ -1,10 +1,12 @@
 """Shared test helpers (imported by the test modules beside this file)."""
 
+import math
 import tracemalloc
 
 from iqtheta.kfield import KMatrix
 from iqtheta.lattices import _int_coords, coords_to_kmatrix
-from iqtheta.thetas import _int_key
+from iqtheta.relations import _sum
+from iqtheta.thetas import _int_key, _leaf_keys
 
 
 def reduce_mod_integral(A0: KMatrix) -> KMatrix:
@@ -13,6 +15,33 @@ def reduce_mod_integral(A0: KMatrix) -> KMatrix:
     with center)."""
     return coords_to_kmatrix(*_int_key(*_int_coords(A0), center=True), A0.rows, A0.cols,
                              A0.field)
+
+
+def compile_terms(terms):
+    """Terms of one coefficient scale, one lattice and one leaf count per
+    factor as a compiled side (relations._sum): each factor's leaves keyed
+    by thetas._leaf_keys of its exact matrices, each q over the least
+    common denominator of the terms' phases."""
+    (scale,) = {t.coeff_scale for t in terms}
+    (lattice,) = {f.lattice for t in terms for f in t.factors}
+    leaves = [[_leaf_keys(f.p, f.a, f.b) for f in t.factors] for t in terms]
+    (w,) = {len(f) for factors in leaves for f in factors}
+    q_den = math.lcm(*(t.coeff_q.denominator for t in terms))
+    rows = [(int(t.coeff_q * q_den), [leaf for f in factors for leaf in f])
+            for t, factors in zip(terms, leaves)]
+    return _sum(rows, q_den=q_den, coeff_scale=scale, factor_leaves=w, lattice=lattice)
+
+
+def row_a0s(side) -> list[tuple[KMatrix, ...]]:
+    """Per row of a compiled side (relations._Sum), the A0 of each leaf as
+    its key holds it: reduced mod the lattice, as reduce_mod_integral
+    gives it."""
+    a0 = {}
+    for j, (nums, den), _, ids in side.families:
+        p = side.ps[j][0]
+        m = coords_to_kmatrix(nums, den, len(nums) // (2 * p.rows), p.rows, p.field)
+        a0.update(dict.fromkeys(ids, m))
+    return [tuple(map(a0.__getitem__, idx)) for _, idx in side.expansion]
 
 
 def leaf_phase(family, j: int = 0) -> tuple:

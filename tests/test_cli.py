@@ -551,6 +551,30 @@ def test_preset_relation_obeys_max_order(capsys):
     assert code == 0 and json.loads(out)["groups"]["term_count"] == 64
 
 
+def test_groups_caps_the_term_count_by_preset_and_by_spec(capsys):
+    # groups of 8 and 64 terms: the preset and the same relation as build
+    # writes it out are both refused over a cap of 10, with one stderr
+    # line, and both listed at 64
+    code, out = _run(capsys, ["build", "--preset", "matsumoto", "--g", "3"])
+    assert code == 0
+    spec = json.dumps(json.loads(out)["spec"])
+    sources = (["--preset", "matsumoto", "--g", "3"], ["--spec", spec])
+    for source in sources:
+        assert main(["groups", *source, "--max-order", "10"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "group cap: the relation has 64 terms, over the cap 10"]
+    payloads = []
+    for source in sources:
+        code, out = _run(capsys, ["groups", *source, "--max-order", "64"])
+        assert code == 0
+        blob = json.loads(out)
+        payloads.append((blob["G1"], blob["G2"]))
+        assert blob["G1"]["order"] == blob["G2"]["order"] == 8
+    assert payloads[0] == payloads[1]
+
+
 @pytest.mark.parametrize("argv,err", [
     (["verify", "--preset", "jacobi_identity", "--g", "2"],
      "preset jacobi_identity: takes no parameters; got unexpected keyword g"),

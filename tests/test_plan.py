@@ -1,4 +1,4 @@
-"""Term plans: each Term sum is lowered once per owner and ThetaParams, and
+"""Plans: each compiled sum is lowered once per owner and ThetaParams, and
 evaluating a plan at W gives, bit for bit, the sum of the public theta
 calls, and the evaluation and hit counts of those calls on one cache."""
 
@@ -29,6 +29,7 @@ from iqtheta import (
     evaluate_relation,
     make_preset,
     riemann_theta_z0,
+    run_paper_suite,
     theta_check_variant,
     theta_general,
 )
@@ -41,11 +42,10 @@ from iqtheta.relations import (
     Term,
     ThetaFactor,
     _lower_terms,
-    _phase,
     _sum_terms,
 )
 
-from _helpers import leaf_phase
+from _helpers import compile_terms, leaf_phase
 
 
 def _factor_value(f, W, params, cache):
@@ -62,13 +62,22 @@ def _naive(sides, W, params, cache):
     for side in sides:
         re_parts, im_parts = [], []
         for t in side:
-            acc = float(t.coeff_scale) * _phase(t.coeff_q)
+            acc = float(t.coeff_scale) * thetas._phase(t.coeff_q)
             for f in t.factors:
                 acc *= _factor_value(f, W, params, cache)
             re_parts.append(acc.real)
             im_parts.append(acc.imag)
         sums.append(complex(math.fsum(re_parts), math.fsum(im_parts)))
     return sums
+
+
+def _check(field, a, b, s=Fraction(1)):
+    """theta_check_variant[a; b] at s W as (q, factor) with
+    exp(-2 pi i q) times the factor: q = Re Tr(a^H b) and Theta^[[s]][a; b],
+    where -d is 1 mod 4 the series at 2 s W with q and b doubled."""
+    k = 2 if field.one_mod_four else 1
+    return (k * re_trace_of_product(a, b),
+            ThetaFactor(a, b.scale(k), KMatrix([[field.from_rational(k * s)]])))
 
 
 def _col(field, g, seed):
@@ -96,41 +105,45 @@ def test_plan_matches_public_calls_bit_for_bit(d, g):
          else np.array([[0.1 + 1.2j, 0.2 - 0.1j], [0.2 - 0.1j, -0.3 + 0.9j]]))
     p01 = field.element(Fraction(1, 2), Fraction(1, 2))
     dense_p = KMatrix([[field.from_rational(2), p01], [p01.conj(), field.from_rational(3)]])
-    diag2 = ThetaFactor(_mat(field, g, 2, 1), _mat(field, g, 2, 2),
-                        _diag(field, [2, Fraction(5, 2)]))
+    diag2 = [ThetaFactor(_mat(field, g, 2, k), _mat(field, g, 2, k + 1),
+                         _diag(field, [2, Fraction(5, 2)])) for k in (1, 4)]
     diag3 = ThetaFactor(_mat(field, g, 3, 3), _mat(field, g, 3, -1),
                         _diag(field, [1, 2, Fraction(3, 2)]))
     dense = ThetaFactor(_mat(field, g, 2, 0), _mat(field, g, 2, 5), dense_p)
     # check-variant thetas at s * W: their phases go into the coefficients
-    phases, checks = [], []
-    for k, s in enumerate((Fraction(1, 2), Fraction(1), Fraction(2))):
-        q, (a, b, p, lattice) = thetas._check_factor(
-            field, _col(field, g, k), _col(field, g, 2 - k))
-        phases.append(q)
-        checks.append(ThetaFactor(a, b, p.scale(s), lattice))
+    phases, checks = zip(*(_check(field, _col(field, g, k), _col(field, g, 2 - k), s)
+                           for k, s in enumerate((Fraction(1, 2), Fraction(1), Fraction(2)))))
     riemann = [ThetaFactor(*thetas._z_factor(tuple(Fraction(k, 2) for _ in range(g)),
                                              tuple(Fraction(1 - k, 2) for _ in range(g)), s))
                for k, s in ((0, 1), (1, 2))]
+    # each side of one coefficient scale, lattice and leaf count per factor
     sides = (
         (
-            Term(Fraction(1, 3), Fraction(1), (diag2, diag3)),
-            Term(Fraction(0), Fraction(-2, 5), (dense, dense, diag2)),  # repeated
-            Term(Fraction(5, 7), Fraction(3), (diag3,)),
+            Term(Fraction(1, 3), Fraction(1), (diag2[0], diag2[1])),
+            Term(Fraction(0), Fraction(1), (diag2[0], diag2[0])),  # repeated
         ),
+        (Term(Fraction(5, 7), Fraction(3), (diag3,)),
+         Term(Fraction(1, 6), Fraction(3), (diag3, diag3))),
         (
             Term(Fraction(1, 4) + sum(phases), Fraction(1), tuple(checks)),
-            Term(phases[0], Fraction(1, 2), (checks[0], riemann[0], riemann[0])),
-            Term(Fraction(2, 3) + phases[2], Fraction(1), (riemann[1], checks[2], dense)),
+            Term(Fraction(2, 3) + phases[2], Fraction(1), (checks[2], dense)),
+        ),
+        (Term(phases[0], Fraction(-2, 5), (dense, dense, checks[0])),),
+        (
+            Term(Fraction(0), Fraction(1, 2), (riemann[0], riemann[0])),
+            Term(Fraction(1, 3), Fraction(1, 2), (riemann[1], riemann[0])),
         ),
     ) + tuple((Term(Fraction(0), Fraction(1), (f,)),) for f in (dense, checks[1], riemann[1]))
-    plan = _lower_terms(params, sides)
+    plan = _lower_terms(params, tuple(map(compile_terms, sides)))
     got, evals, hits = _sum_terms(plan, W)
     naive_cache = ThetaCache()
     want = _naive(sides, W, params, naive_cache)
     assert got == want  # complex ==: bit for bit
-    # the naive sum evaluates each of the 4 Riemann reads outside the
-    # cache; the plan reads its 2 Riemann leaves from its table
-    assert (evals, hits) == (naive_cache.misses + 2, naive_cache.hits + 2)
+    # the naive sum evaluates each Riemann read outside the cache; the plan
+    # evaluates each distinct Riemann leaf once and reads it from its table
+    reads = [f for side in sides for t in side for f in t.factors if f.lattice == "Z"]
+    assert len(set(reads)) == 2 and len(reads) == 5
+    assert (evals, hits) == (naive_cache.misses + 2, naive_cache.hits + 3)
     assert hits > 0
 
 
@@ -142,10 +155,10 @@ def test_equal_w_bytes_share_a_leaf():
     params = ThetaParams(eps=1e-11)
     W = np.array([[0.15 + 1.1j]])
     a, b = _col(field, 1, 1), _col(field, 1, 2)
-    q, check = thetas._check_factor(field, a, b)
+    q, check = _check(field, a, b)
     plain = ThetaFactor(a, b, KMatrix.identity(1, field))
-    sides = ((Term(q, Fraction(1), (ThetaFactor(*check), plain)),),)
-    plan = _lower_terms(params, sides)
+    sides = ((Term(q, Fraction(1), (check, plain)),),)
+    plan = _lower_terms(params, tuple(map(compile_terms, sides)))
     got, evals, hits = _sum_terms(plan, W)
     cache = ThetaCache()
     assert got == _naive(sides, W, params, cache)
@@ -166,14 +179,14 @@ def test_folded_check_form_matches_theta_check_variant(d, g):
         pairs = [(_col(field, g, k), _col(field, g, 2 - k)),
                  (_col(field, g, k + 1), _col(field, g, -k))]
         for q0 in (Fraction(0), Fraction(1, 3), Fraction(5, 7)):
-            q, factors, want = q0, [], _phase(q0)
+            q, factors, want = q0, [], thetas._phase(q0)
             for a, b in pairs:
-                q_ab, factor = thetas._check_factor(field, a, b)
+                q_ab, factor = _check(field, a, b)
                 q += q_ab
-                factors.append(ThetaFactor(*factor))
+                factors.append(factor)
                 want *= theta_check_variant(field, a, b, W, params).value
-            (got,), _, _ = _sum_terms(
-                _lower_terms(params, ((Term(q, Fraction(1), tuple(factors)),),)), W)
+            side = compile_terms((Term(q, Fraction(1), tuple(factors)),))
+            (got,), _, _ = _sum_terms(_lower_terms(params, (side,)), W)
             assert abs(got - want) <= 8 * np.finfo(float).eps * abs(want)
 
 
@@ -251,12 +264,12 @@ def test_an_evaluation_reads_w_once(monkeypatch):
         monkeypatch.setattr(relations, name, lambda *args, _inner=inner, _name=name:
                             calls.append(_name) or _inner(*args))
     field = FieldId(3)
-    q, check = thetas._check_factor(field, _col(field, 1, 1), _col(field, 1, 2))
-    sides = ((Term(q, Fraction(1), (ThetaFactor(*check),)),),)
+    q, check = _check(field, _col(field, 1, 1), _col(field, 1, 2))
+    side = compile_terms((Term(q, Fraction(1), (check,)),))
     owners = [
         lambda W: evaluate_relation(_relation(), W),
         make_preset("riemann_quad").identity_checks[0].evaluate,
-        lambda W: _sum_terms(_lower_terms(ThetaParams(), sides), W),
+        lambda W: _sum_terms(_lower_terms(ThetaParams(), (side,)), W),
         decompose_rational_P(*_decomposition_input(3, 1, 3)).evaluate,
     ]
     for evaluate in owners:
@@ -476,7 +489,7 @@ def test_relation_leaves_batch_by_family(monkeypatch, d, g):
     B0 = KMatrix([[field.element(Fraction(1, 5)),
                    field.element(Fraction(1, 2), Fraction(1, 7))]] * g)
     inst = build_relation(RelationSpec(field, g, T, P, A0, B0))
-    plan = _lower_terms(ThetaParams(eps=1e-6), (inst.lhs_terms, inst.rhs_terms))
+    plan = _lower_terms(ThetaParams(eps=1e-6), (inst.lhs, inst))
     leaves, families, _ = _assert_batches_by_family(monkeypatch, plan, _W(g))
     assert leaves == 1 + len(inst.terms) and families == 2
     assert all(leaf_phase(leaf)[0] > 1 for leaf in _leaves(plan.families))
@@ -490,7 +503,7 @@ def test_decomposition_leaves_batch_by_family(monkeypatch):
     B0 = KMatrix.from_rational_rows([[Fraction(1, 5), Fraction(1, 2)],
                                      [0, Fraction(1, 3)]], field)
     dec = decompose_rational_P(field, 2, P, A0, B0)
-    plan = _lower_terms(ThetaParams(eps=1e-9), (dec.monomials,))
+    plan = _lower_terms(ThetaParams(eps=1e-9), (dec,))
     leaves, families, phase_sums = _assert_batches_by_family(monkeypatch, plan, _W(2))
     assert (leaves, families) == (16 + 256, 1 + 16)
     # the one family of 16 leaves has 16 (M, k), and each of the 16
@@ -512,8 +525,7 @@ def test_residues_in_blocks_of_sums(monkeypatch):
                                      [Fraction(1, 2), 0]], field)
     B0 = KMatrix.from_rational_rows([[Fraction(1, 5), Fraction(1, 2)],
                                      [0, Fraction(1, 3)]], field)
-    plan = _lower_terms(ThetaParams(eps=1e-9),
-                        (decompose_rational_P(field, 2, P, A0, B0).monomials,))
+    plan = _lower_terms(ThetaParams(eps=1e-9), (decompose_rational_P(field, 2, P, A0, B0),))
     _assert_batches_by_family(monkeypatch, plan, _W(2))
     assert len(steps) > 1000
 
@@ -548,7 +560,7 @@ def test_failing_batch_raises_at_the_first_failing_factor(monkeypatch):
     fine = [ThetaFactor(_mat(field, 1, 2, k), _mat(field, 1, 2, k + 1), P)
             for k in range(4)]
     sides = (tuple(Term(Fraction(0), Fraction(1), (f,)) for f in [wide] + fine),)
-    plan = _lower_terms(params, sides)
+    plan = _lower_terms(params, tuple(map(compile_terms, sides)))
     W = [[0.1 + 1.3j]]
     points = max(theta_general(field, W, f.p, f.a, f.b, params).lattice_points_used
                  for f in fine)
@@ -583,7 +595,8 @@ def test_shared_cache_counts_match_public_calls(case):
     W = [[0.15 + 1.2j]]
     dec = decompose_rational_P(field, 1, P, A0, B0)
     poly = dec.evaluate(W, params)
-    (got_poly,), evals, hits = _sum_terms(_lower_terms(params, (dec.monomials,)), W)
+    (got_poly,), evals, hits = _sum_terms(
+        _lower_terms(params, (compile_terms(dec.monomials),)), W)
     direct = theta_general(field, W, P, A0, B0, params)
     naive_cache = ThetaCache()
     (want_poly,) = _naive((dec.monomials,), W, params, naive_cache)
@@ -663,17 +676,18 @@ def _group_keys(plan):
 @pytest.mark.parametrize("g", [1, 2])
 @pytest.mark.parametrize("h", [2, 3])
 def test_compiled_plan_matches_lowered_monomials(d, g, h):
-    # the plan a decomposition compiles from its leaf table is the plan
-    # that lowering its monomials factor by factor gives, and the plan of
-    # the expansion through KMatrix arithmetic: the same coefficients, the
-    # same leaves per term, the same groups and the same values bit for bit
+    # the plan a decomposition compiles from its leaf table is the plan of
+    # its monomials, and of the expansion through KMatrix arithmetic, each
+    # factor keyed from its matrices (thetas._leaf_keys): the same
+    # coefficients, the same leaves per term, the same groups and the same
+    # values bit for bit
     args = _decomposition_input(d, g, h)
     dec = decompose_rational_P(*args)
     params = ThetaParams(eps=1e-9)
     compiled = _lower_terms(params, (dec,))
     W = _W(g)
     for terms in (dec.monomials, _reference_monomials(*args)):
-        lowered = _lower_terms(params, (terms,))
+        lowered = _lower_terms(params, (compile_terms(terms),))
         assert [c for c, _ in compiled.sides[0]] == [c for c, _ in lowered.sides[0]]
         assert _leaf_keys(compiled) == _leaf_keys(lowered)
         assert _group_keys(compiled) == _group_keys(lowered)
@@ -713,14 +727,15 @@ def _random_relation(d, g, h, diagonal, seed):
 @pytest.mark.parametrize("g", [1, 2])
 @pytest.mark.parametrize("diagonal", [True, False])
 def test_compiled_relation_matches_lowered_terms(d, g, diagonal):
-    # the plan of a relation's compiled right side is the plan that lowering
-    # its Terms factor by factor gives: the same coefficients, the same
-    # leaves per factor, the same groups and the same values bit for bit
+    # the plan of a relation's compiled sides is the plan of its Terms, each
+    # factor keyed from its matrices (thetas._leaf_keys): the same
+    # coefficients, the same leaves per factor, the same groups and the
+    # same values bit for bit
     inst = _random_relation(d, g, 3 if g == 1 else 2, diagonal, seed=10 * d + g)
     assert (inst.factor_leaves > 1) == diagonal
     params = ThetaParams(eps=1e-6)
-    compiled = _lower_terms(params, (inst.lhs_terms, inst))
-    lowered = _lower_terms(params, (inst.lhs_terms, inst.rhs_terms))
+    compiled = _lower_terms(params, (inst.lhs, inst))
+    lowered = _lower_terms(params, (compile_terms(inst.lhs_terms), compile_terms(inst.rhs_terms)))
     for side, (got, want) in enumerate(zip(compiled.sides, lowered.sides)):
         assert [c for c, _ in got] == [c for c, _ in want]
         assert _leaf_keys(compiled, side) == _leaf_keys(lowered, side)
@@ -733,7 +748,7 @@ def _lower_and_family_calls(monkeypatch):
     thetas._Family built."""
     lowered, families = [], []
     inner = thetas._lower
-    monkeypatch.setattr(relations, "_lower", lambda *args: lowered.append(args) or inner(*args))
+    monkeypatch.setattr(thetas, "_lower", lambda *args: lowered.append(args) or inner(*args))
 
     class Counted(thetas._Family):
         def __init__(self, *args, **kwargs):
@@ -769,14 +784,15 @@ def test_decomposition_lowers_no_factor(monkeypatch):
     assert sum(len(ops) for _, ops in plan.sides[0]) > len(distinct)
 
 
-def test_relation_lowers_only_its_left_side(monkeypatch):
-    # evaluating a fresh relation lowers its left factor (one leaf) and
-    # builds one record per family of its right side
+def test_relation_lowers_no_factor(monkeypatch):
+    # evaluating a fresh relation lowers no factor: it builds one record per
+    # family of its compiled sides, the left one a row of one leaf
     lowered, families = _lower_and_family_calls(monkeypatch)
     inst = _random_relation(3, 1, 3, True, seed=5)
     evaluate_relation(inst, _W(1), ThetaParams(eps=1e-6))
     (plan,) = inst._plans.values()
-    assert len(lowered) == 1
+    assert lowered == []
+    assert _leaf_count(inst.lhs) == len(inst.lhs.families) == 1
     assert len(families) == len(inst.families) + 1 == len(plan.families)
     assert plan.starts[-1] == _leaf_count(inst) + 1 == len(_distinct_leaves(plan))
     assert [len(plan.factor(i)) for _, idx in plan.sides[1] for i in idx] == [
@@ -810,15 +826,28 @@ def test_lowering_builds_one_record_per_family(monkeypatch):
     assert len(made) == len(plan.families)
 
 
+def test_suite_lowers_no_factor(monkeypatch):
+    # every side of the suite, relation or identity check, is compiled to
+    # integer leaves: no plan lowers a factor
+    def refuse(*args):
+        raise AssertionError("a factor was lowered")
+
+    monkeypatch.setattr(thetas, "_lower", refuse)
+    result = run_paper_suite()
+    assert len(result.reports) == 138 and result.all_passed
+
+
 def test_plan_reads_leaves_by_index(monkeypatch):
-    # a decomposition and a relation's right side go into the leaf table
-    # as the integers they were compiled to: lowering them constructs and
-    # hashes no KMatrix.  The term loop multiplies table entries by index,
+    # every compiled side (a decomposition, a relation's two sides, an
+    # identity check's) goes into the leaf table as the integers it was
+    # compiled to: lowering it constructs and hashes no KMatrix.  The term
+    # loop multiplies table entries by index,
     # without the one-factor reader _leaves_value, and counts the
     # evaluations and hits that reading each factor through one cache gave
     inst = _random_relation(1, 1, 3, True, seed=0)
     dec = decompose_rational_P(*_decomposition_input(3, 1, 3))
     (check,) = make_preset("jacobi_identity").identity_checks
+    lhs = inst.lhs
     params = ThetaParams(eps=1e-9)
     made, hashed = [], []
     init, of, hash_ = KMatrix.__init__, KMatrix._of.__func__, KMatrix.__hash__
@@ -826,17 +855,17 @@ def test_plan_reads_leaves_by_index(monkeypatch):
         m.setattr(KMatrix, "__init__", lambda self, *a: made.append(a) or init(self, *a))
         m.setattr(KMatrix, "_of", classmethod(lambda cls, *a: made.append(a) or of(cls, *a)))
         m.setattr(KMatrix, "__hash__", lambda self: hashed.append(self) or hash_(self))
-        for side in (dec, inst):
+        for side in (dec, inst, lhs, check.lhs, check.rhs):
             assert _lower_terms(params, (side,)).starts[-1] == _leaf_count(side)
         assert (made, hashed) == ([], [])
-        _lower_terms(params, (inst.lhs_terms,))  # the probes see factor lowering
+        thetas._lower(FieldId(1), [[1]], [[0]], [[0]], params)  # the probes see lowering
         assert made and hashed
 
     assert not hasattr(thetas, "_table_value")
     read = []
     inner = thetas._leaves_value
     monkeypatch.setattr(thetas, "_leaves_value", lambda *a: read.append(a) or inner(*a))
-    cases = [((inst.lhs_terms, inst), (13, 84)), ((dec,), (49, 719)),
+    cases = [((lhs, inst), (13, 84)), ((dec,), (49, 719)),
              ((check.lhs, check.rhs), (3, 9))]
     for sides, counts in cases:
         plan = _lower_terms(params, sides)

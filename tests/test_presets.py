@@ -17,11 +17,12 @@ from iqtheta import (
     bracket_to_characteristic,
     default_W_samples,
     default_omega_samples,
+    evaluate_relation,
     make_preset,
     run_paper_suite,
 )
 
-from _helpers import reduce_mod_integral
+from _helpers import reduce_mod_integral, row_a0s
 
 
 def test_bracket_characteristics_d3():
@@ -243,10 +244,6 @@ def test_preset_names_all_constructible():
 # -- statement checks restated from the printed classes -------------------------
 
 
-def _reduced(factors):
-    return tuple(reduce_mod_integral(f.a) for f in factors)
-
-
 _REAL_THETA_PRESETS = {"jacobi_identity", "half_formulas", "double_formulas",
                        "riemann_quad"}
 _FOLD_CASES = [e for e in DEFAULT_SUITE_PLAN if e[0] not in _REAL_THETA_PRESETS] + [
@@ -274,7 +271,7 @@ def test_statement_checks_restate_the_relation(name, params):
     skipped = any("skipped" in w for w in preset.warnings)
     assert len(checks) == (0 if skipped else 1)
     for check in checks:
-        assert Counter(_reduced(t.factors) for t in check.rhs) == expected
+        assert Counter(row_a0s(check.rhs)) == expected
 
 
 def _k(field, *xs):
@@ -283,7 +280,7 @@ def _k(field, *xs):
 
 def _first_term(preset):
     (check,) = [c for c in preset.identity_checks if "bracket" not in c.name]
-    return Counter(_reduced(check.rhs[0].factors))
+    return Counter(row_a0s(check.rhs)[0])
 
 
 def _cols(*entries):
@@ -351,3 +348,51 @@ def test_quartic_printed_combinations():
         (a1 * i_ + a2 - a3 + a4 * i_) / 4,
         (a1 + a2 * i_ + a3 * i_ - a4) / 4,
     )
+
+
+# -- compiled checks ------------------------------------------------------------
+
+
+def test_matsumoto_rejects_a_malformed_characteristic():
+    b2 = KMatrix([[FieldId(1).element(Fraction(1, 3))]])
+    with pytest.raises(DomainError, match=r"^matsumoto: b2 must be a 2 x 1 KMatrix over "
+                       r"d = 1, got 1 x 1 over d = 1$"):
+        make_preset("matsumoto", g=2, b2=b2)
+
+
+def test_riemann_quad_rejects_a_malformed_characteristic():
+    with pytest.raises(DomainError, match=r"^riemann_quad: a1 must have g = 2 entries, got 1$"):
+        make_preset("riemann_quad", g=2, a1=[Fraction(1, 2)])
+
+
+def _kmatrices_built(monkeypatch, build):
+    """The KMatrix values that build() constructs (see
+    test_plan_reads_leaves_by_index)."""
+    made = []
+    init, of = KMatrix.__init__, KMatrix._of.__func__
+    with monkeypatch.context() as m:
+        m.setattr(KMatrix, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+        m.setattr(KMatrix, "_of", classmethod(lambda cls, *a: made.append(a) or of(cls, *a)))
+        build()
+    return len(made)
+
+
+def test_matsumoto_builds_no_kmatrix_per_term(monkeypatch):
+    # the statement check's 4^g rows are read off per-row choices in
+    # integers: the exact matrices built grow at most linearly in g
+    counts = [_kmatrices_built(monkeypatch, lambda: make_preset("matsumoto", g=g))
+              for g in (3, 6)]
+    assert counts[1] <= 2 * counts[0]
+
+
+def test_matsumoto_at_genus_three():
+    # the suite covers g <= 2: at g = 3 the relation and the statement
+    # check each read 130 distinct leaves once
+    W = np.array([[0.1 + 1.2j, 0.2 + 0.1j, -0.1j],
+                  [0.2 + 0.1j, 1.0j, 0.15],
+                  [-0.1j, 0.15, -0.2 + 1.1j]])
+    preset = make_preset("matsumoto", g=3)
+    (check,) = preset.identity_checks
+    for rep, terms in ((evaluate_relation(preset.relation, W), 64), (check.evaluate(W), 65)):
+        assert rep.passed, rep.residual_rel
+        assert (rep.term_count, rep.theta_evals, rep.cache_hits) == (terms, 130, 0)

@@ -37,6 +37,8 @@ from iqtheta.relations import (
     _sum_terms,
 )
 
+from _helpers import compile_terms
+
 
 def _cubic_spec():
     field = FieldId(3)
@@ -137,14 +139,14 @@ def test_rhs_independent_of_coset_representatives():
                 phase_q=q,
             )
         )
-    # the moved terms as a Term sum, lowered factor by factor
+    # the moved terms as a Term sum, each factor keyed from its matrices
     moved = tuple(
         Term(t.phase_q, Fraction(1), (ThetaFactor(t.a_char, t.b_char, spec.P),))
         for t in terms
     )
     W = [[0.15 + 0.95j]]
     r1 = evaluate_relation(inst, W)
-    (moved_sum,), _, _ = _sum_terms(_lower_terms(ThetaParams(), (moved,)), W)
+    (moved_sum,), _, _ = _sum_terms(_lower_terms(ThetaParams(), (compile_terms(moved),)), W)
     r2 = VerificationReport.compare(
         r1.lhs, float(inst.scale) * moved_sum, len(moved), 0, 0, ThetaParams().eps
     )
@@ -178,7 +180,8 @@ def test_corruption_matches_the_corrupted_terms(mode):
         terms = (replace(terms[0], coeff_q=terms[0].coeff_q + Fraction(1, 3)),) + terms[1:]
     else:
         terms = terms[1:]
-    (lhs, rhs_sum), _, _ = _sum_terms(_lower_terms(ThetaParams(), (inst.lhs_terms, terms)), W)
+    sides = (compile_terms(inst.lhs_terms), compile_terms(terms))
+    (lhs, rhs_sum), _, _ = _sum_terms(_lower_terms(ThetaParams(), sides), W)
     rep = evaluate_relation(inst, W, corrupt=mode)
     assert (rep.lhs, rep.rhs) == (lhs, float(inst.scale) * rhs_sum)
     assert rep.term_count == 4 and not rep.passed

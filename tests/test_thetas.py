@@ -12,7 +12,6 @@ import pytest
 from iqtheta import (
     DomainError,
     FieldId,
-    IdentityCheck,
     KMatrix,
     ThetaCache,
     ThetaParams,
@@ -20,6 +19,7 @@ from iqtheta import (
     choose_radius,
     default_omega_samples,
     in_type1_domain,
+    make_preset,
     riemann_theta_z0,
     shell_tail_bound,
     theta_check_variant,
@@ -28,7 +28,6 @@ from iqtheta import (
 from iqtheta import thetas
 from iqtheta.kfield import hat, re_trace_of_product
 from iqtheta.lattices import _int_coords
-from iqtheta.relations import Term, ThetaFactor
 
 from _helpers import leaf_phase, reduce_mod_integral
 
@@ -711,9 +710,7 @@ def test_domain_errors():
     with pytest.raises(DomainError, match="positive definite"):
         riemann_theta_z0([0.0], [0.0], [[0.5 - 1j]])
     # a Riemann factor read through a plan checks symmetry as well
-    real = ThetaFactor(*thetas._z_factor((Fraction(0),) * 2, (Fraction(0),) * 2))
-    check = IdentityCheck("riemann", 2, lhs=(Term(Fraction(0), Fraction(1), (real,)),),
-                          rhs=())
+    (check,) = make_preset("riemann_quad", g=2).identity_checks
     with pytest.raises(DomainError, match="symmetric"):
         check.evaluate(np.array([[1j, 0.5], [0.0, 1j]]))
 
