@@ -43,6 +43,7 @@ from .presets import (
 from .relations import (
     RelationSpec,
     VerificationReport,
+    _check_g,
     _check_term_count,
     build_relation,
     decompose_rational_P,
@@ -394,7 +395,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         raise CliParseError("decompose input must be a JSON object")
     with _parsing("decompose input"):
         field = FieldId(json_int(obj["d"], "d"))
-        g = json_int(obj["g"], "g")
+        g = _check_g(json_int(obj["g"], "g"))
         p_rows = [
             [_parse_rational(x, "P") for x in row] for row in obj["P"]
         ]
@@ -418,7 +419,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "h": h,
         "lambdas": [_frac_pair(x) for x in decomp.lambdas],
         "lambda_product": _frac_pair(det),
-        "monomial_count": len(decomp.expansion),
+        "monomial_count": len(decomp.expansion.rows),
     }
     passed = []
     if W is not None:
@@ -426,7 +427,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         direct = theta_general(field, W, P, A0, B0, params).value
         # only the residual and the verdict are printed, not the counts
         rep = VerificationReport.compare(
-            direct, poly, len(decomp.expansion), 0, 0, params.eps
+            direct, poly, len(decomp.expansion.rows), 0, 0, params.eps
         )
         out.update(
             {

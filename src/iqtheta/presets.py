@@ -25,9 +25,11 @@ Every preset is assembled by one of two builders:
   (name, lhs, rhs), a side a list of terms (scale, factors), and a factor
   (a, b, s) is Theta[a; b](s Omega).
 
-Every check side is emitted compiled (relations._sum): rows of integer
-leaf keys (thetas._leaf_keys) with integer phases over one denominator and
-one coefficient scale, so no check builds a Term or lowers a factor.
+Every check side is a compiled sum (relations._Sum), emitted by
+relations._sum as relation sides are: rows of integer leaf keys
+(thetas._leaf_keys) with integer phases over one denominator and one
+coefficient scale, so no check builds a Term or lowers a factor.  A check
+compares its sides as a relation does (relations._compare_sides).
 """
 
 from __future__ import annotations
@@ -53,11 +55,10 @@ from .relations import (
     RelationInstance,
     RelationSpec,
     VerificationReport,
-    _cached_plan,
-    _lower_terms,
+    _compare_sides,
+    _Plans,
     _Sum,
     _sum,
-    _sum_terms,
     build_relation,
     evaluate_relation,
 )
@@ -100,7 +101,7 @@ PRESET_NAMES = (
 class IdentityCheck:
     """lhs == rhs, each side a sum of coefficiented theta products,
     compiled to integer leaves (relations._Sum); its term count is the
-    rows of both."""
+    rows of both, and no scale multiplies either sum."""
 
     name: str
     g: int
@@ -109,21 +110,13 @@ class IdentityCheck:
     needs_symmetric_W: bool = False
 
     @cached_property
-    def _plans(self) -> dict:
-        """lhs and rhs lowered together, so they share leaves, per ThetaParams."""
-        return {}
+    def _plans(self) -> _Plans:
+        return _Plans(self.lhs, self.rhs)
 
     def evaluate(
         self, W: MatrixLike, params: Optional[ThetaParams] = None
     ) -> VerificationReport:
-        if params is None:
-            params = ThetaParams()
-        plan = _cached_plan(
-            self._plans, params, lambda: _lower_terms(params, (self.lhs, self.rhs))
-        )
-        (lhs, rhs), evals, hits = _sum_terms(plan, W)
-        terms = len(self.lhs.expansion) + len(self.rhs.expansion)
-        return VerificationReport.compare(lhs, rhs, terms, evals, hits, params.eps)
+        return _compare_sides(self._plans, W, params, len(self.lhs.rows) + len(self.rhs.rows))
 
 
 # -- small constructors ------------------------------------------------------
@@ -612,7 +605,7 @@ def _preset_cubic(
         "expected_G2_trivial": True,
         "parametrization_matches": matches,
         "scaled_args": ["3", "3", "3"],
-        "all_phases_zero_when_B0_zero": all(q == 0 for q, _ in inst.expansion),
+        "all_phases_zero_when_B0_zero": all(q == 0 for q, _ in inst.rhs.rows),
     }
     return _family_preset(
         "cubic_d3", {"g": g}, inst, printed, f"cubic_d3_statement_g{g}", expected,

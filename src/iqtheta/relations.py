@@ -23,25 +23,27 @@ complement ladder, rewrites Theta^P for any rational symmetric positive
 definite P as an exact-coefficient polynomial in one-column thetas.
 
 Every side is a sum of products of thetas, compiled in integers as it is
-emitted (_Compiled): a relation's two sides, a decomposition, and the
-presets' identity checks (_sum).  A factor is one theta (a, b, P) over O_K
-or Z: scaling W by s is scaling P by s, and the phase of a check-variant
-theta is part of its term's coefficient, so every factor reads W itself.
-A side's leaves are keyed by integers (thetas._leaf_keys) and interned by
-family (the leaves that share P and A0 and differ in B0), then by B0; its
-rows are (q, leaf indices).  Lowering (`_lower_terms`) puts each family
-into one table of distinct leaves (thetas._Family) and each product of
-several leaves (an exactly diagonal P, split into columns) after them,
-once per owner (RelationInstance, IdentityCheck, PDecomposition) and
-ThetaParams.  Evaluation (`_sum_terms`) takes one W: it checks W once,
-evaluates each leaf once into a list of values that belongs to that one
-evaluation, one batch per group of families that share a P (see
+emitted, by one emitter (_Emitter) into one type (_Sum): a relation's two
+sides (RelationInstance.lhs and rhs), a decomposition's expansion, and
+each side of a preset identity check (_sum).  A factor is one theta
+(a, b, P) over O_K or Z: scaling W by s is scaling P by s, and the phase
+of a check-variant theta is part of its term's coefficient, so every
+factor reads W itself.  A side's leaves are keyed by integers
+(thetas._leaf_keys) and interned by family (the leaves that share P and
+A0 and differ in B0), then by B0; its rows are (q, leaf indices).
+Lowering (`_lower_terms`) puts each family into one table of distinct
+leaves (thetas._Family) and each product of several leaves (an exactly
+diagonal P, split into columns) after them, once per owner and
+ThetaParams (_Plans).  Evaluation (`_sum_terms`) takes one W: it checks W
+once, evaluates each leaf once into a list of values that belongs to that
+one evaluation, one batch per group of families that share a P (see
 thetas._evaluate_ahead), then each product, and multiplies each row's
 entries by index in the order the terms and factors are written.  The
 evaluation and hit counts are the number of values and the leaf reads of
-the rows beyond them.  Terms (RelationInstance.lhs_terms and rhs_terms,
-PDecomposition.monomials) are the public description, which evaluation
-does not read.
+the rows beyond them.  A relation and an identity check compare their
+sides in one function (_compare_sides).  Terms (RelationInstance.lhs_terms
+and rhs_terms, PDecomposition.monomials) are the public description,
+which evaluation does not read.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError, GroupCapError, SingularMatrixError
 from .kfield import (
@@ -164,55 +166,64 @@ class _Plan:
         return self.families[f].leaf(i - self.starts[f])
 
 
-class _Compiled:
-    """A sum compiled to integer leaves as it was emitted (_Sum,
-    RelationInstance, PDecomposition).  families holds each distinct
-    (P, A0) once, in first-read order, as (index into ps, A0, its B0 keys,
-    their leaf indices), A0 and each B0 as they are keyed (thetas._Family),
-    and ps each part of P with its key, as thetas._p_parts gives them; a
-    term (q, leaf indices) of expansion stands for coeff_scale *
-    exp(-2*pi*i*q / q_den) times its factors, each the product of
-    factor_leaves of its leaves at eps / factor_leaves, every theta summed
-    over the lattice ("O_K" or "Z", see thetas._BASES)."""
-
-    coeff_scale = Fraction(1)
-    factor_leaves = 1
-    lattice = "O_K"
-
-
 @dataclass(frozen=True)
-class _Sum(_Compiled):
-    """A compiled sum (see _Compiled) as _sum emits it."""
+class _Sum:
+    """A sum compiled to integer leaves as it was emitted (see _Emitter).
+    families holds each distinct (P, A0) once, in first-read order, as
+    (index into ps, A0, its B0 keys, their leaf indices), A0 and each B0 as
+    they are keyed (thetas._Family), and ps each distinct part of P with
+    its key, as thetas._p_parts gives them; a row (q, leaf indices) stands
+    for coeff_scale * exp(-2*pi*i*q / q_den) times its factors, each the
+    product of factor_leaves of its leaves at eps / factor_leaves, every
+    theta summed over the lattice ("O_K" or "Z", see thetas._BASES)."""
 
     ps: tuple[tuple[KMatrix, tuple[tuple[int, ...], int]], ...]
     families: tuple[tuple[int, tuple, tuple[tuple, ...], tuple[int, ...]], ...]
-    expansion: tuple[tuple[int, tuple[int, ...]], ...]
+    rows: tuple[tuple[int, tuple[int, ...]], ...]
     q_den: int = 1
     coeff_scale: Fraction = Fraction(1)
     factor_leaves: int = 1
     lattice: str = "O_K"
 
 
+class _Emitter:
+    """The leaves of one _Sum, interned as they are emitted: each part of P
+    once, by its key (part), and each family once, by (part index, A0), as
+    a dict B0 -> leaf index (families), where a new B0 takes the next leaf
+    index.  Parts, families and leaves are numbered in first-read order,
+    leaves across families."""
+
+    def __init__(self) -> None:
+        self.ps: dict = {}  # P key -> (its index, the part with its key)
+        self.families = defaultdict(partial(defaultdict, itertools.count().__next__))
+
+    def part(self, p: tuple[KMatrix, tuple]) -> int:
+        """The index of the part p, as thetas._p_parts gives it."""
+        return self.ps.setdefault(p[1], (len(self.ps), p))[0]
+
+    def sum(self, rows: Iterable[tuple[int, tuple[int, ...]]], a_key: Optional[Callable] = None,
+            b_key: Optional[Callable] = None, **side) -> _Sum:
+        """The rows (q, leaf indices), read in full first, as a _Sum with the
+        fields side gives; a_key and b_key key the A0 and B0 that the
+        families were interned by (thetas._int_key), when they are not keys."""
+        rows = tuple(rows)
+        return _Sum(
+            ps=tuple(p for _, p in self.ps.values()), rows=rows, **side,
+            families=tuple((j, a if a_key is None else a_key(a),
+                            tuple(fam if b_key is None else map(b_key, fam)),
+                            tuple(fam.values()))
+                           for (j, a), fam in self.families.items()))
+
+
 def _sum(rows: Iterable[tuple[int, Iterable[tuple]]], **side) -> _Sum:
-    """The rows (q, leaves) as a _Sum with the fields side gives, a leaf as
-    thetas._leaf_keys gives it; parts, families and leaves interned in
-    first-read order."""
-    parts: dict = {}  # P key -> the part with its key
-    families = defaultdict(partial(_LeafIds, itertools.count()))  # (P key, A0) -> B0
-    expansion = []
-    for q, leaves in rows:
-        ids = []
-        for p, a, b in leaves:
-            parts.setdefault(p[1], p)
-            ids.append(families[p[1], a][b])
-        expansion.append((q, tuple(ids)))
-    index = {key: j for j, key in enumerate(parts)}
-    return _Sum(ps=tuple(parts.values()), expansion=tuple(expansion),
-                families=tuple((index[p], a, tuple(fam), tuple(fam.values()))
-                               for (p, a), fam in families.items()), **side)
+    """The rows (q, leaves) as a _Sum with the fields side gives, a leaf
+    (P part, A0, B0) as thetas._leaf_keys gives it."""
+    emit = _Emitter()
+    return emit.sum(((q, tuple([emit.families[emit.part(p), a][b] for p, a, b in leaves]))
+                     for q, leaves in rows), **side)
 
 
-def _lower_terms(params: ThetaParams, sides: Iterable[_Compiled]) -> _Plan:
+def _lower_terms(params: ThetaParams, sides: Iterable[_Sum]) -> _Plan:
     """Lower compiled sums together into one plan, so they share leaves.
 
     Each family of a side goes straight into one thetas._Family, interned
@@ -253,14 +264,14 @@ def _lower_terms(params: ThetaParams, sides: Iterable[_Compiled]) -> _Plan:
         w = side.factor_leaves
         scale = float(side.coeff_scale)
         coeffs = {q: scale * _phase_of(q, side.q_den)
-                  for q in {q for q, _ in side.expansion}}
+                  for q in {q for q, _ in side.rows}}
         rows.append(tuple([
             (coeffs[q], tuple(map(ids.__getitem__, idx)) if w == 1 else
              tuple(n + products.setdefault(tuple(map(ids.__getitem__, idx[k:k + w])),
                                            len(products))
                    for k in range(0, len(idx), w)))
-            for q, idx in side.expansion]))
-        reads += sum(len(idx) for _, idx in side.expansion)
+            for q, idx in side.rows]))
+        reads += sum(len(idx) for _, idx in side.rows)
     groups: dict[tuple, list[int]] = {}
     for f, fam in enumerate(families):
         groups.setdefault(fam.group, []).append(f)
@@ -269,12 +280,17 @@ def _lower_terms(params: ThetaParams, sides: Iterable[_Compiled]) -> _Plan:
                  products=tuple(products), sides=tuple(rows), reads=reads)
 
 
-def _cached_plan(plans: dict, params: ThetaParams, lower: Callable[[], _Plan]) -> _Plan:
-    """plans[params], lowered on first use (plans is an owner's own dict)."""
-    plan = plans.get(params)
-    if plan is None:
-        plan = plans[params] = lower()
-    return plan
+class _Plans(dict):
+    """An owner's compiled sides lowered together (_lower_terms), so they
+    share leaves: params -> its plan, lowered on first use."""
+
+    def __init__(self, *sides: _Sum) -> None:
+        super().__init__()
+        self.sides = sides
+
+    def __missing__(self, params: ThetaParams) -> _Plan:
+        plan = self[params] = _lower_terms(params, self.sides)
+        return plan
 
 
 def _sum_terms(plan: _Plan, W: MatrixLike) -> tuple[list[complex], int, int]:
@@ -365,7 +381,26 @@ class VerificationReport:
         return out
 
 
+def _compare_sides(plans: _Plans, W: MatrixLike, params: Optional[ThetaParams],
+                   term_count: int, scale: Optional[float] = None) -> VerificationReport:
+    """The first side of plans against the second at W (see _sum_terms),
+    the second times scale, outside its sum, when a scale is given."""
+    if params is None:
+        params = ThetaParams()
+    (lhs, rhs), evals, hits = _sum_terms(plans[params], W)
+    if scale is not None:
+        rhs = scale * rhs
+    return VerificationReport.compare(lhs, rhs, term_count, evals, hits, params.eps)
+
+
 # -- relation instances ---------------------------------------------------------
+
+
+def _check_g(g: int) -> int:
+    """g, read as the row count of a characteristic: ValueError under 1."""
+    if g < 1:
+        raise ValueError(f"g must be >= 1, got g = {g}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -389,6 +424,7 @@ class RelationSpec:
         return self.T.rows
 
     def validate(self) -> None:
+        _check_g(self.g)
         h = self.h
         if self.T.cols != h:
             raise DomainError("T must be square")
@@ -419,7 +455,7 @@ class RelationSpec:
         field = FieldId(json_int(obj["d"], "d"))
         spec = RelationSpec(
             field=field,
-            g=json_int(obj["g"], "g"),
+            g=_check_g(json_int(obj["g"], "g")),
             T=KMatrix.from_json(obj["T"], field),
             P=KMatrix.from_json(obj["P"], field),
             A0=KMatrix.from_json(obj["A0"], field),
@@ -442,9 +478,9 @@ class RelationTerm:
 
 
 @dataclass(frozen=True)
-class RelationInstance(_Compiled):
+class RelationInstance:
     """A relation: its left side Theta^Q[lhs_A; lhs_B], its groups, and its
-    right side compiled (see build_relation).  The common factor
+    right side compiled (rhs, see build_relation).  The common factor
     scale = 1/#G2 stays outside the sum."""
 
     spec: RelationSpec
@@ -453,11 +489,7 @@ class RelationInstance(_Compiled):
     lhs_B: KMatrix
     G1: FiniteAbelianGroup
     G2: FiniteAbelianGroup
-    q_den: int
-    ps: tuple[tuple[KMatrix, tuple[tuple[int, ...], int]], ...]
-    families: tuple[tuple[int, tuple, tuple[tuple, ...], tuple[int, ...]], ...]
-    expansion: tuple[tuple[int, tuple[int, ...]], ...]
-    factor_leaves: int = 1
+    rhs: _Sum
 
     @property
     def scale(self) -> Fraction:
@@ -496,9 +528,8 @@ class RelationInstance(_Compiled):
         )
 
     @cached_property
-    def _plans(self) -> dict:
-        """The two sides lowered together, per ThetaParams."""
-        return {}
+    def _plans(self) -> _Plans:
+        return _Plans(self.lhs, self.rhs)
 
     def group_metadata(self) -> dict:
         return {
@@ -568,19 +599,14 @@ def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstan
 
     a_parts, a_coords = parts(a0, a0_den, g1.coords, g1.scale, True)
     b_parts, b_coords = parts(*_int_coords(spec.B0), b_duals, b_den, False)
-    p_ids = [ps.index(p) for p in ps]
-    families = defaultdict(partial(_LeafIds, itertools.count()))  # (P, A part) -> B part
-    a_fams = [[families[key] for key in zip(p_ids, a)] for a in a_parts]
-    expansion = tuple(
-        (q // common % q_den, tuple([fam[k] for fam, k in zip(fams, b)]))
-        for q, b in zip(qs, b_parts) for fams in a_fams
-    )
-    return RelationInstance(
-        spec=spec, Q=Q, lhs_A=lhs_A, lhs_B=lhs_B, G1=g1, G2=g2, q_den=q_den,
-        ps=ps, factor_leaves=len(ps), expansion=expansion,
-        families=tuple((p, a_coords[a], tuple(map(b_coords.__getitem__, fam)),
-                        tuple(fam.values())) for (p, a), fam in families.items()),
-    )
+    emit = _Emitter()  # families keyed by (P, A part index), leaves by B part index
+    p_ids = [emit.part(p) for p in ps]
+    a_fams = [[emit.families[key] for key in zip(p_ids, a)] for a in a_parts]
+    rows = ((q // common % q_den, tuple([fam[k] for fam, k in zip(fams, b)]))
+            for q, b in zip(qs, b_parts) for fams in a_fams)
+    rhs = emit.sum(rows, a_coords.__getitem__, b_coords.__getitem__,
+                   q_den=q_den, factor_leaves=len(ps))
+    return RelationInstance(spec=spec, Q=Q, lhs_A=lhs_A, lhs_B=lhs_B, G1=g1, G2=g2, rhs=rhs)
 
 
 def evaluate_relation(
@@ -595,48 +621,39 @@ def evaluate_relation(
     the right side by 1/3 and "drop" omits that term, so harness failure
     detection can be exercised.
     """
-    if params is None:
-        params = ThetaParams()
     if corrupt not in (None, "phase", "drop"):
         raise ValueError(f"unknown corruption mode: {corrupt!r}")
     # a corrupted relation is a new instance, so its plan is lowered fresh
     term_count = inst.G1.order * inst.G2.order
+    rhs = inst.rhs
     if corrupt == "drop":
-        inst = replace(inst, expansion=inst.expansion[1:])
+        inst = replace(inst, rhs=replace(rhs, rows=rhs.rows[1:]))
     elif corrupt == "phase":  # over 3 q_den, the first q moves by q_den
-        (q, idx), *rest = inst.expansion
-        inst = replace(inst, q_den=3 * inst.q_den, expansion=(
-            (3 * q + inst.q_den, idx), *((3 * r, i) for r, i in rest)))
-    plan = _cached_plan(inst._plans, params, lambda: _lower_terms(params, (inst.lhs, inst)))
-    (lhs, rhs_sum), evals, hits = _sum_terms(plan, W)
-    rhs = float(inst.scale) * rhs_sum
-    return VerificationReport.compare(lhs, rhs, term_count, evals, hits, params.eps)
+        (q, idx), *rest = rhs.rows
+        inst = replace(inst, rhs=replace(rhs, q_den=3 * rhs.q_den, rows=(
+            (3 * q + rhs.q_den, idx), *((3 * r, i) for r, i in rest))))
+    return _compare_sides(inst._plans, W, params, term_count, float(inst.scale))
 
 
 # -- rational P as a polynomial in one-column thetas ------------------------
 
 
 @dataclass(frozen=True)
-class PDecomposition(_Compiled):
+class PDecomposition:
     """Schur pivot sequence (one entry per level, repeats kept) plus the
-    expansion, compiled to one-column leaves as it was emitted (see
-    _Compiled): a family is ([[lam]], a reduced mod O_K) with its b, ps
-    holds each [[lam]] with its key, by the index of lam's first entry in
-    lambdas, and a monomial has one leaf per level, each its own factor,
-    and coefficient scale."""
+    expansion, compiled to one-column leaves as it was emitted (a _Sum): a
+    part is one distinct [[lam]], a family ([[lam]], a reduced mod O_K)
+    with its b, and a monomial a row of one leaf per level, each its own
+    factor, with coefficient scale."""
 
     field: FieldId
     g: int
     lambdas: tuple[Fraction, ...]
-    scale: Fraction
-    q_den: int
-    ps: tuple[tuple[KMatrix, tuple[tuple[int, ...], int]], ...]
-    families: tuple[tuple[int, tuple, tuple[tuple, ...], tuple[int, ...]], ...]
-    expansion: tuple[tuple[int, tuple[int, ...]], ...]
+    expansion: _Sum
 
     @property
-    def coeff_scale(self) -> Fraction:
-        return self.scale
+    def scale(self) -> Fraction:
+        return self.expansion.coeff_scale
 
     def lambda_product(self) -> Fraction:
         prod = Fraction(1)
@@ -648,26 +665,23 @@ class PDecomposition(_Compiled):
     def monomials(self) -> tuple[Term, ...]:
         """The expansion as Terms of one-column field factors, built on
         first use; evaluation does not read them."""
+        s = self.expansion
         col = partial(coords_to_kmatrix, g=self.g, h=1, field=self.field)
-        factors = {i: ThetaFactor(col(*a), col(*b), self.ps[j][0])
-                   for j, a, bs, ids in self.families for b, i in zip(bs, ids)}
-        return tuple(
-            Term(Fraction(q, self.q_den), self.scale, tuple(factors[i] for i in idx))
-            for q, idx in self.expansion
-        )
+        factors = {i: ThetaFactor(col(*a), col(*b), s.ps[j][0])
+                   for j, a, bs, ids in s.families for b, i in zip(bs, ids)}
+        return tuple(Term(Fraction(q, s.q_den), s.coeff_scale, tuple(factors[i] for i in idx))
+                     for q, idx in s.rows)
 
     @cached_property
-    def _plans(self) -> dict:
-        """The expansion as a plan, per ThetaParams."""
-        return {}
+    def _plans(self) -> _Plans:
+        return _Plans(self.expansion)
 
     def evaluate(
         self, W: MatrixLike, params: Optional[ThetaParams] = None
     ) -> complex:
         if params is None:
             params = ThetaParams()
-        plan = _cached_plan(self._plans, params, lambda: _lower_terms(params, (self,)))
-        return _sum_terms(plan, W)[0][0]
+        return _sum_terms(self._plans[params], W)[0][0]
 
 
 def _rational_entry(x: KElement, what: str) -> Fraction:
@@ -727,6 +741,7 @@ def decompose_rational_P(
     the leading pivot via the transformation relation for the unipotent K,
     producing exact coefficients; the pivots lam_j multiply to det P.
     """
+    _check_g(g)
     if P.rows != P.cols:
         raise DomainError("P must be square")
     for m, nm in ((A0, "A0"), (B0, "B0")):
@@ -788,8 +803,9 @@ def decompose_rational_P(
           for c in (_columns(b, b_den, db, g, a_grp.h) for b in b_duals)])
         for x, a_grp, b_duals, b_den in groups
     ]
-    pivot = [lambdas.index(lam) for lam in lambdas]
-    families = defaultdict(partial(_LeafIds, itertools.count()))  # (pivot, a) -> b
+    emit = _Emitter()  # families keyed by (pivot, a), leaves by b
+    pivot = [emit.part(_p_parts(KMatrix([[field.from_rational(lam)]]))[0]) for lam in lambdas]
+    families = emit.families
     expansion: list[tuple[int, tuple[int, ...]]] = []
 
     def reduced(col) -> tuple:  # mod O_K, as thetas._center does
@@ -830,30 +846,9 @@ def decompose_rational_P(
         expansion.append((0, (families[pivot[0], reduced(A[0])][B[0]],)))
 
     key = lru_cache(maxsize=None)(_int_key)  # columns repeat across the leaves
-    return PDecomposition(
-        field=field, g=g, lambdas=tuple(lambdas),
-        scale=Fraction(1, math.prod(len(b) for _, _, b, _ in groups)), q_den=q_den,
-        ps=tuple(_p_parts(KMatrix([[field.from_rational(lam)]]))[0] for lam in lambdas),
-        families=tuple((j, key(a, da), tuple(key(b, db) for b in fam), tuple(fam.values()))
-                       for (j, a), fam in families.items()),
-        expansion=tuple(expansion),
-    )
-
-
-class _LeafIds(dict):
-    """A family's leaves as they are emitted: B0 -> leaf index, a new B0
-    taking the next index of count.  The families of one sum share count,
-    in defaultdict(partial(_LeafIds, itertools.count())), keyed by (P, A0):
-    families and leaves each in first-read order, leaves numbered across
-    families."""
-
-    def __init__(self, count: Iterator[int]) -> None:
-        super().__init__()
-        self.count = count
-
-    def __missing__(self, b) -> int:
-        i = self[b] = next(self.count)
-        return i
+    return PDecomposition(field=field, g=g, lambdas=tuple(lambdas), expansion=emit.sum(
+        expansion, lambda a: key(a, da), lambda b: key(b, db), q_den=q_den,
+        coeff_scale=Fraction(1, math.prod(len(b) for _, _, b, _ in groups))))
 
 
 def _add(u: tuple, v: tuple) -> tuple:

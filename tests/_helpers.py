@@ -41,7 +41,7 @@ def row_a0s(side) -> list[tuple[KMatrix, ...]]:
         p = side.ps[j][0]
         m = coords_to_kmatrix(nums, den, len(nums) // (2 * p.rows), p.rows, p.field)
         a0.update(dict.fromkeys(ids, m))
-    return [tuple(map(a0.__getitem__, idx)) for _, idx in side.expansion]
+    return [tuple(map(a0.__getitem__, idx)) for _, idx in side.rows]
 
 
 def leaf_phase(family, j: int = 0) -> tuple:

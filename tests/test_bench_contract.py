@@ -129,8 +129,8 @@ def test_trace_counts_read_results():
     at = thetas._at(np.array(W))
     (leaf,) = thetas._lower(field, P, A0, B0, ThetaParams())
     results = {
-        "relations.build_relation": (inst, inst.G1.order * inst.G2.order),
-        "relations.decompose_rational_P": (dec, len(dec.expansion)),
+        "relations.build_relation": (inst, len(inst.rhs.rows)),
+        "relations.decompose_rational_P": (dec, len(dec.expansion.rows)),
         "lattices.quotient_group": (group, group.order),
         "thetas.theta_general": theta_general(field, W, P, A0, B0),
         "thetas.theta_check_variant": theta_check_variant(field, A0.column(0), B0.column(0), W),

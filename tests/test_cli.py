@@ -13,7 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from iqtheta import DEFAULT_SUITE_PLAN, PRESET_NAMES, FieldId, KMatrix, RelationSpec
+from iqtheta import (
+    DEFAULT_SUITE_PLAN,
+    PRESET_NAMES,
+    FieldId,
+    GroupCapError,
+    KMatrix,
+    RelationSpec,
+)
 from iqtheta import cli, relations
 from iqtheta.cli import main
 
@@ -519,6 +526,31 @@ def test_decompose_refuses_an_expansion_over_the_cap(capsys, monkeypatch):
     assert built
 
 
+def test_decompose_caps_the_monomials_before_any_representative(capsys, monkeypatch):
+    # P = [[2, 1/1000], [1/1000, 2]]: one Schur level whose two groups come
+    # to 16,000,000,000,000 monomials.  The count is read off the lattices,
+    # so the cap refuses it at once, with no quotient_group call
+    built = []
+    inner = relations.quotient_group
+    monkeypatch.setattr(relations, "quotient_group",
+                        lambda *args: built.append(args) or inner(*args))
+    field = FieldId(1)
+    P = KMatrix.from_rational_rows([[2, Fraction(1, 1000)], [Fraction(1, 1000), 2]], field)
+    zero = KMatrix.zeros(1, 2, field)
+    message = "the decomposition has 16000000000000 monomials, over the cap 1000000"
+    start = time.perf_counter()
+    with pytest.raises(GroupCapError) as exc:
+        relations.decompose_rational_P(field, 1, P, zero, zero)
+    assert str(exc.value) == message
+    spec = json.dumps({"d": 1, "g": 1, "P": [[2, [1, 1000]], [[1, 1000], 2]]})
+    assert main(["decompose", "--spec", spec]) == 4
+    assert time.perf_counter() - start < 2.0
+    assert built == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"group cap: {message}"]
+
+
 def test_build_refuses_a_relation_over_the_term_cap(capsys):
     # T = 37/31: groups of 961 and 1,369 elements, each under the cap, but
     # 1,315,609 terms, which took seconds and hundreds of MB to expand
@@ -538,6 +570,35 @@ def test_preset_rejects_g_below_one(capsys, cmd, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: preset {name} needs g >= 1, got g = 0\n"
+
+
+@pytest.mark.parametrize("cmd", ["build", "verify", "groups"])
+@pytest.mark.parametrize("g", [0, -1])
+def test_spec_rejects_g_below_one(capsys, cmd, g):
+    # g is refused by name as it is read, before the characteristics
+    spec = dict(json.loads(_spec_json(Fraction(2))), g=g)
+    assert main([cmd, "--spec", json.dumps(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse relation spec: g must be >= 1, got g = {g}\n"
+    field = FieldId(1)
+    one = KMatrix.identity(1, field)
+    with pytest.raises(ValueError, match=f"^g must be >= 1, got g = {g}$"):
+        RelationSpec(field, g, one, one, one, one).validate()
+
+
+@pytest.mark.parametrize("g", [0, -1])
+def test_decompose_rejects_g_below_one(capsys, g):
+    # g is refused by name as it is read, before the default characteristics
+    # (g x h zeros) are built, and by decompose_rational_P itself
+    assert main(["decompose", "--spec", json.dumps({"d": 1, "g": g, "P": [[2]]})]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse decompose input: g must be >= 1, got g = {g}\n"
+    field = FieldId(1)
+    one = KMatrix.identity(1, field)
+    with pytest.raises(ValueError, match=f"^g must be >= 1, got g = {g}$"):
+        relations.decompose_rational_P(field, g, one, one, one)
 
 
 def test_preset_relation_obeys_max_order(capsys):

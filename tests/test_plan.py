@@ -33,7 +33,7 @@ from iqtheta import (
     theta_check_variant,
     theta_general,
 )
-from iqtheta import presets, relations, thetas
+from iqtheta import relations, thetas
 from iqtheta.cli import main
 from iqtheta.kfield import dual_generator, re_trace_of_product
 from iqtheta.lattices import _int_coords, character_group, shift_group
@@ -209,7 +209,6 @@ def _count_lowerings(monkeypatch):
         return _lower_terms(*args, **kwargs)
 
     monkeypatch.setattr(relations, "_lower_terms", counting)
-    monkeypatch.setattr(presets, "_lower_terms", counting)
     return calls
 
 
@@ -489,7 +488,7 @@ def test_relation_leaves_batch_by_family(monkeypatch, d, g):
     B0 = KMatrix([[field.element(Fraction(1, 5)),
                    field.element(Fraction(1, 2), Fraction(1, 7))]] * g)
     inst = build_relation(RelationSpec(field, g, T, P, A0, B0))
-    plan = _lower_terms(ThetaParams(eps=1e-6), (inst.lhs, inst))
+    plan = _lower_terms(ThetaParams(eps=1e-6), (inst.lhs, inst.rhs))
     leaves, families, _ = _assert_batches_by_family(monkeypatch, plan, _W(g))
     assert leaves == 1 + len(inst.terms) and families == 2
     assert all(leaf_phase(leaf)[0] > 1 for leaf in _leaves(plan.families))
@@ -503,7 +502,7 @@ def test_decomposition_leaves_batch_by_family(monkeypatch):
     B0 = KMatrix.from_rational_rows([[Fraction(1, 5), Fraction(1, 2)],
                                      [0, Fraction(1, 3)]], field)
     dec = decompose_rational_P(field, 2, P, A0, B0)
-    plan = _lower_terms(ThetaParams(eps=1e-9), (dec,))
+    plan = _lower_terms(ThetaParams(eps=1e-9), (dec.expansion,))
     leaves, families, phase_sums = _assert_batches_by_family(monkeypatch, plan, _W(2))
     assert (leaves, families) == (16 + 256, 1 + 16)
     # the one family of 16 leaves has 16 (M, k), and each of the 16
@@ -525,7 +524,8 @@ def test_residues_in_blocks_of_sums(monkeypatch):
                                      [Fraction(1, 2), 0]], field)
     B0 = KMatrix.from_rational_rows([[Fraction(1, 5), Fraction(1, 2)],
                                      [0, Fraction(1, 3)]], field)
-    plan = _lower_terms(ThetaParams(eps=1e-9), (decompose_rational_P(field, 2, P, A0, B0),))
+    dec = decompose_rational_P(field, 2, P, A0, B0)
+    plan = _lower_terms(ThetaParams(eps=1e-9), (dec.expansion,))
     _assert_batches_by_family(monkeypatch, plan, _W(2))
     assert len(steps) > 1000
 
@@ -684,7 +684,7 @@ def test_compiled_plan_matches_lowered_monomials(d, g, h):
     args = _decomposition_input(d, g, h)
     dec = decompose_rational_P(*args)
     params = ThetaParams(eps=1e-9)
-    compiled = _lower_terms(params, (dec,))
+    compiled = _lower_terms(params, (dec.expansion,))
     W = _W(g)
     for terms in (dec.monomials, _reference_monomials(*args)):
         lowered = _lower_terms(params, (compile_terms(terms),))
@@ -692,7 +692,8 @@ def test_compiled_plan_matches_lowered_monomials(d, g, h):
         assert _leaf_keys(compiled) == _leaf_keys(lowered)
         assert _group_keys(compiled) == _group_keys(lowered)
         assert _sum_terms(compiled, W) == _sum_terms(lowered, W)
-    assert _leaf_count(dec) == sum(len(_leaves(group)) for group in _group_families(compiled))
+    assert _leaf_count(dec.expansion) == sum(
+        len(_leaves(group)) for group in _group_families(compiled))
     assert len({c for c, _ in compiled.sides[0]}) > 1
 
 
@@ -730,17 +731,29 @@ def test_compiled_relation_matches_lowered_terms(d, g, diagonal):
     # the plan of a relation's compiled sides is the plan of its Terms, each
     # factor keyed from its matrices (thetas._leaf_keys): the same
     # coefficients, the same leaves per factor, the same groups and the
-    # same values bit for bit
+    # same values bit for bit.  build_relation and _sum share one emitter,
+    # so the right side is, field for field, the sum its Terms compile to,
+    # each distinct part of P once (most diagonal draws repeat an entry)
     inst = _random_relation(d, g, 3 if g == 1 else 2, diagonal, seed=10 * d + g)
-    assert (inst.factor_leaves > 1) == diagonal
+    assert (inst.rhs.factor_leaves > 1) == diagonal
+    assert inst.rhs == compile_terms(inst.rhs_terms)
     params = ThetaParams(eps=1e-6)
-    compiled = _lower_terms(params, (inst.lhs, inst))
+    compiled = _lower_terms(params, (inst.lhs, inst.rhs))
     lowered = _lower_terms(params, (compile_terms(inst.lhs_terms), compile_terms(inst.rhs_terms)))
     for side, (got, want) in enumerate(zip(compiled.sides, lowered.sides)):
         assert [c for c, _ in got] == [c for c, _ in want]
         assert _leaf_keys(compiled, side) == _leaf_keys(lowered, side)
     assert _group_keys(compiled) == _group_keys(lowered)
     assert _sum_terms(compiled, _W(g)) == _sum_terms(lowered, _W(g))
+
+
+def test_decomposition_interns_each_pivot_once():
+    # repeated Schur pivots share one part of P
+    field = FieldId(1)
+    zero = KMatrix.zeros(1, 3, field)
+    dec = decompose_rational_P(field, 1, KMatrix.identity(3, field).scale(2), zero, zero)
+    assert dec.lambdas == (2, 2, 2)
+    assert [p for p, _ in dec.expansion.ps] == [KMatrix([[field.from_rational(2)]])]
 
 
 def _lower_and_family_calls(monkeypatch):
@@ -778,9 +791,10 @@ def test_decomposition_lowers_no_factor(monkeypatch):
     dec.evaluate(_W(1), ThetaParams(eps=1e-9))
     (plan,) = dec._plans.values()
     assert lowered == []
-    assert len(families) == len(plan.families) == len(dec.families)
+    assert len(families) == len(plan.families) == len(dec.expansion.families)
     distinct = _distinct_leaves(plan)
-    assert plan.starts[-1] == len(distinct) == _leaf_count(dec) > len(dec.families)
+    assert plan.starts[-1] == len(distinct) == _leaf_count(dec.expansion) > len(
+        dec.expansion.families)
     assert sum(len(ops) for _, ops in plan.sides[0]) > len(distinct)
 
 
@@ -793,10 +807,10 @@ def test_relation_lowers_no_factor(monkeypatch):
     (plan,) = inst._plans.values()
     assert lowered == []
     assert _leaf_count(inst.lhs) == len(inst.lhs.families) == 1
-    assert len(families) == len(inst.families) + 1 == len(plan.families)
-    assert plan.starts[-1] == _leaf_count(inst) + 1 == len(_distinct_leaves(plan))
+    assert len(families) == len(inst.rhs.families) + 1 == len(plan.families)
+    assert plan.starts[-1] == _leaf_count(inst.rhs) + 1 == len(_distinct_leaves(plan))
     assert [len(plan.factor(i)) for _, idx in plan.sides[1] for i in idx] == [
-        inst.factor_leaves] * len(inst.expansion)
+        inst.rhs.factor_leaves] * len(inst.rhs.rows)
 
 
 def test_lowering_builds_one_record_per_family(monkeypatch):
@@ -809,7 +823,7 @@ def test_lowering_builds_one_record_per_family(monkeypatch):
     params = ThetaParams(eps=1e-9)
     dec = decompose_rational_P(*_decomposition_input(3, 1, 3))
     inst = _random_relation(1, 1, 3, True, seed=0)
-    for side in (dec, inst):
+    for side in (dec.expansion, inst.rhs):
         del families[:]
         plan = _lower_terms(params, (side,))
         assert len(families) == len(plan.families) == len(side.families)
@@ -818,7 +832,7 @@ def test_lowering_builds_one_record_per_family(monkeypatch):
     made = []
     inner = thetas._FamilyPhases
     monkeypatch.setattr(thetas, "_FamilyPhases", lambda *a: made.append(a) or inner(*a))
-    plan = _lower_terms(params, (dec,))
+    plan = _lower_terms(params, (dec.expansion,))
     first = _sum_terms(plan, _W(1))
     assert len(made) == len(plan.families)
     _sum_terms(plan, [[0.3 + 1.7j]])
@@ -855,7 +869,7 @@ def test_plan_reads_leaves_by_index(monkeypatch):
         m.setattr(KMatrix, "__init__", lambda self, *a: made.append(a) or init(self, *a))
         m.setattr(KMatrix, "_of", classmethod(lambda cls, *a: made.append(a) or of(cls, *a)))
         m.setattr(KMatrix, "__hash__", lambda self: hashed.append(self) or hash_(self))
-        for side in (dec, inst, lhs, check.lhs, check.rhs):
+        for side in (dec.expansion, inst.rhs, lhs, check.lhs, check.rhs):
             assert _lower_terms(params, (side,)).starts[-1] == _leaf_count(side)
         assert (made, hashed) == ([], [])
         thetas._lower(FieldId(1), [[1]], [[0]], [[0]], params)  # the probes see lowering
@@ -865,7 +879,7 @@ def test_plan_reads_leaves_by_index(monkeypatch):
     read = []
     inner = thetas._leaves_value
     monkeypatch.setattr(thetas, "_leaves_value", lambda *a: read.append(a) or inner(*a))
-    cases = [((lhs, inst), (13, 84)), ((dec,), (49, 719)),
+    cases = [((lhs, inst.rhs), (13, 84)), ((dec.expansion,), (49, 719)),
              ((check.lhs, check.rhs), (3, 9))]
     for sides, counts in cases:
         plan = _lower_terms(params, sides)
@@ -878,7 +892,7 @@ def test_plan_reads_leaves_by_index(monkeypatch):
     theta_general(FieldId(1), _W(1), [[1]], [[0]], [[0]])  # the probe sees a public call
     assert len(read) == 1
     # the relation's diagonal P makes each of its terms a product of columns
-    assert len(_lower_terms(params, (inst,)).products) == len(inst.expansion)
+    assert len(_lower_terms(params, (inst.rhs,)).products) == len(inst.rhs.rows)
 
 
 # -- recorded outputs of the relation and decomposition plans -------------------

@@ -197,8 +197,8 @@ def test_build_and_evaluate_make_no_terms():
         meta = inst.group_metadata()
         assert "terms" not in inst.__dict__ and "rhs_terms" not in inst.__dict__
         assert rep.term_count == meta["term_count"] == len(inst.terms)
-        assert len(inst.expansion) == len(inst.rhs_terms) == len(inst.terms)
-        assert [Fraction(q, inst.q_den) for q, _ in inst.expansion] == [
+        assert len(inst.rhs.rows) == len(inst.rhs_terms) == len(inst.terms)
+        assert [Fraction(q, inst.rhs.q_den) for q, _ in inst.rhs.rows] == [
             t.phase_q for t in inst.terms]
 
 
@@ -212,7 +212,7 @@ def test_build_caps_the_term_count():
     assert sorted((shift_group(1, T, 1000).order, character_group(1, T, 1000).order)) == [121, 169]
     with pytest.raises(GroupCapError, match="the relation has 20449 terms, over the cap 1000"):
         build_relation(spec, max_order=1000)
-    assert len(build_relation(spec, max_order=20449).expansion) == 20449
+    assert len(build_relation(spec, max_order=20449).rhs.rows) == 20449
 
 
 _RELATIONS = json.loads(
