@@ -77,23 +77,6 @@ __all__ = [
     "run_paper_suite",
 ]
 
-PRESET_NAMES = (
-    "riemann_quad",
-    "jacobi_identity",
-    "half_formulas",
-    "double_formulas",
-    "prop_half_general",
-    "prop_half_general_2",
-    "cartan_Ah",
-    "cubic_d3",
-    "cubic_d3_cor1",
-    "cubic_d3_cor2",
-    "quartic_d1",
-    "quartic_d1_zero",
-    "matsumoto",
-)
-
-
 # -- identity check framework ------------------------------------------------
 
 
@@ -107,7 +90,11 @@ class IdentityCheck:
     g: int
     lhs: _Sum
     rhs: _Sum
-    needs_symmetric_W: bool = False
+
+    @property
+    def needs_symmetric_W(self) -> bool:
+        """Whether W must be a symmetric Omega: the sums run over Z."""
+        return self.lhs.lattice == "Z"
 
     @cached_property
     def _plans(self) -> _Plans:
@@ -350,7 +337,7 @@ def _identity_preset(
         g=g,
         relation=None,
         identity_checks=tuple(
-            IdentityCheck(check, g, side(lhs), side(rhs), needs_symmetric_W=True)
+            IdentityCheck(check, g, side(lhs), side(rhs))
             for check, lhs, rhs in checks
         ),
         expected=expected,
@@ -873,6 +860,7 @@ _BUILDERS: dict[str, Callable[..., Preset]] = {
     "quartic_d1_zero": _field_locked("quartic_d1_zero", 1, _preset_quartic_zero),
     "matsumoto": _field_locked("matsumoto", 1, _preset_matsumoto),
 }
+PRESET_NAMES = tuple(_BUILDERS)
 
 
 def make_preset(name: str, max_order: int = 10**6, **params) -> Preset:

@@ -34,21 +34,20 @@ A0 and differ in B0), then by B0; its rows are (q, leaf indices).
 Lowering (`_lower_terms`) puts each family into one table of distinct
 leaves (thetas._Family) and each product of several leaves (an exactly
 diagonal P, split into columns) after them, once per owner and
-ThetaParams (_Plans).  Evaluation (`_sum_terms`) takes one W: it checks W
-once, evaluates each leaf once into a list of values that belongs to that
-one evaluation, one batch per group of families that share a P (see
-thetas._evaluate_ahead), then each product, and multiplies each row's
+ThetaParams (_Plans).  Evaluation (`_sum_terms`) takes one W in one pass:
+it checks W once, evaluates each leaf once into a list of values that
+belongs to that one evaluation, one thetas._theta_batch per group of
+families that share a P, then each product, and multiplies each row's
 entries by index in the order the terms and factors are written.  The
-evaluation and hit counts are the number of values and the leaf reads of
-the rows beyond them.  A relation and an identity check compare their
-sides in one function (_compare_sides).  Terms (RelationInstance.lhs_terms
-and rhs_terms, PDecomposition.monomials) are the public description,
-which evaluation does not read.
+first failing group raises its error.  The evaluation and hit counts are
+the plan's leaf count and its leaf reads beyond them.  A relation and an
+identity check compare their sides in one function (_compare_sides).
+Terms (RelationInstance.lhs_terms and rhs_terms, PDecomposition.monomials)
+are the public description, which evaluation does not read.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -58,6 +57,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Optional, Sequence
 
+from . import thetas
 from .errors import DomainError, GroupCapError, SingularMatrixError
 from .kfield import (
     FieldId,
@@ -85,10 +85,8 @@ from .thetas import (
     _at,
     _block,
     _center,
-    _evaluate_ahead,
     _Family,
     _int_key,
-    _leaf_alone,
     _leaf_keys,
     _p_parts,
     _phase_of,
@@ -140,30 +138,21 @@ class Term:
 @dataclass(frozen=True)
 class _Plan:
     """Compiled sums lowered for one ThetaParams (see _lower_terms), read
-    by index from one table of values per evaluation.
+    by index from one table of values per evaluation (_sum_terms).
 
     The table holds each family's leaves, family by family (family f's
-    leaf j is entry starts[f] + j), then each product's value: the product
-    of its leaves (thetas._product), as a factor of several leaves is.  A
-    row (coefficient, table indices) is its coefficient times those
-    entries, left to right."""
+    leaf j is entry starts[f] + j), each group of families (one P) filled
+    by one batch, then each product's value: the product of its leaves
+    (thetas._product), as a factor of several leaves is.  A row
+    (coefficient, table indices) is its coefficient times those entries,
+    left to right."""
 
     families: tuple[_Family, ...]  # each distinct (group, A0) once, in first-read order
     starts: tuple[int, ...]  # per family its first table entry, then the leaf count
-    groups: tuple[tuple[int, ...], ...]  # family indices, for thetas._evaluate_ahead
+    groups: tuple[tuple[int, ...], ...]  # family indices, one batch each
     products: tuple[tuple[int, ...], ...]  # leaf entries; table entry starts[-1] + k
     sides: tuple[tuple[tuple[complex, tuple[int, ...]], ...], ...]
     reads: int  # the leaf reads of the rows, a product's leaves each one
-
-    def factor(self, i: int) -> tuple[int, ...]:
-        """The leaves whose product table entry i is."""
-        n = self.starts[-1]
-        return (i,) if i < n else self.products[i - n]
-
-    def leaf(self, i: int) -> _Family:
-        """The leaf of table entry i, as a family of one."""
-        f = bisect.bisect_right(self.starts, i) - 1
-        return self.families[f].leaf(i - self.starts[f])
 
 
 @dataclass(frozen=True)
@@ -297,26 +286,23 @@ def _sum_terms(plan: _Plan, W: MatrixLike) -> tuple[list[complex], int, int]:
     """The plan at W: the sum of each side, and the theta evaluations and
     hits of the plan's leaf reads.
 
-    W is checked once (thetas._at), and the plan's families, field and
-    Riemann alike, are evaluated ahead (thetas._evaluate_ahead).  A leaf
-    that a batch left out is read alone, in term order, so the first
-    failing read raises what it raises alone.  The evaluations are the
-    leaves with a value, the hits the other leaf reads.  Each term starts
-    from its coefficient and multiplies its table entries left to right;
-    real and imaginary parts are summed with fsum.
+    One pass: W is checked once (thetas._at), and against each group's g
+    before any batch runs; then each group of families, field and Riemann
+    alike, is one thetas._theta_batch, in group order, filling its
+    families' table entries.  The first failing group raises its error.
+    The evaluations are the plan's leaves, the hits its other leaf reads.
+    Each term starts from its coefficient and multiplies its table entries
+    left to right; real and imaginary parts are summed with fsum.
     """
     at = _at(_as_complex_matrix(W, "W"))
-    table: list = []
-    for fam, got in zip(plan.families, _evaluate_ahead(plan.families, plan.groups, at)):
-        table.extend([None] * len(fam.bs) if got is None else got.values)
-    if table.count(None):
-        for side in plan.sides:
-            for _, idx in side:
-                for i in idx:
-                    for j in plan.factor(i):
-                        if table[j] is None:
-                            table[j] = _leaf_alone(plan.leaf(j), at).value
-    evals = len(table) - table.count(None)
+    for group in plan.groups:
+        thetas._check_g(plan.families[group[0]].g, at)
+    evals = plan.starts[-1]
+    table: list = [None] * evals
+    for group in plan.groups:
+        families = [plan.families[f] for f in group]
+        for f, v in zip(group, thetas._theta_batch(families, at.w, at.lam_y)):
+            table[plan.starts[f]:plan.starts[f + 1]] = v.values
     for f in plan.products:
         table.append(_product(map(table.__getitem__, f)))
     sums = []

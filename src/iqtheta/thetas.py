@@ -60,7 +60,7 @@ basis), their group, and A0 mod the lattice, and differ only in B0 (in a
 relation, the thetas at B0 + c b for b in G2), one record each with its B0
 keys.  A plan is evaluated at one W into a list of leaf values, by index,
 that belongs to that one evaluation.  Before the term loop the families of
-each group are evaluated together (`_evaluate_ahead`, `_theta_batch`):
+each group are evaluated together, one `_theta_batch` per group:
 lam_min(P), the Gram matrix and its Cholesky factor, the (W kron P^T) form
 and the radii are computed once per group.  A family's leaves share the
 points and the quadratic exponent, so one enumeration runs over one center
@@ -72,8 +72,8 @@ evaluation.  The batch returns each family's values with the one tail
 bound and point count they share.  Radii, tail bounds and point counts are
 the ones a leaf gets alone, and a leaf's summation does not depend on its
 batch or family, so its value is bit for bit the one a `_theta_dense` call
-of its own gives; `_theta_dense` is the batch of one, and a plan uses it
-only for a leaf that a failed batch left out (`_leaf_alone`).
+of its own gives; `_theta_dense` is the batch of one, which the public
+thetas use.  A batch that fails raises its own error.
 """
 
 from __future__ import annotations
@@ -1041,39 +1041,9 @@ def _at(w: np.ndarray) -> _CheckedW:
     return _CheckedW(w, w.tobytes(), lam_y)
 
 
-def _evaluate_ahead(
-    families: Sequence[_Family], groups: Sequence[Sequence[int]], at: _CheckedW
-) -> list[Optional[_FamilyValue]]:
-    """Each family at W, one _theta_batch per group of family indices, None
-    for the families of a group that does not match W or whose batch
-    raises: the caller reads their leaves alone (see _leaf_alone) in its
-    own order, so the first failing read raises the error it would raise
-    without the batch.
-    """
-    values: list[Optional[_FamilyValue]] = [None] * len(families)
-    for group in groups:
-        todo = [families[f] for f in group]
-        if todo[0].g != at.w.shape[0]:
-            continue
-        try:
-            got = _theta_batch(todo, at.w, at.lam_y)
-        except (DomainError, TruncationError, np.linalg.LinAlgError):
-            continue
-        for f, v in zip(group, got):
-            values[f] = v
-    return values
-
-
 def _check_g(g: int, at: _CheckedW) -> None:
     if at.w.shape != (g, g):
         raise DomainError(f"W must be {g}x{g} to match A0, got {at.w.shape}")
-
-
-def _leaf_alone(leaf: _Family, at: _CheckedW) -> ThetaValue:
-    """The leaf at a checked W, evaluated alone: the batch of one, after
-    the check that W matches its g."""
-    _check_g(leaf.g, at)
-    return _theta_dense(leaf, at.w, at.lam_y)
 
 
 def _cache_value(cache: Optional[ThetaCache], leaf: _Family, at: _CheckedW) -> ThetaValue:

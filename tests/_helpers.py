@@ -1,5 +1,6 @@
 """Shared test helpers (imported by the test modules beside this file)."""
 
+import bisect
 import math
 import tracemalloc
 
@@ -42,6 +43,18 @@ def row_a0s(side) -> list[tuple[KMatrix, ...]]:
         m = coords_to_kmatrix(nums, den, len(nums) // (2 * p.rows), p.rows, p.field)
         a0.update(dict.fromkeys(ids, m))
     return [tuple(map(a0.__getitem__, idx)) for _, idx in side.rows]
+
+
+def plan_factor(plan, i: int) -> tuple[int, ...]:
+    """The leaves whose product table entry i of a relations._Plan is."""
+    n = plan.starts[-1]
+    return (i,) if i < n else plan.products[i - n]
+
+
+def plan_leaf(plan, i: int):
+    """The leaf of table entry i of a relations._Plan, as a family of one."""
+    f = bisect.bisect_right(plan.starts, i) - 1
+    return plan.families[f].leaf(i - plan.starts[f])
 
 
 def leaf_phase(family, j: int = 0) -> tuple:

@@ -45,7 +45,7 @@ from iqtheta.relations import (
     _sum_terms,
 )
 
-from _helpers import compile_terms, leaf_phase
+from _helpers import compile_terms, leaf_phase, plan_factor, plan_leaf
 
 
 def _factor_value(f, W, params, cache):
@@ -256,25 +256,35 @@ def test_plan_lowered_once_per_owner_and_params(monkeypatch):
 def test_an_evaluation_reads_w_once(monkeypatch):
     # a plan reads W itself once, whatever the scales of W its factors
     # stand for (here 1 and 2 in the Riemann quadratic, a doubled check
-    # variant at d = 3): one conversion, one check and one batch pass
+    # variant at d = 3): one conversion, one check, then one batch per
+    # group of families, and nothing more
     calls = []
-    for name in ("_as_complex_matrix", "_at", "_evaluate_ahead"):
-        inner = getattr(relations, name)
-        monkeypatch.setattr(relations, name, lambda *args, _inner=inner, _name=name:
+    for module, name in ((relations, "_as_complex_matrix"), (relations, "_at"),
+                         (thetas, "_theta_batch")):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _inner=inner, _name=name:
                             calls.append(_name) or _inner(*args))
     field = FieldId(3)
     q, check = _check(field, _col(field, 1, 1), _col(field, 1, 2))
     side = compile_terms((Term(q, Fraction(1), (check,)),))
+    inst = _relation()
+    (identity,) = make_preset("riemann_quad").identity_checks
+    dec = decompose_rational_P(*_decomposition_input(3, 1, 3))
+    plan = _lower_terms(ThetaParams(), (side,))
     owners = [
-        lambda W: evaluate_relation(_relation(), W),
-        make_preset("riemann_quad").identity_checks[0].evaluate,
-        lambda W: _sum_terms(_lower_terms(ThetaParams(), (side,)), W),
-        decompose_rational_P(*_decomposition_input(3, 1, 3)).evaluate,
+        (lambda W: evaluate_relation(inst, W), inst._plans),
+        (identity.evaluate, identity._plans),
+        (lambda W: _sum_terms(plan, W), {None: plan}),
+        (dec.evaluate, dec._plans),
     ]
-    for evaluate in owners:
+    groups = []
+    for evaluate, plans in owners:
         del calls[:]
         evaluate([[0.1 + 1.05j]])
-        assert calls == ["_as_complex_matrix", "_at", "_evaluate_ahead"]
+        (lowered,) = plans.values()
+        groups.append(len(lowered.groups))
+        assert calls == ["_as_complex_matrix", "_at"] + ["_theta_batch"] * groups[-1]
+    assert groups == [1, 2, 1, 2]
 
 
 @pytest.mark.parametrize("name", ["jacobi_identity", "prop_half_general", "matsumoto"])
@@ -570,9 +580,50 @@ def test_failing_batch_raises_at_the_first_failing_factor(monkeypatch):
                             thetas._at(np.array(W)).lam_y)
     with pytest.raises(DomainError) as want:
         _naive(sides, W, params, ThetaCache())
+    batches = []
+    inner = thetas._theta_batch
+    monkeypatch.setattr(thetas, "_theta_batch", lambda *a: batches.append(a) or inner(*a))
     with pytest.raises(DomainError) as got:
         _sum_terms(plan, W)
     assert str(got.value) == str(want.value) == "W must be 2x2 to match A0, got (1, 1)"
+    assert batches == []  # every group's g is checked before any batch
+
+
+def test_the_first_failing_group_raises(monkeypatch):
+    # both groups fail at W: the first goes over budget in its batch, the
+    # second has a P that is not positive definite.  The plan raises the
+    # first group's error and never runs the second batch, though one
+    # public call per factor, in term order, fails first on the second
+    field = FieldId(2)
+    params = ThetaParams(eps=1e-9)
+    P = KMatrix.from_rational_rows([[2, 1], [1, 2]], field)
+    not_pd = KMatrix.from_rational_rows([[1, 2], [2, 1]], field)
+    W = [[0.1 + 1.3j]]
+    fine = [ThetaFactor(_mat(field, 1, 2, k), _mat(field, 1, 2, k + 1), P) for k in range(4)]
+    points = [theta_general(field, W, f.p, f.a, f.b, params).lattice_points_used for f in fine]
+    order = sorted(range(len(fine)), key=points.__getitem__)
+    assert points[order[0]] < max(points)  # the first term stays within the budget alone
+    bad = ThetaFactor(_mat(field, 1, 2, 0), _mat(field, 1, 2, 1), not_pd)
+    factors = [fine[order[0]], bad, *(fine[k] for k in order[1:])]
+    sides = (tuple(Term(Fraction(0), Fraction(1), (f,)) for f in factors),)
+    plan = _lower_terms(params, tuple(map(compile_terms, sides)))
+    assert len(plan.groups) == 2
+    monkeypatch.setattr(thetas, "_MAX_POINTS", max(points) - 1)
+    at = thetas._at(np.array(W))
+    first, second = _group_families(plan)
+    with pytest.raises(TruncationError) as want:
+        thetas._theta_batch(first, at.w, at.lam_y)
+    with pytest.raises(DomainError, match="P must be positive definite, lam_min=-1"):
+        thetas._theta_batch(second, at.w, at.lam_y)
+    with pytest.raises(DomainError, match="P must be positive definite"):
+        _naive(sides, W, params, ThetaCache())
+    batches = []
+    inner = thetas._theta_batch
+    monkeypatch.setattr(thetas, "_theta_batch", lambda *a: batches.append(a[0]) or inner(*a))
+    with pytest.raises(TruncationError) as got:
+        _sum_terms(plan, W)
+    assert str(got.value) == str(want.value)
+    assert batches == [first]
 
 
 def _decomposition_cases():
@@ -664,7 +715,7 @@ def _reference_monomials(field, g, P, A0, B0):
 
 def _leaf_keys(plan, side=0):
     """Per term of the side, the keys of each factor's leaves."""
-    return [[[plan.leaf(j).key for j in plan.factor(i)] for i in idx]
+    return [[[plan_leaf(plan, j).key for j in plan_factor(plan, i)] for i in idx]
             for _, idx in plan.sides[side]]
 
 
@@ -809,7 +860,7 @@ def test_relation_lowers_no_factor(monkeypatch):
     assert _leaf_count(inst.lhs) == len(inst.lhs.families) == 1
     assert len(families) == len(inst.rhs.families) + 1 == len(plan.families)
     assert plan.starts[-1] == _leaf_count(inst.rhs) + 1 == len(_distinct_leaves(plan))
-    assert [len(plan.factor(i)) for _, idx in plan.sides[1] for i in idx] == [
+    assert [len(plan_factor(plan, i)) for _, idx in plan.sides[1] for i in idx] == [
         inst.rhs.factor_leaves] * len(inst.rhs.rows)
 
 
@@ -887,7 +938,7 @@ def test_plan_reads_leaves_by_index(monkeypatch):
         assert (evals, hits) == counts
         assert evals == plan.starts[-1]
         assert evals + hits == plan.reads == sum(
-            len(plan.factor(i)) for side in plan.sides for _, idx in side for i in idx)
+            len(plan_factor(plan, i)) for side in plan.sides for _, idx in side for i in idx)
     assert read == []
     theta_general(FieldId(1), _W(1), [[1]], [[0]], [[0]])  # the probe sees a public call
     assert len(read) == 1

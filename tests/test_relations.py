@@ -37,7 +37,7 @@ from iqtheta.relations import (
     _sum_terms,
 )
 
-from _helpers import compile_terms
+from _helpers import compile_terms, plan_factor, plan_leaf
 
 
 def _cubic_spec():
@@ -237,7 +237,7 @@ def _plan_digest(plan):
     for side in plan.sides:
         for _, idx in side:
             for i in idx:
-                for j in plan.factor(i):
+                for j in plan_factor(plan, i):
                     first.setdefault(j, len(first))
     group_of = {f: k for k, group in enumerate(plan.groups) for f in group}
     family_of = [f for f, fam in enumerate(plan.families) for _ in fam.bs]
@@ -245,11 +245,11 @@ def _plan_digest(plan):
     pos = {i: k for k, i in enumerate(order)}
     keys = []
     for i in order:
-        leaf = plan.leaf(i)
+        leaf = plan_leaf(plan, i)
         d, g, h, _, eps, r, basis = leaf.group
         A, B = (coords_to_kmatrix(*x, g, h, leaf.field).to_json() for x in (leaf.a, leaf.bs[0]))
         keys.append([d, g, h, leaf.P.to_json(), A, B, repr(eps), repr(r), repr(basis)])
-    sides = [[[c.real.hex(), c.imag.hex(), [[pos[j] for j in plan.factor(i)] for i in idx]]
+    sides = [[[c.real.hex(), c.imag.hex(), [[pos[j] for j in plan_factor(plan, i)] for i in idx]]
               for c, idx in side] for side in plan.sides]
     sizes = [sum(len(plan.families[f].bs) for f in group) for group in plan.groups]
     return _digest([sizes, keys, sides])
