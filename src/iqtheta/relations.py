@@ -85,6 +85,7 @@ from .thetas import (
     _at,
     _block,
     _center,
+    _check_w_shape,
     _Family,
     _int_key,
     _leaf_keys,
@@ -296,7 +297,7 @@ def _sum_terms(plan: _Plan, W: MatrixLike) -> tuple[list[complex], int, int]:
     """
     at = _at(_as_complex_matrix(W, "W"))
     for group in plan.groups:
-        thetas._check_g(plan.families[group[0]].g, at)
+        _check_w_shape(plan.families[group[0]].g, at)
     evals = plan.starts[-1]
     table: list = [None] * evals
     for group in plan.groups:

@@ -113,6 +113,16 @@ _MAX_POINTS = 6_000_000
 # The leaves of one group are enumerated together in batches of about this
 # many points (by ellipsoid volume), so a batch's frontier stays small.
 _BATCH_POINTS = 1 << 13
+# The kernel's per-row stages run over at most this many rows of a block at
+# a time (one more where a lone last row would be left; see _sub_blocks), so
+# no array of float rows, entries or products spans a block.
+_ROW_CHUNK = 1 << 13
+# numpy evaluates a * t, for a temporary t of at least 256 KiB (2^14
+# complex128), as t * a written into t (temporary elision), and a complex
+# product with FMA rounds differently with its operands swapped.  The phase
+# product keeps the operand order that the expression quad * factors had,
+# so the values do not depend on how the factors are built.
+_ELIDE_ROWS = 1 << 14
 
 # A leaf's roots of unity exp(2 pi i j / M) come from a cached table when M
 # is at most this; above it, from a table built for one piece of at least M
@@ -403,15 +413,17 @@ def _ellipsoid_points(
     index of its center, and the nodes of one center stay contiguous.
 
     Returns the number of points of each center and an iterator over
-    blocks (rows, segments): float rows of integers whose column j is
-    coordinate n-1-j, and (center, start, end) for each run of rows of one
-    center.  A center's points come in lexicographic order of
-    (z_{n-1}, ..., z_0), cut into pieces of at most _EVAL_CHUNK points
-    (more only if one interval is longer) at the same places whatever the
-    other centers are; a block holds consecutive whole pieces up to
-    _EVAL_CHUNK rows in all, or one longer piece.  The last level is
-    expanded one block at a time, so memory holds the frontier and one
-    block, not every point.
+    blocks (rows, segments): integer rows whose column j is coordinate
+    n-1-j, and (center, start, end) for each run of rows of one center.
+    A center's points come in lexicographic order of (z_{n-1}, ..., z_0),
+    cut into pieces of at most _EVAL_CHUNK points (more only if one
+    interval is longer) at the same places whatever the other centers are;
+    a block holds consecutive whole pieces up to _EVAL_CHUNK rows in all,
+    or one longer piece.  The last level is expanded one block at a time,
+    so memory holds the frontier and one block, not every point; both are
+    kept in the narrowest integer type that holds the frontier and the
+    last level's intervals (n bytes a point at int8, against 8n as
+    floats).
 
     TruncationError as soon as a level counts more than _MAX_POINTS nodes
     of one center, before that level is expanded; radii are only reported
@@ -451,6 +463,13 @@ def _ellipsoid_points(
     ends = np.cumsum(counts)
     starts = ends - counts
     pieces = _pieces(owner, starts, ends, per_center)
+    # the last coordinate of the points of node i runs over lo[i] up to
+    # lo[i] + counts[i] - 1; an empty node's lo holds no point and can only
+    # widen the type
+    lo = lo.astype(np.int64)
+    top = max(Z.max(initial=0.0), -Z.min(initial=0.0), -lo.min(initial=0),
+              (lo + (counts - 1)).max(initial=0))
+    Z = Z.astype(np.min_scalar_type(-int(top) - 1))
 
     def blocks() -> Iterator[tuple[np.ndarray, list[tuple[int, int, int]]]]:
         k = 0
@@ -473,17 +492,18 @@ def _ellipsoid_points(
 def _block_rows(
     Z: np.ndarray, lo: np.ndarray, starts: np.ndarray, counts: np.ndarray, s: int, e: int
 ) -> np.ndarray:
-    """The rows of the points of nodes s..e-1 (see _ellipsoid_points): node
-    i's coordinates Z[i] repeated counts[i] times, each row ending in lo[i]
-    plus its index among node i's points, by one row-repeat of the nodes.
-    The sums are of integers below 2^53, so exact, and a zero comes out
-    +0.0 (an int64 index is added last), even where lo[i] is np.ceil's
-    -0.0."""
-    nodes = np.empty((e - s, Z.shape[1] + 1))
+    """The rows of the points of nodes s..e-1 (see _ellipsoid_points), in
+    Z's integer type: node i's coordinates Z[i] repeated counts[i] times,
+    each row ending in lo[i] plus its index among node i's points, by one
+    row-repeat of the nodes.  The last column is summed in int64 and only
+    then stored, since its partial sums need not fit Z's type."""
+    c = counts[s:e]
+    nodes = np.empty((e - s, Z.shape[1] + 1), dtype=Z.dtype)
     nodes[:, :-1] = Z[s:e]
-    nodes[:, -1] = lo[s:e] - (starts[s:e] - starts[s])
-    rows = np.repeat(nodes, counts[s:e], axis=0)
-    rows[:, -1] += np.arange(len(rows))
+    rows = np.repeat(nodes, c, axis=0)
+    last = np.repeat(lo[s:e] - (starts[s:e] - starts[s]), c)
+    last += np.arange(len(rows))
+    rows[:, -1] = last
     return rows
 
 
@@ -693,13 +713,14 @@ def _phase_sum(
     coordinate n-1-j) of quad times e((z.k mod M) / M), M = modulus.
 
     v is z.k as floats where _float_residues holds, else None; the caller
-    computes it for all the (M, k) of a piece in one matrix product, exact
-    in any summation order.  The residue r is exact: from v as floats, else
+    computes it for a block of the (M, k) of a piece at a time, exact in
+    any summation order.  The residue r is exact: from v as floats, else
     in Python integers.  e(r / M) is exp(2 pi i (r / M)) with r / M
     correctly rounded either way (int / int rounds correctly); on the float
     path it is read from a table of _roots, cached up to _ROOTS_MAX and
     built for this call up to the number of rows: the same floats, so the
-    value does not depend on the path."""
+    value does not depend on the path.  The factors are one array over the
+    piece, which then holds the terms (see _ELIDE_ROWS)."""
     if modulus == 1:
         return quad.sum()
     if v is not None:
@@ -713,16 +734,18 @@ def _phase_sum(
         r *= modulus
         np.subtract(v, r, out=r)
         if modulus <= _ROOTS_MAX:
-            roots = _roots(modulus)
+            terms = _roots(modulus)[r.astype(np.intp)]
         elif modulus <= len(quad):
-            roots = _roots.__wrapped__(modulus)
+            terms = _roots.__wrapped__(modulus)[r.astype(np.intp)]
         else:
             r /= modulus
-            return (quad * _turns(r)).sum()
-        return (quad * roots[r.astype(np.intp)]).sum()
-    q = np.array([sum(map(operator.mul, row, k)) % modulus / modulus
-                  for row in z.astype(np.int64).tolist()])
-    return (quad * _turns(q)).sum()
+            terms = _turns(r)
+    else:
+        terms = _turns(np.array([sum(map(operator.mul, row, k)) % modulus / modulus
+                                 for row in z.tolist()]))
+    if len(terms) >= _ELIDE_ROWS:
+        return np.multiply(terms, quad, out=terms).sum()
+    return np.multiply(quad, terms, out=terms).sum()
 
 
 def _turns(q: np.ndarray) -> np.ndarray:
@@ -731,13 +754,55 @@ def _turns(q: np.ndarray) -> np.ndarray:
     return np.exp(e, out=e)
 
 
+def _sub_blocks(start: int, end: int) -> list[tuple[int, int]]:
+    """Rows start..end-1 cut in order into runs of _ROW_CHUNK rows, the
+    last one taking a lone last row: BLAS computes a 1-row product by
+    another path (gemv), which rounds differently from the same row in a
+    longer product."""
+    if end - start <= _ROW_CHUNK + 1:
+        return [(start, end)]
+    cuts = list(range(start, end - 1, _ROW_CHUNK)) + [end]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _row_chunks(
+    segments: Sequence[tuple[int, int, int]]
+) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
+    """The rows of a block (see _ellipsoid_points) in chunks (a, b, parts)
+    of at most _ROW_CHUNK + 1 rows a..b-1: consecutive parts (j, s, e),
+    each a sub-block s..e-1 of segment j (see _sub_blocks)."""
+    if segments[-1][2] - segments[0][1] <= _ROW_CHUNK + 1:
+        return [(segments[0][1], segments[-1][2], segments)]
+    chunks: list = []
+    for j, start, end in segments:
+        for s, e in _sub_blocks(start, end):
+            if chunks and e - chunks[-1][0] <= _ROW_CHUNK + 1:
+                chunks[-1][1] = e
+                chunks[-1][2].append((j, s, e))
+            else:
+                chunks.append([s, e, [(j, s, e)]])
+    return [tuple(c) for c in chunks]
+
+
+def _products(ks: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """ks @ z.T for the integer rows z, one sub-block converted to floats at
+    a time: the values are exact integers where _float_residues holds, so
+    any cut gives the same bits."""
+    if len(z) <= _ROW_CHUNK + 1:
+        return ks @ z.T
+    out = np.empty((len(ks), len(z)))
+    for a, b in _sub_blocks(0, len(z)):
+        np.matmul(ks, z[a:b].T, out=out[:, a:b])
+    return out
+
+
 def _entries(z: np.ndarray, basis: tuple[complex, ...]) -> np.ndarray:
     """The entries of the points z (rows of integer coordinates, column j
     is coordinate n-1-j), elementwise (a product z @ e rounds differently):
     entry i is z_{2i} + z_{2i+1} delta over (1, delta), written through
     its real and imaginary views with the roundings of that complex
-    expression, so bit for bit the same on rows without -0.0 (see
-    _block_rows)."""
+    expression on z as floats (int to float64 is exact), so bit for bit
+    the same."""
     n = z.shape[1]
     x = np.empty((len(z), n // len(basis)), dtype=np.complex128)
     if len(basis) == 1:
@@ -784,6 +849,20 @@ def _theta_batch(
     summation (each piece of its points summed alone, the piece sums
     fsum-ed, then times e(q0)), so its value does not depend on the other
     leaves of its batch or family.
+
+    Memory: a block holds its integer rows (n bytes a point at int8, see
+    _ellipsoid_points) and the exponent (16 bytes), which exp overwrites.
+    The entries, their products and the float rows of z.k exist for at
+    most _ROW_CHUNK + 1 rows at a time (_row_chunks, _products), and a
+    phase sum adds the residues, their indices and the factors over its
+    piece (8 + 8 + 16 bytes a point), with z.k for a block of about
+    _EVAL_CHUNK values.  The largest randomized-relation family (80,907
+    points at dim 8, one phase sum) reads 85.5 bytes a point in
+    tracemalloc, 21.5 of them the enumerator's frontier; its enumeration
+    peaks higher, at 91.6.  The product of the exponents and the phase
+    factors keeps the operand order that the expression quad * factors
+    had, which numpy evaluated as factors * quad on pieces of _ELIDE_ROWS
+    points or more (see _ELIDE_ROWS).
     """
     first = families[0]
     basis = first.basis
@@ -856,33 +935,37 @@ def _theta_batch(
             points[f] = n
         offsets = np.array([floats[f].offsets.reshape(-1) for f in batch])
         for z, segments in blocks:
-            x = _entries(z, basis)
-            y = np.empty_like(x)
             e1 = np.empty(len(z), dtype=np.complex128)
-            # the matrix products run per segment: BLAS rounds a row
-            # differently depending on where it sits in the product
-            for j, start, end in segments:
-                xs = x[start:end]
-                xs += offsets[j]
-                ys = np.matmul(xs, m_t, out=y[: end - start])
-                np.einsum("nk,nk->n", np.conjugate(xs, out=xs), ys, out=e1[start:end])
+            for a, b, parts in _row_chunks(segments):
+                x = _entries(z[a:b], basis)
+                y = np.empty_like(x)
+                # the matrix products run per part of a segment, cut from
+                # the segment's start, so a leaf's rows are cut the same
+                # way whatever its batch (see _sub_blocks)
+                for j, s, e in parts:
+                    xs = x[s - a:e - a]
+                    xs += offsets[j]
+                    ys = np.matmul(xs, m_t, out=y[s - a:e - a])
+                    np.einsum("nk,nk->n", np.conjugate(xs, out=xs), ys, out=e1[s:e])
             del x, y, xs, ys  # the phase sums read only z and quad
             quad = np.exp(np.multiply(1j * np.pi, e1, out=e1), out=e1)
             zmax = 0.0
             if any(phases[batch[j]].ks is not None for j, _, _ in segments):
-                zmax = float(max(z.max(initial=0.0), -z.min(initial=0.0)))
+                zmax = float(max(int(z.max(initial=0)), -int(z.min(initial=0))))
             for j, start, end in segments:
                 f = batch[j]
                 ks = phases[f].ks
                 zs = z[start:end]
                 # one product per block of sums, a block about _EVAL_CHUNK
-                # values, so the residues never outgrow the points
+                # values, so the residues never outgrow the points; the
+                # last segment's block is dropped before this one is built
                 step = max(1, _EVAL_CHUNK // max(1, len(zs)))
+                zk = None
                 for (modulus, k, row), (re, im) in zip(phases[f].sums, sums[f]):
                     v = None
                     if row is not None:
                         if row % step == 0:
-                            zk = ks[row:row + step] @ zs.T
+                            zk = _products(ks[row:row + step], zs)
                         if _float_residues(modulus, zmax, k):
                             v = zk[row % step]
                     s = _phase_sum(quad[start:end], zs, v, modulus, k)
@@ -1041,7 +1124,8 @@ def _at(w: np.ndarray) -> _CheckedW:
     return _CheckedW(w, w.tobytes(), lam_y)
 
 
-def _check_g(g: int, at: _CheckedW) -> None:
+def _check_w_shape(g: int, at: _CheckedW) -> None:
+    """DomainError unless the checked W is g x g."""
     if at.w.shape != (g, g):
         raise DomainError(f"W must be {g}x{g} to match A0, got {at.w.shape}")
 
@@ -1071,7 +1155,7 @@ def _leaves_value(
 ) -> ThetaValue:
     """The product of the leaves at a checked W (see _at), each leaf's
     value(leaf, at); a single leaf is returned as is."""
-    _check_g(leaves[0].g, at)
+    _check_w_shape(leaves[0].g, at)
     vals = [value(leaf, at) for leaf in leaves]
     if len(vals) == 1:
         return vals[0]

@@ -154,6 +154,8 @@ def _recorded_theta(monkeypatch, field, W, P, A0, B0):
     monkeypatch.setattr(thetas, "_ellipsoid_points", recorder)
     val = theta_general(field, W, P, A0, B0)
     ((bound, radius, blocks),) = calls
+    # small coordinates: the rows come as int8
+    assert {z.dtype for z in blocks} == {np.dtype(np.int8)}
     z = np.concatenate(blocks)[:, ::-1].astype(np.int64)  # coordinate order
     return val, z, bound, radius
 
@@ -310,17 +312,21 @@ _PLAN_GOLDEN = json.loads((Path(__file__).parent / "data" / "plan_golden.json").
 _LARGEST = 13
 
 
-@pytest.fixture(scope="module")
-def recorded_batches():
-    """The _theta_batch calls of relation _LARGEST at its recorded W, each
-    as ((families, W, lam_y), its largest family's point count)."""
-    unit = _PLAN_GOLDEN["relations"][_LARGEST]
+# the relation of plan_golden.json whose batch has the most phase sums per
+# point: 72 over 960 points, in two families
+_MOST_SUMS = 15
+
+
+def _record_batches(k):
+    """The _theta_batch calls of plan_golden relation k at its recorded W,
+    each as ((families, W, lam_y), the point count of each family)."""
+    unit = _PLAN_GOLDEN["relations"][k]
     calls = []
     inner = thetas._theta_batch
 
     def recorder(families, W, lam_y):
         out = inner(families, W, lam_y)
-        calls.append(((families, W, lam_y), max(v.points for v in out)))
+        calls.append(((families, W, lam_y), [v.points for v in out]))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -331,16 +337,54 @@ def recorded_batches():
     return calls
 
 
+@pytest.fixture(scope="module")
+def recorded_batches():
+    """The _theta_batch calls of relation _LARGEST (see _record_batches)."""
+    return _record_batches(_LARGEST)
+
+
+def _largest(calls):
+    """The arguments of the call with the largest family."""
+    return max(calls, key=lambda call: max(call[1]))[0]
+
+
 def test_largest_recorded_family_holds_only_its_point_arrays(recorded_batches):
-    # the batch of one family holds its rows, entries, products and phases
-    # per point (64 + 64 + 64 + 16 bytes at dim 8 over O_K) at its peak: it
-    # read 344 bytes a point with temporaries of the rows and entries
-    args, points = max(recorded_batches, key=lambda call: call[1])
+    # the batch of one family holds per point, besides the enumerator's
+    # frontier (21.5 bytes), its integer rows (8 bytes at dim 8, int8), the
+    # exponent (16) and, for its one phase sum, the residues (8), their
+    # indices (8), the factors (16) and a row of z.k (8); the entries and
+    # products exist for one chunk of rows at a time.  It peaks at 91.6
+    # bytes a point, in the enumeration's last level; it read 258 with
+    # float rows, entries and products over the whole block, and 344 with
+    # temporaries of the rows and entries
+    args = _largest(recorded_batches)
+    points = thetas._theta_batch(*args)[0].points
     assert (points, len(args[0])) == (80_907, 1)
     assert points <= thetas._EVAL_CHUNK  # one piece, one segment
     ((value, _, _),), peak = traced_peak(thetas._theta_batch, *args)
     assert value == thetas._theta_batch(*args)[0].values
-    assert peak / points < 300
+    assert peak / points < 120
+
+
+def test_most_phase_sums_per_point_hold_one_block_of_products():
+    # a piece's phase sums take z.k one block of about _EVAL_CHUNK values at
+    # a time and build their factors one sum at a time, and a family's
+    # block is dropped before the next family's is built: 205 bytes a point
+    # here, 363 while the last family's block outlived its segment.  Holding
+    # the residues of all of a piece's sums at once would add 8 bytes a
+    # point per sum
+    calls = _record_batches(_MOST_SUMS)
+
+    def sums(call):
+        return sum(len(fam.phases.sums) for fam in call[0][0])
+
+    call = max(calls, key=lambda call: sums(call) / max(sum(call[1]), 1))
+    args, points = call[0], sum(call[1])
+    assert (points, sums(call), len(args[0])) == (960, 72, 2)
+    want = [v.values for v in thetas._theta_batch(*args)]
+    got, peak = traced_peak(thetas._theta_batch, *args)
+    assert [v.values for v in got] == want
+    assert peak / points < 250
 
 
 def _gathered_rows(Z, lo, starts, counts, s, e):
@@ -363,46 +407,107 @@ def _summed_entries(z, basis):
 
 def _checking_rows(monkeypatch):
     """Make _block_rows and _entries assert, on every call, that they give
-    the bits of the expressions they replaced; returns, per _block_rows
-    call, whether some lo of its nodes was -0.0."""
-    signed = []
+    what the expressions they replaced gave: rows of an integer type that
+    hold the integers of the gathered float rows, and entries with the bits
+    of the complex expression on those rows as floats; returns the type of
+    the rows of each _block_rows call."""
+    types = []
     rows_of, entries_of = thetas._block_rows, thetas._entries
 
     def rows(Z, lo, starts, counts, s, e):
         out = rows_of(Z, lo, starts, counts, s, e)
-        assert out.tobytes() == _gathered_rows(Z, lo, starts, counts, s, e).tobytes()
-        signed.append(bool(np.signbit(lo[s:e][lo[s:e] == 0]).any()))
+        assert out.dtype.kind == "i"
+        assert np.array_equal(out, _gathered_rows(Z, lo, starts, counts, s, e))
+        types.append(out.dtype)
         return out
 
     def entries(z, basis):
         out = entries_of(z, basis)
-        assert out.tobytes() == _summed_entries(z, basis).tobytes()
+        assert out.tobytes() == _summed_entries(z.astype(np.float64), basis).tobytes()
         return out
 
     monkeypatch.setattr(thetas, "_block_rows", rows)
     monkeypatch.setattr(thetas, "_entries", entries)
-    return signed
+    return types
 
 
 def test_rows_and_entries_are_the_bits_of_the_old_expressions(monkeypatch, recorded_batches):
-    signed = _checking_rows(monkeypatch)
+    types = _checking_rows(monkeypatch)
     for args, _ in recorded_batches:
         thetas._theta_batch(*args)
-    assert len(signed) >= len(recorded_batches)
+    assert len(types) >= len(recorded_batches)
+    # every coordinate is within 127: one byte each
+    assert set(types) == {np.dtype(np.int8)}
     # the largest family again, in blocks that start past its first node
     monkeypatch.setattr(thetas, "_EVAL_CHUNK", 4096)
-    del signed[:]
-    thetas._theta_batch(*max(recorded_batches, key=lambda call: call[1])[0])
-    assert len(signed) > 10
+    del types[:]
+    thetas._theta_batch(*_largest(recorded_batches))
+    assert len(types) > 10
 
     # a center -1/4 with half-width 1/2 puts np.ceil(-3/4) = -0.0 at each
-    # level; the rows still hold +0.0, and so do the entries' parts
-    del signed[:]
+    # level; the rows hold the integer 0, and the entries' parts are +0.0
+    del types[:]
     counts, blocks = thetas._ellipsoid_points(
         np.eye(2), np.array([[0.25, 0.25]]), np.array([0.25]), [1])
     ((z, segments),) = list(blocks)
-    assert counts.tolist() == [1] and segments == [(0, 0, 1)] and signed == [True]
-    assert z.tolist() == [[0.0, 0.0]] and not np.signbit(z).any()
+    assert counts.tolist() == [1] and segments == [(0, 0, 1)] and types == [np.int8]
+    assert z.tolist() == [[0, 0]]
     for basis in (thetas._Z_BASIS, (1.0, FieldId(3).delta_complex), (1.0, 1j)):
         x = thetas._entries(z, basis)
         assert not np.signbit(x.view(np.float64)).any()
+
+
+def test_rows_take_the_narrowest_integer_type():
+    # coordinates up to 127 fit int8, 128 needs int16: a disc of radius
+    # 127.5 about the origin, and one of the same radius about 1/2
+    for c, dtype, top in ((0.0, np.int8, 127), (-0.5, np.int16, 128)):
+        counts, blocks = thetas._ellipsoid_points(
+            np.eye(1), np.array([[c]]), np.array([127.5 ** 2]), [128])
+        ((z, _),) = list(blocks)
+        assert z.dtype == dtype and int(np.abs(z).max()) == top
+        assert z[:, 0].tolist() == list(range(-127, top + 1))
+
+
+def test_sub_blocks_leave_no_lone_row(monkeypatch, recorded_batches):
+    c = thetas._ROW_CHUNK
+    for n in (1, 2, c - 1, c, c + 1, c + 2, 2 * c, 2 * c + 1, 5 * c + 3):
+        cuts = thetas._sub_blocks(7, 7 + n)
+        assert [a for a, _ in cuts[1:]] == [b for _, b in cuts[:-1]]
+        assert (cuts[0][0], cuts[-1][1]) == (7, 7 + n)
+        sizes = [b - a for a, b in cuts]
+        assert sizes[:-1] == [c] * (len(sizes) - 1)
+        assert sizes[-1] <= c + 1 and (sizes[-1] > 1 or n == 1)
+    # the chunks of a block hold the cuts of its segments in order, at most
+    # c + 1 rows each
+    segments = [(0, 0, 3), (1, 3, 3 + 2 * c + 1), (2, 2 * c + 4, 2 * c + 9)]
+    chunks = thetas._row_chunks(segments)
+    assert [part for _, _, parts in chunks for part in parts] == [
+        (j, a, b) for j, s, e in segments for a, b in thetas._sub_blocks(s, e)]
+    assert all(parts[0][1] == a and parts[-1][2] == b <= a + c + 1 for a, b, parts in chunks)
+    assert thetas._row_chunks(segments[:1]) == [(0, 3, segments[:1])]
+
+    # relation _LARGEST in sub-blocks of 64 rows: bit for bit
+    want = [thetas._theta_batch(*args) for args, _ in recorded_batches]
+    monkeypatch.setattr(thetas, "_ROW_CHUNK", 64)
+    assert [thetas._theta_batch(*args) for args, _ in recorded_batches] == want
+
+    # a segment of _ROW_CHUNK + 1 rows at g h = 3, whose last sub-block
+    # takes the lone last row: BLAS rounds a 1-row product differently from
+    # the same row in a longer one, and here that moves the value
+    field, W, P, A0, B0 = _random_case(9, 7, 1, 3)
+    (leaf,) = thetas._lower(field, P, A0, B0, ThetaParams())
+    at = thetas._at(W)
+    monkeypatch.setattr(thetas, "_ROW_CHUNK", thetas._EVAL_CHUNK)
+    ((values, _, points),) = want = thetas._theta_batch((leaf,), at.w, at.lam_y)
+    assert points == 8
+    monkeypatch.setattr(thetas, "_ROW_CHUNK", points - 1)
+    assert thetas._row_chunks([(0, 0, points)]) == [(0, points, [(0, 0, points)])]
+    assert thetas._theta_batch((leaf,), at.w, at.lam_y) == want
+
+    def lone(segments):  # the same cut, leaving the lone last row alone
+        step = thetas._ROW_CHUNK
+        return [(s, min(s + step, end), [(j, s, min(s + step, end))])
+                for j, start, end in segments for s in range(start, end, step)]
+
+    monkeypatch.setattr(thetas, "_row_chunks", lone)
+    assert thetas._theta_batch((leaf,), at.w, at.lam_y)[0].values != values

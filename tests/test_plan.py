@@ -5,7 +5,10 @@ calls, and the evaluation and hit counts of those calls on one cache."""
 import gc
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -523,11 +526,10 @@ def test_decomposition_leaves_batch_by_family(monkeypatch):
 def test_residues_in_blocks_of_sums(monkeypatch):
     # a piece of n points takes z K^T in blocks of _EVAL_CHUNK // n sums:
     # with pieces of at most 40 points, the 16 (M, k) of the decomposition's
-    # first family run one or a few per block, bit for bit the one-leaf calls
+    # first family run one or a few per block, bit for bit the one-leaf
+    # calls; each block built in sub-blocks of up to 9 rows gives the bits
+    # that whole blocks give
     monkeypatch.setattr(thetas, "_EVAL_CHUNK", 40)
-    steps = []
-    exact = thetas._float_residues
-    monkeypatch.setattr(thetas, "_float_residues", lambda *a: steps.append(a) or exact(*a))
     field = FieldId(3)
     P = KMatrix.from_rational_rows([[2, -1], [-1, 2]], field)
     A0 = KMatrix.from_rational_rows([[Fraction(1, 3), Fraction(-1, 4)],
@@ -536,8 +538,22 @@ def test_residues_in_blocks_of_sums(monkeypatch):
                                      [0, Fraction(1, 3)]], field)
     dec = decompose_rational_P(field, 2, P, A0, B0)
     plan = _lower_terms(ThetaParams(eps=1e-9), (dec.expansion,))
+    at = thetas._at(_W(2))
+
+    def values():
+        return [_values(thetas._theta_batch(group, at.w, at.lam_y))
+                for group in _group_families(plan)]
+
+    want = values()
+    monkeypatch.setattr(thetas, "_ROW_CHUNK", 8)
+    products = _recorded(monkeypatch, "_products")
+    steps = []
+    exact = thetas._float_residues
+    monkeypatch.setattr(thetas, "_float_residues", lambda *a: steps.append(a) or exact(*a))
     _assert_batches_by_family(monkeypatch, plan, _W(2))
     assert len(steps) > 1000
+    assert max(len(z) for (_, z), _ in products) > 2 * thetas._ROW_CHUNK
+    assert values() == want
 
 
 def test_over_budget_leaf_in_a_batch_raises(monkeypatch):
@@ -973,3 +989,36 @@ def test_recorded_decomposition_output_is_unchanged(capsys, k):
     unit = _PLAN_GOLDEN["decompose"][k]
     assert main(unit["argv"]) == 0
     assert capsys.readouterr().out == unit["stdout"]
+
+
+# the relation of plan_golden.json with the largest family (80,907 points)
+_LARGEST_RELATION = 13
+_RELATION_HEX = """
+import json, sys
+import numpy as np
+from iqtheta import RelationSpec, ThetaParams, build_relation, evaluate_relation
+unit = json.load(sys.stdin)
+W = np.array([[complex(re, im) for re, im in row] for row in unit["W"]])
+rep = evaluate_relation(build_relation(RelationSpec.from_json(unit["spec"])), W,
+                        ThetaParams(eps=unit["eps"]))
+print(json.dumps([[x.real.hex(), x.imag.hex()] for x in (rep.lhs, rep.rhs)]))
+"""
+
+
+def test_recorded_outputs_at_one_blas_thread():
+    # the benchmark runs OpenBLAS on one thread, the tests on its default:
+    # the largest relation and the 2x2 decomposition give the recorded bits
+    # on one thread too
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    unit = _PLAN_GOLDEN["relations"][_LARGEST_RELATION]
+    proc = subprocess.run([sys.executable, "-c", _RELATION_HEX], input=json.dumps(unit),
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [unit["lhs"], unit["rhs"]]
+    golden = json.loads((Path(__file__).parent / "data" / "decompose_golden.json").read_text())
+    proc = subprocess.run(
+        [sys.executable, "-m", "iqtheta", "decompose", "--spec", json.dumps(golden["specs"]["g2_h2"]),
+         "--W", json.dumps(golden["W"]["g2_h2"])],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stdout) == (0, golden["stdout"]["g2_h2"])

@@ -344,6 +344,29 @@ def test_phase_sum_residue_paths_bit_for_bit(monkeypatch, modulus, k, zmax, buil
     assert tables == ([modulus] if built else [])
 
 
+@pytest.mark.parametrize("n", [(1 << 14) - 1, 1 << 14])
+def test_phase_product_keeps_the_order_of_the_expression(n):
+    # numpy evaluates quad * factors, for a temporary factors of at least
+    # 256 KiB (2^14 complex128), as factors * quad in the factors' memory,
+    # and a complex product rounds differently with its operands swapped:
+    # the phase sum takes the order the expression had at each size
+    assert thetas._ELIDE_ROWS == 1 << 14
+    rng = np.random.default_rng([0, n])  # a draw whose sums show the order
+    quad = rng.normal(size=n) + 1j * rng.normal(size=n)
+    modulus, k = 1021, (3, 500)
+    z = rng.integers(-99, 100, size=(n, 2)).astype(np.int8)
+    r = (z.astype(np.int64) @ np.array(k)) % modulus
+    roots = thetas._roots(modulus)
+    # outside an assert, whose rewriting would hold the temporary
+    expression = (quad * roots[r]).sum()
+    swapped = np.multiply(roots[r], quad).sum()
+    in_order = np.multiply(quad, roots[r]).sum()
+    assert swapped != in_order  # the order shows in the sum
+    assert expression == (swapped if n >= 1 << 14 else in_order)
+    got = thetas._phase_sum(quad, z, z @ np.array(k, dtype=np.float64), modulus, k)
+    assert got == expression
+
+
 def test_w_below_the_eigenvalue_grid_is_a_domain_error():
     # lam_min(Y) = 5e-7 passes the 1e-10 membership test but snaps to 0,
     # where no tail bound exists
