@@ -120,8 +120,9 @@ _ROW_CHUNK = 1 << 13
 # numpy evaluates a * t, for a temporary t of at least 256 KiB (2^14
 # complex128), as t * a written into t (temporary elision), and a complex
 # product with FMA rounds differently with its operands swapped.  The phase
-# product keeps the operand order that the expression quad * factors had,
-# so the values do not depend on how the factors are built.
+# product is written as factors * quad from this many points on and as
+# quad * factors below, the order numpy gave the expression quad * factors,
+# so its bits hold whether or not numpy elides a temporary.
 _ELIDE_ROWS = 1 << 14
 
 # A leaf's roots of unity exp(2 pi i j / M) come from a cached table when M
@@ -759,9 +760,7 @@ def _sub_blocks(start: int, end: int) -> list[tuple[int, int]]:
     last one taking a lone last row: BLAS computes a 1-row product by
     another path (gemv), which rounds differently from the same row in a
     longer product."""
-    if end - start <= _ROW_CHUNK + 1:
-        return [(start, end)]
-    cuts = list(range(start, end - 1, _ROW_CHUNK)) + [end]
+    cuts = [*range(start, max(end - 1, start + 1), _ROW_CHUNK), end]
     return list(zip(cuts, cuts[1:]))
 
 
@@ -771,8 +770,6 @@ def _row_chunks(
     """The rows of a block (see _ellipsoid_points) in chunks (a, b, parts)
     of at most _ROW_CHUNK + 1 rows a..b-1: consecutive parts (j, s, e),
     each a sub-block s..e-1 of segment j (see _sub_blocks)."""
-    if segments[-1][2] - segments[0][1] <= _ROW_CHUNK + 1:
-        return [(segments[0][1], segments[-1][2], segments)]
     chunks: list = []
     for j, start, end in segments:
         for s, e in _sub_blocks(start, end):
@@ -788,8 +785,6 @@ def _products(ks: np.ndarray, z: np.ndarray) -> np.ndarray:
     """ks @ z.T for the integer rows z, one sub-block converted to floats at
     a time: the values are exact integers where _float_residues holds, so
     any cut gives the same bits."""
-    if len(z) <= _ROW_CHUNK + 1:
-        return ks @ z.T
     out = np.empty((len(ks), len(z)))
     for a, b in _sub_blocks(0, len(z)):
         np.matmul(ks, z[a:b].T, out=out[:, a:b])
@@ -856,13 +851,9 @@ def _theta_batch(
     most _ROW_CHUNK + 1 rows at a time (_row_chunks, _products), and a
     phase sum adds the residues, their indices and the factors over its
     piece (8 + 8 + 16 bytes a point), with z.k for a block of about
-    _EVAL_CHUNK values.  The largest randomized-relation family (80,907
-    points at dim 8, one phase sum) reads 85.5 bytes a point in
-    tracemalloc, 21.5 of them the enumerator's frontier; its enumeration
-    peaks higher, at 91.6.  The product of the exponents and the phase
-    factors keeps the operand order that the expression quad * factors
-    had, which numpy evaluated as factors * quad on pieces of _ELIDE_ROWS
-    points or more (see _ELIDE_ROWS).
+    _EVAL_CHUNK values.  The product of the exponents and the phase
+    factors takes its operand order from the piece's size (see
+    _ELIDE_ROWS), not from how numpy evaluates an expression.
     """
     first = families[0]
     basis = first.basis

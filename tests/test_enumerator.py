@@ -350,13 +350,10 @@ def _largest(calls):
 
 def test_largest_recorded_family_holds_only_its_point_arrays(recorded_batches):
     # the batch of one family holds per point, besides the enumerator's
-    # frontier (21.5 bytes), its integer rows (8 bytes at dim 8, int8), the
-    # exponent (16) and, for its one phase sum, the residues (8), their
-    # indices (8), the factors (16) and a row of z.k (8); the entries and
-    # products exist for one chunk of rows at a time.  It peaks at 91.6
-    # bytes a point, in the enumeration's last level; it read 258 with
-    # float rows, entries and products over the whole block, and 344 with
-    # temporaries of the rows and entries
+    # frontier, its integer rows (8 bytes at dim 8, int8), the exponent (16)
+    # and, for its one phase sum, the residues (8), their indices (8), the
+    # factors (16) and a row of z.k (8); the entries and products exist for
+    # one chunk of rows at a time
     args = _largest(recorded_batches)
     points = thetas._theta_batch(*args)[0].points
     assert (points, len(args[0])) == (80_907, 1)
@@ -369,10 +366,9 @@ def test_largest_recorded_family_holds_only_its_point_arrays(recorded_batches):
 def test_most_phase_sums_per_point_hold_one_block_of_products():
     # a piece's phase sums take z.k one block of about _EVAL_CHUNK values at
     # a time and build their factors one sum at a time, and a family's
-    # block is dropped before the next family's is built: 205 bytes a point
-    # here, 363 while the last family's block outlived its segment.  Holding
-    # the residues of all of a piece's sums at once would add 8 bytes a
-    # point per sum
+    # block is dropped before the next family's is built.  Holding the
+    # residues of all of a piece's sums at once would add 8 bytes a point
+    # per sum
     calls = _record_batches(_MOST_SUMS)
 
     def sums(call):
@@ -492,22 +488,19 @@ def test_sub_blocks_leave_no_lone_row(monkeypatch, recorded_batches):
     assert [thetas._theta_batch(*args) for args, _ in recorded_batches] == want
 
     # a segment of _ROW_CHUNK + 1 rows at g h = 3, whose last sub-block
-    # takes the lone last row: BLAS rounds a 1-row product differently from
-    # the same row in a longer one, and here that moves the value
+    # takes the lone last row (BLAS may compute a 1-row product by another
+    # path, which rounds differently from the same row in a longer one):
+    # no chunk holds a lone row, and the values are the whole segment's
     field, W, P, A0, B0 = _random_case(9, 7, 1, 3)
     (leaf,) = thetas._lower(field, P, A0, B0, ThetaParams())
     at = thetas._at(W)
     monkeypatch.setattr(thetas, "_ROW_CHUNK", thetas._EVAL_CHUNK)
-    ((values, _, points),) = want = thetas._theta_batch((leaf,), at.w, at.lam_y)
+    ((_, _, points),) = want = thetas._theta_batch((leaf,), at.w, at.lam_y)
     assert points == 8
     monkeypatch.setattr(thetas, "_ROW_CHUNK", points - 1)
-    assert thetas._row_chunks([(0, 0, points)]) == [(0, points, [(0, 0, points)])]
+    chunks = []
+    row_chunks = thetas._row_chunks
+    monkeypatch.setattr(thetas, "_row_chunks",
+                        lambda segments: chunks.append(row_chunks(segments)) or chunks[-1])
     assert thetas._theta_batch((leaf,), at.w, at.lam_y) == want
-
-    def lone(segments):  # the same cut, leaving the lone last row alone
-        step = thetas._ROW_CHUNK
-        return [(s, min(s + step, end), [(j, s, min(s + step, end))])
-                for j, start, end in segments for s in range(start, end, step)]
-
-    monkeypatch.setattr(thetas, "_row_chunks", lone)
-    assert thetas._theta_batch((leaf,), at.w, at.lam_y)[0].values != values
+    assert chunks == [[(0, points, [(0, 0, points)])]]

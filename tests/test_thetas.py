@@ -339,17 +339,17 @@ def test_phase_sum_residue_paths_bit_for_bit(monkeypatch, modulus, k, zmax, buil
     zf = z.astype(np.float64)
     assert thetas._float_residues(modulus, float(zmax), k) == float_path
     v = zf @ np.array(k, dtype=np.float64) if float_path else None
-    got = thetas._phase_sum(quad, zf, v, modulus, k)
+    # the kernel passes integer rows (see _ellipsoid_points)
+    got = thetas._phase_sum(quad, z, v, modulus, k)
     assert got == _reference_phase_sum(quad, z, modulus, k)
     assert tables == ([modulus] if built else [])
 
 
 @pytest.mark.parametrize("n", [(1 << 14) - 1, 1 << 14])
 def test_phase_product_keeps_the_order_of_the_expression(n):
-    # numpy evaluates quad * factors, for a temporary factors of at least
-    # 256 KiB (2^14 complex128), as factors * quad in the factors' memory,
-    # and a complex product rounds differently with its operands swapped:
-    # the phase sum takes the order the expression had at each size
+    # the phase sum multiplies factors * quad from _ELIDE_ROWS points on and
+    # quad * factors below: the order numpy's temporary elision gave the
+    # expression quad * factors, which the recorded values rest on
     assert thetas._ELIDE_ROWS == 1 << 14
     rng = np.random.default_rng([0, n])  # a draw whose sums show the order
     quad = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -357,14 +357,11 @@ def test_phase_product_keeps_the_order_of_the_expression(n):
     z = rng.integers(-99, 100, size=(n, 2)).astype(np.int8)
     r = (z.astype(np.int64) @ np.array(k)) % modulus
     roots = thetas._roots(modulus)
-    # outside an assert, whose rewriting would hold the temporary
-    expression = (quad * roots[r]).sum()
     swapped = np.multiply(roots[r], quad).sum()
     in_order = np.multiply(quad, roots[r]).sum()
     assert swapped != in_order  # the order shows in the sum
-    assert expression == (swapped if n >= 1 << 14 else in_order)
     got = thetas._phase_sum(quad, z, z @ np.array(k, dtype=np.float64), modulus, k)
-    assert got == expression
+    assert got == (swapped if n >= thetas._ELIDE_ROWS else in_order)
 
 
 def test_w_below_the_eigenvalue_grid_is_a_domain_error():
