@@ -62,7 +62,16 @@ from .relations import (
     build_relation,
     evaluate_relation,
 )
-from .thetas import MatrixLike, ThetaParams, _block, _int_key, _leaf_keys, _p_parts, _z_factor
+from .thetas import (
+    MatrixLike,
+    ThetaCache,
+    ThetaParams,
+    _block,
+    _int_key,
+    _leaf_keys,
+    _p_parts,
+    _z_factor,
+)
 
 __all__ = [
     "PRESET_NAMES",
@@ -101,9 +110,13 @@ class IdentityCheck:
         return _Plans(self.lhs, self.rhs)
 
     def evaluate(
-        self, W: MatrixLike, params: Optional[ThetaParams] = None
+        self, W: MatrixLike, params: Optional[ThetaParams] = None,
+        cache: Optional[ThetaCache] = None,
     ) -> VerificationReport:
-        return _compare_sides(self._plans, W, params, len(self.lhs.rows) + len(self.rhs.rows))
+        """lhs against rhs at W, family values read through cache when one
+        is given (see relations.evaluate_relation)."""
+        return _compare_sides(self._plans, W, params, len(self.lhs.rows) + len(self.rhs.rows),
+                              cache=cache)
 
 
 # -- small constructors ------------------------------------------------------
@@ -989,6 +1002,14 @@ class SuiteResult:
 def _run_one_preset(
     entry: tuple[str, dict], params: ThetaParams
 ) -> tuple[list, list, list]:
+    """The report rows, per-report seconds and warnings of one suite entry:
+    its relation and each identity check at each sample W.
+
+    The entry's evaluations share one table of family values (a
+    ThetaCache), dropped when the entry ends: the built relation and the
+    printed statement read many families at one W, at eps/h and at eps,
+    and evaluate each once where both give one radius.  The reports'
+    theta_evals and cache_hits stay the counts of each plan's leaves."""
     name, kwargs = entry
     preset = make_preset(name, **dict(kwargs))
     head = {
@@ -1010,10 +1031,11 @@ def _run_one_preset(
     ]
     rows = []
     secs = []
+    cache = ThetaCache()
     for check_id, samples, evaluate in runs:
         for w_idx, W in enumerate(samples):
             t0 = time.perf_counter()
-            rep = evaluate(W, params)
+            rep = evaluate(W, params, cache=cache)
             secs.append(time.perf_counter() - t0)
             fields = asdict(rep)
             del fields["lhs"], fields["rhs"]

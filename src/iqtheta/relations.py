@@ -42,6 +42,11 @@ entries by index in the order the terms and factors are written.  The
 first failing group raises its error.  The evaluation and hit counts are
 the plan's leaf count and its leaf reads beyond them.  A relation and an
 identity check compare their sides in one function (_compare_sides).
+Evaluations of several plans at one W can share a table of family values
+(a thetas.ThetaCache passed as cache, as a suite entry does): each batch
+then evaluates only the families that the table lacks at that W and
+radius.  The counts stay the plan's, so a report does not depend on what
+the table held.
 Terms (RelationInstance.lhs_terms and rhs_terms, PDecomposition.monomials)
 are the public description, which evaluation does not read.
 """
@@ -80,6 +85,7 @@ from .lattices import (
 from .thetas import (
     _BASES,
     MatrixLike,
+    ThetaCache,
     ThetaParams,
     _as_complex_matrix,
     _at,
@@ -283,15 +289,19 @@ class _Plans(dict):
         return plan
 
 
-def _sum_terms(plan: _Plan, W: MatrixLike) -> tuple[list[complex], int, int]:
+def _sum_terms(
+    plan: _Plan, W: MatrixLike, cache: Optional[ThetaCache] = None
+) -> tuple[list[complex], int, int]:
     """The plan at W: the sum of each side, and the theta evaluations and
     hits of the plan's leaf reads.
 
     One pass: W is checked once (thetas._at), and against each group's g
     before any batch runs; then each group of families, field and Riemann
     alike, is one thetas._theta_batch, in group order, filling its
-    families' table entries.  The first failing group raises its error.
-    The evaluations are the plan's leaves, the hits its other leaf reads.
+    families' table entries.  The batch reads and fills cache, a table of
+    family values shared with other evaluations, when one is given.  The
+    first failing group raises its error.  The evaluations are the plan's
+    leaves, the hits its other leaf reads, whatever cache held.
     Each term starts from its coefficient and multiplies its table entries
     left to right; real and imaginary parts are summed with fsum.
     """
@@ -300,9 +310,10 @@ def _sum_terms(plan: _Plan, W: MatrixLike) -> tuple[list[complex], int, int]:
         _check_w_shape(plan.families[group[0]].g, at)
     evals = plan.starts[-1]
     table: list = [None] * evals
+    batch = thetas._theta_batch if cache is None else partial(thetas._theta_batch, cache=cache)
     for group in plan.groups:
         families = [plan.families[f] for f in group]
-        for f, v in zip(group, thetas._theta_batch(families, at.w, at.lam_y)):
+        for f, v in zip(group, batch(families, at.w, at.lam_y)):
             table[plan.starts[f]:plan.starts[f + 1]] = v.values
     for f in plan.products:
         table.append(_product(map(table.__getitem__, f)))
@@ -369,12 +380,14 @@ class VerificationReport:
 
 
 def _compare_sides(plans: _Plans, W: MatrixLike, params: Optional[ThetaParams],
-                   term_count: int, scale: Optional[float] = None) -> VerificationReport:
-    """The first side of plans against the second at W (see _sum_terms),
-    the second times scale, outside its sum, when a scale is given."""
+                   term_count: int, scale: Optional[float] = None,
+                   cache: Optional[ThetaCache] = None) -> VerificationReport:
+    """The first side of plans against the second at W (see _sum_terms,
+    which reads family values through cache when one is given), the second
+    times scale, outside its sum, when a scale is given."""
     if params is None:
         params = ThetaParams()
-    (lhs, rhs), evals, hits = _sum_terms(plans[params], W)
+    (lhs, rhs), evals, hits = _sum_terms(plans[params], W, cache)
     if scale is not None:
         rhs = scale * rhs
     return VerificationReport.compare(lhs, rhs, term_count, evals, hits, params.eps)
@@ -601,12 +614,15 @@ def evaluate_relation(
     W: MatrixLike,
     params: Optional[ThetaParams] = None,
     corrupt: Optional[str] = None,
+    cache: Optional[ThetaCache] = None,
 ) -> VerificationReport:
     """Evaluate both sides of the relation at W and report the residual.
 
     corrupt is a test hook: "phase" moves the phase of the first term of
     the right side by 1/3 and "drop" omits that term, so harness failure
-    detection can be exercised.
+    detection can be exercised.  cache, when given, is a table of family
+    values shared with other evaluations (see thetas.ThetaCache); without
+    one, every family is evaluated and nothing is kept.
     """
     if corrupt not in (None, "phase", "drop"):
         raise ValueError(f"unknown corruption mode: {corrupt!r}")
@@ -619,7 +635,7 @@ def evaluate_relation(
         (q, idx), *rest = rhs.rows
         inst = replace(inst, rhs=replace(rhs, q_den=3 * rhs.q_den, rows=(
             (3 * q + rhs.q_den, idx), *((3 * r, i) for r, i in rest))))
-    return _compare_sides(inst._plans, W, params, term_count, float(inst.scale))
+    return _compare_sides(inst._plans, W, params, term_count, float(inst.scale), cache)
 
 
 # -- rational P as a polynomial in one-column thetas ------------------------

@@ -22,10 +22,12 @@ factor of the Gram matrix of Q, one coordinate at a time from the last,
 each level vectorized over the whole frontier.  Evaluation is
 deterministic: the points come in a fixed (lexicographic) order and are
 summed in that order in chunks, with compensated accumulation of the chunk
-subtotals.  Within a chunk, the exponent of every point is one quadratic
-form: with x the row-major vec of X, vec(W X P) = (W kron P^T) x, so the
-chunk costs one matrix product over the flattened points rather than a
-small matrix product per point.  The linear phase e(Re Tr(X^H B0)) is exact:
+subtotals.  The exponent of every point is one quadratic form: with x the
+row-major vec of X, vec(W X P) = (W kron P^T) x, so a chunk of rows costs
+one matrix product and one einsum over the flattened points of every family
+in it (`_quad`), rather than a small matrix product per point or per
+family; a 1-point family keeps a 1-row product, which BLAS rounds by its
+own path.  The linear phase e(Re Tr(X^H B0)) is exact:
 with X = A0 + sum_i z_i e_i over integer coordinates z, it is e(q0) times
 the root of unity e((z.k mod M) / M), with q0, M and the integers k read
 off A0 and B0 (`_FamilyPhases`), so only the quadratic part is rounded inside
@@ -74,6 +76,14 @@ the ones a leaf gets alone, and a leaf's summation does not depend on its
 batch or family, so its value is bit for bit the one a `_theta_dense` call
 of its own gives; `_theta_dense` is the batch of one, which the public
 thetas use.  A batch that fails raises its own error.
+
+A caller that evaluates several plans at one W can pass a ThetaCache as the
+table of family values they share (a suite entry does: the built relation
+and the printed statement read many families at eps/h and at eps, which
+give one radius).  A family is keyed by everything its values depend on:
+the W bytes, its group without eps, A0, its B0 keys and the radius
+`_theta_batch` picks at W.  Without one, every family is evaluated and
+nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -169,8 +179,12 @@ class ThetaCache:
     A dense theta is keyed by (leaf key, W bytes), where the leaf key holds
     the field, shapes, P, A0 reduced mod O_K, B0, eps and max_radius, so
     characteristics that differ by an integral matrix share one entry.
-    Compiled sums (relations.py) do not use it: each evaluation of a plan keeps
-    its own table of leaf values under the same keys.
+
+    Compiled sums (relations.py) take one as the table of family values that
+    their evaluations share, when a caller passes one (a suite entry does,
+    see presets._run_one_preset): _theta_batch keys a family's values by
+    (W bytes, the family's value_key, the radius it gets at W), so a family
+    read at eps and at eps/h is evaluated once where both give one radius.
     """
 
     def __init__(self) -> None:
@@ -178,15 +192,23 @@ class ThetaCache:
         self.hits = 0
         self.misses = 0
 
+    def get(self, key):
+        """The value stored under key, counted as a hit, or None."""
+        value = self._store.get(key)
+        if value is not None:
+            self.hits += 1
+        return value
+
+    def put(self, key, value) -> None:
+        """Store the value of a missed key."""
+        self.misses += 1
+        self._store[key] = value
+
     def get_or_compute(self, key, compute: Callable[[], ThetaValue]) -> ThetaValue:
-        try:
-            value = self._store[key]
-        except KeyError:
-            self.misses += 1
+        value = self.get(key)
+        if value is None:
             value = compute()
-            self._store[key] = value
-            return value
-        self.hits += 1
+            self.put(key, value)
         return value
 
 
@@ -422,13 +444,14 @@ def _ellipsoid_points(
     a block holds consecutive whole pieces up to _EVAL_CHUNK rows in all,
     or one longer piece.  The last level is expanded one block at a time,
     so memory holds the frontier and one block, not every point; both are
-    kept in the narrowest integer type that holds the frontier and the
-    last level's intervals (n bytes a point at int8, against 8n as
+    kept in the narrowest integer type that holds every level's intervals,
+    taken as each level is made (n bytes a point at int8, against 8n as
     floats).
 
     TruncationError as soon as a level counts more than _MAX_POINTS nodes
     of one center, before that level is expanded; radii are only reported
-    there.
+    there.  The count per center is taken only where a level's total is
+    over the cap, and at the last level.
     """
     m, n = C.shape
     diag = np.diag(R)
@@ -436,23 +459,32 @@ def _ellipsoid_points(
     Z = np.empty((m, 0))
     rem = np.asarray(bounds, dtype=np.float64)
     owner = np.arange(m)
+    top = 0.0  # the largest |z| of any level's intervals
     for i in range(n - 1, -1, -1):
         # Z holds coordinates n-1, ..., i+1 of each node, in that order
         qi = q[i, :i:-1]
         center = -(Z @ qi) - (C[:, :i:-1] @ qi + C[:, i])[owner]
         half = np.sqrt(np.maximum(rem, 0.0)) / diag[i]
         lo = np.ceil(center - half)
-        counts = (np.floor(center + half) - lo + 1.0).astype(np.int64)
+        # a node's coordinate runs over lo up to hi = floor(center + half),
+        # held in counts until the count replaces it; an empty node (hi =
+        # lo - 1) holds none and can only widen the type
+        counts = np.floor(center + half)
+        top = max(top, float(np.maximum(-lo, counts).max(initial=0.0)))
+        counts = (counts - lo + 1.0).astype(np.int64)
         np.maximum(counts, 0, out=counts)
-        per_center = np.bincount(owner, weights=counts, minlength=m)
-        over = np.flatnonzero(per_center > _MAX_POINTS)
-        if len(over):
-            j = int(over[0])
-            raise TruncationError(
-                f"lattice enumeration exceeds max_points={_MAX_POINTS}: "
-                f"{int(per_center[j])} points after {n - i} of {n} coordinates "
-                f"(radius {radii[j]}, dim {n})"
-            )
+        total = counts.sum()
+        if i == 0 or total > _MAX_POINTS:
+            per_center = np.bincount(owner, weights=counts, minlength=m)
+        if total > _MAX_POINTS:  # else no center is over the cap
+            over = np.flatnonzero(per_center > _MAX_POINTS)
+            if len(over):
+                j = int(over[0])
+                raise TruncationError(
+                    f"lattice enumeration exceeds max_points={_MAX_POINTS}: "
+                    f"{int(per_center[j])} points after {n - i} of {n} coordinates "
+                    f"(radius {radii[j]}, dim {n})"
+                )
         if i == 0:
             break
         node = np.repeat(np.arange(len(counts)), counts)
@@ -464,12 +496,7 @@ def _ellipsoid_points(
     ends = np.cumsum(counts)
     starts = ends - counts
     pieces = _pieces(owner, starts, ends, per_center)
-    # the last coordinate of the points of node i runs over lo[i] up to
-    # lo[i] + counts[i] - 1; an empty node's lo holds no point and can only
-    # widen the type
     lo = lo.astype(np.int64)
-    top = max(Z.max(initial=0.0), -Z.min(initial=0.0), -lo.min(initial=0),
-              (lo + (counts - 1)).max(initial=0))
     Z = Z.astype(np.min_scalar_type(-int(top) - 1))
 
     def blocks() -> Iterator[tuple[np.ndarray, list[tuple[int, int, int]]]]:
@@ -601,6 +628,14 @@ class _Family:
     def key(self) -> tuple:
         """The identity of the family: its group, A0 and B0 keys."""
         return self.group, self.a, tuple(self.bs)
+
+    @cached_property
+    def value_key(self) -> tuple:
+        """key without eps, which reaches the family's values only through
+        the radius (see _theta_batch); built on the first evaluation, as
+        floats and phases are."""
+        d, g, h, p_key, _, max_radius, basis = self.group
+        return (d, g, h, p_key, max_radius, basis), self.a, tuple(self.bs)
 
     def intern(self, b: tuple[tuple[int, ...], int]) -> int:
         """b's position in bs, appended if new (lowering only: see phases)."""
@@ -810,8 +845,40 @@ def _entries(z: np.ndarray, basis: tuple[complex, ...]) -> np.ndarray:
     return x
 
 
+def _quad(
+    z: np.ndarray, segments: Sequence[tuple[int, int, int]], offsets: np.ndarray,
+    m_t: np.ndarray, basis: tuple[complex, ...]
+) -> np.ndarray:
+    """exp(i pi x^t m_t x) for each row of a block (see _ellipsoid_points),
+    x the entries of the row plus the offsets of its segment's center:
+    conj(x)^t (W kron P^T) x = Tr(X^H W X P) for m_t = (W kron P^T)^T.
+
+    The block runs in chunks of at most _ROW_CHUNK + 1 rows (_row_chunks),
+    each with its offsets added per row, one matrix product and one einsum.
+    A row of a product of two or more rows has the same bits at any
+    position in it, but BLAS computes a 1-row product by another path
+    (gemv), which rounds differently: a 1-point segment keeps a 1-row
+    product of its own (see _sub_blocks), so each row's bits do not depend
+    on its chunk."""
+    e1 = np.empty(len(z), dtype=np.complex128)
+    for a, b, parts in _row_chunks(segments):
+        x = _entries(z[a:b], basis)
+        if len(parts) == 1:  # one row of offsets, broadcast: no array of them
+            x += offsets[parts[0][0]]
+        else:
+            x += np.repeat(offsets[[j for j, _, _ in parts]],
+                           [e - s for _, s, e in parts], axis=0)
+        y = np.matmul(x, m_t)
+        for _, s, e in parts:
+            if e - s == 1:
+                np.matmul(x[s - a:e - a], m_t, out=y[s - a:e - a])
+        np.einsum("nk,nk->n", np.conjugate(x, out=x), y, out=e1[a:b])
+    return np.exp(np.multiply(1j * np.pi, e1, out=e1), out=e1)
+
+
 def _theta_batch(
-    families: Sequence[_Family], W: np.ndarray, lam_y: float
+    families: Sequence[_Family], W: np.ndarray, lam_y: float,
+    cache: Optional[ThetaCache] = None,
 ) -> list[_FamilyValue]:
     """The families of one group (see _Family.group) at a checked W (see
     _at): for each leaf, the sum over the ellipsoid Q(X) = Re Tr(X^H Y X P)
@@ -831,25 +898,38 @@ def _theta_batch(
     ball |X|_F <= r (Q >= lam_Y lam_P |X|_F^2); for g = h = 1 it is that
     disk.
 
-    The Y kron P work is done once for the group: lam_min(P), the Gram
-    matrix of Q and its Cholesky factor, the (W kron P^T) form, and one
-    radius per radius floor.  A family's leaves share the offsets, radius,
-    bound, points and quadratic exponent, and differ only in the linear
-    phase: each family is one center of the enumeration and one
-    exp(i pi e1) per point, and each of its phase sums (see _FamilyPhases)
-    takes e(z.k / M) from the integer coordinates z in one _phase_sum per
-    piece.  The families are cut, in order, into batches of about
-    _BATCH_POINTS points by the ellipsoid volume, one enumeration each; a
-    family estimated above that runs alone.  Each leaf keeps its own
-    summation (each piece of its points summed alone, the piece sums
-    fsum-ed, then times e(q0)), so its value does not depend on the other
-    leaves of its batch or family.
+    The Y kron P work is done once for the group: lam_min(P) (with P's
+    floats, once per P: _p_floats), the Gram matrix of Q and its Cholesky
+    factor, the (W kron P^T) form, and one radius per radius floor.  A
+    family's leaves share the offsets, radius, bound, points and quadratic
+    exponent, and differ only in the linear phase: each family is one
+    center of the enumeration and one exp(i pi e1) per point (_quad, one
+    matrix product and one einsum per chunk of rows, whatever families the
+    chunk holds), and each of its phase sums (see _FamilyPhases) takes
+    e(z.k / M) from the integer coordinates z in one _phase_sum per piece.
+    The families are cut, in order, into batches of about _BATCH_POINTS
+    points by the ellipsoid volume, one enumeration each; a family
+    estimated above that runs alone.  Each leaf keeps its own summation
+    (each piece of its points summed alone, the piece sums fsum-ed, then
+    times e(q0)), so its value does not depend on the other leaves of its
+    batch or family.
+
+    With a cache (a table of family values that a caller shares across
+    evaluations, see ThetaCache), each family is first looked up under
+    (W bytes, its value_key, its radius), and only the families it lacks
+    are enumerated and then stored.  eps reaches a family's values only
+    through the radius: the bound, the tail bound and the points follow
+    from the radius at W.  So a family read at eps and at eps/h (a
+    diagonal P's columns) is enumerated once where both give one radius,
+    and its values are the ones it would get alone, bit for bit.
 
     Memory: a block holds its integer rows (n bytes a point at int8, see
     _ellipsoid_points) and the exponent (16 bytes), which exp overwrites.
-    The entries, their products and the float rows of z.k exist for at
-    most _ROW_CHUNK + 1 rows at a time (_row_chunks, _products), and a
-    phase sum adds the residues, their indices and the factors over its
+    The entries, their per-row offsets, their products (y, which spans a
+    chunk of rows, not one family's part of it) and the float rows of z.k
+    exist for at most _ROW_CHUNK + 1 rows at a time (_row_chunks,
+    _products), and a phase sum adds the residues, their indices and the
+    factors over its
     piece (8 + 8 + 16 bytes a point), with z.k for a block of about
     _EVAL_CHUNK values.  The product of the exponents and the phase
     factors takes its operand order from the piece's size (see
@@ -860,13 +940,9 @@ def _theta_batch(
     nb = len(basis)
     if nb == 1:
         _check_symmetric(W)
-    try:
-        p = _as_complex_matrix(first.P, "P")
-    except OverflowError:
-        raise DomainError("an exact entry of P is too large for a float") from None
+    p, lam_p_raw = _p_floats(first.P)
     floats = [fam.floats for fam in families]
     g, h = floats[0].offsets.shape
-    lam_p_raw = float(np.linalg.eigvalsh(p)[0])
     lam_p = _snap(lam_p_raw)
     if lam_p <= 0.0:
         raise DomainError(f"P must be positive definite, lam_min={lam_p:g}")
@@ -883,8 +959,16 @@ def _theta_batch(
                 max_radius=params.max_radius,
             )
         radii.append(radius_at[key])
-    tails = {r: shell_tail_bound(r, decay, dim) for r in radius_at.values()}
-    phases = [fam.phases for fam in families]
+    out: list[Optional[_FamilyValue]] = [None] * len(families)
+    if cache is not None:
+        w_key = W.tobytes()
+        keys = [(w_key, fam.value_key, r) for fam, r in zip(families, radii)]
+        out = [cache.get(key) for key in keys]
+    todo = [f for f, v in enumerate(out) if v is None]
+    if not todo:
+        return out
+    tails = {r: shell_tail_bound(r, decay, dim) for r in {radii[f] for f in todo}}
+    phases = {f: families[f].phases for f in todo}
 
     # Gram matrix of Q in the real coordinates of each entry in the basis
     # e, x = sum_s u_s e_s + offset: G[(k,s),(l,t)] = Re(H[k,l] conj(e_s)
@@ -895,7 +979,7 @@ def _theta_batch(
     ee = e.conj()[:, None] * e[None, :]
     gram = (hm[:, None, :, None] * ee[None, :, None, :]).real
     R = np.linalg.cholesky(gram.reshape(dim, dim)).T
-    bounds = [lam_y * lam_p_raw * r * r * (1.0 + 1e-9) for r in radii]
+    bounds = {f: lam_y * lam_p_raw * radii[f] * radii[f] * (1.0 + 1e-9) for f in todo}
     # m_t = kron(W, P^T)^T, built by broadcasting: np.kron costs tens of
     # microseconds per call, which the many small thetas would pay.
     m_t = (W.T[:, None, :, None] * p[None, :, None, :]).reshape(g * h, g * h)
@@ -904,10 +988,11 @@ def _theta_batch(
     # the unit ball's times the product of the half axes sqrt(bound) / R_ii
     with np.errstate(over="ignore"):
         estimates = (math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
-                     * np.prod(np.sqrt(bounds)[:, None] / np.diag(R), axis=1))
+                     * np.prod(np.sqrt([bounds[f] for f in todo])[:, None] / np.diag(R),
+                               axis=1))
     batches: list[list[int]] = [[]]
     est = 0.0
-    for f, estimate in enumerate(estimates.tolist()):
+    for f, estimate in zip(todo, estimates.tolist()):
         if batches[-1] and est + estimate > _BATCH_POINTS:
             batches.append([])
             est = 0.0
@@ -915,58 +1000,45 @@ def _theta_batch(
         est += estimate
 
     # per family and phase sum, the real and imaginary parts of its pieces
-    sums = [[([], []) for _ in ph.sums] for ph in phases]
-    points = [0] * len(families)
+    sums = {f: [([], []) for _ in ph.sums] for f, ph in phases.items()}
+    points = {}
     for batch in batches:
         counts, blocks = _ellipsoid_points(
             R, np.array([floats[f].coords for f in batch]),
             np.array([bounds[f] for f in batch]), [radii[f] for f in batch],
         )
-        for f, n in zip(batch, counts.tolist()):
-            points[f] = n
+        points.update(zip(batch, counts.tolist()))
         offsets = np.array([floats[f].offsets.reshape(-1) for f in batch])
+        # per family of the batch: its rows of ks, its phase sums and their parts
+        phase_sums = [(phases[f].ks, phases[f].sums, sums[f]) for f in batch]
+        residues = any(ks is not None for ks, _, _ in phase_sums)
         for z, segments in blocks:
-            e1 = np.empty(len(z), dtype=np.complex128)
-            for a, b, parts in _row_chunks(segments):
-                x = _entries(z[a:b], basis)
-                y = np.empty_like(x)
-                # the matrix products run per part of a segment, cut from
-                # the segment's start, so a leaf's rows are cut the same
-                # way whatever its batch (see _sub_blocks)
-                for j, s, e in parts:
-                    xs = x[s - a:e - a]
-                    xs += offsets[j]
-                    ys = np.matmul(xs, m_t, out=y[s - a:e - a])
-                    np.einsum("nk,nk->n", np.conjugate(xs, out=xs), ys, out=e1[s:e])
-            del x, y, xs, ys  # the phase sums read only z and quad
-            quad = np.exp(np.multiply(1j * np.pi, e1, out=e1), out=e1)
-            zmax = 0.0
-            if any(phases[batch[j]].ks is not None for j, _, _ in segments):
-                zmax = float(max(int(z.max(initial=0)), -int(z.min(initial=0))))
+            quad = _quad(z, segments, offsets, m_t, basis)
+            zmax = float(max(int(z.max(initial=0)), -int(z.min(initial=0)))) if residues else 0.0
             for j, start, end in segments:
-                f = batch[j]
-                ks = phases[f].ks
-                zs = z[start:end]
+                ks, fam_sums, fam_parts = phase_sums[j]
+                zs, qs = z[start:end], quad[start:end]
                 # one product per block of sums, a block about _EVAL_CHUNK
                 # values, so the residues never outgrow the points; the
                 # last segment's block is dropped before this one is built
                 step = max(1, _EVAL_CHUNK // max(1, len(zs)))
                 zk = None
-                for (modulus, k, row), (re, im) in zip(phases[f].sums, sums[f]):
+                for (modulus, k, row), (re, im) in zip(fam_sums, fam_parts):
                     v = None
                     if row is not None:
                         if row % step == 0:
                             zk = _products(ks[row:row + step], zs)
                         if _float_residues(modulus, zmax, k):
                             v = zk[row % step]
-                    s = _phase_sum(quad[start:end], zs, v, modulus, k)
+                    s = _phase_sum(qs, zs, v, modulus, k)
                     re.append(float(s.real))
                     im.append(float(s.imag))
-    out = []
-    for f, (ph, parts) in enumerate(zip(phases, sums)):
-        totals = [complex(math.fsum(re), math.fsum(im)) for re, im in parts]
-        out.append(_FamilyValue([shift * totals[c] for c, shift in ph.leaves],
-                                tails[radii[f]], points[f]))
+    for f in todo:
+        totals = [complex(math.fsum(re), math.fsum(im)) for re, im in sums[f]]
+        out[f] = _FamilyValue([shift * totals[c] for c, shift in phases[f].leaves],
+                              tails[radii[f]], points[f])
+        if cache is not None:
+            cache.put(keys[f], out[f])
     return out
 
 
@@ -974,6 +1046,18 @@ def _theta_dense(leaf: _Family, W: np.ndarray, lam_y: float) -> ThetaValue:
     """One leaf (a family of one) at a checked W (see _at): the batch of one."""
     (value,), tail, points = _theta_batch((leaf,), W, lam_y)[0]
     return ThetaValue(value, tail, points)
+
+
+@lru_cache(maxsize=1 << 8)
+def _p_floats(P: KMatrix) -> tuple[np.ndarray, float]:
+    """P embedded, read-only, and lam_min(P) unsnapped: they depend on P
+    alone, and the batches of a plan share a few P (see _p_parts)."""
+    try:
+        p = _as_complex_matrix(P, "P")
+    except OverflowError:
+        raise DomainError("an exact entry of P is too large for a float") from None
+    p.flags.writeable = False
+    return p, float(np.linalg.eigvalsh(p)[0])
 
 
 @lru_cache(maxsize=1 << 8)
@@ -1065,7 +1149,7 @@ def _z_factor(
 def _check_symmetric(w: np.ndarray) -> None:
     """DomainError unless w is square and symmetric, as a real theta's
     period matrix must be."""
-    if w.shape[0] != w.shape[1] or not np.allclose(w, w.T, rtol=0.0, atol=1e-12):
+    if w.shape[0] != w.shape[1] or not (np.abs(w - w.T) <= 1e-12).all():
         raise DomainError("Omega must be symmetric")
 
 

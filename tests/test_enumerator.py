@@ -474,12 +474,13 @@ def test_sub_blocks_leave_no_lone_row(monkeypatch, recorded_batches):
         assert sizes[:-1] == [c] * (len(sizes) - 1)
         assert sizes[-1] <= c + 1 and (sizes[-1] > 1 or n == 1)
     # the chunks of a block hold the cuts of its segments in order, at most
-    # c + 1 rows each
-    segments = [(0, 0, 3), (1, 3, 3 + 2 * c + 1), (2, 2 * c + 4, 2 * c + 9)]
+    # c + 1 rows each; a 1-point segment is one part of its chunk
+    segments = [(0, 0, 3), (1, 3, 4), (2, 4, 4 + 2 * c + 1), (3, 2 * c + 5, 2 * c + 10)]
     chunks = thetas._row_chunks(segments)
     assert [part for _, _, parts in chunks for part in parts] == [
         (j, a, b) for j, s, e in segments for a, b in thetas._sub_blocks(s, e)]
     assert all(parts[0][1] == a and parts[-1][2] == b <= a + c + 1 for a, b, parts in chunks)
+    assert chunks[0][2][:2] == segments[:2]
     assert thetas._row_chunks(segments[:1]) == [(0, 3, segments[:1])]
 
     # relation _LARGEST in sub-blocks of 64 rows: bit for bit
@@ -504,3 +505,69 @@ def test_sub_blocks_leave_no_lone_row(monkeypatch, recorded_batches):
                         lambda segments: chunks.append(row_chunks(segments)) or chunks[-1])
     assert thetas._theta_batch((leaf,), at.w, at.lam_y) == want
     assert chunks == [[(0, points, [(0, 0, points)])]]
+
+
+# -- one product per chunk -------------------------------------------------------
+
+
+def _per_part_quad(z, segments, offsets, m_t, basis):
+    """thetas._quad as the kernel computed it with one offset add, matrix
+    product and einsum per part of each chunk (see thetas._row_chunks)."""
+    e1 = np.empty(len(z), dtype=np.complex128)
+    for a, b, parts in thetas._row_chunks(segments):
+        x = thetas._entries(z[a:b], basis)
+        y = np.empty_like(x)
+        for j, s, e in parts:
+            xs = x[s - a:e - a]
+            xs += offsets[j]
+            ys = np.matmul(xs, m_t, out=y[s - a:e - a])
+            np.einsum("nk,nk->n", np.conjugate(xs, out=xs), ys, out=e1[s:e])
+    return np.exp(np.multiply(1j * np.pi, e1, out=e1), out=e1)
+
+
+def _one_point_batch():
+    """A batch of four families at d = 1, g = 2, h = 1 whose second, at
+    A0 = 0, has a single point: with Y = 20 [[2, 1], [1, 2]] (lam_min 20)
+    and P = [[1]], it gets radius 1, and every nonzero N = (a, b) has
+    Q(N) = 20 (|a|^2 + |b|^2 + |a + b|^2) >= 40, above the bound 20 r^2.
+    Returns (the _theta_batch arguments, the points of each family)."""
+    field = FieldId(1)
+    W = np.array([[0.3 + 40j, 0.1 + 20j], [0.1 + 20j, -0.2 + 40j]])
+    at = thetas._at(W)
+    half, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+    families = tuple(
+        thetas._lower(field, [[1]], a, [[third], [0]], ThetaParams())[0]
+        for a in ([[half], [0]], [[0], [0]], [[0], [third]], [[quarter], [quarter]]))
+    return (families, at.w, at.lam_y), [32, 1, 31, 26]
+
+
+def test_chunk_products_are_the_per_part_products(monkeypatch):
+    # every recorded batch of plan_golden's relations, and a batch whose
+    # 1-point family sits inside a chunk of 90 rows: each family's values
+    # are the ones of one offset add, product and einsum per part
+    batches = [args for k in range(len(_PLAN_GOLDEN["relations"]))
+               for args, _ in _record_batches(k)]
+    args, points = _one_point_batch()
+    batches.append(args)
+    want = [thetas._theta_batch(*args) for args in batches]
+    assert [v.points for v in want[-1]] == points
+    monkeypatch.setattr(thetas, "_quad", _per_part_quad)
+    assert [thetas._theta_batch(*args) for args in batches] == want
+
+
+def test_one_point_segments_keep_a_one_row_product(monkeypatch):
+    # a chunk runs one product over its rows, and a 1-point segment in it
+    # one more of its own row (BLAS computes a 1-row product by another
+    # path, which rounds differently from the same row in a longer one)
+    args, points = _one_point_batch()
+    rows = []
+    matmul = np.matmul
+
+    def recording(x, m, **kwargs):
+        if m.dtype == np.complex128:  # the quadratic form, not z.k
+            rows.append(len(x))
+        return matmul(x, m, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    assert [v.points for v in thetas._theta_batch(*args)] == points
+    assert rows == [sum(points), 1]

@@ -36,7 +36,7 @@ from iqtheta import (
     theta_check_variant,
     theta_general,
 )
-from iqtheta import relations, thetas
+from iqtheta import presets, relations, thetas
 from iqtheta.cli import main
 from iqtheta.kfield import dual_generator, re_trace_of_product
 from iqtheta.lattices import _int_coords, character_group, shift_group
@@ -554,6 +554,95 @@ def test_residues_in_blocks_of_sums(monkeypatch):
     assert len(steps) > 1000
     assert max(len(z) for (_, z), _ in products) > 2 * thetas._ROW_CHUNK
     assert values() == want
+
+
+# -- one table of family values per suite entry ---------------------------------
+
+
+def _radius(fam, lam_y):
+    """The radius a family gets at a W with lam_min(Y) = lam_y (see
+    thetas._theta_batch), computed here from its parts."""
+    lam_p = float(np.linalg.eigvalsh(fam.P.embed())[0])
+    decay = math.pi * thetas._snap(lam_y) * thetas._snap(lam_p)
+    return thetas.choose_radius(fam.params.eps, decay, len(fam.basis) * fam.g * fam.P.rows,
+                                offset_norm=fam.floats.offset_norm,
+                                max_radius=fam.params.max_radius)
+
+
+def test_table_serves_a_family_read_at_eps_and_at_eps_over_h(monkeypatch):
+    # the first column of diag(1, 3) is a leaf at eps/2, and the theta of
+    # that column alone the same family at eps.  eps reaches the values
+    # only through the radius: at Im W = 1 both get radius 4, the values
+    # are equal bit for bit and the second read is served from the table;
+    # at Im W = 1.13 they get 3 and 4, and each is evaluated
+    field = FieldId(1)
+    P = KMatrix([[field.from_rational(1), field.zero()],
+                 [field.zero(), field.from_rational(3)]])
+    column, _ = thetas._lower(field, P, [[Fraction(1, 3), Fraction(1, 5)]],
+                              [[Fraction(1, 2), 0]], ThetaParams())
+    (alone,) = thetas._lower(field, [[1]], [[Fraction(1, 3)]], [[Fraction(1, 2)]],
+                             ThetaParams())
+    assert column.params.eps == alone.params.eps / 2
+    assert column.value_key == alone.value_key
+    calls = _batch_calls(monkeypatch)
+    for im, radii in ((1.0, [4, 4]), (1.13, [3, 4])):
+        at = thetas._at(np.array([[0.2 + 1j * im]]))
+        assert [_radius(fam, at.lam_y) for fam in (alone, column)] == radii
+        served = radii[0] == radii[1]
+        want = [thetas._theta_batch((fam,), at.w, at.lam_y) for fam in (alone, column)]
+        assert (want[0] == want[1]) is served
+        del calls[:]
+        cache = ThetaCache()
+        assert [thetas._theta_batch((fam,), at.w, at.lam_y, cache)
+                for fam in (alone, column)] == want
+        assert calls == [1] * (2 - served)
+        assert (cache.hits, cache.misses) == (served, 2 - served)
+
+
+def test_suite_entry_evaluates_each_distinct_family_once(monkeypatch):
+    # prop_half_general at d = 1: the relation reads the columns of its
+    # diagonal P at eps/2, the printed statement the same families at eps,
+    # at the same sample W.  The families the kernel enumerates are the
+    # distinct (W, family, radius) keys, half of the families read
+    batches = []
+    inner = thetas._theta_batch
+
+    def recording(families, W, lam_y, cache=None):
+        batches.append((families, W, lam_y))
+        return inner(families, W, lam_y, cache)
+
+    monkeypatch.setattr(thetas, "_theta_batch", recording)
+    calls = _batch_calls(monkeypatch)
+    rows, _, _ = presets._run_one_preset(("prop_half_general", {"d": 1}), ThetaParams())
+    assert len(rows) == 6 and all(row["passed"] for row in rows)
+    read = [(W.tobytes(), fam.value_key, _radius(fam, lam_y))
+            for families, W, lam_y in batches for fam in families]
+    assert sum(calls) == len(set(read)) == len(read) // 2 == 30
+
+
+def test_evaluations_without_a_table_evaluate_every_family(monkeypatch):
+    # evaluate_relation and IdentityCheck.evaluate hand the kernel no table
+    # unless one is given, and keep no values between calls: each call
+    # enumerates every family of its plan, and gives the same report
+    preset = make_preset("prop_half_general", d=1)
+    (check,) = preset.identity_checks
+    args = []
+    inner = thetas._theta_batch
+    monkeypatch.setattr(thetas, "_theta_batch",
+                        lambda *a: args.append(len(a)) or inner(*a))
+    calls = _batch_calls(monkeypatch)
+    W = default_W_samples(1)[0]
+    owners = [(lambda W: evaluate_relation(preset.relation, W), preset.relation._plans),
+              (check.evaluate, check._plans)]
+    for evaluate, plans in owners:
+        reports = []
+        for _ in range(2):
+            del calls[:]
+            reports.append(evaluate(W))
+            (plan,) = plans.values()
+            assert sum(calls) == len(plan.families)
+        assert reports[0] == reports[1]
+    assert set(args) == {3}
 
 
 def test_over_budget_leaf_in_a_batch_raises(monkeypatch):

@@ -727,6 +727,10 @@ def test_domain_errors():
         theta_general(field, [[1j]], bad_p, z12, z12)
     with pytest.raises(DomainError, match="symmetric"):
         riemann_theta_z0([0.0, 0.0], [0.0, 0.0], [[1j, 0.5], [0.0, 1j]])
+    # an asymmetry of at most 1e-12 passes as rounding
+    riemann_theta_z0([0.0, 0.0], [0.0, 0.0], [[1j, 0.5], [0.5 + 1e-13, 1j]])
+    with pytest.raises(DomainError, match="symmetric"):
+        riemann_theta_z0([0.0, 0.0], [0.0, 0.0], [[1j, 0.5], [0.5 + 1e-11, 1j]])
     with pytest.raises(DomainError, match="positive definite"):
         riemann_theta_z0([0.0], [0.0], [[0.5 - 1j]])
     # a Riemann factor read through a plan checks symmetry as well
