@@ -62,16 +62,8 @@ from .relations import (
     build_relation,
     evaluate_relation,
 )
-from .thetas import (
-    MatrixLike,
-    ThetaCache,
-    ThetaParams,
-    _block,
-    _int_key,
-    _leaf_keys,
-    _p_parts,
-    _z_factor,
-)
+from .thetas import (MatrixLike, ThetaCache, ThetaParams, _block, _int_key, _leaf_keys,
+                     _p_parts, _z_factor)
 
 __all__ = [
     "PRESET_NAMES",

@@ -27,11 +27,10 @@ row-major vec of X, vec(W X P) = (W kron P^T) x, so a chunk of rows costs
 one matrix product and one einsum over the flattened points of every family
 in it (`_quad`), rather than a small matrix product per point or per
 family; a 1-point family keeps a 1-row product, which BLAS rounds by its
-own path.  The linear phase e(Re Tr(X^H B0)) is exact:
-with X = A0 + sum_i z_i e_i over integer coordinates z, it is e(q0) times
-the root of unity e((z.k mod M) / M), with q0, M and the integers k read
-off A0 and B0 (`_FamilyPhases`), so only the quadratic part is rounded inside
-exp.
+own path.  The linear phase e(Re Tr(X^H B0)) is exact: with X = A0 +
+sum_i z_i e_i over integer coordinates z, it is e(q0) times the root of
+unity e((z.k mod M) / M), with q0, M and the integers k read off A0 and B0
+(`_FamilyPhases`), so only the quadratic part is rounded inside exp.
 
 The classical Riemann theta at z = 0 and s * Omega is the same sum over N
 in Z^g, with P = [[s]] and a symmetric W = Omega (`_z_factor`;
@@ -929,9 +928,8 @@ def _theta_batch(
     chunk of rows, not one family's part of it) and the float rows of z.k
     exist for at most _ROW_CHUNK + 1 rows at a time (_row_chunks,
     _products), and a phase sum adds the residues, their indices and the
-    factors over its
-    piece (8 + 8 + 16 bytes a point), with z.k for a block of about
-    _EVAL_CHUNK values.  The product of the exponents and the phase
+    factors over its piece (8 + 8 + 16 bytes a point), with z.k for a block
+    of about _EVAL_CHUNK values.  The product of the exponents and the phase
     factors takes its operand order from the piece's size (see
     _ELIDE_ROWS), not from how numpy evaluates an expression.
     """
