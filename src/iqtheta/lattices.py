@@ -401,17 +401,17 @@ class FiniteAbelianGroup:
         return self.order == 1
 
     def to_json(self, rep_limit: Optional[int] = None) -> dict:
-        reps = self.representatives
-        truncated = False
-        if rep_limit is not None and len(reps) > rep_limit:
-            reps = reps[:rep_limit]
-            truncated = True
+        """The group as JSON, listing the first rep_limit representatives
+        (all of them without a limit), each built from its coordinates."""
+        listed = self.coords[:rep_limit]
         out = {
             "invariant_factors": list(self.invariant_factors),
             "order": self.order,
-            "representatives": [r.to_json() for r in reps],
+            "representatives": [
+                coords_to_kmatrix(v, self.scale, self.g, self.h, self.field).to_json()
+                for v in listed],
         }
-        if truncated:
+        if len(listed) < len(self.coords):
             out["representatives_truncated"] = True
         return out
 

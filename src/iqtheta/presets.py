@@ -28,8 +28,9 @@ Every preset is assembled by one of two builders:
 Every check side is a compiled sum (relations._Sum), emitted by
 relations._sum as relation sides are: rows of integer leaf keys
 (thetas._leaf_keys) with integer phases over one denominator and one
-coefficient scale, so no check builds a Term or lowers a factor.  A check
-compares its sides as a relation does (relations._compare_sides).
+coefficient scale, the only description of the side, so no check lowers
+a factor.  A check compares its sides as a relation does
+(relations._compare_sides).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import itertools
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
@@ -50,7 +52,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kfield import FieldId, KElement, KMatrix, re_trace_of_product
-from .lattices import FiniteAbelianGroup, character_group, shift_group
+from .lattices import FiniteAbelianGroup, _int_coords, character_group, shift_group
 from .relations import (
     RelationInstance,
     RelationSpec,
@@ -190,20 +192,14 @@ def _bracket_check(
 # -- printed parametrizations -------------------------------------------------
 
 
-def _class_key(m: KMatrix) -> tuple:
-    """m mod Mat(g, h; O_K): each entry's (n mod den, m mod den, den), the
-    canonical form of its coordinates reduced into [0, 1)."""
-    return tuple((x.n % x.den, x.m % x.den, x.den) for row in m.entry_rows() for x in row)
-
-
 def _compare_classes(
     group: FiniteAbelianGroup, printed: Sequence[KMatrix]
 ) -> tuple[bool, str]:
-    """Exact comparison of the printed class multiset with the group."""
-    from collections import Counter
-
-    printed_keys = Counter(_class_key(m) for m in printed)
-    group_keys = {_class_key(m) for m in group.representatives}
+    """Exact comparison of the printed class multiset with the group, each
+    class keyed in integers as a leaf keys its A0 (thetas._int_key with
+    center), the group's read off its coordinates."""
+    printed_keys = Counter(_int_key(*_int_coords(m), center=True) for m in printed)
+    group_keys = {_int_key(v, group.scale, center=True) for v in group.coords}
     if set(printed_keys) == group_keys:
         mults = set(printed_keys.values())
         if len(mults) == 1:

@@ -47,8 +47,10 @@ Evaluations of several plans at one W can share a table of family values
 then evaluates only the families that the table lacks at that W and
 radius.  The counts stay the plan's, so a report does not depend on what
 the table held.
-Terms (RelationInstance.lhs_terms and rhs_terms, PDecomposition.monomials)
-are the public description, which evaluation does not read.
+The compiled sum is the only description of a side: a relation's terms
+(RelationInstance.terms) and a decomposition's monomials
+(PDecomposition.monomials) are its rows, and no KMatrix characteristic is
+built for them.
 """
 
 from __future__ import annotations
@@ -70,13 +72,11 @@ from .kfield import (
     KMatrix,
     dual_generator,
     json_int,
-    re_trace_of_product,
 )
 from .lattices import (
     FiniteAbelianGroup,
     _int_coords,
     character_group,
-    coords_to_kmatrix,
     index_in,
     quotient_group,
     quotient_lattices,
@@ -102,10 +102,7 @@ from .thetas import (
 )
 
 __all__ = [
-    "ThetaFactor",
-    "Term",
     "RelationSpec",
-    "RelationTerm",
     "RelationInstance",
     "VerificationReport",
     "build_relation",
@@ -116,30 +113,6 @@ __all__ = [
 
 
 # -- sums of coefficient times product of thetas -------------------------------
-
-
-@dataclass(frozen=True)
-class ThetaFactor:
-    """One theta factor inside a product term: Theta^p[a; b](W), the sum
-    over Mat(g, h; O_K) for lattice "O_K" and over Mat(g, h; Z) for lattice
-    "Z" (a Riemann theta at z = 0, built by thetas._z_factor).  a and b are
-    exact g x h characteristics and p an exact h x h Hermitian matrix;
-    scaling W by s is the factor with s*p."""
-
-    a: KMatrix
-    b: KMatrix
-    p: KMatrix
-    lattice: str = "O_K"
-
-
-@dataclass(frozen=True)
-class Term:
-    """coeff_scale * exp(-2*pi*i*coeff_q) * prod of the factors at W: the
-    public description of the sums, which evaluation reads compiled."""
-
-    coeff_q: Fraction
-    coeff_scale: Fraction
-    factors: tuple[ThetaFactor, ...]
 
 
 @dataclass(frozen=True)
@@ -467,17 +440,6 @@ class RelationSpec:
 
 
 @dataclass(frozen=True)
-class RelationTerm:
-    """One summand of the right hand side, with exact characteristics."""
-
-    a_shift: KMatrix
-    b_shift: KMatrix
-    a_char: KMatrix
-    b_char: KMatrix
-    phase_q: Fraction  # term coefficient is exp(-2*pi*i*phase_q)
-
-
-@dataclass(frozen=True)
 class RelationInstance:
     """A relation: its left side Theta^Q[lhs_A; lhs_B], its groups, and its
     right side compiled (rhs, see build_relation).  The common factor
@@ -495,14 +457,11 @@ class RelationInstance:
     def scale(self) -> Fraction:
         return Fraction(1, self.G2.order)
 
-    @cached_property
-    def terms(self) -> tuple[RelationTerm, ...]:
-        """The right side's summands with exact characteristics, built on
-        first use; evaluation does not read them."""
-        A0, B0, c = self.spec.A0, self.spec.B0, dual_generator(self.spec.field)
-        duals = [(b, b.scale(c)) for b in self.G2.representatives]
-        return tuple(RelationTerm(a, b, A0 + a, B0 + bc, re_trace_of_product(A0, bc) % 1)
-                     for b, bc in duals for a in self.G1.representatives)
+    @property
+    def terms(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The compiled rows of the right side, one per term, which the
+        benchmark's tracer counts."""
+        return self.rhs.rows
 
     @cached_property
     def lhs(self) -> _Sum:
@@ -510,22 +469,6 @@ class RelationInstance:
         one row, one factor of the leaves of thetas._leaf_keys."""
         leaves = _leaf_keys(self.Q, self.lhs_A, self.lhs_B)
         return _sum([(0, leaves)], factor_leaves=len(leaves))
-
-    @cached_property
-    def lhs_terms(self) -> tuple[Term, ...]:
-        """The left side, Theta^Q[lhs_A; lhs_B], as one Term with
-        coefficient 1."""
-        lhs = ThetaFactor(self.lhs_A, self.lhs_B, self.Q)
-        return (Term(Fraction(0), Fraction(1), (lhs,)),)
-
-    @cached_property
-    def rhs_terms(self) -> tuple[Term, ...]:
-        """terms as Term objects, built on first use; scale stays outside."""
-        P = self.spec.P
-        return tuple(
-            Term(t.phase_q, Fraction(1), (ThetaFactor(t.a_char, t.b_char, P),))
-            for t in self.terms
-        )
 
     @cached_property
     def _plans(self) -> _Plans:
@@ -664,16 +607,11 @@ class PDecomposition:
             prod *= lam
         return prod
 
-    @cached_property
-    def monomials(self) -> tuple[Term, ...]:
-        """The expansion as Terms of one-column field factors, built on
-        first use; evaluation does not read them."""
-        s = self.expansion
-        col = partial(coords_to_kmatrix, g=self.g, h=1, field=self.field)
-        factors = {i: ThetaFactor(col(*a), col(*b), s.ps[j][0])
-                   for j, a, bs, ids in s.families for b, i in zip(bs, ids)}
-        return tuple(Term(Fraction(q, s.q_den), s.coeff_scale, tuple(factors[i] for i in idx))
-                     for q, idx in s.rows)
+    @property
+    def monomials(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The compiled rows of the expansion, one per monomial, which the
+        benchmark's tracer counts."""
+        return self.expansion.rows
 
     @cached_property
     def _plans(self) -> _Plans:

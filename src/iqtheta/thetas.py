@@ -645,11 +645,6 @@ class _Family:
             self.bs.append(b)
         return j
 
-    def leaf(self, j: int) -> "_Family":
-        """The family of leaf j alone."""
-        return _Family(self.field, self.P, self.group[3], self.a, self.params,
-                       self.basis, (self.bs[j],))
-
     @cached_property
     def floats(self) -> _FamilyFloats:
         (nums, den), g, h = self.a, self.g, self.P.rows

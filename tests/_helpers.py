@@ -3,11 +3,95 @@
 import bisect
 import math
 import tracemalloc
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
 
-from iqtheta.kfield import KMatrix
+from iqtheta.kfield import KMatrix, dual_generator, re_trace_of_product
 from iqtheta.lattices import _int_coords, coords_to_kmatrix
 from iqtheta.relations import _sum
-from iqtheta.thetas import _int_key, _leaf_keys
+from iqtheta.thetas import _Family, _int_key, _leaf_keys
+
+
+# -- the sums as exact terms: a reference that the compiled sums are checked on
+
+
+@dataclass(frozen=True)
+class ThetaFactor:
+    """One theta factor inside a product term: Theta^p[a; b](W), the sum
+    over Mat(g, h; O_K) for lattice "O_K" and over Mat(g, h; Z) for lattice
+    "Z" (a Riemann theta at z = 0, built by thetas._z_factor).  a and b are
+    exact g x h characteristics and p an exact h x h Hermitian matrix;
+    scaling W by s is the factor with s*p."""
+
+    a: KMatrix
+    b: KMatrix
+    p: KMatrix
+    lattice: str = "O_K"
+
+
+@dataclass(frozen=True)
+class Term:
+    """coeff_scale * exp(-2*pi*i*coeff_q) * prod of the factors at W: the
+    input form that compile_terms reads."""
+
+    coeff_q: Fraction
+    coeff_scale: Fraction
+    factors: tuple[ThetaFactor, ...]
+
+
+@dataclass(frozen=True)
+class RelationTerm:
+    """One summand of a relation's right side, with exact characteristics."""
+
+    a_shift: KMatrix
+    b_shift: KMatrix
+    a_char: KMatrix
+    b_char: KMatrix
+    phase_q: Fraction  # term coefficient is exp(-2*pi*i*phase_q)
+
+
+def relation_terms(inst) -> tuple[RelationTerm, ...]:
+    """The right side of a relations.RelationInstance term by term, B in G2
+    (outer) and A in G1 (inner), built from the groups' representatives in
+    KMatrix arithmetic: the factor Theta^P[A0 + A; B0 + c B] with the phase
+    Re Tr(A0^H c B) mod 1, c = dual_generator."""
+    A0, B0, c = inst.spec.A0, inst.spec.B0, dual_generator(inst.spec.field)
+    duals = [(b, b.scale(c)) for b in inst.G2.representatives]
+    return tuple(RelationTerm(a, b, A0 + a, B0 + bc, re_trace_of_product(A0, bc) % 1)
+                 for b, bc in duals for a in inst.G1.representatives)
+
+
+def lhs_terms(inst) -> tuple[Term, ...]:
+    """The left side of a relation, Theta^Q[lhs_A; lhs_B], as one Term with
+    coefficient 1."""
+    return (Term(Fraction(0), Fraction(1), (ThetaFactor(inst.lhs_A, inst.lhs_B, inst.Q),)),)
+
+
+def rhs_terms(inst) -> tuple[Term, ...]:
+    """relation_terms as Terms; the scale 1/#G2 stays outside."""
+    return tuple(Term(t.phase_q, Fraction(1), (ThetaFactor(t.a_char, t.b_char, inst.spec.P),))
+                 for t in relation_terms(inst))
+
+
+def monomials(dec) -> tuple[Term, ...]:
+    """The expansion of a relations.PDecomposition as Terms of one-column
+    field factors, read off its compiled rows."""
+    s = dec.expansion
+    col = partial(coords_to_kmatrix, g=dec.g, h=1, field=dec.field)
+    factors = {i: ThetaFactor(col(*a), col(*b), s.ps[j][0])
+               for j, a, bs, ids in s.families for b, i in zip(bs, ids)}
+    return tuple(Term(Fraction(q, s.q_den), s.coeff_scale, tuple(factors[i] for i in idx))
+                 for q, idx in s.rows)
+
+
+def family_leaf(family: _Family, j: int) -> _Family:
+    """Leaf j of a thetas._Family, as a family of one."""
+    return _Family(family.field, family.P, family.group[3], family.a, family.params,
+                   family.basis, (family.bs[j],))
+
+
+# -- compiled sums and plans
 
 
 def reduce_mod_integral(A0: KMatrix) -> KMatrix:
@@ -54,7 +138,7 @@ def plan_factor(plan, i: int) -> tuple[int, ...]:
 def plan_leaf(plan, i: int):
     """The leaf of table entry i of a relations._Plan, as a family of one."""
     f = bisect.bisect_right(plan.starts, i) - 1
-    return plan.families[f].leaf(i - plan.starts[f])
+    return family_leaf(plan.families[f], i - plan.starts[f])
 
 
 def leaf_phase(family, j: int = 0) -> tuple:

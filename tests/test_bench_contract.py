@@ -128,6 +128,10 @@ def test_trace_counts_read_results():
     group = quotient_group(*quotient_lattices(1, T.inverse()), field, 1, 2)
     at = thetas._at(np.array(W))
     (leaf,) = thetas._lower(field, P, A0, B0, ThetaParams())
+    # the tracer counts the compiled rows themselves, so a traced pass
+    # builds no term object
+    assert inst.terms is inst.rhs.rows
+    assert dec.monomials is dec.expansion.rows
     results = {
         "relations.build_relation": (inst, len(inst.rhs.rows)),
         "relations.decompose_rational_P": (dec, len(dec.expansion.rows)),

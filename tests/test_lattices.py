@@ -478,10 +478,18 @@ def test_group_json_rep_cap():
     T = KMatrix([[one, one, one], [one, w1, w2], [one, w2, w1]]).scale(
         Fraction(1, 3)
     )
-    blob = shift_group(1, T).to_json(rep_limit=5)
+    group = shift_group(1, T)
+    blob = group.to_json(rep_limit=5)
+    # the listed representatives are built from their coordinates alone
+    assert "representatives" not in group.__dict__
     assert blob["order"] == 27
     assert len(blob["representatives"]) == 5
     assert blob["representatives_truncated"] is True
+    assert blob["representatives"] == [r.to_json() for r in group.representatives[:5]]
+    full = group.to_json()
+    assert full["representatives"] == [r.to_json() for r in group.representatives]
+    assert "representatives_truncated" not in full
+    assert group.to_json(rep_limit=27) == full
 
 
 @pytest.mark.parametrize("d", [2, 3, 7])

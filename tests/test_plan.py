@@ -42,13 +42,23 @@ from iqtheta.kfield import dual_generator, re_trace_of_product
 from iqtheta.lattices import _int_coords, character_group, shift_group
 from iqtheta.relations import (
     RelationSpec,
-    Term,
-    ThetaFactor,
     _lower_terms,
     _sum_terms,
 )
 
-from _helpers import compile_terms, leaf_phase, plan_factor, plan_leaf
+from _helpers import (
+    Term,
+    ThetaFactor,
+    compile_terms,
+    family_leaf,
+    leaf_phase,
+    lhs_terms,
+    monomials,
+    plan_factor,
+    plan_leaf,
+    relation_terms,
+    rhs_terms,
+)
 
 
 def _factor_value(f, W, params, cache):
@@ -368,7 +378,7 @@ def _recorded(monkeypatch, name):
 
 def _leaves(families):
     """The leaves of the families, in order, each a family of one."""
-    return [fam.leaf(j) for fam in families for j in range(len(fam.bs))]
+    return [family_leaf(fam, j) for fam in families for j in range(len(fam.bs))]
 
 
 def _group_families(plan):
@@ -503,7 +513,7 @@ def test_relation_leaves_batch_by_family(monkeypatch, d, g):
     inst = build_relation(RelationSpec(field, g, T, P, A0, B0))
     plan = _lower_terms(ThetaParams(eps=1e-6), (inst.lhs, inst.rhs))
     leaves, families, _ = _assert_batches_by_family(monkeypatch, plan, _W(g))
-    assert leaves == 1 + len(inst.terms) and families == 2
+    assert leaves == 1 + len(relation_terms(inst)) and families == 2
     assert all(leaf_phase(leaf)[0] > 1 for leaf in _leaves(plan.families))
 
 
@@ -752,12 +762,12 @@ def test_shared_cache_counts_match_public_calls(case):
     dec = decompose_rational_P(field, 1, P, A0, B0)
     poly = dec.evaluate(W, params)
     (got_poly,), evals, hits = _sum_terms(
-        _lower_terms(params, (compile_terms(dec.monomials),)), W)
+        _lower_terms(params, (compile_terms(monomials(dec)),)), W)
     direct = theta_general(field, W, P, A0, B0, params)
     naive_cache = ThetaCache()
-    (want_poly,) = _naive((dec.monomials,), W, params, naive_cache)
+    (want_poly,) = _naive((monomials(dec),), W, params, naive_cache)
     assert (evals, hits) == (naive_cache.misses, naive_cache.hits)
-    assert hits > 0 or len(dec.monomials) == 1  # a 1x1 P is one monomial
+    assert hits > 0 or len(monomials(dec)) == 1  # a 1x1 P is one monomial
     want_direct = theta_general(field, W, P, A0, B0, params, naive_cache)
     assert poly == got_poly == want_poly
     assert direct == want_direct
@@ -842,7 +852,7 @@ def test_compiled_plan_matches_lowered_monomials(d, g, h):
     params = ThetaParams(eps=1e-9)
     compiled = _lower_terms(params, (dec.expansion,))
     W = _W(g)
-    for terms in (dec.monomials, _reference_monomials(*args)):
+    for terms in (monomials(dec), _reference_monomials(*args)):
         lowered = _lower_terms(params, (compile_terms(terms),))
         assert [c for c, _ in compiled.sides[0]] == [c for c, _ in lowered.sides[0]]
         assert _leaf_keys(compiled) == _leaf_keys(lowered)
@@ -892,10 +902,10 @@ def test_compiled_relation_matches_lowered_terms(d, g, diagonal):
     # each distinct part of P once (most diagonal draws repeat an entry)
     inst = _random_relation(d, g, 3 if g == 1 else 2, diagonal, seed=10 * d + g)
     assert (inst.rhs.factor_leaves > 1) == diagonal
-    assert inst.rhs == compile_terms(inst.rhs_terms)
+    assert inst.rhs == compile_terms(rhs_terms(inst))
     params = ThetaParams(eps=1e-6)
     compiled = _lower_terms(params, (inst.lhs, inst.rhs))
-    lowered = _lower_terms(params, (compile_terms(inst.lhs_terms), compile_terms(inst.rhs_terms)))
+    lowered = _lower_terms(params, (compile_terms(lhs_terms(inst)), compile_terms(rhs_terms(inst))))
     for side, (got, want) in enumerate(zip(compiled.sides, lowered.sides)):
         assert [c for c, _ in got] == [c for c, _ in want]
         assert _leaf_keys(compiled, side) == _leaf_keys(lowered, side)

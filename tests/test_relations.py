@@ -29,15 +29,23 @@ from iqtheta import (
 from iqtheta.kfield import hat, re_trace_of_product
 from iqtheta.lattices import character_group, coords_to_kmatrix, shift_group
 from iqtheta.relations import (
-    RelationTerm,
-    Term,
-    ThetaFactor,
     VerificationReport,
     _lower_terms,
     _sum_terms,
 )
 
-from _helpers import compile_terms, plan_factor, plan_leaf
+from _helpers import (
+    RelationTerm,
+    Term,
+    ThetaFactor,
+    compile_terms,
+    lhs_terms,
+    monomials,
+    plan_factor,
+    plan_leaf,
+    relation_terms,
+    rhs_terms,
+)
 
 
 def _cubic_spec():
@@ -78,7 +86,7 @@ def test_cubic_build_exact_data():
     assert inst.G1.order == 27
     assert list(inst.G1.invariant_factors) == [3, 3, 3]
     assert inst.G2.is_trivial()
-    assert len(inst.terms) == 27
+    assert len(relation_terms(inst)) == 27
     assert inst.scale == Fraction(1)
     meta = inst.group_metadata()
     assert meta == {
@@ -93,8 +101,8 @@ def test_cubic_build_exact_data():
 def test_phases_vanish_with_trivial_G2():
     inst = build_relation(_cubic_spec())
     # only b = 0 contributes, so every coefficient is exp(0)
-    assert all(t.phase_q == 0 for t in inst.terms)
-    assert all(t.b_shift.is_zero() for t in inst.terms)
+    assert all(t.phase_q == 0 for t in relation_terms(inst))
+    assert all(t.b_shift.is_zero() for t in relation_terms(inst))
 
 
 def test_cubic_relation_verifies():
@@ -124,7 +132,7 @@ def test_rhs_independent_of_coset_representatives():
         [[spec.field.one(), spec.field.one()]]
     )  # (1,1) lies in both intersection lattices for this T
     terms = []
-    for t in inst.terms:
+    for t in relation_terms(inst):
         a2 = t.a_shift + shift
         b2 = t.b_shift + shift
         bh = hat(b2)
@@ -175,12 +183,12 @@ def test_corruption_matches_the_corrupted_terms(mode):
     # phase moved by 1/3, or without that term, to the bit
     inst = build_relation(_matsumoto_spec())
     W = [[0.15 + 0.95j]]
-    terms = inst.rhs_terms
+    terms = rhs_terms(inst)
     if mode == "phase":
         terms = (replace(terms[0], coeff_q=terms[0].coeff_q + Fraction(1, 3)),) + terms[1:]
     else:
         terms = terms[1:]
-    sides = (compile_terms(inst.lhs_terms), compile_terms(terms))
+    sides = (compile_terms(lhs_terms(inst)), compile_terms(terms))
     (lhs, rhs_sum), _, _ = _sum_terms(_lower_terms(ThetaParams(), sides), W)
     rep = evaluate_relation(inst, W, corrupt=mode)
     assert (rep.lhs, rep.rhs) == (lhs, float(inst.scale) * rhs_sum)
@@ -189,17 +197,20 @@ def test_corruption_matches_the_corrupted_terms(mode):
 
 def test_build_and_evaluate_make_no_terms():
     # the right side is compiled: building, evaluating and the metadata
-    # read no RelationTerm, and the terms built on first use match it
+    # build no KMatrix representative of either group, and the terms of
+    # the reference built from the representatives match it
     for spec in (_cubic_spec(), _matsumoto_spec()):
         inst = build_relation(spec)
         rep = evaluate_relation(inst, [[0.1 + 1.05j]])
         evaluate_relation(inst, [[0.1 + 1.05j]], corrupt="phase")
         meta = inst.group_metadata()
-        assert "terms" not in inst.__dict__ and "rhs_terms" not in inst.__dict__
-        assert rep.term_count == meta["term_count"] == len(inst.terms)
-        assert len(inst.rhs.rows) == len(inst.rhs_terms) == len(inst.terms)
+        assert "representatives" not in inst.G1.__dict__
+        assert "representatives" not in inst.G2.__dict__
+        terms = relation_terms(inst)
+        assert rep.term_count == meta["term_count"] == len(terms)
+        assert len(inst.rhs.rows) == len(rhs_terms(inst)) == len(terms)
         assert [Fraction(q, inst.rhs.q_den) for q, _ in inst.rhs.rows] == [
-            t.phase_q for t in inst.terms]
+            t.phase_q for t in terms]
 
 
 def test_build_caps_the_term_count():
@@ -225,7 +236,8 @@ def _digest(obj):
 
 def _terms_digest(inst):
     return _digest([[t.a_char.to_json(), t.b_char.to_json(),
-                     [t.phase_q.numerator, t.phase_q.denominator]] for t in inst.terms])
+                     [t.phase_q.numerator, t.phase_q.denominator]]
+                    for t in relation_terms(inst)])
 
 
 def _plan_digest(plan):
@@ -256,10 +268,11 @@ def _plan_digest(plan):
 
 
 def test_suite_relations_are_unchanged():
-    # per relation of the suite, the terms built on first use (a_char,
-    # b_char, phase_q, in order) and the plan that evaluation lowers (leaf
-    # keys, groups, coefficients) are those that building the terms and
-    # lowering them factor by factor gave
+    # per relation of the suite, the reference terms built from the groups'
+    # representatives (a_char, b_char, phase_q, in order) and the plan that
+    # evaluation lowers (leaf keys, groups, coefficients) are those that
+    # building the terms and lowering them factor by factor gave; making the
+    # preset and evaluating build no representative
     params = ThetaParams()
     seen = set()
     for name, kwargs in DEFAULT_SUITE_PLAN:
@@ -269,7 +282,8 @@ def test_suite_relations_are_unchanged():
             continue
         key = ":".join([name] + [f"{k}{v}" for k, v in sorted(kwargs.items())])
         evaluate_relation(inst, default_W_samples(preset.g)[0], params)
-        assert "terms" not in inst.__dict__ and "rhs_terms" not in inst.__dict__
+        assert "representatives" not in inst.G1.__dict__
+        assert "representatives" not in inst.G2.__dict__
         assert _plan_digest(inst._plans[params]) == _RELATIONS[key]["plan"], key
         assert _terms_digest(inst) == _RELATIONS[key]["terms"], key
         seen.add(key)
@@ -345,7 +359,7 @@ def test_schur_ladder_tridiagonal_exact(g):
     dec = decompose_rational_P(field, g, P, A0, B0)
     assert dec.lambdas == (Fraction(3, 2), Fraction(2))
     assert dec.lambda_product() == Fraction(3)
-    assert len(dec.monomials) == 16**g
+    assert len(monomials(dec)) == 16**g
     W = (
         [[1.05j]]
         if g == 1
