@@ -124,8 +124,9 @@ _MAX_POINTS = 6_000_000
 _BATCH_POINTS = 1 << 13
 # The kernel's per-row stages run over at most this many rows of a block at
 # a time (one more where a lone last row would be left; see _sub_blocks), so
-# no array of float rows, entries or products spans a block.
-_ROW_CHUNK = 1 << 13
+# no array of float rows, entries, products or phase factors spans a block;
+# the enumerator's last level is made in runs of about this many nodes.
+_ROW_CHUNK = 1 << 12
 # numpy evaluates a * t, for a temporary t of at least 256 KiB (2^14
 # complex128), as t * a written into t (temporary elision), and a complex
 # product with FMA rounds differently with its operands swapped.  The phase
@@ -141,6 +142,8 @@ _ROOTS_MAX = 1 << 10
 # Integers below this are exact in a float64, and so is a sum of them that
 # stays below it, in any order.
 _FLOAT_INTS = 2.0 ** 53
+# and in a float32, below this
+_FLOAT32_INTS = 2.0 ** 24
 
 # Eigenvalues are snapped down to this grid before entering the tail bound, so
 # a one-ulp wobble in the eigensolver cannot move the chosen radius.
@@ -441,79 +444,195 @@ def _ellipsoid_points(
     cut into pieces of at most _EVAL_CHUNK points (more only if one
     interval is longer) at the same places whatever the other centers are;
     a block holds consecutive whole pieces up to _EVAL_CHUNK rows in all,
-    or one longer piece.  The last level is expanded one block at a time,
-    so memory holds the frontier and one block, not every point; both are
-    kept in the narrowest integer type that holds every level's intervals,
-    taken as each level is made (n bytes a point at int8, against 8n as
-    floats).
+    or one longer piece.
+
+    Coordinates are held in the narrowest integer type that holds every
+    level's intervals, taken as each level is made, and read as floats
+    (exact) only for a level's center product.  Each level but the last is
+    expanded whole; the last one run of parents at a time (_node_runs,
+    about _ROW_CHUNK children each), each run's children and intervals
+    written to arrays of the level's size: coordinates in that type, lo as
+    int64, counts and owners as int32.  The rows are built one block at a
+    time (_blocks), so memory holds the last level's nodes and one block
+    of rows (n bytes a point at int8, against 8n as floats), and the node
+    arrays go once the last block's rows are built.  A center's product
+    runs per run of parents: a row's product does not depend on the other
+    rows, and a center reaches the points only through the integer
+    intervals.
 
     TruncationError as soon as a level counts more than _MAX_POINTS nodes
-    of one center, before that level is expanded; radii are only reported
+    of one center, before that level is expanded, and at the last level as
+    soon as a run takes a center's points past it; radii are only reported
     there.  The count per center is taken only where a level's total is
-    over the cap, and at the last level.
+    over the cap, and at the last level run by run.
     """
     m, n = C.shape
     diag = np.diag(R)
     q = R / diag[:, None]
-    Z = np.empty((m, 0))
+    Z = np.empty((m, 0), dtype=np.int8)
     rem = np.asarray(bounds, dtype=np.float64)
     owner = np.arange(m)
     top = 0.0  # the largest |z| of any level's intervals
-    for i in range(n - 1, -1, -1):
+    center = lo = counts = None
+    total = m
+    for i in range(n - 1, 0, -1):
         # Z holds coordinates n-1, ..., i+1 of each node, in that order
         qi = q[i, :i:-1]
-        center = -(Z @ qi) - (C[:, :i:-1] @ qi + C[:, i])[owner]
-        half = np.sqrt(np.maximum(rem, 0.0)) / diag[i]
-        lo = np.ceil(center - half)
-        # a node's coordinate runs over lo up to hi = floor(center + half),
-        # held in counts until the count replaces it; an empty node (hi =
-        # lo - 1) holds none and can only widen the type
-        counts = np.floor(center + half)
-        top = max(top, float(np.maximum(-lo, counts).max(initial=0.0)))
-        counts = (counts - lo + 1.0).astype(np.int64)
-        np.maximum(counts, 0, out=counts)
-        total = counts.sum()
-        if i == 0 or total > _MAX_POINTS:
-            per_center = np.bincount(owner, weights=counts, minlength=m)
+        center, lo, counts, level_top = _intervals(
+            Z, rem, (C[:, :i:-1] @ qi + C[:, i])[owner], qi, diag[i])
+        top = max(top, level_top)
+        total = int(counts.sum())
         if total > _MAX_POINTS:  # else no center is over the cap
-            over = np.flatnonzero(per_center > _MAX_POINTS)
-            if len(over):
-                j = int(over[0])
-                raise TruncationError(
-                    f"lattice enumeration exceeds max_points={_MAX_POINTS}: "
-                    f"{int(per_center[j])} points after {n - i} of {n} coordinates "
-                    f"(radius {radii[j]}, dim {n})"
-                )
-        if i == 0:
+            _check_cap(np.bincount(owner, weights=counts, minlength=m), n - i, n, radii)
+        if i == 1:
             break
-        node = np.repeat(np.arange(len(counts)), counts)
-        z = lo[node] + (np.arange(len(node)) - (np.cumsum(counts) - counts)[node])
-        rem = rem[node] - (diag[i] * (z - center[node])) ** 2
-        Z = np.concatenate([Z[node], z[:, None]], axis=1)
-        owner = owner[node]
+        Z_next = np.empty((total, n - i), dtype=np.min_scalar_type(-int(top) - 1))
+        rem, owner = _children(Z, rem, owner, center, lo, counts, diag[i], 0, len(counts),
+                               Z_next)
+        Z = Z_next
 
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    pieces = _pieces(owner, starts, ends, per_center)
-    lo = lo.astype(np.int64)
-    Z = Z.astype(np.min_scalar_type(-int(top) - 1))
+    # the last level, over the children of the level-1 nodes (at n = 1, of
+    # the centers), one run of parents at a time; its coordinates take the
+    # type of the levels so far, widened at the end if its intervals need it
+    q0 = q[0, :0:-1]
+    shift = C[:, :0:-1] @ q0 + C[:, 0]
+    Z0 = np.empty((total, n - 1), dtype=np.min_scalar_type(-int(top) - 1))
+    lo0 = np.empty(total, dtype=np.int64)
+    counts0 = np.empty(total, dtype=np.int32)
+    owner0 = np.empty(total, dtype=np.int32)
+    per_center = np.zeros(m)
+    done = 0
+    if n == 1:
+        runs: Iterable = [(0, m, rem, owner)]
+    else:
+        runs = _runs_of_children(Z, rem, owner, center, lo, counts, diag[1], Z0)
+    for a, b, rem_c, owner_c in runs:
+        _, lo_c, counts_c, level_top = _intervals(
+            Z0[a:b], rem_c, shift.take(owner_c), q0, diag[0])
+        top = max(top, level_top)
+        lo0[a:b] = lo_c
+        counts0[a:b] = counts_c
+        owner0[a:b] = owner_c
+        per_center += np.bincount(owner_c, weights=counts_c, minlength=m)
+        done += int(counts_c.sum())
+        if done > _MAX_POINTS:  # else no center is over the cap
+            _check_cap(per_center, n, n, radii)
+    del Z, rem, owner, center, lo, counts, runs  # the level-1 nodes
+    Z0 = Z0.astype(np.min_scalar_type(-int(top) - 1), copy=False)
 
-    def blocks() -> Iterator[tuple[np.ndarray, list[tuple[int, int, int]]]]:
-        k = 0
-        while k < len(pieces):
-            s = pieces[k][1]
-            base = int(starts[s])
-            k_end = k + 1
-            while (k_end < len(pieces)
-                   and ends[pieces[k_end][2] - 1] - base <= _EVAL_CHUNK):
-                k_end += 1
-            e = pieces[k_end - 1][2]
-            yield _block_rows(Z, lo, starts, counts, s, e), [
-                (j, int(starts[a]) - base, int(ends[b - 1]) - base)
-                for j, a, b in pieces[k:k_end]]
-            k = k_end
+    starts, ends = _bounds(counts0)
+    pieces = _pieces(owner0, starts, ends, per_center)
+    return per_center.astype(np.int64), _blocks(Z0, lo0, starts, ends, counts0, pieces)
 
-    return per_center.astype(np.int64), blocks()
+
+def _intervals(
+    Z: np.ndarray, rem: np.ndarray, shift: np.ndarray, qi: np.ndarray, d: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The next coordinate's interval of each node of a level of
+    _ellipsoid_points (Z its integer coordinates so far, rem what is left of
+    its bound, shift its center's part of the center): (center, lo, counts,
+    the largest |z| of the intervals).  Z is read as floats (exact) for the
+    product with qi, as a float Z was."""
+    center = -(Z.astype(np.float64) @ qi) - shift
+    half = np.sqrt(np.maximum(rem, 0.0)) / d
+    lo = np.ceil(center - half)
+    # a node's coordinate runs over lo up to hi = floor(center + half), held
+    # in counts until the count replaces it; an empty node (hi = lo - 1)
+    # holds none and can only widen the type
+    counts = np.floor(center + half)
+    top = float(np.maximum(-lo, counts).max(initial=0.0))
+    counts = (counts - lo + 1.0).astype(np.int64)
+    np.maximum(counts, 0, out=counts)
+    return center, lo, counts, top
+
+
+def _check_cap(per_center: np.ndarray, levels: int, n: int, radii: Sequence[int]) -> None:
+    """TruncationError if a center counts more than _MAX_POINTS nodes after
+    the given number of levels of n; radii are only reported."""
+    over = np.flatnonzero(per_center > _MAX_POINTS)
+    if len(over):
+        j = int(over[0])
+        raise TruncationError(
+            f"lattice enumeration exceeds max_points={_MAX_POINTS}: "
+            f"{int(per_center[j])} points after {levels} of {n} coordinates "
+            f"(radius {radii[j]}, dim {n})"
+        )
+
+
+def _children(
+    Z: np.ndarray, rem: np.ndarray, owner: np.ndarray, center: np.ndarray, lo: np.ndarray,
+    counts: np.ndarray, d: float, p: int, e: int, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The children of nodes p..e-1 of a level of _ellipsoid_points, one
+    per integer of each node's interval lo..lo+counts-1, in order: their
+    coordinates (the parent's, then the new one) written to out, in its
+    integer type; returns their rem and owner."""
+    c = counts[p:e]
+    node = np.arange(e - p).repeat(c)
+    z = lo[p:e].take(node)
+    z += np.arange(len(node)) - (c.cumsum() - c).take(node)
+    out[:, :-1] = Z[p:e].take(node, axis=0)
+    out[:, -1] = z
+    rem_c = rem[p:e].take(node) - (d * (z - center[p:e].take(node))) ** 2
+    return rem_c, owner[p:e].take(node)
+
+
+def _bounds(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends): the index of each node's first child and one past
+    its last, for counts children each, as two views of one int64 array."""
+    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, dtype=np.int64, out=bounds[1:])
+    return bounds[:-1], bounds[1:]
+
+
+def _node_runs(starts: np.ndarray, s: int, e: int) -> list[tuple[int, int]]:
+    """Nodes s..e-1, whose children start at starts (non-decreasing), cut
+    in order into runs (a, b) of nodes whose first children lie within
+    _ROW_CHUNK of the run's first, so a run has at most _ROW_CHUNK - 1
+    children plus those of its last node."""
+    runs = []
+    while s < e:
+        b = min(max(int(starts.searchsorted(starts[s] + _ROW_CHUNK)), s + 1), e)
+        runs.append((s, b))
+        s = b
+    return runs
+
+
+def _runs_of_children(
+    Z: np.ndarray, rem: np.ndarray, owner: np.ndarray, center: np.ndarray, lo: np.ndarray,
+    counts: np.ndarray, d: float, out: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The children of a level's nodes (see _children) one run of parents
+    at a time (_node_runs): each run's coordinates written to its rows
+    a..b-1 of out, then (a, b, their rem, their owner)."""
+    starts, ends = _bounds(counts)
+    for p, e in _node_runs(starts, 0, len(counts)):
+        a, b = int(starts[p]), int(ends[e - 1])
+        yield (a, b, *_children(Z, rem, owner, center, lo, counts, d, p, e, out[a:b]))
+
+
+def _blocks(
+    Z: np.ndarray, lo: np.ndarray, starts: np.ndarray, ends: np.ndarray, counts: np.ndarray,
+    pieces: list[tuple[int, int, int]]
+) -> Iterator[tuple[np.ndarray, list[tuple[int, int, int]]]]:
+    """The blocks (rows, segments) of _ellipsoid_points over its last-level
+    nodes (see _block_rows) and pieces; the node arrays are released once
+    the last block's rows are built."""
+    k = 0
+    while k < len(pieces):
+        s = pieces[k][1]
+        base = int(starts[s])
+        k_end = k + 1
+        while k_end < len(pieces) and ends[pieces[k_end][2] - 1] - base <= _EVAL_CHUNK:
+            k_end += 1
+        e = pieces[k_end - 1][2]
+        rows = _block_rows(Z, lo, starts, counts, s, e)
+        segments = [(j, int(starts[a]) - base, int(ends[b - 1]) - base)
+                    for j, a, b in pieces[k:k_end]]
+        k = k_end
+        if k == len(pieces):  # not read again: freed while the kernel runs
+            del Z, lo, starts, ends, counts
+        yield rows, segments
 
 
 def _block_rows(
@@ -521,16 +640,20 @@ def _block_rows(
 ) -> np.ndarray:
     """The rows of the points of nodes s..e-1 (see _ellipsoid_points), in
     Z's integer type: node i's coordinates Z[i] repeated counts[i] times,
-    each row ending in lo[i] plus its index among node i's points, by one
-    row-repeat of the nodes.  The last column is summed in int64 and only
-    then stored, since its partial sums need not fit Z's type."""
-    c = counts[s:e]
+    by one row-repeat of the nodes, each row ending in lo[i] plus its index
+    among node i's points.  The last column is summed in int64 and only
+    then stored, since its partial sums need not fit Z's type, one run of
+    nodes at a time (_node_runs), so no int64 array spans the block."""
     nodes = np.empty((e - s, Z.shape[1] + 1), dtype=Z.dtype)
     nodes[:, :-1] = Z[s:e]
-    rows = np.repeat(nodes, c, axis=0)
-    last = np.repeat(lo[s:e] - (starts[s:e] - starts[s]), c)
-    last += np.arange(len(rows))
-    rows[:, -1] = last
+    rows = nodes.repeat(counts[s:e], axis=0)
+    base = int(starts[s])
+    for a, b in _node_runs(starts, s, e):
+        c = counts[a:b]
+        first = int(starts[a])
+        k = int(starts[b - 1]) + int(c[-1]) - first
+        rows[first - base:first - base + k, -1] = (
+            (lo[a:b] - starts[a:b]).repeat(c) + np.arange(first, first + k))
     return rows
 
 
@@ -576,6 +699,7 @@ class _FamilyPhases(NamedTuple):
     # per phase sum: (M, k in the enumerator's column order, its row of ks or None)
     sums: tuple[tuple[int, tuple[int, ...], Optional[int]], ...]
     ks: Optional[np.ndarray]  # the k of the sums with 1 < M < 2^53, as float rows
+    moduli: Optional[np.ndarray]  # the M of those sums, as a float column
     leaves: tuple[tuple[int, complex], ...]  # per B0 of the family: (its sum, e(q0))
 
 
@@ -671,15 +795,18 @@ class _Family:
             q0 = sum(map(operator.mul, nums, w))
             leaves.append((shared.setdefault((modulus, k), len(shared)),
                            _phase_of(-q0, den_a * den)))
-        sums, ks = [], []
+        sums, ks, moduli = [], [], []
         for modulus, k in shared:
             row = None
             if 1 < modulus < _FLOAT_INTS:  # k < M, so exact as floats
                 row = len(ks)
                 ks.append(k)
+                moduli.append([modulus])
             sums.append((modulus, k, row))
-        return _FamilyPhases(tuple(sums), np.array(ks, dtype=np.float64) if ks else None,
-                             tuple(leaves))
+        if not ks:
+            return _FamilyPhases(tuple(sums), None, None, tuple(leaves))
+        return _FamilyPhases(tuple(sums), np.array(ks, dtype=np.float64),
+                             np.array(moduli, dtype=np.float64), tuple(leaves))
 
 
 # each d's FieldId, built once: FieldId(d) checks that d is squarefree
@@ -729,53 +856,58 @@ def _roots(modulus: int) -> np.ndarray:
     return table
 
 
-def _float_residues(modulus: int, zmax: float, k: tuple[int, ...]) -> bool:
-    """Whether z.k and its residue mod M = modulus are exact as floats for
-    every row z with |z| <= zmax (see _phase_sum)."""
-    return modulus < _FLOAT_INTS and modulus + zmax * sum(k) < _FLOAT_INTS
+def _float_residues(
+    modulus: int, zmax: float, k: tuple[int, ...], limit: float = _FLOAT_INTS
+) -> bool:
+    """Whether z.k and its residue mod M = modulus are exact as floats (as
+    float32 at limit = _FLOAT32_INTS) for every row z with |z| <= zmax (see
+    _residue_blocks)."""
+    return modulus < limit and modulus + zmax * sum(k) < limit
 
 
 def _phase_sum(
-    quad: np.ndarray, z: np.ndarray, v: Optional[np.ndarray], modulus: int,
-    k: tuple[int, ...]
+    quad: np.ndarray, z: np.ndarray, r: Optional[Callable[[int, int], np.ndarray]],
+    modulus: int, k: tuple[int, ...], into: Optional[np.ndarray] = None
 ) -> complex:
     """The sum over the rows z of integer coordinates (column j is
     coordinate n-1-j) of quad times e((z.k mod M) / M), M = modulus.
 
-    v is z.k as floats where _float_residues holds, else None; the caller
-    computes it for a block of the (M, k) of a piece at a time, exact in
-    any summation order.  The residue r is exact: from v as floats, else
-    in Python integers.  e(r / M) is exp(2 pi i (r / M)) with r / M
-    correctly rounded either way (int / int rounds correctly); on the float
-    path it is read from a table of _roots, cached up to _ROOTS_MAX and
-    built for this call up to the number of rows: the same floats, so the
-    value does not depend on the path.  The factors are one array over the
-    piece, which then holds the terms (see _ELIDE_ROWS)."""
+    r(a, b) is the residues z.k mod M of rows a..b-1 as floats, exact (see
+    _residue_blocks), where _float_residues holds; else r is None and the
+    residues are taken in Python integers.  e(r / M) is exp(2 pi i (r / M))
+    with r / M correctly rounded either way (int / int rounds correctly);
+    on the float path it is read from a table of _roots, cached up to
+    _ROOTS_MAX and built for this call up to the number of rows: the same
+    floats, so the value does not depend on the path.  The factors are
+    built one sub-block of rows at a time (_sub_blocks) and multiplied into
+    the terms, elementwise, so the cut leaves every bit; the terms are one
+    array over the piece, summed whole: into, which the caller may give as
+    quad itself once it no longer needs it, else the factors' own array
+    where one sub-block spans the piece, else a new one.  The product takes
+    its operand order from the piece's size (see _ELIDE_ROWS)."""
     if modulus == 1:
         return quad.sum()
-    if v is not None:
-        # z.k and its partial sums are integers below 2^53 - M in absolute
-        # value, so v is exact.  floor(fl(v / M)) could only be off by
-        # rounding up to the next integer N, which needs N - v / M (at
-        # least 1 / M) <= |v / M| 2^-53, so |v| >= 2^53.  So q is
-        # floor(v / M), and r = v - M q is exact (|M q| < |v| + M) and in
-        # [0, M): np.mod on floats costs ten times as much.
-        r = np.floor(v / modulus)
-        r *= modulus
-        np.subtract(v, r, out=r)
-        if modulus <= _ROOTS_MAX:
-            terms = _roots(modulus)[r.astype(np.intp)]
-        elif modulus <= len(quad):
-            terms = _roots.__wrapped__(modulus)[r.astype(np.intp)]
+    cuts = _sub_blocks(0, len(quad))
+    table = None
+    if r is not None and modulus <= _ROOTS_MAX:
+        table = _roots(modulus)
+    elif r is not None and modulus <= len(quad):
+        table = _roots.__wrapped__(modulus)
+    for a, b in cuts:
+        if r is None:
+            factors = _turns(np.array([sum(map(operator.mul, row, k)) % modulus / modulus
+                                       for row in z[a:b].tolist()]))
+        elif table is not None:
+            factors = table[r(a, b).astype(np.intp)]
         else:
-            r /= modulus
-            terms = _turns(r)
-    else:
-        terms = _turns(np.array([sum(map(operator.mul, row, k)) % modulus / modulus
-                                 for row in z.tolist()]))
-    if len(terms) >= _ELIDE_ROWS:
-        return np.multiply(terms, quad, out=terms).sum()
-    return np.multiply(quad, terms, out=terms).sum()
+            factors = _turns(np.divide(r(a, b), modulus, dtype=np.float64))
+        if into is None:
+            into = factors if len(cuts) == 1 else np.empty_like(quad)
+        if len(quad) >= _ELIDE_ROWS:
+            np.multiply(factors, quad[a:b], out=into[a:b])
+        else:
+            np.multiply(quad[a:b], factors, out=into[a:b])
+    return into.sum()
 
 
 def _turns(q: np.ndarray) -> np.ndarray:
@@ -789,7 +921,9 @@ def _sub_blocks(start: int, end: int) -> list[tuple[int, int]]:
     last one taking a lone last row: BLAS computes a 1-row product by
     another path (gemv), which rounds differently from the same row in a
     longer product."""
-    cuts = [*range(start, max(end - 1, start + 1), _ROW_CHUNK), end]
+    if end - start <= _ROW_CHUNK + 1:  # one run (called per piece and per sum)
+        return [(start, end)]
+    cuts = [*range(start, end - 1, _ROW_CHUNK), end]
     return list(zip(cuts, cuts[1:]))
 
 
@@ -811,12 +945,74 @@ def _row_chunks(
 
 
 def _products(ks: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """ks @ z.T for the integer rows z, one sub-block converted to floats at
-    a time: the values are exact integers where _float_residues holds, so
-    any cut gives the same bits."""
-    out = np.empty((len(ks), len(z)))
-    for a, b in _sub_blocks(0, len(z)):
-        np.matmul(ks, z[a:b].T, out=out[:, a:b])
+    """ks @ z.T in the float type of the rows z (integers held as floats):
+    exact where _residue_blocks picks that type, so any cut of the rows or
+    the sums gives the same bits."""
+    return np.matmul(ks.astype(z.dtype, copy=False), z.T)
+
+
+def _residue_blocks(
+    z: np.ndarray, phases: _FamilyPhases, zmax: float
+) -> Callable[[int, int, int], np.ndarray]:
+    """The residues z.k mod M, as floats, of the rows z of a piece for the
+    sums of phases with a row of ks: a function of (row, a, b) giving them
+    for rows a..b-1, exact where _float_residues holds.  They come in
+    blocks of at most _ROW_CHUNK + 1 values, each dropped when the next is
+    built: a piece of one sub-block (see _sub_blocks) takes its rows as
+    floats once and a block of _ROW_CHUNK // rows sums at a time; a longer
+    one takes one sum over one sub-block at a time, its rows converted for
+    each product (_products).  Rows, products and residues are float32
+    where every sum that reads them is exact in a float32, else float64."""
+    single = all(_float_residues(modulus, zmax, k, _FLOAT32_INTS)
+                 for modulus, k, row in phases.sums
+                 if row is not None and _float_residues(modulus, zmax, k))
+    dtype = np.float32 if single else np.float64
+    step, rows = 1, None
+    if len(_sub_blocks(0, len(z))) == 1:
+        step, rows = max(1, _ROW_CHUNK // max(1, len(z))), z.astype(dtype)
+    block, at = None, None
+
+    def residues(row: int, a: int, b: int) -> np.ndarray:
+        nonlocal block, at
+        first = row - row % step
+        if at != (first, a):
+            block = None
+            floats = z[a:b].astype(dtype) if rows is None else rows
+            v = _products(phases.ks[first:first + step], floats)
+            m = phases.moduli[first:first + step].astype(dtype)
+            # z.k and its partial sums are integers below 2^p - M in
+            # absolute value (p = 53, or 24 in a float32), so v is exact.
+            # floor(fl(v / M)) could only be off by rounding up to the
+            # next integer N, which needs N - v / M (at least 1 / M) <=
+            # |v / M| 2^-p, so |v| >= 2^p.  So q is floor(v / M), and
+            # r = v - M q is exact (|M q| < |v| + M) and in [0, M):
+            # np.mod on floats costs ten times as much.
+            block = np.divide(v, m)
+            np.floor(block, out=block)
+            block *= m
+            np.subtract(v, block, out=block)
+            at = (first, a)
+        return block[row - first]
+
+    return residues
+
+
+def _piece_sums(quad: np.ndarray, z: np.ndarray, phases: _FamilyPhases,
+                zmax: float) -> list[complex]:
+    """The phase sums of one piece (see _FamilyPhases.sums), in order, over
+    its rows z and exponents quad, with the residues of _residue_blocks
+    where _float_residues holds; the last sum multiplies into quad, which
+    the piece does not read again."""
+    blocks = None
+    out = []
+    for c, (modulus, k, row) in enumerate(phases.sums):
+        r = None
+        if row is not None and _float_residues(modulus, zmax, k):
+            if blocks is None:
+                blocks = _residue_blocks(z, phases, zmax)
+            r = partial(blocks, row)
+        last = c == len(phases.sums) - 1
+        out.append(_phase_sum(quad, z, r, modulus, k, quad if last else None))
     return out
 
 
@@ -867,6 +1063,7 @@ def _quad(
             if e - s == 1:
                 np.matmul(x[s - a:e - a], m_t, out=y[s - a:e - a])
         np.einsum("nk,nk->n", np.conjugate(x, out=x), y, out=e1[a:b])
+        del x, y  # before the next chunk's are built
     return np.exp(np.multiply(1j * np.pi, e1, out=e1), out=e1)
 
 
@@ -917,16 +1114,18 @@ def _theta_batch(
     diagonal P's columns) is enumerated once where both give one radius,
     and its values are the ones it would get alone, bit for bit.
 
-    Memory: a block holds its integer rows (n bytes a point at int8, see
-    _ellipsoid_points) and the exponent (16 bytes), which exp overwrites.
-    The entries, their per-row offsets, their products (y, which spans a
-    chunk of rows, not one family's part of it) and the float rows of z.k
-    exist for at most _ROW_CHUNK + 1 rows at a time (_row_chunks,
-    _products), and a phase sum adds the residues, their indices and the
-    factors over its piece (8 + 8 + 16 bytes a point), with z.k for a block
-    of about _EVAL_CHUNK values.  The product of the exponents and the phase
-    factors takes its operand order from the piece's size (see
-    _ELIDE_ROWS), not from how numpy evaluates an expression.
+    Memory: a family's working set is its integer rows (n bytes a point at
+    int8, see _ellipsoid_points) and at most two complex arrays over a
+    piece: the exponent (16 bytes a point), which exp overwrites, and, for
+    each phase sum but the piece's last, its terms (16), while the last
+    sum multiplies into the exponent.  The entries, their per-row offsets,
+    their products (y, which spans a chunk of rows, not one family's part
+    of it), the float rows of z.k, z.k and its residues, their indices and
+    the factors exist for at most _ROW_CHUNK + 1 rows or values at a time
+    (_row_chunks, _residue_blocks, _phase_sum).  The product of the
+    exponents and the phase factors takes its operand order from the
+    piece's size (see _ELIDE_ROWS), not from how numpy evaluates an
+    expression.
     """
     first = families[0]
     basis = first.basis
@@ -1002,28 +1201,17 @@ def _theta_batch(
         )
         points.update(zip(batch, counts.tolist()))
         offsets = np.array([floats[f].offsets.reshape(-1) for f in batch])
-        # per family of the batch: its rows of ks, its phase sums and their parts
-        phase_sums = [(phases[f].ks, phases[f].sums, sums[f]) for f in batch]
-        residues = any(ks is not None for ks, _, _ in phase_sums)
+        # per family of the batch: its phases and the parts of its sums
+        phase_sums = [(phases[f], sums[f]) for f in batch]
+        residues = any(ph.ks is not None for ph, _ in phase_sums)
         for z, segments in blocks:
             quad = _quad(z, segments, offsets, m_t, basis)
             zmax = float(max(int(z.max(initial=0)), -int(z.min(initial=0)))) if residues else 0.0
             for j, start, end in segments:
-                ks, fam_sums, fam_parts = phase_sums[j]
-                zs, qs = z[start:end], quad[start:end]
-                # one product per block of sums, a block about _EVAL_CHUNK
-                # values, so the residues never outgrow the points; the
-                # last segment's block is dropped before this one is built
-                step = max(1, _EVAL_CHUNK // max(1, len(zs)))
-                zk = None
-                for (modulus, k, row), (re, im) in zip(fam_sums, fam_parts):
-                    v = None
-                    if row is not None:
-                        if row % step == 0:
-                            zk = _products(ks[row:row + step], zs)
-                        if _float_residues(modulus, zmax, k):
-                            v = zk[row % step]
-                    s = _phase_sum(qs, zs, v, modulus, k)
+                fam_phases, fam_parts = phase_sums[j]
+                for s, (re, im) in zip(
+                        _piece_sums(quad[start:end], z[start:end], fam_phases, zmax),
+                        fam_parts):
                     re.append(float(s.real))
                     im.append(float(s.imag))
     for f in todo:

@@ -11,6 +11,7 @@ straight from its definition.
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -348,25 +349,57 @@ def _largest(calls):
     return max(calls, key=lambda call: max(call[1]))[0]
 
 
+def _stage_peaks(args):
+    """(_theta_batch(*args), its traced peaks in bytes above what was traced
+    at its start: until _ellipsoid_points returns, and after that)."""
+    inner = thetas._ellipsoid_points
+    peaks = []
+
+    def enumeration(*a):
+        out = inner(*a)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return out
+
+    tracing = tracemalloc.is_tracing()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thetas, "_ellipsoid_points", enumeration)
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = thetas._theta_batch(*args)
+            kernel = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    (enumerated,) = peaks
+    return out, enumerated - before, kernel - before
+
+
 def test_largest_recorded_family_holds_only_its_point_arrays(recorded_batches):
-    # the batch of one family holds per point, besides the enumerator's
-    # frontier, its integer rows (8 bytes at dim 8, int8), the exponent (16)
-    # and, for its one phase sum, the residues (8), their indices (8), the
-    # factors (16) and a row of z.k (8); the entries and products exist for
-    # one chunk of rows at a time
+    # the batch of one family holds per point its integer rows (8 bytes at
+    # dim 8, int8) and the exponent (16), which its one phase sum
+    # multiplies into; the enumerator's last level (44,334 nodes) is made
+    # one run of parents at a time into integer arrays of its nodes, and
+    # the entries, products, residues and factors exist for one chunk of
+    # rows at a time.  The enumeration (until _ellipsoid_points returns)
+    # and the kernel after it are measured apart
     args = _largest(recorded_batches)
     points = thetas._theta_batch(*args)[0].points
     assert (points, len(args[0])) == (80_907, 1)
     assert points <= thetas._EVAL_CHUNK  # one piece, one segment
-    ((value, _, _),), peak = traced_peak(thetas._theta_batch, *args)
+    ((value, _, _),), enumeration, kernel = _stage_peaks(args)
     assert value == thetas._theta_batch(*args)[0].values
-    assert peak / points < 120
+    assert enumeration / points < 35
+    assert kernel / points < 35
 
 
 def test_most_phase_sums_per_point_hold_one_block_of_products():
-    # a piece's phase sums take z.k one block of about _EVAL_CHUNK values at
-    # a time and build their factors one sum at a time, and a family's
-    # block is dropped before the next family's is built.  Holding the
+    # a piece's phase sums take their residues one block of at most
+    # _ROW_CHUNK + 1 values at a time and build their factors one sum at a
+    # time, and a block is dropped before the next is built.  Holding the
     # residues of all of a piece's sums at once would add 8 bytes a point
     # per sum
     calls = _record_batches(_MOST_SUMS)
@@ -380,7 +413,47 @@ def test_most_phase_sums_per_point_hold_one_block_of_products():
     want = [v.values for v in thetas._theta_batch(*args)]
     got, peak = traced_peak(thetas._theta_batch, *args)
     assert [v.values for v in got] == want
-    assert peak / points < 250
+    assert peak / points < 107
+
+
+def test_many_sums_over_a_piece_hold_no_wide_block():
+    # plan_golden relation 16's second batch: one family of 3,889 points
+    # and 99 phase sums, whose z.k took a block of 67 sums over the piece
+    # (2.1 MB, 879 traced bytes a point) when blocks were sized by
+    # _EVAL_CHUNK values
+    args, points = _record_batches(16)[1]
+    ((fam,), (n,)) = (args[0], points)
+    assert (n, len(fam.phases.sums)) == (3889, 99)
+    want = [v.values for v in thetas._theta_batch(*args)]
+    got, peak = traced_peak(thetas._theta_batch, *args)
+    assert [v.values for v in got] == want
+    assert peak / n < 135
+
+
+def test_over_cap_raises_before_the_points_are_made(monkeypatch, recorded_batches):
+    # at half the largest family's points its last level (44,334 nodes) is
+    # over the cap before it is made; at 50,000 the last level is made and
+    # counted one run of parents at a time, and the first run that takes
+    # the center past the cap raises, well before its 80,907 points
+    args = _largest(recorded_batches)
+    _, full = traced_peak(thetas._theta_batch, *args)
+    for cap, levels in ((80_907 // 2, 7), (50_000, 8)):
+        monkeypatch.setattr(thetas, "_MAX_POINTS", cap)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError) as err:
+                thetas._theta_batch(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        found = re.fullmatch(
+            rf"lattice enumeration exceeds max_points={cap}: (\d+) points after "
+            rf"{levels} of 8 coordinates \(radius 5, dim 8\)", str(err.value))
+        assert found, str(err.value)
+        assert cap < int(found.group(1)) < 80_907
+        assert peak < full
+        if levels == 7:
+            assert peak < 0.8 * full
 
 
 def _gathered_rows(Z, lo, starts, counts, s, e):
@@ -483,10 +556,32 @@ def test_sub_blocks_leave_no_lone_row(monkeypatch, recorded_batches):
     assert chunks[0][2][:2] == segments[:2]
     assert thetas._row_chunks(segments[:1]) == [(0, 3, segments[:1])]
 
-    # relation _LARGEST in sub-blocks of 64 rows: bit for bit
+    # relation _LARGEST in sub-blocks of 64 rows, its enumerations' last
+    # levels in runs of about 64 children and its blocks' last columns in
+    # runs of about 64 rows: the same counts, rows and values, bit for bit
+    enumerations = []
+    inner = thetas._ellipsoid_points
+
+    def recording(*a):
+        counts, blocks = inner(*a)
+        blocks = list(blocks)
+        enumerations.append((counts.tolist(), [(z.dtype, z.tobytes(), segments)
+                                               for z, segments in blocks]))
+        return counts, iter(blocks)
+
+    monkeypatch.setattr(thetas, "_ellipsoid_points", recording)
+    runs = []
+    node_runs = thetas._node_runs
+    monkeypatch.setattr(thetas, "_node_runs", lambda *a: runs.append(node_runs(*a)) or runs[-1])
     want = [thetas._theta_batch(*args) for args, _ in recorded_batches]
+    points = enumerations[:]
+    assert max(len(r) for r in runs) > 1  # the largest family's last level
+    del enumerations[:], runs[:]
     monkeypatch.setattr(thetas, "_ROW_CHUNK", 64)
     assert [thetas._theta_batch(*args) for args, _ in recorded_batches] == want
+    assert enumerations == points
+    assert max(len(r) for r in runs) > 80_907 // 64 // 2
+    monkeypatch.setattr(thetas, "_ellipsoid_points", inner)
 
     # a segment of _ROW_CHUNK + 1 rows at g h = 3, whose last sub-block
     # takes the lone last row (BLAS may compute a 1-row product by another

@@ -304,11 +304,23 @@ def _reference_phase_sum(quad, z, modulus, k):
     return (quad * np.exp(2j * np.pi * np.array(q))).sum()
 
 
+def _one_sum(modulus, k):
+    """The phases of a family with one phase sum (M, k), a row of ks where
+    1 < M < 2^53, as thetas._FamilyPhases builds them."""
+    if not 1 < modulus < 2**53:
+        return thetas._FamilyPhases(((modulus, k, None),), None, None, ((0, 1),))
+    return thetas._FamilyPhases(((modulus, k, 0),), np.array([k], dtype=np.float64),
+                                np.array([[modulus]], dtype=np.float64), ((0, 1),))
+
+
 # M + zmax sum(k) is just below 2^53 at zmax = _BELOW and just above it at
 # _BELOW + 1, where every z.k is still a float but, for z = -zmax (1, 1, 1),
-# M floor(z.k / M) is odd and above 2^53: not a float
+# M floor(z.k / M) is odd and above 2^53: not a float.  The same at 2^24 for
+# a float32: _EDGE_M32 at _BELOW32 and _BELOW32 + 1
 _EDGE_M, _EDGE_K = 1027, (900, 55, 1)
 _BELOW = (2**53 - 1 - _EDGE_M) // sum(_EDGE_K)
+_EDGE_M32 = 1029
+_BELOW32 = (2**24 - 1 - _EDGE_M32) // sum(_EDGE_K)
 
 
 @pytest.mark.parametrize("modulus,k,zmax,built", [
@@ -316,17 +328,22 @@ _BELOW = (2**53 - 1 - _EDGE_M) // sum(_EDGE_K)
     (7, (3, 0, 6), 40, False),  # the cached table
     (1031, (1030, 17, 512), 40, True),  # _ROOTS_MAX < M <= rows
     (2003, (2002, 1, 1000), 40, False),  # M > rows: per point
+    (_EDGE_M32, _EDGE_K, _BELOW32, True),  # float32, at its edge
+    (_EDGE_M32, _EDGE_K, _BELOW32 + 1, True),  # float64 just past it
     (_EDGE_M, _EDGE_K, _BELOW, True),  # the float path, at its edge
     (_EDGE_M, _EDGE_K, _BELOW + 1, False),  # the Python-integer path
-], ids=["M=1", "cached-table", "built-table", "per-point", "float-edge", "int-edge"])
+], ids=["M=1", "cached-table", "built-table", "per-point", "float32-edge", "float32-past",
+        "float-edge", "int-edge"])
 def test_phase_sum_residue_paths_bit_for_bit(monkeypatch, modulus, k, zmax, built):
     rows = 2000
-    assert thetas._ROOTS_MAX < _EDGE_M < 1031 <= rows < 2003
+    assert thetas._ROOTS_MAX < _EDGE_M < _EDGE_M32 < 1031 <= rows < 2003
     float_path = modulus + zmax * sum(k) < 2**53  # in integers
+    single = modulus + zmax * sum(k) < 2**24
     assert float_path == (zmax != _BELOW + 1)
-    if not float_path:
-        mq = modulus * -(-zmax * sum(k) // modulus)
-        assert zmax * sum(k) < 2**53 < mq and float(mq) != mq
+    for edge, limit, cast in ((_BELOW, 2**53, float), (_BELOW32, 2**24, np.float32)):
+        if zmax == edge + 1:
+            mq = modulus * -(-zmax * sum(k) // modulus)
+            assert zmax * sum(k) < limit < mq and float(cast(mq)) != mq
     rng = np.random.default_rng(modulus + zmax)
     z = rng.integers(-zmax, zmax + 1, size=(rows, 3))
     z[:4] = [[zmax] * 3, [-zmax] * 3, [zmax, -zmax, zmax], [0, 0, 0]]
@@ -336,13 +353,18 @@ def test_phase_sum_residue_paths_bit_for_bit(monkeypatch, modulus, k, zmax, buil
     uncached = thetas._roots.__wrapped__
     monkeypatch.setattr(thetas._roots, "__wrapped__",
                         lambda m: tables.append(m) or uncached(m))
-    zf = z.astype(np.float64)
+    products = []
+    inner = thetas._products
+    monkeypatch.setattr(thetas, "_products", lambda ks, z: products.append(z.dtype) or inner(ks, z))
     assert thetas._float_residues(modulus, float(zmax), k) == float_path
-    v = zf @ np.array(k, dtype=np.float64) if float_path else None
-    # the kernel passes integer rows (see _ellipsoid_points)
-    got = thetas._phase_sum(quad, z, v, modulus, k)
+    assert thetas._float_residues(modulus, float(zmax), k, thetas._FLOAT32_INTS) == single
+    # the kernel passes integer rows (see _ellipsoid_points); the last sum
+    # of a piece multiplies into its exponents
+    (got,) = thetas._piece_sums(quad.copy(), z, _one_sum(modulus, k), float(zmax))
     assert got == _reference_phase_sum(quad, z, modulus, k)
     assert tables == ([modulus] if built else [])
+    float_type = np.float32 if single else np.float64
+    assert products == ([float_type] if float_path and modulus > 1 else [])
 
 
 @pytest.mark.parametrize("n", [(1 << 14) - 1, 1 << 14])
@@ -360,8 +382,13 @@ def test_phase_product_keeps_the_order_of_the_expression(n):
     swapped = np.multiply(roots[r], quad).sum()
     in_order = np.multiply(quad, roots[r]).sum()
     assert swapped != in_order  # the order shows in the sum
-    got = thetas._phase_sum(quad, z, z @ np.array(k, dtype=np.float64), modulus, k)
-    assert got == (swapped if n >= thetas._ELIDE_ROWS else in_order)
+    # as the last sum of its piece, which multiplies into quad, and as one
+    # that builds its own terms
+    for into in (quad.copy(), None):
+        residues = thetas._residue_blocks(z, _one_sum(modulus, k), 99.0)
+        got = thetas._phase_sum(quad if into is None else into, z,
+                                lambda a, b: residues(0, a, b), modulus, k, into)
+        assert got == (swapped if n >= thetas._ELIDE_ROWS else in_order)
 
 
 def test_w_below_the_eigenvalue_grid_is_a_domain_error():
