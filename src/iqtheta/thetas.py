@@ -962,10 +962,9 @@ def _residue_blocks(
     floats once and a block of _ROW_CHUNK // rows sums at a time; a longer
     one takes one sum over one sub-block at a time, its rows converted for
     each product (_products).  Rows, products and residues are float32
-    where every sum that reads them is exact in a float32, else float64."""
+    where every sum with a row of ks is exact in a float32, else float64."""
     single = all(_float_residues(modulus, zmax, k, _FLOAT32_INTS)
-                 for modulus, k, row in phases.sums
-                 if row is not None and _float_residues(modulus, zmax, k))
+                 for modulus, k, row in phases.sums if row is not None)
     dtype = np.float32 if single else np.float64
     step, rows = 1, None
     if len(_sub_blocks(0, len(z))) == 1:
