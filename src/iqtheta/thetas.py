@@ -467,7 +467,7 @@ def _ellipsoid_points(
     over the cap, and at the last level run by run.
     """
     m, n = C.shape
-    diag = np.diag(R)
+    diag = R.diagonal()
     q = R / diag[:, None]
     Z = np.empty((m, 0), dtype=np.int8)
     rem = np.asarray(bounds, dtype=np.float64)
@@ -663,7 +663,7 @@ def _pieces(
     """The nodes of each center (owner sorted; node s holds points
     starts[s]:ends[s]) cut in order into pieces (center, first node, end
     node) of at most _EVAL_CHUNK points, or of one node that has more."""
-    first = np.searchsorted(owner, np.arange(len(per_center) + 1)).tolist()
+    first = owner.searchsorted(np.arange(len(per_center) + 1)).tolist()
     whole = (per_center <= _EVAL_CHUNK).tolist()
     pieces = []
     for j, (s, stop) in enumerate(zip(first, first[1:])):
