@@ -531,8 +531,8 @@ def _intervals(
     """The next coordinate's interval of each node of a level of
     _ellipsoid_points (Z its integer coordinates so far, rem what is left of
     its bound, shift its center's part of the center): (center, lo, counts,
-    the largest |z| of the intervals).  Z is read as floats (exact) for the
-    product with qi, as a float Z was."""
+    the largest |z| of the intervals).  Z is read as floats for the product
+    with qi; the conversion is exact."""
     center = -(Z.astype(np.float64) @ qi) - shift
     half = np.sqrt(np.maximum(rem, 0.0)) / d
     lo = np.ceil(center - half)
