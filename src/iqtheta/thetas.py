@@ -142,8 +142,6 @@ _ROOTS_MAX = 1 << 10
 # Integers below this are exact in a float64, and so is a sum of them that
 # stays below it, in any order.
 _FLOAT_INTS = 2.0 ** 53
-# and in a float32, below this
-_FLOAT32_INTS = 2.0 ** 24
 
 # Eigenvalues are snapped down to this grid before entering the tail bound, so
 # a one-ulp wobble in the eigensolver cannot move the chosen radius.
@@ -487,8 +485,8 @@ def _ellipsoid_points(
         if i == 1:
             break
         Z_next = np.empty((total, n - i), dtype=np.min_scalar_type(-int(top) - 1))
-        rem, owner = _children(Z, rem, owner, center, lo, counts, diag[i], 0, len(counts),
-                               Z_next)
+        rem, owner = _children(Z, rem, owner, center, lo, counts, _bounds(counts)[0],
+                               diag[i], 0, len(counts), Z_next)
         Z = Z_next
 
     # the last level, over the children of the level-1 nodes (at n = 1, of
@@ -561,16 +559,18 @@ def _check_cap(per_center: np.ndarray, levels: int, n: int, radii: Sequence[int]
 
 def _children(
     Z: np.ndarray, rem: np.ndarray, owner: np.ndarray, center: np.ndarray, lo: np.ndarray,
-    counts: np.ndarray, d: float, p: int, e: int, out: np.ndarray
+    counts: np.ndarray, starts: np.ndarray, d: float, p: int, e: int, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The children of nodes p..e-1 of a level of _ellipsoid_points, one
-    per integer of each node's interval lo..lo+counts-1, in order: their
-    coordinates (the parent's, then the new one) written to out, in its
-    integer type; returns their rem and owner."""
-    c = counts[p:e]
-    node = np.arange(e - p).repeat(c)
+    per integer of each node's interval lo..lo+counts-1, in order (node i's
+    first child is child starts[i] of the level): their coordinates (the
+    parent's, then the new one) written to out, in its integer type;
+    returns their rem and owner."""
+    node = np.arange(e - p).repeat(counts[p:e])
+    first = int(starts[p])
     z = lo[p:e].take(node)
-    z += np.arange(len(node)) - (c.cumsum() - c).take(node)
+    z -= starts[p:e].take(node)
+    z += np.arange(first, first + len(node))
     out[:, :-1] = Z[p:e].take(node, axis=0)
     out[:, -1] = z
     rem_c = rem[p:e].take(node) - (d * (z - center[p:e].take(node))) ** 2
@@ -581,7 +581,7 @@ def _bounds(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(starts, ends): the index of each node's first child and one past
     its last, for counts children each, as two views of one int64 array."""
     bounds = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, dtype=np.int64, out=bounds[1:])
+    np.add.accumulate(counts, dtype=np.int64, out=bounds[1:])
     return bounds[:-1], bounds[1:]
 
 
@@ -608,7 +608,7 @@ def _runs_of_children(
     starts, ends = _bounds(counts)
     for p, e in _node_runs(starts, 0, len(counts)):
         a, b = int(starts[p]), int(ends[e - 1])
-        yield (a, b, *_children(Z, rem, owner, center, lo, counts, d, p, e, out[a:b]))
+        yield (a, b, *_children(Z, rem, owner, center, lo, counts, starts, d, p, e, out[a:b]))
 
 
 def _blocks(
@@ -618,17 +618,17 @@ def _blocks(
     """The blocks (rows, segments) of _ellipsoid_points over its last-level
     nodes (see _block_rows) and pieces; the node arrays are released once
     the last block's rows are built."""
+    # the pieces cover the nodes in order: piece k holds points cut[k]..cut[k+1]-1
+    cut = [0, *ends.take([e - 1 for _, _, e in pieces]).tolist()]
     k = 0
     while k < len(pieces):
-        s = pieces[k][1]
-        base = int(starts[s])
+        base = cut[k]
         k_end = k + 1
-        while k_end < len(pieces) and ends[pieces[k_end][2] - 1] - base <= _EVAL_CHUNK:
+        while k_end < len(pieces) and cut[k_end + 1] - base <= _EVAL_CHUNK:
             k_end += 1
-        e = pieces[k_end - 1][2]
-        rows = _block_rows(Z, lo, starts, counts, s, e)
-        segments = [(j, int(starts[a]) - base, int(ends[b - 1]) - base)
-                    for j, a, b in pieces[k:k_end]]
+        rows = _block_rows(Z, lo, starts, counts, pieces[k][1], pieces[k_end - 1][2])
+        segments = [(j, cut[i] - base, cut[i + 1] - base)
+                    for i, (j, _, _) in enumerate(pieces[k:k_end], k)]
         k = k_end
         if k == len(pieces):  # not read again: freed while the kernel runs
             del Z, lo, starts, ends, counts
@@ -856,13 +856,10 @@ def _roots(modulus: int) -> np.ndarray:
     return table
 
 
-def _float_residues(
-    modulus: int, zmax: float, k: tuple[int, ...], limit: float = _FLOAT_INTS
-) -> bool:
-    """Whether z.k and its residue mod M = modulus are exact as floats (as
-    float32 at limit = _FLOAT32_INTS) for every row z with |z| <= zmax (see
-    _residue_blocks)."""
-    return modulus < limit and modulus + zmax * sum(k) < limit
+def _float_residues(modulus: int, zmax: float, k: tuple[int, ...]) -> bool:
+    """Whether z.k and its residue mod M = modulus are exact as floats for
+    every row z with |z| <= zmax (see _residue_blocks)."""
+    return modulus < _FLOAT_INTS and modulus + zmax * sum(k) < _FLOAT_INTS
 
 
 def _phase_sum(
@@ -900,7 +897,7 @@ def _phase_sum(
         elif table is not None:
             factors = table[r(a, b).astype(np.intp)]
         else:
-            factors = _turns(np.divide(r(a, b), modulus, dtype=np.float64))
+            factors = _turns(r(a, b) / modulus)
         if into is None:
             into = factors if len(cuts) == 1 else np.empty_like(quad)
         if len(quad) >= _ELIDE_ROWS:
@@ -921,9 +918,7 @@ def _sub_blocks(start: int, end: int) -> list[tuple[int, int]]:
     last one taking a lone last row: BLAS computes a 1-row product by
     another path (gemv), which rounds differently from the same row in a
     longer product."""
-    if end - start <= _ROW_CHUNK + 1:  # one run (called per piece and per sum)
-        return [(start, end)]
-    cuts = [*range(start, end - 1, _ROW_CHUNK), end]
+    cuts = [*range(start, max(end - 1, start + 1), _ROW_CHUNK), end]
     return list(zip(cuts, cuts[1:]))
 
 
@@ -945,10 +940,10 @@ def _row_chunks(
 
 
 def _products(ks: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """ks @ z.T in the float type of the rows z (integers held as floats):
-    exact where _residue_blocks picks that type, so any cut of the rows or
-    the sums gives the same bits."""
-    return np.matmul(ks.astype(z.dtype, copy=False), z.T)
+    """ks @ z.T for the rows z (integers held as floats): exact integers
+    where _float_residues holds, so any cut of the rows or the sums gives
+    the same bits."""
+    return np.matmul(ks, z.T)
 
 
 def _residue_blocks(
@@ -961,14 +956,10 @@ def _residue_blocks(
     built: a piece of one sub-block (see _sub_blocks) takes its rows as
     floats once and a block of _ROW_CHUNK // rows sums at a time; a longer
     one takes one sum over one sub-block at a time, its rows converted for
-    each product (_products).  Rows, products and residues are float32
-    where every sum with a row of ks is exact in a float32, else float64."""
-    single = all(_float_residues(modulus, zmax, k, _FLOAT32_INTS)
-                 for modulus, k, row in phases.sums if row is not None)
-    dtype = np.float32 if single else np.float64
+    each product (_products)."""
     step, rows = 1, None
-    if len(_sub_blocks(0, len(z))) == 1:
-        step, rows = max(1, _ROW_CHUNK // max(1, len(z))), z.astype(dtype)
+    if len(z) <= _ROW_CHUNK + 1:  # one sub-block
+        step, rows = max(1, _ROW_CHUNK // max(1, len(z))), z.astype(np.float64)
     block, at = None, None
 
     def residues(row: int, a: int, b: int) -> np.ndarray:
@@ -976,16 +967,16 @@ def _residue_blocks(
         first = row - row % step
         if at != (first, a):
             block = None
-            floats = z[a:b].astype(dtype) if rows is None else rows
+            floats = z[a:b].astype(np.float64) if rows is None else rows
             v = _products(phases.ks[first:first + step], floats)
-            m = phases.moduli[first:first + step].astype(dtype)
-            # z.k and its partial sums are integers below 2^p - M in
-            # absolute value (p = 53, or 24 in a float32), so v is exact.
-            # floor(fl(v / M)) could only be off by rounding up to the
-            # next integer N, which needs N - v / M (at least 1 / M) <=
-            # |v / M| 2^-p, so |v| >= 2^p.  So q is floor(v / M), and
-            # r = v - M q is exact (|M q| < |v| + M) and in [0, M):
-            # np.mod on floats costs ten times as much.
+            m = phases.moduli[first:first + step]
+            # z.k and its partial sums are integers below 2^53 - M in
+            # absolute value, so v is exact.  floor(fl(v / M)) could only
+            # be off by rounding up to the next integer N, which needs
+            # N - v / M (at least 1 / M) <= |v / M| 2^-53, so |v| >= 2^53.
+            # So q is floor(v / M), and r = v - M q is exact
+            # (|M q| < |v| + M) and in [0, M): np.mod on floats costs ten
+            # times as much.
             block = np.divide(v, m)
             np.floor(block, out=block)
             block *= m

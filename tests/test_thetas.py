@@ -315,12 +315,9 @@ def _one_sum(modulus, k):
 
 # M + zmax sum(k) is just below 2^53 at zmax = _BELOW and just above it at
 # _BELOW + 1, where every z.k is still a float but, for z = -zmax (1, 1, 1),
-# M floor(z.k / M) is odd and above 2^53: not a float.  The same at 2^24 for
-# a float32: _EDGE_M32 at _BELOW32 and _BELOW32 + 1
+# M floor(z.k / M) is odd and above 2^53: not a float
 _EDGE_M, _EDGE_K = 1027, (900, 55, 1)
 _BELOW = (2**53 - 1 - _EDGE_M) // sum(_EDGE_K)
-_EDGE_M32 = 1029
-_BELOW32 = (2**24 - 1 - _EDGE_M32) // sum(_EDGE_K)
 
 
 @pytest.mark.parametrize("modulus,k,zmax,built", [
@@ -328,22 +325,17 @@ _BELOW32 = (2**24 - 1 - _EDGE_M32) // sum(_EDGE_K)
     (7, (3, 0, 6), 40, False),  # the cached table
     (1031, (1030, 17, 512), 40, True),  # _ROOTS_MAX < M <= rows
     (2003, (2002, 1, 1000), 40, False),  # M > rows: per point
-    (_EDGE_M32, _EDGE_K, _BELOW32, True),  # float32, at its edge
-    (_EDGE_M32, _EDGE_K, _BELOW32 + 1, True),  # float64 just past it
     (_EDGE_M, _EDGE_K, _BELOW, True),  # the float path, at its edge
     (_EDGE_M, _EDGE_K, _BELOW + 1, False),  # the Python-integer path
-], ids=["M=1", "cached-table", "built-table", "per-point", "float32-edge", "float32-past",
-        "float-edge", "int-edge"])
+], ids=["M=1", "cached-table", "built-table", "per-point", "float-edge", "int-edge"])
 def test_phase_sum_residue_paths_bit_for_bit(monkeypatch, modulus, k, zmax, built):
     rows = 2000
-    assert thetas._ROOTS_MAX < _EDGE_M < _EDGE_M32 < 1031 <= rows < 2003
+    assert thetas._ROOTS_MAX < _EDGE_M < 1031 <= rows < 2003
     float_path = modulus + zmax * sum(k) < 2**53  # in integers
-    single = modulus + zmax * sum(k) < 2**24
     assert float_path == (zmax != _BELOW + 1)
-    for edge, limit, cast in ((_BELOW, 2**53, float), (_BELOW32, 2**24, np.float32)):
-        if zmax == edge + 1:
-            mq = modulus * -(-zmax * sum(k) // modulus)
-            assert zmax * sum(k) < limit < mq and float(cast(mq)) != mq
+    if not float_path:
+        mq = modulus * -(-zmax * sum(k) // modulus)
+        assert zmax * sum(k) < 2**53 < mq and float(mq) != mq
     rng = np.random.default_rng(modulus + zmax)
     z = rng.integers(-zmax, zmax + 1, size=(rows, 3))
     z[:4] = [[zmax] * 3, [-zmax] * 3, [zmax, -zmax, zmax], [0, 0, 0]]
@@ -355,16 +347,15 @@ def test_phase_sum_residue_paths_bit_for_bit(monkeypatch, modulus, k, zmax, buil
                         lambda m: tables.append(m) or uncached(m))
     products = []
     inner = thetas._products
-    monkeypatch.setattr(thetas, "_products", lambda ks, z: products.append(z.dtype) or inner(ks, z))
+    monkeypatch.setattr(thetas, "_products",
+                        lambda ks, z: products.append(z.dtype) or inner(ks, z))
     assert thetas._float_residues(modulus, float(zmax), k) == float_path
-    assert thetas._float_residues(modulus, float(zmax), k, thetas._FLOAT32_INTS) == single
     # the kernel passes integer rows (see _ellipsoid_points); the last sum
     # of a piece multiplies into its exponents
     (got,) = thetas._piece_sums(quad.copy(), z, _one_sum(modulus, k), float(zmax))
     assert got == _reference_phase_sum(quad, z, modulus, k)
     assert tables == ([modulus] if built else [])
-    float_type = np.float32 if single else np.float64
-    assert products == ([float_type] if float_path and modulus > 1 else [])
+    assert products == ([np.float64] if float_path and modulus > 1 else [])
 
 
 @pytest.mark.parametrize("n", [(1 << 14) - 1, 1 << 14])
