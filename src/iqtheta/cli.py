@@ -42,9 +42,11 @@ from .presets import (
 )
 from .relations import (
     RelationSpec,
-    VerificationReport,
     _check_g,
     _check_term_count,
+    _compare_sides,
+    _Plans,
+    _theta_sum,
     build_relation,
     decompose_rational_P,
     evaluate_relation,
@@ -423,16 +425,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     }
     passed = []
     if W is not None:
-        poly = decomp.evaluate(W, params)
-        direct = theta_general(field, W, P, A0, B0, params).value
-        # only the residual and the verdict are printed, not the counts
-        rep = VerificationReport.compare(
-            direct, poly, len(decomp.expansion.rows), 0, 0, params.eps
-        )
+        # Theta^P[A0; B0] against the expansion, lowered together; only the
+        # residual and the verdict are printed, not the counts
+        plans = _Plans(_theta_sum(P, A0, B0), decomp.expansion)
+        rep = _compare_sides(plans, W, params, len(decomp.expansion.rows))
         out.update(
             {
-                "poly_value": _complex_pair(poly),
-                "direct_value": _complex_pair(direct),
+                "poly_value": _complex_pair(rep.rhs),
+                "direct_value": _complex_pair(rep.lhs),
                 "residual_rel": rep.residual_rel,
                 "tolerance": rep.tolerance,
                 "passed": rep.passed,

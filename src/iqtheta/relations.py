@@ -41,7 +41,9 @@ families that share a P, then each product, and multiplies each row's
 entries by index in the order the terms and factors are written.  The
 first failing group raises its error.  The evaluation and hit counts are
 the plan's leaf count and its leaf reads beyond them.  A relation and an
-identity check compare their sides in one function (_compare_sides).
+identity check compare their sides in one function (_compare_sides), as
+does the decompose command: Theta^P[A0; B0] (_theta_sum) against the
+expansion.
 Evaluations of several plans at one W can share a table of family values
 (a thetas.ThetaCache passed as cache, as a suite entry does): each batch
 then evaluates only the families that the table lacks at that W and
@@ -190,6 +192,13 @@ def _sum(rows: Iterable[tuple[int, Iterable[tuple]]], **side) -> _Sum:
     emit = _Emitter()
     return emit.sum(((q, tuple([emit.families[emit.part(p), a][b] for p, a, b in leaves]))
                      for q, leaves in rows), **side)
+
+
+def _theta_sum(P: KMatrix, A0: KMatrix, B0: KMatrix) -> _Sum:
+    """Theta^P[A0; B0] with coefficient 1, compiled: one row, one factor of
+    the leaves of thetas._leaf_keys."""
+    leaves = _leaf_keys(P, A0, B0)
+    return _sum([(0, leaves)], factor_leaves=len(leaves))
 
 
 def _lower_terms(params: ThetaParams, sides: Iterable[_Sum]) -> _Plan:
@@ -465,10 +474,9 @@ class RelationInstance:
 
     @cached_property
     def lhs(self) -> _Sum:
-        """The left side, Theta^Q[lhs_A; lhs_B] with coefficient 1, compiled:
-        one row, one factor of the leaves of thetas._leaf_keys."""
-        leaves = _leaf_keys(self.Q, self.lhs_A, self.lhs_B)
-        return _sum([(0, leaves)], factor_leaves=len(leaves))
+        """The left side, Theta^Q[lhs_A; lhs_B] with coefficient 1, compiled
+        (see _theta_sum)."""
+        return _theta_sum(self.Q, self.lhs_A, self.lhs_B)
 
     @cached_property
     def _plans(self) -> _Plans:
@@ -596,10 +604,6 @@ class PDecomposition:
     g: int
     lambdas: tuple[Fraction, ...]
     expansion: _Sum
-
-    @property
-    def scale(self) -> Fraction:
-        return self.expansion.coeff_scale
 
     def lambda_product(self) -> Fraction:
         prod = Fraction(1)

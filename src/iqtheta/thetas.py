@@ -696,10 +696,9 @@ class _FamilyPhases(NamedTuple):
     equal (M, k) differ only in e(q0), so they share one phase sum.
     W-independent."""
 
-    # per phase sum: (M, k in the enumerator's column order, its row of ks or None)
-    sums: tuple[tuple[int, tuple[int, ...], Optional[int]], ...]
-    ks: Optional[np.ndarray]  # the k of the sums with 1 < M < 2^53, as float rows
-    moduli: Optional[np.ndarray]  # the M of those sums, as a float column
+    # per phase sum: (M, k in the enumerator's column order, k as a float64
+    # row where 1 < M < 2^53, else None)
+    sums: tuple[tuple[int, tuple[int, ...], Optional[np.ndarray]], ...]
     leaves: tuple[tuple[int, complex], ...]  # per B0 of the family: (its sum, e(q0))
 
 
@@ -795,18 +794,11 @@ class _Family:
             q0 = sum(map(operator.mul, nums, w))
             leaves.append((shared.setdefault((modulus, k), len(shared)),
                            _phase_of(-q0, den_a * den)))
-        sums, ks, moduli = [], [], []
-        for modulus, k in shared:
-            row = None
-            if 1 < modulus < _FLOAT_INTS:  # k < M, so exact as floats
-                row = len(ks)
-                ks.append(k)
-                moduli.append([modulus])
-            sums.append((modulus, k, row))
-        if not ks:
-            return _FamilyPhases(tuple(sums), None, None, tuple(leaves))
-        return _FamilyPhases(tuple(sums), np.array(ks, dtype=np.float64),
-                             np.array(moduli, dtype=np.float64), tuple(leaves))
+        # k < M, so exact as floats where M < 2^53
+        return _FamilyPhases(
+            tuple((modulus, k, np.array(k, dtype=np.float64) if 1 < modulus < _FLOAT_INTS else None)
+                  for modulus, k in shared),
+            tuple(leaves))
 
 
 # each d's FieldId, built once: FieldId(d) checks that d is squarefree
@@ -858,46 +850,63 @@ def _roots(modulus: int) -> np.ndarray:
 
 def _float_residues(modulus: int, zmax: float, k: tuple[int, ...]) -> bool:
     """Whether z.k and its residue mod M = modulus are exact as floats for
-    every row z with |z| <= zmax (see _residue_blocks)."""
+    every row z with |z| <= zmax (see _residues)."""
     return modulus < _FLOAT_INTS and modulus + zmax * sum(k) < _FLOAT_INTS
 
 
+def _residues(z: np.ndarray, ks: np.ndarray, modulus: int) -> np.ndarray:
+    """z.k mod M = modulus for the integer rows z, as floats, for k given
+    as the float row ks: exact where _float_residues holds.  z.k and its
+    partial sums are then integers below 2^53 - M in absolute value, so
+    the product is exact in any order.  floor(fl(v / M)) could only be off
+    by rounding up to the next integer N, which needs N - v / M (at least
+    1 / M) <= |v / M| 2^-53, so |v| >= 2^53.  So q is floor(v / M), and
+    r = v - M q is exact (|M q| < |v| + M) and in [0, M): np.mod on floats
+    costs ten times as much."""
+    v = np.matmul(z.astype(np.float64), ks)
+    r = np.divide(v, modulus)
+    np.floor(r, out=r)
+    r *= modulus
+    return np.subtract(v, r, out=r)
+
+
 def _phase_sum(
-    quad: np.ndarray, z: np.ndarray, r: Optional[Callable[[int, int], np.ndarray]],
-    modulus: int, k: tuple[int, ...], into: Optional[np.ndarray] = None
+    quad: np.ndarray, z: np.ndarray, modulus: int, k: tuple[int, ...],
+    ks: Optional[np.ndarray], into: Optional[np.ndarray] = None
 ) -> complex:
     """The sum over the rows z of integer coordinates (column j is
     coordinate n-1-j) of quad times e((z.k mod M) / M), M = modulus.
 
-    r(a, b) is the residues z.k mod M of rows a..b-1 as floats, exact (see
-    _residue_blocks), where _float_residues holds; else r is None and the
-    residues are taken in Python integers.  e(r / M) is exp(2 pi i (r / M))
+    With ks, k as a float row, where _float_residues holds, the residues
+    z.k mod M are taken as floats (_residues), exactly; else ks is None and
+    they are taken in Python integers.  e(r / M) is exp(2 pi i (r / M))
     with r / M correctly rounded either way (int / int rounds correctly);
     on the float path it is read from a table of _roots, cached up to
     _ROOTS_MAX and built for this call up to the number of rows: the same
-    floats, so the value does not depend on the path.  The factors are
-    built one sub-block of rows at a time (_sub_blocks) and multiplied into
-    the terms, elementwise, so the cut leaves every bit; the terms are one
-    array over the piece, summed whole: into, which the caller may give as
-    quad itself once it no longer needs it, else the factors' own array
-    where one sub-block spans the piece, else a new one.  The product takes
-    its operand order from the piece's size (see _ELIDE_ROWS)."""
+    floats, so the value does not depend on the path.  The residues and
+    factors are built one sub-block of rows at a time (_sub_blocks) and
+    multiplied into the terms, elementwise, so the cut leaves every bit;
+    the terms are one array over the piece, summed whole: into, which the
+    caller may give as quad itself once it no longer needs it, else the
+    factors' own array where one sub-block spans the piece, else a new
+    one.  The product takes its operand order from the piece's size (see
+    _ELIDE_ROWS)."""
     if modulus == 1:
         return quad.sum()
     cuts = _sub_blocks(0, len(quad))
     table = None
-    if r is not None and modulus <= _ROOTS_MAX:
+    if ks is not None and modulus <= _ROOTS_MAX:
         table = _roots(modulus)
-    elif r is not None and modulus <= len(quad):
+    elif ks is not None and modulus <= len(quad):
         table = _roots.__wrapped__(modulus)
     for a, b in cuts:
-        if r is None:
+        if ks is None:
             factors = _turns(np.array([sum(map(operator.mul, row, k)) % modulus / modulus
                                        for row in z[a:b].tolist()]))
         elif table is not None:
-            factors = table[r(a, b).astype(np.intp)]
+            factors = table[_residues(z[a:b], ks, modulus).astype(np.intp)]
         else:
-            factors = _turns(r(a, b) / modulus)
+            factors = _turns(_residues(z[a:b], ks, modulus) / modulus)
         if into is None:
             into = factors if len(cuts) == 1 else np.empty_like(quad)
         if len(quad) >= _ELIDE_ROWS:
@@ -939,70 +948,18 @@ def _row_chunks(
     return [tuple(c) for c in chunks]
 
 
-def _products(ks: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """ks @ z.T for the rows z (integers held as floats): exact integers
-    where _float_residues holds, so any cut of the rows or the sums gives
-    the same bits."""
-    return np.matmul(ks, z.T)
-
-
-def _residue_blocks(
-    z: np.ndarray, phases: _FamilyPhases, zmax: float
-) -> Callable[[int, int, int], np.ndarray]:
-    """The residues z.k mod M, as floats, of the rows z of a piece for the
-    sums of phases with a row of ks: a function of (row, a, b) giving them
-    for rows a..b-1, exact where _float_residues holds.  They come in
-    blocks of at most _ROW_CHUNK + 1 values, each dropped when the next is
-    built: a piece of one sub-block (see _sub_blocks) takes its rows as
-    floats once and a block of _ROW_CHUNK // rows sums at a time; a longer
-    one takes one sum over one sub-block at a time, its rows converted for
-    each product (_products)."""
-    step, rows = 1, None
-    if len(z) <= _ROW_CHUNK + 1:  # one sub-block
-        step, rows = max(1, _ROW_CHUNK // max(1, len(z))), z.astype(np.float64)
-    block, at = None, None
-
-    def residues(row: int, a: int, b: int) -> np.ndarray:
-        nonlocal block, at
-        first = row - row % step
-        if at != (first, a):
-            block = None
-            floats = z[a:b].astype(np.float64) if rows is None else rows
-            v = _products(phases.ks[first:first + step], floats)
-            m = phases.moduli[first:first + step]
-            # z.k and its partial sums are integers below 2^53 - M in
-            # absolute value, so v is exact.  floor(fl(v / M)) could only
-            # be off by rounding up to the next integer N, which needs
-            # N - v / M (at least 1 / M) <= |v / M| 2^-53, so |v| >= 2^53.
-            # So q is floor(v / M), and r = v - M q is exact
-            # (|M q| < |v| + M) and in [0, M): np.mod on floats costs ten
-            # times as much.
-            block = np.divide(v, m)
-            np.floor(block, out=block)
-            block *= m
-            np.subtract(v, block, out=block)
-            at = (first, a)
-        return block[row - first]
-
-    return residues
-
-
 def _piece_sums(quad: np.ndarray, z: np.ndarray, phases: _FamilyPhases,
                 zmax: float) -> list[complex]:
     """The phase sums of one piece (see _FamilyPhases.sums), in order, over
-    its rows z and exponents quad, with the residues of _residue_blocks
-    where _float_residues holds; the last sum multiplies into quad, which
-    the piece does not read again."""
-    blocks = None
+    its rows z and exponents quad, each with its float row of k where
+    _float_residues holds (see _phase_sum); the last sum multiplies into
+    quad, which the piece does not read again."""
     out = []
-    for c, (modulus, k, row) in enumerate(phases.sums):
-        r = None
-        if row is not None and _float_residues(modulus, zmax, k):
-            if blocks is None:
-                blocks = _residue_blocks(z, phases, zmax)
-            r = partial(blocks, row)
-        last = c == len(phases.sums) - 1
-        out.append(_phase_sum(quad, z, r, modulus, k, quad if last else None))
+    last = len(phases.sums) - 1
+    for c, (modulus, k, ks) in enumerate(phases.sums):
+        if ks is not None and not _float_residues(modulus, zmax, k):
+            ks = None
+        out.append(_phase_sum(quad, z, modulus, k, ks, quad if c == last else None))
     return out
 
 
@@ -1110,12 +1067,11 @@ def _theta_batch(
     each phase sum but the piece's last, its terms (16), while the last
     sum multiplies into the exponent.  The entries, their per-row offsets,
     their products (y, which spans a chunk of rows, not one family's part
-    of it), the float rows of z.k, z.k and its residues, their indices and
-    the factors exist for at most _ROW_CHUNK + 1 rows or values at a time
-    (_row_chunks, _residue_blocks, _phase_sum).  The product of the
-    exponents and the phase factors takes its operand order from the
-    piece's size (see _ELIDE_ROWS), not from how numpy evaluates an
-    expression.
+    of it), and one phase sum's float rows, z.k and its residues, their
+    indices and the factors exist for at most _ROW_CHUNK + 1 rows at a
+    time (_row_chunks, _phase_sum).  The product of the exponents and the
+    phase factors takes its operand order from the piece's size (see
+    _ELIDE_ROWS), not from how numpy evaluates an expression.
     """
     first = families[0]
     basis = first.basis
@@ -1193,7 +1149,7 @@ def _theta_batch(
         offsets = np.array([floats[f].offsets.reshape(-1) for f in batch])
         # per family of the batch: its phases and the parts of its sums
         phase_sums = [(phases[f], sums[f]) for f in batch]
-        residues = any(ph.ks is not None for ph, _ in phase_sums)
+        residues = any(ks is not None for ph, _ in phase_sums for _, _, ks in ph.sums)
         for z, segments in blocks:
             quad = _quad(z, segments, offsets, m_t, basis)
             zmax = float(max(int(z.max(initial=0)), -int(z.min(initial=0)))) if residues else 0.0

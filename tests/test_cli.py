@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from iqtheta import (
@@ -20,6 +21,7 @@ from iqtheta import (
     GroupCapError,
     KMatrix,
     RelationSpec,
+    run_paper_suite,
 )
 from iqtheta import cli, relations
 from iqtheta.cli import main
@@ -184,6 +186,36 @@ def test_verify_output_deterministic(capsys):
     _, first = _run(capsys, argv)
     _, second = _run(capsys, argv)
     assert first == second
+
+
+def test_suite_prints_the_suite_json_and_its_csv(capsys):
+    code, out = _run(capsys, ["suite"])
+    assert code == 0
+    assert out == run_paper_suite().to_json() + "\n"
+    code, out = _run(capsys, ["suite", "--out", "csv"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "preset,g,d,order_G1,residual_rel,seconds"
+    assert len(lines) == 1 + 138
+
+
+@pytest.mark.parametrize("preset", ["jacobi_identity", "half_formulas", "riemann_quad"])
+def test_verify_with_a_seed_passes_at_a_symmetric_sample(capsys, preset):
+    # these presets' checks need a symmetric W: --seed appends one from the
+    # symmetric branch of _random_W
+    code, out = _run(capsys, ["verify", "--preset", preset, "--seed", "3"])
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert all(r["passed"] for r in reports)
+    if preset == "jacobi_identity":
+        assert len(reports) == 4
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_random_symmetric_w_is_in_the_siegel_half_space(g):
+    W = cli._random_W(g, np.random.default_rng(3), True)
+    assert (W == W.T).all()
+    assert np.linalg.eigvalsh(W.imag).min() > 0
 
 
 def test_decompose_payload_and_crosscheck(capsys):

@@ -397,11 +397,10 @@ def test_largest_recorded_family_holds_only_its_point_arrays(recorded_batches):
 
 
 def test_most_phase_sums_per_point_hold_one_block_of_products():
-    # a piece's phase sums take their residues one block of at most
-    # _ROW_CHUNK + 1 values at a time and build their factors one sum at a
-    # time, and a block is dropped before the next is built.  Holding the
-    # residues of all of a piece's sums at once would add 8 bytes a point
-    # per sum
+    # a piece's phase sums take their float rows, residues and factors one
+    # sum and one sub-block of at most _ROW_CHUNK + 1 rows at a time, and
+    # each is dropped before the next is built.  Holding the residues of
+    # all of a piece's sums at once would add 8 bytes a point per sum
     calls = _record_batches(_MOST_SUMS)
 
     def sums(call):
@@ -413,7 +412,7 @@ def test_most_phase_sums_per_point_hold_one_block_of_products():
     want = [v.values for v in thetas._theta_batch(*args)]
     got, peak = traced_peak(thetas._theta_batch, *args)
     assert [v.values for v in got] == want
-    assert peak / points < 167
+    assert peak / points < 110
 
 
 def test_many_sums_over_a_piece_hold_no_wide_block():

@@ -534,12 +534,12 @@ def test_decomposition_leaves_batch_by_family(monkeypatch):
 
 
 def test_residues_in_blocks_of_sums(monkeypatch):
-    # no z K^T block holds more than _ROW_CHUNK + 1 values: a piece of one
-    # sub-block takes blocks of _ROW_CHUNK // n sums over its n rows, a
-    # longer one a block of one sum over one sub-block.  With pieces of at
-    # most 40 points and sub-blocks of up to 17 rows, the 16 (M, k) of the
-    # decomposition's first family run in both kinds of block, bit for bit
-    # the one-leaf calls and the values at the default _ROW_CHUNK
+    # no residue block holds more than _ROW_CHUNK + 1 values: each phase
+    # sum takes its residues one sub-block of rows at a time, in a piece
+    # of one sub-block and a longer one alike.  With pieces of at most 40
+    # points and sub-blocks of up to 17 rows, the 16 (M, k) of the
+    # decomposition's first family run over both kinds of piece, bit for
+    # bit the one-leaf calls and the values at the default _ROW_CHUNK
     monkeypatch.setattr(thetas, "_EVAL_CHUNK", 40)
     field = FieldId(3)
     P = KMatrix.from_rational_rows([[2, -1], [-1, 2]], field)
@@ -557,18 +557,19 @@ def test_residues_in_blocks_of_sums(monkeypatch):
 
     want = values()
     monkeypatch.setattr(thetas, "_ROW_CHUNK", 16)
-    products = _recorded(monkeypatch, "_products")
+    residues = _recorded(monkeypatch, "_residues")
     steps = []
     exact = thetas._float_residues
     monkeypatch.setattr(thetas, "_float_residues", lambda *a: steps.append(a) or exact(*a))
     _assert_batches_by_family(monkeypatch, plan, _W(2))
     assert len(steps) > 1000
-    assert max(out.size for _, out in products) <= thetas._ROW_CHUNK + 1
-    assert max(len(z) for (_, z), _ in products) <= thetas._ROW_CHUNK + 1
-    # blocks of several sums, and blocks of one sum over one sub-block of a
-    # longer piece
-    assert max(len(ks) for (ks, _), _ in products) > 1
-    assert any(len(ks) == 1 and len(z) == thetas._ROW_CHUNK for (ks, z), _ in products)
+    assert max(out.size for _, out in residues) <= thetas._ROW_CHUNK + 1
+    assert max(len(z) for (z, _, _), _ in residues) <= thetas._ROW_CHUNK + 1
+    # one sum's row of k per block, over a whole piece of one sub-block
+    # and over one sub-block of a longer piece
+    assert all(ks.shape == (4,) for (_, ks, _), _ in residues)
+    assert any(len(z) < thetas._ROW_CHUNK for (z, _, _), _ in residues)
+    assert any(len(z) == thetas._ROW_CHUNK for (z, _, _), _ in residues)
     assert values() == want
 
 

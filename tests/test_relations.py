@@ -325,6 +325,31 @@ def test_spec_validation_errors():
         ).validate()
 
 
+def _decompose_1x1(rows):
+    """decompose_rational_P over Q(i) at g = 1 and zero characteristics."""
+    field = FieldId(1)
+    z = KMatrix.zeros(1, 1, field)
+    return decompose_rational_P(field, 1, _rational_mat(field, rows), z, z)
+
+
+def _non_square_T():
+    field = FieldId(1)
+    z = KMatrix.zeros(1, 1, field)
+    RelationSpec(field=field, g=1, T=KMatrix.zeros(1, 2, field),
+                 P=KMatrix.identity(1, field), A0=z, B0=z).validate()
+
+
+@pytest.mark.parametrize("call,message", [
+    (_non_square_T, "T must be square"),
+    (lambda: _decompose_1x1([[1, 0]]), "P must be square"),
+    (lambda: _decompose_1x1([[-1]]), "P is not positive definite: pivot -1 <= 0"),
+], ids=["T-non-square", "P-non-square", "P-negative"])
+def test_relation_inputs_are_checked(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_singular_T_rejected():
     field = FieldId(1)
     one = field.one()

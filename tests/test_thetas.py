@@ -305,12 +305,10 @@ def _reference_phase_sum(quad, z, modulus, k):
 
 
 def _one_sum(modulus, k):
-    """The phases of a family with one phase sum (M, k), a row of ks where
-    1 < M < 2^53, as thetas._FamilyPhases builds them."""
-    if not 1 < modulus < 2**53:
-        return thetas._FamilyPhases(((modulus, k, None),), None, None, ((0, 1),))
-    return thetas._FamilyPhases(((modulus, k, 0),), np.array([k], dtype=np.float64),
-                                np.array([[modulus]], dtype=np.float64), ((0, 1),))
+    """The phases of a family with one phase sum (M, k), k as a float row
+    where 1 < M < 2^53, as thetas._FamilyPhases builds them."""
+    ks = np.array(k, dtype=np.float64) if 1 < modulus < 2**53 else None
+    return thetas._FamilyPhases(((modulus, k, ks),), ((0, 1),))
 
 
 # M + zmax sum(k) is just below 2^53 at zmax = _BELOW and just above it at
@@ -345,17 +343,18 @@ def test_phase_sum_residue_paths_bit_for_bit(monkeypatch, modulus, k, zmax, buil
     uncached = thetas._roots.__wrapped__
     monkeypatch.setattr(thetas._roots, "__wrapped__",
                         lambda m: tables.append(m) or uncached(m))
-    products = []
-    inner = thetas._products
-    monkeypatch.setattr(thetas, "_products",
-                        lambda ks, z: products.append(z.dtype) or inner(ks, z))
+    residues = []
+    inner = thetas._residues
+    monkeypatch.setattr(thetas, "_residues",
+                        lambda z, ks, m: residues.append(z.dtype) or inner(z, ks, m))
     assert thetas._float_residues(modulus, float(zmax), k) == float_path
     # the kernel passes integer rows (see _ellipsoid_points); the last sum
     # of a piece multiplies into its exponents
     (got,) = thetas._piece_sums(quad.copy(), z, _one_sum(modulus, k), float(zmax))
     assert got == _reference_phase_sum(quad, z, modulus, k)
     assert tables == ([modulus] if built else [])
-    assert products == ([np.float64] if float_path and modulus > 1 else [])
+    # one residue pass over the piece's one sub-block, from its integer rows
+    assert residues == ([z.dtype] if float_path and modulus > 1 else [])
 
 
 @pytest.mark.parametrize("n", [(1 << 14) - 1, 1 << 14])
@@ -376,10 +375,35 @@ def test_phase_product_keeps_the_order_of_the_expression(n):
     # as the last sum of its piece, which multiplies into quad, and as one
     # that builds its own terms
     for into in (quad.copy(), None):
-        residues = thetas._residue_blocks(z, _one_sum(modulus, k), 99.0)
-        got = thetas._phase_sum(quad if into is None else into, z,
-                                lambda a, b: residues(0, a, b), modulus, k, into)
+        got = thetas._phase_sum(quad if into is None else into, z, modulus, k,
+                                np.array(k, dtype=np.float64), into)
         assert got == (swapped if n >= thetas._ELIDE_ROWS else in_order)
+
+
+def _outcome(call):
+    """call's value, or the message of the DomainError it raises."""
+    try:
+        return call()
+    except DomainError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("call,want", [
+    (lambda: theta_general(FieldId(1), [[complex("nan")]], [[1]], [[0]], [[0]]),
+     "W must be finite"),
+    (lambda: theta_general(FieldId(1), np.full((1, 1, 1), 1j), [[1]], [[0]], [[0]]),
+     "W must be a matrix, got ndim=3"),
+    # a 1-d W is read as one row
+    (lambda: theta_general(FieldId(1), [1j], [[1]], [[0]], [[0]]),
+     theta_general(FieldId(1), [[1j]], [[1]], [[0]], [[0]])),
+    (lambda: theta_general(FieldId(1), [[1j]], [[1]], [[0]], [[0, 0]]),
+     "B0 must have shape (1, 1), got (1, 2)"),
+    (lambda: riemann_theta_z0([0, 0], [0, 0], [[1j]]), "a must have 1 entries, got 2"),
+    (lambda: riemann_theta_z0([0], [0, 0], [[1j]]), "b must have 1 entries, got 2"),
+    (lambda: in_type1_domain(np.full((1, 2), 1j)), (False, -math.inf)),
+], ids=["W-nan", "W-3d", "W-1d", "B0-shape", "a-long", "b-long", "domain-non-square"])
+def test_thetas_check_their_inputs(call, want):
+    assert _outcome(call) == want
 
 
 def test_w_below_the_eigenvalue_grid_is_a_domain_error():
