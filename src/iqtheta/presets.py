@@ -463,21 +463,6 @@ def _preset_prop_half(
 # -- Cartan chain --------------------------------------------------------------
 
 
-def _cartan_matrix(field: FieldId, h: int) -> KMatrix:
-    rows = []
-    for i in range(h):
-        row = []
-        for j in range(h):
-            if i == j:
-                row.append(field.from_rational(2))
-            elif abs(i - j) == 1:
-                row.append(field.from_rational(-1))
-            else:
-                row.append(field.zero())
-        rows.append(row)
-    return KMatrix(rows)
-
-
 def _preset_cartan(
     h: int = 2, d: int = 1, g: int = 1, alphas: Optional[Sequence[KMatrix]] = None,
     max_order: int = 10**6,
@@ -493,21 +478,12 @@ def _preset_cartan(
     dn = field.delta_norm
     cd = delta.conj()
     zero = field.zero()
-    t_rows = []
-    for i in range(h):
-        row = [zero] * h
-        row[i] = field.from_rational(Fraction(1, h - i))
-        t_rows.append(row)
-    for i in range(1, h):
-        t_rows[i][i - 1] = field.from_rational(Fraction(-1, h - i + 1))
-    T = KMatrix(t_rows).scale(field.one() / cd)
+    T = KMatrix.from_rational_rows(
+        [[Fraction(1, h - i) if j == i else Fraction(-1, h - i + 1) if j == i - 1 else 0
+          for j in range(h)] for i in range(h)], field).scale(field.one() / cd)
     p_diag = [Fraction((h + 2 - j) * (h + 1 - j)) * dn for j in range(1, h + 1)]
-    P = KMatrix(
-        [
-            [field.from_rational(p_diag[i]) if i == j else zero for j in range(h)]
-            for i in range(h)
-        ]
-    )
+    P = KMatrix.from_rational_rows(
+        [[p_diag[i] if i == j else 0 for j in range(h)] for i in range(h)], field)
     # printed classes, one row: entry j is c_j - c_{j-1} with
     # c_j = (u + delta v) / (delta (h + 1 - j)), c_0 = 0
     printed = []
@@ -526,7 +502,9 @@ def _preset_cartan(
     )
 
     # Q must be the Cartan matrix exactly
-    q_ok = inst.Q == _cartan_matrix(field, h)
+    q_ok = inst.Q == KMatrix.from_rational_rows(
+        [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(h)] for i in range(h)],
+        field)
     warnings = []
     if not q_ok:
         warnings.append(f"cartan_Ah h={h} d={d}: Q differs from the Cartan matrix")

@@ -19,7 +19,7 @@ holds verbatim after that linear change of variables (see _theta_dense).
 The ellipsoid is enumerated Fincke-Pohst style (`_ellipsoid_points`): in
 the real coordinates (u, v) of each entry u + v*delta, from the Cholesky
 factor of the Gram matrix of Q, one coordinate at a time from the last,
-each level vectorized over the whole frontier.  Evaluation is
+each level vectorized over runs of its frontier.  Evaluation is
 deterministic: the points come in a fixed (lexicographic) order and are
 summed in that order in chunks, with compensated accumulation of the chunk
 subtotals.  The exponent of every point is one quadratic form: with x the
@@ -125,7 +125,7 @@ _BATCH_POINTS = 1 << 13
 # The kernel's per-row stages run over at most this many rows of a block at
 # a time (one more where a lone last row would be left; see _sub_blocks), so
 # no array of float rows, entries, products or phase factors spans a block;
-# the enumerator's last level is made in runs of about this many nodes.
+# the enumerator makes each level in runs of about this many nodes.
 _ROW_CHUNK = 1 << 12
 # numpy evaluates a * t, for a temporary t of at least 256 KiB (2^14
 # complex128), as t * a written into t (temporary elision), and a complex
@@ -432,7 +432,7 @@ def _ellipsoid_points(
     sum_i R_ii^2 (y_i + sum_{j>i} R_ij/R_ii y_j)^2 with y = z + c, and each
     coordinate, given the ones after it, ranges over one interval.  The
     coordinates are fixed from the last to the first, each level
-    vectorized over the whole frontier of every center; a node keeps the
+    vectorized over runs of the frontier of every center; a node keeps the
     index of its center, and the nodes of one center stay contiguous.
 
     Returns the number of points of each center and an iterator over
@@ -446,81 +446,75 @@ def _ellipsoid_points(
 
     Coordinates are held in the narrowest integer type that holds every
     level's intervals, taken as each level is made, and read as floats
-    (exact) only for a level's center product.  Each level but the last is
-    expanded whole; the last one run of parents at a time (_node_runs,
-    about _ROW_CHUNK children each), each run's children and intervals
-    written to arrays of the level's size: coordinates in that type, lo as
-    int64, counts and owners as int32.  The rows are built one block at a
-    time (_blocks), so memory holds the last level's nodes and one block
-    of rows (n bytes a point at int8, against 8n as floats), and the node
-    arrays go once the last block's rows are built.  A center's product
-    runs per run of parents: a row's product does not depend on the other
-    rows, and a center reaches the points only through the integer
-    intervals.
+    (exact) only for a level's center product.  The centers' intervals are
+    taken at once; every later level is made one run of parents at a time
+    (_runs_of_children, about _ROW_CHUNK children each), each run's
+    children and intervals written to arrays of the level's size:
+    coordinates in that type, lo as int64, counts and owners as int32, and
+    each node's interval center and what is left of its bound as float64
+    where another level follows.  The rows are built one block at a time (_blocks), so memory
+    holds the last level's nodes and one block of rows (n bytes a point at
+    int8, against 8n as floats), and the node arrays go once the last
+    block's rows are built.  A center's product runs per run of parents: a
+    row's product does not depend on the other rows, and a center reaches
+    the points only through the integer intervals.
 
-    TruncationError as soon as a level counts more than _MAX_POINTS nodes
-    of one center, before that level is expanded, and at the last level as
-    soon as a run takes a center's points past it; radii are only reported
-    there.  The count per center is taken only where a level's total is
-    over the cap, and at the last level run by run.
+    TruncationError as soon as a run takes a center past _MAX_POINTS nodes
+    of a level, before the next level is made; radii are only reported
+    there.  A level's nodes are counted per center only once its total is
+    past the cap, each node once, about _ROW_CHUNK at a time.
     """
     m, n = C.shape
     diag = R.diagonal()
     q = R / diag[:, None]
+    qi = q[n - 1, :n - 1:-1]
     Z = np.empty((m, 0), dtype=np.int8)
     rem = np.asarray(bounds, dtype=np.float64)
     owner = np.arange(m)
-    top = 0.0  # the largest |z| of any level's intervals
-    center = lo = counts = None
-    total = m
-    for i in range(n - 1, 0, -1):
-        # Z holds coordinates n-1, ..., i+1 of each node, in that order
+    center, lo, counts, top = _intervals(
+        Z, rem, C[:, :n - 1:-1] @ qi + C[:, n - 1], qi, diag[n - 1])
+    total = int(counts.sum())
+    if total > _MAX_POINTS:  # else no center is over the cap
+        _check_cap(counts, 1, n, radii)
+    for i in range(n - 2, -1, -1):
+        # the children of the nodes so far hold coordinates n-1, ..., i+1,
+        # in the type of the levels so far, widened at the end if need be
         qi = q[i, :i:-1]
-        center, lo, counts, level_top = _intervals(
-            Z, rem, (C[:, :i:-1] @ qi + C[:, i])[owner], qi, diag[i])
-        top = max(top, level_top)
-        total = int(counts.sum())
-        if total > _MAX_POINTS:  # else no center is over the cap
-            _check_cap(np.bincount(owner, weights=counts, minlength=m), n - i, n, radii)
-        if i == 1:
-            break
-        Z_next = np.empty((total, n - i), dtype=np.min_scalar_type(-int(top) - 1))
-        rem, owner = _children(Z, rem, owner, center, lo, counts, _bounds(counts)[0],
-                               diag[i], 0, len(counts), Z_next)
-        Z = Z_next
+        shift = C[:, :i:-1] @ qi + C[:, i]
+        Z_next = np.empty((total, n - 1 - i), dtype=np.min_scalar_type(-int(top) - 1))
+        lo_next = np.empty(total, dtype=np.int64)
+        counts_next = np.empty(total, dtype=np.int32)
+        owner_next = np.empty(total, dtype=np.int32)
+        # interval centers and what is left of the bounds: read by a next level
+        center_next, rem_next = (np.empty(total), np.empty(total)) if i else (None, None)
+        per_center = np.zeros(m)  # of nodes 0..counted-1
+        done = counted = 0
+        for a, b, rem_c, owner_c in _runs_of_children(
+                Z, rem, owner, center, lo, counts, diag[i + 1], Z_next):
+            center_c, lo_c, counts_c, level_top = _intervals(
+                Z_next[a:b], rem_c, shift.take(owner_c), qi, diag[i])
+            top = max(top, level_top)
+            lo_next[a:b] = lo_c
+            counts_next[a:b] = counts_c
+            owner_next[a:b] = owner_c
+            if i:
+                center_next[a:b], rem_next[a:b] = center_c, rem_c
+            done += int(counts_c.sum())
+            while done > _MAX_POINTS and counted < b:  # else no center is over the cap
+                e = min(counted + _ROW_CHUNK, b)
+                per_center += np.bincount(owner_next[counted:e], counts_next[counted:e], m)
+                counted = e
+                _check_cap(per_center, n - i, n, radii)
+        Z, rem, owner, center = Z_next, rem_next, owner_next, center_next
+        lo, counts, total = lo_next, counts_next, done
+    Z = Z.astype(np.min_scalar_type(-int(top) - 1), copy=False)
 
-    # the last level, over the children of the level-1 nodes (at n = 1, of
-    # the centers), one run of parents at a time; its coordinates take the
-    # type of the levels so far, widened at the end if its intervals need it
-    q0 = q[0, :0:-1]
-    shift = C[:, :0:-1] @ q0 + C[:, 0]
-    Z0 = np.empty((total, n - 1), dtype=np.min_scalar_type(-int(top) - 1))
-    lo0 = np.empty(total, dtype=np.int64)
-    counts0 = np.empty(total, dtype=np.int32)
-    owner0 = np.empty(total, dtype=np.int32)
-    per_center = np.zeros(m)
-    done = 0
-    if n == 1:
-        runs: Iterable = [(0, m, rem, owner)]
-    else:
-        runs = _runs_of_children(Z, rem, owner, center, lo, counts, diag[1], Z0)
-    for a, b, rem_c, owner_c in runs:
-        _, lo_c, counts_c, level_top = _intervals(
-            Z0[a:b], rem_c, shift.take(owner_c), q0, diag[0])
-        top = max(top, level_top)
-        lo0[a:b] = lo_c
-        counts0[a:b] = counts_c
-        owner0[a:b] = owner_c
-        per_center += np.bincount(owner_c, weights=counts_c, minlength=m)
-        done += int(counts_c.sum())
-        if done > _MAX_POINTS:  # else no center is over the cap
-            _check_cap(per_center, n, n, radii)
-    del Z, rem, owner, center, lo, counts, runs  # the level-1 nodes
-    Z0 = Z0.astype(np.min_scalar_type(-int(top) - 1), copy=False)
-
-    starts, ends = _bounds(counts0)
-    pieces = _pieces(owner0, starts, ends, per_center)
-    return per_center.astype(np.int64), _blocks(Z0, lo0, starts, ends, counts0, pieces)
+    edges = _bounds(counts)  # a center's nodes are contiguous
+    cut = edges[owner.searchsorted(np.arange(m + 1))]
+    per_center = cut[1:] - cut[:-1]
+    starts, ends = edges[:-1], edges[1:]
+    pieces = _pieces(owner, starts, ends, per_center)
+    return per_center, _blocks(Z, lo, starts, ends, counts, pieces)
 
 
 def _intervals(
@@ -557,32 +551,13 @@ def _check_cap(per_center: np.ndarray, levels: int, n: int, radii: Sequence[int]
         )
 
 
-def _children(
-    Z: np.ndarray, rem: np.ndarray, owner: np.ndarray, center: np.ndarray, lo: np.ndarray,
-    counts: np.ndarray, starts: np.ndarray, d: float, p: int, e: int, out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The children of nodes p..e-1 of a level of _ellipsoid_points, one
-    per integer of each node's interval lo..lo+counts-1, in order (node i's
-    first child is child starts[i] of the level): their coordinates (the
-    parent's, then the new one) written to out, in its integer type;
-    returns their rem and owner."""
-    node = np.arange(e - p).repeat(counts[p:e])
-    first = int(starts[p])
-    z = lo[p:e].take(node)
-    z -= starts[p:e].take(node)
-    z += np.arange(first, first + len(node))
-    out[:, :-1] = Z[p:e].take(node, axis=0)
-    out[:, -1] = z
-    rem_c = rem[p:e].take(node) - (d * (z - center[p:e].take(node))) ** 2
-    return rem_c, owner[p:e].take(node)
-
-
-def _bounds(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends): the index of each node's first child and one past
-    its last, for counts children each, as two views of one int64 array."""
+def _bounds(counts: np.ndarray) -> np.ndarray:
+    """The index of each node's first child, for counts children each,
+    then one past the last node's last child: node i's children are
+    bounds[i]:bounds[i+1], in int64."""
     bounds = np.zeros(len(counts) + 1, dtype=np.int64)
     np.add.accumulate(counts, dtype=np.int64, out=bounds[1:])
-    return bounds[:-1], bounds[1:]
+    return bounds
 
 
 def _node_runs(starts: np.ndarray, s: int, e: int) -> list[tuple[int, int]]:
@@ -602,13 +577,22 @@ def _runs_of_children(
     Z: np.ndarray, rem: np.ndarray, owner: np.ndarray, center: np.ndarray, lo: np.ndarray,
     counts: np.ndarray, d: float, out: np.ndarray
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """The children of a level's nodes (see _children) one run of parents
-    at a time (_node_runs): each run's coordinates written to its rows
-    a..b-1 of out, then (a, b, their rem, their owner)."""
-    starts, ends = _bounds(counts)
-    for p, e in _node_runs(starts, 0, len(counts)):
-        a, b = int(starts[p]), int(ends[e - 1])
-        yield (a, b, *_children(Z, rem, owner, center, lo, counts, starts, d, p, e, out[a:b]))
+    """The children of a level's nodes of _ellipsoid_points, one per
+    integer of each node's interval lo..lo+counts-1, in order, one run of
+    parents at a time (_node_runs): each run's children's coordinates (the
+    parent's, then the new one) written to its rows a..b-1 of out, in out's
+    integer type, then (a, b, their rem, their owner)."""
+    bounds = _bounds(counts)
+    for p, e in _node_runs(bounds, 0, len(counts)):
+        a, b = int(bounds[p]), int(bounds[e])
+        node = np.arange(e - p).repeat(counts[p:e])
+        z = lo[p:e].take(node)
+        z -= bounds[p:e].take(node)
+        z += np.arange(a, b)
+        out[a:b, :-1] = Z[p:e].take(node, axis=0)
+        out[a:b, -1] = z
+        rem_c = rem[p:e].take(node) - (d * (z - center[p:e].take(node))) ** 2
+        yield a, b, rem_c, owner[p:e].take(node)
 
 
 def _blocks(
@@ -1237,8 +1221,6 @@ def _lower(
     W.  The sum runs over Mat(g, h; O_K), or over Mat(g, h; Z) for lattice
     "Z" (see _z_factor).  An exactly diagonal P with h > 1 factors over
     columns: one 1x1 leaf per column, each at eps/h."""
-    if lattice not in _BASES:
-        raise ValueError(f"unknown lattice {lattice!r}")
     P = _exact(P, "P", field)
     A0 = _exact(A0, "A0", field)
     B0 = _exact(B0, "B0", field)

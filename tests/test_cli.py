@@ -689,3 +689,26 @@ def test_residual_exit_writes_one_stderr_line(capsys):
     assert failed > 0
     lines = captured.err.splitlines()
     assert lines == [f"residual: {failed} of {len(reports)} reports exceed their tolerance"]
+
+
+_LONG_INT = "1" + "0" * 400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["--W", "<file>"], 0, ""),
+    (["--W", "@<missing>"], 1, "error: cannot read input: [Errno 2] "),
+    (["--W", f"[[{_LONG_INT}]]"], 1, "error: matrix entry must be a finite number or "
+                                     f"[re, im] of finite numbers, got {_LONG_INT}\n"),
+    (["--W", "[[[0, 1]]]", "--P", '{"rows": 1}'], 1,
+     "error: --P must be a serialized exact matrix with an 'entries' key\n"),
+], ids=["W-plain-path", "W-missing-file", "W-entry-too-large", "P-no-entries"])
+def test_eval_reads_a_path_and_names_bad_inputs(tmp_path, capsys, argv, code, err):
+    path = tmp_path / "w.json"
+    path.write_text("[[[0, 1]]]")
+    argv = [a.replace("<file>", str(path)).replace("<missing>", str(tmp_path / "none"))
+            for a in argv]
+    assert main(["eval", "--d", "1", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err) and captured.err.count("\n") == (code != 0)
+    if code == 0:
+        assert json.loads(captured.out)["lattice_points_used"] == 49

@@ -10,6 +10,7 @@ import sympy
 
 from iqtheta import (
     FieldId,
+    FieldMismatchError,
     KElement,
     KMatrix,
     SingularMatrixError,
@@ -262,3 +263,30 @@ def test_delta_quadratic_equation():
         assert math.isclose(
             abs(field.delta_complex) ** 2, field.delta_norm, rel_tol=1e-12
         )
+
+
+_F1, _F2 = FieldId(1), FieldId(2)
+_I1, _I2 = KMatrix.identity(1, _F1), KMatrix.identity(2, _F1)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: _F1.one() + _F2.one(), FieldMismatchError, "fields differ: d=1 vs d=2"),
+    (lambda: _F1.one() / _F1.zero(), ZeroDivisionError, "division by zero element"),
+    (lambda: _F1.one() / 0, ZeroDivisionError, "division by zero"),
+    (lambda: _F1.element(0.5), TypeError, "expected an exact rational, got float"),
+    (lambda: KMatrix([[_F1.one(), _F1.one()], [_F1.one()]]), ValueError, "ragged rows"),
+    (lambda: KMatrix([[_F1.one(), _F2.one()]]), FieldMismatchError,
+     "mixed fields in one matrix"),
+    (lambda: _I2 + _I1, ValueError, "shape mismatch"),
+    (lambda: _I1 + KMatrix.identity(1, _F2), FieldMismatchError, "fields differ"),
+    (lambda: _I2 @ _I1, ValueError, "shape mismatch in product"),
+    (lambda: re_trace_of_product(_I1, KMatrix.identity(1, _F2)), FieldMismatchError,
+     "fields differ"),
+    (lambda: re_trace_of_product(_I2, _I1), ValueError, "shape mismatch"),
+], ids=["element-fields", "divide-by-zero-element", "divide-by-zero", "float-entry",
+        "ragged-rows", "mixed-fields", "sum-shapes", "sum-fields", "product-shapes",
+        "trace-fields", "trace-shapes"])
+def test_arithmetic_refuses_mismatched_operands(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

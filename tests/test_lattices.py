@@ -20,6 +20,7 @@ from iqtheta import (
 from iqtheta.lattices import (
     IntLattice,
     _hnf_rows,
+    coords_to_kmatrix,
     index_in,
     lattice_image,
     lattice_intersect,
@@ -504,3 +505,28 @@ def test_orthogonality_exact_at_ramified_prime(d):
     report = character_orthogonality_report(1, T)
     assert any(not r["in_image"] for r in report)
     assert all(r["ok"] for r in report)
+
+
+_Z2, _Z4 = IntLattice.standard(2), IntLattice.standard(4)
+_LINE = IntLattice.from_int_rows([[1, 0]], 1, 2)  # rank 1 in dimension 2
+_HALF_Z2 = IntLattice.from_int_rows([[1, 0], [0, 1]], 2, 2)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: quotient_group(_Z2, _Z4, FieldId(1), 1, 1), ValueError,
+     "ambient dimensions differ"),
+    (lambda: quotient_group(_LINE, _LINE, FieldId(1), 1, 1), SublatticeError,
+     "quotient requires full-rank lattices"),
+    (lambda: quotient_group(_Z2, _HALF_Z2, FieldId(1), 1, 1), SublatticeError,
+     "S is not a sublattice of L"),
+    (lambda: lattice_image(1, 2, KMatrix.identity(1, FieldId(1))), ValueError,
+     "M must be h x h"),
+    (lambda: coords_to_kmatrix([1, 2, 3], 1, 1, 1, FieldId(1)), ValueError,
+     "coordinate vector has wrong length"),
+    (lambda: lattice_sum(_Z2, _Z4), ValueError, "ambient dimensions differ"),
+], ids=["quotient-dimensions", "quotient-rank", "quotient-not-sublattice",
+        "image-shape", "coordinates-length", "sum-dimensions"])
+def test_lattice_functions_check_their_arguments(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -14,6 +14,7 @@ from iqtheta import (
     FieldId,
     KMatrix,
     PRESET_NAMES,
+    RelationSpec,
     bracket_to_characteristic,
     default_W_samples,
     default_omega_samples,
@@ -396,3 +397,25 @@ def test_matsumoto_at_genus_three():
     for rep, terms in ((evaluate_relation(preset.relation, W), 64), (check.evaluate(W), 65)):
         assert rep.passed, rep.residual_rel
         assert (rep.term_count, rep.theta_evals, rep.cache_hits) == (terms, 130, 0)
+
+
+def _p_larger_than_t():
+    field = FieldId(1)
+    z = KMatrix.zeros(1, 2, field)
+    RelationSpec(field=field, g=1, T=KMatrix.identity(2, field),
+                 P=KMatrix.identity(3, field), A0=z, B0=z).validate()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: make_preset("cartan_Ah", h=2, alphas=[KMatrix.zeros(1, 1, FieldId(1))]),
+     "cartan_Ah with h=2 needs 2 characteristic columns"),
+    (lambda: make_preset("cubic_d3", alphas=[KMatrix.zeros(1, 1, FieldId(3))]),
+     "cubic_d3 needs three characteristic columns"),
+    (lambda: make_preset("quartic_d1", alphas=[KMatrix.zeros(1, 1, FieldId(1))]),
+     "quartic_d1 needs four characteristic columns"),
+    (_p_larger_than_t, "P must match the size of T"),
+], ids=["cartan-columns", "cubic-columns", "quartic-columns", "P-size"])
+def test_presets_and_specs_check_their_sizes(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
