@@ -89,6 +89,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -125,7 +126,8 @@ _BATCH_POINTS = 1 << 13
 # The kernel's per-row stages run over at most this many rows of a block at
 # a time (one more where a lone last row would be left; see _sub_blocks), so
 # no array of float rows, entries, products or phase factors spans a block;
-# the enumerator makes each level in runs of about this many nodes.
+# the enumerator makes each level's children, and a block's points, in runs
+# of at most this many (or of one parent with more).
 _ROW_CHUNK = 1 << 12
 # numpy evaluates a * t, for a temporary t of at least 256 KiB (2^14
 # complex128), as t * a written into t (temporary elision), and a complex
@@ -447,17 +449,18 @@ def _ellipsoid_points(
     Coordinates are held in the narrowest integer type that holds every
     level's intervals, taken as each level is made, and read as floats
     (exact) only for a level's center product.  The centers' intervals are
-    taken at once; every later level is made one run of parents at a time
-    (_runs_of_children, about _ROW_CHUNK children each), each run's
-    children and intervals written to arrays of the level's size:
-    coordinates in that type, lo as int64, counts and owners as int32, and
-    each node's interval center and what is left of its bound as float64
-    where another level follows.  The rows are built one block at a time (_blocks), so memory
+    taken at once.  Every later level, and then every block's points, are
+    the children of the level before, made by one writer
+    (_runs_of_children) one run of at most _ROW_CHUNK children (or one
+    parent with more) at a time.  A level's intervals are written to arrays
+    of its size: lo as int64, counts and owners as int32, and each node's
+    interval center and what is left of its bound as float64 where another
+    level follows.  The blocks are made one at a time (_blocks), so memory
     holds the last level's nodes and one block of rows (n bytes a point at
     int8, against 8n as floats), and the node arrays go once the last
-    block's rows are built.  A center's product runs per run of parents: a
-    row's product does not depend on the other rows, and a center reaches
-    the points only through the integer intervals.
+    block is made.  A center's product runs per run of parents: a row's
+    product does not depend on the other rows, and a center reaches the
+    points only through the integer intervals.
 
     TruncationError as soon as a run takes a center past _MAX_POINTS nodes
     of a level, before the next level is made; radii are only reported
@@ -473,24 +476,27 @@ def _ellipsoid_points(
     owner = np.arange(m)
     center, lo, counts, top = _intervals(
         Z, rem, C[:, :n - 1:-1] @ qi + C[:, n - 1], qi, diag[n - 1])
-    total = int(counts.sum())
-    if total > _MAX_POINTS:  # else no center is over the cap
+    edges = _bounds(counts)
+    if edges[-1] > _MAX_POINTS:  # else no center is over the cap
         _check_cap(counts, 1, n, radii)
     for i in range(n - 2, -1, -1):
         # the children of the nodes so far hold coordinates n-1, ..., i+1,
-        # in the type of the levels so far, widened at the end if need be
+        # in the type of the levels so far
         qi = q[i, :i:-1]
         shift = C[:, :i:-1] @ qi + C[:, i]
+        total = int(edges[-1])
         Z_next = np.empty((total, n - 1 - i), dtype=np.min_scalar_type(-int(top) - 1))
         lo_next = np.empty(total, dtype=np.int64)
         counts_next = np.empty(total, dtype=np.int32)
         owner_next = np.empty(total, dtype=np.int32)
         # interval centers and what is left of the bounds: read by a next level
         center_next, rem_next = (np.empty(total), np.empty(total)) if i else (None, None)
-        per_center = np.zeros(m)  # of nodes 0..counted-1
+        per_center = 0  # the nodes 0..counted-1 of each center
         done = counted = 0
-        for a, b, rem_c, owner_c in _runs_of_children(
-                Z, rem, owner, center, lo, counts, diag[i + 1], Z_next):
+        for a, b, z, (rem_c, center_c, owner_c) in _runs_of_children(
+                Z, lo, counts, edges, 0, len(counts), Z_next, rem, center, owner):
+            rem_c -= (diag[i + 1] * (z - center_c)) ** 2
+            del center_c  # the parents' centers: not held while the intervals are taken
             center_c, lo_c, counts_c, level_top = _intervals(
                 Z_next[a:b], rem_c, shift.take(owner_c), qi, diag[i])
             top = max(top, level_top)
@@ -501,20 +507,20 @@ def _ellipsoid_points(
                 center_next[a:b], rem_next[a:b] = center_c, rem_c
             done += int(counts_c.sum())
             while done > _MAX_POINTS and counted < b:  # else no center is over the cap
-                e = min(counted + _ROW_CHUNK, b)
-                per_center += np.bincount(owner_next[counted:e], counts_next[counted:e], m)
-                counted = e
+                stop = min(counted + _ROW_CHUNK, b)
+                per_center = per_center + np.bincount(
+                    owner_next[counted:stop], counts_next[counted:stop], m)
+                counted = stop
                 _check_cap(per_center, n - i, n, radii)
         Z, rem, owner, center = Z_next, rem_next, owner_next, center_next
-        lo, counts, total = lo_next, counts_next, done
-    Z = Z.astype(np.min_scalar_type(-int(top) - 1), copy=False)
+        lo, counts = lo_next, counts_next
+        edges = _bounds(counts)
 
-    edges = _bounds(counts)  # a center's nodes are contiguous
-    cut = edges[owner.searchsorted(np.arange(m + 1))]
-    per_center = cut[1:] - cut[:-1]
-    starts, ends = edges[:-1], edges[1:]
-    pieces = _pieces(owner, starts, ends, per_center)
-    return per_center, _blocks(Z, lo, starts, ends, counts, pieces)
+    first = owner.searchsorted(np.arange(m + 1))  # a center's nodes are contiguous
+    cut = edges[first]
+    pieces = _pieces(edges, first.tolist())
+    return cut[1:] - cut[:-1], _blocks(
+        Z, lo, counts, edges, pieces, np.min_scalar_type(-int(top) - 1))
 
 
 def _intervals(
@@ -560,105 +566,74 @@ def _bounds(counts: np.ndarray) -> np.ndarray:
     return bounds
 
 
-def _node_runs(starts: np.ndarray, s: int, e: int) -> list[tuple[int, int]]:
-    """Nodes s..e-1, whose children start at starts (non-decreasing), cut
-    in order into runs (a, b) of nodes whose first children lie within
-    _ROW_CHUNK of the run's first, so a run has at most _ROW_CHUNK - 1
-    children plus those of its last node."""
+def _node_runs(bounds: Sequence[int], s: int, e: int, size: int) -> list[tuple[int, int]]:
+    """Nodes s..e-1, node i's children bounds[i]:bounds[i+1] (see _bounds),
+    cut in order into runs (a, b) of at most size children, or of one node
+    that has more."""
     runs = []
     while s < e:
-        b = min(max(int(starts.searchsorted(starts[s] + _ROW_CHUNK)), s + 1), e)
+        b = max(bisect_right(bounds, bounds[s] + size, s + 1, e + 1) - 1, s + 1)
         runs.append((s, b))
         s = b
     return runs
 
 
 def _runs_of_children(
-    Z: np.ndarray, rem: np.ndarray, owner: np.ndarray, center: np.ndarray, lo: np.ndarray,
-    counts: np.ndarray, d: float, out: np.ndarray
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """The children of a level's nodes of _ellipsoid_points, one per
-    integer of each node's interval lo..lo+counts-1, in order, one run of
-    parents at a time (_node_runs): each run's children's coordinates (the
-    parent's, then the new one) written to its rows a..b-1 of out, in out's
-    integer type, then (a, b, their rem, their owner)."""
-    bounds = _bounds(counts)
-    for p, e in _node_runs(bounds, 0, len(counts)):
-        a, b = int(bounds[p]), int(bounds[e])
-        node = np.arange(e - p).repeat(counts[p:e])
-        z = lo[p:e].take(node)
-        z -= bounds[p:e].take(node)
-        z += np.arange(a, b)
-        out[a:b, :-1] = Z[p:e].take(node, axis=0)
+    Z: np.ndarray, lo: np.ndarray, counts: np.ndarray, bounds: np.ndarray, s: int, e: int,
+    out: np.ndarray, *per_node: np.ndarray
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The children of nodes s..e-1 of a level of _ellipsoid_points, one per
+    integer of each node's interval lo..lo+counts-1, in order (bounds their
+    first children, see _bounds), written to out from its row 0, node s's
+    first child, in out's integer type.  One run of parents at a time
+    (_node_runs at _ROW_CHUNK): the run's parents, with a spare last
+    column, are taken into whole rows of out, one per child, and the last
+    column set to the new coordinate, summed in int64 (its partial sums
+    need not fit out's type).  Gives, per run, its rows a..b-1 of out, the
+    new coordinate and each per_node array at the children's parents."""
+    base = int(bounds[s])
+    for p, q in _node_runs(bounds, s, e, _ROW_CHUNK):
+        node = np.arange(q - p).repeat(counts[p:q])  # each child's parent
+        a, b = int(bounds[p]) - base, int(bounds[q]) - base
+        parents = np.empty((q - p, out.shape[1]), dtype=out.dtype)
+        parents[:, :-1] = Z[p:q]
+        # node is in range, and take buffers out unless the mode is "clip"
+        parents.take(node, axis=0, out=out[a:b], mode="clip")
+        z = (lo[p:q] - bounds[p:q]).take(node) + np.arange(a + base, b + base)
         out[a:b, -1] = z
-        rem_c = rem[p:e].take(node) - (d * (z - center[p:e].take(node))) ** 2
-        yield a, b, rem_c, owner[p:e].take(node)
+        yield a, b, z, [x[p:q].take(node) for x in per_node]
 
 
 def _blocks(
-    Z: np.ndarray, lo: np.ndarray, starts: np.ndarray, ends: np.ndarray, counts: np.ndarray,
-    pieces: list[tuple[int, int, int]]
+    Z: np.ndarray, lo: np.ndarray, counts: np.ndarray, edges: np.ndarray,
+    pieces: list[tuple[int, int, int]], dtype: np.dtype
 ) -> Iterator[tuple[np.ndarray, list[tuple[int, int, int]]]]:
     """The blocks (rows, segments) of _ellipsoid_points over its last-level
-    nodes (see _block_rows) and pieces; the node arrays are released once
-    the last block's rows are built."""
+    nodes and pieces: a block's rows, in dtype, are the children of its
+    pieces' nodes (_runs_of_children), a piece's points edges[s]:edges[e]
+    for its nodes s..e-1; the node arrays are released once the last
+    block is made."""
     # the pieces cover the nodes in order: piece k holds points cut[k]..cut[k+1]-1
-    cut = [0, *ends.take([e - 1 for _, _, e in pieces]).tolist()]
-    k = 0
-    while k < len(pieces):
+    cut = [0, *edges.take([e for _, _, e in pieces]).tolist()]
+    for k, k_end in _node_runs(cut, 0, len(pieces), _EVAL_CHUNK):
         base = cut[k]
-        k_end = k + 1
-        while k_end < len(pieces) and cut[k_end + 1] - base <= _EVAL_CHUNK:
-            k_end += 1
-        rows = _block_rows(Z, lo, starts, counts, pieces[k][1], pieces[k_end - 1][2])
+        rows = np.empty((cut[k_end] - base, Z.shape[1] + 1), dtype=dtype)
+        for _ in _runs_of_children(Z, lo, counts, edges, pieces[k][1], pieces[k_end - 1][2], rows):
+            pass
         segments = [(j, cut[i] - base, cut[i + 1] - base)
                     for i, (j, _, _) in enumerate(pieces[k:k_end], k)]
-        k = k_end
-        if k == len(pieces):  # not read again: freed while the kernel runs
-            del Z, lo, starts, ends, counts
+        if k_end == len(pieces):  # not read again: freed while the kernel runs
+            del Z, lo, counts, edges
         yield rows, segments
 
 
-def _block_rows(
-    Z: np.ndarray, lo: np.ndarray, starts: np.ndarray, counts: np.ndarray, s: int, e: int
-) -> np.ndarray:
-    """The rows of the points of nodes s..e-1 (see _ellipsoid_points), in
-    Z's integer type: node i's coordinates Z[i] repeated counts[i] times,
-    by one row-repeat of the nodes, each row ending in lo[i] plus its index
-    among node i's points.  The last column is summed in int64 and only
-    then stored, since its partial sums need not fit Z's type, one run of
-    nodes at a time (_node_runs), so no int64 array spans the block."""
-    nodes = np.empty((e - s, Z.shape[1] + 1), dtype=Z.dtype)
-    nodes[:, :-1] = Z[s:e]
-    rows = nodes.repeat(counts[s:e], axis=0)
-    base = int(starts[s])
-    for a, b in _node_runs(starts, s, e):
-        c = counts[a:b]
-        first = int(starts[a])
-        k = int(starts[b - 1]) + int(c[-1]) - first
-        rows[first - base:first - base + k, -1] = (
-            (lo[a:b] - starts[a:b]).repeat(c) + np.arange(first, first + k))
-    return rows
-
-
-def _pieces(
-    owner: np.ndarray, starts: np.ndarray, ends: np.ndarray, per_center: np.ndarray
-) -> list[tuple[int, int, int]]:
-    """The nodes of each center (owner sorted; node s holds points
-    starts[s]:ends[s]) cut in order into pieces (center, first node, end
-    node) of at most _EVAL_CHUNK points, or of one node that has more."""
-    first = owner.searchsorted(np.arange(len(per_center) + 1)).tolist()
-    whole = (per_center <= _EVAL_CHUNK).tolist()
-    pieces = []
-    for j, (s, stop) in enumerate(zip(first, first[1:])):
-        while s < stop:
-            e = stop
-            if not whole[j]:
-                e = int(np.searchsorted(ends, starts[s] + _EVAL_CHUNK, side="right"))
-                e = min(max(e, s + 1), stop)
-            pieces.append((j, s, e))
-            s = e
-    return pieces
+def _pieces(edges: np.ndarray, first: list[int]) -> list[tuple[int, int, int]]:
+    """The nodes of each center (center j's are first[j]..first[j+1]-1,
+    node i's points edges[i]:edges[i+1]) cut in order into pieces (center,
+    first node, end node) of at most _EVAL_CHUNK points, or of one node
+    that has more (_node_runs)."""
+    return [(j, a, b) for j, (s, e) in enumerate(zip(first, first[1:]))
+            for a, b in _node_runs(edges, s, e, _EVAL_CHUNK)]
 
 
 class _FamilyFloats(NamedTuple):
@@ -1314,15 +1289,6 @@ def _check_w_shape(g: int, at: _CheckedW) -> None:
         raise DomainError(f"W must be {g}x{g} to match A0, got {at.w.shape}")
 
 
-def _cache_value(cache: Optional[ThetaCache], leaf: _Family, at: _CheckedW) -> ThetaValue:
-    """The leaf at a checked W through cache, or evaluated alone without one."""
-    if cache is None:
-        return _theta_dense(leaf, at.w, at.lam_y)
-    return cache.get_or_compute(
-        (leaf.key, at.key), lambda: _theta_dense(leaf, at.w, at.lam_y)
-    )
-
-
 def _product(values: Iterable[complex]) -> complex:
     """The product of values from complex(1.0), left to right: the value of
     a factor of several leaves, here and in a plan's table alike."""
@@ -1333,14 +1299,17 @@ def _product(values: Iterable[complex]) -> complex:
 
 
 def _leaves_value(
-    leaves: tuple[_Family, ...],
-    at: _CheckedW,
-    value: Callable[[_Family, _CheckedW], ThetaValue],
+    leaves: tuple[_Family, ...], at: _CheckedW, cache: Optional[ThetaCache]
 ) -> ThetaValue:
-    """The product of the leaves at a checked W (see _at), each leaf's
-    value(leaf, at); a single leaf is returned as is."""
+    """The product of the leaves at a checked W (see _at), each leaf read
+    through cache under (its key, the W bytes), or evaluated alone without
+    one; a single leaf is returned as is."""
     _check_w_shape(leaves[0].g, at)
-    vals = [value(leaf, at) for leaf in leaves]
+    vals = [
+        _theta_dense(leaf, at.w, at.lam_y) if cache is None
+        else cache.get_or_compute((leaf.key, at.key), partial(_theta_dense, leaf, at.w, at.lam_y))
+        for leaf in leaves
+    ]
     if len(vals) == 1:
         return vals[0]
     bound_hi = 1.0
@@ -1375,9 +1344,7 @@ def theta_general(
     if params is None:
         params = ThetaParams()
     leaves = _lower(field, P, A0, B0, params)
-    return _leaves_value(
-        leaves, _at(_as_complex_matrix(W, "W")), partial(_cache_value, cache)
-    )
+    return _leaves_value(leaves, _at(_as_complex_matrix(W, "W")), cache)
 
 
 def theta_check_variant(
@@ -1394,20 +1361,15 @@ def theta_check_variant(
     alone, which differs from Theta[a; b](W) by exp(-2*pi*i*Re(conj(a)^t b)).
     For -d congruent to 1 mod 4 the series uses 2W and a doubled phase, equal
     to exp(-4*pi*i*Re(conj(a)^t b)) * Theta[a; 2b](2W), evaluated as
-    Theta^P[a; 2b](W) with P = [[2]].
+    Theta^P[a; 2b](W) with P = [[2]].  The theta is theta_general's, read
+    through the same cache.
     """
-    if params is None:
-        params = ThetaParams()
     a = _exact(a, "a", field)
     b = _exact(b, "b", field)
     q, P = re_trace_of_product(a, b), KMatrix([[field.one()]])
     if field.one_mod_four:
         q, b, P = 2 * q, b.scale(2), KMatrix([[field.from_rational(2)]])
-    base = _leaves_value(
-        _lower(field, P, a, b, params),
-        _at(_as_complex_matrix(W, "W")),
-        partial(_cache_value, cache),
-    )
+    base = theta_general(field, W, P, a, b, params, cache)
     return ThetaValue(
         _phase(q) * base.value, base.tail_bound, base.lattice_points_used
     )

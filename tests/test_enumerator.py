@@ -474,27 +474,30 @@ def _summed_entries(z, basis):
 
 
 def _checking_rows(monkeypatch):
-    """Make _block_rows and _entries assert, on every call, that they give
-    what the expressions they replaced gave: rows of an integer type that
-    hold the integers of the gathered float rows, and entries with the bits
-    of the complex expression on those rows as floats; returns the type of
-    the rows of each _block_rows call."""
+    """Make _blocks and _entries assert, on every block and call, that they
+    give what the expressions they replaced gave: rows of an integer type
+    that hold the integers of the gathered float rows of the block's nodes,
+    and entries with the bits of the complex expression on those rows as
+    floats; returns the type of the rows of each block."""
     types = []
-    rows_of, entries_of = thetas._block_rows, thetas._entries
+    blocks_of, entries_of = thetas._blocks, thetas._entries
 
-    def rows(Z, lo, starts, counts, s, e):
-        out = rows_of(Z, lo, starts, counts, s, e)
-        assert out.dtype.kind == "i"
-        assert np.array_equal(out, _gathered_rows(Z, lo, starts, counts, s, e))
-        types.append(out.dtype)
-        return out
+    def blocks(Z, lo, counts, edges, pieces, dtype):
+        k = 0  # the block's first piece: a block's segments are its pieces
+        for rows, segments in blocks_of(Z, lo, counts, edges, pieces, dtype):
+            s, e = pieces[k][1], pieces[k + len(segments) - 1][2]
+            k += len(segments)
+            assert rows.dtype.kind == "i"
+            assert np.array_equal(rows, _gathered_rows(Z, lo, edges, counts, s, e))
+            types.append(rows.dtype)
+            yield rows, segments
 
     def entries(z, basis):
         out = entries_of(z, basis)
         assert out.tobytes() == _summed_entries(z.astype(np.float64), basis).tobytes()
         return out
 
-    monkeypatch.setattr(thetas, "_block_rows", rows)
+    monkeypatch.setattr(thetas, "_blocks", blocks)
     monkeypatch.setattr(thetas, "_entries", entries)
     return types
 
@@ -665,3 +668,45 @@ def test_one_point_segments_keep_a_one_row_product(monkeypatch):
     monkeypatch.setattr(np, "matmul", recording)
     assert [v.points for v in thetas._theta_batch(*args)] == points
     assert rows == [sum(points), 1]
+
+
+def _assert_cut(bounds, s, e, size, runs):
+    """runs cut nodes s..e-1 in order into the longest runs of at most size
+    children (node i's are bounds[i]:bounds[i+1]), or of one node that has
+    more."""
+    assert [a for a, _ in runs] == [s] + [b for _, b in runs[:-1]]
+    assert (runs[-1][1] if runs else s) == e
+    for a, b in runs:
+        assert bounds[b] - bounds[a] <= size or b == a + 1
+        assert b == e or bounds[b + 1] - bounds[a] > size
+
+
+def test_one_cut_rule_makes_runs_and_pieces(monkeypatch, recorded_batches):
+    # every level's runs of parents, every center's pieces and every
+    # block's pieces come from _node_runs; the rows come from the one
+    # writer, and the helpers it replaced are gone
+    assert not hasattr(thetas, "_block_rows") and not hasattr(thetas, "_cache_value")
+    calls = []
+    node_runs = thetas._node_runs
+    monkeypatch.setattr(thetas, "_node_runs",
+                        lambda *a: calls.append((*a, node_runs(*a))) or calls[-1][-1])
+    for chunk in (thetas._ROW_CHUNK, 64):
+        monkeypatch.setattr(thetas, "_ROW_CHUNK", chunk)
+        del calls[:]
+        for args, _ in recorded_batches:
+            thetas._theta_batch(*args)
+        runs = [call for call in calls if call[3] == chunk]
+        assert max(len(call[-1]) for call in runs) > (1 if chunk > 64 else 80_907 // 64 // 2)
+        for call in runs:
+            _assert_cut(*call)
+    # the largest family's center in pieces of at most 4,096 points
+    monkeypatch.setattr(thetas, "_EVAL_CHUNK", 4096)
+    cuts = []
+    pieces_of = thetas._pieces
+    monkeypatch.setattr(thetas, "_pieces", lambda *a: cuts.append((a, pieces_of(*a))) or cuts[-1][1])
+    thetas._theta_batch(*_largest(recorded_batches))
+    (((edges, first), pieces),) = cuts
+    assert len(pieces) > 80_907 // 4096
+    for j in range(len(first) - 1):
+        _assert_cut(edges, first[j], first[j + 1], 4096,
+                    [(s, e) for jj, s, e in pieces if jj == j])

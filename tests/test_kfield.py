@@ -290,3 +290,23 @@ def test_arithmetic_refuses_mismatched_operands(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+_X = _F1.element(1, 2)
+
+
+@pytest.mark.parametrize("call,want,error", [
+    (lambda: _X == 1, False, None),
+    (lambda: repr(_X), "KElement(a=Fraction(1, 1), b=Fraction(2, 1), field=FieldId(d=1))", None),
+    (lambda: _X * "s", None, TypeError),
+    (lambda: _X / "s", None, TypeError),
+    (lambda: KMatrix([[_X, _X]]).trace(), "trace of a non-square matrix", ValueError),
+], ids=["equals-int", "repr", "times-str", "over-str", "trace-non-square"])
+def test_elements_and_matrices_at_rare_operands(call, want, error):
+    # an element is never equal to a plain int, and a str is no operand
+    if error is None:
+        assert call() == want
+        return
+    with pytest.raises(error) as err:
+        call()
+    assert want is None or str(err.value) == want

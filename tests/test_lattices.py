@@ -530,3 +530,9 @@ def test_lattice_functions_check_their_arguments(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("scale,dim", [(1, 2), (3, 4)])
+def test_no_rows_make_the_rank_zero_lattice(scale, dim):
+    zero = IntLattice.from_int_rows([], scale, dim)
+    assert (zero.ambient_dim, zero.scale, zero.basis) == (dim, scale, ())

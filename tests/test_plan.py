@@ -415,16 +415,16 @@ def test_batch_is_bit_identical_to_one_leaf_calls(monkeypatch, d, g, h):
     assert len({v.tail_bound for v in got}) > 1  # the radii differ too
 
 
-def _reference_pieces(owner, starts, ends, per_center):
-    """Each center's nodes cut into pieces of at most _EVAL_CHUNK points
-    (or one node), one searchsorted per piece."""
-    m = len(per_center)
-    first = np.searchsorted(owner, np.arange(m + 1))
+def _reference_pieces(edges, first):
+    """Each center's nodes (center j's first[j]..first[j+1]-1, node i's
+    points edges[i]:edges[i+1]) cut into pieces of at most _EVAL_CHUNK
+    points (or one node), one searchsorted per piece."""
+    ends = edges[1:]
     pieces = []
-    for j in range(m):
-        s, stop = int(first[j]), int(first[j + 1])
+    for j in range(len(first) - 1):
+        s, stop = first[j], first[j + 1]
         while s < stop:
-            e = int(np.searchsorted(ends, starts[s] + thetas._EVAL_CHUNK, side="right"))
+            e = int(np.searchsorted(ends, edges[s] + thetas._EVAL_CHUNK, side="right"))
             e = min(max(e, s + 1), stop)
             pieces.append((j, s, e))
             s = e

@@ -22,6 +22,7 @@ from iqtheta import (
     make_preset,
     run_paper_suite,
 )
+from iqtheta.presets import _compare_classes, _cubic_relation, _default_alpha
 
 from _helpers import reduce_mod_integral, relation_terms, row_a0s
 
@@ -419,3 +420,28 @@ def test_presets_and_specs_check_their_sizes(call, message):
     with pytest.raises(DomainError) as err:
         call()
     assert str(err.value) == message
+
+
+def _cubic_classes_twice_one():
+    # cubic_d3's printed classes with the first listed again: every class
+    # of G1 is covered, one of them twice
+    field = FieldId(3)
+    alphas = [_default_alpha(field, 1, j + 1) for j in range(3)]
+    inst, matches, _, printed = _cubic_relation("cubic_d3", 1, alphas, 10**6)
+    assert matches
+    return _compare_classes(inst.G1, printed + printed[:1])
+
+
+@pytest.mark.parametrize("call,want,error", [
+    (_cubic_classes_twice_one,
+     (False, "printed classes cover the group with uneven multiplicities [1, 2]"), None),
+    (lambda: make_preset("matsumoto", a1=[[0]]),
+     "matsumoto: a1 must be a 1 x 1 KMatrix over d = 1, got list", DomainError),
+], ids=["uneven-multiplicities", "matsumoto-a1-type"])
+def test_printed_classes_and_characteristics_are_checked(call, want, error):
+    if error is None:
+        assert call() == want
+        return
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == want
