@@ -8,9 +8,10 @@ coordinate picture with exact integer arithmetic (Hermite and Smith normal
 forms).  The row HNF is canonical, so a lattice has one representation.  An
 intersection reads one basis over the other by back-substitution and takes
 one Smith form; a quotient L/S reads the coordinates of S over the HNF basis
-of L the same way, and its coset representatives are sums of generators
-read off the Smith form and the inverse of its column transform, all kept
-in integers.  The index [L : S] of full-rank lattices reads the diagonal
+of L the same way, and its order and one generator per invariant factor
+are read off the Smith form and the inverse of its column transform, all
+kept in integers; its cosets, sums of those generators, are made only
+when read.  The index [L : S] of full-rank lattices reads the diagonal
 pivots: each row of S back-substitutes from its diagonal on, and the index
 is the ratio of the diagonal products.  Images of T^-1 take the inverse
 from KMatrix.inverse, one fraction-free elimination over O_K.
@@ -24,7 +25,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import GroupCapError, SublatticeError
 from .kfield import FieldId, KMatrix, _reduced, dual_generator, re_trace_of_product
@@ -374,23 +375,36 @@ def lattice_intersect(L1: IntLattice, L2: IntLattice) -> IntLattice:
 
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
-    """A finite quotient L/S with canonical coset representatives.
+    """A finite quotient L/S as its Smith form gives it.
 
-    invariant_factors is the ascending divisibility chain (entries > 1);
-    the representatives are enumerated mixed-radix over the factors (last
-    factor fastest), starting with the zero coset.  coords holds each as
-    its integer coordinates over scale (see _int_coords: row-major (a, b)
-    of each entry of a g x h matrix over field); representatives are the
-    same cosets as KMatrix values, built on first use.
+    invariant_factors is the ascending divisibility chain (entries > 1),
+    order their product and generators one vector per factor, in integer
+    coordinates over scale (see _int_coords: row-major (a, b) of each entry
+    of a g x h matrix over field).  The cosets, sums of the generators
+    listed mixed-radix (last factor fastest, the zero coset first), are
+    made only when read: coords keeps them all, representatives as KMatrix
+    values, and to_json(rep_limit) makes only those it lists.
     """
 
     invariant_factors: tuple[int, ...]
     order: int
-    coords: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
     scale: int
     g: int
     h: int
     field: FieldId
+
+    def _cosets(self) -> Iterator[tuple[int, ...]]:
+        vecs = iter([(0,) * (2 * self.g * self.h)])
+        for d, gen in zip(self.invariant_factors, self.generators):
+            vecs = _multiples(vecs, d, gen)
+        return vecs
+
+    @cached_property
+    def coords(self) -> tuple[tuple[int, ...], ...]:
+        # through a list: a tuple grown from an iterator rejoins the youngest
+        # GC generation at each resize, so every young collection walks it
+        return tuple(list(self._cosets()))
 
     @cached_property
     def representatives(self) -> tuple[KMatrix, ...]:
@@ -402,8 +416,8 @@ class FiniteAbelianGroup:
 
     def to_json(self, rep_limit: Optional[int] = None) -> dict:
         """The group as JSON, listing the first rep_limit representatives
-        (all of them without a limit), each built from its coordinates."""
-        listed = self.coords[:rep_limit]
+        (all of them without a limit), each made from its coordinates."""
+        listed = list(itertools.islice(self._cosets(), rep_limit))
         out = {
             "invariant_factors": list(self.invariant_factors),
             "order": self.order,
@@ -411,9 +425,17 @@ class FiniteAbelianGroup:
                 coords_to_kmatrix(v, self.scale, self.g, self.h, self.field).to_json()
                 for v in listed],
         }
-        if len(listed) < len(self.coords):
+        if len(listed) < self.order:
             out["representatives_truncated"] = True
         return out
+
+
+def _multiples(vecs: Iterator[tuple], d: int, gen: tuple) -> Iterator[tuple]:
+    """Each vector of vecs, then it plus gen, 2 gen, ..., (d - 1) gen."""
+    for vec in vecs:
+        for _ in range(d):
+            yield vec
+            vec = tuple(map(operator.add, vec, gen))
 
 
 def quotient_group(
@@ -426,10 +448,10 @@ def quotient_group(
 ) -> FiniteAbelianGroup:
     """The quotient L/S for a finite-index full-rank sublattice S of L.
 
-    Coset representatives are canonical: Smith-form coordinates range over the
-    fundamental box [0, d_i) of the invariant factors, enumerated mixed-radix
-    with the last factor fastest, mapped back through the lattice basis and
-    kept as integer coordinates over L.scale.
+    Its invariant factors are the Smith form of S's coordinates over the
+    lattice basis of L, and its generators the rows of V^-1 at those
+    factors mapped back through that basis, in integers over L.scale; no
+    coset is made here (see FiniteAbelianGroup).
     """
     if L.ambient_dim != S.ambient_dim:
         raise ValueError("ambient dimensions differ")
@@ -444,26 +466,13 @@ def quotient_group(
         c_rows.append(coeffs)
     # S's coordinates over L are nonsingular here, so no factor is 0
     diag, v_inv = _smith_form(c_rows)
-    order = 1
-    for d in diag:
-        order *= d
+    order = math.prod(diag)
     if order > max_order:
         raise GroupCapError(f"quotient order {order} exceeds cap {max_order}")
     factors = tuple(d for d in diag if d > 1)
-    # the coset of Smith coordinates t is sum_i t_i gens_i, gens_i the row
-    # of V^-1 at the i-th factor mapped through the basis; the vectors are
-    # listed mixed-radix, the last factor fastest, by adding generators
-    gens = [tuple(sum(v[i] * L.basis[i][j] for i in range(j + 1)) for j in range(n))
-            for d, v in zip(diag, v_inv) if d > 1]
-    vecs = [(0,) * n]
-    for d, gen in zip(factors, gens):
-        out = []
-        for vec in vecs:
-            for _ in range(d):
-                out.append(vec)
-                vec = tuple(map(operator.add, vec, gen))
-        vecs = out
-    return FiniteAbelianGroup(factors, order, tuple(vecs), L.scale, g, h, field)
+    gens = tuple(tuple(sum(v[i] * L.basis[i][j] for i in range(j + 1)) for j in range(n))
+                 for d, v in zip(diag, v_inv) if d > 1)
+    return FiniteAbelianGroup(factors, order, gens, L.scale, g, h, field)
 
 
 def standard_matrix_lattice(g: int, h: int) -> IntLattice:

@@ -79,9 +79,6 @@ from .lattices import (
     FiniteAbelianGroup,
     _int_coords,
     character_group,
-    index_in,
-    quotient_group,
-    quotient_lattices,
     shift_group,
 )
 from .thetas import (
@@ -635,11 +632,11 @@ def _rational_entry(x: KElement, what: str) -> Fraction:
     return x.a
 
 
-def _schur_split(P: KMatrix) -> tuple[Fraction, KMatrix, KMatrix, KMatrix]:
+def _schur_split(P: KMatrix) -> tuple[Fraction, KMatrix, KMatrix]:
     """P = K^t diag(lam1, P1) K with K unipotent lower triangular.
 
-    Returns (lam1, P1, K, M) where M = K^-1.  P must be rational symmetric
-    with positive leading entry and an invertible trailing block.
+    Returns (lam1, P1, K).  P must be rational symmetric with positive
+    leading entry and an invertible trailing block.
     """
     field = P.field
     h = P.rows
@@ -658,15 +655,11 @@ def _schur_split(P: KMatrix) -> tuple[Fraction, KMatrix, KMatrix, KMatrix]:
     one = field.one()
     zero = field.zero()
     k_rows = [[one] + [zero] * (h - 1)]
-    m_rows = [[one] + [zero] * (h - 1)]
     for i in range(h - 1):
         k_rows.append(
             [x[(i, 0)]] + [one if j == i else zero for j in range(h - 1)]
         )
-        m_rows.append(
-            [-x[(i, 0)]] + [one if j == i else zero for j in range(h - 1)]
-        )
-    return (lam1, p1, KMatrix(k_rows), KMatrix(m_rows))
+    return (lam1, p1, KMatrix(k_rows))
 
 
 # the monomial count's cap: the default order cap of each group
@@ -701,19 +694,19 @@ def decompose_rational_P(
     # the pivot, unipotent factor and its two groups at each level depend on
     # P alone, so build that chain once instead of once per branch.  The
     # expansion has one monomial per choice of (A, B) in G1 x G2 at every
-    # level; the group orders come from their lattices (see shift_group and
-    # character_group), so an expansion over the cap that bounds each group
-    # is refused before any representative is built
+    # level.  A group is its Smith form until its cosets are read, so the
+    # groups take no cap of their own and an expansion over the monomial
+    # cap is refused before any coset is made
     levels = []
     lambdas: list[Fraction] = []
     count = 1
     cur = P
     while cur.rows > 1:
-        lam1, p1, k_mat, m_mat = _schur_split(cur)
+        lam1, p1, k_mat = _schur_split(cur)
         lambdas.append(lam1)
-        pairs = [quotient_lattices(g, M) for M in (k_mat.conj_transpose(), m_mat)]
-        count *= index_in(*pairs[0]) * index_in(*pairs[1])
-        levels.append((k_mat, pairs))
+        a_grp, b_grp = shift_group(g, k_mat, math.inf), character_group(g, k_mat, math.inf)
+        count *= a_grp.order * b_grp.order
+        levels.append((k_mat, a_grp, b_grp))
         cur = p1
     last = _rational_entry(cur[(0, 0)], "P")
     if last <= 0:
@@ -732,8 +725,7 @@ def decompose_rational_P(
     # entries (n_i + m_i delta) / den.
     da, db = _int_coords(A0)[1], _int_coords(B0)[1]
     groups = []
-    for k_mat, pairs in levels:
-        a_grp, b_grp = (quotient_group(L, S, field, g, k_mat.rows) for L, S in pairs)
+    for k_mat, a_grp, b_grp in levels:
         b_duals, b_den = _dual_coords(b_grp)
         x = [k_mat[(i, 0)] for i in range(1, k_mat.rows)]
         dx = math.lcm(*(v.den for v in x))
@@ -753,8 +745,8 @@ def decompose_rational_P(
     families = emit.families
     expansion: list[tuple[int, tuple[int, ...]]] = []
 
-    def reduced(col) -> tuple:  # mod O_K, as thetas._center does
-        return tuple([v - (2 * v + da) // (2 * da) * da for v in col])
+    def reduced(col) -> tuple:  # mod O_K
+        return tuple([_center(v, da) for v in col])
 
     def recurse(level: int, A: tuple, B: tuple, q: int, prefix: tuple) -> None:
         xs, a_reps, b_duals = chain[level]

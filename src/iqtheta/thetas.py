@@ -92,7 +92,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -175,18 +175,17 @@ class ThetaValue:
 
 
 class ThetaCache:
-    """Memo table that callers of theta_general and theta_check_variant
-    share across their calls, counting hits and misses.
+    """Memo table of family values that callers share across their calls,
+    counting hits and misses.
 
-    A dense theta is keyed by (leaf key, W bytes), where the leaf key holds
-    the field, shapes, P, A0 reduced mod O_K, B0, eps and max_radius, so
-    characteristics that differ by an integral matrix share one entry.
-
-    Compiled sums (relations.py) take one as the table of family values that
+    It has one key: _theta_batch keys a family's values by (W bytes, the
+    family's value_key, the radius it gets at W), so characteristics that
+    differ by an integral matrix share one entry, and a family read at eps
+    and at eps/h is evaluated once where both give one radius.  The public
+    thetas read each leaf through it as a family of one (_theta_dense);
+    compiled sums (relations.py) take it as the table of family values that
     their evaluations share, when a caller passes one (a suite entry does,
-    see presets._run_one_preset): _theta_batch keys a family's values by
-    (W bytes, the family's value_key, the radius it gets at W), so a family
-    read at eps and at eps/h is evaluated once where both give one radius.
+    see presets._run_one_preset).
     """
 
     def __init__(self) -> None:
@@ -1128,9 +1127,12 @@ def _theta_batch(
     return out
 
 
-def _theta_dense(leaf: _Family, W: np.ndarray, lam_y: float) -> ThetaValue:
-    """One leaf (a family of one) at a checked W (see _at): the batch of one."""
-    (value,), tail, points = _theta_batch((leaf,), W, lam_y)[0]
+def _theta_dense(
+    leaf: _Family, W: np.ndarray, lam_y: float, cache: Optional[ThetaCache] = None
+) -> ThetaValue:
+    """One leaf (a family of one) at a checked W (see _at): the batch of one,
+    read through cache as _theta_batch reads a family."""
+    (value,), tail, points = _theta_batch((leaf,), W, lam_y, cache)[0]
     return ThetaValue(value, tail, points)
 
 
@@ -1260,12 +1262,11 @@ class _CheckedW(NamedTuple):
     """A W that passed the per-W check (see _at)."""
 
     w: np.ndarray
-    key: bytes  # the W bytes of a ThetaCache key
     lam_y: float  # lam_min(Y)
 
 
 def _at(w: np.ndarray) -> _CheckedW:
-    """The per-W check: w with its key bytes and lam_min(Y).
+    """The per-W check: w with lam_min(Y).
 
     DomainError unless w is square, finite and inside the type-I domain
     with a lam_min(Y) that the tail bound can use: one that _snap keeps
@@ -1280,7 +1281,7 @@ def _at(w: np.ndarray) -> _CheckedW:
             f"W is not in the type-I domain: Y must be positive definite, "
             f"lam_min(Y)={lam_y:g} < {_LAMBDA_GRID:g}"
         )
-    return _CheckedW(w, w.tobytes(), lam_y)
+    return _CheckedW(w, lam_y)
 
 
 def _check_w_shape(g: int, at: _CheckedW) -> None:
@@ -1302,14 +1303,10 @@ def _leaves_value(
     leaves: tuple[_Family, ...], at: _CheckedW, cache: Optional[ThetaCache]
 ) -> ThetaValue:
     """The product of the leaves at a checked W (see _at), each leaf read
-    through cache under (its key, the W bytes), or evaluated alone without
-    one; a single leaf is returned as is."""
+    through cache as a family of one (see _theta_dense); a single leaf is
+    returned as is."""
     _check_w_shape(leaves[0].g, at)
-    vals = [
-        _theta_dense(leaf, at.w, at.lam_y) if cache is None
-        else cache.get_or_compute((leaf.key, at.key), partial(_theta_dense, leaf, at.w, at.lam_y))
-        for leaf in leaves
-    ]
+    vals = [_theta_dense(leaf, at.w, at.lam_y, cache) for leaf in leaves]
     if len(vals) == 1:
         return vals[0]
     bound_hi = 1.0

@@ -18,6 +18,7 @@ from iqtheta import (
     DEFAULT_SUITE_PLAN,
     PRESET_NAMES,
     FieldId,
+    FiniteAbelianGroup,
     GroupCapError,
     KMatrix,
     RelationSpec,
@@ -533,17 +534,28 @@ def _off_diagonal_spec(den: int) -> str:
     return json.dumps({"d": 1, "g": 1, "P": [[1, [1, den]], [[1, den], 1]]})
 
 
+def _probe_cosets(monkeypatch) -> list:
+    """A list that gets each coset any group makes from here on."""
+    made = []
+    inner = FiniteAbelianGroup._cosets
+
+    def cosets(group):
+        for vec in inner(group):
+            made.append(vec)
+            yield vec
+
+    monkeypatch.setattr(FiniteAbelianGroup, "_cosets", cosets)
+    return made
+
+
 def test_decompose_refuses_an_expansion_over_the_cap(capsys, monkeypatch):
     # each group of the 1/97 spec has order 97^2, under the group cap, but
     # the expansion has 97^4 monomials: it ran for minutes before the count
     # was checked ahead of the expansion.  The 1/331 groups have 109,561
     # representatives each, which took seconds to build before the count
-    # was taken from the lattices ahead of any representative (the
-    # representatives are built by quotient_group, as integer coordinates)
-    built = []
-    inner = relations.quotient_group
-    monkeypatch.setattr(relations, "quotient_group",
-                        lambda *args: built.append(args) or inner(*args))
+    # was read off the groups' Smith forms ahead of any coset (a group
+    # makes its cosets only when they are read, see _probe_cosets)
+    built = _probe_cosets(monkeypatch)
     for den in (97, 331):
         start = time.perf_counter()
         assert main(["decompose", "--spec", _off_diagonal_spec(den)]) == 4
@@ -560,12 +572,9 @@ def test_decompose_refuses_an_expansion_over_the_cap(capsys, monkeypatch):
 
 def test_decompose_caps_the_monomials_before_any_representative(capsys, monkeypatch):
     # P = [[2, 1/1000], [1/1000, 2]]: one Schur level whose two groups come
-    # to 16,000,000,000,000 monomials.  The count is read off the lattices,
-    # so the cap refuses it at once, with no quotient_group call
-    built = []
-    inner = relations.quotient_group
-    monkeypatch.setattr(relations, "quotient_group",
-                        lambda *args: built.append(args) or inner(*args))
+    # to 16,000,000,000,000 monomials.  The count is read off the groups'
+    # Smith forms, so the cap refuses it at once, with no coset made
+    built = _probe_cosets(monkeypatch)
     field = FieldId(1)
     P = KMatrix.from_rational_rows([[2, Fraction(1, 1000)], [Fraction(1, 1000), 2]], field)
     zero = KMatrix.zeros(1, 2, field)
@@ -593,6 +602,51 @@ def test_build_refuses_a_relation_over_the_term_cap(capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("group cap: ") and "1315609" in lines[0]
+
+
+def _gaussian_spec(g: int, *diagonal) -> RelationSpec:
+    """d = 1, T = diag(diagonal), P = 1 and zero characteristics."""
+    field = FieldId(1)
+    h = len(diagonal)
+    T = KMatrix([[field.element(*x) if i == j else field.zero() for j in range(h)]
+                 for i, x in enumerate(diagonal)])
+    return RelationSpec(field, g, T, KMatrix.identity(h, field),
+                        KMatrix.zeros(g, h, field), KMatrix.zeros(g, h, field), name="gaussian")
+
+
+def test_term_cap_refuses_before_any_coset(capsys, monkeypatch):
+    # T = diag(30 + 10i, 1/2) at g = 2: |G1| = 16 and |G2| = 10^6, each
+    # under the cap.  The orders are the groups' Smith forms, so the term
+    # count is refused before a coset is made (making G2's took 0.7 s)
+    made = _probe_cosets(monkeypatch)
+    spec = _gaussian_spec(2, (30, 10), (Fraction(1, 2),))
+    message = "the relation has 16000000 terms, over the cap 1000000"
+    start = time.perf_counter()
+    with pytest.raises(GroupCapError) as exc:
+        relations.build_relation(spec)
+    assert str(exc.value) == message
+    assert main(["groups", "--spec", json.dumps(spec.to_json())]) == 4
+    assert time.perf_counter() - start < 0.25
+    assert made == []
+    assert capsys.readouterr().err.splitlines() == [f"group cap: {message}"]
+
+
+def test_groups_lists_only_the_cosets_it_prints(capsys, monkeypatch):
+    # T = 30 + 10i at g = 2: G2 has 10^6 cosets and --rep-limit 2 makes
+    # two of them; G1 is trivial, its one coset the zero matrix
+    made = _probe_cosets(monkeypatch)
+    spec = _gaussian_spec(2, (30, 10))
+    start = time.perf_counter()
+    code, out = _run(capsys, ["groups", "--spec", json.dumps(spec.to_json()),
+                              "--rep-limit", "2"])
+    assert time.perf_counter() - start < 0.25
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["G1"]["order"] == 1 and "representatives_truncated" not in blob["G1"]
+    g2 = blob["G2"]
+    assert g2["order"] == 10**6 and g2["invariant_factors"] == [10, 10, 100, 100]
+    assert len(g2["representatives"]) == 2 and g2["representatives_truncated"]
+    assert len(made) == 1 + 2
 
 
 @pytest.mark.parametrize("cmd,name", [("build", "cubic_d3"), ("verify", "riemann_quad"),

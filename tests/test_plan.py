@@ -808,8 +808,8 @@ def _reference_monomials(field, g, P, A0, B0):
     dual = dual_generator(field)
     levels, cur = [], P
     while cur.rows > 1:
-        lam, cur, K, M = relations._schur_split(cur)
-        levels.append((KMatrix([[field.from_rational(lam)]]), K.transpose(), M,
+        lam, cur, K = relations._schur_split(cur)
+        levels.append((KMatrix([[field.from_rational(lam)]]), K.transpose(), K.inverse(),
                        shift_group(g, K).representatives,
                        [b.scale(dual) for b in character_group(g, K).representatives]))
     last = KMatrix([[cur[(0, 0)]]])

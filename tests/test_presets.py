@@ -27,6 +27,33 @@ from iqtheta.presets import _compare_classes, _cubic_relation, _default_alpha
 from _helpers import reduce_mod_integral, relation_terms, row_a0s
 
 
+_RELATION_PRESETS = [(name, params) for name, params in DEFAULT_SUITE_PLAN
+                     if name not in ("jacobi_identity", "half_formulas", "double_formulas",
+                                     "riemann_quad")] + [
+    ("matsumoto", {"g": 3}), ("prop_half_general", {"d": 11}),
+    ("cartan_Ah", {"h": 2, "d": 2})]
+
+
+@pytest.mark.parametrize("name,params", _RELATION_PRESETS,
+                         ids=[f"{n}-{p}" for n, p in _RELATION_PRESETS])
+def test_expected_claims_agree_with_the_computed_groups(name, params):
+    # a preset's expected block states the paper's claims beside what was
+    # computed: each claim is read against the built relation
+    preset = make_preset(name, **params)
+    inst, expected = preset.relation, preset.expected
+    assert expected["computed_G1_order"] == inst.G1.order
+    claims = {"expected_G1_order": inst.G1.order, "expected_G2_order": inst.G2.order}
+    for key, order in claims.items():
+        if key in expected:
+            assert expected[key] == order, key
+    if expected.get("expected_G2_trivial"):
+        assert inst.G2.order == 1 and inst.G2.is_trivial()
+    P = inst.spec.P
+    diagonal = [P[(i, i)] for i in range(P.rows)]
+    assert all(x.is_rational() for x in diagonal)
+    assert expected["scaled_args"] == [str(x.a) for x in diagonal]
+
+
 def test_bracket_characteristics_d3():
     # (r1, r2) -> r1/3 + r2/sqrt(-3); with sqrt(-3) = 2*delta - 1 the second
     # basis label is -(2*delta - 1)/3 = 1/3 - (2/3)*delta
