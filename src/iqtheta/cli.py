@@ -231,8 +231,11 @@ def _load_spec(path: str) -> RelationSpec:
 
 
 def _require_source(args: argparse.Namespace) -> None:
+    """The options of _add_source checked: one source, a cap of at least 1."""
     if bool(getattr(args, "preset", None)) == bool(getattr(args, "spec", None)):
         raise CliParseError("exactly one of --preset or --spec is required")
+    if args.max_order < 1:
+        raise CliParseError(f"--max-order must be at least 1, got {args.max_order}")
 
 
 def _random_W(g: int, rng: np.random.Generator, symmetric: bool) -> np.ndarray:

@@ -11,22 +11,20 @@ Every preset is assembled by one of two builders:
 
 - `_family_preset`, for the (T, P) families (the two-fold propositions,
   Cartan, cubic and its corollaries, quartic and its zero case,
-  Matsumoto).  A family writes its printed one-row classes once.  The list
-  is compared exactly with G1 (`_printed_relation`) and, restated as the
-  relation summed over those classes, is the statement check
-  (`_printed_check`): Theta^Q at (alphas) on the left, and on the right
-  the products of Theta^{P_jj} at the columns of A0 + rho for every
-  g-tuple rho of printed rows, with A0 = (alphas) conj(T)^t.  Further
+  Matsumoto).  A family writes its printed one-row classes once, read
+  into integer rows over one denominator (`_int_rows`).  The rows are
+  compared exactly with G1 (`_compare_classes`), and the statement check
+  (`_printed_check`) is the relation's own expansion over them.  Further
   checks ride along: the cubic and quartic bracket displays
-  (`_bracket_check`) and Matsumoto's check-variant statement, read off
-  per-row choices (`_choice_keys`).
+  (`_bracket_check`) and Matsumoto's check-variant statement, whose keys
+  are read off the same rows (thetas._part_keys).
 - `_identity_preset`, for the real-theta identities (Jacobi, the half and
   double formulas, Riemann's quartic), each given as data: a check is
   (name, lhs, rhs), a side a list of terms (scale, factors), and a factor
   (a, b, s) is Theta[a; b](s Omega).
 
 Every check side is a compiled sum (relations._Sum), emitted by
-relations._sum as relation sides are: rows of integer leaf keys
+relations._sum or relations._right_side as relation sides are: rows of integer leaf keys
 (thetas._leaf_keys) with integer phases over one denominator and one
 coefficient scale, the only description of the side, so no check lowers
 a factor.  A check compares its sides as a relation does
@@ -43,10 +41,10 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -60,12 +58,13 @@ from .relations import (
     _compare_sides,
     _Plans,
     _Sum,
+    _right_side,
     _sum,
     build_relation,
     evaluate_relation,
 )
-from .thetas import (MatrixLike, ThetaCache, ThetaParams, _block, _int_key, _leaf_keys,
-                     _p_parts, _z_factor)
+from .thetas import (MatrixLike, ThetaCache, ThetaParams, _int_key, _leaf_keys, _part_keys,
+                     _z_factor)
 
 __all__ = [
     "PRESET_NAMES",
@@ -127,23 +126,6 @@ def _row_matrix(cols: Sequence[KMatrix]) -> KMatrix:
     )
 
 
-def _choice_keys(
-    rows: Sequence[Sequence[Sequence[KElement]]], w: int, center: bool
-) -> Iterator[tuple[tuple, ...]]:
-    """For each g-tuple of choices, in product order, of one row of h
-    entries among rows[k] for each row k: the leaf keys (see
-    thetas._leaf_keys) of the matrix of those rows, one per part of w
-    columns, centered mod O_K when center.  Each key is read off the rows'
-    integer coordinates over one denominator."""
-    den = math.lcm(*(x.den for row in rows for c in row for x in c))
-    coords = [[tuple(v for x in c for v in (x.n * (den // x.den), x.m * (den // x.den)))
-               for c in row] for row in rows]
-    g, h = len(rows), len(rows[0][0])
-    for choice in itertools.product(*coords):
-        nums = tuple(itertools.chain.from_iterable(choice))
-        yield tuple(_int_key(_block(nums, g, h, j, w), den, center) for j in range(h // w))
-
-
 def bracket_to_characteristic(
     field: FieldId, rho: Sequence[tuple[int, int]]
 ) -> KMatrix:
@@ -191,14 +173,23 @@ def _bracket_check(
 
 # -- printed parametrizations -------------------------------------------------
 
+_Classes = tuple[list[tuple[int, ...]], int]  # integer rows over one denominator (_int_rows)
 
-def _compare_classes(
-    group: FiniteAbelianGroup, printed: Sequence[KMatrix]
-) -> tuple[bool, str]:
+
+def _int_rows(printed: Sequence[KMatrix]) -> _Classes:
+    """The printed one-row classes as integer coordinate rows over one
+    denominator (see lattices._int_coords), and that denominator."""
+    nums, den = _int_coords(KMatrix([m.entry_rows()[0] for m in printed]))
+    n = len(nums) // len(printed)
+    return [tuple(nums[k:k + n]) for k in range(0, len(nums), n)], den
+
+
+def _compare_classes(group: FiniteAbelianGroup, classes: _Classes) -> tuple[bool, str]:
     """Exact comparison of the printed class multiset with the group, each
     class keyed in integers as a leaf keys its A0 (thetas._int_key with
     center), the group's read off its coordinates."""
-    printed_keys = Counter(_int_key(*_int_coords(m), center=True) for m in printed)
+    rows, den = classes
+    printed_keys = Counter(_int_key(r, den, center=True) for r in rows)
     group_keys = {_int_key(v, group.scale, center=True) for v in group.coords}
     if set(printed_keys) == group_keys:
         mults = set(printed_keys.values())
@@ -227,38 +218,27 @@ def _printed_relation(
     alphas: Sequence[KMatrix],
     printed: Sequence[KMatrix],
     max_order: int,
-) -> tuple[RelationInstance, bool, str]:
+) -> tuple[RelationInstance, bool, str, _Classes]:
     """The relation with A0 = (alphas) conj(T)^t and B0 = 0, so that its
-    left side is Theta^Q[(alphas); 0], and whether the printed one-row
-    classes enumerate the one-row shift group (G1 = G(1)^g)."""
+    left side is Theta^Q[(alphas); 0], whether the printed one-row classes
+    enumerate the one-row shift group (G1 = G(1)^g), and the classes."""
     A0 = _row_matrix(list(alphas)) @ T.conj_transpose()
     B0 = KMatrix.zeros(g, T.rows, field)
     inst = build_relation(RelationSpec(field, g, T, P, A0, B0, name=name), max_order)
-    matches, detail = _compare_classes(
-        inst.G1 if g == 1 else shift_group(1, T), printed
-    )
-    return inst, matches, detail
+    classes = _int_rows(printed)
+    matches, detail = _compare_classes(inst.G1 if g == 1 else shift_group(1, T), classes)
+    return inst, matches, detail, classes
 
 
-def _printed_check(
-    inst: RelationInstance, printed: Sequence[KMatrix], name: str
-) -> IdentityCheck:
+def _printed_check(inst: RelationInstance, classes: _Classes, name: str) -> IdentityCheck:
     """The relation restated over its printed classes, for B0 = 0 and
-    trivial G2, each leaf its own factor at eps.  Left: the leaves of
-    Theta^Q at lhs_A (see thetas._leaf_keys), one 1x1 leaf per column when
-    Q is diagonal.  Right: for each g-tuple rho of printed rows, the
-    product over the parts P_j of P (its diagonal entries) of
-    Theta^{P_j}[(A0 + rho)_j; 0]."""
-    spec = inst.spec
-    parts = _p_parts(spec.P)
-    zero = ((0,) * (2 * spec.g * spec.h // len(parts)), 1)
-    # row k of A0 + rho for each printed class rho, then every g-tuple of rows
-    shifted = [[[a + x for a, x in zip(row, c.entry_rows()[0])] for c in printed]
-               for row in spec.A0.entry_rows()]
-    rhs = _sum((0, [(p, a, zero) for p, a in zip(parts, keys)])
-               for keys in _choice_keys(shifted, spec.h // len(parts), True))
-    lhs = _sum([(0, _leaf_keys(inst.Q, inst.lhs_A, inst.lhs_B))])
-    return IdentityCheck(name=name, g=spec.g, lhs=lhs, rhs=rhs)
+    trivial G2, each leaf its own factor at eps: its left side, and its
+    right side (relations._right_side) with A over every g-tuple of
+    printed rows and b = 0."""
+    (rows, den), spec = classes, inst.spec
+    a_reps = (sum(rho, ()) for rho in itertools.product(rows, repeat=spec.g))
+    rhs = _right_side(spec, a_reps, den, [[0] * (2 * spec.g * spec.h)], 1, 1)
+    return IdentityCheck(name=name, g=spec.g, lhs=replace(inst.lhs, factor_leaves=1), rhs=rhs)
 
 
 # -- preset container ---------------------------------------------------------
@@ -280,7 +260,7 @@ def _family_preset(
     name: str,
     params: dict,
     inst: RelationInstance,
-    printed: Sequence[KMatrix],
+    classes: Optional[_Classes],
     check: Optional[str],
     expected: dict,
     warnings: Sequence[str] = (),
@@ -289,7 +269,7 @@ def _family_preset(
     """A (T, P) family's preset: its relation, the statement check named
     check over the printed classes (none when check is None), then the
     extra checks."""
-    checks = () if check is None else (_printed_check(inst, printed, check),)
+    checks = () if check is None else (_printed_check(inst, classes, check),)
     return Preset(
         name=name,
         params=params,
@@ -441,7 +421,7 @@ def _preset_prop_half(
     P = KMatrix.from_rational_rows([[2 * dn, 0], [0, 2 * dn]], field)
     name = "prop_half_general" if variant == 1 else "prop_half_general_2"
     printed = _prop_printed_shifts(field)
-    inst, matches, detail = _printed_relation(
+    inst, matches, detail, classes = _printed_relation(
         name, field, g, T, P, [alpha1, alpha2], printed, max_order
     )
     expected = {
@@ -454,7 +434,7 @@ def _preset_prop_half(
     skipped = (f"{name} d={d}: {detail}; statement-form check skipped, "
                "verification uses the computed shift group")
     return _family_preset(
-        name, {"d": d, "g": g}, inst, printed,
+        name, {"d": d, "g": g}, inst, classes,
         f"{name}_statement_d{d}" if matches else None, expected,
         () if matches else (skipped,),
     )
@@ -497,7 +477,7 @@ def _preset_cartan(
             for j, (u, v) in enumerate(combo, 1)
         ]
         printed.append(KMatrix([[c - p for c, p in zip(cur, [zero] + cur)]]))
-    inst, matches, detail = _printed_relation(
+    inst, matches, detail, classes = _printed_relation(
         f"cartan_A{h}", field, g, T, P, alphas, printed, max_order
     )
 
@@ -521,7 +501,7 @@ def _preset_cartan(
         "scaled_args": [str(x) for x in p_diag],
     }
     return _family_preset(
-        "cartan_Ah", {"h": h, "d": d, "g": g}, inst, printed,
+        "cartan_Ah", {"h": h, "d": d, "g": g}, inst, classes,
         f"cartan_A{h}_statement_d{d}" if matches else None, expected, warnings,
     )
 
@@ -531,7 +511,7 @@ def _preset_cartan(
 
 def _cubic_relation(
     name: str, g: int, alphas: Sequence[KMatrix], max_order: int
-) -> tuple[RelationInstance, bool, str, list[KMatrix]]:
+) -> tuple[RelationInstance, bool, str, _Classes]:
     """T = (1/3)[[1, 1, 1], [1, w, w^2], [1, w^2, w]] with w a primitive cube
     root of unity, P = 3I, and the printed classes
     ((-2r - s)/3, r/3, (r + s)/3), r in O_K/3O_K, s in sqrt(-3){0, 1, -1}."""
@@ -549,10 +529,9 @@ def _cubic_relation(
         for r in r_reps
         for s in s_reps
     ]
-    inst, matches, detail = _printed_relation(
+    return _printed_relation(
         name, field, g, T, KMatrix.identity(3, field).scale(3), alphas, printed, max_order
     )
-    return inst, matches, detail, printed
 
 
 def _preset_cubic(
@@ -563,9 +542,9 @@ def _preset_cubic(
         alphas = [_default_alpha(field, g, j + 1) for j in range(3)]
     if len(alphas) != 3:
         raise DomainError("cubic_d3 needs three characteristic columns")
-    inst, matches, detail, printed = _cubic_relation("cubic_d3", g, alphas, max_order)
+    inst, matches, detail, classes = _cubic_relation("cubic_d3", g, alphas, max_order)
     expected = {
-        "printed_parametrization_count": len(printed) ** g,
+        "printed_parametrization_count": len(classes[0]) ** g,
         "computed_G1_order": inst.G1.order,
         "expected_G1_order": 27**g,
         "expected_G2_trivial": True,
@@ -574,7 +553,7 @@ def _preset_cubic(
         "all_phases_zero_when_B0_zero": all(q == 0 for q, _ in inst.rhs.rows),
     }
     return _family_preset(
-        "cubic_d3", {"g": g}, inst, printed, f"cubic_d3_statement_g{g}", expected,
+        "cubic_d3", {"g": g}, inst, classes, f"cubic_d3_statement_g{g}", expected,
         () if matches else (f"cubic_d3: {detail}",),
     )
 
@@ -595,7 +574,7 @@ def _preset_cubic_cor(
     else:
         alphas = [v, v + shift, v - shift]
         name = "cubic_d3_cor2"
-    inst, _, _, printed = _cubic_relation(name, g, alphas, max_order)
+    inst, _, _, classes = _cubic_relation(name, g, alphas, max_order)
     display = ()
     if v.is_zero() and g <= 2:
         # corollary 1: (Theta{0,0})^3(W), corollary 2: the product of
@@ -618,7 +597,7 @@ def _preset_cubic_cor(
                           "characteristics split by 1/sqrt(-3)",
     }
     return _family_preset(
-        name, {"g": g}, inst, printed, f"{name}_printed_g{g}", expected, extra=display
+        name, {"g": g}, inst, classes, f"{name}_printed_g{g}", expected, extra=display
     )
 
 
@@ -655,7 +634,7 @@ def _preset_quartic(
         for s1 in s_reps
         for s2 in s_reps
     ]
-    inst, matches, detail = _printed_relation(
+    inst, matches, detail, classes = _printed_relation(
         "quartic_d1", field, g, T, KMatrix.identity(4, field).scale(4), alphas, printed,
         max_order,
     )
@@ -668,7 +647,7 @@ def _preset_quartic(
         "scaled_args": ["4", "4", "4", "4"],
     }
     return _family_preset(
-        "quartic_d1", {"g": g}, inst, printed, f"quartic_d1_statement_g{g}", expected,
+        "quartic_d1", {"g": g}, inst, classes, f"quartic_d1_statement_g{g}", expected,
         () if matches else (f"quartic_d1: {detail}",),
     )
 
@@ -692,7 +671,7 @@ def _preset_quartic_zero(g: int = 1, max_order: int = 10**6) -> Preset:
     display = _bracket_check(f"quartic_bracket_fourth_g{g}", field, g,
                              [[(0, 0)] * g] * 4, rhs, 4)
     return _family_preset(
-        "quartic_d1_zero", {"g": g}, preset.relation, (), None,
+        "quartic_d1_zero", {"g": g}, preset.relation, None, None,
         dict(preset.expected, specialization="all characteristics zero"),
         preset.warnings, preset.identity_checks + (display,),
     )
@@ -740,11 +719,11 @@ def _preset_matsumoto(
 
     # printed G1 = G2: diagonal pairs (e, e) over e in {0, (1-i)/2} per row
     e_reps = [field.zero(), (one - i_) * half]
-    printed = [KMatrix([[e, e]]) for e in e_reps]
+    classes = _int_rows([KMatrix([[e, e]]) for e in e_reps])
     g1_row = inst.G1 if g == 1 else shift_group(1, T)
-    m1, d1 = _compare_classes(g1_row, printed)
+    m1, d1 = _compare_classes(g1_row, classes)
     g2_row = inst.G2 if g == 1 else character_group(1, T)
-    m2, d2 = _compare_classes(g2_row, printed)
+    m2, d2 = _compare_classes(g2_row, classes)
     warnings = []
     if not m1:
         warnings.append(f"matsumoto: shift group differs from printed reps: {d1}")
@@ -773,9 +752,13 @@ def _preset_matsumoto(
     # rows' integer phases -Re((1+i) conj(e_k)(b1 + b2)_k) + Re(conj(e_k +
     # a1s_k)(f_k + b1s_k)) + Re(conj(e_k + a2s_k)(f_k + b2s_k)) over q_den
     cols = [[m[(k, 0)] for k in range(g)] for m in (a1s, a2s, b1s, b2s, b1 + b2)]
-    # per column, the key of e + col for each g-tuple e, A0's (a1s, a2s) centered
-    keys = [[key for (key,) in _choice_keys([[[e + x] for e in e_reps] for x in col], 1,
-                                            center=k < 2)] for k, col in enumerate(cols[:4])]
+    # per column, the key of e + col for each g-tuple e (the first entries
+    # of the printed rows), A0's (a1s, a2s) centered
+    rows, den = classes
+    e_tuples = [sum(t, ()) for t in itertools.product([r[:2] for r in rows], repeat=g)]
+    keys = [[table[i] for (i,) in parts] for parts, table in (
+        _part_keys(*_int_coords(m), e_tuples, den, g, 1, 1, k < 2)
+        for k, m in enumerate((a1s, a2s, b1s, b2s)))]
     phases = [[[-(one_plus_i * e.conj() * y).re() + ((e + x1).conj() * (f + y1)).re()
                 + ((e + x2).conj() * (f + y2)).re() for f in e_reps] for e in e_reps]
               for x1, x2, y1, y2, y in zip(*cols)]
@@ -804,7 +787,7 @@ def _preset_matsumoto(
             "the printed conj(f) variant only agrees when the b phase is trivial",
     }
     return _family_preset(
-        "matsumoto", {"g": g}, inst, printed, None, expected, warnings, (check,)
+        "matsumoto", {"g": g}, inst, None, None, expected, warnings, (check,)
     )
 
 

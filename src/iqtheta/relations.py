@@ -24,8 +24,9 @@ definite P as an exact-coefficient polynomial in one-column thetas.
 
 Every side is a sum of products of thetas, compiled in integers as it is
 emitted, by one emitter (_Emitter) into one type (_Sum): a relation's two
-sides (RelationInstance.lhs and rhs), a decomposition's expansion, and
-each side of a preset identity check (_sum).  A factor is one theta
+sides (RelationInstance.lhs, and rhs by _right_side, which also restates
+a relation over a preset's printed classes), a decomposition's
+expansion, and each side of a preset identity check (_sum).  A factor is one theta
 (a, b, P) over O_K or Z: scaling W by s is scaling P by s, and the phase
 of a check-variant theta is part of its term's coefficient, so every
 factor reads W itself.  A side's leaves are keyed by integers
@@ -95,6 +96,7 @@ from .thetas import (
     _int_key,
     _leaf_keys,
     _p_parts,
+    _part_keys,
     _phase_of,
     _product,
     _weights,
@@ -497,15 +499,9 @@ def _check_term_count(g1: FiniteAbelianGroup, g2: FiniteAbelianGroup, max_order:
 
 
 def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstance:
-    """Assemble the groups, and the right side compiled in integers.
-
-    A term is B in G2 (outer) and A in G1 (inner), with the phase
-    q / q_den = Re Tr(A0^H c B) mod 1 and the factor Theta^P[A0 + A; B0 + c B].
-    A0 + A (reduced mod O_K) and B0 + c B are read off the groups' integer
-    coordinates, each over one denominator, and cut into parts: single
-    columns for an exactly diagonal P with h > 1 (see thetas._leaf_keys), else
-    the whole matrix.  A leaf is interned by its family, the indices of
-    its P and its A part, and then by the index of its B part.
+    """Assemble the groups, and the right side over them (_right_side): A
+    runs over G1 and b = c B over G2, each factor one theta, the product
+    of its leaves.
 
     max_order caps each group and the term count |G1| |G2|, which is
     checked before the expansion is built: GroupCapError over the cap."""
@@ -518,43 +514,40 @@ def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstan
     g1 = shift_group(spec.g, spec.T, max_order=max_order)
     g2 = character_group(spec.g, spec.T, max_order=max_order)
     _check_term_count(g1, g2, max_order)
-    lhs_B = spec.B0 @ spec.T
+    rhs = _right_side(spec, g1.coords, g1.scale, *_dual_coords(g2), len(_p_parts(spec.P)))
+    return RelationInstance(spec=spec, Q=Q, lhs_A=lhs_A, lhs_B=spec.B0 @ spec.T, G1=g1, G2=g2,
+                            rhs=rhs)
+
+
+def _right_side(spec: RelationSpec, a_reps: Iterable[Sequence[int]], a_den: int,
+                b_reps: Sequence[Sequence[int]], b_den: int, factor_leaves: int) -> _Sum:
+    """The relation's expansion over the shifts a_reps / a_den and the dual
+    shifts b_reps / b_den (coordinates, see lattices._int_coords), compiled
+    in integers.  A term is b (outer) and A (inner), with the phase
+    q / q_den = Re Tr(A0^H b) mod 1 and the factor Theta^P[A0 + A; B0 + b],
+    the product of factor_leaves of its leaves.  A0 + A (reduced mod O_K)
+    and B0 + b are cut into parts (thetas._part_keys): single columns for
+    an exactly diagonal P with h > 1 (see thetas._leaf_keys), else the
+    whole matrix.  A leaf is interned by its family, the indices of its P
+    and its A part, and then by the index of its B part."""
     g, h = spec.g, spec.h
-    b_duals, b_den = _dual_coords(g2)
     a0, a0_den = _int_coords(spec.A0)
-    # q_i / (2 a0_den b_den) = Re Tr(A0^H c B_i), and q_den the lcm of their
+    # q_i / (2 a0_den b_den) = Re Tr(A0^H b_i), and q_den the lcm of their
     # reduced denominators
-    qs = [sum(map(operator.mul, a0, _weights(b, spec.field))) for b in b_duals]
+    qs = [sum(map(operator.mul, a0, _weights(b, spec.field))) for b in b_reps]
     common = math.gcd(2 * a0_den * b_den, *qs)
     q_den = 2 * a0_den * b_den // common
     ps = _p_parts(spec.P)
     w = h // len(ps)  # columns per part
-
-    def parts(base: list[int], base_den: int, reps, rep_den: int, center: bool):
-        """Per rep, the indices of the parts of base + rep; the distinct
-        parts as leaf keys (see thetas._int_key), by index."""
-        den = math.lcm(base_den, rep_den)
-        base = [v * (den // base_den) for v in base]
-        k = den // rep_den
-        out, table = [], {}
-        for rep in reps:
-            m = [u + v * k for u, v in zip(base, rep)]
-            if center:
-                m = [_center(v, den) for v in m]
-            out.append([table.setdefault(tuple(_block(m, g, h, j, w)), len(table))
-                        for j in range(len(ps))])
-        return out, [_int_key(part, den) for part in table]
-
-    a_parts, a_coords = parts(a0, a0_den, g1.coords, g1.scale, True)
-    b_parts, b_coords = parts(*_int_coords(spec.B0), b_duals, b_den, False)
+    a_parts, a_keys = _part_keys(a0, a0_den, a_reps, a_den, g, h, w, True)
+    b_parts, b_keys = _part_keys(*_int_coords(spec.B0), b_reps, b_den, g, h, w, False)
     emit = _Emitter()  # families keyed by (P, A part index), leaves by B part index
     p_ids = [emit.part(p) for p in ps]
     a_fams = [[emit.families[key] for key in zip(p_ids, a)] for a in a_parts]
     rows = ((q // common % q_den, tuple([fam[k] for fam, k in zip(fams, b)]))
             for q, b in zip(qs, b_parts) for fams in a_fams)
-    rhs = emit.sum(rows, a_coords.__getitem__, b_coords.__getitem__,
-                   q_den=q_den, factor_leaves=len(ps))
-    return RelationInstance(spec=spec, Q=Q, lhs_A=lhs_A, lhs_B=lhs_B, G1=g1, G2=g2, rhs=rhs)
+    return emit.sum(rows, a_keys.__getitem__, b_keys.__getitem__,
+                    q_den=q_den, factor_leaves=factor_leaves)
 
 
 def evaluate_relation(

@@ -1185,6 +1185,25 @@ def _leaf_keys(
                  for j, part in enumerate(parts))
 
 
+def _part_keys(base: Sequence[int], base_den: int, reps: Iterable[Sequence[int]], rep_den: int,
+               g: int, h: int, w: int, center: bool) -> tuple[list[list[int]], list[tuple]]:
+    """Per rep, the indices of the parts of w columns of the g x h matrix
+    base / base_den + rep / rep_den (row-major coordinates, see _Family),
+    each reduced mod the lattice when center (see _center); and the
+    distinct parts by index, in first-read order, as leaf keys (_int_key)."""
+    den = math.lcm(base_den, rep_den)
+    base = [v * (den // base_den) for v in base]
+    k = den // rep_den
+    out, table = [], {}
+    for rep in reps:
+        m = [u + v * k for u, v in zip(base, rep)]
+        if center:
+            m = [_center(v, den) for v in m]
+        out.append([table.setdefault(tuple(_block(m, g, h, j, w)), len(table))
+                    for j in range(h // w)])
+    return out, [_int_key(part, den) for part in table]
+
+
 def _lower(
     field: FieldId,
     P: ExactLike,

@@ -1,6 +1,7 @@
 """Shared test helpers (imported by the test modules beside this file)."""
 
 import bisect
+import itertools
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ from functools import partial
 from iqtheta.kfield import KMatrix, dual_generator, re_trace_of_product
 from iqtheta.lattices import _int_coords, coords_to_kmatrix
 from iqtheta.relations import _sum
-from iqtheta.thetas import _Family, _int_key, _leaf_keys
+from iqtheta.thetas import _Family, _int_key, _leaf_keys, _p_parts
 
 
 # -- the sums as exact terms: a reference that the compiled sums are checked on
@@ -72,6 +73,24 @@ def rhs_terms(inst) -> tuple[Term, ...]:
     """relation_terms as Terms; the scale 1/#G2 stays outside."""
     return tuple(Term(t.phase_q, Fraction(1), (ThetaFactor(t.a_char, t.b_char, inst.spec.P),))
                  for t in relation_terms(inst))
+
+
+def printed_terms(inst, printed) -> tuple[Term, ...]:
+    """A relation restated over its printed one-row classes (1 x h
+    KMatrix values), built in KMatrix arithmetic: for each g-tuple rho of
+    printed rows, in product order, one factor per part of P
+    (thetas._p_parts) at the columns of A0 + rho under it, with b = 0."""
+    spec = inst.spec
+    parts = [p for p, _ in _p_parts(spec.P)]
+    w = spec.h // len(parts)  # columns per part
+    zero = KMatrix.zeros(spec.g, w, spec.field)
+    terms = []
+    for rho in itertools.product(printed, repeat=spec.g):
+        rows = (spec.A0 + KMatrix([m.entry_rows()[0] for m in rho])).entry_rows()
+        terms.append(Term(Fraction(0), Fraction(1), tuple(
+            ThetaFactor(KMatrix([row[j * w:(j + 1) * w] for row in rows]), zero, p)
+            for j, p in enumerate(parts))))
+    return tuple(terms)
 
 
 def monomials(dec) -> tuple[Term, ...]:

@@ -698,6 +698,18 @@ def test_preset_relation_obeys_max_order(capsys):
     assert code == 0 and json.loads(out)["groups"]["term_count"] == 64
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+@pytest.mark.parametrize("command,preset", [
+    ("groups", "cubic_d3"), ("build", "cubic_d3"), ("verify", "jacobi_identity")])
+def test_max_order_below_one_is_a_parse_error(capsys, command, preset, cap):
+    # as a negative --rep-limit is: refused before any group is built,
+    # also for a preset that carries no relation
+    assert main([command, "--preset", preset, "--max-order", str(cap)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --max-order must be at least 1, got {cap}"]
+
+
 def test_groups_caps_the_term_count_by_preset_and_by_spec(capsys):
     # groups of 8 and 64 terms: the preset and the same relation as build
     # writes it out are both refused over a cap of 10, with one stderr

@@ -1,6 +1,8 @@
 """Worked-example catalog: structure, printed-form cross-checks, suite output."""
 
+import itertools
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -22,9 +24,11 @@ from iqtheta import (
     make_preset,
     run_paper_suite,
 )
-from iqtheta.presets import _compare_classes, _cubic_relation, _default_alpha
+from iqtheta.presets import _compare_classes, _cubic_relation, _default_alpha, _printed_relation
+from iqtheta.relations import _sum
+from iqtheta.thetas import _block, _int_key, _leaf_keys
 
-from _helpers import reduce_mod_integral, relation_terms, row_a0s
+from _helpers import compile_terms, printed_terms, reduce_mod_integral, relation_terms, row_a0s
 
 
 _RELATION_PRESETS = [(name, params) for name, params in DEFAULT_SUITE_PLAN
@@ -303,6 +307,65 @@ def test_statement_checks_restate_the_relation(name, params):
         assert Counter(row_a0s(check.rhs)) == expected
 
 
+# the relation presets with a statement check: prop_half_general has one
+# only where its printed classes match, at d = 1 and 3
+_PRINTED_CASES = [(name, params) for name, params in _RELATION_PRESETS if name != "matsumoto"
+                  and (name != "prop_half_general" or params["d"] in (1, 3))] + [
+    ("cubic_d3_cor1", {"g": 2}), ("cubic_d3_cor2", {"g": 2}),
+    ("cartan_Ah", {"h": 3, "d": 1, "g": 2}), ("cartan_Ah", {"h": 4, "d": 3}),
+    ("prop_half_general", {"d": 3, "g": 2}), ("prop_half_general_2", {"d": 2, "g": 2})]
+
+
+@pytest.mark.parametrize("name,params", _PRINTED_CASES,
+                         ids=[f"{n}-{p}" for n, p in _PRINTED_CASES])
+def test_printed_statements_match_the_kmatrix_reference(monkeypatch, name, params):
+    # the statement check's sides against the relation restated over the
+    # printed classes in KMatrix arithmetic, and Theta^Q with each leaf its
+    # own factor
+    printed = []
+
+    def record(*args):
+        printed.append(args[6])
+        return _printed_relation(*args)
+
+    monkeypatch.setattr("iqtheta.presets._printed_relation", record)
+    preset = make_preset(name, **params)
+    inst, check = preset.relation, preset.identity_checks[0]
+    assert check.name.startswith(inst.spec.name)
+    assert compile_terms(printed_terms(inst, *printed)) == check.rhs
+    assert check.lhs == _sum([(0, _leaf_keys(inst.Q, inst.lhs_A, inst.lhs_B))])
+
+
+def _choice_keys(rows, w, center):
+    # the reference for Matsumoto's statement keys, from KElement rows: for
+    # each g-tuple of one row of h entries among rows[k] for each row k, the
+    # leaf keys of the matrix of those rows, one per part of w columns
+    den = math.lcm(*(x.den for row in rows for c in row for x in c))
+    coords = [[tuple(v for x in c for v in (x.n * (den // x.den), x.m * (den // x.den)))
+               for c in row] for row in rows]
+    g, h = len(rows), len(rows[0][0])
+    for choice in itertools.product(*coords):
+        nums = tuple(itertools.chain.from_iterable(choice))
+        yield tuple(_int_key(_block(nums, g, h, j, w), den, center) for j in range(h // w))
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_matsumoto_statement_keys_match_the_per_row_choices(g):
+    # row (e, f) of the statement holds the leaves (e + a1s, f + b1s) and
+    # (e + a2s, f + b2s), e outer and f inner, A0's columns centered
+    preset = make_preset("matsumoto", g=g)
+    (check,) = preset.identity_checks
+    spec, field = preset.relation.spec, FieldId(1)
+    e_reps = [field.zero(), (field.one() - field.delta()) * Fraction(1, 2)]
+    cols = [[m[(k, j)] for k in range(g)] for m in (spec.A0, spec.B0) for j in (0, 1)]
+    keys = [[key for (key,) in _choice_keys([[[e + x] for e in e_reps] for x in col], 1, k < 2)]
+            for k, col in enumerate(cols)]
+    want = [((keys[0][i], keys[2][j]), (keys[1][i], keys[3][j]))
+            for i in range(2**g) for j in range(2**g)]
+    leaf = {i: (a, b) for _, a, bs, ids in check.rhs.families for b, i in zip(bs, ids)}
+    assert [tuple(map(leaf.__getitem__, idx)) for _, idx in check.rhs.rows] == want
+
+
 def _k(field, *xs):
     return [field.element(Fraction(a), Fraction(b)) for a, b in xs]
 
@@ -454,9 +517,9 @@ def _cubic_classes_twice_one():
     # of G1 is covered, one of them twice
     field = FieldId(3)
     alphas = [_default_alpha(field, 1, j + 1) for j in range(3)]
-    inst, matches, _, printed = _cubic_relation("cubic_d3", 1, alphas, 10**6)
+    inst, matches, _, (rows, den) = _cubic_relation("cubic_d3", 1, alphas, 10**6)
     assert matches
-    return _compare_classes(inst.G1, printed + printed[:1])
+    return _compare_classes(inst.G1, (rows + rows[:1], den))
 
 
 @pytest.mark.parametrize("call,want,error", [

@@ -875,3 +875,53 @@ def test_integral_shift_shares_cache_entry(d):
     assert (cache.misses, cache.hits) == (1, 1)
     assert v1 == v2
     assert theta_general(field, W, P, A0 + S, B0) == v1
+
+
+# -- the part keys of base + rep ------------------------------------------------
+
+
+def test_part_keys_table_is_in_first_read_order():
+    # g = 1, h = 2, one column a part: the parts of each rep index one
+    # table, numbered as they are first read
+    reps = [(1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), (0, 0, 2, 0)]
+    parts, table = thetas._part_keys([0] * 4, 1, reps, 3, 1, 2, 1, False)
+    assert parts == [[0, 1], [1, 0], [0, 0], [1, 2]]
+    assert table == [((1, 0), 3), ((0, 0), 1), ((2, 0), 3)]
+
+
+def test_part_keys_center_each_coordinate():
+    # centered, every coordinate of every key lies in [-1/2, 1/2) and is
+    # the uncentered one moved by an integer
+    reps = list(itertools.product(range(-7, 8, 3), repeat=4))
+    base = [5, -3, 1, 7]
+    parts, table = thetas._part_keys(base, 4, reps, 6, 1, 2, 2, True)
+    plain, raw = thetas._part_keys(base, 4, reps, 6, 1, 2, 2, False)
+    for (i,), (k,) in zip(parts, plain):
+        (nums, den), (raw_nums, raw_den) = table[i], raw[k]
+        for v, r in zip(nums, raw_nums):
+            x = Fraction(v, den)
+            assert -Fraction(1, 2) <= x < Fraction(1, 2)
+            assert (Fraction(r, raw_den) - x).denominator == 1
+
+
+def test_part_keys_cut_parts_of_w_columns():
+    # g = 2, h = 4, w = 2: part j holds columns 2j and 2j + 1 of both rows
+    rep = list(range(16))
+    (parts,), table = thetas._part_keys([0] * 16, 1, [rep], 5, 2, 4, 2, False)
+    assert [table[i] for i in parts] == [
+        thetas._int_key([0, 1, 2, 3, 8, 9, 10, 11], 5),
+        thetas._int_key([4, 5, 6, 7, 12, 13, 14, 15], 5)]
+
+
+@pytest.mark.parametrize("base,base_den,rep,rep_den,center,want", [
+    ((1, 0), 2, (1, 0), 2, True, ((0, 0), 1)),
+    ((1, 0), 2, (1, 0), 2, False, ((1, 0), 1)),
+    ((1, 0), 2, (1, 0), 3, True, ((-1, 0), 6)),
+    ((1, 1), 2, (0, 3), 4, True, ((-2, 1), 4)),
+], ids=["halves-centered", "halves", "lcm-6", "lcm-4"])
+def test_part_keys_over_the_lcm_of_the_denominators(base, base_den, rep, rep_den, center, want):
+    # base / base_den + rep / rep_den, reduced over the least common
+    # denominator: 1/2 + 1/2 centered is 0, uncentered 1, and 1/2 + 0
+    # centered is -1/2
+    (_, table) = thetas._part_keys(base, base_den, [rep], rep_den, 1, 1, 1, center)
+    assert table == [want]
