@@ -55,6 +55,7 @@ from .relations import (
     RelationInstance,
     RelationSpec,
     VerificationReport,
+    _check_max_order,
     _compare_sides,
     _Plans,
     _Sum,
@@ -827,9 +828,9 @@ PRESET_NAMES = tuple(_BUILDERS)
 
 def make_preset(name: str, max_order: int = 10**6, **params) -> Preset:
     """Construct a preset by name.  max_order caps the groups and the term
-    count of its relation, if it has one (see build_relation).  A parameter
-    that the preset does not take raises TypeError, naming the ones it
-    takes."""
+    count of its relation, if it has one (see build_relation); a cap below
+    1 raises ValueError either way.  A parameter that the preset does not
+    take raises TypeError, naming the ones it takes."""
     try:
         build = _BUILDERS[name]
     except KeyError:
@@ -844,6 +845,7 @@ def make_preset(name: str, max_order: int = 10**6, **params) -> Preset:
                         f"got unexpected keyword {', '.join(unknown)}")
     if params.get("g", 1) < 1:
         raise ValueError(f"preset {name} needs g >= 1, got g = {params['g']}")
+    _check_max_order(max_order)
     if "max_order" in accepted:
         params["max_order"] = max_order
     return build(**params)

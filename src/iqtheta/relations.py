@@ -18,9 +18,11 @@ collapse fails for d > 1 whenever #G2 shares a factor with d (or with 2
 when -d is not 1 mod 4), because O_K is not self dual there.
 Both sides are computed independently here; the report carries the residual.
 
-The same machinery, applied to unipotent rational T from a Schur
-complement ladder, rewrites Theta^P for any rational symmetric positive
-definite P as an exact-coefficient polynomial in one-column thetas.
+A rational symmetric positive definite P is P = L^t D L, with D the
+diagonal of its Schur pivots and L unipotent lower triangular, so
+Theta^P[A0; B0] is the left side of the relation of (L, D) at A0 L^t and
+B0 L^-1, whose right side is an exact-coefficient polynomial in
+one-column thetas.
 
 Every side is a sum of products of thetas, compiled in integers as it is
 emitted, by one emitter (_Emitter) into one type (_Sum): a relation's two
@@ -64,7 +66,7 @@ import operator
 from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import thetas
@@ -89,11 +91,8 @@ from .thetas import (
     ThetaParams,
     _as_complex_matrix,
     _at,
-    _block,
-    _center,
     _check_w_shape,
     _Family,
-    _int_key,
     _leaf_keys,
     _p_parts,
     _part_keys,
@@ -498,13 +497,21 @@ def _check_term_count(g1: FiniteAbelianGroup, g2: FiniteAbelianGroup, max_order:
             f"the relation has {g1.order * g2.order} terms, over the cap {max_order}")
 
 
+def _check_max_order(max_order: float) -> None:
+    """ValueError for a cap below 1; math.inf caps nothing."""
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
+
+
 def build_relation(spec: RelationSpec, max_order: int = 10**6) -> RelationInstance:
     """Assemble the groups, and the right side over them (_right_side): A
     runs over G1 and b = c B over G2, each factor one theta, the product
     of its leaves.
 
     max_order caps each group and the term count |G1| |G2|, which is
-    checked before the expansion is built: GroupCapError over the cap."""
+    checked before the expansion is built: GroupCapError over the cap,
+    ValueError for a cap below 1."""
+    _check_max_order(max_order)
     spec.validate()
     try:
         lhs_A = spec.A0 @ spec.T.conj_transpose().inverse()
@@ -584,11 +591,12 @@ def evaluate_relation(
 
 @dataclass(frozen=True)
 class PDecomposition:
-    """Schur pivot sequence (one entry per level, repeats kept) plus the
-    expansion, compiled to one-column leaves as it was emitted (a _Sum): a
-    part is one distinct [[lam]], a family ([[lam]], a reduced mod O_K)
-    with its b, and a monomial a row of one leaf per level, each its own
-    factor, with coefficient scale."""
+    """Schur pivot sequence (one entry per column, repeats kept) plus the
+    expansion, the right side of the relation of (L, diag(lambdas)) compiled
+    to one-column leaves (a _Sum): a part is one distinct [[lam]], a family
+    ([[lam]], a column of A0 L^t + A reduced mod O_K) with its b, and a
+    monomial a row of one leaf per column, each its own factor, with
+    coefficient scale 1/#G2."""
 
     field: FieldId
     g: int
@@ -596,10 +604,7 @@ class PDecomposition:
     expansion: _Sum
 
     def lambda_product(self) -> Fraction:
-        prod = Fraction(1)
-        for lam in self.lambdas:
-            prod *= lam
-        return prod
+        return math.prod(self.lambdas, start=Fraction(1))
 
     @property
     def monomials(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -631,27 +636,19 @@ def _schur_split(P: KMatrix) -> tuple[Fraction, KMatrix, KMatrix]:
     Returns (lam1, P1, K).  P must be rational symmetric with positive
     leading entry and an invertible trailing block.
     """
-    field = P.field
     h = P.rows
     r = [P[(0, j)] for j in range(1, h)]  # 1 x (h-1)
     p1 = KMatrix([[P[(i, j)] for j in range(1, h)] for i in range(1, h)])
-    p1_inv = p1.inverse()
-    # column vector P1^-1 R^t
-    r_col = KMatrix.column_vector(r)
-    x = p1_inv @ r_col  # (h-1) x 1
+    x = p1.inverse() @ KMatrix.column_vector(r)  # P1^-1 R^t, (h-1) x 1
     mu1 = P[(0, 0)]
     for i in range(h - 1):
         mu1 = mu1 - r[i] * x[(i, 0)]
     lam1 = _rational_entry(mu1, "P")
     if lam1 <= 0:
         raise DomainError(f"P is not positive definite: Schur pivot {lam1} <= 0")
-    one = field.one()
-    zero = field.zero()
+    one, zero = P.field.one(), P.field.zero()
     k_rows = [[one] + [zero] * (h - 1)]
-    for i in range(h - 1):
-        k_rows.append(
-            [x[(i, 0)]] + [one if j == i else zero for j in range(h - 1)]
-        )
+    k_rows += [[x[(i, 0)]] + [one if j == i else zero for j in range(h - 1)] for i in range(h - 1)]
     return (lam1, p1, KMatrix(k_rows))
 
 
@@ -668,9 +665,12 @@ def decompose_rational_P(
 ) -> PDecomposition:
     """Expand Theta^P[A0; B0](W) as a polynomial in one-column thetas.
 
-    P must be rational symmetric positive definite.  Each Schur step peels
-    the leading pivot via the transformation relation for the unipotent K,
-    producing exact coefficients; the pivots lam_j multiply to det P.
+    P must be rational symmetric positive definite.  Its Schur pivots give
+    P = L^t D L with D = diag(lam_1, ..., lam_h), which multiply to det P,
+    and L unipotent lower triangular; the expansion is the right side of
+    the relation of (L, D) at A0 L^t and B0 L^-1 (_right_side), over the
+    groups of L, each one-column leaf its own factor.  GroupCapError when
+    it has over _MAX_MONOMIALS monomials.
     """
     _check_g(g)
     if P.rows != P.cols:
@@ -684,119 +684,39 @@ def decompose_rational_P(
             if P[(i, j)] != P[(j, i)]:
                 raise DomainError("P must be symmetric")
 
-    # the pivot, unipotent factor and its two groups at each level depend on
-    # P alone, so build that chain once instead of once per branch.  The
-    # expansion has one monomial per choice of (A, B) in G1 x G2 at every
-    # level.  A group is its Smith form until its cosets are read, so the
-    # groups take no cap of their own and an expansion over the monomial
-    # cap is refused before any coset is made
-    levels = []
+    # each Schur step's K acts on the trailing columns j..h-1, so
+    # L <- diag(I_j, K) L: K times the rows j.. of L
+    h = P.rows
     lambdas: list[Fraction] = []
-    count = 1
+    L = KMatrix.identity(h, field)
     cur = P
     while cur.rows > 1:
-        lam1, p1, k_mat = _schur_split(cur)
+        lam1, cur, k_mat = _schur_split(cur)
         lambdas.append(lam1)
-        a_grp, b_grp = shift_group(g, k_mat, math.inf), character_group(g, k_mat, math.inf)
-        count *= a_grp.order * b_grp.order
-        levels.append((k_mat, a_grp, b_grp))
-        cur = p1
+        j = h - k_mat.rows
+        rows = L.entry_rows()
+        L = KMatrix([*rows[:j], *(k_mat @ KMatrix(rows[j:])).entry_rows()])
     last = _rational_entry(cur[(0, 0)], "P")
     if last <= 0:
         raise DomainError(f"P is not positive definite: pivot {last} <= 0")
     lambdas.append(last)
+
+    # a group is its Smith form until its cosets are read, so the groups
+    # take no cap of their own and an expansion over the monomial cap is
+    # refused before any coset is made
+    g1, g2 = shift_group(g, L, math.inf), character_group(g, L, math.inf)
+    count = g1.order * g2.order
     if count > _MAX_MONOMIALS:
         raise GroupCapError(
             f"the decomposition has {count} monomials, over the cap {_MAX_MONOMIALS}"
         )
-
-    # The expansion runs in integers.  Every A of the recursion is kept over
-    # one denominator da and every B over db, multiples of the denominators
-    # at every level, so a sum is a sum of integers and a product with a
-    # rational x of K an exact integer division, and Re Tr(A^H B) has the
-    # denominator 2 da db.  A column is (n_0, m_0, n_1, m_1, ...) for the
-    # entries (n_i + m_i delta) / den.
-    da, db = _int_coords(A0)[1], _int_coords(B0)[1]
-    groups = []
-    for k_mat, a_grp, b_grp in levels:
-        b_duals, b_den = _dual_coords(b_grp)
-        x = [k_mat[(i, 0)] for i in range(1, k_mat.rows)]
-        dx = math.lcm(*(v.den for v in x))
-        da = math.lcm(da * dx, _least_den(a_grp.coords, a_grp.scale))
-        db = math.lcm(db * dx, _least_den(b_duals, b_den))
-        groups.append((x, a_grp, b_duals, b_den))
-    q_den = 2 * da * db
-    chain = [
-        ([(v.n, v.den) for v in x],
-         [_columns(a, a_grp.scale, da, g, a_grp.h) for a in a_grp.coords],
-         [(c, _weights(sum(c, ()), field))
-          for c in (_columns(b, b_den, db, g, a_grp.h) for b in b_duals)])
-        for x, a_grp, b_duals, b_den in groups
-    ]
-    emit = _Emitter()  # families keyed by (pivot, a), leaves by b
-    pivot = [emit.part(_p_parts(KMatrix([[field.from_rational(lam)]]))[0]) for lam in lambdas]
-    families = emit.families
-    expansion: list[tuple[int, tuple[int, ...]]] = []
-
-    def reduced(col) -> tuple:  # mod O_K
-        return tuple([_center(v, da) for v in col])
-
-    def recurse(level: int, A: tuple, B: tuple, q: int, prefix: tuple) -> None:
-        xs, a_reps, b_duals = chain[level]
-        # A K^t adds x_j times column 0 to column j; B K^-1 subtracts the x_j
-        # multiples of the columns j from column 0
-        a0 = A[0]
-        a_rest = [tuple(u + v * n // d for u, v in zip(col, a0))
-                  for col, (n, d) in zip(A[1:], xs)]
-        a_flat = a0 + sum(a_rest, ())
-        b0 = B[0]
-        for col, (n, d) in zip(B[1:], xs):
-            b0 = tuple(u - v * n // d for u, v in zip(b0, col))
-        a_next = [(families[pivot[level], reduced(_add(a0, r[0]))],
-                   tuple(map(_add, a_rest, r[1:]))) for r in a_reps]
-        last = level + 1 == len(chain)
-        if last:  # what is left is the last column, whose family A alone fixes
-            a_next = [(fam, families[pivot[-1], reduced(A_next[0])]) for fam, A_next in a_next]
-        for s, w in b_duals:
-            q_next = (q + sum(map(operator.mul, a_flat, w))) % q_den
-            b = _add(b0, s[0])
-            B_next = tuple(map(_add, B[1:], s[1:]))
-            if last:
-                expansion.extend([(q_next, prefix + (fam[b], fam_last[B_next[0]]))
-                                  for fam, fam_last in a_next])
-                continue
-            for fam, A_next in a_next:
-                recurse(level + 1, A_next, B_next, q_next, prefix + (fam[b],))
-
-    A = _columns(*_int_coords(A0), da, g, P.rows)
-    B = _columns(*_int_coords(B0), db, g, P.rows)
-    if chain:
-        recurse(0, A, B, 0, ())
-    else:
-        expansion.append((0, (families[pivot[0], reduced(A[0])][B[0]],)))
-
-    key = lru_cache(maxsize=None)(_int_key)  # columns repeat across the leaves
-    return PDecomposition(field=field, g=g, lambdas=tuple(lambdas), expansion=emit.sum(
-        expansion, lambda a: key(a, da), lambda b: key(b, db), q_den=q_den,
-        coeff_scale=Fraction(1, math.prod(len(b) for _, _, b, _ in groups))))
-
-
-def _add(u: tuple, v: tuple) -> tuple:
-    return tuple(map(operator.add, u, v))
-
-
-def _columns(
-    nums: Sequence[int], den: int, target: int, g: int, h: int
-) -> tuple[tuple[int, ...], ...]:
-    """The columns of the g x h matrix with row-major coordinates nums / den
-    (see lattices._int_coords), each (n_0, m_0, n_1, m_1, ...) over target,
-    a multiple of the least common denominator of nums / den."""
-    return tuple(tuple(v * target // den for v in _block(nums, g, h, j, 1)) for j in range(h))
-
-
-def _least_den(vecs: Iterable[Iterable[int]], den: int) -> int:
-    """The least common denominator of every coordinate v / den of vecs."""
-    return den // math.gcd(den, *(v for vec in vecs for v in vec))
+    zero = field.zero()
+    D = KMatrix([[field.from_rational(lam) if i == k else zero for k in range(h)]
+                 for i, lam in enumerate(lambdas)])
+    spec = RelationSpec(field, g, L, D, A0 @ L.transpose(), B0 @ L.inverse())
+    expansion = _right_side(spec, g1.coords, g1.scale, *_dual_coords(g2), 1)
+    return PDecomposition(field=field, g=g, lambdas=tuple(lambdas),
+                          expansion=replace(expansion, coeff_scale=Fraction(1, g2.order)))
 
 
 def _dual_coords(group: FiniteAbelianGroup) -> tuple[list[list[int]], int]:

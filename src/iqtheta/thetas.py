@@ -770,8 +770,8 @@ def _phase_residues(
     """The Re pairing with B0 = nums / den (row-major coordinates, see
     _Family) over Q(sqrt(-d)) in integers, and the modulus M and the
     integers k of _FamilyPhases read off it; all depend on B0 and the basis
-    alone: the leaves of a relation, and of each Schur level of a
-    decomposition, repeat each B0 across G1.  The cache is keyed on ints
+    alone: the leaves of a relation, a decomposition's too, repeat each
+    B0 across G1.  The cache is keyed on ints
     only: a FieldId, a dataclass, hashes in Python.
 
     Returns (M, k, D, w) with t_i = Re(conj(e_i) y) = w_i / D for each

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from iqtheta import (
     DomainError,
@@ -38,7 +39,7 @@ from iqtheta import (
 )
 from iqtheta import presets, relations, thetas
 from iqtheta.cli import main
-from iqtheta.kfield import dual_generator, re_trace_of_product
+from iqtheta.kfield import re_trace_of_product
 from iqtheta.lattices import _int_coords, character_group, shift_group
 from iqtheta.relations import (
     RelationSpec,
@@ -786,7 +787,8 @@ def test_shared_cache_counts_match_public_calls(case):
 def _decomposition_input(d, g, h):
     """(field, g, P, A0, B0) with characteristics off the lattice: h = 2
     has one Schur level, h = 3 two (both with groups > 1 at g = 1; the
-    second is trivial at g = 2, which keeps the expansion small)."""
+    second is trivial at g = 2).  The groups of L (P = L^t D L) have order
+    4^g each, so every expansion has 16^g monomials."""
     field = FieldId(d)
     rows = {2: [[2, -1], [-1, 2]],
             3: ([[3, Fraction(3, 2), 0], [Fraction(3, 2), 2, 1], [0, 1, 2]] if g == 1
@@ -799,40 +801,38 @@ def _decomposition_input(d, g, h):
     return field, g, P, A0, B0
 
 
-def _reference_monomials(field, g, P, A0, B0):
-    """The expansion as Terms through KMatrix and Fraction arithmetic, with
-    the characteristics unreduced: at each Schur level, Theta^P[A; B] is
-    1/#G2 times the sum over b in G2 and a in G1 of
-    exp(-2 pi i Re Tr((A K^t)^H c b)) times the leading column's theta
-    and the rest at (A K^t + a, B K^-1 + c b)."""
-    dual = dual_generator(field)
-    levels, cur = [], P
+def _schur_factors(P):
+    """(L, D, the Schur steps' K) with P = L^t D L: each step's K acts on
+    the trailing columns j..h-1, so L <- diag(I_j, K) L, built by KMatrix
+    products, and D = diag(lam_1, ..., lam_h) holds the pivots."""
+    field, h = P.field, P.rows
+    one, zero = field.one(), field.zero()
+    L, lams, steps, cur = KMatrix.identity(h, field), [], [], P
     while cur.rows > 1:
         lam, cur, K = relations._schur_split(cur)
-        levels.append((KMatrix([[field.from_rational(lam)]]), K.transpose(), K.inverse(),
-                       shift_group(g, K).representatives,
-                       [b.scale(dual) for b in character_group(g, K).representatives]))
-    last = KMatrix([[cur[(0, 0)]]])
-    terms = []
+        j = h - K.rows
+        L = KMatrix([[one if c == r else zero for c in range(h)] if r < j
+                     else [zero] * j + list(K.entry_rows()[r - j]) for r in range(h)]) @ L
+        lams.append(lam)
+        steps.append(K)
+    lams.append(cur[(0, 0)].a)
+    D = KMatrix([[field.from_rational(lam) if c == r else zero for c in range(h)]
+                 for r, lam in enumerate(lams)])
+    assert L.transpose() @ D @ L == P
+    return L, D, steps
 
-    def recurse(level, A, B, q, scale, factors):
-        if level == len(levels):
-            terms.append(Term(q - math.floor(q), scale,
-                              factors + (ThetaFactor(A, B, last),)))
-            return
-        p, k_t, M, a_reps, b_duals = levels[level]
-        a_thm, b_thm = A @ k_t, B @ M
-        for b in b_duals:
-            q_b = q + re_trace_of_product(a_thm, b)
-            b_char = b_thm + b
-            for a in a_reps:
-                a_char = a_thm + a
-                recurse(level + 1, a_char.columns(1), b_char.columns(1), q_b,
-                        scale / len(b_duals),
-                        factors + (ThetaFactor(a_char.column(0), b_char.column(0), p),))
 
-    recurse(0, A0, B0, Fraction(0), Fraction(1), ())
-    return tuple(terms)
+def _reference_monomials(field, g, P, A0, B0):
+    """The expansion as Terms through KMatrix and Fraction arithmetic: the
+    right side of the relation of (L, D) for P = L^t D L, at A0 L^t and
+    B0 L^-1 (relation_terms, from the groups' representatives), each factor
+    split into its h one-column thetas, with coefficient 1/#G2."""
+    L, D, _ = _schur_factors(P)
+    inst = build_relation(RelationSpec(field, g, L, D, A0 @ L.transpose(), B0 @ L.inverse()))
+    scale = Fraction(1, inst.G2.order)
+    return tuple(Term(t.phase_q, scale, tuple(
+        ThetaFactor(t.a_char.column(j), t.b_char.column(j), KMatrix([[D[(j, j)]]]))
+        for j in range(P.rows))) for t in relation_terms(inst))
 
 
 def _leaf_keys(plan, side=0):
@@ -868,6 +868,42 @@ def test_compiled_plan_matches_lowered_monomials(d, g, h):
     assert _leaf_count(dec.expansion) == sum(
         len(_leaves(group)) for group in _group_families(compiled))
     assert len({c for c, _ in compiled.sides[0]}) > 1
+
+
+def _group_orders(g, M):
+    """|G1(M)| |G2(M)|, read off the groups' Smith forms: no coset made."""
+    return shift_group(g, M, math.inf).order * character_group(g, M, math.inf).order
+
+
+_small = st.builds(Fraction, st.integers(-1, 1), st.sampled_from((1, 2)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(d=st.sampled_from((1, 2, 3, 7)), g=st.sampled_from((1, 2)), data=st.data())
+def test_expansion_is_at_most_the_ladders(d, g, data):
+    # P = M^t diag(lam) M with M unipotent lower triangular and small
+    # entries: the expansion has |G1(L)| |G2(L)| monomials, never more than
+    # the product over the Schur levels of |G1(K)| |G2(K)|, and as many
+    # for h = 2, whose one level's K is L
+    field = FieldId(d)
+    h = data.draw(st.integers(1, 4), label="h")
+    M = KMatrix([[field.from_rational(data.draw(_small) if j < i else int(i == j))
+                  for j in range(h)] for i in range(h)])
+    lams = data.draw(st.lists(st.builds(Fraction, st.integers(1, 6), st.sampled_from((1, 2))),
+                              min_size=h, max_size=h), label="lambdas")
+    P = M.transpose() @ KMatrix([[field.from_rational(lam if i == j else 0) for j in range(h)]
+                                 for i, lam in enumerate(lams)]) @ M
+    L, D, steps = _schur_factors(P)
+    count = _group_orders(g, L)
+    ladder = math.prod(_group_orders(g, K) for K in steps)
+    assert count <= ladder
+    if h == 2:
+        assert count == ladder
+    assume(count <= 4096)
+    A0 = KMatrix([[field.element(Fraction(1, 3), Fraction(j, 4)) for j in range(h)]] * g)
+    dec = decompose_rational_P(field, g, P, A0, KMatrix.zeros(g, h, field))
+    assert dec.lambdas == tuple(lams)
+    assert len(dec.expansion.rows) == count
 
 
 def _random_relation(d, g, h, diagonal, seed):
@@ -1052,7 +1088,7 @@ def test_plan_reads_leaves_by_index(monkeypatch):
     read = []
     inner = thetas._leaves_value
     monkeypatch.setattr(thetas, "_leaves_value", lambda *a: read.append(a) or inner(*a))
-    cases = [((lhs, inst.rhs), (13, 84)), ((dec.expansion,), (49, 719)),
+    cases = [((lhs, inst.rhs), (13, 84)), ((dec.expansion,), (24, 24)),
              ((check.lhs, check.rhs), (3, 9))]
     for sides, counts in cases:
         plan = _lower_terms(params, sides)

@@ -95,6 +95,16 @@ def test_unknown_preset_key_raises_type_error(name, params):
         make_preset(name, **params)
 
 
+@pytest.mark.parametrize("name", ["jacobi_identity", "cubic_d3"])
+@pytest.mark.parametrize("cap", [0, -5])
+def test_make_preset_refuses_a_cap_below_one(name, cap):
+    # with a relation (cubic_d3) or without one (jacobi_identity), a cap
+    # below 1 is refused by name, as g below 1 is; math.inf caps nothing
+    with pytest.raises(ValueError, match=f"^max_order must be at least 1, got {cap}$"):
+        make_preset(name, max_order=cap)
+    assert make_preset(name, max_order=math.inf).name == name
+
+
 @pytest.mark.parametrize("name,d", [("cubic_d3", 2), ("quartic_d1", 3),
                                     ("matsumoto", 7), ("cubic_d3_cor1", 1)])
 def test_field_locked_presets_reject_other_d(name, d):

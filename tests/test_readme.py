@@ -1,5 +1,6 @@
 """README's examples run as written: its Python blocks and the one-line
-commands of its Command line section."""
+commands of its Command line section, whose printed outputs are their
+stdout."""
 
 import json
 import re
@@ -17,9 +18,10 @@ def _blocks(text: str, lang: str) -> list[str]:
             if tag == lang]
 
 
+_COMMAND_LINE = _README[_README.index("\n## Command line\n"):]
+
 # the shell lines of the Command line section
-_COMMANDS = [line for block in _blocks(_README[_README.index("\n## Command line\n"):], "sh")
-             for line in block.splitlines()]
+_COMMANDS = [line for block in _blocks(_COMMAND_LINE, "sh") for line in block.splitlines()]
 
 
 def _printed(capsys, code: str) -> list[str]:
@@ -43,6 +45,17 @@ def test_commands_exit_zero(capsys):
     for line in one_line:
         assert main(shlex.split(line)[1:]) == 0, line
         capsys.readouterr()
+
+
+def test_printed_output_is_the_commands_stdout(capsys):
+    # a json block right after a one-command sh block is that command's
+    # stdout, read as JSON
+    pairs = re.findall(r"^```sh\n(iqtheta [^\n]*)\n```\n\n```json\n(.*?)^```$",
+                       _COMMAND_LINE, re.M | re.S)
+    assert [line.split()[1] for line, _ in pairs] == ["eval", "decompose"]
+    for line, printed in pairs:
+        assert main(shlex.split(line)[1:]) == 0, line
+        assert json.loads(capsys.readouterr().out) == json.loads(printed), line
 
 
 def test_piped_build_round_trips_through_verify(capsys, tmp_path, monkeypatch):

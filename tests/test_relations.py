@@ -226,6 +226,19 @@ def test_build_caps_the_term_count():
     assert len(build_relation(spec, max_order=20449).rhs.rows) == 20449
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_build_refuses_a_cap_below_one(cap):
+    # a cap below 1 is refused by name before any group is built, and
+    # math.inf caps nothing
+    field = FieldId(1)
+    T = KMatrix([[field.element(Fraction(1, 2))]])
+    zero = KMatrix.zeros(1, 1, field)
+    spec = RelationSpec(field, 1, T, KMatrix.identity(1, field), zero, zero)
+    with pytest.raises(ValueError, match=f"^max_order must be at least 1, got {cap}$"):
+        build_relation(spec, max_order=cap)
+    assert build_relation(spec, max_order=math.inf).G1.order == 4
+
+
 _RELATIONS = json.loads(
     (Path(__file__).parent / "data" / "groups_golden.json").read_text())["relations"]
 
