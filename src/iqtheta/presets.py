@@ -11,13 +11,13 @@ Every preset is assembled by one of two builders:
 
 - `_family_preset`, for the (T, P) families (the two-fold propositions,
   Cartan, cubic and its corollaries, quartic and its zero case,
-  Matsumoto).  A family writes its printed one-row classes once, read
-  into integer rows over one denominator (`_int_rows`).  The rows are
-  compared exactly with G1 (`_compare_classes`), and the statement check
-  (`_printed_check`) is the relation's own expansion over them.  Further
-  checks ride along: the cubic and quartic bracket displays
-  (`_bracket_check`) and Matsumoto's check-variant statement, whose keys
-  are read off the same rows (thetas._part_keys).
+  Matsumoto).  A family writes its printed one-row classes once, as
+  integer rows over one denominator (`_int_rows`, or `_label_coords`
+  for bracket labels).  The rows are compared exactly with G1
+  (`_compare_classes`), and every statement check is the relation's own
+  expansion over printed classes (`_printed_check`): the family's
+  statement, Matsumoto's check-variant statement (over printed G1 and
+  G2) and the cubic and quartic bracket displays (over their labels).
 - `_identity_preset`, for the real-theta identities (Jacobi, the half and
   double formulas, Riemann's quartic), each given as data: a check is
   (name, lhs, rhs), a side a list of terms (scale, factors), and a factor
@@ -44,13 +44,14 @@ from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .kfield import FieldId, KElement, KMatrix, re_trace_of_product
-from .lattices import FiniteAbelianGroup, _int_coords, character_group, shift_group
+from .lattices import (FiniteAbelianGroup, _int_coords, character_group, coords_to_kmatrix,
+                       shift_group)
 from .relations import (
     RelationInstance,
     RelationSpec,
@@ -64,8 +65,7 @@ from .relations import (
     build_relation,
     evaluate_relation,
 )
-from .thetas import (MatrixLike, ThetaCache, ThetaParams, _int_key, _leaf_keys, _part_keys,
-                     _z_factor)
+from .thetas import MatrixLike, ThetaCache, ThetaParams, _int_key, _leaf_keys, _z_factor
 
 __all__ = [
     "PRESET_NAMES",
@@ -127,54 +127,20 @@ def _row_matrix(cols: Sequence[KMatrix]) -> KMatrix:
     )
 
 
-def bracket_to_characteristic(
-    field: FieldId, rho: Sequence[tuple[int, int]]
-) -> KMatrix:
-    """Characteristic column for the integer-pair bracket labels.
-
-    d = 3: row (r1, r2) maps to r1/3 + r2/sqrt(-3); d = 1: to (r1 + r2*i)/4.
-    """
-    if field.d == 3:
-        inv_rt = field.sqrt_minus_d() * Fraction(-1, 3)  # 1/sqrt(-3)
-        third = Fraction(1, 3)
-        return _col(
-            [field.from_rational(Fraction(r1) * third) + inv_rt * r2
-             for (r1, r2) in rho]
-        )
-    if field.d == 1:
-        quarter = Fraction(1, 4)
-        return _col(
-            [field.element(Fraction(r1) * quarter, Fraction(r2) * quarter)
-             for (r1, r2) in rho]
-        )
-    raise DomainError("bracket characteristics are defined for d in {1, 3}")
-
-
-def _bracket_check(
-    name: str,
-    field: FieldId,
-    g: int,
-    lhs_rows: Sequence[Sequence[tuple[int, int]]],
-    rhs_rows: Sequence[Sequence[Sequence[tuple[int, int]]]],
-    scale: int,
-) -> IdentityCheck:
-    """A bracket display: on the left the product over lhs_rows of the
-    thetas at W, on the right, for each term of rhs_rows, the product of
-    the thetas at scale*W; each factor's characteristic is the column of
-    its g bracket labels (bracket_to_characteristic), with b = 0."""
-    zero = KMatrix.zeros(g, 1, field)
-    leaf = cache(lambda rows, s: _leaf_keys(
-        KMatrix([[field.from_rational(s)]]), bracket_to_characteristic(field, rows), zero)[0])
-
-    def side(terms: Sequence[Sequence[Sequence[tuple[int, int]]]], s: int) -> _Sum:
-        return _sum([(0, [leaf(tuple(rows), s) for rows in t]) for t in terms])
-
-    return IdentityCheck(name=name, g=g, lhs=side([lhs_rows], 1), rhs=side(rhs_rows, scale))
+def _check_columns(preset: str, field: FieldId, g: int, **cols: object) -> None:
+    """DomainError naming the first of cols that is not a g x 1 KMatrix
+    over field."""
+    for name, x in cols.items():
+        if not (isinstance(x, KMatrix) and (x.rows, x.cols) == (g, 1) and x.field == field):
+            got = (f"{x.rows} x {x.cols} over d = {x.field.d}" if isinstance(x, KMatrix)
+                   else type(x).__name__)
+            raise DomainError(f"{preset}: {name} must be a {g} x 1 KMatrix over "
+                              f"d = {field.d}, got {got}")
 
 
 # -- printed parametrizations -------------------------------------------------
 
-_Classes = tuple[list[tuple[int, ...]], int]  # integer rows over one denominator (_int_rows)
+_Classes = tuple[list[tuple[int, ...]], int]  # integer rows over one denominator
 
 
 def _int_rows(printed: Sequence[KMatrix]) -> _Classes:
@@ -183,6 +149,29 @@ def _int_rows(printed: Sequence[KMatrix]) -> _Classes:
     nums, den = _int_coords(KMatrix([m.entry_rows()[0] for m in printed]))
     n = len(nums) // len(printed)
     return [tuple(nums[k:k + n]) for k in range(0, len(nums), n)], den
+
+
+def _label_coords(d: int, labels: Iterable[Sequence[tuple[int, int]]]) -> _Classes:
+    """Rows of bracket labels as integer coordinate rows over one
+    denominator (see lattices._int_coords): d = 3 maps (r1, r2) to
+    (r1 + r2, -2 r2)/3, which is r1/3 + r2/sqrt(-3) with sqrt(-3) =
+    2 delta - 1; d = 1 maps it to (r1, r2)/4, which is (r1 + r2 i)/4."""
+    if d == 3:
+        return [tuple(v for r1, r2 in row for v in (r1 + r2, -2 * r2)) for row in labels], 3
+    if d == 1:
+        return [tuple(v for r in row for v in r) for row in labels], 4
+    raise DomainError("bracket characteristics are defined for d in {1, 3}")
+
+
+def bracket_to_characteristic(
+    field: FieldId, rho: Sequence[tuple[int, int]]
+) -> KMatrix:
+    """Characteristic column for the integer-pair bracket labels.
+
+    d = 3: row (r1, r2) maps to r1/3 + r2/sqrt(-3); d = 1: to (r1 + r2*i)/4.
+    """
+    (nums,), den = _label_coords(field.d, [rho])
+    return coords_to_kmatrix(nums, den, len(rho), 1, field)
 
 
 def _compare_classes(group: FiniteAbelianGroup, classes: _Classes) -> tuple[bool, str]:
@@ -210,6 +199,21 @@ def _compare_classes(group: FiniteAbelianGroup, classes: _Classes) -> tuple[bool
     )
 
 
+def _label_classes(inst: RelationInstance, labels: Sequence[Sequence[tuple[int, int]]]
+                   ) -> _Classes:
+    """A bracket display's one-row classes: each row of bracket labels, the
+    characteristics A0 + A of one term (_label_coords), less A0's row.
+    Displays exist only at characteristics where every row of A0 is that
+    row."""
+    a0, a0_den = _int_coords(inst.spec.A0)
+    row = a0[:2 * inst.spec.h]
+    assert a0 == row * inst.spec.g, "a bracket display needs equal rows of A0"
+    rows, labels_den = _label_coords(inst.spec.field.d, labels)
+    den = math.lcm(a0_den, labels_den)
+    k, m = den // labels_den, den // a0_den
+    return [tuple(x * k - a * m for x, a in zip(r, row)) for r in rows], den
+
+
 def _printed_relation(
     name: str,
     field: FieldId,
@@ -217,29 +221,46 @@ def _printed_relation(
     T: KMatrix,
     P: KMatrix,
     alphas: Sequence[KMatrix],
-    printed: Sequence[KMatrix],
+    classes: _Classes,
     max_order: int,
-) -> tuple[RelationInstance, bool, str, _Classes]:
+) -> tuple[RelationInstance, bool, str]:
     """The relation with A0 = (alphas) conj(T)^t and B0 = 0, so that its
-    left side is Theta^Q[(alphas); 0], whether the printed one-row classes
-    enumerate the one-row shift group (G1 = G(1)^g), and the classes."""
+    left side is Theta^Q[(alphas); 0], and whether the printed one-row
+    classes enumerate the one-row shift group (G1 = G(1)^g)."""
     A0 = _row_matrix(list(alphas)) @ T.conj_transpose()
     B0 = KMatrix.zeros(g, T.rows, field)
     inst = build_relation(RelationSpec(field, g, T, P, A0, B0, name=name), max_order)
-    classes = _int_rows(printed)
     matches, detail = _compare_classes(inst.G1 if g == 1 else shift_group(1, T), classes)
-    return inst, matches, detail, classes
+    return inst, matches, detail
 
 
-def _printed_check(inst: RelationInstance, classes: _Classes, name: str) -> IdentityCheck:
-    """The relation restated over its printed classes, for B0 = 0 and
-    trivial G2, each leaf its own factor at eps: its left side, and its
-    right side (relations._right_side) with A over every g-tuple of
-    printed rows and b = 0."""
-    (rows, den), spec = classes, inst.spec
-    a_reps = (sum(rho, ()) for rho in itertools.product(rows, repeat=spec.g))
-    rhs = _right_side(spec, a_reps, den, [[0] * (2 * spec.g * spec.h)], 1, 1)
-    return IdentityCheck(name=name, g=spec.g, lhs=replace(inst.lhs, factor_leaves=1), rhs=rhs)
+def _shifted(side: _Sum, c: Fraction) -> _Sum:
+    """side with the phase q / q_den of every row moved by c."""
+    q_den = math.lcm(side.q_den, c.denominator)
+    k, n = q_den // side.q_den, c.numerator * (q_den // c.denominator)
+    return replace(side, q_den=q_den, rows=tuple(((q * k + n) % q_den, leaves)
+                                                 for q, leaves in side.rows))
+
+
+def _printed_check(inst: RelationInstance, classes: _Classes, name: str,
+                   b_classes: Optional[_Classes] = None) -> IdentityCheck:
+    """The relation restated over its printed classes, each leaf its own
+    factor at eps: #G2 times its left side, and its right side
+    (relations._right_side) with A over every g-tuple of printed rows and b
+    over every g-tuple of the rows of b_classes (b = 0 without them), both
+    sides' phases moved by c0 = Re Tr(A0^H B0), as a statement over
+    check-variant thetas has them."""
+    spec = inst.spec
+
+    def tuples(rows: Sequence[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
+        return (sum(rho, ()) for rho in itertools.product(rows, repeat=spec.g))
+
+    (rows, den), c0 = classes, re_trace_of_product(spec.A0, spec.B0) % 1
+    b_reps, b_den = (([[0] * (2 * spec.g * spec.h)], 1) if b_classes is None
+                     else (list(tuples(b_classes[0])), b_classes[1]))
+    rhs = _right_side(spec, tuples(rows), den, b_reps, b_den, 1)
+    lhs = replace(inst.lhs, factor_leaves=1, coeff_scale=Fraction(inst.G2.order))
+    return IdentityCheck(name=name, g=spec.g, lhs=_shifted(lhs, c0), rhs=_shifted(rhs, c0))
 
 
 # -- preset container ---------------------------------------------------------
@@ -414,19 +435,20 @@ def _preset_prop_half(
         alpha1 = _default_alpha(field, g, 1)
     if alpha2 is None:
         alpha2 = _default_alpha(field, g, 2)
+    name = "prop_half_general" if variant == 1 else "prop_half_general_2"
+    _check_columns(name, field, g, alpha1=alpha1, alpha2=alpha2)
     dn = field.delta_norm
     cd = field.delta().conj()
     one = field.one()
     first = cd if variant == 1 else one
     T = KMatrix([[first, one], [first, -one]]).scale(one / (cd * 2))
     P = KMatrix.from_rational_rows([[2 * dn, 0], [0, 2 * dn]], field)
-    name = "prop_half_general" if variant == 1 else "prop_half_general_2"
-    printed = _prop_printed_shifts(field)
-    inst, matches, detail, classes = _printed_relation(
-        name, field, g, T, P, [alpha1, alpha2], printed, max_order
+    classes = _int_rows(_prop_printed_shifts(field))
+    inst, matches, detail = _printed_relation(
+        name, field, g, T, P, [alpha1, alpha2], classes, max_order
     )
     expected = {
-        "printed_parametrization_count": len(printed) ** g,
+        "printed_parametrization_count": len(classes[0]) ** g,
         "computed_G1_order": inst.G1.order,
         "expected_G2_trivial": True,
         "parametrization_matches": matches,
@@ -455,6 +477,7 @@ def _preset_cartan(
         alphas = [_default_alpha(field, g, j + 1) for j in range(h)]
     if len(alphas) != h:
         raise DomainError(f"cartan_Ah with h={h} needs {h} characteristic columns")
+    _check_columns("cartan_Ah", field, g, **{f"alphas[{j}]": a for j, a in enumerate(alphas)})
     delta = field.delta()
     dn = field.delta_norm
     cd = delta.conj()
@@ -478,8 +501,9 @@ def _preset_cartan(
             for j, (u, v) in enumerate(combo, 1)
         ]
         printed.append(KMatrix([[c - p for c, p in zip(cur, [zero] + cur)]]))
-    inst, matches, detail, classes = _printed_relation(
-        f"cartan_A{h}", field, g, T, P, alphas, printed, max_order
+    classes = _int_rows(printed)
+    inst, matches, detail = _printed_relation(
+        f"cartan_A{h}", field, g, T, P, alphas, classes, max_order
     )
 
     # Q must be the Cartan matrix exactly
@@ -494,7 +518,7 @@ def _preset_cartan(
             f"cartan_Ah h={h} d={d}: {detail}; statement-form check skipped"
         )
     expected = {
-        "printed_parametrization_count": len(printed) ** g,
+        "printed_parametrization_count": len(classes[0]) ** g,
         "computed_G1_order": inst.G1.order,
         "expected_G2_trivial": True,
         "parametrization_matches": matches,
@@ -530,9 +554,11 @@ def _cubic_relation(
         for r in r_reps
         for s in s_reps
     ]
-    return _printed_relation(
-        name, field, g, T, KMatrix.identity(3, field).scale(3), alphas, printed, max_order
+    classes = _int_rows(printed)
+    inst, matches, detail = _printed_relation(
+        name, field, g, T, KMatrix.identity(3, field).scale(3), alphas, classes, max_order
     )
+    return inst, matches, detail, classes
 
 
 def _preset_cubic(
@@ -543,6 +569,7 @@ def _preset_cubic(
         alphas = [_default_alpha(field, g, j + 1) for j in range(3)]
     if len(alphas) != 3:
         raise DomainError("cubic_d3 needs three characteristic columns")
+    _check_columns("cubic_d3", field, g, **{f"alphas[{j}]": a for j, a in enumerate(alphas)})
     inst, matches, detail, classes = _cubic_relation("cubic_d3", g, alphas, max_order)
     expected = {
         "printed_parametrization_count": len(classes[0]) ** g,
@@ -567,6 +594,7 @@ def _preset_cubic_cor(
         v = _col(
             [field.element(Fraction(1, k + 5), 0) for k in range(g)]
         )
+    _check_columns(f"cubic_d3_cor{which}", field, g, v=v)
     inv_rt = field.sqrt_minus_d() * Fraction(-1, 3)  # 1/sqrt(-3)
     shift = _col([inv_rt for _ in range(g)])
     if which == 1:
@@ -582,13 +610,11 @@ def _preset_cubic_cor(
         # Theta{0,c} over c in (0, 1, -1); each a 27^g-term sum at 3W over
         # the bracket labels (rho1, rho2, sigma2) of each row
         step = 0 if which == 1 else 1
-        rhs = [list(zip(*[((r1 - step, r2), (r1 + step, r2 + s2), (r1, r2 - s2))
-                          for r1, r2, s2 in combo]))
-               for combo in itertools.product(itertools.product((0, 1, -1), repeat=3),
-                                              repeat=g)]
-        display = (_bracket_check(
-            f"cubic_bracket_{'cube' if which == 1 else 'product'}_g{g}", field, g,
-            [[(0, c * step)] * g for c in (0, 1, -1)], rhs, 3),)
+        labels = [((r1 - step, r2), (r1 + step, r2 + s2), (r1, r2 - s2))
+                  for r1, r2, s2 in itertools.product((0, 1, -1), repeat=3)]
+        display = (_printed_check(
+            inst, _label_classes(inst, labels),
+            f"cubic_bracket_{'cube' if which == 1 else 'product'}_g{g}"),)
     expected = {
         "computed_G1_order": inst.G1.order,
         "expected_G1_order": 27**g,
@@ -605,6 +631,16 @@ def _preset_cubic_cor(
 # -- quartic family (d = 1) ------------------------------------------------------
 
 
+def _quartic_labels() -> list[tuple[tuple[int, int], ...]]:
+    """quartic_d1's printed classes as bracket labels, (r1, r2) standing for
+    (r1 + r2 i)/4: (r, -ir + s1, -ir + s2, -r - is1 + is2) with r in O_K/4O_K
+    and s1, s2 in 2O_K/4O_K, r outer."""
+    r_labels = itertools.product((0, 1, -1, 2), repeat=2)
+    s_labels = list(itertools.product((0, 2), repeat=2))
+    return [((r1, r2), (r2 + s1, -r1 + s2), (r2 + t1, -r1 + t2), (-r1 + s2 - t2, -r2 - s1 + t1))
+            for r1, r2 in r_labels for s1, s2 in s_labels for t1, t2 in s_labels]
+
+
 def _preset_quartic(
     g: int = 1, alphas: Optional[Sequence[KMatrix]] = None, max_order: int = 10**6
 ) -> Preset:
@@ -613,9 +649,9 @@ def _preset_quartic(
         alphas = [_default_alpha(field, g, j + 1) for j in range(4)]
     if len(alphas) != 4:
         raise DomainError("quartic_d1 needs four characteristic columns")
+    _check_columns("quartic_d1", field, g, **{f"alphas[{j}]": a for j, a in enumerate(alphas)})
     one = field.one()
     i_ = field.delta()
-    quarter = Fraction(1, 4)
     T = KMatrix(
         [
             [one, i_, i_, -one],
@@ -623,24 +659,14 @@ def _preset_quartic(
             [-i_, one, -one, -i_],
             [one, -i_, -i_, -one],
         ]
-    ).scale(quarter)
-    # printed classes (r, -ir + s1, -ir + s2, -r - is1 + is2)/4 with
-    # r in O_K/4O_K and s1, s2 in 2O_K/4O_K
-    r_reps = [field.element(r1, r2) for r1 in (0, 1, -1, 2) for r2 in (0, 1, -1, 2)]
-    s_reps = [field.element(s1, s2) for s1 in (0, 2) for s2 in (0, 2)]
-    printed = [
-        KMatrix([[x * quarter for x in (r, -r * i_ + s1, -r * i_ + s2,
-                                        -r - s1 * i_ + s2 * i_)]])
-        for r in r_reps
-        for s1 in s_reps
-        for s2 in s_reps
-    ]
-    inst, matches, detail, classes = _printed_relation(
-        "quartic_d1", field, g, T, KMatrix.identity(4, field).scale(4), alphas, printed,
+    ).scale(Fraction(1, 4))
+    classes = _label_coords(1, _quartic_labels())
+    inst, matches, detail = _printed_relation(
+        "quartic_d1", field, g, T, KMatrix.identity(4, field).scale(4), alphas, classes,
         max_order,
     )
     expected = {
-        "printed_parametrization_count": len(printed) ** g,
+        "printed_parametrization_count": len(classes[0]) ** g,
         "computed_G1_order": inst.G1.order,
         "expected_G1_order": 256**g,
         "expected_G2_trivial": True,
@@ -654,23 +680,12 @@ def _preset_quartic(
 
 
 def _preset_quartic_zero(g: int = 1, max_order: int = 10**6) -> Preset:
-    # quartic_d1 at zero characteristics, with the bracket display added
+    # quartic_d1 at zero characteristics, with the bracket display added:
+    # (Theta{0,0})^4(W) as a 256^g-term sum at 4W over the printed labels
     field = FieldId(1)
     preset = _preset_quartic(g, [KMatrix.zeros(g, 1, field)] * 4, max_order)
-    # (Theta{0,0})^4(W) as a 256^g-term sum at 4W over the bracket labels
-    # rho in O_K/4O_K and sigma, sigma' in 2O_K/4O_K of each row
-    rho_labels = list(itertools.product((0, 1, -1, 2), repeat=2))
-    sig_labels = list(itertools.product((0, 2), repeat=2))
-    rhs = [
-        list(zip(*[((r1, r2), (r2 + s1, -r1 + s2), (r2 + t1, -r1 + t2),
-                    (-r1 + s2 - t2, -r2 - s1 + t1))
-                   for (r1, r2), (s1, s2), (t1, t2) in zip(rho, sig, sigp)]))
-        for rho in itertools.product(rho_labels, repeat=g)
-        for sig in itertools.product(sig_labels, repeat=g)
-        for sigp in itertools.product(sig_labels, repeat=g)
-    ]
-    display = _bracket_check(f"quartic_bracket_fourth_g{g}", field, g,
-                             [[(0, 0)] * g] * 4, rhs, 4)
+    display = _printed_check(preset.relation, _label_classes(preset.relation, _quartic_labels()),
+                             f"quartic_bracket_fourth_g{g}")
     return _family_preset(
         "quartic_d1_zero", {"g": g}, preset.relation, None, None,
         dict(preset.expected, specialization="all characteristics zero"),
@@ -698,12 +713,7 @@ def _preset_matsumoto(
         b1 = _col([field.element(Fraction(1, k + 4), Fraction(1, k + 2)) for k in range(g)])
     if b2 is None:
         b2 = _col([field.element(Fraction(1, k + 6), Fraction(1, k + 3)) for k in range(g)])
-    for name, x in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2)):
-        if not (isinstance(x, KMatrix) and (x.rows, x.cols) == (g, 1) and x.field == field):
-            got = (f"{x.rows} x {x.cols} over d = {x.field.d}" if isinstance(x, KMatrix)
-                   else type(x).__name__)
-            raise DomainError(f"matsumoto: {name} must be a {g} x 1 KMatrix over d = 1, "
-                              f"got {got}")
+    _check_columns("matsumoto", field, g, a1=a1, a2=a2, b1=b1, b2=b2)
     one = field.one()
     i_ = field.delta()
     half = Fraction(1, 2)
@@ -739,41 +749,15 @@ def _preset_matsumoto(
         "uses conj(e) in its place"
     )
 
-    # Over d = 1 (-1 is not 1 mod 4), theta_check[a; b] is
-    # exp(-2*pi*i*Re(a^H b)) Theta^[[1]][a; b]: one leaf over P = [[1]], its
-    # phase in its term's q.  Left: 2^g times the thetas at (a1 + a2,
-    # b1 + b2) and (a1 - a2, b1 - b2)
-    pairs = ((a1 + a2, b1 + b2), (a1 - a2, b1 - b2))
-    q_lhs = sum(re_trace_of_product(a, b) for a, b in pairs) % 1
-    lhs = [_leaf_keys(KMatrix([[one]]), a, b)[0] for a, b in pairs]
-    p = lhs[0][0]
-    # Right: for each g-tuple e and f of choices in e_reps (f inner), the
-    # thetas at (e + a1s, f + b1s) and (e + a2s, f + b2s), all read off the
-    # per-row choices (e_k, f_k): keys concatenate rows, and q sums the
-    # rows' integer phases -Re((1+i) conj(e_k)(b1 + b2)_k) + Re(conj(e_k +
-    # a1s_k)(f_k + b1s_k)) + Re(conj(e_k + a2s_k)(f_k + b2s_k)) over q_den
-    cols = [[m[(k, 0)] for k in range(g)] for m in (a1s, a2s, b1s, b2s, b1 + b2)]
-    # per column, the key of e + col for each g-tuple e (the first entries
-    # of the printed rows), A0's (a1s, a2s) centered
-    rows, den = classes
-    e_tuples = [sum(t, ()) for t in itertools.product([r[:2] for r in rows], repeat=g)]
-    keys = [[table[i] for (i,) in parts] for parts, table in (
-        _part_keys(*_int_coords(m), e_tuples, den, g, 1, 1, k < 2)
-        for k, m in enumerate((a1s, a2s, b1s, b2s)))]
-    phases = [[[-(one_plus_i * e.conj() * y).re() + ((e + x1).conj() * (f + y1)).re()
-                + ((e + x2).conj() * (f + y2)).re() for f in e_reps] for e in e_reps]
-              for x1, x2, y1, y2, y in zip(*cols)]
-    q_den = math.lcm(*(r.denominator for row in phases for rs in row for r in rs))
-    phases = [[[r.numerator * (q_den // r.denominator) for r in rs] for rs in row]
-              for row in phases]
-    rhs = (
-        (q % q_den, [(p, keys[0][i], keys[2][j]), (p, keys[1][i], keys[3][j])])
-        for i, es in enumerate(itertools.product((0, 1), repeat=g))
-        for j, q in enumerate(map(sum, itertools.product(*(r[e] for r, e in zip(phases, es)))))
-    )
-    check = IdentityCheck(
-        name=f"matsumoto_statement_g{g}", g=g, rhs=_sum(rhs, q_den=q_den),
-        lhs=_sum([(q_lhs.numerator, lhs)], q_den=q_lhs.denominator, coeff_scale=Fraction(2**g)))
+    # The statement over check-variant thetas (over d = 1, theta_check[a; b]
+    # = exp(-2*pi*i*Re(a^H b)) Theta[a; b]) is the relation over the printed
+    # G1 = G2 with both sides' phases moved by c0 = Re Tr(A0^H B0)
+    # (_printed_check), exactly.  The row of A = (e, e) and b = (f, f) has
+    # the phase Re Tr((A0 + A)^H (B0 + b)) less the coefficient's
+    # Re Tr(A^H B0), which is Re Tr(A0^H b) + c0 + Re Tr(A^H b), and
+    # Re Tr(A^H b) = 2 Re(conj(e) f) is an integer.  Q = I, so the left side
+    # is Theta[a1 + a2; b1 + b2] Theta[a1 - a2; b1 - b2], whose phase is c0.
+    check = _printed_check(inst, classes, f"matsumoto_statement_g{g}", classes)
     expected = {
         "computed_G1_order": inst.G1.order,
         "computed_G2_order": inst.G2.order,

@@ -4,11 +4,12 @@ import bisect
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
-from iqtheta.kfield import KMatrix, dual_generator, re_trace_of_product
+from iqtheta.kfield import FieldId, KMatrix, dual_generator, re_trace_of_product
 from iqtheta.lattices import _int_coords, coords_to_kmatrix
 from iqtheta.relations import _sum
 from iqtheta.thetas import _Family, _int_key, _leaf_keys, _p_parts
@@ -108,6 +109,107 @@ def family_leaf(family: _Family, j: int) -> _Family:
     """Leaf j of a thetas._Family, as a family of one."""
     return _Family(family.field, family.P, family.group[3], family.a, family.params,
                    family.basis, (family.bs[j],))
+
+
+# -- statements built as they are printed: references for the printed checks
+
+
+def side_multiset(side) -> Counter:
+    """A compiled side (relations._Sum) as the multiset of its rows, each
+    (q / q_den mod 1, the keys (P, A0, B0) of its leaves in order)."""
+    leaf = {i: (side.ps[j][1], a, b) for j, a, bs, ids in side.families for b, i in zip(bs, ids)}
+    return Counter((Fraction(q, side.q_den) % 1, tuple(map(leaf.__getitem__, idx)))
+                   for q, idx in side.rows)
+
+
+def matsumoto_statement(a1, a2, b1, b2) -> tuple[Counter, Counter]:
+    """Matsumoto's check-variant statement at the g x 1 characteristics a1,
+    a2, b1, b2 over d = 1, built row by row in KElement arithmetic as the
+    printed formula reads, with conj(e) in its coefficient; its two sides
+    as multisets (see side_multiset), without their scales 2^g and 1.
+
+    Left: theta_check[a1 + a2; b1 + b2] theta_check[a1 - a2; b1 - b2].
+    Right, over the g-tuples e (outer) and f of {0, (1 - i)/2}:
+    exp(2 pi i Re((1 + i)^t conj(e) (b1 + b2))) theta_check[e + a1'; f + b1']
+    theta_check[e + a2'; f + b2'] with x' = (1 + i) x, where theta_check[a; b]
+    = exp(-2 pi i Re(a^H b)) Theta^[[1]][a; b]."""
+    field = a1.field
+    one, i_ = field.one(), field.delta()
+
+    def check(a, b):  # (the phase of theta_check[a; b], its leaf's keys)
+        (p, ka, kb), = _leaf_keys(KMatrix([[one]]), a, b)
+        return re_trace_of_product(a, b), (p[1], ka, kb)
+
+    def row(q, factors):
+        return (q + sum(f[0] for f in factors)) % 1, tuple(f[1] for f in factors)
+
+    lhs = Counter([row(0, [check(a1 + a2, b1 + b2), check(a1 - a2, b1 - b2)])])
+    a1s, a2s, b1s, b2s = (x.scale(one + i_) for x in (a1, a2, b1, b2))
+    reps = [KMatrix.column_vector(t) for t in
+            itertools.product([field.zero(), (one - i_) * Fraction(1, 2)], repeat=a1.rows)]
+    rhs = Counter(row(-re_trace_of_product(e, (b1 + b2).scale(one + i_)),
+                      [check(e + a1s, f + b1s), check(e + a2s, f + b2s)])
+                  for e in reps for f in reps)
+    return lhs, rhs
+
+
+def bracket_column(field, rho) -> KMatrix:
+    """The characteristic column of the bracket labels rho, in KElement
+    arithmetic: d = 3 maps (r1, r2) to r1/3 + r2/sqrt(-3), d = 1 to
+    (r1 + r2 i)/4."""
+    if field.d == 3:
+        inv_rt = field.sqrt_minus_d() * Fraction(-1, 3)  # 1/sqrt(-3)
+        return KMatrix.column_vector(field.from_rational(Fraction(r1, 3)) + inv_rt * r2
+                                     for r1, r2 in rho)
+    assert field.d == 1
+    return KMatrix.column_vector(field.element(Fraction(r1, 4), Fraction(r2, 4))
+                                 for r1, r2 in rho)
+
+
+def bracket_display(field, g, lhs_rows, rhs_rows, scale):
+    """A bracket display compiled from its labels: on the left the product
+    over lhs_rows of the thetas at W, on the right, for each term of
+    rhs_rows, the product of the thetas at scale*W; each factor's
+    characteristic is the column of its g bracket labels
+    (bracket_column), with b = 0.  The two sides as compiled sums
+    (relations._sum)."""
+    zero = KMatrix.zeros(g, 1, field)
+    leaf = cache(lambda rows, s: _leaf_keys(
+        KMatrix([[field.from_rational(s)]]), bracket_column(field, rows), zero)[0])
+
+    def side(terms, s):
+        return _sum([(0, [leaf(tuple(rows), s) for rows in t]) for t in terms])
+
+    return side([lhs_rows], 1), side(rhs_rows, scale)
+
+
+def cubic_display(which: int, g: int):
+    """cubic_d3_cor{which}'s display at v = 0 (see bracket_display):
+    corollary 1 (Theta{0,0})^3(W), corollary 2 the product of Theta{0,c}
+    over c in (0, 1, -1), each a 27^g-term sum at 3W over the bracket
+    labels (rho1, rho2, sigma2) of each row."""
+    step = 0 if which == 1 else 1
+    rhs = [list(zip(*[((r1 - step, r2), (r1 + step, r2 + s2), (r1, r2 - s2))
+                      for r1, r2, s2 in combo]))
+           for combo in itertools.product(itertools.product((0, 1, -1), repeat=3), repeat=g)]
+    return bracket_display(FieldId(3), g, [[(0, c * step)] * g for c in (0, 1, -1)], rhs, 3)
+
+
+def quartic_display(g: int):
+    """quartic_d1_zero's display (see bracket_display): (Theta{0,0})^4(W) as
+    a 256^g-term sum at 4W over the bracket labels rho in O_K/4O_K and
+    sigma, sigma' in 2O_K/4O_K of each row."""
+    rho_labels = list(itertools.product((0, 1, -1, 2), repeat=2))
+    sig_labels = list(itertools.product((0, 2), repeat=2))
+    rhs = [
+        list(zip(*[((r1, r2), (r2 + s1, -r1 + s2), (r2 + t1, -r1 + t2),
+                    (-r1 + s2 - t2, -r2 - s1 + t1))
+                   for (r1, r2), (s1, s2), (t1, t2) in zip(rho, sig, sigp)]))
+        for rho in itertools.product(rho_labels, repeat=g)
+        for sig in itertools.product(sig_labels, repeat=g)
+        for sigp in itertools.product(sig_labels, repeat=g)
+    ]
+    return bracket_display(FieldId(1), g, [[(0, 0)] * g] * 4, rhs, 4)
 
 
 # -- compiled sums and plans

@@ -24,11 +24,17 @@ from iqtheta import (
     make_preset,
     run_paper_suite,
 )
-from iqtheta.presets import _compare_classes, _cubic_relation, _default_alpha, _printed_relation
+from hypothesis import given, settings, strategies as st
+
+from iqtheta.lattices import _int_coords, coords_to_kmatrix, shift_group
+from iqtheta.presets import (_compare_classes, _cubic_relation, _default_alpha, _label_classes,
+                             _label_coords, _printed_relation)
 from iqtheta.relations import _sum
 from iqtheta.thetas import _block, _int_key, _leaf_keys
 
-from _helpers import compile_terms, printed_terms, reduce_mod_integral, relation_terms, row_a0s
+from _helpers import (bracket_column, compile_terms, cubic_display, matsumoto_statement,
+                      printed_terms, quartic_display, reduce_mod_integral, relation_terms,
+                      row_a0s, side_multiset)
 
 
 _RELATION_PRESETS = [(name, params) for name, params in DEFAULT_SUITE_PLAN
@@ -335,7 +341,8 @@ def test_printed_statements_match_the_kmatrix_reference(monkeypatch, name, param
     printed = []
 
     def record(*args):
-        printed.append(args[6])
+        (rows, den), field = args[6], args[1]
+        printed.append([coords_to_kmatrix(r, den, 1, len(r) // 2, field) for r in rows])
         return _printed_relation(*args)
 
     monkeypatch.setattr("iqtheta.presets._printed_relation", record)
@@ -362,7 +369,8 @@ def _choice_keys(rows, w, center):
 @pytest.mark.parametrize("g", [1, 2])
 def test_matsumoto_statement_keys_match_the_per_row_choices(g):
     # row (e, f) of the statement holds the leaves (e + a1s, f + b1s) and
-    # (e + a2s, f + b2s), e outer and f inner, A0's columns centered
+    # (e + a2s, f + b2s), f (the dual shift b) outer and e (the shift A)
+    # inner as in relations._right_side, A0's columns centered
     preset = make_preset("matsumoto", g=g)
     (check,) = preset.identity_checks
     spec, field = preset.relation.spec, FieldId(1)
@@ -371,7 +379,7 @@ def test_matsumoto_statement_keys_match_the_per_row_choices(g):
     keys = [[key for (key,) in _choice_keys([[[e + x] for e in e_reps] for x in col], 1, k < 2)]
             for k, col in enumerate(cols)]
     want = [((keys[0][i], keys[2][j]), (keys[1][i], keys[3][j]))
-            for i in range(2**g) for j in range(2**g)]
+            for j in range(2**g) for i in range(2**g)]
     leaf = {i: (a, b) for _, a, bs, ids in check.rhs.families for b, i in zip(bs, ids)}
     assert [tuple(map(leaf.__getitem__, idx)) for _, idx in check.rhs.rows] == want
 
@@ -545,3 +553,129 @@ def test_printed_classes_and_characteristics_are_checked(call, want, error):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == want
+
+
+# -- statements and displays against their printed constructions ------------------
+
+
+def _assert_sides_match(check, lhs, rhs, lhs_scale=1):
+    # lhs and rhs: the reference sides as multisets (see side_multiset)
+    assert (side_multiset(check.lhs), side_multiset(check.rhs)) == (lhs, rhs)
+    assert (check.lhs.coeff_scale, check.rhs.coeff_scale) == (lhs_scale, 1)
+    assert (check.lhs.factor_leaves, check.rhs.factor_leaves) == (1, 1)
+    assert check.lhs.lattice == check.rhs.lattice == "O_K"
+
+
+def _matsumoto_agrees(g, **cols):
+    # the characteristics not in cols are the preset's defaults, read back
+    # from A0 = (a1, a2)(1 + i) and B0 = (b1, b2)(1 + i)
+    preset = make_preset("matsumoto", g=g, **cols)
+    spec = preset.relation.spec
+    inv = spec.field.one() / (spec.field.one() + spec.field.delta())
+    read = [m.column(j).scale(inv) for m in (spec.A0, spec.B0) for j in (0, 1)]
+    a1, a2, b1, b2 = (cols.get(k, x) for k, x in zip(("a1", "a2", "b1", "b2"), read))
+    (check,) = preset.identity_checks
+    _assert_sides_match(check, *matsumoto_statement(a1, a2, b1, b2), lhs_scale=2**g)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_matsumoto_statement_is_the_printed_formula(g):
+    # the check, the relation over printed G1 = G2 with its phases moved by
+    # Re Tr(A0^H B0), against the per-row KElement formula it replaced
+    _matsumoto_agrees(g)
+
+
+def _column(field, g):
+    entry = st.builds(lambda a, b, c, d: field.element(Fraction(a, b), Fraction(c, d)),
+                      st.integers(-6, 6), st.integers(1, 8), st.integers(-6, 6),
+                      st.integers(1, 8))
+    return st.lists(entry, min_size=g, max_size=g).map(
+        lambda xs: KMatrix.column_vector(xs))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(g=st.sampled_from((1, 2)), data=st.data())
+def test_matsumoto_statement_is_the_printed_formula_at_any_characteristics(g, data):
+    cols = {k: data.draw(_column(FieldId(1), g), label=k) for k in ("a1", "a2", "b1", "b2")}
+    _matsumoto_agrees(g, **cols)
+
+
+_DISPLAYS = [("cubic_d3_cor1", 1, 1), ("cubic_d3_cor1", 2, 1), ("cubic_d3_cor2", 1, 2),
+             ("cubic_d3_cor2", 2, 2), ("quartic_d1_zero", 1, None), ("quartic_d1_zero", 2, None)]
+
+
+def _display_preset(name, g):
+    v = {} if name == "quartic_d1_zero" else {"v": KMatrix.zeros(g, 1, FieldId(3))}
+    return make_preset(name, g=g, **v)
+
+
+@pytest.mark.parametrize("name,g,which", _DISPLAYS, ids=[f"{n}-g{g}" for n, g, _ in _DISPLAYS])
+def test_bracket_displays_are_their_label_constructions(name, g, which):
+    # a display, the relation over its label classes, against the sums
+    # compiled label by label from the KElement characteristics
+    display = _display_preset(name, g).identity_checks[-1]
+    lhs, rhs = quartic_display(g) if which is None else cubic_display(which, g)
+    _assert_sides_match(display, side_multiset(lhs), side_multiset(rhs))
+
+
+@pytest.mark.parametrize("name,g,which", _DISPLAYS[::2], ids=[n for n, _, _ in _DISPLAYS[::2]])
+def test_bracket_label_classes_are_the_shift_group(monkeypatch, name, g, which):
+    # exactly: a mistyped label fails here in integers
+    classes = []
+
+    def record(inst, labels):
+        classes.append((inst.spec.T, _label_classes(inst, labels)))
+        return classes[-1][1]
+
+    monkeypatch.setattr("iqtheta.presets._label_classes", record)
+    _display_preset(name, g)
+    ((T, display),) = classes
+    assert _compare_classes(shift_group(1, T), display) == (True, "")
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_label_coords_are_the_kelement_labels(d):
+    field = FieldId(d)
+    labels = list(itertools.product(range(-4, 5), repeat=2))
+    (nums,), den = _label_coords(d, [labels])
+    ref, ref_den = _int_coords(bracket_column(field, labels))
+    assert [Fraction(n, den) for n in nums] == [Fraction(n, ref_den) for n in ref]
+    assert bracket_to_characteristic(field, labels) == bracket_column(field, labels)
+
+
+# a characteristic column of each preset that takes one: (preset, params,
+# the column's name, its keyword, or ("alphas", the count, its index))
+_COLUMN_PARAMS = [
+    ("prop_half_general", {"d": 1}, "alpha1", "alpha1"),
+    ("prop_half_general_2", {"d": 2}, "alpha2", "alpha2"),
+    ("cartan_Ah", {"h": 2, "d": 3}, "alphas[1]", ("alphas", 2, 1)),
+    ("cubic_d3", {}, "alphas[0]", ("alphas", 3, 0)),
+    ("cubic_d3_cor1", {}, "v", "v"),
+    ("cubic_d3_cor2", {}, "v", "v"),
+    ("quartic_d1", {}, "alphas[3]", ("alphas", 4, 3)),
+    ("matsumoto", {}, "b1", "b1"),
+]
+_BAD_COLUMNS = {
+    "rows": (lambda d: KMatrix.zeros(2, 1, FieldId(d)), lambda d: f"2 x 1 over d = {d}"),
+    "columns": (lambda d: KMatrix.zeros(1, 2, FieldId(d)), lambda d: f"1 x 2 over d = {d}"),
+    "type": (lambda d: [[0]], lambda d: "list"),
+    "field": (lambda d: KMatrix.zeros(1, 1, FieldId(7)), lambda d: "1 x 1 over d = 7"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_COLUMNS))
+@pytest.mark.parametrize("name,params,param,where", _COLUMN_PARAMS,
+                         ids=[f"{n}-{p}" for n, _, p, _ in _COLUMN_PARAMS])
+def test_characteristic_columns_are_checked_by_name(name, params, param, where, bad):
+    d = make_preset(name, **params).field.d
+    make, got = _BAD_COLUMNS[bad]
+    if isinstance(where, tuple):
+        key, n, j = where
+        cols = [_default_alpha(FieldId(d), 1, k + 1) for k in range(n)]
+        cols[j] = make(d)
+        params = dict(params, **{key: cols})
+    else:
+        params = dict(params, **{where: make(d)})
+    with pytest.raises(DomainError) as err:
+        make_preset(name, **params)
+    assert str(err.value) == f"{name}: {param} must be a 1 x 1 KMatrix over d = {d}, got {got(d)}"
