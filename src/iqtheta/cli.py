@@ -51,7 +51,7 @@ from .relations import (
     decompose_rational_P,
     evaluate_relation,
 )
-from .thetas import ThetaParams, _at, theta_general
+from .thetas import ThetaParams, _at, _check_w_shape, theta_general
 
 __all__ = ["main"]
 
@@ -401,11 +401,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     with _parsing("decompose input"):
         field = FieldId(json_int(obj["d"], "d"))
         g = _check_g(json_int(obj["g"], "g"))
-        p_rows = [
-            [_parse_rational(x, "P") for x in row] for row in obj["P"]
-        ]
-        h = len(p_rows)
-        P = KMatrix.from_rational_rows(p_rows, field)
+        if isinstance(obj["P"], dict):
+            P = KMatrix.from_json(obj["P"], field)
+        else:
+            P = KMatrix.from_rational_rows(
+                [[_parse_rational(x, "P") for x in row] for row in obj["P"]], field)
+        h = P.rows
         A0, B0 = (
             KMatrix.from_json(obj[key], field)
             if key in obj
@@ -413,9 +414,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             for key in ("A0", "B0")
         )
     # --W is checked as the evaluation checks it, but before the expansion
-    W = None if args.W is None else _at(_parse_complex_matrix(args.W, "--W")).w
-    if W is not None and W.shape != (g, g):
-        raise DomainError(f"W must be {g}x{g} to match A0, got {W.shape}")
+    at = None if args.W is None else _at(_parse_complex_matrix(args.W, "--W"))
+    if at is not None:
+        _check_w_shape(g, at)
     decomp = decompose_rational_P(field, g, P, A0, B0)
     det = decomp.lambda_product()
     out = {
@@ -427,11 +428,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "monomial_count": len(decomp.expansion.rows),
     }
     passed = []
-    if W is not None:
+    if at is not None:
         # Theta^P[A0; B0] against the expansion, lowered together; only the
         # residual and the verdict are printed, not the counts
         plans = _Plans(_theta_sum(P, A0, B0), decomp.expansion)
-        rep = _compare_sides(plans, W, params, len(decomp.expansion.rows))
+        rep = _compare_sides(plans, at.w, params, len(decomp.expansion.rows))
         out.update(
             {
                 "poly_value": _complex_pair(rep.rhs),

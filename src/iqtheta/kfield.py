@@ -395,10 +395,6 @@ class KMatrix:
     def column(self, j: int) -> "KMatrix":
         return KMatrix._of(tuple((row[j],) for row in self._entries), self.field)
 
-    def columns(self, start: int) -> "KMatrix":
-        """The columns from start on (start < cols)."""
-        return KMatrix._of(tuple(row[start:] for row in self._entries), self.field)
-
     def __eq__(self, other: object) -> bool:
         return self is other or (
             isinstance(other, KMatrix)

@@ -18,9 +18,9 @@ collapse fails for d > 1 whenever #G2 shares a factor with d (or with 2
 when -d is not 1 mod 4), because O_K is not self dual there.
 Both sides are computed independently here; the report carries the residual.
 
-A rational symmetric positive definite P is P = L^t D L, with D the
-diagonal of its Schur pivots and L unipotent lower triangular, so
-Theta^P[A0; B0] is the left side of the relation of (L, D) at A0 L^t and
+A Hermitian positive definite P over K is P = L^H D L, with L unipotent
+lower triangular and D the diagonal of its rational pivots, so
+Theta^P[A0; B0] is the left side of the relation of (L, D) at A0 L^H and
 B0 L^-1, whose right side is an exact-coefficient polynomial in
 one-column thetas.
 
@@ -73,7 +73,6 @@ from . import thetas
 from .errors import DomainError, GroupCapError, SingularMatrixError
 from .kfield import (
     FieldId,
-    KElement,
     KMatrix,
     dual_generator,
     json_int,
@@ -586,16 +585,16 @@ def evaluate_relation(
     return _compare_sides(inst._plans, W, params, term_count, float(inst.scale), cache)
 
 
-# -- rational P as a polynomial in one-column thetas ------------------------
+# -- Hermitian P as a polynomial in one-column thetas -----------------------
 
 
 @dataclass(frozen=True)
 class PDecomposition:
-    """Schur pivot sequence (one entry per column, repeats kept) plus the
-    expansion, the right side of the relation of (L, diag(lambdas)) compiled
-    to one-column leaves (a _Sum): a part is one distinct [[lam]], a family
-    ([[lam]], a column of A0 L^t + A reduced mod O_K) with its b, and a
-    monomial a row of one leaf per column, each its own factor, with
+    """The pivots of P = L^H diag(lambdas) L (one per column, repeats kept)
+    plus the expansion, the right side of the relation of (L, diag(lambdas))
+    compiled to one-column leaves (a _Sum): a part is one distinct [[lam]],
+    a family ([[lam]], a column of A0 L^H + A reduced mod O_K) with its b,
+    and a monomial a row of one leaf per column, each its own factor, with
     coefficient scale 1/#G2."""
 
     field: FieldId
@@ -624,34 +623,6 @@ class PDecomposition:
         return _sum_terms(self._plans[params], W)[0][0]
 
 
-def _rational_entry(x: KElement, what: str) -> Fraction:
-    if not x.is_rational():
-        raise DomainError(f"{what} must have rational entries")
-    return x.a
-
-
-def _schur_split(P: KMatrix) -> tuple[Fraction, KMatrix, KMatrix]:
-    """P = K^t diag(lam1, P1) K with K unipotent lower triangular.
-
-    Returns (lam1, P1, K).  P must be rational symmetric with positive
-    leading entry and an invertible trailing block.
-    """
-    h = P.rows
-    r = [P[(0, j)] for j in range(1, h)]  # 1 x (h-1)
-    p1 = KMatrix([[P[(i, j)] for j in range(1, h)] for i in range(1, h)])
-    x = p1.inverse() @ KMatrix.column_vector(r)  # P1^-1 R^t, (h-1) x 1
-    mu1 = P[(0, 0)]
-    for i in range(h - 1):
-        mu1 = mu1 - r[i] * x[(i, 0)]
-    lam1 = _rational_entry(mu1, "P")
-    if lam1 <= 0:
-        raise DomainError(f"P is not positive definite: Schur pivot {lam1} <= 0")
-    one, zero = P.field.one(), P.field.zero()
-    k_rows = [[one] + [zero] * (h - 1)]
-    k_rows += [[x[(i, 0)]] + [one if j == i else zero for j in range(h - 1)] for i in range(h - 1)]
-    return (lam1, p1, KMatrix(k_rows))
-
-
 # the monomial count's cap: the default order cap of each group
 _MAX_MONOMIALS = 10**6
 
@@ -665,12 +636,12 @@ def decompose_rational_P(
 ) -> PDecomposition:
     """Expand Theta^P[A0; B0](W) as a polynomial in one-column thetas.
 
-    P must be rational symmetric positive definite.  Its Schur pivots give
-    P = L^t D L with D = diag(lam_1, ..., lam_h), which multiply to det P,
-    and L unipotent lower triangular; the expansion is the right side of
-    the relation of (L, D) at A0 L^t and B0 L^-1 (_right_side), over the
-    groups of L, each one-column leaf its own factor.  GroupCapError when
-    it has over _MAX_MONOMIALS monomials.
+    P must be Hermitian positive definite over K.  It is P = L^H D L with
+    L unipotent lower triangular and D = diag(lam_1, ..., lam_h), whose
+    pivots are rational (each is real and in K) and multiply to det P; the
+    expansion is the right side of the relation of (L, D) at A0 L^H and
+    B0 L^-1 (_right_side), over the groups of L, each one-column leaf its
+    own factor.  GroupCapError when it has over _MAX_MONOMIALS monomials.
     """
     _check_g(g)
     if P.rows != P.cols:
@@ -678,28 +649,28 @@ def decompose_rational_P(
     for m, nm in ((A0, "A0"), (B0, "B0")):
         if m.rows != g or m.cols != P.rows:
             raise DomainError(f"{nm} must be {g} x {P.rows}")
-    for i in range(P.rows):
-        for j in range(P.cols):
-            _rational_entry(P[(i, j)], "P")
-            if P[(i, j)] != P[(j, i)]:
-                raise DomainError("P must be symmetric")
+    if P.conj_transpose() != P:
+        raise DomainError("P must be Hermitian")
 
-    # each Schur step's K acts on the trailing columns j..h-1, so
-    # L <- diag(I_j, K) L: K times the rows j.. of L
+    # P = L^H D L column by column from the last, whose pivot is P's last
+    # diagonal entry: P_jj = lam_j + sum_k lam_k |L_kj|^2 and, for i < j,
+    # P_ji = lam_j L_ji + sum_k lam_k conj(L_kj) L_ki, both over k > j
     h = P.rows
-    lambdas: list[Fraction] = []
-    L = KMatrix.identity(h, field)
-    cur = P
-    while cur.rows > 1:
-        lam1, cur, k_mat = _schur_split(cur)
-        lambdas.append(lam1)
-        j = h - k_mat.rows
-        rows = L.entry_rows()
-        L = KMatrix([*rows[:j], *(k_mat @ KMatrix(rows[j:])).entry_rows()])
-    last = _rational_entry(cur[(0, 0)], "P")
-    if last <= 0:
-        raise DomainError(f"P is not positive definite: pivot {last} <= 0")
-    lambdas.append(last)
+    one, zero = field.one(), field.zero()
+    rows = [[one if i == k else zero for k in range(h)] for i in range(h)]
+    lambdas = [Fraction(0)] * h
+    for j in reversed(range(h)):
+        below = range(j + 1, h)
+        lam = P[(j, j)].a - sum(lambdas[k] * rows[k][j].norm() for k in below)
+        if lam <= 0:
+            raise DomainError(f"P is not positive definite: pivot {lam} <= 0")
+        lambdas[j] = lam
+        for i in range(j):
+            x = P[(j, i)]
+            for k in below:
+                x = x - rows[k][j].conj() * rows[k][i] * lambdas[k]
+            rows[j][i] = x / lam
+    L = KMatrix(rows)
 
     # a group is its Smith form until its cosets are read, so the groups
     # take no cap of their own and an expansion over the monomial cap is
@@ -710,10 +681,9 @@ def decompose_rational_P(
         raise GroupCapError(
             f"the decomposition has {count} monomials, over the cap {_MAX_MONOMIALS}"
         )
-    zero = field.zero()
     D = KMatrix([[field.from_rational(lam) if i == k else zero for k in range(h)]
                  for i, lam in enumerate(lambdas)])
-    spec = RelationSpec(field, g, L, D, A0 @ L.transpose(), B0 @ L.inverse())
+    spec = RelationSpec(field, g, L, D, A0 @ L.conj_transpose(), B0 @ L.inverse())
     expansion = _right_side(spec, g1.coords, g1.scale, *_dual_coords(g2), 1)
     return PDecomposition(field=field, g=g, lambdas=tuple(lambdas),
                           expansion=replace(expansion, coeff_scale=Fraction(1, g2.order)))

@@ -212,6 +212,28 @@ def quartic_display(g: int):
     return bracket_display(FieldId(1), g, [[(0, 0)] * g] * 4, rhs, 4)
 
 
+# -- the Schur ladder: P = L^t D L one level at a time, by KMatrix inverses
+
+
+def schur_split(P: KMatrix) -> tuple[Fraction, KMatrix, KMatrix]:
+    """P = K^t diag(lam1, P1) K with K unipotent lower triangular, for a
+    rational symmetric positive definite P: x = P1^-1 r^t for the first row
+    r of P past its corner, lam1 = P00 - r x and K's first column (1, x).
+    Returns (lam1, P1, K)."""
+    h = P.rows
+    r = [P[(0, j)] for j in range(1, h)]  # 1 x (h-1)
+    p1 = KMatrix([[P[(i, j)] for j in range(1, h)] for i in range(1, h)])
+    x = p1.inverse() @ KMatrix.column_vector(r)  # P1^-1 R^t, (h-1) x 1
+    mu1 = P[(0, 0)]
+    for i in range(h - 1):
+        mu1 = mu1 - r[i] * x[(i, 0)]
+    assert mu1.is_rational() and mu1.a > 0, mu1
+    one, zero = P.field.one(), P.field.zero()
+    k_rows = [[one] + [zero] * (h - 1)]
+    k_rows += [[x[(i, 0)]] + [one if j == i else zero for j in range(h - 1)] for i in range(h - 1)]
+    return (mu1.a, p1, KMatrix(k_rows))
+
+
 # -- compiled sums and plans
 
 

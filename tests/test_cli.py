@@ -248,6 +248,31 @@ def test_decompose_rejects_indefinite(capsys):
     assert code == 2
 
 
+def test_decompose_reads_a_hermitian_P_as_an_exact_matrix(capsys):
+    # P = [[2, i], [-i, 2]] over Q(i): pivots 3/2 and 2, as the rational
+    # [[2, -1], [-1, 2]] has
+    field = FieldId(1)
+    i_ = field.delta()
+    P = KMatrix([[field.from_rational(2), i_], [i_.conj(), field.from_rational(2)]])
+    spec = json.dumps({"d": 1, "g": 1, "P": P.to_json()})
+    code, out = _run(capsys, ["decompose", "--spec", spec, "--W", "[[[0.05, 1]]]"])
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["lambdas"] == [[3, 2], [2, 1]]
+    assert blob["lambda_product"] == [3, 1]
+    assert blob["passed"] is True
+    assert blob["residual_rel"] < 1e-10
+
+
+def test_decompose_refuses_a_singular_trailing_block(capsys):
+    # the trailing block [[0]] is singular, and its pivot is refused
+    spec = json.dumps({"d": 1, "g": 1, "P": [[1, 1], [1, 0]]})
+    assert main(["decompose", "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "domain error: P is not positive definite: pivot 0 <= 0\n"
+
+
 def test_decompose_rejects_misshapen_A0(capsys):
     a0 = KMatrix.zeros(1, 1, FieldId(1)).to_json()
     spec = json.dumps({"d": 1, "g": 2, "P": [[2, 1], [1, 2]], "A0": a0})
@@ -385,6 +410,9 @@ def test_decompose_missing_key(capsys):
          json.dumps({"d": 1, "g": 1, "P": [[2]], "A0": {"x": 1}})],
         ["decompose", "--spec", json.dumps({"d": 1, "g": "x", "P": [[2]]})],
         ["decompose", "--spec", json.dumps({"d": 1, "g": 1, "P": []})],
+        ["decompose", "--spec", json.dumps({"d": 1, "g": 1, "P": {"rows": 1}})],
+        ["decompose", "--spec", json.dumps(
+            {"d": 1, "g": 1, "P": {"entries": [[{"a": [2, 1]}]]}})],
         ["eval", "--d", "4", "--W", "[[[0, 1]]]"],
         ["eval", "--d", "1", "--W", '[[["a", 1]]]'],
         ["decompose", "--spec", json.dumps({"d": 2.9, "g": 1, "P": [[2]]})],
@@ -408,8 +436,9 @@ def test_decompose_missing_key(capsys):
          json.dumps({"entries": [[{"a": [1], "b": [0, 1]}]]})],
     ],
     ids=["zero-denominator", "P-not-rows", "A0-no-entries", "g-not-int",
-         "P-empty", "d-not-squarefree", "W-entry-not-number", "d-float",
-         "g-float", "g-bool", "P-float-numerator", "P-bool", "A0-float-coord",
+         "P-empty", "P-object-no-entries", "P-object-entry-no-b", "d-not-squarefree",
+         "W-entry-not-number", "d-float", "g-float", "g-bool", "P-float-numerator",
+         "P-bool", "A0-float-coord",
          "spec-d-float", "spec-g-float", "preset-unknown-g", "preset-unknown-h",
          "W-part-bool", "W-entry-bool", "W-part-overflow", "B0-short-pair"],
 )

@@ -59,6 +59,7 @@ from _helpers import (
     plan_leaf,
     relation_terms,
     rhs_terms,
+    schur_split,
 )
 
 
@@ -802,14 +803,16 @@ def _decomposition_input(d, g, h):
 
 
 def _schur_factors(P):
-    """(L, D, the Schur steps' K) with P = L^t D L: each step's K acts on
-    the trailing columns j..h-1, so L <- diag(I_j, K) L, built by KMatrix
-    products, and D = diag(lam_1, ..., lam_h) holds the pivots."""
+    """(L, D, the Schur steps' K) with P = L^t D L by the Schur ladder
+    (schur_split), a reference apart from decompose_rational_P's
+    recurrence: each step's K acts on the trailing columns j..h-1, so
+    L <- diag(I_j, K) L, built by KMatrix products, and D = diag(lam_1,
+    ..., lam_h) holds the pivots."""
     field, h = P.field, P.rows
     one, zero = field.one(), field.zero()
     L, lams, steps, cur = KMatrix.identity(h, field), [], [], P
     while cur.rows > 1:
-        lam, cur, K = relations._schur_split(cur)
+        lam, cur, K = schur_split(cur)
         j = h - K.rows
         L = KMatrix([[one if c == r else zero for c in range(h)] if r < j
                      else [zero] * j + list(K.entry_rows()[r - j]) for r in range(h)]) @ L
@@ -902,7 +905,9 @@ def test_expansion_is_at_most_the_ladders(d, g, data):
     assume(count <= 4096)
     A0 = KMatrix([[field.element(Fraction(1, 3), Fraction(j, 4)) for j in range(h)]] * g)
     dec = decompose_rational_P(field, g, P, A0, KMatrix.zeros(g, h, field))
-    assert dec.lambdas == tuple(lams)
+    # a unipotent L and a diagonal D with P = L^t D L are unique, so the
+    # recurrence's pivots are the ladder's
+    assert dec.lambdas == tuple(lams) == tuple(D[(j, j)].a for j in range(h))
     assert len(dec.expansion.rows) == count
 
 

@@ -41,7 +41,7 @@ def test_python_blocks_print_what_their_comments_say(capsys):
 def test_commands_exit_zero(capsys):
     one_line = [line for line in _COMMANDS if line.startswith("iqtheta ")
                 and not line.endswith("\\") and "@relation.json" not in line]
-    assert len(one_line) == 7
+    assert len(one_line) == 8
     for line in one_line:
         assert main(shlex.split(line)[1:]) == 0, line
         capsys.readouterr()
@@ -52,7 +52,7 @@ def test_printed_output_is_the_commands_stdout(capsys):
     # stdout, read as JSON
     pairs = re.findall(r"^```sh\n(iqtheta [^\n]*)\n```\n\n```json\n(.*?)^```$",
                        _COMMAND_LINE, re.M | re.S)
-    assert [line.split()[1] for line, _ in pairs] == ["eval", "decompose"]
+    assert [line.split()[1] for line, _ in pairs] == ["eval", "decompose", "decompose"]
     for line, printed in pairs:
         assert main(shlex.split(line)[1:]) == 0, line
         assert json.loads(capsys.readouterr().out) == json.loads(printed), line

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from iqtheta import (
     DEFAULT_SUITE_PLAN,
@@ -338,11 +339,20 @@ def test_spec_validation_errors():
         ).validate()
 
 
-def _decompose_1x1(rows):
+def _decompose_g1(rows):
     """decompose_rational_P over Q(i) at g = 1 and zero characteristics."""
     field = FieldId(1)
-    z = KMatrix.zeros(1, 1, field)
+    z = KMatrix.zeros(1, len(rows), field)
     return decompose_rational_P(field, 1, _rational_mat(field, rows), z, z)
+
+
+def _non_hermitian_P():
+    """P = [[2, i], [i, 2]] over Q(i): P_10 is not conj(P_01)."""
+    field = FieldId(1)
+    i_ = field.delta()
+    z = KMatrix.zeros(1, 2, field)
+    P = KMatrix([[field.from_rational(2), i_], [i_, field.from_rational(2)]])
+    decompose_rational_P(field, 1, P, z, z)
 
 
 def _non_square_T():
@@ -354,9 +364,15 @@ def _non_square_T():
 
 @pytest.mark.parametrize("call,message", [
     (_non_square_T, "T must be square"),
-    (lambda: _decompose_1x1([[1, 0]]), "P must be square"),
-    (lambda: _decompose_1x1([[-1]]), "P is not positive definite: pivot -1 <= 0"),
-], ids=["T-non-square", "P-non-square", "P-negative"])
+    (lambda: _decompose_g1([[1, 0]]), "P must be square"),
+    (lambda: _decompose_g1([[-1]]), "P is not positive definite: pivot -1 <= 0"),
+    # the trailing block [[0]] is singular: its pivot is refused before
+    # any division by it
+    (lambda: _decompose_g1([[1, 1], [1, 0]]), "P is not positive definite: pivot 0 <= 0"),
+    (lambda: _decompose_g1([[2, 1], [0, 2]]), "P must be Hermitian"),
+    (_non_hermitian_P, "P must be Hermitian"),
+], ids=["T-non-square", "P-non-square", "P-negative", "P-singular-trailing-block",
+        "P-not-symmetric", "P-not-Hermitian"])
 def test_relation_inputs_are_checked(call, message):
     with pytest.raises(DomainError) as err:
         call()
@@ -484,15 +500,56 @@ def test_decompose_rejects_indefinite_P():
         decompose_rational_P(field, 1, P, z, z)
 
 
-def test_decompose_rejects_nonrational_P():
+def _characteristics(field, h):
+    """1 x h characteristics A0 and B0 with delta parts, so that A0 L^H is
+    not A0 L^t."""
+    A0 = KMatrix([[field.element(Fraction(1, 3), Fraction(1 + j, 4)) for j in range(h)]])
+    B0 = KMatrix([[field.element(Fraction(1, 5), Fraction(-j, 3)) for j in range(h)]])
+    return A0, B0
+
+
+def test_decompose_hermitian_P_matches_dense():
+    # P = [[2, i], [-i, 2]] = L^H diag(3/2, 2) L with L = [[1, 0], [-i/2, 1]]
     field = FieldId(1)
-    one = field.one()
     i_ = field.delta()
     P = KMatrix([[field.from_rational(2), i_], [i_.conj(), field.from_rational(2)]])
-    z = KMatrix.zeros(1, 2, field)
-    with pytest.raises(DomainError, match="rational"):
-        decompose_rational_P(field, 1, P, z, z)
+    A0, B0 = _characteristics(field, 2)
+    dec = decompose_rational_P(field, 1, P, A0, B0)
+    assert dec.lambdas == (Fraction(3, 2), Fraction(2))
+    assert field.from_rational(dec.lambda_product()) == P.det()
+    W = [[0.05 + 1.15j]]
+    dense = theta_general(field, W, P, A0, B0).value
+    assert dec.evaluate(W) == pytest.approx(dense, rel=1e-10)
 
+
+# a unipotent entry below the diagonal: its delta part is never 0
+_below = st.builds(lambda a, b, den: (Fraction(a, den), Fraction(b, den)),
+                   st.integers(-1, 1), st.sampled_from((-1, 1)), st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(d=st.sampled_from((1, 2, 3, 7)), data=st.data())
+def test_decompose_hermitian_draws_match_dense(d, data):
+    # P = M^H diag(lam) M with M unipotent lower triangular over K: the
+    # pivots are lam (L = M and D = diag(lam) are unique), their product is
+    # det P exactly, and the expansion is the dense theta
+    field = FieldId(d)
+    h = data.draw(st.integers(2, 3), label="h")
+    M = KMatrix([[field.element(*data.draw(_below)) if j < i else field.from_rational(int(i == j))
+                  for j in range(h)] for i in range(h)])
+    lams = data.draw(st.lists(st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))),
+                              min_size=h, max_size=h), label="lambdas")
+    P = M.conj_transpose() @ KMatrix([[field.from_rational(lam if i == j else 0)
+                                       for j in range(h)] for i, lam in enumerate(lams)]) @ M
+    assert not all(x.is_rational() for row in P.entry_rows() for x in row)
+    A0, B0 = _characteristics(field, h)
+    assume(shift_group(1, M, math.inf).order * character_group(1, M, math.inf).order <= 4096)
+    dec = decompose_rational_P(field, 1, P, A0, B0)
+    assert dec.lambdas == tuple(lams)
+    assert field.from_rational(dec.lambda_product()) == P.det()
+    W = [[0.05 + 1.0j]]
+    dense = theta_general(field, W, P, A0, B0).value
+    assert dec.evaluate(W) == pytest.approx(dense, rel=1e-9)
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
 def test_unipotent_relation_every_field(d):
